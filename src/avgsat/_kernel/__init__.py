@@ -4,7 +4,7 @@ The hot loops (exhaustive RPN enumeration, truth-table evaluation,
 canonical sentence censuses) have two interchangeable implementations:
 a compiled Cython module and a pure-Python twin.  The compiled one is
 preferred when importable; set ``AVGSAT_PURE_KERNEL=1`` to force the
-pure version (used by the benchmark and the parity tests).
+pure version (the parity tests read it).
 """
 
 import os

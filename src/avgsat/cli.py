@@ -140,7 +140,7 @@ def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
         space = measure.formula_space(table, n, max_tokens, alpha=n)
     mu = measure.uniform_over_model_classes(space, n)
     T = lambda x: engines.sat_scan(x).time_units
-    return space, measure.oclass_member(space, T, lambda k: 2 * k, mu)
+    return space, mu, measure.oclass_member(space, T, lambda k: 2 * k, mu)
 
 
 def cmd_sat_oclass(opts: Options):
@@ -149,7 +149,7 @@ def cmd_sat_oclass(opts: Options):
     table = _load_table(opts)
     header = ["check"] + measure.BoundReport.CSV_HEADER
     rows = []
-    space, report = _sat_report(table, n, max_tokens)
+    space, mu, report = _sat_report(table, n, max_tokens)
     for row in report.csv_rows():
         rows.append(["sat"] + row)
     T = lambda x: engines.sat_scan(x).time_units
@@ -164,7 +164,6 @@ def cmd_sat_oclass(opts: Options):
             rows.append(["co"] + row)
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
-    mu = measure.uniform_over_model_classes(space, n)
     read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu,
                             space.items)
     share = read / measure.avg_time(T, mu, space.items)
@@ -218,13 +217,15 @@ def cmd_moments(opts: Options):
             ok = s.upper <= bound
         rows.append(["sum", str(m), "", *_frac(s.partial), *_frac(bound),
                      _float(s.partial), _float(bound), PASS if ok else FAIL])
-    spaces = {n: measure.covering_space(table, n) for n in sorted(n_list)}
+    spaces = {}
+    for n in sorted(n_list):
+        space = measure.covering_space(table, n)
+        spaces[n] = space, measure.uniform_over_model_classes(space, n)
     for m in sorted(m_list):
         if m < 2:
             continue
         c = analytic.moment_oclass_constant(m)
-        for n, space in spaces.items():
-            mu = measure.uniform_over_model_classes(space, n)
+        for n, (space, mu) in spaces.items():
             T = lambda x: engines.sat_scan(x).time_units ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
             for row in report.csv_rows():

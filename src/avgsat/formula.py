@@ -119,6 +119,7 @@ class ConnectiveTable:
         self._by_symbol = {c.symbol: i for i, c in enumerate(conns)}
         self.arities = tuple(c.arity for c in conns)
         self.truth_bits = tuple(c.bits for c in conns)
+        self._hash = hash(conns)
 
     def __len__(self) -> int:
         return len(self.connectives)
@@ -127,7 +128,7 @@ class ConnectiveTable:
         return isinstance(other, ConnectiveTable) and self.connectives == other.connectives
 
     def __hash__(self) -> int:
-        return hash(self.connectives)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ConnectiveTable({[c.symbol for c in self.connectives]})"
@@ -245,12 +246,15 @@ class ConnectiveTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """A sentence as a tuple of token codes over a connective table.
 
     Codes >= 0 are variable indices; code ``-j-1`` is connective slot
     ``j``.  Construction validates reverse-Polish discipline.
+
+    The hash covers the codes only, so dict and cache lookups never
+    hash the table; equality still compares both fields.
     """
 
     codes: tuple[int, ...]
@@ -272,6 +276,9 @@ class Formula:
         if depth != 1:
             raise MalformedRpn(f"sequence leaves {depth} values on the stack")
 
+    def __hash__(self) -> int:
+        return hash(self.codes)
+
     def __str__(self) -> str:
         return render(self)
 
@@ -279,7 +286,7 @@ class Formula:
         return f"Formula({render(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelSet:
     """Satisfying assignments of a sentence over n variables, as a bit set.
 
@@ -454,17 +461,17 @@ def stratify_min_layers(space: Iterable[Formula], n: int) -> list[list[Formula]]
     layer i+1 repeats on the remainder.  Layers are disjoint, cover the
     input, and contain at most one member per equivalence group.
     """
-    groups: dict[int, list[Formula]] = {}
-    for x in space:
-        groups.setdefault(model_set(x, n).bits, []).append(x)
-    for members in groups.values():
-        members.sort(key=lambda x: (size_f(x), render(x)))
+    # One sort by (size, rendering) orders every group and every layer:
+    # walking the sorted sentences, each joins the layer numbered by how
+    # many members of its group came before it.
+    ranked = sorted(space, key=lambda x: (size_f(x), render(x)))
+    seen: dict[int, int] = {}
     layers: list[list[Formula]] = []
-    depth = 0
-    while True:
-        layer = [members[depth] for members in groups.values() if depth < len(members)]
-        if not layer:
-            return layers
-        layer.sort(key=lambda x: (size_f(x), render(x)))
-        layers.append(layer)
-        depth += 1
+    for x in ranked:
+        bits = model_set(x, n).bits
+        depth = seen.get(bits, 0)
+        seen[bits] = depth + 1
+        if depth == len(layers):
+            layers.append([])
+        layers[depth].append(x)
+    return layers

@@ -64,6 +64,28 @@ def _fn(m):
     return m.__getitem__
 
 
+_ZERO = Fraction(0)
+
+
+def _dot(terms: Iterable[tuple]) -> Fraction:
+    """Exact sum over ``terms`` of the product of each tuple's factors.
+
+    Factors are ints, Fractions or floats (floats convert exactly).
+    Numerator products are added as integers, keyed by their common
+    denominator, and one Fraction is built per distinct denominator, so
+    a term costs integer work only.
+    """
+    sums: dict[int, int] = {}
+    for factors in terms:
+        num = den = 1
+        for q in factors:
+            n, d = q.as_integer_ratio()
+            num *= n
+            den *= d
+        sums[den] = sums.get(den, 0) + num
+    return sum((Fraction(n, d) for d, n in sums.items()), _ZERO)
+
+
 class InputSpace:
     """A finite input space with a size map f and a partition alpha."""
 
@@ -115,10 +137,11 @@ class Distribution:
     normalization: Normalization = Normalization.GLOBAL
 
     def of(self, x) -> Fraction:
-        return self.weights.get(x, Fraction(0))
+        return self.weights.get(x, _ZERO)
 
     def mass(self, items: Iterable) -> Fraction:
-        return sum((self.weights.get(x, Fraction(0)) for x in items), Fraction(0))
+        w = self.weights.get
+        return _dot((w(x, 0),) for x in items)
 
     def validate(self, space: InputSpace) -> None:
         for x, w in self.weights.items():
@@ -182,8 +205,8 @@ def avg_time(T: CostMap, mu: Distribution, Y: Iterable) -> Fraction:
     denom = mu.mass(items)
     if denom == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
-    num = sum((Fraction(Tf(x)) * mu.of(x) for x in items), Fraction(0))
-    return num / denom
+    w = mu.weights.get
+    return _dot((Tf(x), w(x, 0)) for x in items) / denom
 
 
 def relative_avg(space: InputSpace, T: CostMap, mu: Distribution, n: int) -> Fraction:
@@ -203,20 +226,24 @@ def oclass_member(space: InputSpace, T: CostMap, F: Callable[[int], object],
         sum over the class of  T(x) / F(f(x)) * mu(x)  <=  mu(class)
 
     in exact rational arithmetic (the coefficient on F is exactly 1).
+    F is evaluated once per distinct size.
     """
     Tf = _fn(T)
+    w = mu.weights.get
+    inv_F: dict[int, Fraction] = {}
     report = BoundReport()
     for n in space.attained_classes():
         items = space.class_items(n)
         rhs = mu.mass(items)
         if rhs == 0:
             continue
-        lhs = Fraction(0)
-        for x in items:
-            Fv = Fraction(F(space.f[x]))
-            if Fv < 1:
-                raise ValueError(f"F({space.f[x]}) = {Fv} < 1")
-            lhs += Fraction(Tf(x)) * mu.of(x) / Fv
+        for k in dict.fromkeys(space.f[x] for x in items):
+            if k not in inv_F:
+                Fv = Fraction(F(k))
+                if Fv < 1:
+                    raise ValueError(f"F({k}) = {Fv} < 1")
+                inv_F[k] = 1 / Fv
+        lhs = _dot((Tf(x), w(x, 0), inv_F[space.f[x]]) for x in items)
         report.rows.append(BoundRow(n, lhs, rhs, lhs <= rhs))
     return report
 
@@ -308,21 +335,31 @@ def nu_from_H(space: InputSpace, H: Callable[[int], object],
 
     EQUALITY scales by the unique constant making the total mass 1;
     DOMINATED returns the raw pointwise product (a sub-distribution
-    used as an upper bound).
+    used as an upper bound).  Weights are computed, and normalized,
+    once per distinct (alpha, f, mu) key and shared by its items.
     """
-    raw = {}
+    w = mu.weights.get
+    weight: dict[tuple, Fraction] = {}
+    key_of = {}   # items of nonzero weight -> their key
     for x in space.items:
-        w = Fraction(H(space.alpha[x])) / Fraction(F(space.f[x])) * mu.of(x)
-        if w < 0:
-            raise ValueError("H produced a negative weight")
-        if w:
-            raw[x] = w
+        key = (space.alpha[x], space.f[x], *w(x, 0).as_integer_ratio())
+        q = weight.get(key)
+        if q is None:
+            a, k, num, den = key
+            q = weight[key] = Fraction(H(a)) / Fraction(F(k)) * Fraction(num, den)
+            if q < 0:
+                raise ValueError("H produced a negative weight")
+        if q:
+            key_of[x] = key
     if mode is HMode.DOMINATED:
-        return Distribution(raw, Normalization.RAW)
-    total = sum(raw.values(), Fraction(0))
+        return Distribution({x: weight[key] for x, key in key_of.items()},
+                            Normalization.RAW)
+    total = _dot((weight[key],) for key in key_of.values())
     if total == 0:
         raise ZeroMass("H vanishes on every positive-mass item")
-    return Distribution({x: w / total for x, w in raw.items()}, Normalization.GLOBAL)
+    scaled = {key: q / total for key, q in weight.items() if q}
+    return Distribution({x: scaled[key] for x, key in key_of.items()},
+                        Normalization.GLOBAL)
 
 
 @dataclass(frozen=True)
@@ -365,7 +402,9 @@ def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object]
     per-class membership rows pass.
     """
     Tf = _fn(T)
-    oc = oclass_member(space, T, F, mu)
+    times = {x: Tf(x) for x in space.items}
+    oc = oclass_member(space, times, F, mu)
+    F_at = {k: F(k) for k in set(space.f.values())}
     tested_classes = [r.n for r in oc.rows]
     h_rows = []
     per_class = True
@@ -377,8 +416,8 @@ def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object]
             nu = nu_from_H(space, H, F, mu, HMode.EQUALITY)
         except ZeroMass:
             continue
-        lhs = sum((Fraction(Tf(x)) * nu.of(x) for x in space.items), Fraction(0))
-        rhs = sum((Fraction(F(space.f[x])) * nu.of(x) for x in space.items), Fraction(0))
+        lhs = _dot((times[x], q) for x, q in nu.weights.items())
+        rhs = _dot((F_at[space.f[x]], q) for x, q in nu.weights.items())
         row = HRow(label, lhs, rhs, lhs <= rhs)
         h_rows.append(row)
         if label.startswith("chi_"):
@@ -415,14 +454,15 @@ def check_property_2_3(space: InputSpace, T: CostMap, F: Callable[[int], object]
     """
     if mu.normalization is not Normalization.PER_CLASS:
         raise PreconditionFailed("mu must be normalized once per class")
-    oc = oclass_member(space, T, F, mu)
+    Tf = _fn(T)
+    times = {x: Tf(x) for x in space.items}
+    oc = oclass_member(space, times, F, mu)
     if not oc.overall:
         raise PreconditionFailed("O(F) membership fails on this space")
-    Tf = _fn(T)
     nu = nu_from_H(space, H, F, mu, HMode.DOMINATED)
-    expectation = sum((Fraction(Tf(x)) * nu.of(x) for x in space.items), Fraction(0))
+    expectation = _dot((times[x], q) for x, q in nu.weights.items())
     mass = nu.mass(space.items)
-    bound = sum((Fraction(H(n)) for n in space.attained_classes()), Fraction(0))
+    bound = _dot((H(n),) for n in space.attained_classes())
     return Prop23Result(bound, expectation, mass, expectation <= bound)
 
 
@@ -444,7 +484,8 @@ def markov_tail(T: CostMap, mu: Distribution, Y: Iterable, a) -> MarkovTail:
     if total == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
     bound = avg_time(T, mu, items) / a
-    tail = sum((mu.of(x) for x in items if Tf(x) >= a), Fraction(0))
+    w = mu.weights.get
+    tail = _dot((w(x, 0),) for x in items if Tf(x) >= a)
     empirical = tail / total
     return MarkovTail(bound, empirical, empirical <= bound)
 
@@ -463,11 +504,11 @@ def uniform_on(space: InputSpace, subset: Iterable | None = None) -> Distributio
 
 def weights_proportional(space: InputSpace, weight: Callable) -> Distribution:
     """Normalize pointwise weights to total mass 1 (exact)."""
-    raw = {x: Fraction(weight(x)) for x in space.items}
-    total = sum(raw.values(), Fraction(0))
+    raw = {x: weight(x) for x in space.items}
+    total = _dot((w,) for w in raw.values())
     if total == 0:
         raise ZeroMass("all weights vanish")
-    return Distribution({x: w / total for x, w in raw.items() if w},
+    return Distribution({x: Fraction(w) / total for x, w in raw.items() if w},
                         Normalization.GLOBAL)
 
 
@@ -561,17 +602,20 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
     exactly n variables that inhabits all 2^(2^n) model classes.
 
     Token depth grows one at a time; every sentence up to the first
-    covering depth is kept.  Raises ClassUncovered at the cap.
+    covering depth is kept.  Raises ClassUncovered at the cap.  Each
+    sentence is evaluated once, through ``model_class_of``, whose cache
+    later checks reuse.
     """
     needed = 1 << (1 << n)
     formulas: list[Formula] = []
     seen: set[int] = set()
     for length in range(1, depth_cap + 1):
-        for codes, mask, _ in _kernel.enumerate_length(
+        for codes, _, _ in _kernel.enumerate_length(
                 n, table.arities, table.truth_bits, length,
-                alpha=n, want_masks=True, compact=True):
-            formulas.append(Formula(codes, table))
-            seen.add(mask)
+                alpha=n, want_masks=False):
+            x = Formula(codes, table)
+            formulas.append(x)
+            seen.add(model_class_of(x))
         if len(seen) == needed:
             return InputSpace.from_formulas(formulas)
     raise ClassUncovered(

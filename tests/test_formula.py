@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,26 @@ def test_formula_constructor_validates(std):
         Formula((0, -2), std)  # AND with one operand
     with pytest.raises(MalformedRpn):
         Formula((0, -99), std)  # no such slot
+
+
+def test_formula_key_contract(std, all_binary):
+    # the hash reads the codes only; equality still compares the table
+    x = Formula((0, 1, -2), std)
+    same = Formula((0, 1, -2), ConnectiveTable.standard())
+    assert same.table is not std
+    assert x == same and hash(x) == hash(same)
+    other = Formula((0, 1, -2), all_binary)
+    assert x != other
+    assert {x: 1}.get(other) is None
+    for obj in (x, ModelSet(1, 2)):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        x.codes = (0,)
+    # a new name has no slot to go to; Python 3.11 reports this as a
+    # TypeError from the frozen __setattr__, later versions as frozen
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        x.note = "cached"
+    assert not hasattr(x, "note")
 
 
 @given(std_formulas())

@@ -372,3 +372,148 @@ def test_everything_is_exact(space1):
     assert isinstance(report.row(1).lhs, Fraction)
     assert isinstance(avg_time(SAT_TIME, mu, space1.items), Fraction)
     assert isinstance(mu.of(space1.items[0]), Fraction)
+
+
+# --- exact sums against naive per-item references --------------------------
+#
+# The library forms its sums as integers per denominator and builds its
+# weights once per distinct key; these references add one Fraction per
+# item, exactly as the definitions read.
+
+def ref_mass(mu, items):
+    return sum((Fraction(mu.weights.get(x, 0)) for x in items), Fraction(0))
+
+
+def ref_avg_time(T, mu, items):
+    items = list(items)
+    num = sum((Fraction(T(x)) * mu.of(x) for x in items), Fraction(0))
+    return num / ref_mass(mu, items)
+
+
+def ref_oclass(space, T, F, mu):
+    rows = {}
+    for n in space.attained_classes():
+        items = space.class_items(n)
+        rhs = ref_mass(mu, items)
+        if rhs:
+            rows[n] = (sum((Fraction(T(x)) * mu.of(x) / Fraction(F(space.f[x]))
+                            for x in items), Fraction(0)), rhs)
+    return rows
+
+
+def ref_nu(space, H, F, mu, mode):
+    raw = {}
+    for x in space.items:
+        w = Fraction(H(space.alpha[x])) / Fraction(F(space.f[x])) * mu.of(x)
+        if w:
+            raw[x] = w
+    if mode is HMode.DOMINATED:
+        return raw
+    total = sum(raw.values(), Fraction(0))
+    return {x: w / total for x, w in raw.items()}
+
+
+def ref_expect(space, T, weights):
+    return sum((Fraction(T(x)) * weights.get(x, 0) for x in space.items), Fraction(0))
+
+
+def assert_sums_match(space, T, F, mu, Hs):
+    """Every exact sum of the library equals its naive reference."""
+    T = measure._fn(T)
+    items = space.items
+    assert mu.mass(items) == ref_mass(mu, items)
+    for n in space.attained_classes():
+        assert mu.mass(space.class_items(n)) == ref_mass(mu, space.class_items(n))
+    if ref_mass(mu, items):
+        assert avg_time(T, mu, items) == ref_avg_time(T, mu, items)
+    expected = ref_oclass(space, T, F, mu)
+    report = oclass_member(space, T, F, mu)
+    assert {r.n: (r.lhs, r.rhs) for r in report.rows} == expected
+    for H in Hs:
+        assert nu_from_H(space, H, F, mu, HMode.DOMINATED).weights == \
+            ref_nu(space, H, F, mu, HMode.DOMINATED)
+        if sum(ref_nu(space, H, F, mu, HMode.DOMINATED).values()) == 0:
+            with pytest.raises(ZeroMass):
+                nu_from_H(space, H, F, mu, HMode.EQUALITY)
+        else:
+            assert nu_from_H(space, H, F, mu, HMode.EQUALITY).weights == \
+                ref_nu(space, H, F, mu, HMode.EQUALITY)
+    labelled = [(f"H{i}", H) for i, H in enumerate(Hs)]
+    res22 = check_property_2_2(space, T, F, mu, extra_H=labelled)
+    refs = {f"chi_{n}": (lambda n: lambda k: 1 if k == n else 0)(n) for n in expected}
+    refs.update(labelled)
+    for row in res22.h_rows:
+        nu = ref_nu(space, refs[row.label], F, mu, HMode.EQUALITY)
+        assert row.lhs == ref_expect(space, T, nu)
+        assert row.rhs == ref_expect(space, lambda x: F(space.f[x]), nu)
+    per_class = Distribution(mu.weights, Normalization.PER_CLASS)
+    for H in Hs:
+        if not all(lhs <= rhs for lhs, rhs in expected.values()):
+            with pytest.raises(PreconditionFailed):
+                check_property_2_3(space, T, F, per_class, H)
+            continue
+        res23 = check_property_2_3(space, T, F, per_class, H)
+        nu = ref_nu(space, H, F, mu, HMode.DOMINATED)
+        assert res23.expectation == ref_expect(space, T, nu)
+        assert res23.dominated_mass == sum(nu.values(), Fraction(0))
+        assert res23.bound == sum((Fraction(H(n)) for n in space.attained_classes()),
+                                  Fraction(0))
+
+
+def test_exact_sums_match_references_on_sentences(space1, space2):
+    Hs = [lambda n: 1, lambda n: Fraction(1, n * n), lambda n: 0]
+    for n, sp in ((1, space1), (2, space2)):
+        mu = uniform_over_model_classes(sp, n)
+        assert_sums_match(sp, SAT_TIME, DOUBLE, mu, Hs)
+        c = analytic.moment_oclass_constant(3)
+        assert_sums_match(sp, lambda x: SAT_TIME(x) ** 3, lambda k: c * k ** 3, mu, Hs)
+        a = 100 * avg_time(SAT_TIME, mu, sp.items)
+        tail = ref_mass(mu, [x for x in sp.items if SAT_TIME(x) >= a])
+        assert markov_tail(SAT_TIME, mu, sp.items, a).empirical == tail
+
+
+_times = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                   st.fractions(min_value=0, max_value=1000, max_denominator=97),
+                   st.floats(min_value=0, max_value=1000, allow_nan=False))
+_weights = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=0, max_value=5, max_denominator=60))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=0, max_value=2),
+                          _times, _weights),
+                min_size=1, max_size=12),
+       st.integers(min_value=2, max_value=3),
+       st.lists(st.fractions(min_value=0, max_value=3, max_denominator=9),
+                min_size=3, max_size=3))
+def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
+    sp = InputSpace(range(len(rows)), lambda i: rows[i][0], lambda i: rows[i][1])
+    times = {i: row[2] for i, row in enumerate(rows)}
+    # index 0 has no entry at all: a missing weight reads as zero
+    mu = Distribution({i: row[3] for i, row in enumerate(rows) if i})
+    c = analytic.moment_oclass_constant(m)
+    assert_sums_match(sp, times, lambda k: c * k ** m, mu,
+                      [lambda n: 1, lambda n: h_values[n]])
+    if ref_mass(mu, sp.items):
+        a = ref_avg_time(times.__getitem__, mu, sp.items) or 1
+        tail = ref_mass(mu, [i for i in sp.items if times[i] >= a])
+        assert markov_tail(times, mu, sp.items, a).empirical == \
+            tail / ref_mass(mu, sp.items)
+    raw = {i: row[3] for i, row in enumerate(rows)}
+    total = sum(raw.values(), Fraction(0))
+    if total:
+        assert weights_proportional(sp, raw.__getitem__).weights == \
+            {i: w / total for i, w in raw.items() if w}
+
+
+def test_bad_F_and_negative_H_still_raise():
+    sp = InputSpace(["a", "b", "c"], {"a": 2, "b": 8, "c": 1}, {"a": 1, "b": 1, "c": 2})
+    mu = Distribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    # F(2) < 1 in a class of positive mass; class 2 has no mass and is skipped
+    with pytest.raises(ValueError, match=r"F\(2\) = 1/2 < 1"):
+        oclass_member(sp, {"a": 1, "b": 1, "c": 1}, lambda k: Fraction(k, 4), mu)
+    with pytest.raises(ValueError, match="negative weight"):
+        nu_from_H(sp, lambda n: -1, lambda k: k, mu, HMode.DOMINATED)
+    # a negative H on massless items only yields zero weights there
+    nu = nu_from_H(sp, lambda n: -1 if n == 2 else 1, lambda k: k, mu)
+    assert set(nu.weights) == {"a", "b"}
