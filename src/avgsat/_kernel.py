@@ -1,0 +1,179 @@
+"""Enumeration, evaluation and counting kernels over RPN code sequences.
+
+Conventions:
+
+* A sentence is a sequence of integer token codes: ``code >= 0`` is the
+  propositional variable with that index; ``code < 0`` is the connective
+  in table slot ``-code - 1``.
+* Connective slot ``j`` has arity ``arities[j]`` and packed truth bits
+  ``tts[j]``: bit ``r`` of ``tts[j]`` is the output for the argument
+  tuple whose binary reading (most-significant bit = first argument)
+  is ``r``.
+* A truth-table mask over ``n`` variables is an integer whose bit ``m``
+  is set iff assignment ``m`` satisfies the sentence, where variable
+  ``i`` reads bit ``i`` of ``m`` (least-significant bit is variable 0).
+* The enumeration order is shortlex: token count first, then
+  lexicographic with variables (by index) before connectives (by slot).
+* Every count of valid sequences comes from one table,
+  ``completion_counts``.
+"""
+
+import math
+from collections import Counter
+
+
+def var_mask(i, n):
+    """Mask over 2^n assignments whose bit m is set iff bit i of m is set."""
+    half = 1 << i
+    mask = ((1 << half) - 1) << half
+    width = half << 1
+    total = 1 << n
+    while width < total:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def eval_mask(codes, n, arities, tts):
+    """Truth-table mask of an RPN code sequence over n variables."""
+    full = (1 << (1 << n)) - 1
+    vmasks = [var_mask(i, n) for i in range(n)]
+    stack = []
+    for c in codes:
+        if c >= 0:
+            stack.append(vmasks[c])
+        else:
+            j = -c - 1
+            a = arities[j]
+            tt = tts[j]
+            args = stack[-a:]
+            del stack[-a:]
+            acc = 0
+            for r in range(1 << a):
+                if (tt >> r) & 1:
+                    term = full
+                    for k in range(a):
+                        if (r >> (a - 1 - k)) & 1:
+                            term &= args[k]
+                        else:
+                            term &= full & ~args[k]
+                    acc |= term
+            stack.append(acc)
+    return stack[-1]
+
+
+def compact_order(codes):
+    """Distinct variable indices in order of first appearance."""
+    order = []
+    seen = set()
+    for c in codes:
+        if c >= 0 and c not in seen:
+            seen.add(c)
+            order.append(c)
+    return order
+
+
+def eval_mask_compact(codes, arities, tts):
+    """Mask over the sentence's own variables, compacted by first appearance.
+
+    Returns (mask, alpha) where alpha is the number of distinct variables.
+    """
+    order = compact_order(codes)
+    slot = {v: i for i, v in enumerate(order)}
+    remapped = [slot[c] if c >= 0 else c for c in codes]
+    return eval_mask(remapped, len(order), arities, tts), len(order)
+
+
+def completion_counts(n_vars, arities, length):
+    """cnt[r][d]: valid completions from stack depth d in exactly r tokens.
+
+    A completion ends with exactly one value on the stack.  Entries with
+    ``r + d <= length + 1`` are exact, which covers every state a
+    sequence of at most ``length`` tokens passes through.
+    """
+    by_arity = Counter(arities).items()
+    cnt = [[0] * (length + 2) for _ in range(length + 1)]
+    cnt[0][1] = 1
+    for r in range(1, length + 1):
+        prev = cnt[r - 1]
+        row = cnt[r]
+        for d in range(length + 1):
+            total = n_vars * prev[d + 1]
+            for a, mult in by_arity:
+                if d >= a:
+                    total += mult * prev[d - a + 1]
+            row[d] = total
+    return cnt
+
+
+def enumerate_length(n_vars, arities, length, exact_conns=-1, alpha=-1):
+    """All valid RPN code sequences of exactly ``length`` tokens, in
+    lexicographic order.
+
+    ``exact_conns`` (if >= 0) keeps only sentences with that many
+    connective tokens; ``alpha`` (if >= 0) keeps only sentences with
+    that many distinct variables.  Returns a list of (codes, alpha)
+    pairs.
+    """
+    cnt = completion_counts(n_vars, arities, length)
+    n_conns = len(arities)
+    out = []
+    codes = []
+
+    def rec(depth, used, conns_used):
+        pos = len(codes)
+        if pos == length:
+            a_x = bin(used).count("1")
+            if alpha >= 0 and a_x != alpha:
+                return
+            if exact_conns >= 0 and conns_used != exact_conns:
+                return
+            out.append((tuple(codes), a_x))
+            return
+        rem = length - pos - 1
+        if exact_conns >= 0 and conns_used + rem + 1 < exact_conns:
+            return
+        if cnt[rem][depth + 1]:
+            for v in range(n_vars):
+                codes.append(v)
+                rec(depth + 1, used | (1 << v), conns_used)
+                codes.pop()
+        if exact_conns >= 0 and conns_used >= exact_conns:
+            return
+        for j in range(n_conns):
+            a = arities[j]
+            if depth >= a and cnt[rem][depth - a + 1]:
+                codes.append(-j - 1)
+                rec(depth - a + 1, used, conns_used + 1)
+                codes.pop()
+
+    rec(0, 0, 0)
+    return out
+
+
+def census_length(n_vars, arities, length):
+    """Count the canonical sentences of exactly ``length`` tokens over
+    ``n_vars`` variables, in closed form.
+
+    A sentence is canonical when its leaves carry the lexicographically
+    smallest labeling that uses its variable set: repeats of the
+    smallest variable, then each remaining one once in increasing
+    order.  Each connective-labelled shape with ``k`` leaves thus has
+    one canonical labeling per nonempty subset of at most ``k`` of the
+    variables.  With every connective of one arity ``a >= 1``, a
+    sentence of ``length`` tokens has ``k = length - (length - 1) / a``
+    leaves; other tables raise ``ValueError``.
+
+    Returns (count, sum_pow2_alpha) where the second component is the
+    sum of 2^alpha over counted sentences.
+    """
+    distinct = set(arities)
+    if len(distinct) != 1 or 0 in distinct:
+        raise ValueError("the closed-form census needs every connective "
+                         "of one arity a >= 1")
+    (a,) = distinct
+    shapes = completion_counts(1, arities, length)[length][0]
+    leaves = length - (length - 1) // a
+    subsets = [math.comb(n_vars, s) for s in range(1, min(leaves, n_vars) + 1)]
+    return (shapes * sum(subsets),
+            shapes * sum(c << s for s, c in enumerate(subsets, start=1)))

@@ -63,7 +63,7 @@ def is_canonical_sentence(x: Formula) -> bool:
 
 @dataclass(frozen=True)
 class Census:
-    """Exhaustive-generation counts for exact-connective sentences."""
+    """Counts of the canonical sentences with exactly N connectives."""
 
     N: int
     count: int
@@ -81,8 +81,14 @@ class Census:
 
 
 def enumerated_census(N: int, table: ConnectiveTable | None = None) -> Census:
-    """Count, by exhaustive generation, the canonical sentences with
-    exactly N connectives over variables p0..pN.
+    """Count the canonical sentences with exactly N connectives over
+    variables p0..pN (see ``is_canonical_sentence``).
+
+    The count is the closed form of ``_kernel.census_length``: the
+    connective-labelled shapes, from the stack-depth completion DP,
+    times one labeling per nonempty variable subset.  Every connective
+    of ``table`` (default: the 16 binary ones) must have one arity
+    ``a >= 1``; otherwise ``ValueError``.
     """
     if table is None:
         table = ConnectiveTable.all_binary()
@@ -90,8 +96,7 @@ def enumerated_census(N: int, table: ConnectiveTable | None = None) -> Census:
     pow2 = 0
     from .formula import _length_range
     for length in _length_range(table, None, N):
-        c, s = _kernel.census_length(N + 1, table.arities, table.truth_bits,
-                                     length, N, canonical=True)
+        c, s = _kernel.census_length(N + 1, table.arities, length)
         total += c
         pow2 += s
     return Census(N, total, pow2)

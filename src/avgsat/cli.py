@@ -23,7 +23,7 @@ import statistics
 import sys
 from fractions import Fraction
 
-from . import analytic, engines, measure
+from . import _kernel, analytic, engines, measure
 from .formula import ConnectiveTable, Formula, FormulaError, var_count_alpha
 
 PASS = "pass"
@@ -94,9 +94,14 @@ class Options:
 
 def _load_table(opts: Options) -> ConnectiveTable:
     path = opts.get("table", None, cast=str)
-    if path:
+    if not path:
+        return ConnectiveTable.standard()
+    try:
         return ConnectiveTable.from_file(path)
-    return ConnectiveTable.standard()
+    except OSError as exc:
+        raise FormulaError(f"table {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise FormulaError(f"table {path}: {exc}") from exc
 
 
 def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -300,20 +305,6 @@ def cmd_tractability(opts: Options):
     return header, rows
 
 
-def _completion_counts(n_vars: int, arities, length: int):
-    """cnt[r][d]: valid completions from stack depth d in exactly r tokens."""
-    cnt = [[0] * (length + 2) for _ in range(length + 1)]
-    cnt[0][1] = 1
-    for r in range(1, length + 1):
-        for d in range(length + 1):
-            total = n_vars * cnt[r - 1][d + 1]
-            for a in arities:
-                if d >= a:
-                    total += cnt[r - 1][d - a + 1]
-            cnt[r][d] = total
-    return cnt
-
-
 def _unrank(u: int, length: int, n_vars: int, arities, cnt) -> tuple[int, ...]:
     codes = []
     d = 0
@@ -346,9 +337,10 @@ class SequenceSampler:
     def __init__(self, table: ConnectiveTable, n_vars: int, max_tokens: int):
         self.table = table
         self.n_vars = n_vars
-        self.tables = {L: _completion_counts(n_vars, table.arities, L)
-                       for L in range(1, max_tokens + 1)}
-        self.totals = [(L, t[L][0]) for L, t in sorted(self.tables.items()) if t[L][0]]
+        # one table serves every length up to max_tokens
+        self.cnt = _kernel.completion_counts(n_vars, table.arities, max_tokens)
+        self.totals = [(L, self.cnt[L][0]) for L in range(1, max_tokens + 1)
+                       if self.cnt[L][0]]
         self.grand_total = sum(c for _, c in self.totals)
 
     def sample(self, rng: random.Random) -> Formula:
@@ -356,7 +348,7 @@ class SequenceSampler:
         for L, c in self.totals:
             if u < c:
                 return Formula(_unrank(u, L, self.n_vars, self.table.arities,
-                                       self.tables[L]), self.table)
+                                       self.cnt), self.table)
             u -= c
         raise AssertionError("sampler index out of range")
 
@@ -425,11 +417,14 @@ def cmd_explore_min(opts: Options, seed: int):
     target = opts.get("target_tokens", 9)
     arity = opts.get("arity", 2)
     samples = opts.get("samples", 10000)
-    table = ConnectiveTable.all_of_arity(arity)
+    try:
+        table = ConnectiveTable.all_of_arity(arity)
+    except ValueError as exc:
+        raise FormulaError(f"arity {arity}: {exc}") from exc
     # a sentence of L tokens over arity-a connectives has at most
     # 1 + (L-1)*(a-1)/a leaves; use that many variables
     pool = 1 + (target - 1) * (arity - 1) // arity
-    cnt = _completion_counts(pool, table.arities, target)
+    cnt = _kernel.completion_counts(pool, table.arities, target)
     total = cnt[target][0]
     if total == 0:
         raise SystemExit(f"no sentences with exactly {target} tokens at arity {arity}")

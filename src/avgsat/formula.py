@@ -193,7 +193,7 @@ class ConnectiveTable:
         elif arity == 3:
             symbols = [chr(0x2800 + t) for t in range(256)]
         else:
-            raise ValueError("single-character symbol pool covers arity <= 3 only")
+            raise ValueError("single-character symbol pool covers arities 1 to 3 only")
         out = []
         width = 1 << arity
         for t in range(1 << width):
@@ -444,9 +444,8 @@ def enumerate_formulas(table: ConnectiveTable, n_vars: int, max_tokens: int | No
     ec = -1 if exact_connectives is None else exact_connectives
     af = -1 if alpha is None else alpha
     for length in _length_range(table, max_tokens, exact_connectives):
-        for codes, _, a_x in _kernel.enumerate_length(
-                n_vars, table.arities, table.truth_bits, length,
-                exact_conns=ec, alpha=af, want_masks=False):
+        for codes, a_x in _kernel.enumerate_length(
+                n_vars, table.arities, length, exact_conns=ec, alpha=af):
             if a_x == 0:
                 continue
             yield Formula(codes, table)

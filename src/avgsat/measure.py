@@ -610,9 +610,7 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
     formulas: list[Formula] = []
     seen: set[int] = set()
     for length in range(1, depth_cap + 1):
-        for codes, _, _ in _kernel.enumerate_length(
-                n, table.arities, table.truth_bits, length,
-                alpha=n, want_masks=False):
+        for codes, _ in _kernel.enumerate_length(n, table.arities, length, alpha=n):
             x = Formula(codes, table)
             formulas.append(x)
             seen.add(model_class_of(x))

@@ -53,16 +53,32 @@ def test_census_matches_closed_form():
         assert census.count == sentence_count(N)
 
 
-def test_census_matches_filtered_enumeration(all_binary):
+CENSUS_TABLES = {
+    "all-binary": ConnectiveTable.all_binary(),
+    "all-unary": ConnectiveTable.all_of_arity(1),
+    "nand-only": ConnectiveTable.from_text("⊼ 2 1110\n"),
+    "majority-only": ConnectiveTable.from_text("M 3 00010111\n"),
+}
+
+
+def test_census_matches_filtered_enumeration():
     # dual route: filter the raw enumeration by the canonical-labeling
-    # predicate and compare counts and tabulation totals
-    for N in range(3):
-        canonical = [x for x in enumerate_formulas(all_binary, N + 1,
-                                                   exact_connectives=N)
-                     if is_canonical_sentence(x)]
-        census = enumerated_census(N)
-        assert len(canonical) == census.count
-        assert sum(1 << var_count_alpha(x) for x in canonical) == census.pow2_alpha_sum
+    # predicate and compare counts and tabulation totals with the
+    # closed form, for every table in CENSUS_TABLES
+    for name, table in CENSUS_TABLES.items():
+        for N in range(3):
+            canonical = [x for x in enumerate_formulas(table, N + 1,
+                                                       exact_connectives=N)
+                         if is_canonical_sentence(x)]
+            census = enumerated_census(N, table)
+            assert len(canonical) == census.count, (name, N)
+            assert sum(1 << var_count_alpha(x) for x in canonical) == \
+                census.pow2_alpha_sum, (name, N)
+
+
+def test_census_refuses_mixed_arities():
+    with pytest.raises(ValueError):
+        enumerated_census(1, ConnectiveTable.all_up_to(2))
 
 
 def test_census_totals_match_closed_forms():

@@ -73,6 +73,13 @@ def test_counting(tmp_path):
     assert all(r["gamma"] == r["catalan"] for r in rows)
 
 
+def test_counting_census_to_n12(tmp_path):
+    code, rows, _ = run(tmp_path, "counting", "--n-max", "12", "--enum-limit", "12")
+    assert code == 0
+    assert len(rows) == 13
+    assert all(r["enum_count"] == r["sentence_count"] for r in rows)
+
+
 def test_tractability_cases(tmp_path):
     code, rows, _ = run(tmp_path, "tractability", "--case", "geometric")
     assert code == 0
@@ -115,6 +122,38 @@ def test_explore_min(tmp_path):
     assert rows[0]["pool"] == "4"
     _, _, second = run(tmp_path, *args, name="b.csv")
     assert first == second
+
+
+def test_explore_min_wide_table(tmp_path):
+    # 256 ternary connectives
+    code, rows, _ = run(tmp_path, "explore-min", "--arity", "3",
+                        "--target-tokens", "7", "--samples", "200")
+    assert code == 0
+    assert rows[0]["status"] == "info"
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore-min", "--arity", "4"],
+    ["explore-min", "--arity", "0"],
+], ids=["arity-4", "arity-0"])
+def test_unbuildable_table_exits_2(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("avgsat: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
+def test_bad_table_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "table.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = cli.main(["sat-oclass", "--n", "1", "--table", str(path),
+                     "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"avgsat: table {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_property_2_2(tmp_path):
@@ -191,13 +230,11 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
     from avgsat.formula import ConnectiveTable
     std = ConnectiveTable.standard()
     for length in range(1, 7):
-        cnt = cli._completion_counts(2, std.arities, length)
-        total = cnt[length][0]
-        assert total == _kernel.count_length(2, std.arities, length)
+        cnt = _kernel.completion_counts(2, std.arities, length)
         unranked = [cli._unrank(u, length, 2, std.arities, cnt)
-                    for u in range(total)]
-        enumerated = [codes for codes, _, _ in _kernel.enumerate_length(
-            2, std.arities, std.truth_bits, length, want_masks=False)]
+                    for u in range(cnt[length][0])]
+        enumerated = [codes for codes, _ in _kernel.enumerate_length(
+            2, std.arities, length)]
         assert unranked == enumerated
 
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -194,6 +195,14 @@ def test_model_set_complement(std):
     assert K.complement().complement() == K
 
 
+def test_var_mask_definition():
+    for n in range(1, 7):
+        for i in range(n):
+            mask = _kernel.var_mask(i, n)
+            for m in range(1 << n):
+                assert ((mask >> m) & 1) == ((m >> i) & 1)
+
+
 def test_model_set_width_validation():
     with pytest.raises(ValueError):
         ModelSet(1, 16)
@@ -226,10 +235,23 @@ def test_enumerate_shortlex_order(std):
 
 
 def test_enumerate_counts_match_path_dp(std):
-    for length in range(1, 9):
+    # the completion-count DP and the enumeration it prunes, against
+    # every token string filtered by the Formula constructor
+    def valid(codes):
+        try:
+            Formula(codes, std)
+        except MalformedRpn:
+            return False
+        return True
+
+    alphabet = (0, 1, -1, -2, -3)
+    cnt = _kernel.completion_counts(2, std.arities, 6)
+    for length in range(1, 7):
+        brute = sum(1 for codes in itertools.product(alphabet, repeat=length)
+                    if valid(codes))
         got = sum(1 for x in enumerate_formulas(std, 2, max_tokens=length)
                   if len(x.codes) == length)
-        assert got == _kernel.count_length(2, std.arities, length)
+        assert got == brute == cnt[length][0]
 
 
 def test_enumerate_exactly_once(std):
