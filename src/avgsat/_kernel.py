@@ -20,6 +20,7 @@ Conventions:
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 
 def var_mask(i, n):
@@ -34,31 +35,46 @@ def var_mask(i, n):
     return mask
 
 
+@lru_cache(maxsize=None)
+def _var_masks(n):
+    return tuple(var_mask(i, n) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _minority_rows(a, tt):
+    """(rows, flip) for a connective of arity ``a`` with truth bits ``tt``.
+
+    ``rows`` lists, as tuples of 0/1 argument values, the argument
+    tuples on which the connective is true, or, when ``flip`` is set,
+    those on which it is false, whichever are fewer.
+    """
+    flip = 2 * bin(tt).count("1") > (1 << a)
+    return tuple(tuple((r >> (a - 1 - k)) & 1 for k in range(a))
+                 for r in range(1 << a) if ((tt >> r) & 1) != flip), flip
+
+
 def eval_mask(codes, n, arities, tts):
     """Truth-table mask of an RPN code sequence over n variables."""
     full = (1 << (1 << n)) - 1
-    vmasks = [var_mask(i, n) for i in range(n)]
+    vmasks = _var_masks(n)
     stack = []
     for c in codes:
         if c >= 0:
             stack.append(vmasks[c])
-        else:
-            j = -c - 1
-            a = arities[j]
-            tt = tts[j]
-            args = stack[-a:]
-            del stack[-a:]
-            acc = 0
-            for r in range(1 << a):
-                if (tt >> r) & 1:
-                    term = full
-                    for k in range(a):
-                        if (r >> (a - 1 - k)) & 1:
-                            term &= args[k]
-                        else:
-                            term &= full & ~args[k]
-                    acc |= term
-            stack.append(acc)
+            continue
+        j = -c - 1
+        a = arities[j]
+        args = stack[len(stack) - a:]
+        del stack[len(stack) - a:]
+        rows, flip = _minority_rows(a, tts[j])
+        acc = 0
+        for row in rows:
+            # the assignments on which every argument has this row's value
+            term = full
+            for k, bit in enumerate(row):
+                term &= args[k] if bit else full ^ args[k]
+            acc |= term
+        stack.append(full ^ acc if flip else acc)
     return stack[-1]
 
 

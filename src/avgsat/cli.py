@@ -36,6 +36,16 @@ INFO = "info"
 KNOWN_DEVIATIONS = {("tab-oclass", "shannon", 1), ("tab-oclass", "shannon", 2)}
 
 
+class SampleError(Exception):
+    """A sampling command was asked for fewer than one sample, or for
+    samples from a space with no sentences in it."""
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise SampleError(f"need at least one sample, got {samples}")
+
+
 def _frac(q: Fraction) -> list[str]:
     q = Fraction(q)
     return [str(q.numerator), str(q.denominator)]
@@ -148,6 +158,18 @@ def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
     return space, mu, measure.oclass_member(space, T, lambda k: 2 * k, mu)
 
 
+def _negated_space(space: measure.InputSpace) -> measure.InputSpace:
+    """The negations of a space's sentences, with the same counts.
+
+    Negation maps keys one to one (the same alpha, complemented model
+    sets, and a size that depends on the original size alone), so each
+    negated representative stands for the negations of the sentences
+    its original stood for.
+    """
+    count = {engines.negated(x): space.count[x] for x in space.items}
+    return measure.InputSpace.from_formulas(count, count)
+
+
 def cmd_sat_oclass(opts: Options):
     n = opts.get("n", 1)
     max_tokens = opts.get("max_tokens", None, cast=int)
@@ -161,8 +183,7 @@ def cmd_sat_oclass(opts: Options):
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
-        co_space = measure.InputSpace.from_formulas(
-            engines.negated(x) for x in space.items)
+        co_space = _negated_space(space)
         mu_co = measure.uniform_over_model_classes(co_space, n)
         co_report = measure.oclass_member(co_space, T, lambda k: 2 * k, mu_co)
         for row in co_report.csv_rows():
@@ -377,14 +398,20 @@ def cmd_montecarlo(opts: Options, seed: int):
     status = PASS
     if exhaustive:
         space = measure.formula_space(table, n, max_tokens, alpha=n)
-        values = [float(T(x)) for x in space.items]
+        if not space.items:
+            raise SampleError(
+                f"no sentences with {n} distinct variables within {max_tokens} tokens")
+        values = [float(T(x)) for x in space.items for _ in range(space.count[x])]
         mean, se = _mean_stderr(values)
         exact = measure.avg_time(T, measure.uniform_on(space), space.items)
         exact_mean = _float(exact)
         status = PASS if mean == float(exact) else FAIL
         samples = len(values)
     else:
+        _check_samples(samples)
         sampler = SequenceSampler(table, n, max_tokens)
+        if sampler.grand_total == 0:
+            raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
         rng = random.Random(seed)
         values = []
         rejected = 0
@@ -395,7 +422,7 @@ def cmd_montecarlo(opts: Options, seed: int):
             else:
                 rejected += 1
                 if rejected > 1000 * (len(values) + samples):
-                    raise SystemExit(
+                    raise SampleError(
                         f"no sentences with {n} distinct variables within "
                         f"{max_tokens} tokens (rejected {rejected} samples)")
         mean, se = _mean_stderr(values)
@@ -417,6 +444,7 @@ def cmd_explore_min(opts: Options, seed: int):
     target = opts.get("target_tokens", 9)
     arity = opts.get("arity", 2)
     samples = opts.get("samples", 10000)
+    _check_samples(samples)
     try:
         table = ConnectiveTable.all_of_arity(arity)
     except ValueError as exc:
@@ -427,7 +455,7 @@ def cmd_explore_min(opts: Options, seed: int):
     cnt = _kernel.completion_counts(pool, table.arities, target)
     total = cnt[target][0]
     if total == 0:
-        raise SystemExit(f"no sentences with exactly {target} tokens at arity {arity}")
+        raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
     rng = random.Random(seed)
     from .formula import compact_model_set
     values = []
@@ -444,13 +472,13 @@ def cmd_explore_min(opts: Options, seed: int):
 
 def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
     """One space holding the covering enumeration for every class in ns."""
-    formulas: list[Formula] = []
+    count: dict[Formula, int] = {}
     for n in sorted(ns):
         if max_tokens is None:
-            formulas.extend(measure.covering_space(table, n).items)
+            count.update(measure.covering_space(table, n).count)
         else:
-            formulas.extend(measure.formula_space(table, n, max_tokens, alpha=n).items)
-    return measure.InputSpace.from_formulas(formulas)
+            count.update(measure.formula_space(table, n, max_tokens, alpha=n).count)
+    return measure.InputSpace.from_formulas(count, count)
 
 
 def cmd_property_2_2(opts: Options, audit: bool):
@@ -644,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args.command, opts, seed, audit)
-    except (measure.MeasureError, FormulaError) as exc:
+    except (measure.MeasureError, FormulaError, SampleError) as exc:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
 

@@ -14,9 +14,9 @@ reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from . import _kernel
 
@@ -254,11 +254,13 @@ class Formula:
     ``j``.  Construction validates reverse-Polish discipline.
 
     The hash covers the codes only, so dict and cache lookups never
-    hash the table; equality still compares both fields.
+    hash the table; equality still compares both fields.  It is
+    computed once, at construction.
     """
 
     codes: tuple[int, ...]
     table: ConnectiveTable
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth = 0
@@ -275,9 +277,13 @@ class Formula:
                 depth -= a - 1
         if depth != 1:
             raise MalformedRpn(f"sequence leaves {depth} values on the stack")
+        # CPython hashes -1 like -2, so hash(codes) would not tell NOT
+        # (code -1) from AND (code -2); shifted connective codes skip -1
+        object.__setattr__(self, "_hash", hash(tuple(
+            [c - 1 if c < 0 else c for c in self.codes])))
 
     def __hash__(self) -> int:
-        return hash(self.codes)
+        return self._hash
 
     def __str__(self) -> str:
         return render(self)
@@ -357,9 +363,17 @@ def render(x: Formula) -> str:
 
 def size_f(x: Formula) -> int:
     """Bit length of the canonical rendering: 8 bits per character."""
-    chars = len(x.codes) - 1  # separating spaces
-    for c in x.codes:
-        chars += len(f"p{c}") if c >= 0 else 1
+    return codes_size(x.codes)
+
+
+def codes_size(codes: tuple[int, ...]) -> int:
+    """:func:`size_f` of the sentence with these token codes."""
+    # each token is followed by a space except the last; a connective
+    # symbol is one character and variable i is "p" plus its digits
+    chars = 2 * len(codes) - 1
+    for c in codes:
+        if c >= 0:
+            chars += len(str(c))
     return 8 * chars
 
 
@@ -451,7 +465,8 @@ def enumerate_formulas(table: ConnectiveTable, n_vars: int, max_tokens: int | No
             yield Formula(codes, table)
 
 
-def stratify_min_layers(space: Iterable[Formula], n: int) -> list[list[Formula]]:
+def stratify_min_layers(space: Iterable[Formula], n: int,
+                        count: Mapping[Formula, int] | None = None) -> list:
     """Split sentences into layers of shortest representatives.
 
     Sentences are grouped by logical equivalence (identical model set
@@ -459,18 +474,40 @@ def stratify_min_layers(space: Iterable[Formula], n: int) -> list[list[Formula]]
     member of minimal bit size (ties broken by canonical rendering);
     layer i+1 repeats on the remainder.  Layers are disjoint, cover the
     input, and contain at most one member per equivalence group.
+
+    With ``count``, sentence x stands for ``count[x]`` sentences of its
+    size and model sets, which fill that many consecutive ranks of its
+    group and so join that many consecutive layers.  The layers are
+    then returned as runs: (repeats, layer) pairs, each standing for
+    ``repeats`` consecutive layers with the same members.  This is the
+    layering of the sentences themselves whenever, within each group,
+    the sentences one item stands for are consecutive in (size,
+    rendering) order, as they are for alpha = n <= 2 sentences over
+    p0..p(n-1), whose first token fixes the order in which their
+    variables first appear.
     """
-    # One sort by (size, rendering) orders every group and every layer:
-    # walking the sorted sentences, each joins the layer numbered by how
-    # many members of its group came before it.
+    # One sort by (size, rendering) orders every group; walking the
+    # sorted sentences, each takes the next free ranks of its group,
+    # and layer i holds the sentences whose ranks include i.
     ranked = sorted(space, key=lambda x: (size_f(x), render(x)))
-    seen: dict[int, int] = {}
-    layers: list[list[Formula]] = []
-    for x in ranked:
+    # starts[r] / stops[r]: positions in ranked of the sentences whose
+    # ranks begin at r / end just before r
+    free: dict[int, int] = {}   # group -> its next free rank
+    starts: dict[int, list[int]] = {}
+    stops: dict[int, list[int]] = {}
+    for i, x in enumerate(ranked):
         bits = model_set(x, n).bits
-        depth = seen.get(bits, 0)
-        seen[bits] = depth + 1
-        if depth == len(layers):
-            layers.append([])
-        layers[depth].append(x)
-    return layers
+        start = free.get(bits, 0)
+        free[bits] = start + (1 if count is None else count[x])
+        starts.setdefault(start, []).append(i)
+        stops.setdefault(free[bits], []).append(i)
+    cuts = sorted(starts.keys() | stops.keys())
+    active: set[int] = set()
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        active.difference_update(stops.get(lo, ()))
+        active.update(starts.get(lo, ()))
+        runs.append((hi - lo, [ranked[i] for i in sorted(active)]))
+    if count is None:
+        return [layer for _, layer in runs]
+    return runs

@@ -5,7 +5,8 @@ space, not over size classes alone.  The core objects:
 
 * :class:`InputSpace` — a finite list of inputs with a bit-size map f
   and an orthogonal partition alpha (for sentences: the number of
-  distinct variables).
+  distinct variables).  An item may stand for several inputs that
+  every check reads alike (a counted space).
 * :class:`Distribution` — exact rational weights, normalized globally
   or per alpha-class.
 * ``oclass_member`` — generalized O(F) membership: in every positive-
@@ -30,8 +31,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _kernel
-from .formula import (ConnectiveTable, Formula, compact_model_set, size_f,
-                      stratify_min_layers, var_count_alpha)
+from .formula import (ConnectiveTable, Formula, codes_size, compact_model_set,
+                      size_f, stratify_min_layers, var_count_alpha)
 
 
 class MeasureError(Exception):
@@ -87,25 +88,42 @@ def _dot(terms: Iterable[tuple]) -> Fraction:
 
 
 class InputSpace:
-    """A finite input space with a size map f and a partition alpha."""
+    """A finite input space with a size map f and a partition alpha.
 
-    def __init__(self, items: Iterable, f: CostMap, alpha: CostMap):
+    Item x stands for ``count[x]`` inputs (default 1) with its size, its
+    alpha and whatever else the checks read of it.  Distributions give
+    x the total mass of the inputs it stands for, so every check sums
+    over items exactly as over the inputs themselves.
+    """
+
+    def __init__(self, items: Iterable, f: CostMap, alpha: CostMap,
+                 count: CostMap | None = None):
         self.items = list(items)
         ff, aa = _fn(f), _fn(alpha)
         self.f = {x: ff(x) for x in self.items}
         self.alpha = {x: aa(x) for x in self.items}
+        cc = (lambda x: 1) if count is None else _fn(count)
+        self.count = {x: cc(x) for x in self.items}
         if len(self.f) != len(self.items):
             raise ValueError("duplicate items in input space")
         for x, v in self.f.items():
             if v < 1:
                 raise ValueError(f"size of {x!r} must be >= 1, got {v}")
+        for x, c in self.count.items():
+            if c < 1:
+                raise ValueError(f"count of {x!r} must be >= 1, got {c}")
         self.classes: dict[int, list] = {}
         for x in self.items:
             self.classes.setdefault(self.alpha[x], []).append(x)
 
     @classmethod
-    def from_formulas(cls, formulas: Iterable[Formula]) -> "InputSpace":
-        return cls(formulas, size_f, var_count_alpha)
+    def from_formulas(cls, formulas: Iterable[Formula],
+                      count: CostMap | None = None) -> "InputSpace":
+        return cls(formulas, size_f, var_count_alpha, count)
+
+    def total(self, items: Iterable) -> int:
+        """Number of inputs the given items stand for."""
+        return sum(self.count[x] for x in items)
 
     def attained_classes(self) -> list[int]:
         return sorted(self.classes)
@@ -494,17 +512,18 @@ def markov_tail(T: CostMap, mu: Distribution, Y: Iterable, a) -> MarkovTail:
 
 
 def uniform_on(space: InputSpace, subset: Iterable | None = None) -> Distribution:
-    """Equal weight on the subset (default: the whole space)."""
+    """Equal weight on each input of the subset (default: the whole space)."""
     items = list(subset) if subset is not None else space.items
     if not items:
         raise ZeroMassSubset("cannot spread mass over an empty subset")
-    w = Fraction(1, len(items))
-    return Distribution({x: w for x in items}, Normalization.GLOBAL)
+    total = space.total(items)
+    return Distribution({x: Fraction(space.count[x], total) for x in items},
+                        Normalization.GLOBAL)
 
 
 def weights_proportional(space: InputSpace, weight: Callable) -> Distribution:
-    """Normalize pointwise weights to total mass 1 (exact)."""
-    raw = {x: weight(x) for x in space.items}
+    """Normalize per-input weights to total mass 1 (exact)."""
+    raw = {x: weight(x) * space.count[x] for x in space.items}
     total = _dot((w,) for w in raw.values())
     if total == 0:
         raise ZeroMass("all weights vanish")
@@ -526,7 +545,7 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
                                class_masses: Mapping[int, Fraction] | None = None,
                                per_class: bool = False) -> Distribution:
     """Equal mass to each of the 2^(2^n) model classes within each
-    alpha-class, spread uniformly over the class members present.
+    alpha-class, spread uniformly over the inputs of the class present.
 
     With ``n`` given, only that alpha-class carries mass (totaling 1).
     Otherwise every attained alpha-class carries ``class_masses[n]``
@@ -552,9 +571,9 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
                 f"alpha-class {m} inhabits {len(groups)} of {needed} model classes")
         share = Fraction(class_masses[m], needed)
         for members in groups.values():
-            w = share / len(members)
+            w = share / space.total(members)
             for x in members:
-                weights[x] = w
+                weights[x] = w * space.count[x]
     norm = Normalization.PER_CLASS if per_class else Normalization.GLOBAL
     if n is not None:
         norm = Normalization.GLOBAL
@@ -566,55 +585,116 @@ def uniform_within_min_layers(space: InputSpace, n: int,
     """Equal weight to all members of each minimal-length layer.
 
     Layers come from :func:`stratify_min_layers` on the alpha-class n
-    (whose sentences must use variables p0..p(n-1)).  Layer masses
-    default to equal shares of 1.
+    (whose sentences must use variables p0..p(n-1)); an item of count c
+    stands for c sentences, which fill c consecutive layers.  Layer
+    masses default to equal shares of 1.
     """
     items = space.class_items(n)
     if not items:
         raise ZeroMassSubset(f"alpha-class {n} is empty")
-    layers = stratify_min_layers(items, n)
+    runs = stratify_min_layers(items, n, space.count)
+    n_layers = sum(repeats for repeats, _ in runs)
     if layer_masses is None:
-        layer_masses = [Fraction(1, len(layers))] * len(layers)
-    if len(layer_masses) != len(layers):
+        layer_masses = [Fraction(1, n_layers)] * n_layers
+    if len(layer_masses) != n_layers:
         raise ValueError("one mass per layer required")
-    weights: dict = {}
-    for mass, layer in zip(layer_masses, layers):
-        w = Fraction(mass, len(layer))
+    terms: dict = {}   # item -> its share of each run of layers it is in
+    start = 0
+    for repeats, layer in runs:
+        w = _dot((q,) for q in layer_masses[start:start + repeats]) / len(layer)
+        start += repeats
         for x in layer:
-            weights[x] = w
-    return Distribution(weights, Normalization.GLOBAL)
+            terms.setdefault(x, []).append(w)
+    return Distribution({x: _dot((w,) for w in ws) for x, ws in terms.items()},
+                        Normalization.GLOBAL)
 
 
 # --- enumerated sentence spaces ---------------------------------------
 
 
+class _KeyTally:
+    """Enumerated sentences over p0..p(n_vars-1), reduced to counted keys.
+
+    A sentence's key is its alpha, its size f, its model-class bits
+    over its own variables (as :func:`model_class_of` gives them) and
+    its model set over all n_vars variables (which
+    :func:`stratify_min_layers` groups by).  Every check reads a
+    sentence only through these, so one representative per key, the
+    first in shortlex order, with the number of sentences of that key,
+    stands for them all.  Each sentence is evaluated once, from its
+    codes; only the representatives become :class:`Formula` objects.
+    """
+
+    def __init__(self, table: ConnectiveTable, n_vars: int):
+        self.table = table
+        self.n_vars = n_vars
+        self.count: dict[tuple, int] = {}
+        self.first: dict[tuple, tuple] = {}
+        self._compact: dict[tuple, int] = {}
+
+    def add_length(self, length: int, alpha: int | None) -> None:
+        n, count, first = self.n_vars, self.count, self.first
+        arities, tts = self.table.arities, self.table.truth_bits
+        for codes, a_x in _kernel.enumerate_length(
+                n, arities, length, alpha=-1 if alpha is None else alpha):
+            if a_x == 0:
+                continue
+            mask = _kernel.eval_mask(codes, n, arities, tts)
+            key = (a_x, codes_size(codes),
+                   self._class_bits(mask, tuple(_kernel.compact_order(codes))), mask)
+            if key in count:
+                count[key] += 1
+            else:
+                count[key] = 1
+                first[key] = codes
+
+    def _class_bits(self, mask: int, order: tuple[int, ...]) -> int:
+        """The model set over the variables in ``order``, renamed
+        0..len-1, read off the model set ``mask`` over n_vars variables."""
+        bits = self._compact.get((mask, order))
+        if bits is None:
+            bits = 0
+            for m in range(1 << len(order)):
+                full_m = sum(((m >> i) & 1) << v for i, v in enumerate(order))
+                bits |= ((mask >> full_m) & 1) << m
+            self._compact[mask, order] = bits
+        return bits
+
+    def model_classes(self) -> set[int]:
+        return {key[2] for key in self.count}
+
+    def space(self) -> InputSpace:
+        reps = {Formula(codes, self.table): self.count[key]
+                for key, codes in self.first.items()}
+        return InputSpace.from_formulas(reps, reps)
+
+
 def formula_space(table: ConnectiveTable, n_vars: int, max_tokens: int,
                   alpha: int | None = None) -> InputSpace:
-    """All sentences over p0..p(n_vars-1) up to a token budget."""
-    from .formula import enumerate_formulas
-    return InputSpace.from_formulas(
-        enumerate_formulas(table, n_vars, max_tokens=max_tokens, alpha=alpha))
+    """All sentences over p0..p(n_vars-1) up to a token budget, counted
+    per key (see :class:`_KeyTally`)."""
+    if n_vars < 1:
+        raise ValueError("need at least one variable")
+    tally = _KeyTally(table, n_vars)
+    for length in range(1, max_tokens + 1):
+        tally.add_length(length, alpha)
+    return tally.space()
 
 
 def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
                    ) -> InputSpace:
     """The smallest-depth enumeration of alpha = n sentences over
-    exactly n variables that inhabits all 2^(2^n) model classes.
+    exactly n variables that inhabits all 2^(2^n) model classes,
+    counted per key (see :class:`_KeyTally`).
 
     Token depth grows one at a time; every sentence up to the first
-    covering depth is kept.  Raises ClassUncovered at the cap.  Each
-    sentence is evaluated once, through ``model_class_of``, whose cache
-    later checks reuse.
+    covering depth is counted.  Raises ClassUncovered at the cap.
     """
     needed = 1 << (1 << n)
-    formulas: list[Formula] = []
-    seen: set[int] = set()
+    tally = _KeyTally(table, n)
     for length in range(1, depth_cap + 1):
-        for codes, _ in _kernel.enumerate_length(n, table.arities, length, alpha=n):
-            x = Formula(codes, table)
-            formulas.append(x)
-            seen.add(model_class_of(x))
-        if len(seen) == needed:
-            return InputSpace.from_formulas(formulas)
+        tally.add_length(length, n)
+        if len(tally.model_classes()) == needed:
+            return tally.space()
     raise ClassUncovered(
-        f"only {len(seen)} of {needed} model classes within {depth_cap} tokens")
+        f"only {len(tally.model_classes())} of {needed} model classes within {depth_cap} tokens")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from avgsat import measure
-from avgsat.formula import ConnectiveTable
+from avgsat.formula import ConnectiveTable, enumerate_formulas
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -26,3 +26,10 @@ def space1(std):
 @pytest.fixture(scope="session")
 def space2(std):
     return measure.covering_space(std, 2)
+
+
+@pytest.fixture(scope="session")
+def expanded1(std):
+    """space1 with one item per sentence (covering depth 4)."""
+    return measure.InputSpace.from_formulas(
+        enumerate_formulas(std, 1, max_tokens=4, alpha=1))

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +146,22 @@ def test_unbuildable_table_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore-min", "--samples", "0"],
+    ["montecarlo", "--n", "1", "--max-tokens", "3", "--samples", "0"],
+    ["explore-min", "--target-tokens", "2"],
+    ["montecarlo", "--n", "3", "--max-tokens", "2", "--samples", "5"],
+    ["montecarlo", "--n", "3", "--max-tokens", "2", "--exhaustive"],
+], ids=["explore-min-no-samples", "montecarlo-no-samples",
+        "explore-min-empty-space", "montecarlo-empty-space",
+        "montecarlo-exhaustive-empty-space"])
+def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("avgsat: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
 def test_bad_table_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "table.txt"
@@ -247,3 +266,26 @@ def test_sampler_covers_small_space():
     seen = {render(sampler.sample(rng)) for _ in range(400)}
     # all valid sentences over p0 with at most 3 tokens
     assert seen == {"p0", "p0 ¬", "p0 ¬ ¬", "p0 p0 ∧", "p0 p0 ∨"}
+
+
+# The CSVs of the exact checks, pinned to the digests the benchmark
+# records (bench/digests.json, read only): a change that alters these
+# bytes fails here even when it alters them the same way on every run.
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+
+@pytest.mark.parametrize("command", [
+    "sat-oclass --n 2",
+    "tab-oclass --model enumerated --n-list 1,2 --max-tokens 9",
+    "sat-oclass --n 1",
+    "property-2-2 --n-list 1",
+    "moments --n-list 1",
+    "markov-tail --n 1",
+    "property-2-3 --model sat --n-list 1",
+    "tab-oclass --model enumerated --n-list 1 --max-tokens 5",
+])
+def test_csv_bytes_match_recorded_digest(tmp_path, command):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]["sha256"]
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded

@@ -1,0 +1,202 @@
+"""Counted spaces against their expansions.
+
+``covering_space`` and ``formula_space`` keep one representative per
+key (alpha, size f, model class over the sentence's own variables,
+model set over the space's n variables) with the number of sentences
+of that key.  Every distribution constructor and every check must give
+on such a space exactly the Fractions it gives on the expanded space:
+one item per sentence, enumerated by ``enumerate_formulas`` to the same
+depth.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from avgsat import cli, engines, measure
+from avgsat.formula import (ConnectiveTable, compact_model_set,
+                            enumerate_formulas, model_set, size_f,
+                            stratify_min_layers, var_count_alpha)
+from avgsat.measure import HMode, InputSpace
+
+SAT_TIME = lambda x: engines.sat_scan(x).time_units
+TAB_TIME = lambda x: engines.tabulate(x).time_units
+DOUBLE = lambda k: 2 * k
+CUBE = lambda k: k ** 3
+HS = [lambda n: 1, lambda n: Fraction(1, n * n), lambda n: 1 if n == 2 else 0]
+
+TABLES = {
+    "standard": ConnectiveTable.standard(),
+    # no unary NOT: negation duplicates the operand under NAND
+    "nand": ConnectiveTable.from_text("⊼ 2 1110\n"),
+}
+
+
+def key_of(x):
+    """The key of a sentence over exactly its alpha variables p0, p1, ..."""
+    a = var_count_alpha(x)
+    return a, size_f(x), compact_model_set(x).bits, model_set(x, a).bits
+
+
+class Twin:
+    """A counted space, its expansion, and the representative of each key."""
+
+    def __init__(self, counted: InputSpace, expanded: InputSpace):
+        self.counted, self.expanded = counted, expanded
+        self.groups: dict[tuple, list] = {}
+        for x in expanded.items:
+            self.groups.setdefault(key_of(x), []).append(x)
+        self.rep = {key_of(r): r for r in counted.items}
+        self._times: dict = {}
+
+    def lift(self, mu: measure.Distribution) -> dict:
+        """The expanded weights summed per key, keyed by representative."""
+        lifted = {self.rep[k]: measure._dot((mu.of(x),) for x in xs)
+                  for k, xs in self.groups.items()}
+        return {r: w for r, w in lifted.items() if w}
+
+    def times(self, T) -> dict:
+        """T on every sentence (representatives are sentences too)."""
+        if T not in self._times:
+            self._times[T] = {x: T(x) for x in self.expanded.items}
+        return self._times[T]
+
+    def subset(self, items) -> list:
+        """The sentences the given representatives stand for."""
+        return [x for r in items for x in self.groups[key_of(r)]]
+
+
+def nonzero(mu: measure.Distribution) -> dict:
+    return {x: w for x, w in mu.weights.items() if w}
+
+
+def expand(table: ConnectiveTable, n: int, depth: int) -> InputSpace:
+    return InputSpace.from_formulas(enumerate_formulas(table, n, max_tokens=depth, alpha=n))
+
+
+def assert_keys_and_counts(twin: Twin):
+    c = twin.counted
+    assert {key_of(r): c.count[r] for r in c.items} == \
+        {k: len(xs) for k, xs in twin.groups.items()}
+    assert all(twin.rep[k] == xs[0] for k, xs in twin.groups.items())
+    assert c.total(c.items) == len(twin.expanded)
+
+
+def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
+    """Both spaces give identical weights per key and identical checks,
+    for each (T, F) pair in ``costs``."""
+    c, e = twin.counted, twin.expanded
+    assert nonzero(mu_c) == twin.lift(mu_e)
+    for T, F in costs:
+        T = twin.times(T)
+        assert measure.oclass_member(c, T, F, mu_c) == measure.oclass_member(e, T, F, mu_e)
+        avg = measure.avg_time(T, mu_c, c.items)
+        assert avg == measure.avg_time(T, mu_e, e.items)
+        for k in sorted(set(c.f.values()))[:3]:
+            assert measure.relative_avg(c, T, mu_c, k) == measure.relative_avg(e, T, mu_e, k)
+        for a in (avg, 100 * avg):
+            assert measure.markov_tail(T, mu_c, c.items, a) == \
+                measure.markov_tail(T, mu_e, e.items, a)
+        for H in HS:
+            for mode in HMode:
+                try:
+                    nu_e = measure.nu_from_H(e, H, F, mu_e, mode)
+                except measure.ZeroMass:
+                    with pytest.raises(measure.ZeroMass):
+                        measure.nu_from_H(c, H, F, mu_c, mode)
+                    continue
+                assert nonzero(measure.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
+
+
+@pytest.fixture(scope="module", params=sorted(TABLES))
+def table(request):
+    return TABLES[request.param]
+
+
+@pytest.fixture(scope="module")
+def twins(table):
+    """The covering twin for n = 1 and n = 2."""
+    out = {}
+    for n in (1, 2):
+        counted = measure.covering_space(table, n)
+        # a key's representative is its first sentence in shortlex
+        # order, and the class covered last first appears at the
+        # covering depth, so the longest representative has that depth
+        depth = max(len(x.codes) for x in counted.items)
+        out[n] = Twin(counted, expand(table, n, depth))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_covering_space_counts_its_expansion(twins, n):
+    assert_keys_and_counts(twins[n])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_formula_space_counts_its_expansion(table, n):
+    counted = measure.formula_space(table, n, 6, alpha=n)
+    assert_keys_and_counts(Twin(counted, expand(table, n, 6)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_counted_layers_match_expansion(twins, n):
+    twin = twins[n]
+    runs = stratify_min_layers(twin.counted.items, n, twin.counted.count)
+    from_runs = [layer for repeats, layer in runs for _ in range(repeats)]
+    layers = stratify_min_layers(twin.expanded.items, n)
+    assert [sorted(map(key_of, layer)) for layer in from_runs] == \
+        [sorted(map(key_of, layer)) for layer in layers]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distributions_and_checks_match_expansion(twins, n):
+    twin = twins[n]
+    c, e = twin.counted, twin.expanded
+    some_size = sorted(set(c.f.values()))[len(set(c.f.values())) // 2]
+    pairs = [
+        (measure.uniform_on(c), measure.uniform_on(e)),
+        (measure.uniform_on(c, c.f_class_items(some_size)),
+         measure.uniform_on(e, twin.subset(c.f_class_items(some_size)))),
+        (measure.weights_proportional(c, lambda x: SAT_TIME(x) % 5),
+         measure.weights_proportional(e, lambda x: SAT_TIME(x) % 5)),
+        (measure.power_law_length(c, 2), measure.power_law_length(e, 2)),
+        (measure.uniform_over_model_classes(c, n),
+         measure.uniform_over_model_classes(e, n)),
+    ]
+    for mu_c, mu_e in pairs:
+        assert_same_checks(twin, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
+    # the tab-oclass pairing
+    assert_same_checks(twin, measure.uniform_within_min_layers(c, n),
+                       measure.uniform_within_min_layers(e, n),
+                       [(SAT_TIME, DOUBLE), (TAB_TIME, CUBE)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negated_space_matches_expansion(twins, n):
+    twin = twins[n]
+    co = Twin(cli._negated_space(twin.counted),
+              InputSpace.from_formulas(engines.negated(x) for x in twin.expanded.items))
+    assert_keys_and_counts(co)
+    mu_c = measure.uniform_over_model_classes(co.counted, n)
+    mu_e = measure.uniform_over_model_classes(co.expanded, n)
+    assert_same_checks(co, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
+
+
+def test_combined_space_properties_match_expansion(table, twins):
+    counted = cli._combined_space(table, [1, 2], None)
+    expanded = InputSpace.from_formulas(
+        [x for n in (1, 2) for x in twins[n].expanded.items])
+    twin = Twin(counted, expanded)
+    assert_keys_and_counts(twin)
+    extra = [("ones", lambda n: 1), ("linear", lambda n: n)]
+    broken = lambda x: SAT_TIME(x) * (4 if var_count_alpha(x) == 2 else 1)
+    for per_class in (False, True):
+        mu_c = measure.uniform_over_model_classes(counted, per_class=per_class)
+        mu_e = measure.uniform_over_model_classes(expanded, per_class=per_class)
+        assert nonzero(mu_c) == twin.lift(mu_e)
+        for T in (SAT_TIME, broken):
+            assert measure.check_property_2_2(counted, T, DOUBLE, mu_c, extra) == \
+                measure.check_property_2_2(expanded, T, DOUBLE, mu_e, extra)
+    for H in HS:
+        assert measure.check_property_2_3(counted, SAT_TIME, DOUBLE, mu_c, H) == \
+            measure.check_property_2_3(expanded, SAT_TIME, DOUBLE, mu_e, H)

@@ -104,6 +104,13 @@ def test_formula_key_contract(std, all_binary):
     assert not hasattr(x, "note")
 
 
+def test_formula_hash_tells_not_from_and(std):
+    # CPython hashes -1 (NOT) like -2 (AND); the sentence hash must not
+    assert hash(Formula((0, 1, -2, -1), std)) != hash(Formula((0, 1, -1, -2), std))
+    sentences = list(enumerate_formulas(std, 2, max_tokens=7))
+    assert len({hash(x) for x in sentences}) == len(sentences) == 2278
+
+
 @given(std_formulas())
 def test_round_trip(x):
     assert parse_rpn(render(x), x.table) == x
@@ -171,11 +178,15 @@ def test_model_set_agrees_with_evaluate(x, m):
     assert (m in model_set(x, n)) == bool(evaluate(x, m, n))
 
 
-def test_model_set_exhaustive_agreement(std):
-    for x in enumerate_formulas(std, 2, max_tokens=5):
-        K = model_set(x, 2)
-        for m in range(4):
-            assert (m in K) == bool(evaluate(x, m, 2))
+def test_model_set_exhaustive_agreement(std, all_binary):
+    ternary = ConnectiveTable(ConnectiveTable.all_of_arity(3).connectives[::17])
+    constants = ConnectiveTable.from_text("⊤ 0 1\n⊥ 0 0\n→ 2 1101\n")
+    for table, n, max_tokens in ((std, 2, 5), (all_binary, 2, 5),
+                                 (ternary, 3, 4), (constants, 2, 4)):
+        for x in enumerate_formulas(table, n, max_tokens=max_tokens):
+            K = model_set(x, n)
+            for m in range(1 << n):
+                assert (m in K) == bool(evaluate(x, m, n)), (table, x, m)
 
 
 def test_compact_model_set_permutes_variables(std):

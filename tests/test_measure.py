@@ -328,8 +328,8 @@ def test_covering_space_depth_cap(std):
         measure.covering_space(std, 2, depth_cap=5)
 
 
-def test_uniform_within_min_layers(std):
-    sp = measure.formula_space(std, 1, 4, alpha=1)
+def test_uniform_within_min_layers(expanded1):
+    sp = expanded1
     mu = uniform_within_min_layers(sp, 1)
     mu.validate(sp)
     from avgsat.formula import stratify_min_layers
@@ -339,12 +339,12 @@ def test_uniform_within_min_layers(std):
         assert len({mu.of(x) for x in layer}) == 1
 
 
-def test_power_law_length(space1):
-    mu = power_law_length(space1, 2)
-    mu.validate(space1)
-    a, b = space1.items[0], space1.items[-1]
-    lhs = mu.of(a) * space1.f[a] ** 2
-    rhs = mu.of(b) * space1.f[b] ** 2
+def test_power_law_length(expanded1):
+    mu = power_law_length(expanded1, 2)
+    mu.validate(expanded1)
+    a, b = expanded1.items[0], expanded1.items[-1]
+    lhs = mu.of(a) * expanded1.f[a] ** 2
+    rhs = mu.of(b) * expanded1.f[b] ** 2
     assert lhs == rhs  # proportionality
 
 
