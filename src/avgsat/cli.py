@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import _kernel, analytic, engines, measure
-from .formula import ConnectiveTable, Formula, FormulaError, var_count_alpha
+from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, var_count_alpha
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,6 +41,10 @@ class SampleError(Exception):
     samples from a space with no sentences in it."""
 
 
+class ConfigError(Exception):
+    """A --config file cannot be read, or a line or value in it parsed."""
+
+
 def _check_samples(samples: int) -> None:
     if samples < 1:
         raise SampleError(f"need at least one sample, got {samples}")
@@ -55,26 +59,35 @@ def _float(v) -> str:
     return repr(float(v))
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _int_list(raw: str) -> list[int]:
+    return [int(part) for part in raw.split(",") if part != ""]
+
+
+def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
+    """key -> (value, "PATH:LINE" where it was set)."""
     if not path:
         return {}
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip(), f"{path}:{lineno}"
     return cfg
 
 
 class Options:
     """Option resolution: CLI flag, then config file, then default."""
 
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, str]):
+    def __init__(self, args: argparse.Namespace, cfg: dict[str, tuple[str, str]]):
         self.args = args
         self.cfg = cfg
 
@@ -82,24 +95,17 @@ class Options:
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is not None:
             return value
-        if name in self.cfg:
-            raw = self.cfg[name]
-            if cast is not None:
-                return cast(raw)
-            if isinstance(default, bool):
-                return raw.lower() in ("1", "true", "yes")
-            if isinstance(default, int):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-            return raw
-        return default
-
-    def int_list(self, name: str, default: list[int]) -> list[int]:
-        raw = self.get(name, None, cast=str)
-        if raw is None:
+        if name not in self.cfg:
             return default
-        return [int(part) for part in str(raw).split(",") if part != ""]
+        raw, where = self.cfg[name]
+        if isinstance(default, bool) and cast is None:
+            return raw.lower() in ("1", "true", "yes")
+        if cast is None and isinstance(default, (int, float)):
+            cast = type(default)
+        try:
+            return raw if cast is None else cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {name} = {raw}: {exc}") from exc
 
 
 def _load_table(opts: Options) -> ConnectiveTable:
@@ -125,10 +131,6 @@ def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> Non
         sys.stdout.write(text)
 
 
-def _exit_status(rows: list[list[str]]) -> int:
-    return 1 if any(row and row[-1] == FAIL for row in rows) else 0
-
-
 # --- commands ---------------------------------------------------------
 
 
@@ -148,14 +150,17 @@ def cmd_expected_min(opts: Options):
     return header, rows
 
 
+def _scan_time(x: Formula) -> int:
+    return engines.sat_scan(x).time_units
+
+
 def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
     if max_tokens is None:
         space = measure.covering_space(table, n)
     else:
         space = measure.formula_space(table, n, max_tokens, alpha=n)
     mu = measure.uniform_over_model_classes(space, n)
-    T = lambda x: engines.sat_scan(x).time_units
-    return space, mu, measure.oclass_member(space, T, lambda k: 2 * k, mu)
+    return space, mu, measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
 
 
 def _negated_space(space: measure.InputSpace) -> measure.InputSpace:
@@ -179,28 +184,28 @@ def cmd_sat_oclass(opts: Options):
     space, mu, report = _sat_report(table, n, max_tokens)
     for row in report.csv_rows():
         rows.append(["sat"] + row)
-    T = lambda x: engines.sat_scan(x).time_units
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
         co_space = _negated_space(space)
         mu_co = measure.uniform_over_model_classes(co_space, n)
-        co_report = measure.oclass_member(co_space, T, lambda k: 2 * k, mu_co)
+        co_report = measure.oclass_member(co_space, _scan_time, lambda k: 2 * k, mu_co)
         for row in co_report.csv_rows():
             rows.append(["co"] + row)
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
     read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu,
                             space.items)
-    share = read / measure.avg_time(T, mu, space.items)
+    share = read / measure.avg_time(_scan_time, mu, space.items)
     rows.append(["read-share", str(n), *_frac(share), *_frac(Fraction(3, 10)),
                  _float(share), "0.3", INFO])
     return header, rows
 
 
-def cmd_tab_oclass(opts: Options, audit: bool):
+def cmd_tab_oclass(opts: Options):
+    audit = bool(opts.get("audit", False))
     model = opts.get("model", "shannon", cast=str)
-    ns = opts.int_list("n_list", [opts.get("n", 3)])
+    ns = opts.get("n_list", [opts.get("n", 3)], cast=_int_list)
     header = measure.BoundReport.CSV_HEADER
     rows = []
     if model == "shannon":
@@ -226,8 +231,8 @@ def cmd_tab_oclass(opts: Options, audit: bool):
 
 
 def cmd_moments(opts: Options):
-    m_list = opts.int_list("m_list", [2, 3])
-    n_list = opts.int_list("n_list", [1, 2])
+    m_list = opts.get("m_list", [2, 3], cast=_int_list)
+    n_list = opts.get("n_list", [1, 2], cast=_int_list)
     tol = Fraction(1, 10 ** opts.get("tol_exp", 12))
     table = _load_table(opts)
     header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
@@ -252,7 +257,7 @@ def cmd_moments(opts: Options):
             continue
         c = analytic.moment_oclass_constant(m)
         for n, (space, mu) in spaces.items():
-            T = lambda x: engines.sat_scan(x).time_units ** m
+            T = lambda x: _scan_time(x) ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
             for row in report.csv_rows():
                 rows.append(["oclass", str(m)] + row)
@@ -353,25 +358,30 @@ def _unrank(u: int, length: int, n_vars: int, arities, cnt) -> tuple[int, ...]:
 
 
 class SequenceSampler:
-    """Uniform sampling over all valid RPN sequences of bounded length."""
+    """Uniform sampling over all valid RPN sequences of bounded length:
+    a sample is a uniform rank ``u``, and rank ``u`` names the ``u``-th
+    sequence in shortlex order."""
 
     def __init__(self, table: ConnectiveTable, n_vars: int, max_tokens: int):
         self.table = table
-        self.n_vars = n_vars
+        self.n_vars = max(n_vars, 0)  # negative sizes have no sequences
         # one table serves every length up to max_tokens
-        self.cnt = _kernel.completion_counts(n_vars, table.arities, max_tokens)
+        self.cnt = _kernel.completion_counts(self.n_vars, table.arities, max(max_tokens, 0))
         self.totals = [(L, self.cnt[L][0]) for L in range(1, max_tokens + 1)
                        if self.cnt[L][0]]
         self.grand_total = sum(c for _, c in self.totals)
 
-    def sample(self, rng: random.Random) -> Formula:
-        u = rng.randrange(self.grand_total)
+    def at(self, u: int) -> Formula:
+        """The sentence of rank ``u``, for ``0 <= u < grand_total``."""
         for L, c in self.totals:
             if u < c:
                 return Formula(_unrank(u, L, self.n_vars, self.table.arities,
                                        self.cnt), self.table)
             u -= c
         raise AssertionError("sampler index out of range")
+
+    def sample(self, rng: random.Random) -> Formula:
+        return self.at(rng.randrange(self.grand_total))
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -381,7 +391,8 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, statistics.stdev(values) / len(values) ** 0.5
 
 
-def cmd_montecarlo(opts: Options, seed: int):
+def cmd_montecarlo(opts: Options):
+    seed = opts.get("seed", 0)
     space_kind = opts.get("space", "sat", cast=str)
     if space_kind != "sat":
         raise SystemExit(f"unknown space {space_kind!r}")
@@ -391,7 +402,6 @@ def cmd_montecarlo(opts: Options, seed: int):
     exhaustive = opts.get("exhaustive", False)
     exact_check = opts.get("exact_check", False)
     table = _load_table(opts)
-    T = lambda x: engines.sat_scan(x).time_units
 
     exact_mean = ""
     z = ""
@@ -401,9 +411,9 @@ def cmd_montecarlo(opts: Options, seed: int):
         if not space.items:
             raise SampleError(
                 f"no sentences with {n} distinct variables within {max_tokens} tokens")
-        values = [float(T(x)) for x in space.items for _ in range(space.count[x])]
+        values = [float(_scan_time(x)) for x in space.items for _ in range(space.count[x])]
         mean, se = _mean_stderr(values)
-        exact = measure.avg_time(T, measure.uniform_on(space), space.items)
+        exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
         exact_mean = _float(exact)
         status = PASS if mean == float(exact) else FAIL
         samples = len(values)
@@ -415,10 +425,20 @@ def cmd_montecarlo(opts: Options, seed: int):
         rng = random.Random(seed)
         values = []
         rejected = 0
+        # a draw's value depends on its rank alone: rank -> scan time, or
+        # None when alpha != n, kept for at most `samples` distinct ranks
+        value_of: dict[int, float | None] = {}
         while len(values) < samples:
-            x = sampler.sample(rng)
-            if var_count_alpha(x) == n:
-                values.append(float(T(x)))
+            u = rng.randrange(sampler.grand_total)
+            if u in value_of:
+                value = value_of[u]
+            else:
+                x = sampler.at(u)
+                value = float(_scan_time(x)) if var_count_alpha(x) == n else None
+                if len(value_of) < samples:
+                    value_of[u] = value
+            if value is not None:
+                values.append(value)
             else:
                 rejected += 1
                 if rejected > 1000 * (len(values) + samples):
@@ -428,7 +448,7 @@ def cmd_montecarlo(opts: Options, seed: int):
         mean, se = _mean_stderr(values)
         if exact_check:
             space = measure.formula_space(table, n, max_tokens, alpha=n)
-            exact = measure.avg_time(T, measure.uniform_on(space), space.items)
+            exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
             exact_mean = _float(exact)
             zval = 0.0 if se == 0 else (mean - float(exact)) / se
             z = _float(zval)
@@ -440,7 +460,8 @@ def cmd_montecarlo(opts: Options, seed: int):
     return header, rows
 
 
-def cmd_explore_min(opts: Options, seed: int):
+def cmd_explore_min(opts: Options):
+    seed = opts.get("seed", 0)
     target = opts.get("target_tokens", 9)
     arity = opts.get("arity", 2)
     samples = opts.get("samples", 10000)
@@ -452,16 +473,19 @@ def cmd_explore_min(opts: Options, seed: int):
     # a sentence of L tokens over arity-a connectives has at most
     # 1 + (L-1)*(a-1)/a leaves; use that many variables
     pool = 1 + (target - 1) * (arity - 1) // arity
-    cnt = _kernel.completion_counts(pool, table.arities, target)
-    total = cnt[target][0]
+    length = max(target, 0)  # a negative length has no sentences, like zero
+    cnt = _kernel.completion_counts(pool, table.arities, length)
+    total = cnt[length][0]
     if total == 0:
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
     rng = random.Random(seed)
-    from .formula import compact_model_set
+    # draws almost never repeat here, so each is scored from its codes,
+    # which are valid by construction, without a Formula or a cache entry
     values = []
     for _ in range(samples):
         codes = _unrank(rng.randrange(total), target, pool, table.arities, cnt)
-        values.append(float(engines.min_n(compact_model_set(Formula(codes, table)))))
+        bits, alpha = _kernel.eval_mask_compact(codes, table.arities, table.truth_bits)
+        values.append(float(engines.min_n(ModelSet(alpha, bits))))
     mean, se = _mean_stderr(values)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]
@@ -481,19 +505,18 @@ def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | Non
     return measure.InputSpace.from_formulas(count, count)
 
 
-def cmd_property_2_2(opts: Options, audit: bool):
-    ns = opts.int_list("n_list", [1, 2])
+def cmd_property_2_2(opts: Options):
+    ns = opts.get("n_list", [1, 2], cast=_int_list)
     max_tokens = opts.get("max_tokens", None, cast=int)
     break_class = opts.get("break_class", None, cast=int)
     inflate = opts.get("inflate", 4)
     table = _load_table(opts)
     space = _combined_space(table, ns, max_tokens)
     mu = measure.uniform_over_model_classes(space)
-    base = lambda x: engines.sat_scan(x).time_units
     if break_class is None:
-        T = base
+        T = _scan_time
     else:
-        T = lambda x: base(x) * (inflate if var_count_alpha(x) == break_class else 1)
+        T = lambda x: _scan_time(x) * (inflate if var_count_alpha(x) == break_class else 1)
     result = measure.check_property_2_2(
         space, T, lambda k: 2 * k, mu,
         extra_H=[("ones", lambda n: 1), ("linear", lambda n: n)])
@@ -533,14 +556,14 @@ def cmd_property_2_3(opts: Options):
     exponent = opts.get("h_exponent", 2)
     H = lambda n: Fraction(1, n ** exponent)
     if model == "sat":
-        ns = opts.int_list("n_list", [1, 2])
+        ns = opts.get("n_list", [1, 2], cast=_int_list)
         table = _load_table(opts)
         space = _combined_space(table, ns, opts.get("max_tokens", None, cast=int))
         mu = measure.uniform_over_model_classes(space, per_class=True)
-        T = lambda x: engines.sat_scan(x).time_units
+        T = _scan_time
         F = lambda k: 2 * k
     elif model == "shannon":
-        ns = opts.int_list("n_list", [3, 4])
+        ns = opts.get("n_list", [3, 4], cast=_int_list)
         space, T, mu = analytic.shannon_space(ns)
         F = lambda k: k ** 3
     else:
@@ -562,9 +585,8 @@ def cmd_markov_tail(opts: Options):
     table = _load_table(opts)
     space = measure.covering_space(table, n)
     mu = measure.uniform_over_model_classes(space, n)
-    T = lambda x: engines.sat_scan(x).time_units
-    avg = measure.avg_time(T, mu, space.items)
-    result = measure.markov_tail(T, mu, space.items, multiplier * avg)
+    avg = measure.avg_time(_scan_time, mu, space.items)
+    result = measure.markov_tail(_scan_time, mu, space.items, multiplier * avg)
     ok = result.ok and result.empirical <= Fraction(1, multiplier)
     header = ["n", "multiplier", "avg_num", "avg_den", "bound_num", "bound_den",
               "empirical_num", "empirical_den", "status"]
@@ -606,14 +628,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("tab-oclass", help="cubic bound for the tabulator")
     p.add_argument("--n", type=int)
-    p.add_argument("--n-list")
+    p.add_argument("--n-list", type=_int_list)
     p.add_argument("--model", choices=["shannon", "enumerated"])
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--table")
 
     p = add_parser("moments", help="higher-moment sums and bounds")
-    p.add_argument("--m-list")
-    p.add_argument("--n-list")
+    p.add_argument("--m-list", type=_int_list)
+    p.add_argument("--n-list", type=_int_list)
     p.add_argument("--tol-exp", type=int)
     p.add_argument("--table")
 
@@ -643,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
 
     p = add_parser("property-2-2", help="bound/reweighting equivalence check")
-    p.add_argument("--n-list")
+    p.add_argument("--n-list", type=_int_list)
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--break-class", type=int)
     p.add_argument("--inflate", type=int)
@@ -651,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("property-2-3", help="summable-weights tractability transfer")
     p.add_argument("--model", choices=["sat", "shannon"])
-    p.add_argument("--n-list")
+    p.add_argument("--n-list", type=_int_list)
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--h-exponent", type=int)
     p.add_argument("--table")
@@ -663,48 +685,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "expected-min": cmd_expected_min, "sat-oclass": cmd_sat_oclass,
+    "tab-oclass": cmd_tab_oclass, "moments": cmd_moments,
+    "counting": cmd_counting, "tractability": cmd_tractability,
+    "montecarlo": cmd_montecarlo, "explore-min": cmd_explore_min,
+    "property-2-2": cmd_property_2_2, "property-2-3": cmd_property_2_3,
+    "markov-tail": cmd_markov_tail,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _read_config(getattr(args, "config", None))
-    opts = Options(args, cfg)
-    seed = opts.get("seed", 0)
-    audit = bool(opts.get("audit", False))
-
     try:
-        return _dispatch(args.command, opts, seed, audit)
-    except (measure.MeasureError, FormulaError, SampleError) as exc:
+        opts = Options(args, _read_config(getattr(args, "config", None)))
+        header, rows = COMMANDS[args.command](opts)
+    except (ConfigError, measure.MeasureError, FormulaError, SampleError) as exc:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(command: str, opts: Options, seed: int, audit: bool) -> int:
-    if command == "expected-min":
-        header, rows = cmd_expected_min(opts)
-    elif command == "sat-oclass":
-        header, rows = cmd_sat_oclass(opts)
-    elif command == "tab-oclass":
-        header, rows = cmd_tab_oclass(opts, audit)
-    elif command == "moments":
-        header, rows = cmd_moments(opts)
-    elif command == "counting":
-        header, rows = cmd_counting(opts)
-    elif command == "tractability":
-        header, rows = cmd_tractability(opts)
-    elif command == "montecarlo":
-        header, rows = cmd_montecarlo(opts, seed)
-    elif command == "explore-min":
-        header, rows = cmd_explore_min(opts, seed)
-    elif command == "property-2-2":
-        header, rows = cmd_property_2_2(opts, audit)
-    elif command == "property-2-3":
-        header, rows = cmd_property_2_3(opts)
-    elif command == "markov-tail":
-        header, rows = cmd_markov_tail(opts)
-    else:  # pragma: no cover
-        raise SystemExit(f"unknown command {command!r}")
-
     _emit(opts.get("out", None, cast=str), header, rows)
-    return _exit_status(rows)
+    return 1 if any(row and row[-1] == FAIL for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -626,6 +626,8 @@ class _KeyTally:
     """
 
     def __init__(self, table: ConnectiveTable, n_vars: int):
+        if n_vars < 1:
+            raise MeasureError(f"need at least one variable, got {n_vars}")
         self.table = table
         self.n_vars = n_vars
         self.count: dict[tuple, int] = {}
@@ -672,9 +674,8 @@ class _KeyTally:
 def formula_space(table: ConnectiveTable, n_vars: int, max_tokens: int,
                   alpha: int | None = None) -> InputSpace:
     """All sentences over p0..p(n_vars-1) up to a token budget, counted
-    per key (see :class:`_KeyTally`)."""
-    if n_vars < 1:
-        raise ValueError("need at least one variable")
+    per key (see :class:`_KeyTally`).  Raises MeasureError when
+    n_vars < 1."""
     tally = _KeyTally(table, n_vars)
     for length in range(1, max_tokens + 1):
         tally.add_length(length, alpha)
@@ -688,10 +689,11 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
     counted per key (see :class:`_KeyTally`).
 
     Token depth grows one at a time; every sentence up to the first
-    covering depth is counted.  Raises ClassUncovered at the cap.
+    covering depth is counted.  Raises ClassUncovered at the cap, and
+    MeasureError when n < 1.
     """
-    needed = 1 << (1 << n)
     tally = _KeyTally(table, n)
+    needed = 1 << (1 << n)
     for length in range(1, depth_cap + 1):
         tally.add_length(length, n)
         if len(tally.model_classes()) == needed:

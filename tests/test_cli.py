@@ -135,15 +135,21 @@ def test_explore_min_wide_table(tmp_path):
     assert rows[0]["status"] == "info"
 
 
+def assert_exits_2(tmp_path, capsys, argv, prefix="avgsat: "):
+    """The run prints one stderr line starting with prefix, writes no
+    CSV and exits 2."""
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["explore-min", "--arity", "4"],
     ["explore-min", "--arity", "0"],
 ], ids=["arity-4", "arity-0"])
 def test_unbuildable_table_exits_2(tmp_path, capsys, argv):
-    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("avgsat: ") and err.count("\n") == 1
-    assert not (tmp_path / "out.csv").exists()
+    assert_exits_2(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,10 +162,31 @@ def test_unbuildable_table_exits_2(tmp_path, capsys, argv):
         "explore-min-empty-space", "montecarlo-empty-space",
         "montecarlo-exhaustive-empty-space"])
 def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
-    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("avgsat: ") and err.count("\n") == 1
-    assert not (tmp_path / "out.csv").exists()
+    assert_exits_2(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore-min", "--target-tokens", "-1"],
+    ["montecarlo", "--n", "2", "--max-tokens", "-1", "--samples", "5"],
+    ["sat-oclass", "--n", "-1"],
+    ["tab-oclass", "--model", "enumerated", "--n-list", "0"],
+], ids=["explore-min-tokens", "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n"])
+def test_negative_size_exits_2(tmp_path, capsys, argv):
+    assert_exits_2(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("text, command, where", [
+    (None, "sat-oclass", ": "),
+    ("n 2\n", "sat-oclass", ":1: "),
+    ("# comment\nn = x\n", "sat-oclass", ":2: "),
+    ("n_list = 1,y\n", "moments", ":1: "),
+], ids=["missing", "no-equals", "not-an-integer", "not-an-integer-list"])
+def test_bad_config_exits_2(tmp_path, capsys, text, command, where):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}{where}")
 
 
 @pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
@@ -257,6 +284,19 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
         assert unranked == enumerated
 
 
+@pytest.mark.parametrize("table", ["standard", "nand"])
+def test_sampler_rank_is_shortlex_position(table):
+    # rank u names the u-th sentence of the shortlex enumeration over
+    # every length up to max_tokens, so a value memoized per rank is a
+    # value memoized per sentence
+    from avgsat.formula import ConnectiveTable, enumerate_formulas
+    tab = (ConnectiveTable.standard() if table == "standard"
+           else ConnectiveTable.from_text("⊼ 2 1110\n"))
+    sampler = cli.SequenceSampler(tab, 2, 6)
+    enumerated = list(enumerate_formulas(tab, 2, max_tokens=6))
+    assert [sampler.at(u) for u in range(sampler.grand_total)] == enumerated
+
+
 def test_sampler_covers_small_space():
     import random
     from avgsat.formula import ConnectiveTable, render
@@ -266,6 +306,23 @@ def test_sampler_covers_small_space():
     seen = {render(sampler.sample(rng)) for _ in range(400)}
     # all valid sentences over p0 with at most 3 tokens
     assert seen == {"p0", "p0 ¬", "p0 ¬ ¬", "p0 p0 ∧", "p0 p0 ∨"}
+
+
+# Seeded sampling rows, pinned to recorded bytes: a sampler change that
+# moves them fails here even when every rerun agrees with the last.
+@pytest.mark.parametrize("command, row", [
+    ("montecarlo --n 2 --max-tokens 8 --samples 100000 --exact-check --seed 1",
+     "sat,2,8,100000,1,324.424,0.639543077824695,324.66017316017314,"
+     "-0.3692842098713226,pass"),
+    ("montecarlo --n 3 --max-tokens 9 --samples 20000 --seed 3",
+     "sat,3,9,20000,3,545.8368,2.814455628769499,,,pass"),
+    ("explore-min --target-tokens 9 --samples 10000 --seed 1",
+     "9,2,5,10000,1,2.5907,0.04555902669604948,info"),
+], ids=["montecarlo-exact-check", "montecarlo-rejecting", "explore-min"])
+def test_seeded_row_matches_recorded_bytes(tmp_path, command, row):
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8").splitlines()[1:] == [row]
 
 
 # The CSVs of the exact checks, pinned to the digests the benchmark
