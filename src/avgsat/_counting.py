@@ -1,0 +1,271 @@
+"""Counting kernel: sentence spaces counted by a dynamic program over
+subtrees instead of enumerated.
+
+Conventions are those of :mod:`avgsat._kernel`.  This module is loaded
+only when a sentence space is built.
+"""
+
+import math
+from functools import lru_cache
+from itertools import product
+from operator import add, mul, sub
+
+from ._kernel import _apply, _minority_rows, completion_counts, var_mask
+
+
+@lru_cache(maxsize=None)
+def _butterflies(size):
+    """Slice pairs (lo, hi) for each level of a transform over ``size``
+    masks: hi holds the masks of lo with that level's bit set."""
+    pairs = []
+    h = 1
+    while h < size:
+        pairs += [(slice(s, s + h), slice(s + h, s + 2 * h)) for s in range(0, size, 2 * h)]
+        h *= 2
+    return tuple(pairs)
+
+
+def _zeta(v, step=add):
+    """In place: v[m] becomes the sum of v over the supersets of m; with
+    ``step=sub``, the inverse (Moebius) transform."""
+    for lo, hi in _butterflies(len(v)):
+        v[lo] = map(step, v[lo], v[hi])
+
+
+def _binary_family(tt):
+    """How the binary connective with truth bits ``tt`` combines masks
+    by superset sums: (view a, view b, flip) such that it is
+    flip XOR (lit(a) AND lit(b)), where view 0 keeps an argument, view 1
+    negates it and view None replaces it by true.  All binary
+    connectives but XOR and XNOR, constants and projections among them,
+    are of this form; for those two it returns None."""
+    lit = lambda view, x: 1 if view is None else x ^ view
+    return next(((va, vb, flip)
+                 for va in (0, 1, None) for vb in (0, 1, None) for flip in (0, 1)
+                 if tt == sum((flip ^ (lit(va, r >> 1) & lit(vb, r & 1))) << r
+                              for r in range(4))), None)
+
+
+def _leaf_split(packed, l, width):
+    """Leaf counts, one per packed count, that sum to ``l`` and at which
+    every count is nonzero; None when there are none."""
+    if not packed:
+        return () if l == 0 else None
+    low = (1 << width) - 1
+    for l1 in range(l + 1):
+        if (packed[0] >> width * l1) & low:
+            rest = _leaf_split(packed[1:], l - l1, width)
+            if rest is not None:
+                return (l1, *rest)
+    return None
+
+
+class SentenceCounts:
+    """Sentences over exactly n variables, counted by token count, number
+    of variable tokens and truth-table mask, without enumerating them.
+
+    Only canonical sentences are counted: those whose variables first
+    appear in the order p0, p1, ..., p(n-1).  Every sentence over exactly
+    n variables is one canonical sentence with its variables renamed, in
+    exactly one way.
+
+    The count is a dynamic program over subtrees.  State (t, ki, ko)
+    holds the subtrees of t tokens that, with ki variables introduced to
+    their left, introduce the next ko - ki and use no others.
+    ``tab[t][ki, ko]`` maps each mask to the packed counts of such
+    subtrees: the number with l variable tokens is the l-th
+    ``width``-bit digit (Kronecker substitution), so combining two
+    states costs one integer product per pair of masks.
+
+    While there are at most 256 masks (n <= 3), binary connectives that
+    are a possibly negated AND of literals, constants or projections
+    combine states by superset sums (zeta) rather than mask pairs: a
+    product per mask and one Moebius inversion per state.  Other
+    connectives, XOR and XNOR among them, and all connectives over more
+    masks, loop over the nonzero entries of their children, which takes
+    no more steps than there are sentences.
+    """
+
+    def __init__(self, n, arities, tts, max_tokens):
+        self.n, self.arities = n, arities
+        self.size = 1 << (1 << n)
+        self.full = self.size - 1
+        # no count exceeds the number of valid sequences of its length
+        cnt = completion_counts(n, arities, max(max_tokens, 0))
+        self.width = max(1, max(row[0] for row in cnt).bit_length())
+        self.rows = [_minority_rows(a, tt) for a, tt in zip(arities, tts)]
+        # (view a, view b) -> [plain, negated] multiplicities of the
+        # connectives combined by superset sums, whose indices are in summed
+        self.families, self.summed = {}, set()
+        if self.size <= 256:
+            for j, (a, tt) in enumerate(zip(arities, tts)):
+                family = _binary_family(tt) if a == 2 else None
+                if family is not None:
+                    self.families.setdefault(family[:2], [0, 0])[family[2]] += 1
+                    self.summed.add(j)
+        self.tab = [{}]  # no subtree has 0 tokens
+        self._views = {}
+        self._totals = {}
+        self._witnesses = {}
+        self._section = {}
+        self._split_memo = {}
+
+    def extend(self):
+        """Count the subtrees of one token more than counted so far."""
+        t, n = len(self.tab), self.n
+        states = {}
+        for ki in range(n + 1):
+            for ko in range(ki, n + 1):
+                out = {}
+                if t == 1:  # p(ki) introduces a variable; p0..p(ki-1) reuse one
+                    for v in [ki] if ko == ki + 1 else range(ki) if ko == ki else ():
+                        out[var_mask(v, n)] = 1 << self.width
+                for j, a in enumerate(self.arities):
+                    if j in self.summed:
+                        continue
+                    rows, flip = self.rows[j]
+                    for children in self._splits(a, t - 1, ki, ko):
+                        for masks, p in self._entries(children):
+                            m = _apply(rows, flip, masks, self.full)
+                            out[m] = out.get(m, 0) + p
+                if self.families:
+                    self._combine_binary(t, ki, ko, out)
+                if out:
+                    states[ki, ko] = out
+        self.tab.append(states)
+
+    def top(self, t):
+        """(variable tokens, mask, count) of the whole sentences of t tokens."""
+        low = (1 << self.width) - 1
+        for m, p in self.tab[t].get((0, self.n), {}).items():
+            l = 0
+            while p:
+                if p & low:
+                    yield l, m, p & low
+                p >>= self.width
+                l += 1
+
+    def witness(self, state, l, m):
+        """Codes of one counted subtree of ``state`` with l variable
+        tokens and mask m; a sentence for state (t, 0, n)."""
+        key = (state, l, m)
+        codes = self._witnesses.get(key)
+        if codes is None:
+            codes = self._witnesses[key] = self._find(state, l, m)
+        return codes
+
+    def _find(self, state, l, m):
+        """The first connective and split, in table order, whose children
+        give mask m with l variable tokens; all but the last child are
+        tried mask by mask, and the last child's mask is solved for."""
+        t, ki, ko = state
+        if (t, l) == (1, 1):
+            for v in range(ki + 1):
+                if ko - ki == (v == ki) and var_mask(v, self.n) == m:
+                    return (v,)
+        low, full = (1 << self.width) - 1, self.full
+        for j, a in enumerate(self.arities):
+            rows, flip = self.rows[j]
+            for children in self._splits(a, t - 1, ki, ko):
+                if not children:
+                    if l == 0 and _apply(rows, flip, (), full) == m:
+                        return (-j - 1,)
+                    continue
+                if not (math.prod(map(self._total, children)) >> self.width * l) & low:
+                    continue  # no l variable tokens here
+                last = self.tab[children[-1][0]][children[-1][1:]]
+                for masks, p in self._entries(children[:-1]):
+                    # where the last argument may be 0 and where 1 for m
+                    may0, may1 = self._sections(j, masks)
+                    may0 ^= full ^ m
+                    may1 ^= full ^ m
+                    if may0 | may1 != full:
+                        continue
+                    free = may0 & may1
+                    for b, q in last.items():
+                        if b & ~free == full ^ may0 and (p * q >> self.width * l) & low:
+                            masks += (b,)
+                            packed = [self.tab[s][k0, k1][mi]
+                                      for (s, k0, k1), mi in zip(children, masks)]
+                            ls = _leaf_split(packed, l, self.width)
+                            return sum((self.witness(c, li, mi)
+                                        for c, li, mi in zip(children, ls, masks)), ()) + (-j - 1,)
+        raise ValueError(f"no counted subtree of state {state} has mask {m}")
+
+    def _total(self, state):
+        """Packed count of a state's subtrees over all masks."""
+        total = self._totals.get(state)
+        if total is None:
+            t, ki, ko = state
+            total = self._totals[state] = sum(self.tab[t][ki, ko].values())
+        return total
+
+    def _sections(self, j, masks):
+        """Connective j's masks with all arguments but the last given and
+        the last false, and true."""
+        key = (j, masks)
+        pair = self._section.get(key)
+        if pair is None:
+            rows, flip = self.rows[j]
+            pair = self._section[key] = (_apply(rows, flip, (*masks, 0), self.full),
+                                         _apply(rows, flip, (*masks, self.full), self.full))
+        return pair
+
+    def _splits(self, a, t, ki, ko):
+        """Each way to give a subtrees, in order, t tokens in all and the
+        variables ki..ko-1 to introduce: tuples of nonempty states."""
+        key = (a, t, ki, ko)
+        splits = self._split_memo.get(key)
+        if splits is None:
+            if a == 0:
+                splits = [()] if (t, ki) == (0, ko) else []
+            elif a == 1:  # the last subtree takes what is left
+                splits = [((t, ki, ko),)] if (ki, ko) in self.tab[t] else []
+            else:
+                splits = [((t1, ki, k1), *rest)
+                          for t1 in range(1, t - a + 2) for k1 in range(ki, ko + 1)
+                          if (ki, k1) in self.tab[t1]
+                          for rest in self._splits(a - 1, t - t1, k1, ko)]
+            self._split_memo[key] = splits
+        return splits
+
+    def _entries(self, children):
+        """(masks, packed count) for each choice of one mask per child."""
+        tables = [self.tab[s][k0, k1].items() for s, k0, k1 in children]
+        if len(tables) == 1:
+            return (((m,), q) for m, q in tables[0])
+        return ((tuple(m for m, _ in entries), math.prod(q for _, q in entries))
+                for entries in product(*tables))
+
+    def _view(self, state, view):
+        """A state's superset sums of counts per mask, under a view of
+        its argument (see ``_binary_family``)."""
+        key = (*state, view)
+        v = self._views.get(key)
+        if v is None:
+            if view is None:
+                v = [self._total(state)] * self.size
+            else:
+                t, ki, ko = state
+                counts = self.tab[t][ki, ko]
+                v = [counts.get(m, 0) for m in range(self.size)]
+                if view == 1:
+                    v.reverse()  # mask m becomes its complement full ^ m
+                _zeta(v)
+            self._views[key] = v
+        return v
+
+    def _combine_binary(self, t, ki, ko, out):
+        sums = {}  # family -> its transformed counts, summed over splits
+        for a, b in self._splits(2, t - 1, ki, ko):
+            for family in self.families:
+                x = map(mul, self._view(a, family[0]), self._view(b, family[1]))
+                acc = sums.get(family)
+                sums[family] = list(x) if acc is None else list(map(add, acc, x))
+        for family, v in sums.items():
+            _zeta(v, sub)
+            plain, negated = self.families[family]
+            for m in range(self.size):
+                c = plain * v[m] + negated * v[self.full ^ m]
+                if c:
+                    out[m] = out.get(m, 0) + c

@@ -53,6 +53,19 @@ def _minority_rows(a, tt):
                  for r in range(1 << a) if ((tt >> r) & 1) != flip), flip
 
 
+def _apply(rows, flip, args, full):
+    """Mask of a connective, given as ``_minority_rows`` gives it,
+    applied to argument masks whose all-true mask is ``full``."""
+    acc = 0
+    for row in rows:
+        # the assignments on which every argument has this row's value
+        term = full
+        for k, bit in enumerate(row):
+            term &= args[k] if bit else full ^ args[k]
+        acc |= term
+    return full ^ acc if flip else acc
+
+
 def eval_mask(codes, n, arities, tts):
     """Truth-table mask of an RPN code sequence over n variables."""
     full = (1 << (1 << n)) - 1
@@ -66,15 +79,7 @@ def eval_mask(codes, n, arities, tts):
         a = arities[j]
         args = stack[len(stack) - a:]
         del stack[len(stack) - a:]
-        rows, flip = _minority_rows(a, tts[j])
-        acc = 0
-        for row in rows:
-            # the assignments on which every argument has this row's value
-            term = full
-            for k, bit in enumerate(row):
-                term &= args[k] if bit else full ^ args[k]
-            acc |= term
-        stack.append(full ^ acc if flip else acc)
+        stack.append(_apply(*_minority_rows(a, tts[j]), args, full))
     return stack[-1]
 
 

@@ -80,7 +80,7 @@ class Census:
         return (2 * self.N + 1) * self.pow2_alpha_sum
 
 
-def enumerated_census(N: int, table: ConnectiveTable | None = None) -> Census:
+def census(N: int, table: ConnectiveTable | None = None) -> Census:
     """Count the canonical sentences with exactly N connectives over
     variables p0..pN (see ``is_canonical_sentence``).
 

@@ -1,6 +1,6 @@
 """Experiment runner.
 
-Deterministic enumeration experiments, seeded Monte Carlo estimation,
+Deterministic exact experiments, seeded Monte Carlo estimation,
 and CSV report emission over the library's spaces and bounds.
 
 Every command writes one UTF-8 CSV (header row included) to --out or
@@ -41,8 +41,9 @@ class SampleError(Exception):
     samples from a space with no sentences in it."""
 
 
-class ConfigError(Exception):
-    """A --config file cannot be read, or a line or value in it parsed."""
+class OptionError(Exception):
+    """A --config file cannot be read, a line or value in it parsed, or
+    an option's value is not one its command accepts."""
 
 
 def _check_samples(samples: int) -> None:
@@ -72,13 +73,13 @@ def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
         with open(path, encoding="utf-8") as fh:
             lines = list(fh)
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
+        raise OptionError(f"{path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise OptionError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip(), f"{path}:{lineno}"
     return cfg
@@ -91,21 +92,32 @@ class Options:
         self.args = args
         self.cfg = cfg
 
-    def get(self, name: str, default, cast=None):
+    def get(self, name: str, default, cast=None, choices=None, minimum=None):
+        """The value of option ``name``; it must be one of ``choices``
+        and, if an integer or a list of them, at least ``minimum``."""
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is not None:
-            return value
-        if name not in self.cfg:
+            shown = ",".join(map(str, value)) if isinstance(value, list) else value
+            where = f"--{name.replace('_', '-')} {shown}"
+        elif name not in self.cfg:
             return default
-        raw, where = self.cfg[name]
-        if isinstance(default, bool) and cast is None:
-            return raw.lower() in ("1", "true", "yes")
-        if cast is None and isinstance(default, (int, float)):
-            cast = type(default)
-        try:
-            return raw if cast is None else cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {name} = {raw}: {exc}") from exc
+        else:
+            raw, line = self.cfg[name]
+            where = f"{line}: {name} = {raw}"
+            if isinstance(default, bool) and cast is None:
+                return raw.lower() in ("1", "true", "yes")
+            if cast is None and isinstance(default, (int, float)):
+                cast = type(default)
+            try:
+                value = raw if cast is None else cast(raw)
+            except ValueError as exc:
+                raise OptionError(f"{where}: {exc}") from exc
+        if choices is not None and value not in choices:
+            raise OptionError(f"{where}: choose from {', '.join(choices)}")
+        if minimum is not None and min(value if isinstance(value, list) else [value],
+                                       default=minimum) < minimum:
+            raise OptionError(f"{where}: must be at least {minimum}")
+        return value
 
 
 def _load_table(opts: Options) -> ConnectiveTable:
@@ -135,7 +147,7 @@ def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> Non
 
 
 def cmd_expected_min(opts: Options):
-    n = opts.get("n", 1)
+    n = opts.get("n", 1, minimum=0)
     ns = range(0, n + 1) if opts.get("upto", False) else [n]
     header = ["n", "brute_num", "brute_den", "closed_num", "closed_den",
               "nonempty_num", "nonempty_den", "closed_float", "status"]
@@ -158,7 +170,7 @@ def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
     if max_tokens is None:
         space = measure.covering_space(table, n)
     else:
-        space = measure.formula_space(table, n, max_tokens, alpha=n)
+        space = measure.formula_space(table, n, max_tokens)
     mu = measure.uniform_over_model_classes(space, n)
     return space, mu, measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
 
@@ -204,8 +216,8 @@ def cmd_sat_oclass(opts: Options):
 
 def cmd_tab_oclass(opts: Options):
     audit = bool(opts.get("audit", False))
-    model = opts.get("model", "shannon", cast=str)
-    ns = opts.get("n_list", [opts.get("n", 3)], cast=_int_list)
+    model = opts.get("model", "shannon", cast=str, choices=("shannon", "enumerated"))
+    ns = opts.get("n_list", [opts.get("n", 3, minimum=1)], cast=_int_list, minimum=1)
     header = measure.BoundReport.CSV_HEADER
     rows = []
     if model == "shannon":
@@ -216,24 +228,22 @@ def cmd_tab_oclass(opts: Options):
                 status = EXPECTED_FAIL
             rows.append([str(n), *_frac(tb.lhs), *_frac(tb.rhs),
                          _float(tb.lhs), _float(tb.rhs), status])
-    elif model == "enumerated":
+    else:
         table = _load_table(opts)
         max_tokens = opts.get("max_tokens", 7)
         for n in sorted(ns):
-            space = measure.formula_space(table, n, max_tokens, alpha=n)
+            space = measure.formula_space(table, n, max_tokens)
             mu = measure.uniform_within_min_layers(space, n)
             T = lambda x: engines.tabulate(x).time_units
             report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
             rows.extend(report.csv_rows())
-    else:
-        raise SystemExit(f"unknown tab model {model!r}")
     return header, rows
 
 
 def cmd_moments(opts: Options):
-    m_list = opts.get("m_list", [2, 3], cast=_int_list)
+    m_list = opts.get("m_list", [2, 3], cast=_int_list, minimum=1)
     n_list = opts.get("n_list", [1, 2], cast=_int_list)
-    tol = Fraction(1, 10 ** opts.get("tol_exp", 12))
+    tol = Fraction(1, 10 ** opts.get("tol_exp", 12, minimum=0))
     table = _load_table(opts)
     header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
               "lhs_float", "rhs_float", "status"]
@@ -265,7 +275,7 @@ def cmd_moments(opts: Options):
 
 
 def cmd_counting(opts: Options):
-    n_max = opts.get("n_max", 10)
+    n_max = opts.get("n_max", 10, minimum=0)
     p = opts.get("p", 2)
     enum_limit = opts.get("enum_limit", 3)
     header = ["N", "gamma", "catalan", "sentence_count", "enum_count",
@@ -282,7 +292,7 @@ def cmd_counting(opts: Options):
         ok = g == cat
         enum_count = ""
         if N <= enum_limit:
-            census = analytic.enumerated_census(N)
+            census = analytic.census(N)
             enum_count = str(census.count)
             ok = ok and census.count == sc and census.tabulate_total == t.tabulate_total
         rows.append([str(N), str(g), str(cat), str(sc), enum_count,
@@ -302,9 +312,7 @@ _CASES = {
 
 
 def cmd_tractability(opts: Options):
-    case = opts.get("case", "harmonic", cast=str)
-    if case not in _CASES:
-        raise SystemExit(f"unknown case {case!r}; choose from {sorted(_CASES)}")
+    case = opts.get("case", "harmonic", cast=str, choices=sorted(_CASES))
     case_def = _CASES[case]
     default_budget = 10 ** 6 if case == "harmonic" else 60
     budget = opts.get("budget", default_budget)
@@ -393,9 +401,7 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 def cmd_montecarlo(opts: Options):
     seed = opts.get("seed", 0)
-    space_kind = opts.get("space", "sat", cast=str)
-    if space_kind != "sat":
-        raise SystemExit(f"unknown space {space_kind!r}")
+    space_kind = opts.get("space", "sat", cast=str, choices=("sat",))
     n = opts.get("n", 2)
     max_tokens = opts.get("max_tokens", 8)
     samples = opts.get("samples", 100000)
@@ -407,7 +413,7 @@ def cmd_montecarlo(opts: Options):
     z = ""
     status = PASS
     if exhaustive:
-        space = measure.formula_space(table, n, max_tokens, alpha=n)
+        space = measure.formula_space(table, n, max_tokens)
         if not space.items:
             raise SampleError(
                 f"no sentences with {n} distinct variables within {max_tokens} tokens")
@@ -447,7 +453,7 @@ def cmd_montecarlo(opts: Options):
                         f"{max_tokens} tokens (rejected {rejected} samples)")
         mean, se = _mean_stderr(values)
         if exact_check:
-            space = measure.formula_space(table, n, max_tokens, alpha=n)
+            space = measure.formula_space(table, n, max_tokens)
             exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
             exact_mean = _float(exact)
             zval = 0.0 if se == 0 else (mean - float(exact)) / se
@@ -495,13 +501,13 @@ def cmd_explore_min(opts: Options):
 
 
 def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
-    """One space holding the covering enumeration for every class in ns."""
+    """One space holding the covering space for every class in ns."""
     count: dict[Formula, int] = {}
     for n in sorted(ns):
         if max_tokens is None:
             count.update(measure.covering_space(table, n).count)
         else:
-            count.update(measure.formula_space(table, n, max_tokens, alpha=n).count)
+            count.update(measure.formula_space(table, n, max_tokens).count)
     return measure.InputSpace.from_formulas(count, count)
 
 
@@ -552,8 +558,8 @@ def cmd_property_2_2(opts: Options):
 
 
 def cmd_property_2_3(opts: Options):
-    model = opts.get("model", "sat", cast=str)
-    exponent = opts.get("h_exponent", 2)
+    model = opts.get("model", "sat", cast=str, choices=("sat", "shannon"))
+    exponent = opts.get("h_exponent", 2, minimum=0)
     H = lambda n: Fraction(1, n ** exponent)
     if model == "sat":
         ns = opts.get("n_list", [1, 2], cast=_int_list)
@@ -562,12 +568,10 @@ def cmd_property_2_3(opts: Options):
         mu = measure.uniform_over_model_classes(space, per_class=True)
         T = _scan_time
         F = lambda k: 2 * k
-    elif model == "shannon":
-        ns = opts.get("n_list", [3, 4], cast=_int_list)
+    else:
+        ns = opts.get("n_list", [3, 4], cast=_int_list, minimum=1)
         space, T, mu = analytic.shannon_space(ns)
         F = lambda k: k ** 3
-    else:
-        raise SystemExit(f"unknown model {model!r}")
     result = measure.check_property_2_3(space, T, F, mu, H)
     header = ["model", "ns", "h_exponent", "expectation_num", "expectation_den",
               "bound_num", "bound_den", "mass_num", "mass_den",
@@ -581,7 +585,7 @@ def cmd_property_2_3(opts: Options):
 
 def cmd_markov_tail(opts: Options):
     n = opts.get("n", 2)
-    multiplier = opts.get("multiplier", 100)
+    multiplier = opts.get("multiplier", 100, minimum=1)
     table = _load_table(opts)
     space = measure.covering_space(table, n)
     mu = measure.uniform_over_model_classes(space, n)
@@ -700,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = Options(args, _read_config(getattr(args, "config", None)))
         header, rows = COMMANDS[args.command](opts)
-    except (ConfigError, measure.MeasureError, FormulaError, SampleError) as exc:
+    except (OptionError, measure.MeasureError, FormulaError, SampleError) as exc:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
     _emit(opts.get("out", None, cast=str), header, rows)

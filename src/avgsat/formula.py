@@ -363,15 +363,10 @@ def render(x: Formula) -> str:
 
 def size_f(x: Formula) -> int:
     """Bit length of the canonical rendering: 8 bits per character."""
-    return codes_size(x.codes)
-
-
-def codes_size(codes: tuple[int, ...]) -> int:
-    """:func:`size_f` of the sentence with these token codes."""
     # each token is followed by a space except the last; a connective
     # symbol is one character and variable i is "p" plus its digits
-    chars = 2 * len(codes) - 1
-    for c in codes:
+    chars = 2 * len(x.codes) - 1
+    for c in x.codes:
         if c >= 0:
             chars += len(str(c))
     return 8 * chars

@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import _kernel
-from .formula import (ConnectiveTable, Formula, codes_size, compact_model_set,
-                      size_f, stratify_min_layers, var_count_alpha)
+from .formula import (ConnectiveTable, Formula, compact_model_set, size_f,
+                      stratify_min_layers, var_count_alpha)
 
 
 class MeasureError(Exception):
@@ -48,7 +48,7 @@ class ZeroMass(MeasureError):
 
 
 class ClassUncovered(MeasureError):
-    """An enumerated space is missing some model classes."""
+    """A sentence space is missing some model classes."""
 
 
 class PreconditionFailed(MeasureError):
@@ -609,94 +609,88 @@ def uniform_within_min_layers(space: InputSpace, n: int,
                         Normalization.GLOBAL)
 
 
-# --- enumerated sentence spaces ---------------------------------------
+# --- counted sentence spaces -----------------------------------------
 
 
-class _KeyTally:
-    """Enumerated sentences over p0..p(n_vars-1), reduced to counted keys.
+def _check_vars(n: int) -> None:
+    # sizes are counted as 8 * (2 * tokens - 1 + variable tokens), which
+    # holds while every variable is p0..p9
+    if not 1 <= n <= 10:
+        raise MeasureError(f"sentence spaces need 1 to 10 variables, got {n}")
 
-    A sentence's key is its alpha, its size f, its model-class bits
-    over its own variables (as :func:`model_class_of` gives them) and
-    its model set over all n_vars variables (which
-    :func:`stratify_min_layers` groups by).  Every check reads a
-    sentence only through these, so one representative per key, the
-    first in shortlex order, with the number of sentences of that key,
-    stands for them all.  Each sentence is evaluated once, from its
-    codes; only the representatives become :class:`Formula` objects.
+
+def _counted(table: ConnectiveTable, counts) -> dict[Formula, int]:
+    """Representative -> count, per key, of the sentences over exactly
+    p0..p(n-1) whose canonical forms ``counts`` holds.
+
+    A sentence's key is its alpha, its size f, its model-class bits over
+    its own variables (as :func:`model_class_of` gives them) and its
+    model set over the n variables (which :func:`stratify_min_layers`
+    groups by).  Every check reads a sentence only through these, so one
+    representative per key, with the number of sentences of that key,
+    stands for them all.  A sentence is a canonical one, whose class is
+    its mask, with its variables renamed by a permutation sigma;
+    renaming keeps f and the class and moves the model set.  A key's
+    representative is a witness the DP reconstructs, renamed.
     """
-
-    def __init__(self, table: ConnectiveTable, n_vars: int):
-        if n_vars < 1:
-            raise MeasureError(f"need at least one variable, got {n_vars}")
-        self.table = table
-        self.n_vars = n_vars
-        self.count: dict[tuple, int] = {}
-        self.first: dict[tuple, tuple] = {}
-        self._compact: dict[tuple, int] = {}
-
-    def add_length(self, length: int, alpha: int | None) -> None:
-        n, count, first = self.n_vars, self.count, self.first
-        arities, tts = self.table.arities, self.table.truth_bits
-        for codes, a_x in _kernel.enumerate_length(
-                n, arities, length, alpha=-1 if alpha is None else alpha):
-            if a_x == 0:
-                continue
-            mask = _kernel.eval_mask(codes, n, arities, tts)
-            key = (a_x, codes_size(codes),
-                   self._class_bits(mask, tuple(_kernel.compact_order(codes))), mask)
-            if key in count:
-                count[key] += 1
-            else:
-                count[key] = 1
-                first[key] = codes
-
-    def _class_bits(self, mask: int, order: tuple[int, ...]) -> int:
-        """The model set over the variables in ``order``, renamed
-        0..len-1, read off the model set ``mask`` over n_vars variables."""
-        bits = self._compact.get((mask, order))
-        if bits is None:
-            bits = 0
-            for m in range(1 << len(order)):
-                full_m = sum(((m >> i) & 1) << v for i, v in enumerate(order))
-                bits |= ((mask >> full_m) & 1) << m
-            self._compact[mask, order] = bits
-        return bits
-
-    def model_classes(self) -> set[int]:
-        return {key[2] for key in self.count}
-
-    def space(self) -> InputSpace:
-        reps = {Formula(codes, self.table): self.count[key]
-                for key, codes in self.first.items()}
-        return InputSpace.from_formulas(reps, reps)
+    n = counts.n
+    canon: dict[tuple, list] = {}  # (f, class) -> [count, tokens, variable tokens]
+    for t in range(1, len(counts.tab)):
+        for l, mask, c in counts.top(t):
+            canon.setdefault((8 * (2 * t - 1 + l), mask), [0, t, l])[0] += c
+    count: dict[tuple, int] = {}
+    witness: dict[tuple, tuple] = {}
+    # with no canonical sentence, skip the renamings (10! of them at n = 10)
+    for sigma in permutations(range(n)) if canon else ():
+        # assignment x of the renamed variables, read by the canonical ones
+        reads = [sum(((x >> v) & 1) << i for i, v in enumerate(sigma))
+                 for x in range(1 << n)]
+        for (f, mask), (c, t, l) in canon.items():
+            key = (f, mask, sum(((mask >> y) & 1) << x for x, y in enumerate(reads)))
+            count[key] = count.get(key, 0) + c
+            witness.setdefault(key, (sigma, t, l))
+    reps = {}
+    for key, (sigma, t, l) in witness.items():
+        codes = counts.witness((t, 0, n), l, key[1])
+        reps[Formula(tuple(sigma[c] if c >= 0 else c for c in codes), table)] = count[key]
+    return reps
 
 
-def formula_space(table: ConnectiveTable, n_vars: int, max_tokens: int,
-                  alpha: int | None = None) -> InputSpace:
-    """All sentences over p0..p(n_vars-1) up to a token budget, counted
-    per key (see :class:`_KeyTally`).  Raises MeasureError when
-    n_vars < 1."""
-    tally = _KeyTally(table, n_vars)
-    for length in range(1, max_tokens + 1):
-        tally.add_length(length, alpha)
-    return tally.space()
+def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace:
+    """All alpha = n sentences over exactly n variables up to a token
+    budget, counted per key (see :func:`_counted`).  Raises MeasureError
+    unless 1 <= n <= 10."""
+    _check_vars(n)
+    from ._counting import SentenceCounts  # loaded only to build a space
+    counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
+    for _ in range(max_tokens):
+        counts.extend()
+    reps = _counted(table, counts)
+    return InputSpace.from_formulas(reps, reps)
 
 
 def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
                    ) -> InputSpace:
-    """The smallest-depth enumeration of alpha = n sentences over
-    exactly n variables that inhabits all 2^(2^n) model classes,
-    counted per key (see :class:`_KeyTally`).
+    """All alpha = n sentences over exactly n variables up to the
+    smallest token depth at which they inhabit all 2^(2^n) model
+    classes, counted per key (see :func:`_counted`).
 
-    Token depth grows one at a time; every sentence up to the first
-    covering depth is counted.  Raises ClassUncovered at the cap, and
-    MeasureError when n < 1.
+    Raises ClassUncovered at the cap, and MeasureError at once unless
+    1 <= n <= 3: at n = 4 a counting state would hold 65,536 masks.
     """
-    tally = _KeyTally(table, n)
+    _check_vars(n)
+    if n > 3:
+        raise MeasureError(f"covering spaces stop at n = 3, got {n}: at n = 4 "
+                           "a counting state would hold 65,536 masks")
+    from ._counting import SentenceCounts  # loaded only to build a space
+    counts = SentenceCounts(n, table.arities, table.truth_bits, depth_cap)
     needed = 1 << (1 << n)
-    for length in range(1, depth_cap + 1):
-        tally.add_length(length, n)
-        if len(tally.model_classes()) == needed:
-            return tally.space()
+    classes: set[int] = set()
+    for t in range(1, depth_cap + 1):
+        counts.extend()
+        classes.update(mask for _, mask, _ in counts.top(t))
+        if len(classes) == needed:
+            reps = _counted(table, counts)
+            return InputSpace.from_formulas(reps, reps)
     raise ClassUncovered(
-        f"only {len(tally.model_classes())} of {needed} model classes within {depth_cap} tokens")
+        f"only {len(classes)} of {needed} model classes within {depth_cap} tokens")

@@ -107,7 +107,7 @@ def test_criterion_06_counting_example():
              for N in range(16))
     ok = ok and analytic.sentence_count(1) == 48
     for N in range(4):
-        ok = ok and analytic.enumerated_census(N).count == analytic.sentence_count(N)
+        ok = ok and analytic.census(N).count == analytic.sentence_count(N)
     sums = analytic.ratio_partial_sums(40, 2)
     ok = ok and any(s > 1000 for s in sums)
     _report(6, "shape counts, census of 48 at N=1, divergent ratio series", ok)

@@ -5,7 +5,7 @@ import pytest
 
 from avgsat import analytic, engines, measure
 from avgsat.analytic import (ChainStep, ShannonModel, catalan_binomial,
-                             enumerated_census, expected_min_plus_one,
+                             census, expected_min_plus_one,
                              gamma_count, geometric_moment_sum,
                              is_canonical_sentence, moment_oclass_constant,
                              ratio_partial_sums, sentence_count,
@@ -49,8 +49,7 @@ def test_sentence_count_values():
 
 def test_census_matches_closed_form():
     for N in range(4):
-        census = enumerated_census(N)
-        assert census.count == sentence_count(N)
+        assert census(N).count == sentence_count(N)
 
 
 CENSUS_TABLES = {
@@ -70,23 +69,23 @@ def test_census_matches_filtered_enumeration():
             canonical = [x for x in enumerate_formulas(table, N + 1,
                                                        exact_connectives=N)
                          if is_canonical_sentence(x)]
-            census = enumerated_census(N, table)
-            assert len(canonical) == census.count, (name, N)
+            counted = census(N, table)
+            assert len(canonical) == counted.count, (name, N)
             assert sum(1 << var_count_alpha(x) for x in canonical) == \
-                census.pow2_alpha_sum, (name, N)
+                counted.pow2_alpha_sum, (name, N)
 
 
 def test_census_refuses_mixed_arities():
     with pytest.raises(ValueError):
-        enumerated_census(1, ConnectiveTable.all_up_to(2))
+        census(1, ConnectiveTable.all_up_to(2))
 
 
 def test_census_totals_match_closed_forms():
     for N in range(4):
-        census = enumerated_census(N)
+        counted = census(N)
         closed = totals_and_ratio(N, 0)
-        assert census.read_total == closed.read_total
-        assert census.tabulate_total == closed.tabulate_total
+        assert counted.read_total == closed.read_total
+        assert counted.tabulate_total == closed.tabulate_total
 
 
 def test_is_canonical_sentence(all_binary):

@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from avgsat import cli
+from avgsat import analytic, cli
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -170,9 +171,45 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     ["montecarlo", "--n", "2", "--max-tokens", "-1", "--samples", "5"],
     ["sat-oclass", "--n", "-1"],
     ["tab-oclass", "--model", "enumerated", "--n-list", "0"],
-], ids=["explore-min-tokens", "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n"])
+    ["expected-min", "--n", "-1"],
+    ["tab-oclass", "--model", "shannon", "--n-list", "0"],
+    ["moments", "--m-list", "-1"],
+    ["moments", "--tol-exp", "-1"],
+    ["counting", "--n-max", "-1"],
+    ["markov-tail", "--n", "1", "--multiplier", "0"],
+    ["property-2-3", "--h-exponent", "-1"],
+    ["property-2-3", "--model", "shannon", "--n-list", "0,3"],
+    ["tab-oclass", "--n", "0"],
+], ids=["explore-min-tokens", "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n",
+        "expected-min-n", "tab-oclass-shannon-n", "moments-m", "moments-tol",
+        "counting-n-max", "markov-tail-multiplier", "property-2-3-exponent",
+        "property-2-3-shannon-n", "tab-oclass-default-n"])
 def test_negative_size_exits_2(tmp_path, capsys, argv):
     assert_exits_2(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat-oclass", "--n", "4"],
+    ["markov-tail", "--n", "5"],
+    ["tab-oclass", "--model", "enumerated", "--n-list", "11", "--max-tokens", "3"],
+], ids=["sat-oclass-n4", "markov-tail-n5", "tab-oclass-n11"])
+def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("line, command", [
+    ("model = foo", "tab-oclass"),
+    ("case = foo", "tractability"),
+    ("space = foo", "montecarlo"),
+    ("model = foo", "property-2-3"),
+], ids=["tab-model", "tractability-case", "montecarlo-space", "property-2-3-model"])
+def test_unknown_config_choice_exits_2(tmp_path, capsys, line, command):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}:1: {line}: choose from ")
 
 
 @pytest.mark.parametrize("text, command, where", [
@@ -227,6 +264,35 @@ def test_property_2_3(tmp_path):
     assert (rows[0]["bound_num"], rows[0]["bound_den"]) == ("5", "4")
     code, rows, _ = run(tmp_path, "property-2-3", "--model", "shannon")
     assert code == 0 and rows[0]["status"] == "pass"
+
+
+def test_sat_oclass_n3_rows(tmp_path):
+    # at n = 3 the covering space (22 tokens, 5.2e14 sentences) is only
+    # counted; T/F = (min + 1)/2 does not depend on f, so the sat row is
+    # half the expected first witness over the 256 model classes
+    code, rows, _ = run(tmp_path, "sat-oclass", "--n", "3")
+    assert code == 0
+    by_check = {r["check"]: r for r in rows}
+    half = analytic.expected_min_plus_one(3).closed / 2
+    assert half == Fraction(511, 512)
+    for check in ("sat", "co"):
+        assert Fraction(int(by_check[check]["lhs_num"]), int(by_check[check]["lhs_den"])) == half
+        assert by_check[check]["pass"] == "pass"
+
+
+def test_markov_tail_n3(tmp_path):
+    code, rows, _ = run(tmp_path, "markov-tail", "--n", "3")
+    assert code == 0
+    assert rows[0]["status"] == "pass"
+
+
+def test_montecarlo_n3_agrees_with_counted_mean(tmp_path):
+    # sampling is an oracle for the counted space: enumerating it would
+    # visit 1.7e7 sentences
+    code, rows, _ = run(tmp_path, "montecarlo", "--n", "3", "--max-tokens", "12",
+                        "--samples", "20000", "--exact-check", "--seed", "1")
+    assert code == 0
+    assert rows[0]["status"] == "pass" and abs(float(rows[0]["z"])) <= 4
 
 
 def test_markov_tail(tmp_path):

@@ -78,7 +78,8 @@ def assert_keys_and_counts(twin: Twin):
     c = twin.counted
     assert {key_of(r): c.count[r] for r in c.items} == \
         {k: len(xs) for k, xs in twin.groups.items()}
-    assert all(twin.rep[k] == xs[0] for k, xs in twin.groups.items())
+    # a representative is some sentence of its key, not a chosen one
+    assert all(twin.rep[k] in xs for k, xs in twin.groups.items())
     assert c.total(c.items) == len(twin.expanded)
 
 
@@ -119,9 +120,9 @@ def twins(table):
     out = {}
     for n in (1, 2):
         counted = measure.covering_space(table, n)
-        # a key's representative is its first sentence in shortlex
-        # order, and the class covered last first appears at the
-        # covering depth, so the longest representative has that depth
+        # the class covered last first appears at the covering depth,
+        # so every sentence of its keys, and with it their
+        # representatives, has that many tokens, and no item has more
         depth = max(len(x.codes) for x in counted.items)
         out[n] = Twin(counted, expand(table, n, depth))
     return out
@@ -132,10 +133,51 @@ def test_covering_space_counts_its_expansion(twins, n):
     assert_keys_and_counts(twins[n])
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_formula_space_counts_its_expansion(table, n):
-    counted = measure.formula_space(table, n, 6, alpha=n)
-    assert_keys_and_counts(Twin(counted, expand(table, n, 6)))
+# tables for the counting oracle: all_binary sums over supersets for
+# constants and projections too, and loops over mask pairs for XOR and
+# XNOR; the others add a constant leaf and a ternary connective
+ORACLE_TABLES = {
+    **TABLES,
+    "all_binary": ConnectiveTable.all_binary(),
+    "constant": ConnectiveTable.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n"),
+    "majority": ConnectiveTable.from_text("¬ 1 10\nM 3 00010111\n"),
+}
+# all_binary has no sentence of 6 tokens, and 1.6e6 of 7 at n = 3
+ORACLE_DEPTH = {"all_binary": 5}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_formula_space_counts_its_expansion(name, n):
+    table, depth = ORACLE_TABLES[name], ORACLE_DEPTH.get(name, 7)
+    counted = measure.formula_space(table, n, depth)
+    assert_keys_and_counts(Twin(counted, expand(table, n, depth)))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_formula_space_counts_its_expansion_over_4_variables(name):
+    # 65,536 masks: every connective loops over nonzero entries
+    table = TABLES[name]
+    assert_keys_and_counts(Twin(measure.formula_space(table, 4, 7),
+                                expand(table, 4, 7)))
+
+
+def test_formula_space_counts_its_expansion_over_5_variables():
+    # 2^32 masks; the 360 sentences M(M(a, b, c), d, e) and the like are
+    # the only ones with 5 variables in 7 tokens
+    table = ORACLE_TABLES["majority"]
+    twin = Twin(measure.formula_space(table, 5, 7), expand(table, 5, 7))
+    assert len(twin.expanded.items) == 360
+    assert_keys_and_counts(twin)
+
+
+def test_spaces_refuse_out_of_reach_sizes():
+    std = TABLES["standard"]
+    for build in (lambda: measure.covering_space(std, 4),
+                  lambda: measure.formula_space(std, 11, 3),
+                  lambda: measure.formula_space(std, 0, 3)):
+        with pytest.raises(measure.MeasureError):
+            build()
 
 
 @pytest.mark.parametrize("n", [1, 2])

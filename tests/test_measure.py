@@ -318,7 +318,7 @@ def test_uniform_over_model_classes_equal_masses(space2):
 
 
 def test_uniform_over_model_classes_uncovered(std):
-    shallow = measure.formula_space(std, 2, 5, alpha=2)
+    shallow = measure.formula_space(std, 2, 5)
     with pytest.raises(ClassUncovered):
         uniform_over_model_classes(shallow, 2)
 
