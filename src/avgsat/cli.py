@@ -319,21 +319,14 @@ def cmd_tractability(opts: Options):
     start = case_def["start"]
     res = measure.tractability(
         case_def["T"], case_def["mu"],
-        measure.singleton_classes(range(start, start + budget)),
+        range(start, start + budget),
         eps=opts.get("eps", 1e-12), cap=opts.get("cap", 1e6),
         exact=case_def["exact"])
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]
-    checkpoints = []
-    k = 1
-    while k < len(res.partials):
-        checkpoints.append(k)
-        k *= 10
-    checkpoints.append(len(res.partials))
     status = PASS if res.verdict is case_def["expect"] else FAIL
     rows = []
-    for k in checkpoints:
-        v = res.partials[k - 1]
+    for k, v in res.checkpoints.items():
         frac = _frac(v) if case_def["exact"] else ["", ""]
         rows.append([case, str(k), *frac, _float(v), res.verdict.value, status])
     return header, rows

@@ -13,7 +13,8 @@ space, not over size classes alone.  The core objects:
   mass alpha-class, the expected value of T(x)/F(f(x)) is at most 1
   (constant factor exactly 1, no asymptotic cutoff, every class).
 * ``tractability`` — finiteness evidence for the unconditional
-  expected running time, via partial averages over class prefixes.
+  expected running time, via partial averages over class prefixes,
+  in one streaming pass whose memory does not grow with the prefixes.
 * ``check_property_2_2`` / ``check_property_2_3`` — executable forms
   of the reweighting equivalences that transfer per-class O(F) bounds
   to whole-space expectations.
@@ -26,6 +27,7 @@ spaces and in CSV rendering.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -274,23 +276,27 @@ class Verdict(enum.Enum):
 
 @dataclass
 class TractabilityResult:
-    partials: list
+    """Partial averages at prefixes 1, 10, 100, ... below the class
+    count and at the count itself, in that order, and the verdict."""
+
+    checkpoints: dict
     verdict: Verdict
 
     @property
     def final(self):
-        return self.partials[-1]
+        return next(reversed(self.checkpoints.values()))
 
 
-def tractability(T: CostMap, mu: CostMap, classes: Iterable[tuple[int, Iterable]],
+def tractability(T: CostMap, mu: CostMap, indices: Sequence[int],
                  eps: float = 1e-12, cap: float = 1e6, growth_margin: float = 1.0,
                  exact: bool = False, tail_window: int = 10) -> TractabilityResult:
     """Partial expected running times over growing class prefixes.
 
-    ``classes`` yields (class index, items) in increasing index order;
+    Each index of ``indices``, in order, is its own one-point class;
     ``mu`` may be unnormalized (averages are invariant under scaling).
-    After each class the running average of T over the union of the
-    classes seen so far is recorded.
+    After each class the running average of T over the classes seen so
+    far is a partial.  One pass keeps only the partials the verdict and
+    the checkpoints read, so memory does not grow with ``len(indices)``.
 
     The verdict is evidence, not proof: CONVERGENT when the last
     ``tail_window`` relative increments stay below ``eps`` and the
@@ -299,46 +305,51 @@ def tractability(T: CostMap, mu: CostMap, classes: Iterable[tuple[int, Iterable]
     than ``growth_margin`` between the 0.1% prefix and the end; else
     INCONCLUSIVE.  Finite truncation cannot certify an infinite sum.
     """
+    count = len(indices)
+    if not count:
+        raise ZeroMassSubset("no classes supplied")
     Tf, muf = _fn(T), _fn(mu)
-    zero = Fraction(0) if exact else 0.0
-    num = den = zero
-    partials = []
-    for _, items in classes:
-        for x in items:
-            w = muf(x)
-            if not exact:
-                w = float(w)
-            num += Tf(x) * w
-            den += w
+    marks = []
+    k = 1
+    while k < count:
+        marks.append(k)
+        k *= 10
+    marks.append(count)
+    early = max(1, count // 1000)   # the 0.1% prefix
+    kept = dict.fromkeys([*marks, early])
+    window = min(tail_window, count - 1)
+    tail = count - window           # the increments after this prefix must level
+    leveled = window >= 1 or count == 1
+    monotone = True
+    num = den = Fraction(0) if exact else 0.0
+    prev = -math.inf   # the first partial has nothing to fall below
+    for k, x in enumerate(indices, 1):
+        w = muf(x)
+        if not exact:
+            w = float(w)
+        num += Tf(x) * w
+        den += w
         if den == 0:
             raise ZeroMassSubset("class prefix has zero mass")
-        partials.append(num / den)
-    if not partials:
-        raise ZeroMassSubset("no classes supplied")
+        cur = num / den
+        if not cur >= prev:
+            monotone = False
+        if k > tail and leveled:
+            scale = max(abs(cur), abs(prev))
+            if scale != 0 and abs(cur - prev) / scale >= eps:
+                leveled = False
+        if k in kept:
+            kept[k] = cur
+        prev = cur
 
-    window = min(tail_window, len(partials) - 1)
-    leveled = window >= 1
-    for i in range(len(partials) - window, len(partials)):
-        prev, cur = partials[i - 1], partials[i]
-        scale = max(abs(cur), abs(prev))
-        if scale != 0 and abs(cur - prev) / scale >= eps:
-            leveled = False
-            break
-    if len(partials) == 1:
-        leveled = True
-    if leveled and partials[-1] <= cap:
-        return TractabilityResult(partials, Verdict.CONVERGENT)
-
-    monotone = all(b >= a for a, b in zip(partials, partials[1:]))
-    early = partials[max(0, len(partials) // 1000 - 1)]
-    if monotone and (partials[-1] > cap or partials[-1] - early > growth_margin):
-        return TractabilityResult(partials, Verdict.DIVERGENT_TREND)
-    return TractabilityResult(partials, Verdict.INCONCLUSIVE)
-
-
-def singleton_classes(indices: Iterable[int]) -> Iterable[tuple[int, tuple]]:
-    """Each index forms its own class (synthetic one-point classes)."""
-    return ((n, (n,)) for n in indices)
+    final = cur
+    if leveled and final <= cap:
+        verdict = Verdict.CONVERGENT
+    elif monotone and (final > cap or final - kept[early] > growth_margin):
+        verdict = Verdict.DIVERGENT_TREND
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return TractabilityResult({k: kept[k] for k in marks}, verdict)
 
 
 class HMode(enum.Enum):
@@ -669,22 +680,57 @@ def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace
     return InputSpace.from_formulas(reps, reps)
 
 
+def _monotone(a: int, f: int) -> bool:
+    return all(f >> r & 1 <= f >> (r | 1 << i) & 1
+               for r in range(1 << a) for i in range(a))
+
+
+def _affine(a: int, f: int) -> bool:
+    c = f & 1
+    linear = sum((f >> (1 << i) & 1 ^ c) << i for i in range(a))
+    return all(f >> r & 1 == c ^ bin(r & linear).count("1") & 1
+               for r in range(1 << a))
+
+
+# Post's five maximal clones, as properties of a truth table (arity a,
+# bit r the value at argument tuple r).  Variables have all five, and a
+# sentence whose connectives all have one has it too, so such a table
+# reaches only the functions with it, whatever the depth.
+_POST_CLONES = (
+    ("0-preserving", lambda a, f: not f & 1),
+    ("1-preserving", lambda a, f: f >> ((1 << a) - 1) & 1 == 1),
+    ("monotone", _monotone),
+    ("self-dual", lambda a, f: all(f >> r & 1 != f >> (r ^ ((1 << a) - 1)) & 1
+                                   for r in range(1 << a))),
+    ("affine", _affine),
+)
+
+
 def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
                    ) -> InputSpace:
     """All alpha = n sentences over exactly n variables up to the
     smallest token depth at which they inhabit all 2^(2^n) model
     classes, counted per key (see :func:`_counted`).
 
-    Raises ClassUncovered at the cap, and MeasureError at once unless
-    1 <= n <= 3: at n = 4 a counting state would hold 65,536 masks.
+    Raises ClassUncovered at the cap, and at once when every connective
+    lies in one of Post's maximal clones and that clone misses some
+    n-ary function; raises MeasureError at once unless 1 <= n <= 3: at
+    n = 4 a counting state would hold 65,536 masks.
     """
     _check_vars(n)
     if n > 3:
         raise MeasureError(f"covering spaces stop at n = 3, got {n}: at n = 4 "
                            "a counting state would hold 65,536 masks")
+    needed = 1 << (1 << n)
+    for name, has in _POST_CLONES:
+        if all(has(a, f) for a, f in zip(table.arities, table.truth_bits)):
+            reach = sum(1 for f in range(needed) if has(n, f))
+            if reach < needed:
+                raise ClassUncovered(
+                    f"every connective is {name}, so at most {reach} of "
+                    f"{needed} model classes are reachable at n = {n}")
     from ._counting import SentenceCounts  # loaded only to build a space
     counts = SentenceCounts(n, table.arities, table.truth_bits, depth_cap)
-    needed = 1 << (1 << n)
     classes: set[int] = set()
     for t in range(1, depth_cap + 1):
         counts.extend()

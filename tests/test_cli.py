@@ -199,6 +199,18 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_self_dual_table_exits_2_at_once(tmp_path, capsys, n):
+    # NOT and majority reach only the self-dual classes; the DP would
+    # run to its 24-token cap (about 20 s at n = 3) before saying so
+    path = tmp_path / "table.txt"
+    path.write_text("¬ 1 10\nM 3 00010111\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, ["sat-oclass", "--table", str(path), "--n", str(n)],
+                   prefix="avgsat: every connective is self-dual")
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("line, command", [
     ("model = foo", "tab-oclass"),
     ("case = foo", "tractability"),

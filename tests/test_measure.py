@@ -1,17 +1,21 @@
+import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from avgsat import analytic, engines, measure
-from avgsat.formula import enumerate_formulas, parse_rpn, var_count_alpha
+from avgsat.formula import (ConnectiveTable, enumerate_formulas, parse_rpn,
+                            var_count_alpha)
 from avgsat.measure import (BoundReport, ClassUncovered, Distribution, HMode,
                             InputSpace, Normalization, PreconditionFailed,
                             Verdict, ZeroMass, ZeroMassSubset, avg_time,
                             check_property_2_2, check_property_2_3,
                             markov_tail, model_class_of, nu_from_H,
                             oclass_member, power_law_length, relative_avg,
-                            singleton_classes, tractability, uniform_on,
+                            tractability, uniform_on,
                             uniform_over_model_classes,
                             uniform_within_min_layers, weights_proportional)
 
@@ -130,23 +134,26 @@ def test_bound_report_csv_schema(space1):
 
 def test_tractability_harmonic_divergent_trend():
     res = tractability(lambda n: n, lambda n: 1.0 / (n * n),
-                       singleton_classes(range(1, 10 ** 4 + 1)))
+                       range(1, 10 ** 4 + 1))
     assert res.verdict is Verdict.DIVERGENT_TREND
-    assert res.partials[9] < res.final
+    assert res.checkpoints[10] < res.final
 
 
 def test_tractability_geometric_convergent():
     res = tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n),
-                       singleton_classes(range(0, 61)), exact=True)
+                       range(0, 61), exact=True)
     assert res.verdict is Verdict.CONVERGENT
     assert abs(res.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
 
 def test_tractability_constant():
     res = tractability(lambda n: 7, lambda n: Fraction(1, n),
-                       singleton_classes(range(1, 25)), exact=True)
+                       range(1, 25), exact=True)
     assert res.verdict is Verdict.CONVERGENT
-    assert set(res.partials) == {Fraction(7)}
+    # every prefix average, each the final partial of its own scan
+    for k in range(1, 25):
+        assert tractability(lambda n: 7, lambda n: Fraction(1, n),
+                            range(1, k + 1), exact=True).final == 7
 
 
 def test_tractability_final_equals_whole_space_average():
@@ -154,13 +161,124 @@ def test_tractability_final_equals_whole_space_average():
     sp = toy_space(range(1, 40))
     mu = weights_proportional(sp, lambda n: Fraction(1, 2 ** n))
     res = tractability(lambda n: n * n, mu.of,
-                       singleton_classes(range(1, 40)), exact=True)
+                       range(1, 40), exact=True)
     assert res.final == avg_time(lambda n: n * n, mu, sp.items)
 
 
 def test_tractability_empty_errors():
     with pytest.raises(ZeroMassSubset):
         tractability(lambda n: n, lambda n: 1, [])
+
+
+def list_tractability(T, mu, classes, eps=1e-12, cap=1e6, growth_margin=1.0,
+                      exact=False, tail_window=10):
+    """The scan as it was before it streamed: every partial in a list.
+    The reference for :func:`tractability`; returns (partials, verdict)."""
+    zero = Fraction(0) if exact else 0.0
+    num = den = zero
+    partials = []
+    for _, items in classes:
+        for x in items:
+            w = mu(x)
+            if not exact:
+                w = float(w)
+            num += T(x) * w
+            den += w
+        if den == 0:
+            raise ZeroMassSubset("class prefix has zero mass")
+        partials.append(num / den)
+    if not partials:
+        raise ZeroMassSubset("no classes supplied")
+
+    window = min(tail_window, len(partials) - 1)
+    leveled = window >= 1
+    for i in range(len(partials) - window, len(partials)):
+        prev, cur = partials[i - 1], partials[i]
+        scale = max(abs(cur), abs(prev))
+        if scale != 0 and abs(cur - prev) / scale >= eps:
+            leveled = False
+            break
+    if len(partials) == 1:
+        leveled = True
+    if leveled and partials[-1] <= cap:
+        return partials, Verdict.CONVERGENT
+
+    monotone = all(b >= a for a, b in zip(partials, partials[1:]))
+    early = partials[max(0, len(partials) // 1000 - 1)]
+    if monotone and (partials[-1] > cap or partials[-1] - early > growth_margin):
+        return partials, Verdict.DIVERGENT_TREND
+    return partials, Verdict.INCONCLUSIVE
+
+
+HARMONIC = dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n))
+GEOMETRIC = dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n), exact=True)
+NAN_AT_5 = dict(T=lambda n: math.nan if n == 5 else n, mu=lambda n: 1.0)
+# flat after prefix 20: the last 10 increments vanish, the 11th does not
+FLAT_AFTER_20 = dict(T=lambda n: n, mu=lambda n: 1.0 if n <= 20 else 0.0)
+# partials 0, 2, 3.5, then 4 - 1.5/k: the growth from the 0.1% prefix
+# (prefix 2 of 2000) is about 2, from prefix 1 about 4, from prefix 3
+# about 0.5
+STEPS = dict(T=lambda n: {1: 0, 2: 4, 3: 6.5}.get(n, 4), mu=lambda n: 1.0)
+
+# budgets at the edges of the 0.1% prefix (count // 1000) and of the
+# 10-step tail window
+STREAM_CASES = {
+    **{f"harmonic-{b}": (HARMONIC, range(1, b + 1))
+       for b in (1, 2, 10, 11, 12, 999, 1000, 1001, 1999, 2000, 20000)},
+    "geometric": (GEOMETRIC, range(0, 61)),
+    "constant": (dict(T=lambda n: 5, mu=lambda n: Fraction(1, n), exact=True),
+                 range(1, 61)),
+    "not-monotone": (dict(T=lambda n: n % 3, mu=lambda n: 1.0), range(1, 3001)),
+    "leveled-above-cap": (dict(GEOMETRIC, cap=1), range(0, 61)),
+    "window-beyond-count": (dict(GEOMETRIC, tail_window=100), range(0, 61)),
+    "window-zero": (dict(HARMONIC, tail_window=0), range(1, 1001)),
+    "loose-eps": (dict(HARMONIC, eps=1e-3), range(1, 5001)),
+    "nan-inside": (NAN_AT_5, range(1, 21)),
+    "nan-first": (NAN_AT_5, range(5, 21)),
+    "nan-only": (NAN_AT_5, range(5, 6)),
+    "flat-tail-10": (FLAT_AFTER_20, range(1, 31)),
+    "flat-tail-9": (FLAT_AFTER_20, range(1, 30)),
+    "early-margin-1": (STEPS, range(1, 2001)),
+    "early-margin-3": (dict(STEPS, growth_margin=3), range(1, 2001)),
+}
+
+
+def same(a, b):
+    return a == b or (a != a and b != b)   # NaN matches NaN
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_tractability_matches_list_scan(case):
+    kw, indices = STREAM_CASES[case]
+    res = tractability(indices=indices, **kw)
+    partials, verdict = list_tractability(classes=((n, (n,)) for n in indices), **kw)
+    assert res.verdict is verdict
+    marks = [10 ** j for j in range(7) if 10 ** j < len(indices)] + [len(indices)]
+    assert list(res.checkpoints) == marks
+    for k, v in res.checkpoints.items():
+        assert same(v, partials[k - 1]) and type(v) is type(partials[k - 1])
+    assert same(res.final, partials[-1])
+
+
+def test_tractability_zero_mass_prefix_errors():
+    mu = lambda n: 0.0 if n == 1 else 1.0
+    with pytest.raises(ZeroMassSubset):
+        list_tractability(lambda n: n, mu, ((n, (n,)) for n in range(1, 10)))
+    with pytest.raises(ZeroMassSubset):
+        tractability(lambda n: n, mu, range(1, 10))
+
+
+def test_tractability_memory_does_not_grow_with_the_scan():
+    # the list of 200,000 partials and their floats peaked at about 8 MB
+    tractability(**HARMONIC, indices=range(1, 11))   # warm up lazy state
+    tracemalloc.start()
+    try:
+        res = tractability(**HARMONIC, indices=range(1, 200_001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.verdict is Verdict.DIVERGENT_TREND
+    assert peak < 100_000
 
 
 # --- reweighting and the transfer properties ------------------------------
@@ -326,6 +444,26 @@ def test_uniform_over_model_classes_uncovered(std):
 def test_covering_space_depth_cap(std):
     with pytest.raises(ClassUncovered):
         measure.covering_space(std, 2, depth_cap=5)
+
+
+NOT_XOR = ConnectiveTable.from_text("¬ 1 10\n⊕ 2 0110\n")
+
+
+def test_covering_space_refuses_an_affine_table_at_once():
+    # every unary function is affine: NOT and XOR cover all four at n = 1
+    assert len(measure.covering_space(NOT_XOR, 1).classes[1]) == 6
+    for n in (2, 3):
+        start = time.perf_counter()
+        with pytest.raises(ClassUncovered, match=f"affine, so at most {2 ** (n + 1)} "):
+            measure.covering_space(NOT_XOR, n)
+        assert time.perf_counter() - start < 1
+
+
+def test_covering_space_complete_table_still_meets_the_cap():
+    # NAND is complete, so no clone refuses it; 24 tokens miss 6 classes
+    nand = ConnectiveTable.from_text("⊼ 2 1110\n")
+    with pytest.raises(ClassUncovered, match="only 250 of 256 model classes within 24"):
+        measure.covering_space(nand, 3)
 
 
 def test_uniform_within_min_layers(expanded1):
