@@ -23,7 +23,7 @@ import statistics
 import sys
 from fractions import Fraction
 
-from . import _kernel, analytic, engines, measure
+from . import _kernel, engines, measure
 from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, var_count_alpha
 
 PASS = "pass"
@@ -53,7 +53,16 @@ def _check_samples(samples: int) -> None:
 
 def _frac(q: Fraction) -> list[str]:
     q = Fraction(q)
-    return [str(q.numerator), str(q.denominator)]
+    # Exact values may have more digits than int-to-str converts by
+    # default (a limit since Python 3.10.7; 0 means none); lift it here.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(q.numerator), str(q.denominator)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _float(v) -> str:
@@ -147,6 +156,7 @@ def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> Non
 
 
 def cmd_expected_min(opts: Options):
+    from . import analytic  # loaded only by the commands that use it
     n = opts.get("n", 1, minimum=0)
     ns = range(0, n + 1) if opts.get("upto", False) else [n]
     header = ["n", "brute_num", "brute_den", "closed_num", "closed_den",
@@ -221,6 +231,7 @@ def cmd_tab_oclass(opts: Options):
     header = measure.BoundReport.CSV_HEADER
     rows = []
     if model == "shannon":
+        from . import analytic  # loaded only by the commands that use it
         for n in sorted(ns):
             tb = analytic.tabulator_class_bound(n)
             status = PASS if tb.passed else FAIL
@@ -241,6 +252,7 @@ def cmd_tab_oclass(opts: Options):
 
 
 def cmd_moments(opts: Options):
+    from . import analytic  # loaded only by the commands that use it
     m_list = opts.get("m_list", [2, 3], cast=_int_list, minimum=1)
     n_list = opts.get("n_list", [1, 2], cast=_int_list)
     tol = Fraction(1, 10 ** opts.get("tol_exp", 12, minimum=0))
@@ -275,6 +287,7 @@ def cmd_moments(opts: Options):
 
 
 def cmd_counting(opts: Options):
+    from . import analytic  # loaded only by the commands that use it
     n_max = opts.get("n_max", 10, minimum=0)
     p = opts.get("p", 2)
     enum_limit = opts.get("enum_limit", 3)
@@ -562,6 +575,7 @@ def cmd_property_2_3(opts: Options):
         T = _scan_time
         F = lambda k: 2 * k
     else:
+        from . import analytic  # loaded only by the commands that use it
         ns = opts.get("n_list", [3, 4], cast=_int_list, minimum=1)
         space, T, mu = analytic.shannon_space(ns)
         F = lambda k: k ** 3

@@ -410,7 +410,8 @@ def model_set(x: Formula, n: int) -> ModelSet:
     return ModelSet(n, bits)
 
 
-@lru_cache(maxsize=None)
+# bounded above the 38,152 entries of `sat-oclass --n 3`, the most any command adds
+@lru_cache(maxsize=2 ** 16)
 def compact_model_set(x: Formula) -> ModelSet:
     """Model set over the sentence's own variables.
 

@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, islice, permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import (ConnectiveTable, Formula, compact_model_set, size_f,
@@ -323,24 +323,33 @@ def tractability(T: CostMap, mu: CostMap, indices: Sequence[int],
     monotone = True
     num = den = Fraction(0) if exact else 0.0
     prev = -math.inf   # the first partial has nothing to fall below
-    for k, x in enumerate(indices, 1):
-        w = muf(x)
-        if not exact:
-            w = float(w)
-        num += Tf(x) * w
-        den += w
-        if den == 0:
-            raise ZeroMassSubset("class prefix has zero mass")
-        cur = num / den
-        if not cur >= prev:
-            monotone = False
-        if k > tail and leveled:
-            scale = max(abs(cur), abs(prev))
-            if scale != 0 and abs(cur - prev) / scale >= eps:
+    # Run in segments that end at each prefix a checkpoint or the tail
+    # window reads, so a step in between only accumulates and tracks
+    # monotonicity.  Past ``tail`` every step ends a segment, and its
+    # leveled test compares the partial with the one before the segment.
+    rest = iter(indices)
+    done = 0
+    for stop in chain(sorted(k for k in kept if k < tail), range(tail, count + 1)):
+        before = prev
+        for x in islice(rest, stop - done):
+            w = muf(x)
+            if not exact:
+                w = float(w)
+            num += Tf(x) * w
+            den += w
+            if den == 0:
+                raise ZeroMassSubset("class prefix has zero mass")
+            cur = num / den
+            if not cur >= prev:
+                monotone = False
+            prev = cur
+        done = stop
+        if stop > tail and leveled:
+            scale = max(abs(cur), abs(before))
+            if scale != 0 and abs(cur - before) / scale >= eps:
                 leveled = False
-        if k in kept:
-            kept[k] = cur
-        prev = cur
+        if stop in kept:
+            kept[stop] = cur
 
     final = cur
     if leveled and final <= cap:

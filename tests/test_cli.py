@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -403,9 +405,10 @@ def test_seeded_row_matches_recorded_bytes(tmp_path, command, row):
     assert out.read_bytes().decode("utf-8").splitlines()[1:] == [row]
 
 
-# The CSVs of the exact checks, pinned to the digests the benchmark
-# records (bench/digests.json, read only): a change that alters these
-# bytes fails here even when it alters them the same way on every run.
+# The CSVs of the exact checks and of the series commands, pinned to the
+# digests the benchmark records (bench/digests.json, read only): a change
+# that alters these bytes fails here even when it alters them the same
+# way on every run.
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
 
@@ -418,9 +421,30 @@ DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
     "markov-tail --n 1",
     "property-2-3 --model sat --n-list 1",
     "tab-oclass --model enumerated --n-list 1 --max-tokens 5",
+    "tractability --case harmonic",
+    "tractability --case harmonic --budget 2000",
+    "counting --n-max 10 --enum-limit 3",
+    "counting --n-max 4 --enum-limit 2",
 ])
 def test_csv_bytes_match_recorded_digest(tmp_path, command):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]["sha256"]
     out = tmp_path / "out.csv"
     assert cli.main([*command.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
+
+
+def test_frac_writes_integers_past_the_digit_limit():
+    # exact partials of `tractability --case geometric --budget 14400`
+    # run past the interpreter's 4,300-digit int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    num, den = cli._frac(Fraction(10 ** 4999 + 1, 3))
+    assert num == "1" + "0" * 4998 + "1" and den == "3"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_import_does_not_load_analytic():
+    # only a few commands need the closed forms; startup should not pay for them
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, avgsat.cli; sys.exit('avgsat.analytic' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert done.returncode == 0

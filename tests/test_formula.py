@@ -189,6 +189,14 @@ def test_model_set_exhaustive_agreement(std, all_binary):
                 assert (m in K) == bool(evaluate(x, m, n)), (table, x, m)
 
 
+def test_compact_model_set_cache_is_bounded():
+    # montecarlo adds one entry per distinct accepted sentence; the bound
+    # stays above the 38,152 entries of `sat-oclass --n 3`, the most any
+    # command adds (its n = 3 sentences and their negations)
+    maxsize = compact_model_set.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 38_152
+
+
 def test_compact_model_set_permutes_variables(std):
     # p1 AND NOT p0; first appearance maps p1 -> 0, p0 -> 1
     x = parse_rpn("p1 p0 ¬ ∧", std)

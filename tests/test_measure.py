@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,14 @@ STREAM_CASES = {
     "flat-tail-9": (FLAT_AFTER_20, range(1, 30)),
     "early-margin-1": (STEPS, range(1, 2001)),
     "early-margin-3": (dict(STEPS, growth_margin=3), range(1, 2001)),
+    # the 0.1% prefix 10 is also a checkpoint
+    "early-is-mark": (HARMONIC, range(1, 10_001)),
+    # the checkpoint 1000 lies past tail = 995
+    "mark-in-tail": (HARMONIC, range(1, 1006)),
+    # tail = 1: every step ends a segment
+    "window-is-count": (dict(HARMONIC, tail_window=2000), range(1, 2001)),
+    "list-input": (HARMONIC, list(range(1, 1006))),
+    "tuple-input": (GEOMETRIC, tuple(range(0, 61))),
 }
 
 
@@ -258,6 +267,31 @@ def test_tractability_matches_list_scan(case):
     for k, v in res.checkpoints.items():
         assert same(v, partials[k - 1]) and type(v) is type(partials[k - 1])
     assert same(res.final, partials[-1])
+
+
+class OnePass(Sequence):
+    """A sequence that may be iterated but not indexed."""
+
+    def __init__(self, items):
+        self.items = items
+        self.passes = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        raise AssertionError("the scan indexed its input")
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.items)
+
+
+def test_tractability_iterates_its_input_once():
+    indices = OnePass(range(1, 2001))
+    res = tractability(**HARMONIC, indices=indices)
+    assert indices.passes == 1
+    assert res == tractability(**HARMONIC, indices=range(1, 2001))
 
 
 def test_tractability_zero_mass_prefix_errors():
