@@ -44,54 +44,64 @@ def _var_masks(n):
 def _minority_rows(a, tt):
     """(rows, flip) for a connective of arity ``a`` with truth bits ``tt``.
 
-    ``rows`` lists, as tuples of 0/1 argument values, the argument
-    tuples on which the connective is true, or, when ``flip`` is set,
-    those on which it is false, whichever are fewer.
+    ``rows`` lists the argument tuples on which the connective is true,
+    or, when ``flip`` is set, those on which it is false, whichever are
+    fewer.  Each row is (the indices of the arguments that are 1 in it,
+    the indices of those that are 0).
     """
     flip = 2 * bin(tt).count("1") > (1 << a)
-    return tuple(tuple((r >> (a - 1 - k)) & 1 for k in range(a))
-                 for r in range(1 << a) if ((tt >> r) & 1) != flip), flip
+    rows = []
+    for r in range(1 << a):
+        if ((tt >> r) & 1) != flip:
+            ones = tuple(k for k in range(a) if (r >> (a - 1 - k)) & 1)
+            rows.append((ones, tuple(k for k in range(a) if k not in ones)))
+    return tuple(rows), flip
 
 
 def _apply(rows, flip, args, full):
     """Mask of a connective, given as ``_minority_rows`` gives it,
     applied to argument masks whose all-true mask is ``full``."""
     acc = 0
-    for row in rows:
-        # the assignments on which every argument has this row's value
+    for ones, zeros in rows:
+        # the assignments on which every argument has this row's value;
+        # term stays inside full, so & ~x is & (full ^ x)
         term = full
-        for k, bit in enumerate(row):
-            term &= args[k] if bit else full ^ args[k]
+        for k in ones:
+            term &= args[k]
+        for k in zeros:
+            term &= ~args[k]
         acc |= term
     return full ^ acc if flip else acc
+
+
+@lru_cache(maxsize=None)
+def _slot_ops(arities, tts):
+    """(arity, rows, flip) for each connective slot of a table."""
+    return tuple((a, *_minority_rows(a, tt)) for a, tt in zip(arities, tts))
 
 
 def eval_mask(codes, n, arities, tts):
     """Truth-table mask of an RPN code sequence over n variables."""
     full = (1 << (1 << n)) - 1
     vmasks = _var_masks(n)
+    ops = _slot_ops(arities, tts)
     stack = []
     for c in codes:
         if c >= 0:
             stack.append(vmasks[c])
             continue
-        j = -c - 1
-        a = arities[j]
+        a, rows, flip = ops[-c - 1]
         args = stack[len(stack) - a:]
         del stack[len(stack) - a:]
-        stack.append(_apply(*_minority_rows(a, tts[j]), args, full))
+        stack.append(_apply(rows, flip, args, full))
     return stack[-1]
 
 
-def compact_order(codes):
-    """Distinct variable indices in order of first appearance."""
-    order = []
-    seen = set()
-    for c in codes:
-        if c >= 0 and c not in seen:
-            seen.add(c)
-            order.append(c)
-    return order
+def compact_codes(codes):
+    """(codes, alpha): the codes with their variables renumbered 0, 1, ...
+    in order of first appearance, and the number of distinct variables."""
+    slot = {}
+    return [slot.setdefault(c, len(slot)) if c >= 0 else c for c in codes], len(slot)
 
 
 def eval_mask_compact(codes, arities, tts):
@@ -99,10 +109,8 @@ def eval_mask_compact(codes, arities, tts):
 
     Returns (mask, alpha) where alpha is the number of distinct variables.
     """
-    order = compact_order(codes)
-    slot = {v: i for i, v in enumerate(order)}
-    remapped = [slot[c] if c >= 0 else c for c in codes]
-    return eval_mask(remapped, len(order), arities, tts), len(order)
+    remapped, alpha = compact_codes(codes)
+    return eval_mask(remapped, alpha, arities, tts), alpha
 
 
 def completion_counts(n_vars, arities, length):

@@ -18,13 +18,14 @@ audited and found not to hold".
 from __future__ import annotations
 
 import argparse
+import math
 import random
-import statistics
 import sys
 from fractions import Fraction
 
 from . import _kernel, engines, measure
-from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, var_count_alpha
+from .formula import (ConnectiveTable, Formula, FormulaError, ModelSet, codes_size,
+                      var_count_alpha)
 
 PASS = "pass"
 FAIL = "fail"
@@ -385,20 +386,45 @@ class SequenceSampler:
                        if self.cnt[L][0]]
         self.grand_total = sum(c for _, c in self.totals)
 
-    def at(self, u: int) -> Formula:
-        """The sentence of rank ``u``, for ``0 <= u < grand_total``."""
+    def codes_at(self, u: int) -> tuple[int, ...]:
+        """The codes of the sentence of rank ``u``, for ``0 <= u < grand_total``."""
         for L, c in self.totals:
             if u < c:
-                return Formula(_unrank(u, L, self.n_vars, self.table.arities,
-                                       self.cnt), self.table)
+                return _unrank(u, L, self.n_vars, self.table.arities, self.cnt)
             u -= c
         raise AssertionError("sampler index out of range")
+
+    def at(self, u: int) -> Formula:
+        """The sentence of rank ``u``, for ``0 <= u < grand_total``."""
+        return Formula(self.codes_at(u), self.table)
 
     def sample(self, rng: random.Random) -> Formula:
         return self.at(rng.randrange(self.grand_total))
 
 
+def _first_witness(codes: tuple[int, ...], table: ConnectiveTable,
+                   alpha: int | None = None) -> int | None:
+    """``min_n`` of the model set, over its own variables, of the valid
+    sentence with these codes; None, with no mask evaluated, when
+    ``alpha`` is given and the sentence has another number of distinct
+    variables.  Builds no Formula and adds no ``compact_model_set``
+    entry."""
+    remapped, a = _kernel.compact_codes(codes)
+    if alpha is not None and a != alpha:
+        return None
+    return engines.min_n(ModelSet(a, _kernel.eval_mask(remapped, a, table.arities,
+                                                       table.truth_bits)))
+
+
+def _scan_units(codes: tuple[int, ...], table: ConnectiveTable, n: int) -> int | None:
+    """``sat_scan``'s time units on the valid sentence with these codes,
+    or None when it does not have exactly n distinct variables."""
+    m = _first_witness(codes, table, n)
+    return None if m is None else codes_size(codes) * (m + 1)
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    import statistics  # loaded only by the sampling commands
     mean = statistics.fmean(values)
     if len(values) < 2:
         return mean, 0.0
@@ -431,6 +457,8 @@ def cmd_montecarlo(opts: Options):
         samples = len(values)
     else:
         _check_samples(samples)
+        if exact_check and samples < 2:
+            raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
         sampler = SequenceSampler(table, n, max_tokens)
         if sampler.grand_total == 0:
             raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
@@ -445,8 +473,8 @@ def cmd_montecarlo(opts: Options):
             if u in value_of:
                 value = value_of[u]
             else:
-                x = sampler.at(u)
-                value = float(_scan_time(x)) if var_count_alpha(x) == n else None
+                units = _scan_units(sampler.codes_at(u), table, n)
+                value = None if units is None else float(units)
                 if len(value_of) < samples:
                     value_of[u] = value
             if value is not None:
@@ -462,7 +490,9 @@ def cmd_montecarlo(opts: Options):
             space = measure.formula_space(table, n, max_tokens)
             exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
             exact_mean = _float(exact)
-            zval = 0.0 if se == 0 else (mean - float(exact)) / se
+            gap = mean - float(exact)
+            # with no spread among the samples, only an exact hit passes
+            zval = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
             z = _float(zval)
             status = PASS if abs(zval) <= 4 else FAIL
     header = ["space", "n", "max_tokens", "samples", "seed", "mean", "stderr",
@@ -492,12 +522,10 @@ def cmd_explore_min(opts: Options):
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
     rng = random.Random(seed)
     # draws almost never repeat here, so each is scored from its codes,
-    # which are valid by construction, without a Formula or a cache entry
-    values = []
-    for _ in range(samples):
-        codes = _unrank(rng.randrange(total), target, pool, table.arities, cnt)
-        bits, alpha = _kernel.eval_mask_compact(codes, table.arities, table.truth_bits)
-        values.append(float(engines.min_n(ModelSet(alpha, bits))))
+    # which are valid by construction
+    values = [float(_first_witness(_unrank(rng.randrange(total), target, pool,
+                                            table.arities, cnt), table))
+              for _ in range(samples)]
     mean, se = _mean_stderr(values)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]
@@ -715,7 +743,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
     _emit(opts.get("out", None, cast=str), header, rows)
-    return 1 if any(row and row[-1] == FAIL for row in rows) else 0
+    failed = [(i, row) for i, row in enumerate(rows, start=1) if row and row[-1] == FAIL]
+    for i, row in failed:
+        cells = ", ".join(f"{name}={cell}" for name, cell in zip(header, row[:3]))
+        print(f"avgsat: fail: row {i} of {len(rows)}: {cells}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

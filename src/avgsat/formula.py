@@ -361,15 +361,21 @@ def render(x: Formula) -> str:
     return " ".join(parts)
 
 
-def size_f(x: Formula) -> int:
-    """Bit length of the canonical rendering: 8 bits per character."""
+def codes_size(codes: tuple[int, ...]) -> int:
+    """Bit length of the canonical rendering of the sentence with these
+    codes: 8 bits per character."""
     # each token is followed by a space except the last; a connective
     # symbol is one character and variable i is "p" plus its digits
-    chars = 2 * len(x.codes) - 1
-    for c in x.codes:
+    chars = 2 * len(codes) - 1
+    for c in codes:
         if c >= 0:
             chars += len(str(c))
     return 8 * chars
+
+
+def size_f(x: Formula) -> int:
+    """Bit length of the canonical rendering: 8 bits per character."""
+    return codes_size(x.codes)
 
 
 def var_count_alpha(x: Formula) -> int:

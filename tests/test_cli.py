@@ -105,6 +105,25 @@ def test_montecarlo_exact_check(tmp_path):
     assert rows[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("max_tokens, samples, seed, mean, z, status", [
+    # p0 and p0 ¬ both scan for 32 units, so every sample is the exact mean
+    ("2", "5", "0", "32.0", "0.0", "pass"),
+    # both samples are p0 p0 ∧ or p0 p0 ∨ (112 units) against an exact 76.8
+    ("3", "2", "0", "112.0", "inf", "fail"),
+    # both samples scan for 32 units
+    ("3", "2", "2", "32.0", "-inf", "fail"),
+], ids=["exact-hit", "above", "below"])
+def test_montecarlo_exact_check_without_spread(tmp_path, max_tokens, samples, seed,
+                                               mean, z, status):
+    # samples that all take one value give a zero standard error: only
+    # the exact mean itself may pass
+    code, rows, _ = run(tmp_path, "montecarlo", "--n", "1", "--max-tokens", max_tokens,
+                        "--samples", samples, "--exact-check", "--seed", seed)
+    assert code == (status == "fail")
+    assert (rows[0]["mean"], rows[0]["stderr"], rows[0]["z"], rows[0]["status"]) == \
+        (mean, "0.0", z, status)
+
+
 def test_montecarlo_exhaustive_equals_exact(tmp_path):
     code, rows, _ = run(tmp_path, "montecarlo", "--n", "1", "--max-tokens", "5",
                         "--exhaustive")
@@ -119,6 +138,17 @@ def test_montecarlo_deterministic(tmp_path):
     assert first == second
     _, _, other_seed = run(tmp_path, "--seed", "7", *args, name="c.csv")
     assert other_seed != first
+
+
+def test_montecarlo_adds_no_model_set_cache_entries(tmp_path):
+    from avgsat.formula import compact_model_set
+    before = compact_model_set.cache_info()
+    code, _, _ = run(tmp_path, "montecarlo", "--n", "2", "--max-tokens", "7",
+                     "--samples", "3000", "--seed", "5")
+    assert code == 0
+    after = compact_model_set.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_explore_min(tmp_path):
@@ -161,9 +191,10 @@ def test_unbuildable_table_exits_2(tmp_path, capsys, argv):
     ["explore-min", "--target-tokens", "2"],
     ["montecarlo", "--n", "3", "--max-tokens", "2", "--samples", "5"],
     ["montecarlo", "--n", "3", "--max-tokens", "2", "--exhaustive"],
+    ["montecarlo", "--n", "2", "--max-tokens", "8", "--samples", "1", "--exact-check"],
 ], ids=["explore-min-no-samples", "montecarlo-no-samples",
         "explore-min-empty-space", "montecarlo-empty-space",
-        "montecarlo-exhaustive-empty-space"])
+        "montecarlo-exhaustive-empty-space", "montecarlo-exact-check-one-sample"])
 def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     assert_exits_2(tmp_path, capsys, argv)
 
@@ -251,6 +282,27 @@ def test_bad_table_file_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"avgsat: table {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_failing_rows_are_named_on_stderr(tmp_path, capsys):
+    code, rows, data = run(tmp_path, "tab-oclass", "--model", "shannon", "--n-list", "1,2")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "avgsat: fail: row 1 of 2: n=1, lhs_num=5, lhs_den=4",
+        "avgsat: fail: row 2 of 2: n=2, lhs_num=289, lhs_den=288",
+    ]
+    # --audit changes the status cells only, and names no row
+    code, _, audited = run(tmp_path, "--audit", "tab-oclass", "--model", "shannon",
+                           "--n-list", "1,2", name="audited.csv")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert audited == data.replace(b",fail\n", b",expected_fail\n")
+
+
+def test_passing_run_writes_nothing_to_stderr(tmp_path, capsys):
+    code, _, _ = run(tmp_path, "tab-oclass", "--model", "shannon", "--n-list", "3")
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_property_2_2(tmp_path):
@@ -377,6 +429,36 @@ def test_sampler_rank_is_shortlex_position(table):
     assert [sampler.at(u) for u in range(sampler.grand_total)] == enumerated
 
 
+SCORER_TABLES = {
+    "standard": "¬ 1 10\n∧ 2 0001\n∨ 2 0111\n",
+    "nand": "⊼ 2 1110\n",
+    "not-majority-true": "¬ 1 10\nM 3 00010111\nⓉ 0 1\n",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("table", sorted(SCORER_TABLES))
+def test_scan_units_match_sat_scan_on_every_rank(table, n):
+    # the codes-level scorer rejects exactly the ranks whose sentence
+    # has alpha != n, and otherwise gives sat_scan's time
+    from avgsat import engines
+    from avgsat.formula import ConnectiveTable, compact_model_set, var_count_alpha
+    tab = ConnectiveTable.from_text(SCORER_TABLES[table])
+    sampler = cli.SequenceSampler(tab, n, 6)
+    kept = 0
+    for u in range(sampler.grand_total):
+        codes, x = sampler.codes_at(u), sampler.at(u)
+        assert x.codes == codes
+        units = cli._scan_units(codes, tab, n)
+        if var_count_alpha(x) != n:
+            assert units is None
+            continue
+        kept += 1
+        assert units == engines.sat_scan(x).time_units
+        assert cli._first_witness(codes, tab) == engines.min_n(compact_model_set(x))
+    assert kept
+
+
 def test_sampler_covers_small_space():
     import random
     from avgsat.formula import ConnectiveTable, render
@@ -398,10 +480,14 @@ def test_sampler_covers_small_space():
      "sat,3,9,20000,3,545.8368,2.814455628769499,,,pass"),
     ("explore-min --target-tokens 9 --samples 10000 --seed 1",
      "9,2,5,10000,1,2.5907,0.04555902669604948,info"),
-], ids=["montecarlo-exact-check", "montecarlo-rejecting", "explore-min"])
+    ("montecarlo --table {nand} --n 2 --max-tokens 7 --samples 20000 --seed 2",
+     "sat,2,7,20000,2,167.8356,0.7428456633890924,,,pass"),
+], ids=["montecarlo-exact-check", "montecarlo-rejecting", "explore-min", "montecarlo-nand"])
 def test_seeded_row_matches_recorded_bytes(tmp_path, command, row):
+    nand = tmp_path / "nand.txt"
+    nand.write_text("⊼ 2 1110\n", encoding="utf-8")
     out = tmp_path / "out.csv"
-    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert cli.main([*command.format(nand=nand).split(), "--out", str(out)]) == 0
     assert out.read_bytes().decode("utf-8").splitlines()[1:] == [row]
 
 
@@ -442,9 +528,14 @@ def test_frac_writes_integers_past_the_digit_limit():
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-def test_import_does_not_load_analytic():
-    # only a few commands need the closed forms; startup should not pay for them
+def test_import_loads_no_command_only_module():
+    # the closed forms, the counting DP and the sample statistics serve
+    # only some commands; startup should not pay for them
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = "import sys, avgsat.cli; sys.exit('avgsat.analytic' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    unwanted = ["avgsat.analytic", "avgsat._counting", "statistics"]
+    code = ("import sys, avgsat.cli; "
+            f"print(','.join(m for m in {unwanted!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60,
+                          capture_output=True, text=True)
     assert done.returncode == 0
+    assert done.stdout.strip() == ""
