@@ -13,11 +13,11 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernel, measure
-from .formula import ConnectiveTable, Formula, leaf_sequence
+from .formula import ConnectiveTable, Formula, _Frozen, leaf_sequence
 
 
 def gamma_count(N: int) -> int:
@@ -61,8 +61,7 @@ def is_canonical_sentence(x: Formula) -> bool:
     return list(leaves) == [used[0]] * surplus + used[1:]
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Counts of the canonical sentences with exactly N connectives."""
 
     N: int
@@ -102,8 +101,7 @@ def census(N: int, table: ConnectiveTable | None = None) -> Census:
     return Census(N, total, pow2)
 
 
-@dataclass(frozen=True)
-class Totals:
+class Totals(NamedTuple):
     read_total: int
     tabulate_total: int
     ratio: Fraction  # tabulate/read scaled by (2N+1)^(-p)
@@ -131,8 +129,7 @@ def ratio_partial_sums(N_max: int, p: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class MinExpectation:
+class MinExpectation(NamedTuple):
     """Expected (first witness + 1) for the satisfiability scanner over
     all subsets of {0..2^n-1} with equal probability.
 
@@ -172,8 +169,7 @@ def expected_min_plus_one(n: int, brute_limit: int = 4) -> MinExpectation:
     return MinExpectation(n, closed, brute, nonempty)
 
 
-@dataclass(frozen=True)
-class MomentSum:
+class MomentSum(NamedTuple):
     """Certified approximation of sum over i >= 1 of i^m / 2^i."""
 
     m: int
@@ -219,8 +215,7 @@ def moment_oclass_constant(m: int) -> Fraction:
     return Fraction(5, 2) * m ** (m + 1)
 
 
-@dataclass(frozen=True)
-class ConstantComparison:
+class ConstantComparison(NamedTuple):
     computed: int       # m^m + 2*m^(m+1) at m = 3
     reference: int      # backtrack-coloring constant for 3 colors
     rel_gap: Fraction
@@ -238,8 +233,7 @@ def wilf_comparison() -> ConstantComparison:
 # --- shortest-code model ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShannonModel:
+class ShannonModel(_Frozen):
     """Information-theoretic lower-bound sizes for one layer of
     pairwise-inequivalent sentences on n variables.
 
@@ -250,8 +244,10 @@ class ShannonModel:
     one short of 2^(2^n)).
     """
 
-    n: int
-    repair: bool = True
+    __slots__ = ("n", "repair")
+
+    def __init__(self, n: int, repair: bool = True):
+        super().__init__(n, repair)
 
     @property
     def slot_count(self) -> int:
@@ -272,16 +268,14 @@ class ShannonModel:
         return out
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     label: str
     lhs: Fraction
     rhs: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class TabulatorBound:
+class TabulatorBound(NamedTuple):
     """Exact evaluation of the cubic bound on the shortest-code model.
 
     ``lhs`` is the expected T(x)/f(x)^3 over one uniformly weighted

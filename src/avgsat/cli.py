@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -398,7 +397,7 @@ class SequenceSampler:
         """The sentence of rank ``u``, for ``0 <= u < grand_total``."""
         return Formula(self.codes_at(u), self.table)
 
-    def sample(self, rng: random.Random) -> Formula:
+    def sample(self, rng) -> Formula:
         return self.at(rng.randrange(self.grand_total))
 
 
@@ -423,12 +422,30 @@ def _scan_units(codes: tuple[int, ...], table: ConnectiveTable, n: int) -> int |
     return None if m is None else codes_size(codes) * (m + 1)
 
 
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    import statistics  # loaded only by the sampling commands
-    mean = statistics.fmean(values)
-    if len(values) < 2:
+def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
+    """Mean and standard error of ``count`` integers with sum ``sx`` and
+    sum of squares ``sxx``.
+
+    The mean is the float sum over the count, as ``statistics.fmean``
+    takes it.  The standard deviation is the correctly rounded square
+    root of the exact sample variance (count*sxx - sx^2) / (count*(count-1)),
+    as ``statistics.stdev`` takes it since Python 3.11.
+    """
+    mean = float(sx) / count
+    if count < 2:
         return mean, 0.0
-    return mean, statistics.stdev(values) / len(values) ** 0.5
+    num, den = count * sxx - sx * sx, count * (count - 1)
+    # an integer root of at least 55 bits, rounded to odd, then rounded
+    # once to a 53-bit float is the correctly rounded root
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    stdev = float(root << q) if q >= 0 else root / (1 << -q)
+    return mean, stdev / count ** 0.5
 
 
 def cmd_montecarlo(opts: Options):
@@ -449,12 +466,17 @@ def cmd_montecarlo(opts: Options):
         if not space.items:
             raise SampleError(
                 f"no sentences with {n} distinct variables within {max_tokens} tokens")
-        values = [float(_scan_time(x)) for x in space.items for _ in range(space.count[x])]
-        mean, se = _mean_stderr(values)
+        # one (value, count) pair per key, never one value per sentence
+        samples = sx = sxx = 0
+        for x in space.items:
+            c, v = space.count[x], _scan_time(x)
+            samples += c
+            sx += c * v
+            sxx += c * v * v
+        mean, se = _mean_stderr(samples, sx, sxx)
         exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
         exact_mean = _float(exact)
         status = PASS if mean == float(exact) else FAIL
-        samples = len(values)
     else:
         _check_samples(samples)
         if exact_check and samples < 2:
@@ -462,30 +484,31 @@ def cmd_montecarlo(opts: Options):
         sampler = SequenceSampler(table, n, max_tokens)
         if sampler.grand_total == 0:
             raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
+        import random  # loaded only by the sampling commands
         rng = random.Random(seed)
-        values = []
-        rejected = 0
+        accepted = rejected = sx = sxx = 0
         # a draw's value depends on its rank alone: rank -> scan time, or
         # None when alpha != n, kept for at most `samples` distinct ranks
-        value_of: dict[int, float | None] = {}
-        while len(values) < samples:
+        value_of: dict[int, int | None] = {}
+        while accepted < samples:
             u = rng.randrange(sampler.grand_total)
             if u in value_of:
                 value = value_of[u]
             else:
-                units = _scan_units(sampler.codes_at(u), table, n)
-                value = None if units is None else float(units)
+                value = _scan_units(sampler.codes_at(u), table, n)
                 if len(value_of) < samples:
                     value_of[u] = value
             if value is not None:
-                values.append(value)
+                accepted += 1
+                sx += value
+                sxx += value * value
             else:
                 rejected += 1
-                if rejected > 1000 * (len(values) + samples):
+                if rejected > 1000 * (accepted + samples):
                     raise SampleError(
                         f"no sentences with {n} distinct variables within "
                         f"{max_tokens} tokens (rejected {rejected} samples)")
-        mean, se = _mean_stderr(values)
+        mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
             space = measure.formula_space(table, n, max_tokens)
             exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
@@ -520,13 +543,17 @@ def cmd_explore_min(opts: Options):
     total = cnt[length][0]
     if total == 0:
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
+    import random  # loaded only by the sampling commands
     rng = random.Random(seed)
     # draws almost never repeat here, so each is scored from its codes,
     # which are valid by construction
-    values = [float(_first_witness(_unrank(rng.randrange(total), target, pool,
-                                            table.arities, cnt), table))
-              for _ in range(samples)]
-    mean, se = _mean_stderr(values)
+    sx = sxx = 0
+    for _ in range(samples):
+        m = _first_witness(_unrank(rng.randrange(total), target, pool, table.arities, cnt),
+                           table)
+        sx += m
+        sxx += m * m
+    mean, se = _mean_stderr(samples, sx, sxx)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]
     rows = [[str(target), str(arity), str(pool), str(samples), str(seed),

@@ -16,8 +16,7 @@ integers with no noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .formula import Formula, ModelSet, compact_model_set, size_f, var_count_alpha
 
@@ -26,8 +25,7 @@ class NoNegation(Exception):
     """The active connective table cannot express negation."""
 
 
-@dataclass(frozen=True)
-class CostedRun:
+class CostedRun(NamedTuple):
     """An algorithm's output together with its exact integer cost."""
 
     payload: Any

@@ -14,7 +14,6 @@ reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -48,8 +47,44 @@ _BINARY_SYMBOLS = [
 _UNARY_SYMBOLS = ["Ⓕ", "ι", "¬", "Ⓣ"]
 
 
-@dataclass(frozen=True)
-class Connective:
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types."""
+    from dataclasses import FrozenInstanceError  # loaded only on this error path
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+class _Frozen:
+    """Base of the immutable value types: the fields are the names in
+    ``__slots__``, set once by ``__init__`` in that order; equality,
+    hash and repr read them all."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Connective(_Frozen):
     """A named truth function.
 
     ``bits`` packs the truth table: bit ``r`` is the output for the
@@ -57,18 +92,16 @@ class Connective:
     significant bit) equals ``r``.
     """
 
-    cid: int
-    arity: int
-    bits: int
-    symbol: str
+    __slots__ = ("cid", "arity", "bits", "symbol")
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, cid: int, arity: int, bits: int, symbol: str):
+        if arity < 0:
             raise ValueError("arity must be non-negative")
-        if not 0 <= self.bits < (1 << (1 << self.arity)):
+        if not 0 <= bits < (1 << (1 << arity)):
             raise ValueError("truth bits out of range for arity")
-        if len(self.symbol) != 1:
+        if len(symbol) != 1:
             raise ValueError("connective symbols are single characters")
+        super().__init__(cid, arity, bits, symbol)
 
     def truth(self, args: tuple[int, ...]) -> int:
         if len(args) != self.arity:
@@ -246,8 +279,7 @@ class ConnectiveTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+class Formula(_Frozen):
     """A sentence as a tuple of token codes over a connective table.
 
     Codes >= 0 are variable indices; code ``-j-1`` is connective slot
@@ -258,29 +290,34 @@ class Formula:
     computed once, at construction.
     """
 
-    codes: tuple[int, ...]
-    table: ConnectiveTable
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("codes", "table", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, codes: tuple[int, ...], table: ConnectiveTable):
         depth = 0
-        for c in self.codes:
+        for c in codes:
             if c >= 0:
                 depth += 1
             else:
                 j = -c - 1
-                if j >= len(self.table):
+                if j >= len(table):
                     raise MalformedRpn(f"connective slot {j} not in table")
-                a = self.table.arities[j]
+                a = table.arities[j]
                 if depth < a:
                     raise MalformedRpn("operator applied to too few operands")
                 depth -= a - 1
         if depth != 1:
             raise MalformedRpn(f"sequence leaves {depth} values on the stack")
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "table", table)
         # CPython hashes -1 like -2, so hash(codes) would not tell NOT
         # (code -1) from AND (code -2); shifted connective codes skip -1
         object.__setattr__(self, "_hash", hash(tuple(
-            [c - 1 if c < 0 else c for c in self.codes])))
+            [c - 1 if c < 0 else c for c in codes])))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.codes == other.codes and self.table == other.table
 
     def __hash__(self) -> int:
         return self._hash
@@ -291,20 +328,24 @@ class Formula:
     def __repr__(self) -> str:
         return f"Formula({render(self)!r})"
 
+    def __reduce__(self):
+        return Formula, (self.codes, self.table)
 
-@dataclass(frozen=True, slots=True)
-class ModelSet:
+
+class ModelSet(_Frozen):
     """Satisfying assignments of a sentence over n variables, as a bit set.
 
     Bit ``m`` is set iff assignment ``m`` satisfies the sentence.
     """
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+    def __init__(self, n: int, bits: int):
+        if not 0 <= bits < (1 << (1 << n)):
             raise ValueError("bit set wider than 2^n assignments")
+        # set here, not through _Frozen.__init__: sampling builds one per draw
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
     def __contains__(self, m: int) -> bool:
         return 0 <= m < (1 << self.n) and bool((self.bits >> m) & 1)

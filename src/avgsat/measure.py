@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .formula import (ConnectiveTable, Formula, compact_model_set, size_f,
+from .formula import (ConnectiveTable, Formula, _Frozen, compact_model_set, size_f,
                       stratify_min_layers, var_count_alpha)
 
 
@@ -146,15 +145,17 @@ class Normalization(enum.Enum):
     RAW = "raw"           # unnormalized (dominating sub-distribution)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Frozen):
     """Exact non-negative rational weights over a space's items.
 
     Items absent from ``weights`` have weight 0.
     """
 
-    weights: Mapping
-    normalization: Normalization = Normalization.GLOBAL
+    __slots__ = ("weights", "normalization")
+
+    def __init__(self, weights: Mapping,
+                 normalization: Normalization = Normalization.GLOBAL):
+        super().__init__(weights, normalization)
 
     def of(self, x) -> Fraction:
         return self.weights.get(x, _ZERO)
@@ -176,8 +177,7 @@ class Distribution:
                     raise ValueError(f"class {n} weights must sum to exactly 1")
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     n: int
     lhs: Fraction
     rhs: Fraction
@@ -185,11 +185,21 @@ class BoundRow:
     note: str = ""
 
 
-@dataclass
 class BoundReport:
     """Per-class verdicts for a bound check, exact and as floats."""
 
-    rows: list[BoundRow] = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[BoundRow] | None = None):
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"BoundReport(rows={self.rows!r})"
 
     @property
     def overall(self) -> bool:
@@ -274,8 +284,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class TractabilityResult:
+class TractabilityResult(NamedTuple):
     """Partial averages at prefixes 1, 10, 100, ... below the class
     count and at the count itself, in that order, and the verdict."""
 
@@ -400,16 +409,14 @@ def nu_from_H(space: InputSpace, H: Callable[[int], object],
                         Normalization.GLOBAL)
 
 
-@dataclass(frozen=True)
-class HRow:
+class HRow(NamedTuple):
     label: str
     lhs: Fraction   # expected T under nu
     rhs: Fraction   # expected F(f) under nu
     ok: bool
 
 
-@dataclass
-class Prop22Result:
+class Prop22Result(NamedTuple):
     """Both directions of the bound/reweighting equivalence.
 
     ``oclass`` holds the per-class membership rows; ``h_rows`` holds,
@@ -465,8 +472,7 @@ def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object]
     return Prop22Result(oc, h_rows, per_class)
 
 
-@dataclass
-class Prop23Result:
+class Prop23Result(NamedTuple):
     """Transfer of a per-class O(F) bound to a whole-space expectation.
 
     ``expectation`` is the exact sum of T against the dominating
@@ -504,8 +510,7 @@ def check_property_2_3(space: InputSpace, T: CostMap, F: Callable[[int], object]
     return Prop23Result(bound, expectation, mass, expectation <= bound)
 
 
-@dataclass(frozen=True)
-class MarkovTail:
+class MarkovTail(NamedTuple):
     bound: Fraction
     empirical: Fraction
     ok: bool

@@ -528,14 +528,83 @@ def test_frac_writes_integers_past_the_digit_limit():
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def _loaded_by_import(module, names):
+    """Which of ``names`` a fresh interpreter has loaded after importing
+    ``module``.  ``-S`` skips the site packages, whose ``.pth`` files may
+    import modules (``random``, for one) before avgsat is imported."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (f"import sys, {module}; "
+            f"print(','.join(m for m in {names!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_import_loads_no_command_only_module():
     # the closed forms, the counting DP and the sample statistics serve
-    # only some commands; startup should not pay for them
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    unwanted = ["avgsat.analytic", "avgsat._counting", "statistics"]
-    code = ("import sys, avgsat.cli; "
-            f"print(','.join(m for m in {unwanted!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60,
-                          capture_output=True, text=True)
-    assert done.returncode == 0
-    assert done.stdout.strip() == ""
+    # only some commands, and no command needs dataclasses (or the
+    # inspect module it loads); startup should not pay for them
+    unwanted = ["avgsat.analytic", "avgsat._counting", "statistics", "dataclasses",
+                "inspect", "random"]
+    assert _loaded_by_import("avgsat.cli", unwanted) == ""
+
+
+def test_analytic_import_loads_no_dataclasses():
+    assert _loaded_by_import("avgsat.analytic", ["dataclasses", "inspect"]) == ""
+
+
+@pytest.mark.parametrize("values", [
+    [7], [3, 3, 3], [0, 1], [16, 32, 32, 112, 48], list(range(0, 3000, 7)),
+    [10 ** 12 + k * k for k in range(50)], [2 ** 60, 1, 2 ** 61],
+], ids=["one", "no-spread", "two", "scan-times", "range", "wide", "huge"])
+def test_mean_stderr_matches_statistics(values):
+    # fmean and the correctly rounded stdev of Python 3.11, from integer sums
+    import statistics
+    floats = [float(v) for v in values]
+    se = statistics.stdev(floats) / len(floats) ** 0.5 if len(floats) > 1 else 0.0
+    got = cli._mean_stderr(len(values), sum(values), sum(v * v for v in values))
+    if sys.version_info >= (3, 11):
+        assert got == (statistics.fmean(floats), se)
+    else:   # 3.10's stdev rounds the variance before its square root
+        assert got[0] == statistics.fmean(floats) and got[1] == pytest.approx(se)
+
+
+# --exhaustive rows, pinned to the bytes written when it still expanded
+# one value per sentence
+@pytest.mark.parametrize("command, row", [
+    ("--n 1 --max-tokens 5", "sat,1,5,33,0,145.45454545454547,11.224726738683962,"
+     "145.45454545454547,,pass"),
+    ("--n 1 --max-tokens 9", "sat,1,9,2849,0,287.0789750789751,2.3023400573447588,"
+     "287.0789750789751,,pass"),
+    ("--n 2 --max-tokens 8", "sat,2,8,7392,0,324.66017316017314,2.352185699332578,"
+     "324.66017316017314,,pass"),
+    ("--n 2 --max-tokens 10", "sat,2,10,146976,0,420.975070759852,0.6749460845406509,"
+     "420.975070759852,,pass"),
+    ("--n 3 --max-tokens 9", "sat,3,9,91488,0,546.1369359916055,1.3170003795264045,"
+     "546.1369359916055,,pass"),
+    ("--n 3 --max-tokens 10", "sat,3,10,520896,0,571.2453004054552,0.6457969113017357,"
+     "571.2453004054552,,pass"),
+    ("--n 3 --max-tokens 11", "sat,3,11,3071136,0,653.5205213966428,0.28885662216517854,"
+     "653.5205213966428,,pass"),
+], ids=["n1-5", "n1-9", "n2-8", "n2-10", "n3-9", "n3-10", "n3-11"])
+def test_exhaustive_row_matches_recorded_bytes(tmp_path, command, row):
+    out = tmp_path / "out.csv"
+    assert cli.main(["montecarlo", "--exhaustive", *command.split(), "--out", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8").splitlines()[1:] == [row]
+
+
+def test_exhaustive_memory_does_not_grow_with_the_space(tmp_path):
+    # 3,071,136 sentences: one float each would hold about 94 MB; the
+    # sums run over the space's keys
+    import tracemalloc
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["montecarlo", "--exhaustive", "--n", "3", "--max-tokens", "11",
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2 ** 20

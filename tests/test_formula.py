@@ -1,10 +1,13 @@
+import inspect
 import itertools
+import pickle
 from dataclasses import FrozenInstanceError
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import _kernel
+from avgsat import _kernel, analytic, engines, measure
 from avgsat.formula import (Connective, ConnectiveTable, Formula, MalformedRpn,
                             ModelSet, UnknownSymbol, VariableOutOfRange,
                             compact_model_set, enumerate_formulas, evaluate,
@@ -102,6 +105,55 @@ def test_formula_key_contract(std, all_binary):
     with pytest.raises((FrozenInstanceError, TypeError)):
         x.note = "cached"
     assert not hasattr(x, "note")
+
+
+_STD = ConnectiveTable.standard()
+
+# Every immutable value type: fields for one value, fields for another,
+# and fields that construction must refuse with ValueError (or None).
+VALUE_TYPES = [
+    (Connective, (0, 1, 2, "¬"), (0, 1, 1, "¬"), (0, 1, 4, "¬")),
+    (Formula, ((0,), _STD), ((0, 0, -2), _STD), None),
+    (ModelSet, (1, 2), (1, 3), (1, 16)),
+    (measure.Distribution, ({"a": Q(1)}, measure.Normalization.GLOBAL),
+     ({"a": Q(1)}, measure.Normalization.RAW), None),
+    (measure.BoundRow, (1, Q(1, 2), Q(1), True, ""), (1, Q(1, 2), Q(1), False, ""), None),
+    (measure.HRow, ("chi_1", Q(1), Q(2), True), ("chi_2", Q(1), Q(2), True), None),
+    (measure.MarkovTail, (Q(1, 2), Q(1, 4), True), (Q(1, 2), Q(1, 3), True), None),
+    (engines.CostedRun, (None, 16), (None, 32), None),
+    (analytic.Census, (1, 2, 3), (1, 2, 4), None),
+    (analytic.Totals, (1, 2, Q(1, 3)), (1, 2, Q(2, 3)), None),
+    (analytic.MinExpectation, (1, Q(7, 4), None, Q(3, 2)), (1, Q(7, 4), Q(7, 4), Q(3, 2)),
+     None),
+    (analytic.MomentSum, (2, Q(6), Q(1, 10), 8), (2, Q(6), Q(1, 10), 16), None),
+    (analytic.ConstantComparison, (189, 197, Q(8, 197)), (190, 197, Q(7, 197)), None),
+    (analytic.ShannonModel, (2, True), (2, False), None),
+    (analytic.ChainStep, ("a", Q(1), Q(2), True), ("b", Q(1), Q(2), True), None),
+    (analytic.TabulatorBound, (1, Q(1), Q(1), True, (), Q(1)),
+     (2, Q(1), Q(1), True, (), Q(1)), None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, other, bad", VALUE_TYPES,
+                         ids=[row[0].__name__ for row in VALUE_TYPES])
+def test_value_types_compare_by_fields_and_stay_frozen(cls, fields, other, bad):
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and not a != b
+    try:
+        hash(fields)
+    except TypeError:   # a dict of weights: the value is unhashable too
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert cls(*other) != a and not cls(*other) == a
+    for name, value in zip(inspect.signature(cls).parameters, other):
+        with pytest.raises(AttributeError):   # FrozenInstanceError is one
+            setattr(a, name, value)
+    assert a == b and pickle.loads(pickle.dumps(a)) == a
+    if bad is not None:
+        with pytest.raises(ValueError):
+            cls(*bad)
 
 
 def test_formula_hash_tells_not_from_and(std):
