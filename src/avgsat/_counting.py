@@ -46,20 +46,6 @@ def _binary_family(tt):
                               for r in range(4))), None)
 
 
-def _leaf_split(packed, l, width):
-    """Leaf counts, one per packed count, that sum to ``l`` and at which
-    every count is nonzero; None when there are none."""
-    if not packed:
-        return () if l == 0 else None
-    low = (1 << width) - 1
-    for l1 in range(l + 1):
-        if (packed[0] >> width * l1) & low:
-            rest = _leaf_split(packed[1:], l - l1, width)
-            if rest is not None:
-                return (l1, *rest)
-    return None
-
-
 class SentenceCounts:
     """Sentences over exactly n variables, counted by token count, number
     of variable tokens and truth-table mask, without enumerating them.
@@ -105,9 +91,6 @@ class SentenceCounts:
                     self.summed.add(j)
         self.tab = [{}]  # no subtree has 0 tokens
         self._views = {}
-        self._totals = {}
-        self._witnesses = {}
-        self._section = {}
         self._split_memo = {}
 
     def extend(self):
@@ -145,71 +128,17 @@ class SentenceCounts:
                 p >>= self.width
                 l += 1
 
-    def witness(self, state, l, m):
-        """Codes of one counted subtree of ``state`` with l variable
-        tokens and mask m; a sentence for state (t, 0, n)."""
-        key = (state, l, m)
-        codes = self._witnesses.get(key)
-        if codes is None:
-            codes = self._witnesses[key] = self._find(state, l, m)
-        return codes
-
-    def _find(self, state, l, m):
-        """The first connective and split, in table order, whose children
-        give mask m with l variable tokens; all but the last child are
-        tried mask by mask, and the last child's mask is solved for."""
-        t, ki, ko = state
-        if (t, l) == (1, 1):
-            for v in range(ki + 1):
-                if ko - ki == (v == ki) and var_mask(v, self.n) == m:
-                    return (v,)
-        low, full = (1 << self.width) - 1, self.full
-        for j, a in enumerate(self.arities):
-            rows, flip = self.rows[j]
-            for children in self._splits(a, t - 1, ki, ko):
-                if not children:
-                    if l == 0 and _apply(rows, flip, (), full) == m:
-                        return (-j - 1,)
-                    continue
-                if not (math.prod(map(self._total, children)) >> self.width * l) & low:
-                    continue  # no l variable tokens here
-                last = self.tab[children[-1][0]][children[-1][1:]]
-                for masks, p in self._entries(children[:-1]):
-                    # where the last argument may be 0 and where 1 for m
-                    may0, may1 = self._sections(j, masks)
-                    may0 ^= full ^ m
-                    may1 ^= full ^ m
-                    if may0 | may1 != full:
-                        continue
-                    free = may0 & may1
-                    for b, q in last.items():
-                        if b & ~free == full ^ may0 and (p * q >> self.width * l) & low:
-                            masks += (b,)
-                            packed = [self.tab[s][k0, k1][mi]
-                                      for (s, k0, k1), mi in zip(children, masks)]
-                            ls = _leaf_split(packed, l, self.width)
-                            return sum((self.witness(c, li, mi)
-                                        for c, li, mi in zip(children, ls, masks)), ()) + (-j - 1,)
-        raise ValueError(f"no counted subtree of state {state} has mask {m}")
-
-    def _total(self, state):
-        """Packed count of a state's subtrees over all masks."""
-        total = self._totals.get(state)
-        if total is None:
-            t, ki, ko = state
-            total = self._totals[state] = sum(self.tab[t][ki, ko].values())
-        return total
-
-    def _sections(self, j, masks):
-        """Connective j's masks with all arguments but the last given and
-        the last false, and true."""
-        key = (j, masks)
-        pair = self._section.get(key)
-        if pair is None:
-            rows, flip = self.rows[j]
-            pair = self._section[key] = (_apply(rows, flip, (*masks, 0), self.full),
-                                         _apply(rows, flip, (*masks, self.full), self.full))
-        return pair
+    def keys(self):
+        """Key (n, size f, mask) -> number of the canonical sentences
+        counted so far.  A canonical sentence's mask is its class, and
+        f = 8 * (2 * tokens - 1 + variable tokens) while every variable
+        is p0..p9."""
+        count = {}
+        for t in range(1, len(self.tab)):
+            for l, m, c in self.top(t):
+                key = (self.n, 8 * (2 * t - 1 + l), m)
+                count[key] = count.get(key, 0) + c
+        return count
 
     def _splits(self, a, t, ki, ko):
         """Each way to give a subtrees, in order, t tokens in all and the
@@ -243,11 +172,11 @@ class SentenceCounts:
         key = (*state, view)
         v = self._views.get(key)
         if v is None:
+            t, ki, ko = state
+            counts = self.tab[t][ki, ko]
             if view is None:
-                v = [self._total(state)] * self.size
+                v = [sum(counts.values())] * self.size
             else:
-                t, ki, ko = state
-                counts = self.tab[t][ki, ko]
                 v = [counts.get(m, 0) for m in range(self.size)]
                 if view == 1:
                     v.reverse()  # mask m becomes its complement full ^ m

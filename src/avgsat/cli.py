@@ -23,8 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import _kernel, engines, measure
-from .formula import (ConnectiveTable, Formula, FormulaError, ModelSet, codes_size,
-                      var_count_alpha)
+from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, codes_size
 
 PASS = "pass"
 FAIL = "fail"
@@ -172,7 +171,7 @@ def cmd_expected_min(opts: Options):
     return header, rows
 
 
-def _scan_time(x: Formula) -> int:
+def _scan_time(x) -> int:
     return engines.sat_scan(x).time_units
 
 
@@ -183,18 +182,6 @@ def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
         space = measure.formula_space(table, n, max_tokens)
     mu = measure.uniform_over_model_classes(space, n)
     return space, mu, measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
-
-
-def _negated_space(space: measure.InputSpace) -> measure.InputSpace:
-    """The negations of a space's sentences, with the same counts.
-
-    Negation maps keys one to one (the same alpha, complemented model
-    sets, and a size that depends on the original size alone), so each
-    negated representative stands for the negations of the sentences
-    its original stood for.
-    """
-    count = {engines.negated(x): space.count[x] for x in space.items}
-    return measure.InputSpace.from_formulas(count, count)
 
 
 def cmd_sat_oclass(opts: Options):
@@ -209,7 +196,9 @@ def cmd_sat_oclass(opts: Options):
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
-        co_space = _negated_space(space)
+        # negation maps keys one to one, so the negated keys keep the counts
+        co_space = measure.InputSpace.from_keys(
+            {engines.negated_key(x, table): c for x, c in space.count.items()})
         mu_co = measure.uniform_over_model_classes(co_space, n)
         co_report = measure.oclass_member(co_space, _scan_time, lambda k: 2 * k, mu_co)
         for row in co_report.csv_rows():
@@ -243,7 +232,7 @@ def cmd_tab_oclass(opts: Options):
         table = _load_table(opts)
         max_tokens = opts.get("max_tokens", 7)
         for n in sorted(ns):
-            space = measure.formula_space(table, n, max_tokens)
+            space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
             mu = measure.uniform_within_min_layers(space, n)
             T = lambda x: engines.tabulate(x).time_units
             report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
@@ -466,10 +455,12 @@ def cmd_montecarlo(opts: Options):
         if not space.items:
             raise SampleError(
                 f"no sentences with {n} distinct variables within {max_tokens} tokens")
-        # one (value, count) pair per key, never one value per sentence
+        # one (value, count) pair per key, never one value per sentence;
+        # a key counts canonical sentences, each standing for n! sentences
+        renamings = math.factorial(n)
         samples = sx = sxx = 0
         for x in space.items:
-            c, v = space.count[x], _scan_time(x)
+            c, v = renamings * space.count[x], _scan_time(x)
             samples += c
             sx += c * v
             sxx += c * v * v
@@ -563,13 +554,13 @@ def cmd_explore_min(opts: Options):
 
 def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
     """One space holding the covering space for every class in ns."""
-    count: dict[Formula, int] = {}
+    count: dict[tuple, int] = {}
     for n in sorted(ns):
         if max_tokens is None:
             count.update(measure.covering_space(table, n).count)
         else:
             count.update(measure.formula_space(table, n, max_tokens).count)
-    return measure.InputSpace.from_formulas(count, count)
+    return measure.InputSpace.from_keys(count)
 
 
 def cmd_property_2_2(opts: Options):
@@ -583,7 +574,7 @@ def cmd_property_2_2(opts: Options):
     if break_class is None:
         T = _scan_time
     else:
-        T = lambda x: _scan_time(x) * (inflate if var_count_alpha(x) == break_class else 1)
+        T = lambda x: _scan_time(x) * (inflate if x[0] == break_class else 1)
     result = measure.check_property_2_2(
         space, T, lambda k: 2 * k, mu,
         extra_H=[("ones", lambda n: 1), ("linear", lambda n: n)])
@@ -664,7 +655,67 @@ def cmd_markov_tail(opts: Options):
 # --- entry point ------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command -> (help line, its own options as (flag, add_argument keywords))
+_TABLE = ("--table", {})
+_PARSERS = {
+    "expected-min": ("expected first-witness bound", [
+        ("--n", dict(type=int)),
+        ("--upto", dict(action="store_true", default=None,
+                        help="emit every n from 0 to --n"))]),
+    "sat-oclass": ("linear bound for the satisfiability scanner", [
+        ("--n", dict(type=int)), ("--max-tokens", dict(type=int)), _TABLE]),
+    "tab-oclass": ("cubic bound for the tabulator", [
+        ("--n", dict(type=int)), ("--n-list", dict(type=_int_list)),
+        ("--model", dict(choices=["shannon", "enumerated"])),
+        ("--max-tokens", dict(type=int)), _TABLE]),
+    "moments": ("higher-moment sums and bounds", [
+        ("--m-list", dict(type=_int_list)), ("--n-list", dict(type=_int_list)),
+        ("--tol-exp", dict(type=int)), _TABLE]),
+    "counting": ("sentence shape counts and cost-ratio series", [
+        ("--n-max", dict(type=int)), ("--p", dict(type=int)),
+        ("--enum-limit", dict(type=int))]),
+    "tractability": ("partial-average trend scans", [
+        ("--case", dict(choices=sorted(_CASES))), ("--budget", dict(type=int)),
+        ("--eps", dict(type=float)), ("--cap", dict(type=float))]),
+    "montecarlo": ("seeded sampling estimate of the average time", [
+        ("--space", {}), ("--n", dict(type=int)), ("--max-tokens", dict(type=int)),
+        ("--samples", dict(type=int)),
+        ("--exhaustive", dict(action="store_true", default=None)),
+        ("--exact-check", dict(action="store_true", default=None)), _TABLE]),
+    "explore-min": ("sampled expected first witness at fixed length", [
+        ("--target-tokens", dict(type=int)), ("--arity", dict(type=int)),
+        ("--samples", dict(type=int))]),
+    "property-2-2": ("bound/reweighting equivalence check", [
+        ("--n-list", dict(type=_int_list)), ("--max-tokens", dict(type=int)),
+        ("--break-class", dict(type=int)), ("--inflate", dict(type=int)), _TABLE]),
+    "property-2-3": ("summable-weights tractability transfer", [
+        ("--model", dict(choices=["sat", "shannon"])), ("--n-list", dict(type=_int_list)),
+        ("--max-tokens", dict(type=int)), ("--h-exponent", dict(type=int)), _TABLE]),
+    "markov-tail": ("tail frequency against the mean", [
+        ("--n", dict(type=int)), ("--multiplier", dict(type=int)), _TABLE]),
+}
+
+
+class _Defer(Exception):
+    """A one-command parser cannot answer as the full parser would."""
+
+
+class _OneCommand(argparse.ArgumentParser):
+    """The top level of a parser holding one command's subparser: its
+    help and its errors would list that command alone, so both defer to
+    the full parser."""
+
+    def error(self, message):
+        raise _Defer
+
+    def print_help(self, file=None):
+        raise _Defer
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``command``, one that holds
+    only its subparser (argparse spends most of its build time on the
+    help strings of subparsers that never run)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="flat key = value option file")
@@ -674,80 +725,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo seed (default 0)")
     common.add_argument("--audit", action="store_true", default=argparse.SUPPRESS,
                         help="report known deviations as expected_fail")
-    parser = argparse.ArgumentParser(
+    parser = (argparse.ArgumentParser if command is None else _OneCommand)(
         prog="avgsat", parents=[common],
         description="Average running time experiments over propositional sentence spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
-
-    p = add_parser("expected-min", help="expected first-witness bound")
-    p.add_argument("--n", type=int)
-    p.add_argument("--upto", action="store_true", default=None,
-                   help="emit every n from 0 to --n")
-
-    p = add_parser("sat-oclass", help="linear bound for the satisfiability scanner")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--table")
-
-    p = add_parser("tab-oclass", help="cubic bound for the tabulator")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", type=_int_list)
-    p.add_argument("--model", choices=["shannon", "enumerated"])
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--table")
-
-    p = add_parser("moments", help="higher-moment sums and bounds")
-    p.add_argument("--m-list", type=_int_list)
-    p.add_argument("--n-list", type=_int_list)
-    p.add_argument("--tol-exp", type=int)
-    p.add_argument("--table")
-
-    p = add_parser("counting", help="sentence shape counts and cost-ratio series")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--enum-limit", type=int)
-
-    p = add_parser("tractability", help="partial-average trend scans")
-    p.add_argument("--case", choices=sorted(_CASES))
-    p.add_argument("--budget", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--cap", type=float)
-
-    p = add_parser("montecarlo", help="seeded sampling estimate of the average time")
-    p.add_argument("--space")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--exhaustive", action="store_true", default=None)
-    p.add_argument("--exact-check", action="store_true", default=None)
-    p.add_argument("--table")
-
-    p = add_parser("explore-min", help="sampled expected first witness at fixed length")
-    p.add_argument("--target-tokens", type=int)
-    p.add_argument("--arity", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = add_parser("property-2-2", help="bound/reweighting equivalence check")
-    p.add_argument("--n-list", type=_int_list)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--break-class", type=int)
-    p.add_argument("--inflate", type=int)
-    p.add_argument("--table")
-
-    p = add_parser("property-2-3", help="summable-weights tractability transfer")
-    p.add_argument("--model", choices=["sat", "shannon"])
-    p.add_argument("--n-list", type=_int_list)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--h-exponent", type=int)
-    p.add_argument("--table")
-
-    p = add_parser("markov-tail", help="tail frequency against the mean")
-    p.add_argument("--n", type=int)
-    p.add_argument("--multiplier", type=int)
-    p.add_argument("--table")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    for name, (help, options) in _PARSERS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help, parents=[common])
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -761,8 +748,18 @@ COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The full parser's parse of argv, built for one command where it can."""
+    try:
+        # the first command name is the command unless it is an option's
+        # value, in which case the one-command parser fails and defers
+        return _build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+    except _Defer:
+        return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         opts = Options(args, _read_config(getattr(args, "config", None)))
         header, rows = COMMANDS[args.command](opts)

@@ -11,14 +11,16 @@ closed-form integer cost in abstract time units:
   empty model set is 2^n (every assignment was tried and rejected).
 
 Costs are the declared models, not measurements; they are exact
-integers with no noise.
+integers with no noise.  Each reads a sentence only through its key
+(alpha, f, class mask; see :func:`~avgsat.formula.sentence_key`), so
+each takes a :class:`Formula` or a key.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .formula import Formula, ModelSet, compact_model_set, size_f, var_count_alpha
+from .formula import ConnectiveTable, Formula, ModelSet, sentence_key
 
 
 class NoNegation(Exception):
@@ -32,15 +34,15 @@ class CostedRun(NamedTuple):
     time_units: int
 
 
-def rewrite_cost(x: Formula) -> CostedRun:
+def rewrite_cost(x) -> CostedRun:
     """Copy the input; one time unit per bit read and written back."""
-    return CostedRun(payload=x, time_units=size_f(x))
+    return CostedRun(payload=x, time_units=sentence_key(x)[1])
 
 
-def tabulate(x: Formula) -> CostedRun:
+def tabulate(x) -> CostedRun:
     """Full truth table over the sentence's own (compacted) variables."""
-    return CostedRun(payload=compact_model_set(x),
-                     time_units=(1 << var_count_alpha(x)) * size_f(x))
+    alpha, f, mask = sentence_key(x)
+    return CostedRun(payload=ModelSet(alpha, mask), time_units=(1 << alpha) * f)
 
 
 def min_n(K: ModelSet) -> int:
@@ -50,17 +52,23 @@ def min_n(K: ModelSet) -> int:
     return (K.bits & -K.bits).bit_length() - 1
 
 
-def sat_scan(x: Formula) -> CostedRun:
+def sat_scan(x) -> CostedRun:
     """Scan assignments in increasing order until one satisfies x.
 
     The payload is the smallest satisfying assignment over the
     compacted variables, or None when x is unsatisfiable (in which
     case all 2^alpha assignments were tried, plus the initial read).
     """
-    K = compact_model_set(x)
-    m = min_n(K)
-    witness = None if K.bits == 0 else m
-    return CostedRun(payload=witness, time_units=size_f(x) * (m + 1))
+    alpha, f, mask = sentence_key(x)
+    m = min_n(ModelSet(alpha, mask))
+    return CostedRun(payload=m if mask else None, time_units=f * (m + 1))
+
+
+def _negation(table: ConnectiveTable) -> tuple[str, int]:
+    strategy = table.negation_strategy()
+    if strategy is None:
+        raise NoNegation(f"{table!r} has no negation")
+    return strategy
 
 
 def negated(x: Formula) -> Formula:
@@ -69,10 +77,18 @@ def negated(x: Formula) -> Formula:
     Uses a unary NOT when available, otherwise NAND/NOR with the whole
     operand duplicated.  Raises NoNegation when the table has neither.
     """
-    strategy = x.table.negation_strategy()
-    if strategy is None:
-        raise NoNegation(f"{x.table!r} has no negation")
-    kind, slot = strategy
+    kind, slot = _negation(x.table)
     if kind == "not":
         return Formula(x.codes + (-slot - 1,), x.table)
     return Formula(x.codes + x.codes + (-slot - 1,), x.table)
+
+
+def negated_key(key: tuple[int, int, int], table: ConnectiveTable) -> tuple[int, int, int]:
+    """The key of :func:`negated` of every sentence with this key: the
+    same alpha, the complemented class, and a size that depends on f
+    alone (a NOT adds two characters; a duplicated operand doubles them
+    and adds three)."""
+    kind, _ = _negation(table)
+    alpha, f, mask = key
+    return (alpha, f + 16 if kind == "not" else 2 * f + 24,
+            ((1 << (1 << alpha)) - 1) ^ mask)

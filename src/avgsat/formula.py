@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from . import _kernel
 
@@ -469,6 +469,17 @@ def compact_model_set(x: Formula) -> ModelSet:
     return ModelSet(alpha, bits)
 
 
+def sentence_key(x) -> tuple[int, int, int]:
+    """(alpha, size f, class mask) of a sentence: its number of distinct
+    variables, its bit size and its model set over its own variables
+    (numbered by first appearance), the only things the cost models and
+    the class weightings read.  A key, a tuple, is its own key."""
+    if isinstance(x, tuple):
+        return x
+    K = compact_model_set(x)
+    return K.n, size_f(x), K.bits
+
+
 def _length_range(table: ConnectiveTable, max_tokens, exact_connectives):
     if max_tokens is None and exact_connectives is None:
         raise ValueError("need a max token count or an exact connective count")
@@ -508,8 +519,7 @@ def enumerate_formulas(table: ConnectiveTable, n_vars: int, max_tokens: int | No
             yield Formula(codes, table)
 
 
-def stratify_min_layers(space: Iterable[Formula], n: int,
-                        count: Mapping[Formula, int] | None = None) -> list:
+def stratify_min_layers(space: Iterable[Formula], n: int) -> list[list[Formula]]:
     """Split sentences into layers of shortest representatives.
 
     Sentences are grouped by logical equivalence (identical model set
@@ -517,40 +527,13 @@ def stratify_min_layers(space: Iterable[Formula], n: int,
     member of minimal bit size (ties broken by canonical rendering);
     layer i+1 repeats on the remainder.  Layers are disjoint, cover the
     input, and contain at most one member per equivalence group.
-
-    With ``count``, sentence x stands for ``count[x]`` sentences of its
-    size and model sets, which fill that many consecutive ranks of its
-    group and so join that many consecutive layers.  The layers are
-    then returned as runs: (repeats, layer) pairs, each standing for
-    ``repeats`` consecutive layers with the same members.  This is the
-    layering of the sentences themselves whenever, within each group,
-    the sentences one item stands for are consecutive in (size,
-    rendering) order, as they are for alpha = n <= 2 sentences over
-    p0..p(n-1), whose first token fixes the order in which their
-    variables first appear.
     """
-    # One sort by (size, rendering) orders every group; walking the
-    # sorted sentences, each takes the next free ranks of its group,
-    # and layer i holds the sentences whose ranks include i.
-    ranked = sorted(space, key=lambda x: (size_f(x), render(x)))
-    # starts[r] / stops[r]: positions in ranked of the sentences whose
-    # ranks begin at r / end just before r
-    free: dict[int, int] = {}   # group -> its next free rank
-    starts: dict[int, list[int]] = {}
-    stops: dict[int, list[int]] = {}
-    for i, x in enumerate(ranked):
+    layers: list[list[Formula]] = []
+    rank: dict[int, int] = {}   # group -> members placed so far
+    for x in sorted(space, key=lambda x: (size_f(x), render(x))):
         bits = model_set(x, n).bits
-        start = free.get(bits, 0)
-        free[bits] = start + (1 if count is None else count[x])
-        starts.setdefault(start, []).append(i)
-        stops.setdefault(free[bits], []).append(i)
-    cuts = sorted(starts.keys() | stops.keys())
-    active: set[int] = set()
-    runs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        active.difference_update(stops.get(lo, ()))
-        active.update(starts.get(lo, ()))
-        runs.append((hi - lo, [ranked[i] for i in sorted(active)]))
-    if count is None:
-        return [layer for _, layer in runs]
-    return runs
+        i = rank[bits] = rank.get(bits, -1) + 1
+        if i == len(layers):
+            layers.append([])
+        layers[i].append(x)
+    return layers

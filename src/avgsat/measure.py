@@ -6,7 +6,8 @@ space, not over size classes alone.  The core objects:
 * :class:`InputSpace` — a finite list of inputs with a bit-size map f
   and an orthogonal partition alpha (for sentences: the number of
   distinct variables).  An item may stand for several inputs that
-  every check reads alike (a counted space).
+  every check reads alike: a sentence space's items are keys
+  (alpha, f, class mask), with counts.
 * :class:`Distribution` — exact rational weights, normalized globally
   or per alpha-class.
 * ``oclass_member`` — generalized O(F) membership: in every positive-
@@ -30,10 +31,10 @@ import enum
 import math
 from fractions import Fraction
 from itertools import chain, islice, permutations
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .formula import (ConnectiveTable, Formula, _Frozen, compact_model_set, size_f,
-                      stratify_min_layers, var_count_alpha)
+from .formula import ConnectiveTable, Formula, _Frozen, sentence_key, size_f, var_count_alpha
 
 
 class MeasureError(Exception):
@@ -121,6 +122,12 @@ class InputSpace:
     def from_formulas(cls, formulas: Iterable[Formula],
                       count: CostMap | None = None) -> "InputSpace":
         return cls(formulas, size_f, var_count_alpha, count)
+
+    @classmethod
+    def from_keys(cls, count: Mapping[tuple, int]) -> "InputSpace":
+        """A space whose items are keys (alpha, f, mask), each standing
+        for ``count[key]`` inputs."""
+        return cls(count, itemgetter(1), itemgetter(0), count)
 
     def total(self, items: Iterable) -> int:
         """Number of inputs the given items stand for."""
@@ -561,9 +568,10 @@ def power_law_length(space: InputSpace, p: int) -> Distribution:
     return weights_proportional(space, lambda x: Fraction(1, space.f[x] ** p))
 
 
-def model_class_of(x: Formula) -> int:
-    """Class key: the truth-table bits over the sentence's own variables."""
-    return compact_model_set(x).bits
+def model_class_of(x) -> int:
+    """Class key: the truth-table bits over the sentence's own variables
+    (a key's mask)."""
+    return sentence_key(x)[2]
 
 
 def uniform_over_model_classes(space: InputSpace, n: int | None = None,
@@ -605,33 +613,87 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
     return Distribution(weights, norm)
 
 
+def layer_blocks(space: InputSpace, n: int) -> InputSpace:
+    """The alpha = n sentences of a key space (from :func:`formula_space`)
+    as blocks (n, f, model set over p0..p(n-1)), each counting every
+    sentence of that size and model set.
+
+    A canonical key's sentences are its canonical sentences with their
+    variables renamed, once per permutation sigma of the n variables;
+    renaming keeps f and moves the mask, so only masks are renamed.
+    Only the costs that read alpha and f alone (``tabulate`` and
+    ``rewrite_cost``) read a block as they read its sentences.
+    """
+    keys = space.class_items(n)
+    count: dict[tuple, int] = {}
+    # with no key, skip the renamings (10! of them at n = 10)
+    for sigma in permutations(range(n)) if keys else ():
+        # assignment x of the renamed variables, read by the canonical ones
+        reads = [sum(((x >> v) & 1) << i for i, v in enumerate(sigma))
+                 for x in range(1 << n)]
+        for key in keys:
+            block = (n, key[1], sum(((key[2] >> y) & 1) << x for x, y in enumerate(reads)))
+            count[block] = count.get(block, 0) + space.count[key]
+    return InputSpace.from_keys(count)
+
+
+def min_layer_runs(space: InputSpace, n: int) -> list[tuple[int, list]]:
+    """The minimal-length layers of a block space's alpha-class n, as
+    runs: (repeats, blocks) pairs, each standing for ``repeats``
+    consecutive layers whose members are those blocks' sentences.
+
+    Within a model set's group, sentences are ranked by size (ties by
+    rendering, as :func:`~avgsat.formula.stratify_min_layers` breaks
+    them), and layer i holds the sentences of rank i.  A block holds all
+    of its group's sentences of its size, so it fills consecutive ranks
+    whatever the order among them.
+    """
+    free: dict[int, int] = {}   # group -> its next free rank
+    starts: dict[int, list] = {}
+    stops: dict[int, list] = {}
+    for x in sorted(space.class_items(n), key=space.f.__getitem__):
+        start = free.get(x[2], 0)
+        stop = free[x[2]] = start + space.count[x]
+        starts.setdefault(start, []).append(x)
+        stops.setdefault(stop, []).append(x)
+    cuts = sorted(starts.keys() | stops.keys())
+    active: dict = {}
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        for x in stops.get(lo, ()):
+            del active[x]
+        active.update(dict.fromkeys(starts.get(lo, ())))
+        runs.append((hi - lo, list(active)))
+    return runs
+
+
 def uniform_within_min_layers(space: InputSpace, n: int,
                               layer_masses: Sequence[Fraction] | None = None) -> Distribution:
-    """Equal weight to all members of each minimal-length layer.
+    """Equal weight to all sentences of each minimal-length layer.
 
-    Layers come from :func:`stratify_min_layers` on the alpha-class n
-    (whose sentences must use variables p0..p(n-1)); an item of count c
-    stands for c sentences, which fill c consecutive layers.  Layer
-    masses default to equal shares of 1.
+    The space holds blocks (see :func:`layer_blocks`); layers come from
+    :func:`min_layer_runs`, and a block gets the mass of each of its
+    sentences, whose ranks it fills.  Layer masses default to equal
+    shares of 1.
     """
-    items = space.class_items(n)
-    if not items:
+    runs = min_layer_runs(space, n)
+    if not runs:
         raise ZeroMassSubset(f"alpha-class {n} is empty")
-    runs = stratify_min_layers(items, n, space.count)
     n_layers = sum(repeats for repeats, _ in runs)
-    if layer_masses is None:
-        layer_masses = [Fraction(1, n_layers)] * n_layers
-    if len(layer_masses) != n_layers:
+    if layer_masses is not None and len(layer_masses) != n_layers:
         raise ValueError("one mass per layer required")
-    terms: dict = {}   # item -> its share of each run of layers it is in
+    parts: dict = {}   # block -> {denominator: numerator} of its mass
     start = 0
     for repeats, layer in runs:
-        w = _dot((q,) for q in layer_masses[start:start + repeats]) / len(layer)
+        mass = (Fraction(repeats, n_layers) if layer_masses is None
+                else _dot((q,) for q in layer_masses[start:start + repeats]))
+        num, den = (mass / len(layer)).as_integer_ratio()
         start += repeats
         for x in layer:
-            terms.setdefault(x, []).append(w)
-    return Distribution({x: _dot((w,) for w in ws) for x, ws in terms.items()},
-                        Normalization.GLOBAL)
+            sums = parts.setdefault(x, {})
+            sums[den] = sums.get(den, 0) + num
+    return Distribution({x: sum((Fraction(num, den) for den, num in sums.items()), _ZERO)
+                         for x, sums in parts.items()}, Normalization.GLOBAL)
 
 
 # --- counted sentence spaces -----------------------------------------
@@ -644,54 +706,21 @@ def _check_vars(n: int) -> None:
         raise MeasureError(f"sentence spaces need 1 to 10 variables, got {n}")
 
 
-def _counted(table: ConnectiveTable, counts) -> dict[Formula, int]:
-    """Representative -> count, per key, of the sentences over exactly
-    p0..p(n-1) whose canonical forms ``counts`` holds.
-
-    A sentence's key is its alpha, its size f, its model-class bits over
-    its own variables (as :func:`model_class_of` gives them) and its
-    model set over the n variables (which :func:`stratify_min_layers`
-    groups by).  Every check reads a sentence only through these, so one
-    representative per key, with the number of sentences of that key,
-    stands for them all.  A sentence is a canonical one, whose class is
-    its mask, with its variables renamed by a permutation sigma;
-    renaming keeps f and the class and moves the model set.  A key's
-    representative is a witness the DP reconstructs, renamed.
-    """
-    n = counts.n
-    canon: dict[tuple, list] = {}  # (f, class) -> [count, tokens, variable tokens]
-    for t in range(1, len(counts.tab)):
-        for l, mask, c in counts.top(t):
-            canon.setdefault((8 * (2 * t - 1 + l), mask), [0, t, l])[0] += c
-    count: dict[tuple, int] = {}
-    witness: dict[tuple, tuple] = {}
-    # with no canonical sentence, skip the renamings (10! of them at n = 10)
-    for sigma in permutations(range(n)) if canon else ():
-        # assignment x of the renamed variables, read by the canonical ones
-        reads = [sum(((x >> v) & 1) << i for i, v in enumerate(sigma))
-                 for x in range(1 << n)]
-        for (f, mask), (c, t, l) in canon.items():
-            key = (f, mask, sum(((mask >> y) & 1) << x for x, y in enumerate(reads)))
-            count[key] = count.get(key, 0) + c
-            witness.setdefault(key, (sigma, t, l))
-    reps = {}
-    for key, (sigma, t, l) in witness.items():
-        codes = counts.witness((t, 0, n), l, key[1])
-        reps[Formula(tuple(sigma[c] if c >= 0 else c for c in codes), table)] = count[key]
-    return reps
-
-
 def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace:
     """All alpha = n sentences over exactly n variables up to a token
-    budget, counted per key (see :func:`_counted`).  Raises MeasureError
-    unless 1 <= n <= 10."""
+    budget, as keys (n, f, class mask) counting the canonical sentences
+    of each (see :class:`~avgsat._counting.SentenceCounts`).
+
+    Each canonical sentence stands for its n! renamings, which share its
+    key, so weights uniform over classes or over sentences are the same
+    on canonical counts; n! times a count is a number of sentences.
+    Raises MeasureError unless 1 <= n <= 10."""
     _check_vars(n)
     from ._counting import SentenceCounts  # loaded only to build a space
     counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
     for _ in range(max_tokens):
         counts.extend()
-    reps = _counted(table, counts)
-    return InputSpace.from_formulas(reps, reps)
+    return InputSpace.from_keys(counts.keys())
 
 
 def _monotone(a: int, f: int) -> bool:
@@ -724,7 +753,7 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
                    ) -> InputSpace:
     """All alpha = n sentences over exactly n variables up to the
     smallest token depth at which they inhabit all 2^(2^n) model
-    classes, counted per key (see :func:`_counted`).
+    classes, as keys like :func:`formula_space`.
 
     Raises ClassUncovered at the cap, and at once when every connective
     lies in one of Post's maximal clones and that clone misses some
@@ -750,7 +779,6 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
         counts.extend()
         classes.update(mask for _, mask, _ in counts.top(t))
         if len(classes) == needed:
-            reps = _counted(table, counts)
-            return InputSpace.from_formulas(reps, reps)
+            return InputSpace.from_keys(counts.keys())
     raise ClassUncovered(
         f"only {len(classes)} of {needed} model classes within {depth_cap} tokens")

@@ -500,6 +500,10 @@ DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
 @pytest.mark.parametrize("command", [
     "sat-oclass --n 2",
+    "property-2-2 --n-list 1,2",
+    "moments --n-list 1,2",
+    "markov-tail --n 2",
+    "property-2-3 --model sat --n-list 1,2",
     "tab-oclass --model enumerated --n-list 1,2 --max-tokens 9",
     "sat-oclass --n 1",
     "property-2-2 --n-list 1",
@@ -517,6 +521,69 @@ def test_csv_bytes_match_recorded_digest(tmp_path, command):
     out = tmp_path / "out.csv"
     assert cli.main([*command.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
+
+
+# The n = 3 CSVs, pinned to the bytes written while every space still
+# held one witness sentence per renamed key: a key stands for 3! = 6
+# sentences there, so a wrong renaming factor would show.
+N3_DIGESTS = {
+    "sat-oclass --n 3": "4289a4b548c19ec954d45b4f457d6868e95a9792056b2331257cf33b3fa5ba18",
+    "markov-tail --n 3": "9fab5573285d06bd05ebad47aa894e0fc4ec397be243ce85678d3e85a19ee99a",
+    "moments --n-list 1,2,3":
+        "abf3127a41a49c86562180d16c69dae2192de1b48e7dc1d6a1bebf3055ed5846",
+    "property-2-2 --n-list 1,2,3":
+        "a640cf552d5f9cfd2681d804ddb251612fa790f00c11988f44311e4cac19f510",
+    "property-2-3 --model sat --n-list 1,2,3":
+        "c1c797dadc3756f91dcb1b90908c3712aa3f939e6a4ebb3556bab6d2e7d86ae0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(N3_DIGESTS))
+def test_n3_csv_bytes_match_recorded_digest(tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N3_DIGESTS[command]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["--help"])
+    assert exit.value.code == 0
+    listed = capsys.readouterr().out
+    assert len(cli.COMMANDS) == 11
+    assert all(name in listed for name in cli.COMMANDS)
+    assert listed.count("{" + ",".join(cli.COMMANDS) + "}") == 2
+
+
+def _answer(parse, argv, capsys):
+    """(exit code or parsed arguments, stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli.COMMANDS),
+    [], ["--help"], ["-h", "sat-oclass"], ["--he", "markov-tail"], ["nope"],
+    ["--out", "sat-oclass", "markov-tail"], ["--out", "x.csv", "sat-oclass", "--n", "x"],
+    ["sat-oclass", "--bogus", "3"], ["tab-oclass", "--model", "nope"],
+    ["--seed", "x", "expected-min"], ["expected-min", "--n", "0", "extra"],
+    ["--audit", "markov-tail", "--mult", "10", "--table", "montecarlo"],
+    ["--conf", "c.cfg", "--out=o.csv", "property-2-2", "--n-list", "1,2"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
+    # main builds only the named command's subparser; its parse, help,
+    # errors and exit codes must be the full parser's
+    full = _answer(cli._build_parser().parse_args, argv, capsys)
+    assert _answer(cli._parse, argv, capsys) == full
+
+
+def test_one_command_parser_holds_one_command():
+    assert "{markov-tail}" in cli._build_parser("markov-tail").format_usage()
+    assert vars(cli._build_parser("markov-tail").parse_args(["markov-tail", "--n", "2"])) == \
+        {"command": "markov-tail", "n": 2, "multiplier": None, "table": None}
 
 
 def test_frac_writes_integers_past_the_digit_limit():

@@ -1,15 +1,18 @@
 """Counted spaces against their expansions.
 
-``covering_space`` and ``formula_space`` keep one representative per
-key (alpha, size f, model class over the sentence's own variables,
-model set over the space's n variables) with the number of sentences
-of that key.  Every distribution constructor and every check must give
-on such a space exactly the Fractions it gives on the expanded space:
-one item per sentence, enumerated by ``enumerate_formulas`` to the same
-depth.
+``covering_space`` and ``formula_space`` hold keys (alpha, size f,
+model class over the sentence's own variables), each counting the
+canonical sentences of that key; every sentence is a canonical one
+with its variables renamed, so a key stands for alpha! times its count
+in sentences.  ``layer_blocks`` turns a key space into blocks (alpha,
+f, model set over the space's n variables) that count sentences.
+Every distribution constructor and every check must give on such a
+space exactly the Fractions it gives on the expanded space: one item
+per sentence, enumerated by ``enumerate_formulas`` to the same depth.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -33,37 +36,55 @@ TABLES = {
 
 
 def key_of(x):
-    """The key of a sentence over exactly its alpha variables p0, p1, ..."""
-    a = var_count_alpha(x)
-    return a, size_f(x), compact_model_set(x).bits, model_set(x, a).bits
+    """The key of a sentence: alpha, size, and class over its own variables."""
+    return var_count_alpha(x), size_f(x), compact_model_set(x).bits
+
+
+def block_of(n):
+    """The block of a sentence over p0..p(n-1): alpha, size, model set."""
+    return lambda x: (n, size_f(x), model_set(x, n).bits)
+
+
+def renamings(item):
+    """Sentences per count of a key: its alpha! renamings."""
+    return factorial(item[0])
+
+
+def scan_over(n):
+    """sat_scan's time with assignments over p0..p(n-1) as they are,
+    not renumbered: a cost that reads the model set a block holds."""
+    return lambda x: SAT_TIME(x if isinstance(x, tuple) else block_of(n)(x))
 
 
 class Twin:
-    """A counted space, its expansion, and the representative of each key."""
+    """A counted space, its expansion, and the sentences of each item."""
 
-    def __init__(self, counted: InputSpace, expanded: InputSpace):
-        self.counted, self.expanded = counted, expanded
+    def __init__(self, counted: InputSpace, expanded: InputSpace, key=key_of,
+                 per_count=renamings):
+        self.counted, self.expanded, self.per_count = counted, expanded, per_count
         self.groups: dict[tuple, list] = {}
         for x in expanded.items:
-            self.groups.setdefault(key_of(x), []).append(x)
-        self.rep = {key_of(r): r for r in counted.items}
+            self.groups.setdefault(key(x), []).append(x)
         self._times: dict = {}
 
     def lift(self, mu: measure.Distribution) -> dict:
-        """The expanded weights summed per key, keyed by representative."""
-        lifted = {self.rep[k]: measure._dot((mu.of(x),) for x in xs)
-                  for k, xs in self.groups.items()}
-        return {r: w for r, w in lifted.items() if w}
+        """The expanded weights summed per item."""
+        lifted = {k: measure._dot((mu.of(x),) for x in xs) for k, xs in self.groups.items()}
+        return {k: w for k, w in lifted.items() if w}
 
     def times(self, T) -> dict:
-        """T on every sentence (representatives are sentences too)."""
+        """T on every item and every sentence, which must agree."""
         if T not in self._times:
-            self._times[T] = {x: T(x) for x in self.expanded.items}
+            times = {k: T(k) for k in self.counted.items}
+            for k, xs in self.groups.items():
+                assert all(T(x) == times[k] for x in xs)
+                times.update((x, times[k]) for x in xs)
+            self._times[T] = times
         return self._times[T]
 
     def subset(self, items) -> list:
-        """The sentences the given representatives stand for."""
-        return [x for r in items for x in self.groups[key_of(r)]]
+        """The sentences the given items stand for."""
+        return [x for k in items for x in self.groups[k]]
 
 
 def nonzero(mu: measure.Distribution) -> dict:
@@ -76,15 +97,14 @@ def expand(table: ConnectiveTable, n: int, depth: int) -> InputSpace:
 
 def assert_keys_and_counts(twin: Twin):
     c = twin.counted
-    assert {key_of(r): c.count[r] for r in c.items} == \
+    assert {k: twin.per_count(k) * c.count[k] for k in c.items} == \
         {k: len(xs) for k, xs in twin.groups.items()}
-    # a representative is some sentence of its key, not a chosen one
-    assert all(twin.rep[k] in xs for k, xs in twin.groups.items())
-    assert c.total(c.items) == len(twin.expanded)
+    assert sum(twin.per_count(k) * c.count[k] for k in c.items) == len(twin.expanded)
+    assert all(c.f[k] == k[1] and c.alpha[k] == k[0] for k in c.items)
 
 
 def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
-    """Both spaces give identical weights per key and identical checks,
+    """Both spaces give identical weights per item and identical checks,
     for each (T, F) pair in ``costs``."""
     c, e = twin.counted, twin.expanded
     assert nonzero(mu_c) == twin.lift(mu_e)
@@ -109,6 +129,19 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
                 assert nonzero(measure.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
 
 
+def stratified(expanded: InputSpace, n: int) -> measure.Distribution:
+    """Equal mass per layer of ``stratify_min_layers`` over the sentences,
+    spread equally over each layer's members."""
+    layers = stratify_min_layers(expanded.items, n)
+    return measure.Distribution({x: Fraction(1, len(layers) * len(layer))
+                                 for layer in layers for x in layer})
+
+
+def block_twin(twin: Twin, n: int) -> Twin:
+    return Twin(measure.layer_blocks(twin.counted, n), twin.expanded, key=block_of(n),
+                per_count=lambda block: 1)
+
+
 @pytest.fixture(scope="module", params=sorted(TABLES))
 def table(request):
     return TABLES[request.param]
@@ -120,10 +153,9 @@ def twins(table):
     out = {}
     for n in (1, 2):
         counted = measure.covering_space(table, n)
-        # the class covered last first appears at the covering depth,
-        # so every sentence of its keys, and with it their
-        # representatives, has that many tokens, and no item has more
-        depth = max(len(x.codes) for x in counted.items)
+        # the covering depth: below it a space has fewer sentences
+        depth = next(d for d in range(1, 25)
+                     if measure.formula_space(table, n, d).count == counted.count)
         out[n] = Twin(counted, expand(table, n, depth))
     return out
 
@@ -182,12 +214,12 @@ def test_spaces_refuse_out_of_reach_sizes():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_counted_layers_match_expansion(twins, n):
-    twin = twins[n]
-    runs = stratify_min_layers(twin.counted.items, n, twin.counted.count)
-    from_runs = [layer for repeats, layer in runs for _ in range(repeats)]
+    twin = block_twin(twins[n], n)
+    assert_keys_and_counts(twin)
+    runs = measure.min_layer_runs(twin.counted, n)
+    from_runs = [sorted(layer) for repeats, layer in runs for _ in range(repeats)]
     layers = stratify_min_layers(twin.expanded.items, n)
-    assert [sorted(map(key_of, layer)) for layer in from_runs] == \
-        [sorted(map(key_of, layer)) for layer in layers]
+    assert from_runs == [sorted(map(block_of(n), layer)) for layer in layers]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -207,16 +239,34 @@ def test_distributions_and_checks_match_expansion(twins, n):
     ]
     for mu_c, mu_e in pairs:
         assert_same_checks(twin, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
-    # the tab-oclass pairing
-    assert_same_checks(twin, measure.uniform_within_min_layers(c, n),
-                       measure.uniform_within_min_layers(e, n),
-                       [(SAT_TIME, DOUBLE), (TAB_TIME, CUBE)])
+    # the tab-oclass pairing, over blocks, against the sentences' own
+    # layers; a block's sentences share any cost that reads alpha, f and
+    # the model set over n variables
+    blocks = block_twin(twin, n)
+    assert_same_checks(blocks, measure.uniform_within_min_layers(blocks.counted, n),
+                       stratified(e, n), [(scan_over(n), DOUBLE), (TAB_TIME, CUBE)])
+
+
+def test_min_layer_masses_match_expansion_over_3_variables():
+    # 14,208 sentences in 929 (f, class, model set) keys: a key's
+    # sentences are not consecutive in their group's (size, rendering)
+    # order here, so only whole blocks get exact layer masses
+    table = TABLES["standard"]
+    twin = Twin(measure.formula_space(table, 3, 8), expand(table, 3, 8))
+    assert len(twin.expanded) == 14208
+    blocks = block_twin(twin, 3)
+    assert_keys_and_counts(blocks)
+    mu = measure.uniform_within_min_layers(blocks.counted, 3)
+    assert nonzero(mu) == blocks.lift(stratified(twin.expanded, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_negated_space_matches_expansion(twins, n):
+def test_negated_space_matches_expansion(table, twins, n):
     twin = twins[n]
-    co = Twin(cli._negated_space(twin.counted),
+    assert all(engines.negated_key(key_of(x), table) == key_of(engines.negated(x))
+               for x in twin.expanded.items)
+    co = Twin(InputSpace.from_keys({engines.negated_key(k, table): c
+                                    for k, c in twin.counted.count.items()}),
               InputSpace.from_formulas(engines.negated(x) for x in twin.expanded.items))
     assert_keys_and_counts(co)
     mu_c = measure.uniform_over_model_classes(co.counted, n)
@@ -231,14 +281,17 @@ def test_combined_space_properties_match_expansion(table, twins):
     twin = Twin(counted, expanded)
     assert_keys_and_counts(twin)
     extra = [("ones", lambda n: 1), ("linear", lambda n: n)]
-    broken = lambda x: SAT_TIME(x) * (4 if var_count_alpha(x) == 2 else 1)
+    broken = lambda x: SAT_TIME(x) * (4 if (x[0] if isinstance(x, tuple)
+                                             else var_count_alpha(x)) == 2 else 1)
     for per_class in (False, True):
         mu_c = measure.uniform_over_model_classes(counted, per_class=per_class)
         mu_e = measure.uniform_over_model_classes(expanded, per_class=per_class)
         assert nonzero(mu_c) == twin.lift(mu_e)
         for T in (SAT_TIME, broken):
+            T = twin.times(T)
             assert measure.check_property_2_2(counted, T, DOUBLE, mu_c, extra) == \
                 measure.check_property_2_2(expanded, T, DOUBLE, mu_e, extra)
     for H in HS:
-        assert measure.check_property_2_3(counted, SAT_TIME, DOUBLE, mu_c, H) == \
-            measure.check_property_2_3(expanded, SAT_TIME, DOUBLE, mu_e, H)
+        T = twin.times(SAT_TIME)
+        assert measure.check_property_2_3(counted, T, DOUBLE, mu_c, H) == \
+            measure.check_property_2_3(expanded, T, DOUBLE, mu_e, H)

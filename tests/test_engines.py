@@ -3,7 +3,8 @@ import pytest
 from avgsat import engines
 from avgsat.formula import (ConnectiveTable, Formula, ModelSet,
                             compact_model_set, enumerate_formulas, evaluate,
-                            model_set, parse_rpn, size_f, var_count_alpha)
+                            model_set, parse_rpn, sentence_key, size_f,
+                            var_count_alpha)
 
 
 def test_rewrite_examples(std):
@@ -135,3 +136,31 @@ def test_witness_is_minimal_four_vars(std):
             assert all(evaluate(clone, m, n) == 0 for m in range(witness))
         checked += 1
     assert checked == 960
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_costs_on_a_key_are_the_costs_on_its_sentences(std, n):
+    # a key (alpha, f, class) carries all that the cost models read; the
+    # scan's time is checked here against evaluate, not against the key
+    for x in enumerate_formulas(std, n, max_tokens=6):
+        clone, alpha = _compacted_clone(x)
+        key = sentence_key(x)
+        assert key == (var_count_alpha(x), size_f(x), compact_model_set(x).bits)
+        first = next((m for m in range(1 << alpha) if evaluate(clone, m, alpha)), 1 << alpha)
+        assert engines.sat_scan(key) == engines.sat_scan(x)
+        assert engines.sat_scan(key).time_units == size_f(x) * (first + 1)
+        assert engines.tabulate(key) == engines.tabulate(x)
+        assert engines.tabulate(key).payload == compact_model_set(x)
+        assert engines.rewrite_cost(key).time_units == size_f(x)
+
+
+@pytest.mark.parametrize("table", ["standard", "nand", "nor-only"])
+def test_negated_key_is_the_key_of_the_negation(table):
+    tab = {"standard": ConnectiveTable.standard(),
+           "nand": ConnectiveTable.from_text("⊼ 2 1110\n"),
+           "nor-only": ConnectiveTable.from_text("⊽ 2 1000\n")}[table]
+    for x in enumerate_formulas(tab, 3, max_tokens=7):
+        assert engines.negated_key(sentence_key(x), tab) == sentence_key(engines.negated(x))
+    monotone = ConnectiveTable.from_text("∧ 2 0001\n∨ 2 0111\n")
+    with pytest.raises(engines.NoNegation):
+        engines.negated_key((1, 16, 2), monotone)

@@ -500,15 +500,21 @@ def test_covering_space_complete_table_still_meets_the_cap():
         measure.covering_space(nand, 3)
 
 
-def test_uniform_within_min_layers(expanded1):
-    sp = expanded1
+def test_uniform_within_min_layers(space1, expanded1):
+    # over blocks (1, f, model set), each the sentences of one size and
+    # model set, against the layers of the sentences themselves
+    sp = measure.layer_blocks(space1, 1)
     mu = uniform_within_min_layers(sp, 1)
     mu.validate(sp)
-    from avgsat.formula import stratify_min_layers
-    layers = stratify_min_layers(sp.items, 1)
+    from avgsat.formula import model_set, size_f, stratify_min_layers
+    block = lambda x: (1, size_f(x), model_set(x, 1).bits)
+    layers = stratify_min_layers(expanded1.items, 1)
+    masses = {}
     for layer in layers:
-        assert mu.mass(layer) == Fraction(1, len(layers))
-        assert len({mu.of(x) for x in layer}) == 1
+        for x in layer:
+            masses[block(x)] = masses.get(block(x), 0) + Fraction(1, len(layers) * len(layer))
+    assert mu.weights == masses
+    assert sum(repeats for repeats, _ in measure.min_layer_runs(sp, 1)) == len(layers)
 
 
 def test_power_law_length(expanded1):
