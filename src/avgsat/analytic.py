@@ -150,8 +150,8 @@ def expected_min_plus_one(n: int, brute_limit: int = 4) -> MinExpectation:
     M = 1 << n
     S = 1 << M  # number of subsets
     closed = 2 - Fraction(1, S)
-    nonempty = sum((Fraction(i * (1 << (M - i)), S) for i in range(1, M + 1)),
-                   Fraction(0))
+    # one division of the integer numerators, not one Fraction per term
+    nonempty = Fraction(sum(i << (M - i) for i in range(1, M + 1)), S)
     brute = None
     if n <= brute_limit:
         total = 0

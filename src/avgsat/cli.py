@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from typing import Any, Callable
 
 from . import _kernel, engines, measure
 from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, codes_size
@@ -36,18 +37,13 @@ KNOWN_DEVIATIONS = {("tab-oclass", "shannon", 1), ("tab-oclass", "shannon", 2)}
 
 
 class SampleError(Exception):
-    """A sampling command was asked for fewer than one sample, or for
-    samples from a space with no sentences in it."""
+    """A sampling command was asked for samples from a space with no
+    sentences in it, or for too few samples to check."""
 
 
 class OptionError(Exception):
-    """A --config file cannot be read, a line or value in it parsed, or
-    an option's value is not one its command accepts."""
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise SampleError(f"need at least one sample, got {samples}")
+    """A --config file cannot be read or holds a bad line, key or value,
+    or an option's value is not one its command accepts."""
 
 
 def _frac(q: Fraction) -> list[str]:
@@ -73,7 +69,8 @@ def _int_list(raw: str) -> list[int]:
 
 
 def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
-    """key -> (value, "PATH:LINE" where it was set)."""
+    """key -> (value, "PATH:LINE" where it was set), for keys that some
+    command declares."""
     if not path:
         return {}
     cfg = {}
@@ -88,48 +85,72 @@ def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
             continue
         if "=" not in line:
             raise OptionError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip(), f"{path}:{lineno}"
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise OptionError(f"{path}:{lineno}: {key} = {value}: no command takes it")
+        cfg[key] = value, f"{path}:{lineno}"
     return cfg
 
 
+class Option:
+    """A command's option: its flag, type (int, float, str, _int_list or
+    bool) and default; if set, the choices it must be one of, the least
+    and greatest value of it (or of each entry of its list), and its help.
+    Its name is its attribute name and config key."""
+
+    __slots__ = ("flag", "type", "default", "choices", "minimum", "maximum", "help", "name")
+
+    def __init__(self, flag: str, type: Callable, default: Any = None, *,
+                 choices: tuple | None = None, minimum: int | None = None,
+                 maximum: int | None = None, help: str | None = None):
+        self.flag, self.type, self.default, self.help = flag, type, default, help
+        self.choices, self.minimum, self.maximum = choices, minimum, maximum
+        self.name = flag[2:].replace("-", "_")
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 class Options:
-    """Option resolution: CLI flag, then config file, then default."""
+    """Option resolution against the running command's declaration: its
+    flag, then its config value parsed with the declared type, then the
+    declared default.  A config value is parsed when it is read."""
 
     def __init__(self, args: argparse.Namespace, cfg: dict[str, tuple[str, str]]):
-        self.args = args
-        self.cfg = cfg
+        self.args, self.cfg = args, cfg
+        self.declared = {o.name: o for o in (*GLOBALS, *COMMANDS[args.command].options)}
 
-    def get(self, name: str, default, cast=None, choices=None, minimum=None):
-        """The value of option ``name``; it must be one of ``choices``
-        and, if an integer or a list of them, at least ``minimum``."""
-        value = getattr(self.args, name.replace("-", "_"), None)
+    def get(self, name: str, default=None):
+        """The value of option ``name``.  ``default`` stands in for a
+        declared default of None: one that depends on another option."""
+        opt = self.declared[name]
+        value = getattr(self.args, name, None)
         if value is not None:
             shown = ",".join(map(str, value)) if isinstance(value, list) else value
-            where = f"--{name.replace('_', '-')} {shown}"
+            where = f"{opt.flag} {shown}"
         elif name not in self.cfg:
-            return default
+            return default if opt.default is None else opt.default
         else:
             raw, line = self.cfg[name]
             where = f"{line}: {name} = {raw}"
-            if isinstance(default, bool) and cast is None:
-                return raw.lower() in ("1", "true", "yes")
-            if cast is None and isinstance(default, (int, float)):
-                cast = type(default)
             try:
-                value = raw if cast is None else cast(raw)
+                value = _BOOLEANS[raw.lower()] if opt.type is bool else opt.type(raw)
+            except KeyError:
+                raise OptionError(f"{where}: expected {', '.join(_BOOLEANS)}") from None
             except ValueError as exc:
                 raise OptionError(f"{where}: {exc}") from exc
-        if choices is not None and value not in choices:
-            raise OptionError(f"{where}: choose from {', '.join(choices)}")
-        if minimum is not None and min(value if isinstance(value, list) else [value],
-                                       default=minimum) < minimum:
-            raise OptionError(f"{where}: must be at least {minimum}")
+        if opt.choices is not None and value not in opt.choices:
+            raise OptionError(f"{where}: choose from {', '.join(opt.choices)}")
+        values = value if isinstance(value, list) else [value]
+        if opt.minimum is not None and min(values, default=opt.minimum) < opt.minimum:
+            raise OptionError(f"{where}: must be at least {opt.minimum}")
+        if opt.maximum is not None and max(values, default=opt.maximum) > opt.maximum:
+            raise OptionError(f"{where}: must be at most {opt.maximum}")
         return value
 
 
 def _load_table(opts: Options) -> ConnectiveTable:
-    path = opts.get("table", None, cast=str)
+    path = opts.get("table")
     if not path:
         return ConnectiveTable.standard()
     try:
@@ -141,9 +162,7 @@ def _load_table(opts: Options) -> ConnectiveTable:
 
 
 def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -156,8 +175,8 @@ def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> Non
 
 def cmd_expected_min(opts: Options):
     from . import analytic  # loaded only by the commands that use it
-    n = opts.get("n", 1, minimum=0)
-    ns = range(0, n + 1) if opts.get("upto", False) else [n]
+    n = opts.get("n")
+    ns = range(0, n + 1) if opts.get("upto") else [n]
     header = ["n", "brute_num", "brute_den", "closed_num", "closed_den",
               "nonempty_num", "nonempty_den", "closed_float", "status"]
     rows = []
@@ -175,24 +194,22 @@ def _scan_time(x) -> int:
     return engines.sat_scan(x).time_units
 
 
-def _sat_report(table: ConnectiveTable, n: int, max_tokens: int | None):
+def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
+    """The covering space of n variables, or its sentences within max_tokens."""
     if max_tokens is None:
-        space = measure.covering_space(table, n)
-    else:
-        space = measure.formula_space(table, n, max_tokens)
-    mu = measure.uniform_over_model_classes(space, n)
-    return space, mu, measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
+        return measure.covering_space(table, n)
+    return measure.formula_space(table, n, max_tokens)
 
 
 def cmd_sat_oclass(opts: Options):
-    n = opts.get("n", 1)
-    max_tokens = opts.get("max_tokens", None, cast=int)
+    n = opts.get("n")
+    max_tokens = opts.get("max_tokens")
     table = _load_table(opts)
     header = ["check"] + measure.BoundReport.CSV_HEADER
-    rows = []
-    space, mu, report = _sat_report(table, n, max_tokens)
-    for row in report.csv_rows():
-        rows.append(["sat"] + row)
+    space = _space(table, n, max_tokens)
+    mu = measure.uniform_over_model_classes(space, n)
+    report = measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
+    rows = [["sat"] + row for row in report.csv_rows()]
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
@@ -201,12 +218,10 @@ def cmd_sat_oclass(opts: Options):
             {engines.negated_key(x, table): c for x, c in space.count.items()})
         mu_co = measure.uniform_over_model_classes(co_space, n)
         co_report = measure.oclass_member(co_space, _scan_time, lambda k: 2 * k, mu_co)
-        for row in co_report.csv_rows():
-            rows.append(["co"] + row)
+        rows.extend(["co"] + row for row in co_report.csv_rows())
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
-    read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu,
-                            space.items)
+    read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu, space.items)
     share = read / measure.avg_time(_scan_time, mu, space.items)
     rows.append(["read-share", str(n), *_frac(share), *_frac(Fraction(3, 10)),
                  _float(share), "0.3", INFO])
@@ -214,23 +229,22 @@ def cmd_sat_oclass(opts: Options):
 
 
 def cmd_tab_oclass(opts: Options):
-    audit = bool(opts.get("audit", False))
-    model = opts.get("model", "shannon", cast=str, choices=("shannon", "enumerated"))
-    ns = opts.get("n_list", [opts.get("n", 3, minimum=1)], cast=_int_list, minimum=1)
+    audit = opts.get("audit")
+    model = opts.get("model")
+    ns = opts.get("n_list", [opts.get("n")])
     header = measure.BoundReport.CSV_HEADER
     rows = []
     if model == "shannon":
         from . import analytic  # loaded only by the commands that use it
         for n in sorted(ns):
             tb = analytic.tabulator_class_bound(n)
-            status = PASS if tb.passed else FAIL
-            if status == FAIL and audit and ("tab-oclass", "shannon", n) in KNOWN_DEVIATIONS:
-                status = EXPECTED_FAIL
+            known = audit and ("tab-oclass", "shannon", n) in KNOWN_DEVIATIONS
+            status = PASS if tb.passed else EXPECTED_FAIL if known else FAIL
             rows.append([str(n), *_frac(tb.lhs), *_frac(tb.rhs),
                          _float(tb.lhs), _float(tb.rhs), status])
     else:
         table = _load_table(opts)
-        max_tokens = opts.get("max_tokens", 7)
+        max_tokens = opts.get("max_tokens")
         for n in sorted(ns):
             space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
             mu = measure.uniform_within_min_layers(space, n)
@@ -242,9 +256,9 @@ def cmd_tab_oclass(opts: Options):
 
 def cmd_moments(opts: Options):
     from . import analytic  # loaded only by the commands that use it
-    m_list = opts.get("m_list", [2, 3], cast=_int_list, minimum=1)
-    n_list = opts.get("n_list", [1, 2], cast=_int_list)
-    tol = Fraction(1, 10 ** opts.get("tol_exp", 12, minimum=0))
+    m_list = opts.get("m_list")
+    n_list = opts.get("n_list")
+    tol = Fraction(1, 10 ** opts.get("tol_exp"))
     table = _load_table(opts)
     header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
               "lhs_float", "rhs_float", "status"]
@@ -263,23 +277,20 @@ def cmd_moments(opts: Options):
     for n in sorted(n_list):
         space = measure.covering_space(table, n)
         spaces[n] = space, measure.uniform_over_model_classes(space, n)
-    for m in sorted(m_list):
-        if m < 2:
-            continue
+    for m in sorted(m for m in m_list if m >= 2):
         c = analytic.moment_oclass_constant(m)
         for n, (space, mu) in spaces.items():
             T = lambda x: _scan_time(x) ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
-            for row in report.csv_rows():
-                rows.append(["oclass", str(m)] + row)
+            rows.extend(["oclass", str(m)] + row for row in report.csv_rows())
     return header, rows
 
 
 def cmd_counting(opts: Options):
     from . import analytic  # loaded only by the commands that use it
-    n_max = opts.get("n_max", 10, minimum=0)
-    p = opts.get("p", 2)
-    enum_limit = opts.get("enum_limit", 3)
+    n_max = opts.get("n_max")
+    p = opts.get("p")
+    enum_limit = opts.get("enum_limit")
     header = ["N", "gamma", "catalan", "sentence_count", "enum_count",
               "F_num", "F_den", "F_float", "partial_num", "partial_den",
               "partial_float", "status"]
@@ -303,34 +314,30 @@ def cmd_counting(opts: Options):
     return header, rows
 
 
+# each case's default --budget is the length of its trend scan
 _CASES = {
-    "harmonic": dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n),
+    "harmonic": dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n), budget=10 ** 6,
                      start=1, exact=False, expect=measure.Verdict.DIVERGENT_TREND),
-    "geometric": dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n),
+    "geometric": dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n), budget=60,
                       start=0, exact=True, expect=measure.Verdict.CONVERGENT),
-    "constant": dict(T=lambda n: 5, mu=lambda n: Fraction(1, n),
+    "constant": dict(T=lambda n: 5, mu=lambda n: Fraction(1, n), budget=60,
                      start=1, exact=True, expect=measure.Verdict.CONVERGENT),
 }
 
 
 def cmd_tractability(opts: Options):
-    case = opts.get("case", "harmonic", cast=str, choices=sorted(_CASES))
+    case = opts.get("case")
     case_def = _CASES[case]
-    default_budget = 10 ** 6 if case == "harmonic" else 60
-    budget = opts.get("budget", default_budget)
+    budget = opts.get("budget", case_def["budget"])
     start = case_def["start"]
-    res = measure.tractability(
-        case_def["T"], case_def["mu"],
-        range(start, start + budget),
-        eps=opts.get("eps", 1e-12), cap=opts.get("cap", 1e6),
-        exact=case_def["exact"])
+    res = measure.tractability(case_def["T"], case_def["mu"], range(start, start + budget),
+                               eps=opts.get("eps"), cap=opts.get("cap"),
+                               exact=case_def["exact"])
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]
     status = PASS if res.verdict is case_def["expect"] else FAIL
-    rows = []
-    for k, v in res.checkpoints.items():
-        frac = _frac(v) if case_def["exact"] else ["", ""]
-        rows.append([case, str(k), *frac, _float(v), res.verdict.value, status])
+    rows = [[case, str(k), *(_frac(v) if case_def["exact"] else ["", ""]), _float(v),
+             res.verdict.value, status] for k, v in res.checkpoints.items()]
     return header, rows
 
 
@@ -370,8 +377,7 @@ class SequenceSampler:
         self.n_vars = max(n_vars, 0)  # negative sizes have no sequences
         # one table serves every length up to max_tokens
         self.cnt = _kernel.completion_counts(self.n_vars, table.arities, max(max_tokens, 0))
-        self.totals = [(L, self.cnt[L][0]) for L in range(1, max_tokens + 1)
-                       if self.cnt[L][0]]
+        self.totals = [(L, c) for L in range(1, max_tokens + 1) if (c := self.cnt[L][0])]
         self.grand_total = sum(c for _, c in self.totals)
 
     def codes_at(self, u: int) -> tuple[int, ...]:
@@ -382,12 +388,8 @@ class SequenceSampler:
             u -= c
         raise AssertionError("sampler index out of range")
 
-    def at(self, u: int) -> Formula:
-        """The sentence of rank ``u``, for ``0 <= u < grand_total``."""
-        return Formula(self.codes_at(u), self.table)
-
     def sample(self, rng) -> Formula:
-        return self.at(rng.randrange(self.grand_total))
+        return Formula(self.codes_at(rng.randrange(self.grand_total)), self.table)
 
 
 def _first_witness(codes: tuple[int, ...], table: ConnectiveTable,
@@ -438,17 +440,13 @@ def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
 
 
 def cmd_montecarlo(opts: Options):
-    seed = opts.get("seed", 0)
-    space_kind = opts.get("space", "sat", cast=str, choices=("sat",))
-    n = opts.get("n", 2)
-    max_tokens = opts.get("max_tokens", 8)
-    samples = opts.get("samples", 100000)
-    exhaustive = opts.get("exhaustive", False)
-    exact_check = opts.get("exact_check", False)
+    seed = opts.get("seed")
+    n = opts.get("n")
+    max_tokens = opts.get("max_tokens")
+    exhaustive = opts.get("exhaustive")
+    exact_check = opts.get("exact_check")
     table = _load_table(opts)
-
-    exact_mean = ""
-    z = ""
+    exact_mean = z = ""
     status = PASS
     if exhaustive:
         space = measure.formula_space(table, n, max_tokens)
@@ -469,7 +467,7 @@ def cmd_montecarlo(opts: Options):
         exact_mean = _float(exact)
         status = PASS if mean == float(exact) else FAIL
     else:
-        _check_samples(samples)
+        samples = opts.get("samples")
         if exact_check and samples < 2:
             raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
         sampler = SequenceSampler(table, n, max_tokens)
@@ -511,21 +509,17 @@ def cmd_montecarlo(opts: Options):
             status = PASS if abs(zval) <= 4 else FAIL
     header = ["space", "n", "max_tokens", "samples", "seed", "mean", "stderr",
               "exact_mean", "z", "status"]
-    rows = [[space_kind, str(n), str(max_tokens), str(samples), str(seed),
+    rows = [["sat", str(n), str(max_tokens), str(samples), str(seed),
              _float(mean), _float(se), exact_mean, z, status]]
     return header, rows
 
 
 def cmd_explore_min(opts: Options):
-    seed = opts.get("seed", 0)
-    target = opts.get("target_tokens", 9)
-    arity = opts.get("arity", 2)
-    samples = opts.get("samples", 10000)
-    _check_samples(samples)
-    try:
-        table = ConnectiveTable.all_of_arity(arity)
-    except ValueError as exc:
-        raise FormulaError(f"arity {arity}: {exc}") from exc
+    seed = opts.get("seed")
+    target = opts.get("target_tokens")
+    arity = opts.get("arity")
+    samples = opts.get("samples")
+    table = ConnectiveTable.all_of_arity(arity)
     # a sentence of L tokens over arity-a connectives has at most
     # 1 + (L-1)*(a-1)/a leaves; use that many variables
     pool = 1 + (target - 1) * (arity - 1) // arity
@@ -556,48 +550,35 @@ def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | Non
     """One space holding the covering space for every class in ns."""
     count: dict[tuple, int] = {}
     for n in sorted(ns):
-        if max_tokens is None:
-            count.update(measure.covering_space(table, n).count)
-        else:
-            count.update(measure.formula_space(table, n, max_tokens).count)
+        count.update(_space(table, n, max_tokens).count)
     return measure.InputSpace.from_keys(count)
 
 
 def cmd_property_2_2(opts: Options):
-    ns = opts.get("n_list", [1, 2], cast=_int_list)
-    max_tokens = opts.get("max_tokens", None, cast=int)
-    break_class = opts.get("break_class", None, cast=int)
-    inflate = opts.get("inflate", 4)
+    ns = opts.get("n_list")
+    max_tokens = opts.get("max_tokens")
+    break_class = opts.get("break_class")
+    inflate = opts.get("inflate")
     table = _load_table(opts)
     space = _combined_space(table, ns, max_tokens)
     mu = measure.uniform_over_model_classes(space)
-    if break_class is None:
-        T = _scan_time
-    else:
-        T = lambda x: _scan_time(x) * (inflate if x[0] == break_class else 1)
+    T = lambda x: _scan_time(x) * (inflate if x[0] == break_class else 1)
     result = measure.check_property_2_2(
         space, T, lambda k: 2 * k, mu,
         extra_H=[("ones", lambda n: 1), ("linear", lambda n: n)])
     header = ["check", "label", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
               "lhs_float", "rhs_float", "status"]
     rows = []
-
-    def class_status(n: int, passed: bool) -> str:
-        if passed:
-            return PASS
-        return EXPECTED_FAIL if break_class == n else FAIL
-
+    # with --break-class, the broken class fails as expected, and so do its
+    # chi row and the rows of weightings over every class
     for r in sorted(result.oclass.rows, key=lambda r: r.n):
+        status = PASS if r.passed else EXPECTED_FAIL if break_class == r.n else FAIL
         rows.append(["oclass", "", str(r.n), *_frac(r.lhs), *_frac(r.rhs),
-                     _float(r.lhs), _float(r.rhs), class_status(r.n, r.passed)])
+                     _float(r.lhs), _float(r.rhs), status])
     for h in result.h_rows:
-        if h.ok:
-            status = PASS
-        elif break_class is not None and (h.label == f"chi_{break_class}"
-                                          or not h.label.startswith("chi_")):
-            status = EXPECTED_FAIL
-        else:
-            status = FAIL
+        broken = break_class is not None and (h.label == f"chi_{break_class}"
+                                              or not h.label.startswith("chi_"))
+        status = PASS if h.ok else EXPECTED_FAIL if broken else FAIL
         rows.append(["H", h.label, "", *_frac(h.lhs), *_frac(h.rhs),
                      _float(h.lhs), _float(h.rhs), status])
     bic = result.biconditional_ok
@@ -610,19 +591,18 @@ def cmd_property_2_2(opts: Options):
 
 
 def cmd_property_2_3(opts: Options):
-    model = opts.get("model", "sat", cast=str, choices=("sat", "shannon"))
-    exponent = opts.get("h_exponent", 2, minimum=0)
+    model = opts.get("model")
+    exponent = opts.get("h_exponent")
     H = lambda n: Fraction(1, n ** exponent)
+    ns = opts.get("n_list", [1, 2] if model == "sat" else [3, 4])
     if model == "sat":
-        ns = opts.get("n_list", [1, 2], cast=_int_list)
         table = _load_table(opts)
-        space = _combined_space(table, ns, opts.get("max_tokens", None, cast=int))
+        space = _combined_space(table, ns, opts.get("max_tokens"))
         mu = measure.uniform_over_model_classes(space, per_class=True)
         T = _scan_time
         F = lambda k: 2 * k
     else:
         from . import analytic  # loaded only by the commands that use it
-        ns = opts.get("n_list", [3, 4], cast=_int_list, minimum=1)
         space, T, mu = analytic.shannon_space(ns)
         F = lambda k: k ** 3
     result = measure.check_property_2_3(space, T, F, mu, H)
@@ -637,8 +617,8 @@ def cmd_property_2_3(opts: Options):
 
 
 def cmd_markov_tail(opts: Options):
-    n = opts.get("n", 2)
-    multiplier = opts.get("multiplier", 100, minimum=1)
+    n = opts.get("n")
+    multiplier = opts.get("multiplier")
     table = _load_table(opts)
     space = measure.covering_space(table, n)
     mu = measure.uniform_over_model_classes(space, n)
@@ -655,45 +635,73 @@ def cmd_markov_tail(opts: Options):
 # --- entry point ------------------------------------------------------
 
 
-# command -> (help line, its own options as (flag, add_argument keywords))
-_TABLE = ("--table", {})
-_PARSERS = {
-    "expected-min": ("expected first-witness bound", [
-        ("--n", dict(type=int)),
-        ("--upto", dict(action="store_true", default=None,
-                        help="emit every n from 0 to --n"))]),
-    "sat-oclass": ("linear bound for the satisfiability scanner", [
-        ("--n", dict(type=int)), ("--max-tokens", dict(type=int)), _TABLE]),
-    "tab-oclass": ("cubic bound for the tabulator", [
-        ("--n", dict(type=int)), ("--n-list", dict(type=_int_list)),
-        ("--model", dict(choices=["shannon", "enumerated"])),
-        ("--max-tokens", dict(type=int)), _TABLE]),
-    "moments": ("higher-moment sums and bounds", [
-        ("--m-list", dict(type=_int_list)), ("--n-list", dict(type=_int_list)),
-        ("--tol-exp", dict(type=int)), _TABLE]),
-    "counting": ("sentence shape counts and cost-ratio series", [
-        ("--n-max", dict(type=int)), ("--p", dict(type=int)),
-        ("--enum-limit", dict(type=int))]),
-    "tractability": ("partial-average trend scans", [
-        ("--case", dict(choices=sorted(_CASES))), ("--budget", dict(type=int)),
-        ("--eps", dict(type=float)), ("--cap", dict(type=float))]),
-    "montecarlo": ("seeded sampling estimate of the average time", [
-        ("--space", {}), ("--n", dict(type=int)), ("--max-tokens", dict(type=int)),
-        ("--samples", dict(type=int)),
-        ("--exhaustive", dict(action="store_true", default=None)),
-        ("--exact-check", dict(action="store_true", default=None)), _TABLE]),
-    "explore-min": ("sampled expected first witness at fixed length", [
-        ("--target-tokens", dict(type=int)), ("--arity", dict(type=int)),
-        ("--samples", dict(type=int))]),
-    "property-2-2": ("bound/reweighting equivalence check", [
-        ("--n-list", dict(type=_int_list)), ("--max-tokens", dict(type=int)),
-        ("--break-class", dict(type=int)), ("--inflate", dict(type=int)), _TABLE]),
-    "property-2-3": ("summable-weights tractability transfer", [
-        ("--model", dict(choices=["sat", "shannon"])), ("--n-list", dict(type=_int_list)),
-        ("--max-tokens", dict(type=int)), ("--h-exponent", dict(type=int)), _TABLE]),
-    "markov-tail": ("tail frequency against the mean", [
-        ("--n", dict(type=int)), ("--multiplier", dict(type=int)), _TABLE]),
+class Command:
+    """A command: the function it runs, its help line and its options."""
+
+    __slots__ = ("run", "help", "options")
+
+    def __init__(self, run: Callable, help: str, options: tuple[Option, ...]):
+        self.run, self.help, self.options = run, help, options
+
+
+# options that several commands declare alike
+_TABLE = Option("--table", str)
+_MAX_TOKENS = Option("--max-tokens", int)
+_N_LIST = Option("--n-list", _int_list, (1, 2))
+
+# every command: the function it runs, its help line and its own options
+COMMANDS = {
+    "expected-min": Command(cmd_expected_min, "expected first-witness bound", (
+        # the exact sums have denominators of 2^n bits: 65,536 at n = 16
+        Option("--n", int, 1, minimum=0, maximum=16),
+        Option("--upto", bool, False, help="emit every n from 0 to --n"))),
+    "sat-oclass": Command(cmd_sat_oclass, "linear bound for the satisfiability scanner", (
+        Option("--n", int, 1), _MAX_TOKENS, _TABLE)),
+    "tab-oclass": Command(cmd_tab_oclass, "cubic bound for the tabulator", (
+        Option("--n", int, 3, minimum=1),
+        Option("--n-list", _int_list, minimum=1),  # default [--n]
+        Option("--model", str, "shannon", choices=("shannon", "enumerated")),
+        Option("--max-tokens", int, 7), _TABLE)),
+    "moments": Command(cmd_moments, "higher-moment sums and bounds", (
+        Option("--m-list", _int_list, (2, 3), minimum=1), _N_LIST,
+        Option("--tol-exp", int, 12, minimum=0), _TABLE)),
+    "counting": Command(cmd_counting, "sentence shape counts and cost-ratio series", (
+        Option("--n-max", int, 10, minimum=0), Option("--p", int, 2),
+        Option("--enum-limit", int, 3))),
+    "tractability": Command(cmd_tractability, "partial-average trend scans", (
+        Option("--case", str, "harmonic", choices=tuple(sorted(_CASES))),
+        Option("--budget", int),  # default by --case
+        Option("--eps", float, 1e-12), Option("--cap", float, 1e6))),
+    "montecarlo": Command(cmd_montecarlo, "seeded sampling estimate of the average time", (
+        Option("--n", int, 2), Option("--max-tokens", int, 8),
+        Option("--samples", int, 100000, minimum=1), Option("--exhaustive", bool, False),
+        Option("--exact-check", bool, False), _TABLE)),
+    "explore-min": Command(cmd_explore_min,
+                           "sampled expected first witness at fixed length", (
+        Option("--target-tokens", int, 9),
+        Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
+        Option("--samples", int, 10000, minimum=1))),
+    "property-2-2": Command(cmd_property_2_2, "bound/reweighting equivalence check", (
+        _N_LIST, _MAX_TOKENS, Option("--break-class", int), Option("--inflate", int, 4),
+        _TABLE)),
+    "property-2-3": Command(cmd_property_2_3, "summable-weights tractability transfer", (
+        Option("--model", str, "sat", choices=("sat", "shannon")),
+        Option("--n-list", _int_list, minimum=1),  # default by --model
+        _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0), _TABLE)),
+    "markov-tail": Command(cmd_markov_tail, "tail frequency against the mean", (
+        Option("--n", int, 2), Option("--multiplier", int, 100, minimum=1), _TABLE)),
 }
+
+# options of every command, given before or after its name
+GLOBALS = (
+    Option("--config", str, help="flat key = value option file"),
+    Option("--out", str, help="CSV output path (default stdout)"),
+    Option("--seed", int, 0, help="Monte Carlo seed (default 0)"),
+    Option("--audit", bool, False, help="report known deviations as expected_fail"),
+)
+
+# the config keys some command takes; any other key is an error
+_KEYS = {o.name for o in GLOBALS} | {o.name for c in COMMANDS.values() for o in c.options}
 
 
 class _Defer(Exception):
@@ -712,40 +720,31 @@ class _OneCommand(argparse.ArgumentParser):
         raise _Defer
 
 
+def _add_option(parser: argparse.ArgumentParser, opt: Option, default) -> None:
+    kind = (dict(action="store_true") if opt.type is bool
+            else dict(type=opt.type, choices=opt.choices))
+    parser.add_argument(opt.flag, default=default, help=opt.help, **kind)
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or, given ``command``, one that holds
     only its subparser (argparse spends most of its build time on the
-    help strings of subparsers that never run)."""
+    help strings of subparsers that never run).  Command options default
+    to None, so that an unset flag defers to the config file."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="flat key = value option file")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="CSV output path (default stdout)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="Monte Carlo seed (default 0)")
-    common.add_argument("--audit", action="store_true", default=argparse.SUPPRESS,
-                        help="report known deviations as expected_fail")
+    for opt in GLOBALS:
+        _add_option(common, opt, argparse.SUPPRESS)
     parser = (argparse.ArgumentParser if command is None else _OneCommand)(
         prog="avgsat", parents=[common],
         description="Average running time experiments over propositional sentence spaces")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=argparse.ArgumentParser)
-    for name, (help, options) in _PARSERS.items():
+    for name, cmd in COMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=help, parents=[common])
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
+            p = sub.add_parser(name, help=cmd.help, parents=[common])
+            for opt in cmd.options:
+                _add_option(p, opt, None)
     return parser
-
-
-COMMANDS = {
-    "expected-min": cmd_expected_min, "sat-oclass": cmd_sat_oclass,
-    "tab-oclass": cmd_tab_oclass, "moments": cmd_moments,
-    "counting": cmd_counting, "tractability": cmd_tractability,
-    "montecarlo": cmd_montecarlo, "explore-min": cmd_explore_min,
-    "property-2-2": cmd_property_2_2, "property-2-3": cmd_property_2_3,
-    "markov-tail": cmd_markov_tail,
-}
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -762,11 +761,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         opts = Options(args, _read_config(getattr(args, "config", None)))
-        header, rows = COMMANDS[args.command](opts)
+        header, rows = COMMANDS[args.command].run(opts)
     except (OptionError, measure.MeasureError, FormulaError, SampleError) as exc:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
-    _emit(opts.get("out", None, cast=str), header, rows)
+    _emit(opts.get("out"), header, rows)
     failed = [(i, row) for i, row in enumerate(rows, start=1) if row and row[-1] == FAIL]
     for i, row in failed:
         cells = ", ".join(f"{name}={cell}" for name, cell in zip(header, row[:3]))

@@ -247,9 +247,8 @@ def test_self_dual_table_exits_2_at_once(tmp_path, capsys, n):
 @pytest.mark.parametrize("line, command", [
     ("model = foo", "tab-oclass"),
     ("case = foo", "tractability"),
-    ("space = foo", "montecarlo"),
     ("model = foo", "property-2-3"),
-], ids=["tab-model", "tractability-case", "montecarlo-space", "property-2-3-model"])
+], ids=["tab-model", "tractability-case", "property-2-3-model"])
 def test_unknown_config_choice_exits_2(tmp_path, capsys, line, command):
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n", encoding="utf-8")
@@ -269,6 +268,146 @@ def test_bad_config_exits_2(tmp_path, capsys, text, command, where):
         path.write_text(text, encoding="utf-8")
     assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
                    prefix=f"avgsat: {path}{where}")
+
+
+# --- the declared options ---------------------------------------------------
+
+DECLARED = [(command, opt) for command, cmd in cli.COMMANDS.items()
+            for opt in (*cli.GLOBALS, *cmd.options)]
+
+
+def _accepted(opt):
+    """A value the option accepts, as written after its flag or its key."""
+    if opt.choices:
+        return opt.choices[-1]
+    low = 1 if opt.minimum is None else opt.minimum
+    return {int: str(low), float: "0.25", str: "x.txt",
+            cli._int_list: f"{low},{low + 1}"}[opt.type]
+
+
+@pytest.mark.parametrize("command, opt", DECLARED,
+                         ids=[f"{command} {opt.flag}" for command, opt in DECLARED])
+def test_flag_and_config_resolve_alike(command, opt):
+    # the same value, given once by flag and once by config key, is one
+    # value of the declared type
+    if opt.type is bool:
+        flag, raw, expected = [opt.flag], "yes", True
+    else:
+        raw = _accepted(opt)
+        flag, expected = [opt.flag, raw], opt.type(raw)
+    by_flag = cli.Options(cli._parse([command, *flag]), {}).get(opt.name)
+    by_config = cli.Options(cli._parse([command]), {opt.name: (raw, "run.cfg:1")})
+    assert by_flag == by_config.get(opt.name) == expected
+    assert type(by_flag) is type(expected)
+
+
+@pytest.mark.parametrize("command, opt", DECLARED,
+                         ids=[f"{command} {opt.flag}" for command, opt in DECLARED])
+def test_declared_default_meets_its_declaration(command, opt):
+    assert cli.Options(cli._parse([command]), {}).get(opt.name) == opt.default
+    values = opt.default if isinstance(opt.default, tuple) else [opt.default]
+    if opt.default is not None and opt.type is not bool:
+        assert all(type(v) is (int if opt.type is cli._int_list else opt.type)
+                   for v in values)
+    if opt.choices:
+        assert opt.default in opt.choices
+    if opt.minimum is not None and opt.default is not None:
+        assert min(values) >= opt.minimum
+    if opt.maximum is not None and opt.default is not None:
+        assert max(values) <= opt.maximum
+
+
+REFUSED = [(command, opt, bad, why) for command, cmd in cli.COMMANDS.items()
+           for opt in cmd.options
+           for bad, why in ([("nope", "choose from")] if opt.choices else [])
+           + ([(str(opt.minimum - 1), "must be at least")] if opt.minimum is not None else [])
+           + ([(str(opt.maximum + 1), "must be at most")] if opt.maximum is not None else [])]
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:   # argparse refuses a flag outside its choices
+        return exc.code
+
+
+@pytest.mark.parametrize("command, opt, bad, why", REFUSED,
+                         ids=[f"{c} {o.flag} {bad}" for c, o, bad, _ in REFUSED])
+def test_declared_bound_is_refused_from_flag_and_config(tmp_path, capsys, command, opt,
+                                                        bad, why):
+    out = tmp_path / "out.csv"
+    assert _exit_code([command, opt.flag, bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{opt.flag} {bad}: {why}" in err or "invalid choice: 'nope'" in err
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{opt.name} = {bad}\n", encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}:1: {opt.name} = {bad}: {why}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("no", False), ("NO", False),
+])
+def test_config_boolean_spellings(raw, value):
+    opts = cli.Options(cli._parse(["expected-min"]), {"upto": (raw, "run.cfg:1")})
+    assert opts.get("upto") is value
+
+
+@pytest.mark.parametrize("line, command", [
+    ("upto = ture", "expected-min"),
+    ("audit = on", "tab-oclass"),
+    ("exhaustive = 2", "montecarlo"),
+    ("exact_check = none", "montecarlo"),
+], ids=["upto-ture", "audit-on", "exhaustive-2", "exact-check-none"])
+def test_misspelled_config_boolean_exits_2(tmp_path, capsys, line, command):
+    # read as false, these ran the wrong check and could exit 0 or 1
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}:1: {line}: expected 1, true, yes, 0, false, no")
+
+
+@pytest.mark.parametrize("line, command", [
+    ("max-tokens = 3", "sat-oclass"),
+    ("sampels = 3", "explore-min"),
+    ("space = sat", "montecarlo"),
+    ("nope = 1", "expected-min"),
+], ids=["dashed-key", "misspelled-key", "montecarlo-space", "no-such-key"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line, command):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# run settings\n{line}\n", encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}:2: {line}: no command takes it")
+
+
+def test_keys_of_other_commands_are_ignored(tmp_path):
+    # montecarlo's samples and expected-min's upto, malformed, are not
+    # read by markov-tail
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = x\nupto = ture\nn = 1\n", encoding="utf-8")
+    code, rows, _ = run(tmp_path, "--config", str(cfg), "markov-tail")
+    assert code == 0 and rows[0]["n"] == "1"
+
+
+def test_expected_min_upto_12_matches_recorded_digest(tmp_path):
+    # recorded when every term of nonempty_sum was its own Fraction
+    out = tmp_path / "out.csv"
+    assert cli.main(["expected-min", "--n", "12", "--upto", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "85c14af8bc5b13cca3d6a638dc4612df3a1d2ba34e94841847bc7f0c67d810b1"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_expected_min_refuses_n_past_its_limit_at_once(tmp_path, capsys, source):
+    # at n = 17 the exact sums have 131,072-bit denominators
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 17\n", encoding="utf-8")
+    argv = ["--config", str(path)] if source == "config" else ["--n", "17"]
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, ["expected-min", *argv])
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
@@ -421,12 +560,13 @@ def test_sampler_rank_is_shortlex_position(table):
     # rank u names the u-th sentence of the shortlex enumeration over
     # every length up to max_tokens, so a value memoized per rank is a
     # value memoized per sentence
-    from avgsat.formula import ConnectiveTable, enumerate_formulas
+    from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas
     tab = (ConnectiveTable.standard() if table == "standard"
            else ConnectiveTable.from_text("⊼ 2 1110\n"))
     sampler = cli.SequenceSampler(tab, 2, 6)
     enumerated = list(enumerate_formulas(tab, 2, max_tokens=6))
-    assert [sampler.at(u) for u in range(sampler.grand_total)] == enumerated
+    assert [Formula(sampler.codes_at(u), tab)
+            for u in range(sampler.grand_total)] == enumerated
 
 
 SCORER_TABLES = {
@@ -442,12 +582,13 @@ def test_scan_units_match_sat_scan_on_every_rank(table, n):
     # the codes-level scorer rejects exactly the ranks whose sentence
     # has alpha != n, and otherwise gives sat_scan's time
     from avgsat import engines
-    from avgsat.formula import ConnectiveTable, compact_model_set, var_count_alpha
+    from avgsat.formula import ConnectiveTable, Formula, compact_model_set, var_count_alpha
     tab = ConnectiveTable.from_text(SCORER_TABLES[table])
     sampler = cli.SequenceSampler(tab, n, 6)
     kept = 0
     for u in range(sampler.grand_total):
-        codes, x = sampler.codes_at(u), sampler.at(u)
+        codes = sampler.codes_at(u)
+        x = Formula(codes, tab)
         assert x.codes == codes
         units = cli._scan_units(codes, tab, n)
         if var_count_alpha(x) != n:
@@ -572,6 +713,9 @@ def _answer(parse, argv, capsys):
     ["--seed", "x", "expected-min"], ["expected-min", "--n", "0", "extra"],
     ["--audit", "markov-tail", "--mult", "10", "--table", "montecarlo"],
     ["--conf", "c.cfg", "--out=o.csv", "property-2-2", "--n-list", "1,2"],
+    *([name, *(arg for opt in cmd.options
+               for arg in ([opt.flag] if opt.type is bool else [opt.flag, _accepted(opt)]))]
+      for name, cmd in cli.COMMANDS.items()),
 ], ids=lambda argv: " ".join(argv) or "none")
 def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
     # main builds only the named command's subparser; its parse, help,
