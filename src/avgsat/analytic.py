@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernel, measure
-from .formula import ConnectiveTable, Formula, _Frozen, leaf_sequence
+from ._formula_core import ConnectiveTable, _Frozen
 
 
 def gamma_count(N: int) -> int:
@@ -47,18 +47,19 @@ def sentence_count(N: int) -> int:
     return gamma_count(N) * 16 ** N * (2 ** (N + 1) - 1)
 
 
-def is_canonical_sentence(x: Formula) -> bool:
-    """Whether x carries the canonical leaf labeling for its variable set.
+def is_canonical_sentence(x) -> bool:
+    """Whether the sentence x (a :class:`~avgsat.formula.Formula`)
+    carries the canonical leaf labeling for its variable set.
 
     The canonical labeling is the lexicographically smallest one using
     exactly that set: the smallest variable fills the surplus leading
     leaves, then each remaining variable appears once in increasing
     order.
     """
-    leaves = leaf_sequence(x)
+    leaves = [c for c in x.codes if c >= 0]
     used = sorted(set(leaves))
     surplus = len(leaves) - len(used) + 1
-    return list(leaves) == [used[0]] * surplus + used[1:]
+    return leaves == [used[0]] * surplus + used[1:]
 
 
 class Census(NamedTuple):
@@ -93,8 +94,7 @@ def census(N: int, table: ConnectiveTable | None = None) -> Census:
         table = ConnectiveTable.all_binary()
     total = 0
     pow2 = 0
-    from .formula import _length_range
-    for length in _length_range(table, None, N):
+    for length in _kernel.length_range(table.arities, None, N):
         c, s = _kernel.census_length(N + 1, table.arities, length)
         total += c
         pow2 += s

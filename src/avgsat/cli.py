@@ -12,49 +12,43 @@ Exit status is 0 iff no emitted row carries status "fail".  Known
 small-class deviations (the cubic tabulation bound on the shortest-
 code model at n = 1, 2) are downgraded to "expected_fail" under
 --audit, so audited runs distinguish "bound reproduced" from "bound
-audited and found not to hold".
+audited and found not to hold".  A refused input (see
+:class:`~avgsat.errors.AvgsatError`) prints one line and exits 2.
+
+This module declares every command and parses its options; a command's
+body lives in :mod:`avgsat.commands` and is imported only when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import importlib
 import sys
-from fractions import Fraction
-from typing import Any, Callable
 
-from . import _kernel, engines, measure
-from .formula import ConnectiveTable, Formula, FormulaError, ModelSet, codes_size
+from .errors import AvgsatError
 
 PASS = "pass"
 FAIL = "fail"
 EXPECTED_FAIL = "expected_fail"
 INFO = "info"
 
-# (command, model, n) triples whose bound is known not to hold; --audit
-# reports them as expected_fail instead of fail.
-KNOWN_DEVIATIONS = {("tab-oclass", "shannon", 1), ("tab-oclass", "shannon", 2)}
 
-
-class SampleError(Exception):
-    """A sampling command was asked for samples from a space with no
-    sentences in it, or for too few samples to check."""
-
-
-class OptionError(Exception):
+class OptionError(AvgsatError):
     """A --config file cannot be read or holds a bad line, key or value,
-    or an option's value is not one its command accepts."""
+    an option's value is not one its command accepts, or --out cannot
+    be written."""
 
 
-def _frac(q: Fraction) -> list[str]:
-    q = Fraction(q)
+def _frac(q) -> list[str]:
+    """An int or Fraction as its numerator and denominator."""
+    num, den = q.as_integer_ratio()
     # Exact values may have more digits than int-to-str converts by
     # default (a limit since Python 3.10.7; 0 means none); lift it here.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return [str(q.numerator), str(q.denominator)]
+        return [str(num), str(den)]
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -100,7 +94,7 @@ class Option:
 
     __slots__ = ("flag", "type", "default", "choices", "minimum", "maximum", "help", "name")
 
-    def __init__(self, flag: str, type: Callable, default: Any = None, *,
+    def __init__(self, flag: str, type, default=None, *,
                  choices: tuple | None = None, minimum: int | None = None,
                  maximum: int | None = None, help: str | None = None):
         self.flag, self.type, self.default, self.help = flag, type, default, help
@@ -149,196 +143,19 @@ class Options:
         return value
 
 
-def _load_table(opts: Options) -> ConnectiveTable:
-    path = opts.get("table")
-    if not path:
-        return ConnectiveTable.standard()
-    try:
-        return ConnectiveTable.from_file(path)
-    except OSError as exc:
-        raise FormulaError(f"table {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise FormulaError(f"table {path}: {exc}") from exc
-
-
 def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
     text = "".join(",".join(row) + "\n" for row in [header, *rows])
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OptionError(f"out {out_path}: {exc.strerror}") from exc
 
 
-# --- commands ---------------------------------------------------------
-
-
-def cmd_expected_min(opts: Options):
-    from . import analytic  # loaded only by the commands that use it
-    n = opts.get("n")
-    ns = range(0, n + 1) if opts.get("upto") else [n]
-    header = ["n", "brute_num", "brute_den", "closed_num", "closed_den",
-              "nonempty_num", "nonempty_den", "closed_float", "status"]
-    rows = []
-    for k in ns:
-        em = analytic.expected_min_plus_one(k)
-        brute = em.brute if em.brute is not None else em.closed
-        ok = em.closed < 2 and em.nonempty_sum < 2
-        rows.append([str(k), *_frac(brute), *_frac(em.closed),
-                     *_frac(em.nonempty_sum), _float(em.closed),
-                     PASS if ok else FAIL])
-    return header, rows
-
-
-def _scan_time(x) -> int:
-    return engines.sat_scan(x).time_units
-
-
-def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
-    """The covering space of n variables, or its sentences within max_tokens."""
-    if max_tokens is None:
-        return measure.covering_space(table, n)
-    return measure.formula_space(table, n, max_tokens)
-
-
-def cmd_sat_oclass(opts: Options):
-    n = opts.get("n")
-    max_tokens = opts.get("max_tokens")
-    table = _load_table(opts)
-    header = ["check"] + measure.BoundReport.CSV_HEADER
-    space = _space(table, n, max_tokens)
-    mu = measure.uniform_over_model_classes(space, n)
-    report = measure.oclass_member(space, _scan_time, lambda k: 2 * k, mu)
-    rows = [["sat"] + row for row in report.csv_rows()]
-    if table.negation_strategy() is None:
-        rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
-    else:
-        # negation maps keys one to one, so the negated keys keep the counts
-        co_space = measure.InputSpace.from_keys(
-            {engines.negated_key(x, table): c for x, c in space.count.items()})
-        mu_co = measure.uniform_over_model_classes(co_space, n)
-        co_report = measure.oclass_member(co_space, _scan_time, lambda k: 2 * k, mu_co)
-        rows.extend(["co"] + row for row in co_report.csv_rows())
-    # measured share of the checker's time spent reading the input
-    # (the linear bound alone would put it at 1/2); informational only
-    read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu, space.items)
-    share = read / measure.avg_time(_scan_time, mu, space.items)
-    rows.append(["read-share", str(n), *_frac(share), *_frac(Fraction(3, 10)),
-                 _float(share), "0.3", INFO])
-    return header, rows
-
-
-def cmd_tab_oclass(opts: Options):
-    audit = opts.get("audit")
-    model = opts.get("model")
-    ns = opts.get("n_list", [opts.get("n")])
-    header = measure.BoundReport.CSV_HEADER
-    rows = []
-    if model == "shannon":
-        from . import analytic  # loaded only by the commands that use it
-        for n in sorted(ns):
-            tb = analytic.tabulator_class_bound(n)
-            known = audit and ("tab-oclass", "shannon", n) in KNOWN_DEVIATIONS
-            status = PASS if tb.passed else EXPECTED_FAIL if known else FAIL
-            rows.append([str(n), *_frac(tb.lhs), *_frac(tb.rhs),
-                         _float(tb.lhs), _float(tb.rhs), status])
-    else:
-        table = _load_table(opts)
-        max_tokens = opts.get("max_tokens")
-        for n in sorted(ns):
-            space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
-            mu = measure.uniform_within_min_layers(space, n)
-            T = lambda x: engines.tabulate(x).time_units
-            report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
-            rows.extend(report.csv_rows())
-    return header, rows
-
-
-def cmd_moments(opts: Options):
-    from . import analytic  # loaded only by the commands that use it
-    m_list = opts.get("m_list")
-    n_list = opts.get("n_list")
-    tol = Fraction(1, 10 ** opts.get("tol_exp"))
-    table = _load_table(opts)
-    header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
-              "lhs_float", "rhs_float", "status"]
-    rows = []
-    for m in sorted(m_list):
-        s = analytic.geometric_moment_sum(m, tol)
-        if m == 1:
-            bound = Fraction(2)
-            ok = abs(bound - s.partial) <= tol
-        else:
-            bound = analytic.moment_oclass_constant(m)
-            ok = s.upper <= bound
-        rows.append(["sum", str(m), "", *_frac(s.partial), *_frac(bound),
-                     _float(s.partial), _float(bound), PASS if ok else FAIL])
-    spaces = {}
-    for n in sorted(n_list):
-        space = measure.covering_space(table, n)
-        spaces[n] = space, measure.uniform_over_model_classes(space, n)
-    for m in sorted(m for m in m_list if m >= 2):
-        c = analytic.moment_oclass_constant(m)
-        for n, (space, mu) in spaces.items():
-            T = lambda x: _scan_time(x) ** m
-            report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
-            rows.extend(["oclass", str(m)] + row for row in report.csv_rows())
-    return header, rows
-
-
-def cmd_counting(opts: Options):
-    from . import analytic  # loaded only by the commands that use it
-    n_max = opts.get("n_max")
-    p = opts.get("p")
-    enum_limit = opts.get("enum_limit")
-    header = ["N", "gamma", "catalan", "sentence_count", "enum_count",
-              "F_num", "F_den", "F_float", "partial_num", "partial_den",
-              "partial_float", "status"]
-    rows = []
-    partial = Fraction(0)
-    for N in range(n_max + 1):
-        g = analytic.gamma_count(N)
-        cat = analytic.catalan_binomial(N)
-        sc = analytic.sentence_count(N)
-        t = analytic.totals_and_ratio(N, p)
-        partial += t.ratio
-        ok = g == cat
-        enum_count = ""
-        if N <= enum_limit:
-            census = analytic.census(N)
-            enum_count = str(census.count)
-            ok = ok and census.count == sc and census.tabulate_total == t.tabulate_total
-        rows.append([str(N), str(g), str(cat), str(sc), enum_count,
-                     *_frac(t.ratio), _float(t.ratio), *_frac(partial),
-                     _float(partial), PASS if ok else FAIL])
-    return header, rows
-
-
-# each case's default --budget is the length of its trend scan
-_CASES = {
-    "harmonic": dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n), budget=10 ** 6,
-                     start=1, exact=False, expect=measure.Verdict.DIVERGENT_TREND),
-    "geometric": dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n), budget=60,
-                      start=0, exact=True, expect=measure.Verdict.CONVERGENT),
-    "constant": dict(T=lambda n: 5, mu=lambda n: Fraction(1, n), budget=60,
-                     start=1, exact=True, expect=measure.Verdict.CONVERGENT),
-}
-
-
-def cmd_tractability(opts: Options):
-    case = opts.get("case")
-    case_def = _CASES[case]
-    budget = opts.get("budget", case_def["budget"])
-    start = case_def["start"]
-    res = measure.tractability(case_def["T"], case_def["mu"], range(start, start + budget),
-                               eps=opts.get("eps"), cap=opts.get("cap"),
-                               exact=case_def["exact"])
-    header = ["case", "prefix", "value_num", "value_den", "value_float",
-              "verdict", "status"]
-    status = PASS if res.verdict is case_def["expect"] else FAIL
-    rows = [[case, str(k), *(_frac(v) if case_def["exact"] else ["", ""]), _float(v),
-             res.verdict.value, status] for k, v in res.checkpoints.items()]
-    return header, rows
+# --- the sentence sampler ---------------------------------------------
 
 
 def _unrank(u: int, length: int, n_vars: int, arities, cnt) -> tuple[int, ...]:
@@ -372,7 +189,8 @@ class SequenceSampler:
     a sample is a uniform rank ``u``, and rank ``u`` names the ``u``-th
     sequence in shortlex order."""
 
-    def __init__(self, table: ConnectiveTable, n_vars: int, max_tokens: int):
+    def __init__(self, table, n_vars: int, max_tokens: int):
+        from . import _kernel  # loaded only by the sampling commands
         self.table = table
         self.n_vars = max(n_vars, 0)  # negative sizes have no sequences
         # one table serves every length up to max_tokens
@@ -388,260 +206,29 @@ class SequenceSampler:
             u -= c
         raise AssertionError("sampler index out of range")
 
-    def sample(self, rng) -> Formula:
+    def sample(self, rng):
+        """A uniform sentence, as an :class:`avgsat.formula.Formula`."""
+        from .formula import Formula  # sentence objects: loaded only by their users
         return Formula(self.codes_at(rng.randrange(self.grand_total)), self.table)
-
-
-def _first_witness(codes: tuple[int, ...], table: ConnectiveTable,
-                   alpha: int | None = None) -> int | None:
-    """``min_n`` of the model set, over its own variables, of the valid
-    sentence with these codes; None, with no mask evaluated, when
-    ``alpha`` is given and the sentence has another number of distinct
-    variables.  Builds no Formula and adds no ``compact_model_set``
-    entry."""
-    remapped, a = _kernel.compact_codes(codes)
-    if alpha is not None and a != alpha:
-        return None
-    return engines.min_n(ModelSet(a, _kernel.eval_mask(remapped, a, table.arities,
-                                                       table.truth_bits)))
-
-
-def _scan_units(codes: tuple[int, ...], table: ConnectiveTable, n: int) -> int | None:
-    """``sat_scan``'s time units on the valid sentence with these codes,
-    or None when it does not have exactly n distinct variables."""
-    m = _first_witness(codes, table, n)
-    return None if m is None else codes_size(codes) * (m + 1)
-
-
-def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
-    """Mean and standard error of ``count`` integers with sum ``sx`` and
-    sum of squares ``sxx``.
-
-    The mean is the float sum over the count, as ``statistics.fmean``
-    takes it.  The standard deviation is the correctly rounded square
-    root of the exact sample variance (count*sxx - sx^2) / (count*(count-1)),
-    as ``statistics.stdev`` takes it since Python 3.11.
-    """
-    mean = float(sx) / count
-    if count < 2:
-        return mean, 0.0
-    num, den = count * sxx - sx * sx, count * (count - 1)
-    # an integer root of at least 55 bits, rounded to odd, then rounded
-    # once to a 53-bit float is the correctly rounded root
-    q = (num.bit_length() - den.bit_length() - 109) // 2
-    if q >= 0:
-        den <<= 2 * q
-    else:
-        num <<= -2 * q
-    root = math.isqrt(num // den)
-    root |= root * root * den != num
-    stdev = float(root << q) if q >= 0 else root / (1 << -q)
-    return mean, stdev / count ** 0.5
-
-
-def cmd_montecarlo(opts: Options):
-    seed = opts.get("seed")
-    n = opts.get("n")
-    max_tokens = opts.get("max_tokens")
-    exhaustive = opts.get("exhaustive")
-    exact_check = opts.get("exact_check")
-    table = _load_table(opts)
-    exact_mean = z = ""
-    status = PASS
-    if exhaustive:
-        space = measure.formula_space(table, n, max_tokens)
-        if not space.items:
-            raise SampleError(
-                f"no sentences with {n} distinct variables within {max_tokens} tokens")
-        # one (value, count) pair per key, never one value per sentence;
-        # a key counts canonical sentences, each standing for n! sentences
-        renamings = math.factorial(n)
-        samples = sx = sxx = 0
-        for x in space.items:
-            c, v = renamings * space.count[x], _scan_time(x)
-            samples += c
-            sx += c * v
-            sxx += c * v * v
-        mean, se = _mean_stderr(samples, sx, sxx)
-        exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
-        exact_mean = _float(exact)
-        status = PASS if mean == float(exact) else FAIL
-    else:
-        samples = opts.get("samples")
-        if exact_check and samples < 2:
-            raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
-        sampler = SequenceSampler(table, n, max_tokens)
-        if sampler.grand_total == 0:
-            raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
-        import random  # loaded only by the sampling commands
-        rng = random.Random(seed)
-        accepted = rejected = sx = sxx = 0
-        # a draw's value depends on its rank alone: rank -> scan time, or
-        # None when alpha != n, kept for at most `samples` distinct ranks
-        value_of: dict[int, int | None] = {}
-        while accepted < samples:
-            u = rng.randrange(sampler.grand_total)
-            if u in value_of:
-                value = value_of[u]
-            else:
-                value = _scan_units(sampler.codes_at(u), table, n)
-                if len(value_of) < samples:
-                    value_of[u] = value
-            if value is not None:
-                accepted += 1
-                sx += value
-                sxx += value * value
-            else:
-                rejected += 1
-                if rejected > 1000 * (accepted + samples):
-                    raise SampleError(
-                        f"no sentences with {n} distinct variables within "
-                        f"{max_tokens} tokens (rejected {rejected} samples)")
-        mean, se = _mean_stderr(accepted, sx, sxx)
-        if exact_check:
-            space = measure.formula_space(table, n, max_tokens)
-            exact = measure.avg_time(_scan_time, measure.uniform_on(space), space.items)
-            exact_mean = _float(exact)
-            gap = mean - float(exact)
-            # with no spread among the samples, only an exact hit passes
-            zval = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
-            z = _float(zval)
-            status = PASS if abs(zval) <= 4 else FAIL
-    header = ["space", "n", "max_tokens", "samples", "seed", "mean", "stderr",
-              "exact_mean", "z", "status"]
-    rows = [["sat", str(n), str(max_tokens), str(samples), str(seed),
-             _float(mean), _float(se), exact_mean, z, status]]
-    return header, rows
-
-
-def cmd_explore_min(opts: Options):
-    seed = opts.get("seed")
-    target = opts.get("target_tokens")
-    arity = opts.get("arity")
-    samples = opts.get("samples")
-    table = ConnectiveTable.all_of_arity(arity)
-    # a sentence of L tokens over arity-a connectives has at most
-    # 1 + (L-1)*(a-1)/a leaves; use that many variables
-    pool = 1 + (target - 1) * (arity - 1) // arity
-    length = max(target, 0)  # a negative length has no sentences, like zero
-    cnt = _kernel.completion_counts(pool, table.arities, length)
-    total = cnt[length][0]
-    if total == 0:
-        raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
-    import random  # loaded only by the sampling commands
-    rng = random.Random(seed)
-    # draws almost never repeat here, so each is scored from its codes,
-    # which are valid by construction
-    sx = sxx = 0
-    for _ in range(samples):
-        m = _first_witness(_unrank(rng.randrange(total), target, pool, table.arities, cnt),
-                           table)
-        sx += m
-        sxx += m * m
-    mean, se = _mean_stderr(samples, sx, sxx)
-    header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
-              "stderr", "status"]
-    rows = [[str(target), str(arity), str(pool), str(samples), str(seed),
-             _float(mean), _float(se), INFO]]
-    return header, rows
-
-
-def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
-    """One space holding the covering space for every class in ns."""
-    count: dict[tuple, int] = {}
-    for n in sorted(ns):
-        count.update(_space(table, n, max_tokens).count)
-    return measure.InputSpace.from_keys(count)
-
-
-def cmd_property_2_2(opts: Options):
-    ns = opts.get("n_list")
-    max_tokens = opts.get("max_tokens")
-    break_class = opts.get("break_class")
-    inflate = opts.get("inflate")
-    table = _load_table(opts)
-    space = _combined_space(table, ns, max_tokens)
-    mu = measure.uniform_over_model_classes(space)
-    T = lambda x: _scan_time(x) * (inflate if x[0] == break_class else 1)
-    result = measure.check_property_2_2(
-        space, T, lambda k: 2 * k, mu,
-        extra_H=[("ones", lambda n: 1), ("linear", lambda n: n)])
-    header = ["check", "label", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
-              "lhs_float", "rhs_float", "status"]
-    rows = []
-    # with --break-class, the broken class fails as expected, and so do its
-    # chi row and the rows of weightings over every class
-    for r in sorted(result.oclass.rows, key=lambda r: r.n):
-        status = PASS if r.passed else EXPECTED_FAIL if break_class == r.n else FAIL
-        rows.append(["oclass", "", str(r.n), *_frac(r.lhs), *_frac(r.rhs),
-                     _float(r.lhs), _float(r.rhs), status])
-    for h in result.h_rows:
-        broken = break_class is not None and (h.label == f"chi_{break_class}"
-                                              or not h.label.startswith("chi_"))
-        status = PASS if h.ok else EXPECTED_FAIL if broken else FAIL
-        rows.append(["H", h.label, "", *_frac(h.lhs), *_frac(h.rhs),
-                     _float(h.lhs), _float(h.rhs), status])
-    bic = result.biconditional_ok
-    if break_class is not None:
-        # the demonstration must actually break the targeted class
-        bic = bic and not result.oclass.row(break_class).passed
-    rows.append(["biconditional", "", "", "0", "1", "0", "1", "0.0", "0.0",
-                 PASS if bic else FAIL])
-    return header, rows
-
-
-def cmd_property_2_3(opts: Options):
-    model = opts.get("model")
-    exponent = opts.get("h_exponent")
-    H = lambda n: Fraction(1, n ** exponent)
-    ns = opts.get("n_list", [1, 2] if model == "sat" else [3, 4])
-    if model == "sat":
-        table = _load_table(opts)
-        space = _combined_space(table, ns, opts.get("max_tokens"))
-        mu = measure.uniform_over_model_classes(space, per_class=True)
-        T = _scan_time
-        F = lambda k: 2 * k
-    else:
-        from . import analytic  # loaded only by the commands that use it
-        space, T, mu = analytic.shannon_space(ns)
-        F = lambda k: k ** 3
-    result = measure.check_property_2_3(space, T, F, mu, H)
-    header = ["model", "ns", "h_exponent", "expectation_num", "expectation_den",
-              "bound_num", "bound_den", "mass_num", "mass_den",
-              "expectation_float", "bound_float", "status"]
-    rows = [[model, ";".join(str(n) for n in sorted(ns)), str(exponent),
-             *_frac(result.expectation), *_frac(result.bound),
-             *_frac(result.dominated_mass), _float(result.expectation),
-             _float(result.bound), PASS if result.ok else FAIL]]
-    return header, rows
-
-
-def cmd_markov_tail(opts: Options):
-    n = opts.get("n")
-    multiplier = opts.get("multiplier")
-    table = _load_table(opts)
-    space = measure.covering_space(table, n)
-    mu = measure.uniform_over_model_classes(space, n)
-    avg = measure.avg_time(_scan_time, mu, space.items)
-    result = measure.markov_tail(_scan_time, mu, space.items, multiplier * avg)
-    ok = result.ok and result.empirical <= Fraction(1, multiplier)
-    header = ["n", "multiplier", "avg_num", "avg_den", "bound_num", "bound_den",
-              "empirical_num", "empirical_den", "status"]
-    rows = [[str(n), str(multiplier), *_frac(avg), *_frac(result.bound),
-             *_frac(result.empirical), PASS if ok else FAIL]]
-    return header, rows
 
 
 # --- entry point ------------------------------------------------------
 
 
 class Command:
-    """A command: the function it runs, its help line and its options."""
+    """A command: where its function is, as "module:function", its help
+    line and its options."""
 
-    __slots__ = ("run", "help", "options")
+    __slots__ = ("target", "help", "options")
 
-    def __init__(self, run: Callable, help: str, options: tuple[Option, ...]):
-        self.run, self.help, self.options = run, help, options
+    def __init__(self, target: str, help: str, options: tuple[Option, ...]):
+        self.target, self.help, self.options = target, help, options
+
+    def load(self):
+        """The command's function, importing its module (and no other
+        command's)."""
+        module, _, name = self.target.partition(":")
+        return getattr(importlib.import_module(module), name)
 
 
 # options that several commands declare alike
@@ -649,46 +236,59 @@ _TABLE = Option("--table", str)
 _MAX_TOKENS = Option("--max-tokens", int)
 _N_LIST = Option("--n-list", _int_list, (1, 2))
 
-# every command: the function it runs, its help line and its own options
+# the modules of the command bodies, by what they load
+_EXACT = "avgsat.commands.exact:"
+_SERIES = "avgsat.commands.series:"
+_SAMPLING = "avgsat.commands.sampling:"
+
+# every command: its function, its help line and its own options
 COMMANDS = {
-    "expected-min": Command(cmd_expected_min, "expected first-witness bound", (
+    "expected-min": Command(_SERIES + "cmd_expected_min", "expected first-witness bound", (
         # the exact sums have denominators of 2^n bits: 65,536 at n = 16
         Option("--n", int, 1, minimum=0, maximum=16),
         Option("--upto", bool, False, help="emit every n from 0 to --n"))),
-    "sat-oclass": Command(cmd_sat_oclass, "linear bound for the satisfiability scanner", (
+    "sat-oclass": Command(_EXACT + "cmd_sat_oclass",
+                          "linear bound for the satisfiability scanner", (
         Option("--n", int, 1), _MAX_TOKENS, _TABLE)),
-    "tab-oclass": Command(cmd_tab_oclass, "cubic bound for the tabulator", (
-        Option("--n", int, 3, minimum=1),
-        Option("--n-list", _int_list, minimum=1),  # default [--n]
+    "tab-oclass": Command(_EXACT + "cmd_tab_oclass", "cubic bound for the tabulator", (
+        # the Shannon model's exact sums run over 2^n code lengths:
+        # n = 13 takes about 1.8 s and n = 14 about 6 s
+        Option("--n", int, 3, minimum=1, maximum=13),
+        Option("--n-list", _int_list, minimum=1, maximum=13),  # default [--n]
         Option("--model", str, "shannon", choices=("shannon", "enumerated")),
         Option("--max-tokens", int, 7), _TABLE)),
-    "moments": Command(cmd_moments, "higher-moment sums and bounds", (
+    "moments": Command(_EXACT + "cmd_moments", "higher-moment sums and bounds", (
         Option("--m-list", _int_list, (2, 3), minimum=1), _N_LIST,
         Option("--tol-exp", int, 12, minimum=0), _TABLE)),
-    "counting": Command(cmd_counting, "sentence shape counts and cost-ratio series", (
+    "counting": Command(_SERIES + "cmd_counting",
+                        "sentence shape counts and cost-ratio series", (
         Option("--n-max", int, 10, minimum=0), Option("--p", int, 2),
         Option("--enum-limit", int, 3))),
-    "tractability": Command(cmd_tractability, "partial-average trend scans", (
-        Option("--case", str, "harmonic", choices=tuple(sorted(_CASES))),
+    "tractability": Command(_SERIES + "cmd_tractability", "partial-average trend scans", (
+        # the cases of commands.series._CASES, named here so no start loads them
+        Option("--case", str, "harmonic", choices=("constant", "geometric", "harmonic")),
         Option("--budget", int),  # default by --case
         Option("--eps", float, 1e-12), Option("--cap", float, 1e6))),
-    "montecarlo": Command(cmd_montecarlo, "seeded sampling estimate of the average time", (
+    "montecarlo": Command(_SAMPLING + "cmd_montecarlo",
+                          "seeded sampling estimate of the average time", (
         Option("--n", int, 2), Option("--max-tokens", int, 8),
         Option("--samples", int, 100000, minimum=1), Option("--exhaustive", bool, False),
         Option("--exact-check", bool, False), _TABLE)),
-    "explore-min": Command(cmd_explore_min,
+    "explore-min": Command(_SAMPLING + "cmd_explore_min",
                            "sampled expected first witness at fixed length", (
         Option("--target-tokens", int, 9),
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
         Option("--samples", int, 10000, minimum=1))),
-    "property-2-2": Command(cmd_property_2_2, "bound/reweighting equivalence check", (
+    "property-2-2": Command(_EXACT + "cmd_property_2_2", "bound/reweighting equivalence check", (
         _N_LIST, _MAX_TOKENS, Option("--break-class", int), Option("--inflate", int, 4),
         _TABLE)),
-    "property-2-3": Command(cmd_property_2_3, "summable-weights tractability transfer", (
+    "property-2-3": Command(_EXACT + "cmd_property_2_3",
+                            "summable-weights tractability transfer", (
         Option("--model", str, "sat", choices=("sat", "shannon")),
-        Option("--n-list", _int_list, minimum=1),  # default by --model
+        # the Shannon model holds 2^(2^n) slots per class: 65,536 at n = 4
+        Option("--n-list", _int_list, minimum=1, maximum=4),  # default by --model
         _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0), _TABLE)),
-    "markov-tail": Command(cmd_markov_tail, "tail frequency against the mean", (
+    "markov-tail": Command(_EXACT + "cmd_markov_tail", "tail frequency against the mean", (
         Option("--n", int, 2), Option("--multiplier", int, 100, minimum=1), _TABLE)),
 }
 
@@ -761,11 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         opts = Options(args, _read_config(getattr(args, "config", None)))
-        header, rows = COMMANDS[args.command].run(opts)
-    except (OptionError, measure.MeasureError, FormulaError, SampleError) as exc:
+        header, rows = COMMANDS[args.command].load()(opts)
+        _emit(opts.get("out"), header, rows)
+    except AvgsatError as exc:
         print(f"avgsat: {exc}", file=sys.stderr)
         return 2
-    _emit(opts.get("out"), header, rows)
     failed = [(i, row) for i, row in enumerate(rows, start=1) if row and row[-1] == FAIL]
     for i, row in failed:
         cells = ", ".join(f"{name}={cell}" for name, cell in zip(header, row[:3]))

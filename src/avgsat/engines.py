@@ -13,14 +13,14 @@ closed-form integer cost in abstract time units:
 Costs are the declared models, not measurements; they are exact
 integers with no noise.  Each reads a sentence only through its key
 (alpha, f, class mask; see :func:`~avgsat.formula.sentence_key`), so
-each takes a :class:`Formula` or a key.
+each takes a :class:`~avgsat.formula.Formula` or a key.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .formula import ConnectiveTable, Formula, ModelSet, sentence_key
+from ._formula_core import ConnectiveTable, ModelSet, sentence_key
 
 
 class NoNegation(Exception):
@@ -64,6 +64,11 @@ def sat_scan(x) -> CostedRun:
     return CostedRun(payload=m if mask else None, time_units=f * (m + 1))
 
 
+def sat_scan_time(x) -> int:
+    """The time units of :func:`sat_scan` on x, the cost the bounds read."""
+    return sat_scan(x).time_units
+
+
 def _negation(table: ConnectiveTable) -> tuple[str, int]:
     strategy = table.negation_strategy()
     if strategy is None:
@@ -71,12 +76,13 @@ def _negation(table: ConnectiveTable) -> tuple[str, int]:
     return strategy
 
 
-def negated(x: Formula) -> Formula:
+def negated(x):
     """Top-level negation of x using the sentence's own table.
 
     Uses a unary NOT when available, otherwise NAND/NOR with the whole
     operand duplicated.  Raises NoNegation when the table has neither.
     """
+    from .formula import Formula  # sentence objects: loaded only by their users
     kind, slot = _negation(x.table)
     if kind == "not":
         return Formula(x.codes + (-slot - 1,), x.table)

@@ -34,11 +34,12 @@ from itertools import chain, islice, permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .formula import ConnectiveTable, Formula, _Frozen, sentence_key, size_f, var_count_alpha
+from ._formula_core import ConnectiveTable, _Frozen, sentence_key
+from .errors import AvgsatError
 
 
-class MeasureError(Exception):
-    pass
+class MeasureError(AvgsatError):
+    """A space, distribution or check that cannot be built or run."""
 
 
 class ZeroMassSubset(MeasureError):
@@ -70,6 +71,16 @@ def _fn(m):
 _ZERO = Fraction(0)
 
 
+def _sum(parts: Iterable[Fraction]) -> Fraction:
+    """Exact sum of Fractions, added in pairs, then pairs of pairs: a
+    running total would grow to the common denominator early and make
+    every later addition pay for its size."""
+    parts = list(parts)
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
+    return parts[0] if parts else _ZERO
+
+
 def _dot(terms: Iterable[tuple]) -> Fraction:
     """Exact sum over ``terms`` of the product of each tuple's factors.
 
@@ -86,7 +97,7 @@ def _dot(terms: Iterable[tuple]) -> Fraction:
             num *= n
             den *= d
         sums[den] = sums.get(den, 0) + num
-    return sum((Fraction(n, d) for d, n in sums.items()), _ZERO)
+    return _sum(Fraction(n, d) for d, n in sums.items())
 
 
 class InputSpace:
@@ -119,8 +130,9 @@ class InputSpace:
             self.classes.setdefault(self.alpha[x], []).append(x)
 
     @classmethod
-    def from_formulas(cls, formulas: Iterable[Formula],
-                      count: CostMap | None = None) -> "InputSpace":
+    def from_formulas(cls, formulas: Iterable, count: CostMap | None = None) -> "InputSpace":
+        """A space whose items are :class:`~avgsat.formula.Formula` objects."""
+        from .formula import size_f, var_count_alpha  # loaded only by its users
         return cls(formulas, size_f, var_count_alpha, count)
 
     @classmethod
@@ -390,28 +402,43 @@ def nu_from_H(space: InputSpace, H: Callable[[int], object],
     EQUALITY scales by the unique constant making the total mass 1;
     DOMINATED returns the raw pointwise product (a sub-distribution
     used as an upper bound).  Weights are computed, and normalized,
-    once per distinct (alpha, f, mu) key and shared by its items.
+    once per distinct (alpha, f, mu) key and shared by its items.  A
+    weight is kept as an integer numerator over a positive integer
+    denominator until it is final, and the total sums the numerators
+    per denominator, as :func:`_dot` does.
     """
     w = mu.weights.get
-    weight: dict[tuple, Fraction] = {}
+    h_at: dict[int, tuple[int, int]] = {}      # alpha -> H(alpha), as a ratio
+    inv_F: dict[int, tuple[int, int]] = {}     # f -> 1 / F(f), as a ratio
+    weight: dict[tuple, tuple[int, int]] = {}  # key -> (numerator, denominator)
     key_of = {}   # items of nonzero weight -> their key
     for x in space.items:
         key = (space.alpha[x], space.f[x], *w(x, 0).as_integer_ratio())
         q = weight.get(key)
         if q is None:
             a, k, num, den = key
-            q = weight[key] = Fraction(H(a)) / Fraction(F(k)) * Fraction(num, den)
-            if q < 0:
+            if a not in h_at:
+                h_at[a] = Fraction(H(a)).as_integer_ratio()
+            if k not in inv_F:
+                inv_F[k] = (1 / Fraction(F(k))).as_integer_ratio()
+            (hn, hd), (fn, fd) = h_at[a], inv_F[k]
+            q = weight[key] = hn * fn * num, hd * fd * den
+            if q[0] < 0:
                 raise ValueError("H produced a negative weight")
-        if q:
+        if q[0]:
             key_of[x] = key
     if mode is HMode.DOMINATED:
-        return Distribution({x: weight[key] for x, key in key_of.items()},
+        scaled = {key: Fraction(num, den) for key, (num, den) in weight.items() if num}
+        return Distribution({x: scaled[key] for x, key in key_of.items()},
                             Normalization.RAW)
-    total = _dot((weight[key],) for key in key_of.values())
+    sums: dict[int, int] = {}
+    for key in key_of.values():
+        num, den = weight[key]
+        sums[den] = sums.get(den, 0) + num
+    total = _sum(Fraction(num, den) for den, num in sums.items())
     if total == 0:
         raise ZeroMass("H vanishes on every positive-mass item")
-    scaled = {key: q / total for key, q in weight.items() if q}
+    scaled = {key: Fraction(num, den) / total for key, (num, den) in weight.items() if num}
     return Distribution({x: scaled[key] for x, key in key_of.items()},
                         Normalization.GLOBAL)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from avgsat import analytic, cli
+from avgsat.commands import sampling
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -410,6 +411,30 @@ def test_expected_min_refuses_n_past_its_limit_at_once(tmp_path, capsys, source)
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["tab-oclass", "--model", "shannon", "--n-list", "14"],
+    ["tab-oclass", "--model", "shannon", "--n", "14"],
+    ["property-2-3", "--model", "shannon", "--n-list", "3,5"],
+], ids=["tab-oclass-n-list", "tab-oclass-n", "property-2-3"])
+def test_shannon_model_refuses_n_past_its_limit_at_once(tmp_path, capsys, argv):
+    # tab-oclass took about 6 s at n = 14 and ran past 30 s at n = 16; the
+    # property-2-3 space holds 2^(2^n) slots per class
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unwritable_out_exits_2(tmp_path, capsys, source):
+    out = tmp_path / "missing" / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {out}\n", encoding="utf-8")
+    argv = ["--out", str(out)] if source == "flag" else ["--config", str(cfg)]
+    assert cli.main([*argv, "sat-oclass", "--n", "1"]) == 2
+    assert capsys.readouterr().err == f"avgsat: out {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
 def test_bad_table_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "table.txt"
@@ -590,13 +615,13 @@ def test_scan_units_match_sat_scan_on_every_rank(table, n):
         codes = sampler.codes_at(u)
         x = Formula(codes, tab)
         assert x.codes == codes
-        units = cli._scan_units(codes, tab, n)
+        units = sampling._scan_units(codes, tab, n)
         if var_count_alpha(x) != n:
             assert units is None
             continue
         kept += 1
         assert units == engines.sat_scan(x).time_units
-        assert cli._first_witness(codes, tab) == engines.min_n(compact_model_set(x))
+        assert sampling._first_witness(codes, tab) == engines.min_n(compact_model_set(x))
     assert kept
 
 
@@ -765,6 +790,57 @@ def test_analytic_import_loads_no_dataclasses():
     assert _loaded_by_import("avgsat.analytic", ["dataclasses", "inspect"]) == ""
 
 
+def _avgsat_modules(argv=()):
+    """The avgsat modules a fresh interpreter (``-S``, as above) holds
+    after importing avgsat.cli and running the command argv, if any."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys, avgsat.cli; "
+            f"code = avgsat.cli.main({list(argv)!r}) if {list(argv)!r} else 0; "
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'avgsat'))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.split()
+    assert code == "0", done.stderr
+    return set(modules)
+
+
+def test_import_loads_only_the_core():
+    assert _avgsat_modules() == {"avgsat", "avgsat.cli", "avgsat.errors"}
+
+
+# the sentence-object API, which the commands read through keys alone
+SENTENCE_API = {"avgsat.formula"}
+
+
+@pytest.mark.parametrize("command, unwanted", [
+    *((command, SENTENCE_API) for command in [
+        "sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-list 1",
+        "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
+        "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]),
+    ("tractability --budget 2000",
+     SENTENCE_API | {"avgsat.engines", "avgsat._counting", "avgsat.analytic"}),
+    ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
+    modules = _avgsat_modules([*command.split(), "--out", str(tmp_path / "out.csv")])
+    assert not modules & unwanted
+    # its own body, and no other command's
+    target = cli.COMMANDS[command.split()[0]].target.partition(":")[0]
+    assert {m for m in modules if m.startswith("avgsat.commands.")} == {target}
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_command_target_resolves(name):
+    assert callable(cli.COMMANDS[name].load())
+
+
+def test_tractability_choices_are_its_cases():
+    from avgsat.commands import series
+    (case,) = [o for o in cli.COMMANDS["tractability"].options if o.name == "case"]
+    assert case.choices == tuple(sorted(series._CASES))
+
+
 @pytest.mark.parametrize("values", [
     [7], [3, 3, 3], [0, 1], [16, 32, 32, 112, 48], list(range(0, 3000, 7)),
     [10 ** 12 + k * k for k in range(50)], [2 ** 60, 1, 2 ** 61],
@@ -774,7 +850,7 @@ def test_mean_stderr_matches_statistics(values):
     import statistics
     floats = [float(v) for v in values]
     se = statistics.stdev(floats) / len(floats) ** 0.5 if len(floats) > 1 else 0.0
-    got = cli._mean_stderr(len(values), sum(values), sum(v * v for v in values))
+    got = sampling._mean_stderr(len(values), sum(values), sum(v * v for v in values))
     if sys.version_info >= (3, 11):
         assert got == (statistics.fmean(floats), se)
     else:   # 3.10's stdev rounds the variance before its square root

@@ -16,7 +16,8 @@ from math import factorial
 
 import pytest
 
-from avgsat import cli, engines, measure
+from avgsat import engines, measure
+from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, compact_model_set,
                             enumerate_formulas, model_set, size_f,
                             stratify_min_layers, var_count_alpha)
@@ -275,7 +276,7 @@ def test_negated_space_matches_expansion(table, twins, n):
 
 
 def test_combined_space_properties_match_expansion(table, twins):
-    counted = cli._combined_space(table, [1, 2], None)
+    counted = exact._combined_space(table, [1, 2], None)
     expanded = InputSpace.from_formulas(
         [x for n in (1, 2) for x in twins[n].expanded.items])
     twin = Twin(counted, expanded)

@@ -695,3 +695,20 @@ def test_bad_F_and_negative_H_still_raise():
     # a negative H on massless items only yields zero weights there
     nu = nu_from_H(sp, lambda n: -1 if n == 2 else 1, lambda k: k, mu)
     assert set(nu.weights) == {"a", "b"}
+
+
+@pytest.mark.parametrize("F", [DOUBLE, lambda k: Fraction(k ** 3, 3)], ids=["2k", "k^3/3"])
+def test_nu_from_H_matches_plain_fraction_weights_on_combined_keys(std, F):
+    # the key space property-2-2 reweights, over the classes n = 1, 2:
+    # integer numerators per denominator must give every weight exactly
+    # as one Fraction per item does
+    count = {**measure.covering_space(std, 1).count, **measure.covering_space(std, 2).count}
+    sp = InputSpace.from_keys(count)
+    mu = uniform_over_model_classes(sp)
+    Hs = [lambda n: 1 if n == 1 else 0, lambda n: 1 if n == 2 else 0, lambda n: 1,
+          lambda n: n, lambda n: Fraction(1, n * n)]
+    for H in Hs:
+        for mode in HMode:
+            got = nu_from_H(sp, H, F, mu, mode)
+            assert got.weights == ref_nu(sp, H, F, mu, mode)
+            assert all(type(w) is Fraction for w in got.weights.values())
