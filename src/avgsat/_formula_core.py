@@ -288,7 +288,7 @@ class ModelSet(_Frozen):
     def __init__(self, n: int, bits: int):
         if not 0 <= bits < (1 << (1 << n)):
             raise ValueError("bit set wider than 2^n assignments")
-        # set here, not through _Frozen.__init__: sampling builds one per draw
+        # set here, not through _Frozen.__init__: sat_scan builds one per key
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
 

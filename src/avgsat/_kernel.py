@@ -20,7 +20,7 @@ Conventions:
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 def var_mask(i, n):
@@ -80,6 +80,21 @@ def _slot_ops(arities, tts):
     return tuple((a, *_minority_rows(a, tt)) for a, tt in zip(arities, tts))
 
 
+@lru_cache(maxsize=None)
+def slot_runs(arities, tts):
+    """The connective slots of a table as runs of consecutive slots of
+    one arity: (arity, first slot, number of slots, one function per
+    slot of the argument masks and the all-true mask)."""
+    runs = []
+    for j, (a, rows, flip) in enumerate(_slot_ops(arities, tts)):
+        op = partial(_apply, rows, flip)
+        if runs and runs[-1][0] == a:
+            runs[-1][2].append(op)
+        else:
+            runs.append((a, j, [op]))
+    return tuple((a, first, len(ops), tuple(ops)) for a, first, ops in runs)
+
+
 def eval_mask(codes, n, arities, tts):
     """Truth-table mask of an RPN code sequence over n variables."""
     full = (1 << (1 << n)) - 1
@@ -133,6 +148,24 @@ def completion_counts(n_vars, arities, length):
                     total += mult * prev[d - a + 1]
             row[d] = total
     return cnt
+
+
+def max_leaves(arities, max_tokens):
+    """The most variable tokens in a valid sequence of at most
+    ``max_tokens`` tokens, or 0 when there is none.
+
+    A sequence with ``c_a`` connectives of each arity ``a`` has
+    ``1 + sum(c_a * a)`` tokens and ``1 + sum(c_a * (a - 1))`` variable
+    tokens, in any valid order, so this is an unbounded knapsack of
+    capacity ``max_tokens - 1`` over the arities of at least 2.
+    """
+    if max_tokens < 1:
+        return 0
+    wide = {a for a in arities if a >= 2}
+    best = [0] * max_tokens   # best[w]: most leaves past the first, at weight <= w
+    for w in range(1, max_tokens):
+        best[w] = max([best[w - 1]] + [best[w - a] + a - 1 for a in wide if a <= w])
+    return 1 + best[-1]
 
 
 def length_range(arities, max_tokens, exact_connectives):

@@ -233,6 +233,25 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--n", "5", "--max-tokens", "3", "--samples", "100000"],
+    ["montecarlo", "--n", "40", "--max-tokens", "3", "--samples", "10"],
+    ["montecarlo", "--table", "{unary}", "--n", "2", "--max-tokens", "9"],
+    ["explore-min", "--target-tokens", "81", "--samples", "10"],
+    ["explore-min", "--arity", "3", "--target-tokens", "52", "--samples", "10"],
+], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
+        "explore-min-arity-3-pool-35"])
+def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
+    # no sentence within --max-tokens holds --n variable tokens, so no
+    # draw could be accepted; or explore-min's draws would need masks
+    # of about 2^26 bits and more
+    unary = tmp_path / "unary.txt"
+    unary.write_text("¬ 1 10\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, [arg.format(unary=unary) for arg in argv])
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_self_dual_table_exits_2_at_once(tmp_path, capsys, n):
     # NOT and majority reach only the self-dual classes; the DP would
@@ -571,13 +590,30 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
     from avgsat import _kernel
     from avgsat.formula import ConnectiveTable
     std = ConnectiveTable.standard()
+    runs = _kernel.slot_runs(std.arities, std.truth_bits)
     for length in range(1, 7):
         cnt = _kernel.completion_counts(2, std.arities, length)
-        unranked = [cli._unrank(u, length, 2, std.arities, cnt)
-                    for u in range(cnt[length][0])]
+        unranked = []
+        for u in range(cnt[length][0]):
+            codes = []
+            sampling._unrank(u, length, 2, runs, cnt, codes)
+            unranked.append(tuple(codes))
         enumerated = [codes for codes, _ in _kernel.enumerate_length(
             2, std.arities, length)]
         assert unranked == enumerated
+
+
+def test_cli_names_the_sampler_of_the_sampling_commands():
+    # the benchmark's tracer patches the sampler by its avgsat.cli names
+    assert cli._unrank is sampling._unrank
+    assert cli.SequenceSampler is sampling.SequenceSampler
+    assert not hasattr(cli, "_sampler")
+
+
+def _codes_at(sampler, u):
+    codes = []
+    key = sampler.key_at(u, codes)
+    return tuple(codes), key
 
 
 @pytest.mark.parametrize("table", ["standard", "nand"])
@@ -588,9 +624,9 @@ def test_sampler_rank_is_shortlex_position(table):
     from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas
     tab = (ConnectiveTable.standard() if table == "standard"
            else ConnectiveTable.from_text("⊼ 2 1110\n"))
-    sampler = cli.SequenceSampler(tab, 2, 6)
+    sampler = sampling.SequenceSampler(tab, 2, 6)
     enumerated = list(enumerate_formulas(tab, 2, max_tokens=6))
-    assert [Formula(sampler.codes_at(u), tab)
+    assert [Formula(_codes_at(sampler, u)[0], tab)
             for u in range(sampler.grand_total)] == enumerated
 
 
@@ -598,38 +634,93 @@ SCORER_TABLES = {
     "standard": "¬ 1 10\n∧ 2 0001\n∨ 2 0111\n",
     "nand": "⊼ 2 1110\n",
     "not-majority-true": "¬ 1 10\nM 3 00010111\nⓉ 0 1\n",
+    # arities interleaved, so that no run of one arity holds every slot
+    "interleaved": "∧ 2 0001\n¬ 1 10\n∨ 2 0111\nⓉ 0 1\n",
 }
+
+
+def _assert_key_oracle(x, key):
+    """The walk's key is the sentence's key, and f times one more than
+    its first model is sat_scan's time."""
+    from avgsat import engines
+    assert key == x.key()
+    alpha, f, mask = key
+    first = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
+    assert engines.sat_scan(x).time_units == f * (first + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("table", sorted(SCORER_TABLES))
 def test_scan_units_match_sat_scan_on_every_rank(table, n):
-    # the codes-level scorer rejects exactly the ranks whose sentence
-    # has alpha != n, and otherwise gives sat_scan's time
-    from avgsat import engines
-    from avgsat.formula import ConnectiveTable, Formula, compact_model_set, var_count_alpha
+    # every rank up to 6 tokens unranks to the key of its sentence
+    from avgsat.formula import ConnectiveTable, Formula
     tab = ConnectiveTable.from_text(SCORER_TABLES[table])
-    sampler = cli.SequenceSampler(tab, n, 6)
-    kept = 0
+    sampler = sampling.SequenceSampler(tab, n, 6)
+    alphas = set()
     for u in range(sampler.grand_total):
-        codes = sampler.codes_at(u)
-        x = Formula(codes, tab)
-        assert x.codes == codes
-        units = sampling._scan_units(codes, tab, n)
-        if var_count_alpha(x) != n:
-            assert units is None
-            continue
-        kept += 1
-        assert units == engines.sat_scan(x).time_units
-        assert sampling._first_witness(codes, tab) == engines.min_n(compact_model_set(x))
-    assert kept
+        codes, key = _codes_at(sampler, u)
+        _assert_key_oracle(Formula(codes, tab), key)
+        alphas.add(key[0])
+    assert n in alphas
+
+
+def test_two_digit_variables_unrank_to_their_keys():
+    # variables from p10 on add a second digit to the size
+    import random
+    from avgsat.formula import ConnectiveTable, Formula
+    tab = ConnectiveTable.standard()
+    sampler = sampling.SequenceSampler(tab, 12, 7)
+    rng = random.Random(0)
+    sizes = set()
+    for u in [rng.randrange(sampler.grand_total) for _ in range(3000)]:
+        codes, key = _codes_at(sampler, u)
+        _assert_key_oracle(Formula(codes, tab), key)
+        sizes.add(key[1])
+    assert len(sizes) > 7
+
+
+@pytest.mark.parametrize("arity, targets", [(1, range(1, 8)), (2, (1, 3, 5)), (3, (1, 4))])
+def test_explore_min_ranks_unrank_to_their_keys(arity, targets):
+    # explore-min unranks its draws among the sentences of exactly
+    # target tokens, the last ranks of its sampler
+    from avgsat.formula import ConnectiveTable, Formula
+    tab = ConnectiveTable.all_of_arity(arity)
+    for target in targets:
+        pool = 1 + (target - 1) * (arity - 1) // arity
+        sampler = sampling.SequenceSampler(tab, pool, target)
+        total = sampler.cnt[target][0]
+        offset = sampler.grand_total - total
+        assert total
+        for u in range(total):
+            codes = []
+            key = sampling._unrank(u, target, pool, sampler.runs, sampler.cnt, codes)
+            assert len(codes) == target
+            assert _codes_at(sampler, offset + u) == (tuple(codes), key)
+            _assert_key_oracle(Formula(tuple(codes), tab), key)
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 4, 2 ** 20, 2 ** 20 + 1, 9168, 2867200000])
+def test_inline_draw_is_randrange(G):
+    # the sampling commands draw by randrange's own rejection loop, so
+    # their seeded bytes are those of randrange
+    import random
+    for seed in (0, 1):
+        getrandbits, k = random.Random(seed).getrandbits, G.bit_length()
+        inline = []
+        for _ in range(1000):
+            u = getrandbits(k)
+            while u >= G:
+                u = getrandbits(k)
+            inline.append(u)
+        rng = random.Random(seed)
+        assert inline == [rng.randrange(G) for _ in range(1000)]
 
 
 def test_sampler_covers_small_space():
     import random
     from avgsat.formula import ConnectiveTable, render
     std = ConnectiveTable.standard()
-    sampler = cli.SequenceSampler(std, 1, 3)
+    sampler = sampling.SequenceSampler(std, 1, 3)
     rng = random.Random(1)
     seen = {render(sampler.sample(rng)) for _ in range(400)}
     # all valid sentences over p0 with at most 3 tokens
@@ -648,12 +739,21 @@ def test_sampler_covers_small_space():
      "9,2,5,10000,1,2.5907,0.04555902669604948,info"),
     ("montecarlo --table {nand} --n 2 --max-tokens 7 --samples 20000 --seed 2",
      "sat,2,7,20000,2,167.8356,0.7428456633890924,,,pass"),
-], ids=["montecarlo-exact-check", "montecarlo-rejecting", "explore-min", "montecarlo-nand"])
+    ("explore-min --arity 1 --target-tokens 9 --samples 10000 --seed 1",
+     "9,1,1,10000,1,0.9968,0.009988440964199045,info"),
+    ("explore-min --arity 3 --target-tokens 7 --samples 2000 --seed 2",
+     "7,3,5,2000,2,1.457,0.05600128187627398,info"),
+    ("montecarlo --table {interleaved} --n 2 --max-tokens 7 --samples 20000 --seed 4",
+     "sat,2,7,20000,4,278.752,1.099213745521278,,,pass"),
+], ids=["montecarlo-exact-check", "montecarlo-rejecting", "explore-min", "montecarlo-nand",
+        "explore-min-arity-1", "explore-min-arity-3", "montecarlo-interleaved"])
 def test_seeded_row_matches_recorded_bytes(tmp_path, command, row):
-    nand = tmp_path / "nand.txt"
-    nand.write_text("⊼ 2 1110\n", encoding="utf-8")
+    tables = {}
+    for name in ("nand", "interleaved"):
+        tables[name] = tmp_path / f"{name}.txt"
+        tables[name].write_text(SCORER_TABLES[name], encoding="utf-8")
     out = tmp_path / "out.csv"
-    assert cli.main([*command.format(nand=nand).split(), "--out", str(out)]) == 0
+    assert cli.main([*command.format(**tables).split(), "--out", str(out)]) == 0
     assert out.read_bytes().decode("utf-8").splitlines()[1:] == [row]
 
 

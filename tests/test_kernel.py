@@ -93,3 +93,13 @@ def test_eval_mask_matches_brute_force(n):
             for codes in sentences:
                 assert _kernel.eval_mask(codes, n, ARITIES, TTS) == \
                     brute_eval(codes, n, ARITIES, TTS), codes
+
+
+@pytest.mark.parametrize("arities", [(1, 2, 2), (2,), (1,), (3,), (2, 3), (0, 1, 3), (0, 2)])
+def test_max_leaves_matches_enumeration(arities):
+    # the most variable tokens among the sequences of at most L tokens
+    for max_tokens in range(0, 9):
+        leaves = [sum(c >= 0 for c in codes)
+                  for length in range(1, max_tokens + 1)
+                  for codes, _ in _kernel.enumerate_length(1, arities, length)]
+        assert _kernel.max_leaves(arities, max_tokens) == max(leaves, default=0)
