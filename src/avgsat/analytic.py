@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _kernel, measure
+from . import _kernel
 from ._formula_core import ConnectiveTable, _Frozen
 
 
@@ -144,7 +144,7 @@ class MinExpectation(NamedTuple):
     nonempty_sum: Fraction
 
 
-def expected_min_plus_one(n: int, brute_limit: int = 4) -> MinExpectation:
+def expected_min_plus_one(n: int) -> MinExpectation:
     if n < 0:
         raise ValueError("n must be non-negative")
     M = 1 << n
@@ -153,7 +153,7 @@ def expected_min_plus_one(n: int, brute_limit: int = 4) -> MinExpectation:
     # one division of the integer numerators, not one Fraction per term
     nonempty = Fraction(sum(i << (M - i) for i in range(1, M + 1)), S)
     brute = None
-    if n <= brute_limit:
+    if n <= 4:
         total = 0
         for K in range(S):
             m = M  # empty set: every assignment tried, plus the read
@@ -261,12 +261,6 @@ class ShannonModel(_Frozen):
         counts.append((top, 2 if self.repair else 1))
         return counts
 
-    def lengths(self) -> list[int]:
-        out = []
-        for length, count in self.length_counts():
-            out.extend([length] * count)
-        return out
-
 
 class ChainStep(NamedTuple):
     label: str
@@ -323,27 +317,19 @@ def tabulator_class_bound(n: int) -> TabulatorBound:
     return TabulatorBound(n, lhs, rhs, lhs <= rhs, chain, single_lhs)
 
 
-def shannon_space(ns: list[int], repair: bool = True):
-    """An input space of shortest-code slots for several layer sizes.
+def shannon_space(ns: list[int]):
+    """An input space of shortest-code keys for several layer sizes.
 
-    Items are (n, slot index); f is the slot's code length; alpha is
-    n.  Returns the space, the tabulation cost map, and the per-class
-    uniform distribution (mass 1 on each class).
+    Key (n, length) stands for the layer's slots of that code length; f
+    is the length and alpha is n.  Returns the space, the tabulation
+    cost map 2^n * length, and the per-class uniform distribution (each
+    slot 1/2^(2^n) of its class, mass 1 on each class).
     """
-    items = []
-    f = {}
-    for n in ns:
-        for idx, length in enumerate(ShannonModel(n, repair).lengths()):
-            item = (n, idx)
-            items.append(item)
-            f[item] = length
-    space = measure.InputSpace(items, f, lambda it: it[0])
-    T = {it: (1 << it[0]) * f[it] for it in items}
-    weights = {}
-    for n in ns:
-        members = space.class_items(n)
-        w = Fraction(1, len(members))
-        for it in members:
-            weights[it] = w
-    mu = measure.Distribution(weights, measure.Normalization.PER_CLASS)
-    return space, T, mu
+    from . import measure  # loaded only by the commands that check the model
+    count = {(n, length): slots
+             for n in ns for length, slots in ShannonModel(n).length_counts()}
+    T = {key: (1 << key[0]) * key[1] for key in count}
+    mu = measure.Distribution({key: Fraction(slots, 1 << (1 << key[0]))
+                               for key, slots in count.items()},
+                              measure.Normalization.PER_CLASS)
+    return measure.InputSpace.from_keys(count), T, mu

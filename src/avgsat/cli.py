@@ -55,7 +55,12 @@ def _frac(q) -> list[str]:
 
 
 def _float(v) -> str:
-    return repr(float(v))
+    """A number as a float; one past the float range as inf or -inf."""
+    try:
+        return repr(float(v))
+    except OverflowError:
+        # by the rational's sign: math.copysign would convert it again
+        return "inf" if v > 0 else "-inf"
 
 
 def _int_list(raw: str) -> list[int]:
@@ -188,6 +193,10 @@ class Command:
 _TABLE = Option("--table", str)
 _MAX_TOKENS = Option("--max-tokens", int)
 _N_LIST = Option("--n-list", _int_list, (1, 2))
+# the Shannon model's exact sums run over 2^n code lengths per class:
+# at n = 13 tab-oclass takes about 1 s and property-2-3 about 1.3 s, and
+# n = 14 about 4.6 s (2 vCPU, Python 3.11)
+_SHANNON_N_LIST = Option("--n-list", _int_list, minimum=1, maximum=13)
 
 # the modules of the command bodies, by what they load
 _EXACT = "avgsat.commands.exact:"
@@ -204,10 +213,8 @@ COMMANDS = {
                           "linear bound for the satisfiability scanner", (
         Option("--n", int, 1), _MAX_TOKENS, _TABLE)),
     "tab-oclass": Command(_EXACT + "cmd_tab_oclass", "cubic bound for the tabulator", (
-        # the Shannon model's exact sums run over 2^n code lengths:
-        # n = 13 takes about 1.8 s and n = 14 about 6 s
-        Option("--n", int, 3, minimum=1, maximum=13),
-        Option("--n-list", _int_list, minimum=1, maximum=13),  # default [--n]
+        Option("--n", int, 3, minimum=1, maximum=13),  # as _SHANNON_N_LIST
+        _SHANNON_N_LIST,  # default [--n]
         Option("--model", str, "shannon", choices=("shannon", "enumerated")),
         Option("--max-tokens", int, 7), _TABLE)),
     "moments": Command(_EXACT + "cmd_moments", "higher-moment sums and bounds", (
@@ -230,8 +237,8 @@ COMMANDS = {
     "explore-min": Command(_SAMPLING + "cmd_explore_min",
                            "sampled expected first witness at fixed length", (
         # a draw's masks are 2^alpha bits wide, and alpha nears 2/3 of the
-        # variable pool: at 65 tokens (pool 33) ten draws took up to 0.9 s
-        # and 320 MB over five seeds, and each 2 tokens more about doubled
+        # variable pool: at 65 tokens (pool 33) ten draws took up to 0.5 s
+        # and 96 MB over five seeds, and each 2 tokens more about doubled
         # both; commands.sampling holds the pool to 33 at every arity
         Option("--target-tokens", int, 9, maximum=65),
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
@@ -242,8 +249,7 @@ COMMANDS = {
     "property-2-3": Command(_EXACT + "cmd_property_2_3",
                             "summable-weights tractability transfer", (
         Option("--model", str, "sat", choices=("sat", "shannon")),
-        # the Shannon model holds 2^(2^n) slots per class: 65,536 at n = 4
-        Option("--n-list", _int_list, minimum=1, maximum=4),  # default by --model
+        _SHANNON_N_LIST,  # default by --model
         _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0), _TABLE)),
     "markov-tail": Command(_EXACT + "cmd_markov_tail", "tail frequency against the mean", (
         Option("--n", int, 2), Option("--multiplier", int, 100, minimum=1), _TABLE)),

@@ -1,8 +1,8 @@
 """The exact-verdict commands: sat-oclass, tab-oclass, moments,
 property-2-2, property-2-3 and markov-tail.
 
-Each builds a key space (or the Shannon model's slots) and decides its
-bounds in exact rational arithmetic.
+Each builds a key space and decides its bounds in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +18,16 @@ from . import _load_table
 # reports them as expected_fail instead of fail.
 KNOWN_DEVIATIONS = {("tab-oclass", "shannon", 1), ("tab-oclass", "shannon", 2)}
 
+# the columns of a bound report's rows, after any label columns
+BOUND_HEADER = ["n", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "lhs_float", "rhs_float",
+                "pass"]
+
+
+def bound_rows(report: measure.BoundReport, status=lambda r: PASS if r.passed else FAIL):
+    """A bound report's rows: the class, lhs and rhs exact and as floats,
+    and ``status`` of the row."""
+    return [[str(r.n), *_frac(r.lhs), *_frac(r.rhs), _float(r.lhs), _float(r.rhs), status(r)]
+            for r in report.rows]
 
 
 def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
@@ -31,11 +41,11 @@ def cmd_sat_oclass(opts: Options):
     n = opts.get("n")
     max_tokens = opts.get("max_tokens")
     table = _load_table(opts)
-    header = ["check"] + measure.BoundReport.CSV_HEADER
+    header = ["check"] + BOUND_HEADER
     space = _space(table, n, max_tokens)
     mu = measure.uniform_over_model_classes(space, n)
     report = measure.oclass_member(space, engines.sat_scan_time, lambda k: 2 * k, mu)
-    rows = [["sat"] + row for row in report.csv_rows()]
+    rows = [["sat"] + row for row in bound_rows(report)]
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
@@ -44,7 +54,7 @@ def cmd_sat_oclass(opts: Options):
             {engines.negated_key(x, table): c for x, c in space.count.items()})
         mu_co = measure.uniform_over_model_classes(co_space, n)
         co_report = measure.oclass_member(co_space, engines.sat_scan_time, lambda k: 2 * k, mu_co)
-        rows.extend(["co"] + row for row in co_report.csv_rows())
+        rows.extend(["co"] + row for row in bound_rows(co_report))
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
     read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu, space.items)
@@ -58,26 +68,24 @@ def cmd_tab_oclass(opts: Options):
     audit = opts.get("audit")
     model = opts.get("model")
     ns = opts.get("n_list", [opts.get("n")])
-    header = measure.BoundReport.CSV_HEADER
-    rows = []
     if model == "shannon":
         from .. import analytic  # loaded only by the commands that use it
-        for n in sorted(ns):
-            tb = analytic.tabulator_class_bound(n)
-            known = audit and ("tab-oclass", "shannon", n) in KNOWN_DEVIATIONS
-            status = PASS if tb.passed else EXPECTED_FAIL if known else FAIL
-            rows.append([str(n), *_frac(tb.lhs), *_frac(tb.rhs),
-                         _float(tb.lhs), _float(tb.rhs), status])
     else:
         table = _load_table(opts)
         max_tokens = opts.get("max_tokens")
-        for n in sorted(ns):
+    rows = []
+    for n in sorted(ns):
+        if model == "shannon":
+            space, T, mu = analytic.shannon_space([n])
+        else:
             space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
-            mu = measure.uniform_within_min_layers(space, n)
             T = lambda x: engines.tabulate(x).time_units
-            report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
-            rows.extend(report.csv_rows())
-    return header, rows
+            mu = measure.uniform_within_min_layers(space, n)
+        known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
+        report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
+        rows.extend(bound_rows(report, lambda r: PASS if r.passed
+                               else EXPECTED_FAIL if known else FAIL))
+    return BOUND_HEADER, rows
 
 
 def cmd_moments(opts: Options):
@@ -108,7 +116,7 @@ def cmd_moments(opts: Options):
         for n, (space, mu) in spaces.items():
             T = lambda x: engines.sat_scan_time(x) ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
-            rows.extend(["oclass", str(m)] + row for row in report.csv_rows())
+            rows.extend(["oclass", str(m)] + row for row in bound_rows(report))
     return header, rows
 
 

@@ -47,7 +47,6 @@ def _unrank(u: int, length: int, n_vars: int, runs, cnt, codes=None) -> tuple[in
     d = 0
     slot = [-1] * n_vars  # each variable's number by first appearance
     alpha = 0
-    vmasks = []      # each numbered variable's mask
     full = 1         # the all-true mask over the alpha variables seen so far
     chars = 2 * length - 1   # a symbol or "p" per token, spaces between; then digits
     for r in range(length - 1, -1, -1):
@@ -61,17 +60,15 @@ def _unrank(u: int, length: int, n_vars: int, runs, cnt, codes=None) -> tuple[in
             i = slot[v]
             if i < 0:
                 # a new variable doubles the width: each mask so far is
-                # independent of it, and it is true on the upper half
+                # independent of it
                 i = slot[v] = alpha
                 alpha += 1
                 half = 1 << i
                 for j in range(d):
                     stack[j] |= stack[j] << half
-                for j in range(i):
-                    vmasks[j] |= vmasks[j] << half
-                vmasks.append(full << half)
                 full |= full << half
-            stack.append(vmasks[i])
+            # a variable's mask is built as wide as the stack's; none is kept
+            stack.append(_kernel.var_mask(i, alpha))
             chars += 1 if v < 10 else len(str(v))
             d += 1
             continue
@@ -155,6 +152,15 @@ def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
     return mean, stdev / count ** 0.5
 
 
+def alpha_count(arities, n: int, max_tokens: int) -> int:
+    """The sequences of at most ``max_tokens`` tokens over p0..p(n-1)
+    that use all n variables: by inclusion-exclusion over the variables
+    left out, from the sequences over each k of them."""
+    return sum((-1) ** (n - k) * math.comb(n, k)
+               * sum(row[0] for row in _kernel.completion_counts(k, arities, max_tokens))
+               for k in range(n + 1))
+
+
 def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
     """The counted space of the sentences over exactly n variables within
     max_tokens, and their exact mean scan time."""
@@ -200,6 +206,14 @@ def cmd_montecarlo(opts: Options):
         total = sampler.grand_total
         if total == 0:
             raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
+        # with an accepted share p, `samples` acceptances take about
+        # samples * (1 - p) / p rejections; below p = 1/2001 that passes
+        # the loop's budget of 1000 * (accepted + samples) before the last
+        hits = alpha_count(table.arities, n, max_tokens)
+        if hits * 2001 < total:
+            raise SampleError(f"sentences with {n} distinct variables are {hits / total:.2g} "
+                              f"of those within {max_tokens} tokens; below 1/2001 too few "
+                              "draws would be accepted")
         getrandbits, k = random.Random(seed).getrandbits, total.bit_length()
         accepted = rejected = sx = sxx = 0
         # a draw's value depends on its rank alone: rank -> scan time, or

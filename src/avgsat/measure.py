@@ -22,13 +22,14 @@ space, not over size classes alone.  The core objects:
 
 All masses and averages on finite spaces are exact ``Fraction``
 values; floats only appear in trend scans over very large synthetic
-spaces and in CSV rendering.
+spaces.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, islice, permutations
 from operator import itemgetter
@@ -205,7 +206,7 @@ class BoundRow(NamedTuple):
 
 
 class BoundReport:
-    """Per-class verdicts for a bound check, exact and as floats."""
+    """Per-class verdicts for a bound check, in exact rationals."""
 
     __slots__ = ("rows",)
 
@@ -229,22 +230,6 @@ class BoundReport:
             if r.n == n:
                 return r
         raise KeyError(n)
-
-    CSV_HEADER = ["n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
-                  "lhs_float", "rhs_float", "pass"]
-
-    def csv_rows(self, status=None) -> list[list[str]]:
-        """Rows in the stable schema; ``status`` may remap the pass column."""
-        out = []
-        for r in sorted(self.rows, key=lambda r: r.n):
-            verdict = "pass" if r.passed else "fail"
-            if status is not None:
-                verdict = status(r)
-            out.append([str(r.n),
-                        str(r.lhs.numerator), str(r.lhs.denominator),
-                        str(r.rhs.numerator), str(r.rhs.denominator),
-                        repr(float(r.lhs)), repr(float(r.rhs)), verdict])
-        return out
 
 
 def avg_time(T: CostMap, mu: Distribution, Y: Iterable) -> Fraction:
@@ -602,23 +587,17 @@ def model_class_of(x) -> int:
 
 
 def uniform_over_model_classes(space: InputSpace, n: int | None = None,
-                               class_masses: Mapping[int, Fraction] | None = None,
                                per_class: bool = False) -> Distribution:
     """Equal mass to each of the 2^(2^n) model classes within each
     alpha-class, spread uniformly over the inputs of the class present.
 
     With ``n`` given, only that alpha-class carries mass (totaling 1).
-    Otherwise every attained alpha-class carries ``class_masses[n]``
-    (default: equal shares, or mass 1 each when ``per_class``).
-    Raises ClassUncovered when a targeted alpha-class does not inhabit
-    all of its model classes.
+    Otherwise every attained alpha-class carries an equal share, or mass
+    1 each when ``per_class``.  Raises ClassUncovered when a targeted
+    alpha-class does not inhabit all of its model classes.
     """
     targets = [n] if n is not None else space.attained_classes()
-    if class_masses is None:
-        if per_class or n is not None:
-            class_masses = {m: Fraction(1) for m in targets}
-        else:
-            class_masses = {m: Fraction(1, len(targets)) for m in targets}
+    shares = 1 if per_class or n is not None else len(targets)
     weights: dict = {}
     for m in targets:
         items = space.class_items(m)
@@ -629,7 +608,7 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
         if len(groups) != needed:
             raise ClassUncovered(
                 f"alpha-class {m} inhabits {len(groups)} of {needed} model classes")
-        share = Fraction(class_masses[m], needed)
+        share = Fraction(1, shares * needed)
         for members in groups.values():
             w = share / space.total(members)
             for x in members:
@@ -664,63 +643,44 @@ def layer_blocks(space: InputSpace, n: int) -> InputSpace:
     return InputSpace.from_keys(count)
 
 
-def min_layer_runs(space: InputSpace, n: int) -> list[tuple[int, list]]:
-    """The minimal-length layers of a block space's alpha-class n, as
-    runs: (repeats, blocks) pairs, each standing for ``repeats``
-    consecutive layers whose members are those blocks' sentences.
+def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
+    """Equal weight to all sentences of each minimal-length layer, and
+    equal mass to each layer.
 
-    Within a model set's group, sentences are ranked by size (ties by
-    rendering, as :func:`~avgsat.formula.stratify_min_layers` breaks
-    them), and layer i holds the sentences of rank i.  A block holds all
-    of its group's sentences of its size, so it fills consecutive ranks
-    whatever the order among them.
+    The space holds blocks (see :func:`layer_blocks`).  Within a model
+    set's group, sentences are ranked by size (ties by rendering, as
+    :func:`~avgsat.formula.stratify_min_layers` breaks them), and layer
+    i holds the sentences of rank i: one from each of the g(i) groups
+    with more than i sentences, of L layers in all, L the largest group.
+    A block holds all of its group's sentences of its size, so it fills
+    consecutive ranks [a, b) whatever the order among them, and gets the
+    sum of 1/(L * g(i)) over them.  g is constant between consecutive
+    group sizes, so the sums are prefix sums taken at those sizes.
     """
     free: dict[int, int] = {}   # group -> its next free rank
-    starts: dict[int, list] = {}
-    stops: dict[int, list] = {}
+    spans = {}                  # block -> the ranks [a, b) it fills
     for x in sorted(space.class_items(n), key=space.f.__getitem__):
-        start = free.get(x[2], 0)
-        stop = free[x[2]] = start + space.count[x]
-        starts.setdefault(start, []).append(x)
-        stops.setdefault(stop, []).append(x)
-    cuts = sorted(starts.keys() | stops.keys())
-    active: dict = {}
-    runs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        for x in stops.get(lo, ()):
-            del active[x]
-        active.update(dict.fromkeys(starts.get(lo, ())))
-        runs.append((hi - lo, list(active)))
-    return runs
-
-
-def uniform_within_min_layers(space: InputSpace, n: int,
-                              layer_masses: Sequence[Fraction] | None = None) -> Distribution:
-    """Equal weight to all sentences of each minimal-length layer.
-
-    The space holds blocks (see :func:`layer_blocks`); layers come from
-    :func:`min_layer_runs`, and a block gets the mass of each of its
-    sentences, whose ranks it fills.  Layer masses default to equal
-    shares of 1.
-    """
-    runs = min_layer_runs(space, n)
-    if not runs:
+        a = free.get(x[2], 0)
+        b = free[x[2]] = a + space.count[x]
+        spans[x] = a, b
+    if not spans:
         raise ZeroMassSubset(f"alpha-class {n} is empty")
-    n_layers = sum(repeats for repeats, _ in runs)
-    if layer_masses is not None and len(layer_masses) != n_layers:
-        raise ValueError("one mass per layer required")
-    parts: dict = {}   # block -> {denominator: numerator} of its mass
-    start = 0
-    for repeats, layer in runs:
-        mass = (Fraction(repeats, n_layers) if layer_masses is None
-                else _dot((q,) for q in layer_masses[start:start + repeats]))
-        num, den = (mass / len(layer)).as_integer_ratio()
-        start += repeats
-        for x in layer:
-            sums = parts.setdefault(x, {})
-            sums[den] = sums.get(den, 0) + num
-    return Distribution({x: sum((Fraction(num, den) for den, num in sums.items()), _ZERO)
-                         for x, sums in parts.items()}, Normalization.GLOBAL)
+    sizes = sorted(free.values())
+    cuts = [0, *sorted(set(sizes))]
+    # below cuts[j], sum of 1/g(i) is prefix[j]; from there to cuts[j+1],
+    # g is the number of groups of cuts[j+1] sentences or more
+    g = [len(sizes) - bisect_left(sizes, c) for c in cuts[1:]]
+    prefix = [_ZERO]
+    for j, groups in enumerate(g):
+        prefix.append(prefix[j] + Fraction(cuts[j + 1] - cuts[j], groups))
+
+    def upto(t: int) -> Fraction:
+        j = bisect_right(cuts, t) - 1
+        return prefix[j] if t == cuts[j] else prefix[j] + Fraction(t - cuts[j], g[j])
+
+    layers = cuts[-1]
+    return Distribution({x: (upto(b) - upto(a)) / layers for x, (a, b) in spans.items()},
+                        Normalization.GLOBAL)
 
 
 # --- counted sentence spaces -----------------------------------------

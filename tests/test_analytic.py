@@ -225,17 +225,15 @@ def test_shannon_model_slot_counts():
     for n in range(1, 5):
         model = ShannonModel(n)
         assert model.slot_count == 2 ** (2 ** n)
-        assert len(model.lengths()) == model.slot_count
+        assert sum(count for _, count in model.length_counts()) == model.slot_count
         single = ShannonModel(n, repair=False)
-        assert len(single.lengths()) == model.slot_count - 1
+        assert sum(count for _, count in single.length_counts()) == model.slot_count - 1
 
 
 def test_shannon_lengths_are_greedy_shortest():
-    model = ShannonModel(2)
-    lengths = model.lengths()
-    assert lengths == sorted(lengths)
-    assert lengths.count(1) == 2 and lengths.count(2) == 4
-    assert lengths.count(3) == 8 and lengths.count(4) == 2
+    counts = ShannonModel(2).length_counts()
+    assert [length for length, _ in counts] == sorted({length for length, _ in counts})
+    assert dict(counts) == {1: 2, 2: 4, 3: 8, 4: 2}
 
 
 def test_tabulator_bound_verdicts():
@@ -264,20 +262,23 @@ def test_tabulator_chain_reported():
 
 def test_tabulator_bound_agrees_with_membership_machinery():
     # dual route: the closed-form layer sum must equal the generic
-    # per-class membership sum over the slot space
-    for n in (1, 2, 3):
+    # per-class membership sum over the counted keys
+    for n in range(1, 11):
         space, T, mu = shannon_space([n])
-        report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
+        row = measure.oclass_member(space, T, lambda k: k ** 3, mu).row(n)
         tb = tabulator_class_bound(n)
-        assert report.row(n).lhs == tb.lhs
-        assert report.row(n).passed == tb.passed
+        assert (row.lhs, row.rhs, row.passed) == (tb.lhs, tb.rhs, tb.passed)
 
 
 def test_shannon_space_structure():
     space, T, mu = shannon_space([3, 4])
+    # one key (n, code length) per length: 8 at n = 3 and 16 at n = 4
+    assert len(space) == 24
     assert space.attained_classes() == [3, 4]
+    mu.validate(space)
     for n in (3, 4):
         items = space.class_items(n)
-        assert len(items) == 2 ** (2 ** n)
+        assert len(items) == 2 ** n
+        assert space.total(items) == 2 ** (2 ** n)
         assert mu.mass(items) == 1
         assert all(T[it] == (1 << n) * space.f[it] for it in items)

@@ -239,12 +239,15 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ["montecarlo", "--table", "{unary}", "--n", "2", "--max-tokens", "9"],
     ["explore-min", "--target-tokens", "81", "--samples", "10"],
     ["explore-min", "--arity", "3", "--target-tokens", "52", "--samples", "10"],
+    ["montecarlo", "--n", "12", "--max-tokens", "23", "--samples", "1000"],
+    ["montecarlo", "--n", "10", "--max-tokens", "19", "--samples", "1000"],
 ], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
-        "explore-min-arity-3-pool-35"])
+        "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share"])
 def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # no sentence within --max-tokens holds --n variable tokens, so no
-    # draw could be accepted; or explore-min's draws would need masks
-    # of about 2^26 bits and more
+    # draw could be accepted, or too few sentences do (9.8e-6 and 8.1e-5
+    # of them) for the draws to finish; or explore-min's draws would need
+    # masks of about 2^26 bits and more
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()
@@ -433,11 +436,11 @@ def test_expected_min_refuses_n_past_its_limit_at_once(tmp_path, capsys, source)
 @pytest.mark.parametrize("argv", [
     ["tab-oclass", "--model", "shannon", "--n-list", "14"],
     ["tab-oclass", "--model", "shannon", "--n", "14"],
-    ["property-2-3", "--model", "shannon", "--n-list", "3,5"],
+    ["property-2-3", "--model", "shannon", "--n-list", "3,14"],
 ], ids=["tab-oclass-n-list", "tab-oclass-n", "property-2-3"])
 def test_shannon_model_refuses_n_past_its_limit_at_once(tmp_path, capsys, argv):
-    # tab-oclass took about 6 s at n = 14 and ran past 30 s at n = 16; the
-    # property-2-3 space holds 2^(2^n) slots per class
+    # both commands sum over the model's 2^n code lengths per class:
+    # tab-oclass ran past 30 s at n = 16
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -727,6 +730,25 @@ def test_sampler_covers_small_space():
     assert seen == {"p0", "p0 ¬", "p0 ¬ ¬", "p0 p0 ∧", "p0 p0 ∨"}
 
 
+@pytest.mark.parametrize("n, max_tokens", [(2, 6), (3, 7), (1, 5), (0, 4)])
+def test_alpha_count_counts_every_rank(n, max_tokens):
+    from avgsat.formula import ConnectiveTable
+    table = ConnectiveTable.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n")
+    sampler = sampling.SequenceSampler(table, n, max_tokens)
+    hits = sum(sampler.key_at(u)[0] == n for u in range(sampler.grand_total))
+    assert sampling.alpha_count(table.arities, n, max_tokens) == hits > 0
+
+
+def test_montecarlo_samples_a_share_above_its_floor():
+    # 6.7e-4 of the sentences within 15 tokens have 8 variables: above
+    # 1/2001, so montecarlo draws them
+    from avgsat.formula import ConnectiveTable
+    std = ConnectiveTable.standard()
+    total = sampling.SequenceSampler(std, 8, 15).grand_total
+    hits = sampling.alpha_count(std.arities, 8, 15)
+    assert 1 / 2001 < hits / total < 1e-3
+
+
 # Seeded sampling rows, pinned to recorded bytes: a sampler change that
 # moves them fails here even when every rerun agrees with the last.
 @pytest.mark.parametrize("command, row", [
@@ -811,6 +833,30 @@ def test_n3_csv_bytes_match_recorded_digest(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N3_DIGESTS[command]
 
 
+# The Shannon model's CSVs, pinned to the bytes written while
+# tab-oclass summed its layers in closed form and property-2-3 held one
+# item per slot.  At n = 12 the lhs denominator has 4,796 digits.
+SHANNON_DIGESTS = {
+    "--audit tab-oclass --model shannon --n-list 1,2,3,4,12":
+        "b593c61dac1a4ca52fa35456dc4aa8f05ac0c7ac99fd26e4470421197709e665",
+    "tab-oclass --model shannon --n-list 3,4":
+        "c3320fe09dccd7f1189c384a49047c2df25b4482c4bf3691e7d629a5bee5c0d1",
+    "property-2-3 --model shannon":
+        "584a74d9661544577958216cdac4237ffc4cc8c07e65c3c5767df0f702ebb291",
+    "property-2-3 --model shannon --n-list 3 --h-exponent 0":
+        "52267ea8613c36144c3fd7e722d14aa770d8945ffb1cdbf145481f39e8bafc20",
+    "property-2-3 --model shannon --n-list 4 --h-exponent 3":
+        "f1b9ed9a55d31900114f4512e77e55787a37fb5fa28a2f2464f5a629a9ce66ce",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHANNON_DIGESTS))
+def test_shannon_csv_bytes_match_recorded_digest(tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHANNON_DIGESTS[command]
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exit:
         cli.main(["--help"])
@@ -862,6 +908,29 @@ def test_frac_writes_integers_past_the_digit_limit():
     num, den = cli._frac(Fraction(10 ** 4999 + 1, 3))
     assert num == "1" + "0" * 4998 + "1" and den == "3"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_float_writes_inf_past_the_float_range():
+    assert cli._float(Fraction(7, 2)) == "3.5" and cli._float(3) == "3.0"
+    assert cli._float(Fraction(5, 2) * 143 ** 144) == "inf"
+    assert cli._float(-10 ** 400) == "-inf"
+    assert cli._float(Fraction(-(10 ** 400), 3)) == "-inf"
+
+
+def test_float_columns_past_the_float_range_read_inf(tmp_path):
+    # the constant 2.5 * 143^144 is past the float range; its exact
+    # columns are written in full
+    code, rows, _ = run(tmp_path, "moments", "--m-list", "143")
+    assert code == 0
+    (total,) = [r for r in rows if r["kind"] == "sum"]
+    assert total["rhs_float"] == "inf" and total["status"] == "pass"
+    assert Fraction(int(total["rhs_num"]), int(total["rhs_den"])) == \
+        analytic.moment_oclass_constant(143)
+    code, rows, _ = run(tmp_path, "property-2-2", "--n-list", "1", "--break-class", "1",
+                        "--inflate", str(10 ** 400))
+    assert code == 0
+    oclass = next(r for r in rows if r["check"] == "oclass")
+    assert oclass["lhs_float"] == "inf" and oclass["status"] == "expected_fail"
 
 
 def _loaded_by_import(module, names):
@@ -921,6 +990,8 @@ SENTENCE_API = {"avgsat.formula"}
     ("tractability --budget 2000",
      SENTENCE_API | {"avgsat.engines", "avgsat._counting", "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
+    ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
+    ("expected-min --n 2", {"avgsat.measure"}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     modules = _avgsat_modules([*command.split(), "--out", str(tmp_path / "out.csv")])

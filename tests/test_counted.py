@@ -16,12 +16,12 @@ from math import factorial
 
 import pytest
 
-from avgsat import engines, measure
+from avgsat import analytic, engines, measure
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, compact_model_set,
                             enumerate_formulas, model_set, size_f,
                             stratify_min_layers, var_count_alpha)
-from avgsat.measure import HMode, InputSpace
+from avgsat.measure import Distribution, HMode, InputSpace, Normalization
 
 SAT_TIME = lambda x: engines.sat_scan(x).time_units
 TAB_TIME = lambda x: engines.tabulate(x).time_units
@@ -217,10 +217,8 @@ def test_spaces_refuse_out_of_reach_sizes():
 def test_counted_layers_match_expansion(twins, n):
     twin = block_twin(twins[n], n)
     assert_keys_and_counts(twin)
-    runs = measure.min_layer_runs(twin.counted, n)
-    from_runs = [sorted(layer) for repeats, layer in runs for _ in range(repeats)]
-    layers = stratify_min_layers(twin.expanded.items, n)
-    assert from_runs == [sorted(map(block_of(n), layer)) for layer in layers]
+    mu = measure.uniform_within_min_layers(twin.counted, n)
+    assert nonzero(mu) == twin.lift(stratified(twin.expanded, n))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -296,3 +294,35 @@ def test_combined_space_properties_match_expansion(table, twins):
         T = twin.times(SAT_TIME)
         assert measure.check_property_2_3(counted, T, DOUBLE, mu_c, H) == \
             measure.check_property_2_3(expanded, T, DOUBLE, mu_e, H)
+
+
+def shannon_slots(ns):
+    """The shortest-code model with one item (n, slot index) per slot,
+    f the slot's code length: the expansion of ``analytic.shannon_space``,
+    with its cost map and its per-class uniform distribution."""
+    f = {}
+    for n in ns:
+        lengths = [length for length, count in analytic.ShannonModel(n).length_counts()
+                   for _ in range(count)]
+        f.update(((n, idx), length) for idx, length in enumerate(lengths))
+    space = InputSpace(f, f, lambda item: item[0])
+    T = {item: (1 << item[0]) * length for item, length in f.items()}
+    mu = Distribution({item: Fraction(1, 1 << (1 << item[0])) for item in f},
+                      Normalization.PER_CLASS)
+    return space, T, mu
+
+
+@pytest.mark.parametrize("ns", [[3], [4], [3, 4]], ids=["3", "4", "3,4"])
+def test_shannon_keys_match_slot_expansion(ns):
+    counted, T, mu = analytic.shannon_space(ns)
+    expanded, T_e, mu_e = shannon_slots(ns)
+    twin = Twin(counted, expanded, key=lambda item: (item[0], expanded.f[item]),
+                per_count=lambda key: 1)
+    assert_keys_and_counts(twin)
+    assert nonzero(mu) == twin.lift(mu_e)
+    assert measure.oclass_member(counted, T, CUBE, mu) == \
+        measure.oclass_member(expanded, T_e, CUBE, mu_e)
+    for e in range(4):
+        H = lambda n: Fraction(1, n ** e)
+        assert measure.check_property_2_3(counted, T, CUBE, mu, H) == \
+            measure.check_property_2_3(expanded, T_e, CUBE, mu_e, H)
