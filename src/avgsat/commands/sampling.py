@@ -1,21 +1,25 @@
 """The seeded sampling commands: montecarlo and explore-min.
 
 Draws are uniform ranks of sentences in shortlex order (see
-:class:`SequenceSampler`), each unranked straight to its key (alpha, f,
-class mask) with no codes and no sentence object; only an exact mean
-loads :mod:`avgsat.measure`.  :mod:`avgsat.cli` names the sampler too,
+:class:`SequenceSampler`), tallied per rank and unranked straight to
+their keys (alpha, f, class mask) with no codes and no sentence object,
+sorted ranks of one length in one walk; only an exact mean loads
+:mod:`avgsat.measure`.  :mod:`avgsat.cli` names the sampler too,
 and loads it from here.
 
 A draw below ``G`` is ``getrandbits(G.bit_length())`` repeated until it
 falls below ``G``: the rejection loop that ``Random.randrange(G)`` runs
-(CPython 3.10 to 3.13), made inline, so the seeded bytes are those of
-``randrange``.
+(CPython 3.10 to 3.13), made of C iterators (:func:`_draws`), so the
+seeded bytes are those of ``randrange``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from collections import Counter
+from itertools import islice, repeat
 
 from .. import _kernel, engines
 from .._formula_core import ConnectiveTable
@@ -35,64 +39,104 @@ class SampleError(AvgsatError):
     than it draws over, or for too few samples to check."""
 
 
-def _unrank(u: int, length: int, n_vars: int, runs, cnt, codes=None) -> tuple[int, int, int]:
-    """The key (alpha, size f, class mask) of the ``u``-th valid sequence
-    of ``length`` tokens in lexicographic order, in one walk: each token
-    is unranked through the completion counts ``cnt`` (Nijenhuis and
-    Wilf), sized, and applied to a stack of masks over the variables seen
-    so far, numbered by first appearance.  ``runs`` are the table's
-    connective slots as ``_kernel.slot_runs`` groups them; the codes are
+def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
+            base: int = 0) -> list[tuple[int, int, int]]:
+    """The keys (alpha, size f, class mask), in one walk, of the valid
+    sequences of ``length`` tokens at ``ranks``: sorted, distinct, and
+    each ``base`` more than its sequence's position in lexicographic
+    order.  Each token is unranked through the completion
+    counts ``cnt`` (Nijenhuis and Wilf), sized, and applied to a stack of
+    masks over the variables seen so far, numbered by first appearance.
+    The walk descends only into subtrees that hold ranks, so a prefix
+    that several ranks share is unranked once: where the ranks part, the
+    state is saved for the later ones and the walk goes on with the
+    first.  ``runs`` are the table's connective slots as
+    ``_kernel.slot_runs`` groups them; the codes of a one-rank walk are
     appended to ``codes`` if it is given."""
+    keys = []
+    # equal keys are one tuple: a walk over many ranks returns far more
+    # keys than there are distinct ones, and holds them all until it ends
+    interned = {}
+    var_mask, var_masks = _kernel.var_mask, _kernel._var_masks
+    parted = []      # per parting of the ranks: the later ones and the state they resume from
     stack = []       # the masks of the operands so far; d of them
     d = 0
     slot = [-1] * n_vars  # each variable's number by first appearance
     alpha = 0
     full = 1         # the all-true mask over the alpha variables seen so far
     chars = 2 * length - 1   # a symbol or "p" per token, spaces between; then digits
-    for r in range(length - 1, -1, -1):
-        row = cnt[r]
-        block = row[d + 1]
-        vb = n_vars * block
-        if u < vb:
-            v, u = divmod(u, block)
-            if codes is not None:
-                codes.append(v)
-            i = slot[v]
-            if i < 0:
-                # a new variable doubles the width: each mask so far is
-                # independent of it
-                i = slot[v] = alpha
-                alpha += 1
-                half = 1 << i
-                for j in range(d):
-                    stack[j] |= stack[j] << half
-                full |= full << half
-            # a variable's mask is built as wide as the stack's; none is kept
-            stack.append(_kernel.var_mask(i, alpha))
-            chars += 1 if v < 10 else len(str(v))
-            d += 1
-            continue
-        u -= vb
-        # each slot of a run of one arity spans the same block of ranks
-        for a, first, k, ops in runs:
-            if d < a:
-                continue
-            bj = row[d - a + 1]
-            span = k * bj
-            if u < span:
-                q, u = divmod(u, bj)
-                break
-            u -= span
-        else:
-            raise AssertionError("unrank index out of range")
-        if codes is not None:
-            codes.append(-first - q - 1)
-        d -= a
-        args = stack[d:]
-        del stack[d:]
-        stack.append(ops[q](args, full))
-        d += 1
-    return alpha, 8 * chars, stack[0]
+    top = length     # the tokens still to unrank
+    i, j = 0, len(ranks)     # the ranks under the prefix so far are ranks[i:j]
+    many = j > 1
+    lo = base                # the first rank under the prefix, while many
+    u = ranks[0] - base      # ranks[i] less the first rank under the prefix
+    while True:
+        for r in range(top - 1, -1, -1):
+            row = cnt[r]
+            block = row[d + 1]
+            vb = n_vars * block
+            if u < vb:
+                v, u = divmod(u, block)
+                span = block
+                op = None
+            else:
+                u -= vb
+                # each slot of a run of one arity spans the same block of ranks
+                for a, first, k, ops in runs:
+                    if d < a:
+                        continue
+                    span = row[d - a + 1]
+                    if u < k * span:
+                        q, u = divmod(u, span)
+                        break
+                    u -= k * span
+                else:
+                    raise AssertionError("unrank index out of range")
+                op = ops[q]
+            if many:
+                # the ranks under this token are those below `end`; the
+                # rest resume from the state before it
+                start = ranks[i] - u
+                end = start + span
+                if ranks[j - 1] >= end:
+                    e = bisect_left(ranks, end, i + 1, j)
+                    parted.append((e, j, lo, r + 1, d, stack[:], slot[:],
+                                   alpha, full, chars))
+                    j = e
+                    many = e - i > 1
+                lo = start
+            if op is None:
+                if codes is not None:
+                    codes.append(v)
+                w = slot[v]
+                if w < 0:
+                    # a new variable doubles the width: each mask so far is
+                    # independent of it
+                    w = slot[v] = alpha
+                    alpha += 1
+                    half = 1 << w
+                    for m in range(d):
+                        stack[m] |= stack[m] << half
+                    full |= full << half
+                # a variable's mask is as wide as the stack's: the kernel's
+                # cached masks serve up to 16 variables (8 KB a mask); a wider
+                # one is built when it is pushed, and none is kept
+                stack.append(var_masks(alpha)[w] if alpha <= 16 else var_mask(w, alpha))
+                chars += 1 if v < 10 else len(str(v))
+                d += 1
+            else:
+                if codes is not None:
+                    codes.append(-first - q - 1)
+                d -= a
+                stack[d:] = (op(stack[d:], full),)
+                d += 1
+        key = (alpha, 8 * chars, stack[0])
+        keys.append(interned.setdefault(key, key))
+        if not parted:
+            return keys
+        i, j, lo, top, d, stack, slot, alpha, full, chars = parted.pop()
+        many = j - i > 1
+        u = ranks[i] - lo
 
 
 class SequenceSampler:
@@ -109,14 +153,26 @@ class SequenceSampler:
         self.totals = [(L, c) for L in range(1, max_tokens + 1) if (c := self.cnt[L][0])]
         self.grand_total = sum(c for _, c in self.totals)
 
+    def keys_at(self, ranks, codes=None) -> list[tuple[int, int, int]]:
+        """The keys of the sentences at ``ranks``, sorted and distinct in
+        ``[0, grand_total)``, in their order: one walk for the ranks of
+        each length.  The codes of one rank are appended to ``codes`` if
+        it is given."""
+        keys = []
+        i = end = 0
+        for L, c in self.totals:
+            start, end = end, end + c
+            e = bisect_left(ranks, end, i)
+            if e > i:
+                keys += _unrank(ranks[i:e], L, self.n_vars, self.runs, self.cnt, codes, start)
+                i = e
+        return keys
+
     def key_at(self, u: int, codes=None) -> tuple[int, int, int]:
         """The key of the sentence of rank ``u``, for ``0 <= u <
         grand_total``, its codes appended to ``codes`` if it is given."""
-        for L, c in self.totals:
-            if u < c:
-                return _unrank(u, L, self.n_vars, self.runs, self.cnt, codes)
-            u -= c
-        raise AssertionError("sampler index out of range")
+        (key,) = self.keys_at([u], codes)
+        return key
 
     def sample(self, rng):
         """A uniform sentence, as an :class:`avgsat.formula.Formula`."""
@@ -171,6 +227,58 @@ def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
     return space, measure.avg_time(engines.sat_scan_time, measure.uniform_on(space), space.items)
 
 
+def _draws(rng: random.Random, total: int):
+    """Uniform ranks below ``total`` from ``rng``: each is
+    ``rng.getrandbits(total.bit_length())`` repeated until it falls below
+    ``total``, and a draw is made only when the next rank is asked for."""
+    return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
+
+
+def _scan_time(key, n: int):
+    """sat_scan's time on a sentence of key ``key`` (f times one more than
+    its first model), or None unless it has n variables."""
+    alpha, f, mask = key
+    return f * ((mask & -mask).bit_length() if mask else (1 << alpha) + 1) if alpha == n else None
+
+
+def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tuple[int, int, int]:
+    """(accepted, sum, sum of squares) of the scan times of the first
+    ``samples`` of ``draws`` whose sentences have n variables.
+
+    The draws come in rounds.  A round takes as many ranks as
+    acceptances are still missing, so it makes no draw past the last
+    acceptance; it tallies them per rank, unranks its new distinct ranks
+    in one walk per length, and adds count * value per rank.  Values are
+    kept across rounds only when the space holds no more ranks than
+    ``samples``: then ranks repeat, and no more ranks are held than
+    there are samples.  A run that rejects more than
+    ``1000 * (accepted + samples)`` draws ends in a :class:`SampleError`.
+    """
+    memo = {} if sampler.grand_total <= samples else None
+    accepted = rejected = sx = sxx = 0
+    while accepted < samples:
+        tally = Counter(islice(draws, samples - accepted))
+        fresh = sorted(tally if memo is None else tally.keys() - memo.keys())
+        values = map(_scan_time, sampler.keys_at(fresh), repeat(n))
+        if memo is None:
+            pairs = zip(map(tally.__getitem__, fresh), values)
+        else:
+            memo.update(zip(fresh, values))
+            pairs = zip(tally.values(), map(memo.__getitem__, tally))
+        for c, value in pairs:
+            if value is None:
+                rejected += c
+            else:
+                accepted += c
+                sx += c * value
+                sxx += c * value * value
+        if rejected > 1000 * (accepted + samples):
+            # the completion table has one row per length up to max_tokens
+            raise SampleError(f"no sentences with {n} distinct variables within "
+                              f"{len(sampler.cnt) - 1} tokens (rejected {rejected} samples)")
+    return accepted, sx, sxx
+
+
 def cmd_montecarlo(opts: Options):
     seed = opts.get("seed")
     n = opts.get("n")
@@ -208,40 +316,13 @@ def cmd_montecarlo(opts: Options):
             raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
         # with an accepted share p, `samples` acceptances take about
         # samples * (1 - p) / p rejections; below p = 1/2001 that passes
-        # the loop's budget of 1000 * (accepted + samples) before the last
+        # the rounds' budget of 1000 * (accepted + samples) before the last
         hits = alpha_count(table.arities, n, max_tokens)
         if hits * 2001 < total:
             raise SampleError(f"sentences with {n} distinct variables are {hits / total:.2g} "
                               f"of those within {max_tokens} tokens; below 1/2001 too few "
                               "draws would be accepted")
-        getrandbits, k = random.Random(seed).getrandbits, total.bit_length()
-        accepted = rejected = sx = sxx = 0
-        # a draw's value depends on its rank alone: rank -> scan time, or
-        # None when alpha != n, kept for at most `samples` distinct ranks
-        value_of: dict[int, int | None] = {}
-        while accepted < samples:
-            u = getrandbits(k)
-            while u >= total:
-                u = getrandbits(k)
-            if u in value_of:
-                value = value_of[u]
-            else:
-                alpha, f, mask = sampler.key_at(u)
-                # sat_scan's time: f times one more than the first model
-                value = (f * ((mask & -mask).bit_length() if mask else (1 << alpha) + 1)
-                         if alpha == n else None)
-                if len(value_of) < samples:
-                    value_of[u] = value
-            if value is not None:
-                accepted += 1
-                sx += value
-                sxx += value * value
-            else:
-                rejected += 1
-                if rejected > 1000 * (accepted + samples):
-                    raise SampleError(
-                        f"no sentences with {n} distinct variables within "
-                        f"{max_tokens} tokens (rejected {rejected} samples)")
+        accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
             _, exact = _counted_mean(table, n, max_tokens)
@@ -274,18 +355,21 @@ def cmd_explore_min(opts: Options):
     total = sampler.cnt[max(target, 0)][0]  # a negative length has none, like zero
     if total == 0:
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
-    getrandbits, k = random.Random(seed).getrandbits, total.bit_length()
-    # the ranks of exactly `target` tokens are the sampler's last `total`;
-    # draws almost never repeat here, so each is unranked to its key
+    # the ranks of exactly `target` tokens are the sampler's last `total`.
+    # Sorted draws share their first tokens, so each walk takes a chunk of
+    # them: 4096, or fewer when their masks (at most 2^pool bits each)
+    # would pass 2^20 bits in all, down to one at a pool of 20
+    chunk = max(1, (1 << 20) >> max(pool, 8))
+    draws = _draws(random.Random(seed), total)
     sx = sxx = 0
-    for _ in range(samples):
-        u = getrandbits(k)
-        while u >= total:
-            u = getrandbits(k)
-        alpha, _, mask = _unrank(u, target, pool, sampler.runs, sampler.cnt)
-        m = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
-        sx += m
-        sxx += m * m
+    for left in range(samples, 0, -chunk):
+        tally = Counter(islice(draws, min(chunk, left)))
+        ranks = sorted(tally)
+        for c, (alpha, _, mask) in zip(map(tally.__getitem__, ranks),
+                                       _unrank(ranks, target, pool, sampler.runs, sampler.cnt)):
+            m = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
+            sx += c * m
+            sxx += c * m * m
     mean, se = _mean_stderr(samples, sx, sxx)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]

@@ -241,13 +241,16 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ["explore-min", "--arity", "3", "--target-tokens", "52", "--samples", "10"],
     ["montecarlo", "--n", "12", "--max-tokens", "23", "--samples", "1000"],
     ["montecarlo", "--n", "10", "--max-tokens", "19", "--samples", "1000"],
+    ["montecarlo", "--n", "2", "--max-tokens", "201", "--samples", "10"],
 ], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
-        "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share"])
+        "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share",
+        "montecarlo-max-tokens-201"])
 def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # no sentence within --max-tokens holds --n variable tokens, so no
     # draw could be accepted, or too few sentences do (9.8e-6 and 8.1e-5
     # of them) for the draws to finish; or explore-min's draws would need
-    # masks of about 2^26 bits and more
+    # masks of about 2^26 bits and more; or montecarlo's completion table
+    # would pass its declared 200 tokens
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()
@@ -599,7 +602,7 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
         unranked = []
         for u in range(cnt[length][0]):
             codes = []
-            sampling._unrank(u, length, 2, runs, cnt, codes)
+            sampling._unrank([u], length, 2, runs, cnt, codes)
             unranked.append(tuple(codes))
         enumerated = [codes for codes, _ in _kernel.enumerate_length(
             2, std.arities, length)]
@@ -696,27 +699,186 @@ def test_explore_min_ranks_unrank_to_their_keys(arity, targets):
         assert total
         for u in range(total):
             codes = []
-            key = sampling._unrank(u, target, pool, sampler.runs, sampler.cnt, codes)
+            key, = sampling._unrank([u], target, pool, sampler.runs, sampler.cnt, codes)
             assert len(codes) == target
             assert _codes_at(sampler, offset + u) == (tuple(codes), key)
             _assert_key_oracle(Formula(tuple(codes), tab), key)
 
 
+# name: (the arity of every connective, or None for NOT/AND/OR, n, max_tokens)
+WALK_TABLES = {"standard": (None, 2, 7), "all-binary": (2, 2, 6), "arity-3": (3, 2, 5)}
+
+
+def _walk_table(arity):
+    from avgsat.formula import ConnectiveTable
+    return ConnectiveTable.standard() if arity is None else ConnectiveTable.all_of_arity(arity)
+
+
+@pytest.mark.parametrize("table", sorted(WALK_TABLES))
+def test_walk_over_every_rank_matches_one_rank_walks(table):
+    # one walk per length over every rank gives each rank the key of
+    # its own sentence, as the walk over that rank alone does
+    from avgsat.formula import Formula
+    arity, n, max_tokens = WALK_TABLES[table]
+    tab = _walk_table(arity)
+    sampler = sampling.SequenceSampler(tab, n, max_tokens)
+    keys = sampler.keys_at(list(range(sampler.grand_total)))
+    assert len(keys) == sampler.grand_total
+    for u, key in enumerate(keys):
+        codes, one = _codes_at(sampler, u)
+        assert key == one
+        _assert_key_oracle(Formula(codes, tab), key)
+
+
+@pytest.mark.parametrize("table, n, max_tokens", [
+    ("standard", 3, 12), ("all-binary", 3, 9), ("arity-3", 4, 7), ("standard", 12, 9),
+])
+def test_walk_over_sorted_rank_sets_matches_one_rank_walks(table, n, max_tokens):
+    # random sorted rank sets, with a rank of every length and runs of
+    # neighbours that part only at their last tokens
+    import random
+    from bisect import bisect_right
+    from itertools import accumulate
+    sampler = sampling.SequenceSampler(_walk_table(WALK_TABLES[table][0]), n, max_tokens)
+    rng = random.Random(n * 100 + max_tokens)
+    total = sampler.grand_total
+    ends = list(accumulate(c for _, c in sampler.totals))
+    for size in (1, 2, 5, 40, 300):
+        ranks = {rng.randrange(total) for _ in range(size)}
+        if size > 2:
+            ranks |= {rng.randrange(a, b) for a, b in zip([0] + ends, ends)}
+            ranks |= {min(u + k, total - 1) for u in list(ranks)[:3] for k in range(4)}
+        ranks = sorted(ranks)
+        assert sampler.keys_at(ranks) == [sampler.key_at(u) for u in ranks]
+    assert len({bisect_right(ends, u) for u in ranks}) == len(ends) > 2
+
+
+def test_walk_does_not_recurse_past_the_recursion_limit():
+    # under NOT and identity, each rank of length L names a variable and
+    # L - 1 connectives, one bit each (NOT first): the walk goes L tokens
+    # deep without using the Python stack
+    import random
+    from avgsat import _kernel
+    from avgsat.formula import ConnectiveTable
+    tab = ConnectiveTable.from_text("¬ 1 10\nI 1 01\n")
+    length = sys.getrecursionlimit() + 1
+    cnt = _kernel.completion_counts(2, tab.arities, length)
+    runs = _kernel.slot_runs(tab.arities, tab.truth_bits)
+    half = 1 << (length - 1)
+    rng = random.Random(0)
+    ranks = {rng.randrange(2 * half) for _ in range(20)} | {half - 2, half - 1, half, half + 1}
+    ranks = sorted(ranks)
+    keys = sampling._unrank(ranks, length, 2, runs, cnt)
+    nots = [length - 1 - bin(u % half).count("1") for u in ranks]
+    assert keys == [(1, 16 * length, 0b01 if odd % 2 else 0b10) for odd in nots]
+
+
+def _per_draw_moments(sampler, n, samples, rng):
+    """montecarlo's draw loop before rounds, kept as the reference: one
+    draw at a time, each new rank's value memoized while fewer than
+    ``samples`` are kept.  Also returns the draws and the distinct ranks."""
+    total = sampler.grand_total
+    accepted = rejected = sx = sxx = 0
+    value_of = {}
+    drawn = []
+    while accepted < samples:
+        u = rng.randrange(total)
+        drawn.append(u)
+        if u in value_of:
+            value = value_of[u]
+        else:
+            alpha, f, mask = sampler.key_at(u)
+            value = (f * ((mask & -mask).bit_length() if mask else (1 << alpha) + 1)
+                     if alpha == n else None)
+            if len(value_of) < samples:
+                value_of[u] = value
+        if value is not None:
+            accepted += 1
+            sx += value
+            sxx += value * value
+        else:
+            rejected += 1
+            assert rejected <= 1000 * (accepted + samples)
+    return (accepted, sx, sxx), len(drawn), len(set(drawn))
+
+
+@pytest.mark.parametrize("n, max_tokens, samples, case", [
+    (2, 6, 3000, "space below samples"),
+    (2, 7, 2278, "space of samples"),
+    (2, 7, 1000, "memo limit reached"),
+    (3, 9, 4000, "memo limit reached"),
+    (3, 30, 300, "no repeats"),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
+    # rounds draw exactly as many ranks as the per-draw loop, and the
+    # tallied sums are its sums
+    import random
+    from avgsat.formula import ConnectiveTable
+    sampler = sampling.SequenceSampler(ConnectiveTable.standard(), n, max_tokens)
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    expected, draws, distinct = _per_draw_moments(sampler, n, samples, ref_rng)
+    assert {"space below samples": sampler.grand_total < samples,
+            "space of samples": sampler.grand_total == samples,
+            "memo limit reached": sampler.grand_total > samples and distinct > samples,
+            "no repeats": distinct == draws}[case]
+    got = sampling._scan_moments(sampler, n, samples, sampling._draws(rng, sampler.grand_total))
+    assert got == expected
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("arity, target, samples", [
+    (2, 9, 5000),   # chunks of 4096 draws
+    (1, 9, 3000),   # draws that repeat
+    (2, 23, 600),   # a pool of 12: chunks of 256
+    (2, 41, 5),     # a pool of 21: each draw walked alone
+])
+def test_explore_min_chunks_match_per_draw_walks(tmp_path, arity, target, samples):
+    # explore-min's chunked walks give the row of one walk per draw
+    import random
+    from avgsat.formula import ConnectiveTable
+    pool = 1 + (target - 1) * (arity - 1) // arity
+    sampler = sampling.SequenceSampler(ConnectiveTable.all_of_arity(arity), pool, target)
+    total, rng = sampler.cnt[target][0], random.Random(5)
+    sx = sxx = 0
+    for _ in range(samples):
+        (alpha, _, mask), = sampling._unrank([rng.randrange(total)], target, pool,
+                                             sampler.runs, sampler.cnt)
+        m = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
+        sx += m
+        sxx += m * m
+    code, rows, _ = run(tmp_path, "explore-min", "--arity", str(arity), "--target-tokens",
+                        str(target), "--samples", str(samples), "--seed", "5")
+    assert code == 0
+    mean, se = sampling._mean_stderr(samples, sx, sxx)
+    assert (rows[0]["mean"], rows[0]["stderr"]) == (cli._float(mean), cli._float(se))
+
+
+def test_rejection_budget_still_ends_the_run(tmp_path, capsys, monkeypatch):
+    # past the up-front share refusal, a run that almost never accepts
+    # (9.8e-6 of the sentences) still ends once it has rejected more than
+    # 1000 * (accepted + samples) draws, checked after each round
+    monkeypatch.setattr(sampling, "alpha_count", lambda arities, n, max_tokens: 1 << 100)
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, ["montecarlo", "--n", "12", "--max-tokens", "23",
+                                      "--samples", "10"],
+                   prefix="avgsat: no sentences with 12 distinct variables within 23 tokens "
+                          "(rejected ")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("G", [1, 2, 3, 4, 2 ** 20, 2 ** 20 + 1, 9168, 2867200000])
 def test_inline_draw_is_randrange(G):
-    # the sampling commands draw by randrange's own rejection loop, so
-    # their seeded bytes are those of randrange
+    # the sampling commands draw by randrange's own rejection loop, made
+    # of C iterators, so their seeded bytes are those of randrange, and
+    # they leave the generator where randrange leaves it
     import random
+    from itertools import islice
     for seed in (0, 1):
-        getrandbits, k = random.Random(seed).getrandbits, G.bit_length()
-        inline = []
-        for _ in range(1000):
-            u = getrandbits(k)
-            while u >= G:
-                u = getrandbits(k)
-            inline.append(u)
-        rng = random.Random(seed)
-        assert inline == [rng.randrange(G) for _ in range(1000)]
+        drawing, rng = random.Random(seed), random.Random(seed)
+        assert list(islice(sampling._draws(drawing, G), 1000)) == \
+            [rng.randrange(G) for _ in range(1000)]
+        assert drawing.getstate() == rng.getstate()
 
 
 def test_sampler_covers_small_space():
