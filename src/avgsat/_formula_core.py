@@ -1,19 +1,17 @@
 """The key-only core of propositional sentences.
 
-Connective tables, model sets, the sentence errors, and a sentence's
-key: its number of distinct variables alpha, its bit size f and its
-class mask.  Every command reads sentences through these alone; the
-sentence objects of :mod:`avgsat.formula` build on them and re-export
-them.
-
-Assignments are integers: variable ``i`` reads bit ``i`` of the
-assignment (least-significant bit is ``p0``).
+Connective tables and the sentence errors.  Past this layer, every
+command reads a sentence only as its key (alpha, f, class mask): its
+number of distinct variables, its bit size and its model set over its
+own variables, numbered by first appearance.  The sentence objects of
+:mod:`avgsat.formula`, the enumeration and evaluation that the tests
+hold the keys against, build on this module and re-export it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AvgsatError
 
@@ -275,61 +273,3 @@ class ConnectiveTable:
     def to_text(self) -> str:
         lines = [f"{c.symbol} {c.arity} {c.truth_string()}" for c in self.connectives]
         return "\n".join(lines) + "\n"
-
-
-class ModelSet(_Frozen):
-    """Satisfying assignments of a sentence over n variables, as a bit set.
-
-    Bit ``m`` is set iff assignment ``m`` satisfies the sentence.
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int):
-        if not 0 <= bits < (1 << (1 << n)):
-            raise ValueError("bit set wider than 2^n assignments")
-        # set here, not through _Frozen.__init__: sat_scan builds one per key
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    def __contains__(self, m: int) -> bool:
-        return 0 <= m < (1 << self.n) and bool((self.bits >> m) & 1)
-
-    def __len__(self) -> int:
-        return bin(self.bits).count("1")
-
-    def members(self) -> Iterator[int]:
-        for m in range(1 << self.n):
-            if (self.bits >> m) & 1:
-                yield m
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
-    def complement(self) -> "ModelSet":
-        full = (1 << (1 << self.n)) - 1
-        return ModelSet(self.n, full & ~self.bits)
-
-
-def codes_size(codes: tuple[int, ...]) -> int:
-    """Bit length of the canonical rendering of the sentence with these
-    codes: 8 bits per character."""
-    # each token is followed by a space except the last; a connective
-    # symbol is one character and variable i is "p" plus its digits
-    chars = 2 * len(codes) - 1
-    for c in codes:
-        if c >= 0:
-            chars += len(str(c))
-    return 8 * chars
-
-
-def sentence_key(x) -> tuple[int, int, int]:
-    """(alpha, size f, class mask) of a sentence: its number of distinct
-    variables, its bit size and its model set over its own variables
-    (numbered by first appearance), the only things the cost models and
-    the class weightings read.  A key, a tuple, is its own key; a
-    sentence object supplies its own (see ``avgsat.formula.Formula.key``)."""
-    if isinstance(x, tuple):
-        return x
-    return x.key()

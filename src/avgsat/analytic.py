@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernel
-from ._formula_core import ConnectiveTable, _Frozen
+from ._formula_core import ConnectiveTable
 
 
 def gamma_count(N: int) -> int:
@@ -233,33 +233,17 @@ def wilf_comparison() -> ConstantComparison:
 # --- shortest-code model ----------------------------------------------
 
 
-class ShannonModel(_Frozen):
+def shannon_lengths(n: int) -> list[tuple[int, int]]:
     """Information-theoretic lower-bound sizes for one layer of
-    pairwise-inequivalent sentences on n variables.
+    pairwise-inequivalent sentences on n variables, as (code length,
+    number of slots) pairs.
 
     A layer holds one sentence per Boolean function, 2^(2^n) in all;
     the least possible multiset of bit sizes takes every code of each
-    length 1..2^n - 1 and fills the remaining two slots at length 2^n
-    (``repair=False`` keeps a single top-length slot, leaving the layer
-    one short of 2^(2^n)).
+    length 1..2^n - 1 and fills the remaining two slots at length 2^n.
     """
-
-    __slots__ = ("n", "repair")
-
-    def __init__(self, n: int, repair: bool = True):
-        super().__init__(n, repair)
-
-    @property
-    def slot_count(self) -> int:
-        full = 1 << (1 << self.n)
-        return full if self.repair else full - 1
-
-    def length_counts(self) -> list[tuple[int, int]]:
-        """(code length, number of slots) pairs."""
-        top = 1 << self.n
-        counts = [(i, 1 << i) for i in range(1, top)]
-        counts.append((top, 2 if self.repair else 1))
-        return counts
+    top = 1 << n
+    return [(i, 1 << i) for i in range(1, top)] + [(top, 2)]
 
 
 class ChainStep(NamedTuple):
@@ -275,8 +259,8 @@ class TabulatorBound(NamedTuple):
     ``lhs`` is the expected T(x)/f(x)^3 over one uniformly weighted
     layer with tabulation cost T = 2^n * f; ``rhs`` is the layer mass
     1.  ``chain`` reports each intermediate inequality of the coarse
-    estimate separately, and ``single_top_lhs`` is the sum with the
-    unrepaired single top-length slot.
+    estimate separately, and ``single_top_lhs`` is the sum with a single
+    top-length slot, one short of 2^(2^n).
     """
 
     n: int
@@ -290,11 +274,10 @@ class TabulatorBound(NamedTuple):
 def tabulator_class_bound(n: int) -> TabulatorBound:
     if n < 1:
         raise ValueError("n must be at least 1")
-    model = ShannonModel(n, repair=True)
-    S = model.slot_count
+    S = 1 << (1 << n)
     pow2n = 1 << n
     inv_sq = sum((Fraction(count, length * length)
-                  for length, count in model.length_counts()), Fraction(0))
+                  for length, count in shannon_lengths(n)), Fraction(0))
     lhs = Fraction(pow2n, S) * inv_sq
     rhs = Fraction(1)
 
@@ -310,11 +293,8 @@ def tabulator_class_bound(n: int) -> TabulatorBound:
         ChainStep("largest-term bound vs layer mass", coarse, rhs, coarse <= rhs),
     )
 
-    single = ShannonModel(n, repair=False)
-    single_lhs = Fraction(pow2n, S) * sum(
-        (Fraction(count, length * length)
-         for length, count in single.length_counts()), Fraction(0))
-    return TabulatorBound(n, lhs, rhs, lhs <= rhs, chain, single_lhs)
+    # one top slot fewer drops one term 1/(2^n)^2 of the sum
+    return TabulatorBound(n, lhs, rhs, lhs <= rhs, chain, lhs - Fraction(1, S * pow2n))
 
 
 def shannon_space(ns: list[int]):
@@ -327,7 +307,7 @@ def shannon_space(ns: list[int]):
     """
     from . import measure  # loaded only by the commands that check the model
     count = {(n, length): slots
-             for n in ns for length, slots in ShannonModel(n).length_counts()}
+             for n in ns for length, slots in shannon_lengths(n)}
     T = {key: (1 << key[0]) * key[1] for key in count}
     mu = measure.Distribution({key: Fraction(slots, 1 << (1 << key[0]))
                                for key, slots in count.items()},

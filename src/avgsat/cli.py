@@ -233,8 +233,11 @@ COMMANDS = {
                           "seeded sampling estimate of the average time", (
         # the completion table holds about L^2 integers of up to L*log2(n + 3)
         # bits; at --n 2 --samples 10 it took 0.09 s/18 MB at 100 tokens,
-        # 0.13 s/18 MB at 200, 0.31 s/23 MB at 300 and 0.52 s/33 MB at 400
-        Option("--n", int, 2), Option("--max-tokens", int, 8, maximum=200),
+        # 0.13 s/18 MB at 200, 0.31 s/23 MB at 300 and 0.52 s/33 MB at 400.
+        # A draw's masks are up to 2^n bits wide: at 200 tokens ten draws
+        # took 0.49 s/18 MB at --n 16, 0.80 s/21 MB at 20, 1.23 s/34 MB at
+        # 22 and 3.3 s/67 MB at 24
+        Option("--n", int, 2, maximum=20), Option("--max-tokens", int, 8, maximum=200),
         Option("--samples", int, 100000, minimum=1), Option("--exhaustive", bool, False),
         Option("--exact-check", bool, False), _TABLE)),
     "explore-min": Command(_SAMPLING + "cmd_explore_min",

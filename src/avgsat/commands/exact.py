@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .. import engines, measure
 from .._formula_core import ConnectiveTable
-from ..cli import EXPECTED_FAIL, FAIL, INFO, PASS, Options, _float, _frac
+from ..cli import EXPECTED_FAIL, FAIL, INFO, PASS, OptionError, Options, _float, _frac
 from . import _load_table
 
 # (command, model, n) triples whose bound is known not to hold; --audit
@@ -23,11 +23,16 @@ BOUND_HEADER = ["n", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "lhs_float", "r
                 "pass"]
 
 
+def comparison(lhs, rhs) -> list[str]:
+    """The cells of an exact comparison: lhs and rhs as numerator and
+    denominator, then each as a float."""
+    return [*_frac(lhs), *_frac(rhs), _float(lhs), _float(rhs)]
+
+
 def bound_rows(report: measure.BoundReport, status=lambda r: PASS if r.passed else FAIL):
-    """A bound report's rows: the class, lhs and rhs exact and as floats,
+    """A bound report's rows: the class, the comparison of lhs with rhs,
     and ``status`` of the row."""
-    return [[str(r.n), *_frac(r.lhs), *_frac(r.rhs), _float(r.lhs), _float(r.rhs), status(r)]
-            for r in report.rows]
+    return [[str(r.n), *comparison(r.lhs, r.rhs), status(r)] for r in report.rows]
 
 
 def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
@@ -44,23 +49,20 @@ def cmd_sat_oclass(opts: Options):
     header = ["check"] + BOUND_HEADER
     space = _space(table, n, max_tokens)
     mu = measure.uniform_over_model_classes(space, n)
-    report = measure.oclass_member(space, engines.sat_scan_time, lambda k: 2 * k, mu)
+    report = measure.oclass_member(space, engines.sat_scan, lambda k: 2 * k, mu)
     rows = [["sat"] + row for row in bound_rows(report)]
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
     else:
-        # negation maps keys one to one, so the negated keys keep the counts
-        co_space = measure.InputSpace.from_keys(
-            {engines.negated_key(x, table): c for x, c in space.count.items()})
+        co_space = measure.InputSpace.from_keys(engines.negated_keys(space.count, table))
         mu_co = measure.uniform_over_model_classes(co_space, n)
-        co_report = measure.oclass_member(co_space, engines.sat_scan_time, lambda k: 2 * k, mu_co)
+        co_report = measure.oclass_member(co_space, engines.sat_scan, lambda k: 2 * k, mu_co)
         rows.extend(["co"] + row for row in bound_rows(co_report))
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
-    read = measure.avg_time(lambda x: engines.rewrite_cost(x).time_units, mu, space.items)
-    share = read / measure.avg_time(engines.sat_scan_time, mu, space.items)
-    rows.append(["read-share", str(n), *_frac(share), *_frac(Fraction(3, 10)),
-                 _float(share), "0.3", INFO])
+    read = measure.avg_time(engines.rewrite_cost, mu, space.items)
+    share = read / measure.avg_time(engines.sat_scan, mu, space.items)
+    rows.append(["read-share", str(n), *comparison(share, Fraction(3, 10)), INFO])
     return header, rows
 
 
@@ -79,7 +81,7 @@ def cmd_tab_oclass(opts: Options):
             space, T, mu = analytic.shannon_space([n])
         else:
             space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
-            T = lambda x: engines.tabulate(x).time_units
+            T = engines.tabulate
             mu = measure.uniform_within_min_layers(space, n)
         known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
         report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
@@ -105,8 +107,7 @@ def cmd_moments(opts: Options):
         else:
             bound = analytic.moment_oclass_constant(m)
             ok = s.upper <= bound
-        rows.append(["sum", str(m), "", *_frac(s.partial), *_frac(bound),
-                     _float(s.partial), _float(bound), PASS if ok else FAIL])
+        rows.append(["sum", str(m), "", *comparison(s.partial, bound), PASS if ok else FAIL])
     spaces = {}
     for n in sorted(n_list):
         space = measure.covering_space(table, n)
@@ -114,7 +115,7 @@ def cmd_moments(opts: Options):
     for m in sorted(m for m in m_list if m >= 2):
         c = analytic.moment_oclass_constant(m)
         for n, (space, mu) in spaces.items():
-            T = lambda x: engines.sat_scan_time(x) ** m
+            T = lambda x: engines.sat_scan(x) ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
             rows.extend(["oclass", str(m)] + row for row in bound_rows(report))
     return header, rows
@@ -135,8 +136,11 @@ def cmd_property_2_2(opts: Options):
     inflate = opts.get("inflate")
     table = _load_table(opts)
     space = _combined_space(table, ns, max_tokens)
+    if break_class is not None and break_class not in space.classes:
+        raise OptionError(f"--break-class {break_class}: not a class of the space "
+                          f"({','.join(map(str, space.attained_classes()))})")
     mu = measure.uniform_over_model_classes(space)
-    T = lambda x: engines.sat_scan_time(x) * (inflate if x[0] == break_class else 1)
+    T = lambda x: engines.sat_scan(x) * (inflate if x[0] == break_class else 1)
     result = measure.check_property_2_2(
         space, T, lambda k: 2 * k, mu,
         extra_H=[("ones", lambda n: 1), ("linear", lambda n: n)])
@@ -147,14 +151,12 @@ def cmd_property_2_2(opts: Options):
     # chi row and the rows of weightings over every class
     for r in sorted(result.oclass.rows, key=lambda r: r.n):
         status = PASS if r.passed else EXPECTED_FAIL if break_class == r.n else FAIL
-        rows.append(["oclass", "", str(r.n), *_frac(r.lhs), *_frac(r.rhs),
-                     _float(r.lhs), _float(r.rhs), status])
+        rows.append(["oclass", "", str(r.n), *comparison(r.lhs, r.rhs), status])
     for h in result.h_rows:
         broken = break_class is not None and (h.label == f"chi_{break_class}"
                                               or not h.label.startswith("chi_"))
         status = PASS if h.ok else EXPECTED_FAIL if broken else FAIL
-        rows.append(["H", h.label, "", *_frac(h.lhs), *_frac(h.rhs),
-                     _float(h.lhs), _float(h.rhs), status])
+        rows.append(["H", h.label, "", *comparison(h.lhs, h.rhs), status])
     bic = result.biconditional_ok
     if break_class is not None:
         # the demonstration must actually break the targeted class
@@ -173,7 +175,7 @@ def cmd_property_2_3(opts: Options):
         table = _load_table(opts)
         space = _combined_space(table, ns, opts.get("max_tokens"))
         mu = measure.uniform_over_model_classes(space, per_class=True)
-        T = engines.sat_scan_time
+        T = engines.sat_scan
         F = lambda k: 2 * k
     else:
         from .. import analytic  # loaded only by the commands that use it
@@ -196,8 +198,8 @@ def cmd_markov_tail(opts: Options):
     table = _load_table(opts)
     space = measure.covering_space(table, n)
     mu = measure.uniform_over_model_classes(space, n)
-    avg = measure.avg_time(engines.sat_scan_time, mu, space.items)
-    result = measure.markov_tail(engines.sat_scan_time, mu, space.items, multiplier * avg)
+    avg = measure.avg_time(engines.sat_scan, mu, space.items)
+    result = measure.markov_tail(engines.sat_scan, mu, space.items, multiplier * avg)
     ok = result.ok and result.empirical <= Fraction(1, multiplier)
     header = ["n", "multiplier", "avg_num", "avg_den", "bound_num", "bound_den",
               "empirical_num", "empirical_den", "status"]

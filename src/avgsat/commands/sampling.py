@@ -3,7 +3,8 @@
 Draws are uniform ranks of sentences in shortlex order (see
 :class:`SequenceSampler`), tallied per rank and unranked straight to
 their keys (alpha, f, class mask) with no codes and no sentence object,
-sorted ranks of one length in one walk; only an exact mean loads
+sorted ranks of one length in one walk, and scored by the cost models
+of :mod:`avgsat.engines`, which read keys alone; only an exact mean loads
 :mod:`avgsat.measure`.  :mod:`avgsat.cli` names the sampler too,
 and loads it from here.
 
@@ -31,6 +32,11 @@ from . import _load_table
 # the most variables explore-min draws over: 65 tokens at arity 2 (the
 # declared maximum of --target-tokens) and 49 at arity 3
 MAX_POOL = 33
+
+# the most mask bits the keys of one walk may hold: a walk holds every
+# key it returns until it ends, and a key's mask has up to 2^v bits over
+# v variables (the pool of explore-min, montecarlo's --n)
+HELD_BITS = 1 << 20
 
 
 class SampleError(AvgsatError):
@@ -224,7 +230,7 @@ def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
     space = measure.formula_space(table, n, max_tokens)
     if not space.items:
         raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} tokens")
-    return space, measure.avg_time(engines.sat_scan_time, measure.uniform_on(space), space.items)
+    return space, measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
 
 
 def _draws(rng: random.Random, total: int):
@@ -234,32 +240,29 @@ def _draws(rng: random.Random, total: int):
     return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
 
 
-def _scan_time(key, n: int):
-    """sat_scan's time on a sentence of key ``key`` (f times one more than
-    its first model), or None unless it has n variables."""
-    alpha, f, mask = key
-    return f * ((mask & -mask).bit_length() if mask else (1 << alpha) + 1) if alpha == n else None
-
-
 def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tuple[int, int, int]:
     """(accepted, sum, sum of squares) of the scan times of the first
     ``samples`` of ``draws`` whose sentences have n variables.
 
     The draws come in rounds.  A round takes as many ranks as
     acceptances are still missing, so it makes no draw past the last
-    acceptance; it tallies them per rank, unranks its new distinct ranks
-    in one walk per length, and adds count * value per rank.  Values are
+    acceptance, but no more than the walk's keys may hold (``HELD_BITS``
+    over masks of 2^n bits); it tallies them per rank, unranks its new
+    distinct ranks in one walk per length, and scores each with
+    :func:`avgsat.engines.sat_scan`, adding count * value.  Values are
     kept across rounds only when the space holds no more ranks than
     ``samples``: then ranks repeat, and no more ranks are held than
     there are samples.  A run that rejects more than
     ``1000 * (accepted + samples)`` draws ends in a :class:`SampleError`.
     """
     memo = {} if sampler.grand_total <= samples else None
+    cap = max(1, HELD_BITS >> n)
+    scan = engines.sat_scan
     accepted = rejected = sx = sxx = 0
     while accepted < samples:
-        tally = Counter(islice(draws, samples - accepted))
+        tally = Counter(islice(draws, min(samples - accepted, cap)))
         fresh = sorted(tally if memo is None else tally.keys() - memo.keys())
-        values = map(_scan_time, sampler.keys_at(fresh), repeat(n))
+        values = [scan(key) if key[0] == n else None for key in sampler.keys_at(fresh)]
         if memo is None:
             pairs = zip(map(tally.__getitem__, fresh), values)
         else:
@@ -295,7 +298,7 @@ def cmd_montecarlo(opts: Options):
         renamings = math.factorial(n)
         samples = sx = sxx = 0
         for x in space.items:
-            c, v = renamings * space.count[x], engines.sat_scan_time(x)
+            c, v = renamings * space.count[x], engines.sat_scan(x)
             samples += c
             sx += c * v
             sxx += c * v * v
@@ -358,16 +361,15 @@ def cmd_explore_min(opts: Options):
     # the ranks of exactly `target` tokens are the sampler's last `total`.
     # Sorted draws share their first tokens, so each walk takes a chunk of
     # them: 4096, or fewer when their masks (at most 2^pool bits each)
-    # would pass 2^20 bits in all, down to one at a pool of 20
-    chunk = max(1, (1 << 20) >> max(pool, 8))
+    # would pass HELD_BITS in all, down to one at a pool of 20
+    chunk = max(1, HELD_BITS >> max(pool, 8))
     draws = _draws(random.Random(seed), total)
     sx = sxx = 0
     for left in range(samples, 0, -chunk):
         tally = Counter(islice(draws, min(chunk, left)))
         ranks = sorted(tally)
-        for c, (alpha, _, mask) in zip(map(tally.__getitem__, ranks),
-                                       _unrank(ranks, target, pool, sampler.runs, sampler.cnt)):
-            m = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
+        keys = _unrank(ranks, target, pool, sampler.runs, sampler.cnt)
+        for c, m in zip(map(tally.__getitem__, ranks), map(engines.min_n, keys)):
             sx += c * m
             sxx += c * m * m
     mean, se = _mean_stderr(samples, sx, sxx)

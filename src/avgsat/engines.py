@@ -11,62 +11,45 @@ closed-form integer cost in abstract time units:
   empty model set is 2^n (every assignment was tried and rejected).
 
 Costs are the declared models, not measurements; they are exact
-integers with no noise.  Each reads a sentence only through its key
-(alpha, f, class mask; see :func:`~avgsat.formula.sentence_key`), so
-each takes a :class:`~avgsat.formula.Formula` or a key.
+integers with no noise.  Each is a function of a sentence's key
+(alpha, f, class mask): its number of distinct variables, its bit size
+and its model set over its own variables, numbered by first
+appearance.  Each takes that key and returns the time.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from ._formula_core import ConnectiveTable
 
-from ._formula_core import ConnectiveTable, ModelSet, sentence_key
+Key = tuple[int, int, int]
 
 
 class NoNegation(Exception):
     """The active connective table cannot express negation."""
 
 
-class CostedRun(NamedTuple):
-    """An algorithm's output together with its exact integer cost."""
-
-    payload: Any
-    time_units: int
-
-
-def rewrite_cost(x) -> CostedRun:
+def rewrite_cost(key: Key) -> int:
     """Copy the input; one time unit per bit read and written back."""
-    return CostedRun(payload=x, time_units=sentence_key(x)[1])
+    return key[1]
 
 
-def tabulate(x) -> CostedRun:
+def tabulate(key: Key) -> int:
     """Full truth table over the sentence's own (compacted) variables."""
-    alpha, f, mask = sentence_key(x)
-    return CostedRun(payload=ModelSet(alpha, mask), time_units=(1 << alpha) * f)
+    return (1 << key[0]) * key[1]
 
 
-def min_n(K: ModelSet) -> int:
-    """Smallest member of K, or 2^n when K is empty."""
-    if K.bits == 0:
-        return 1 << K.n
-    return (K.bits & -K.bits).bit_length() - 1
+def min_n(key: Key) -> int:
+    """The sentence's first model over its own variables, or 2^alpha
+    when it has none."""
+    alpha, _, mask = key
+    return (mask & -mask).bit_length() - 1 if mask else 1 << alpha
 
 
-def sat_scan(x) -> CostedRun:
-    """Scan assignments in increasing order until one satisfies x.
-
-    The payload is the smallest satisfying assignment over the
-    compacted variables, or None when x is unsatisfiable (in which
-    case all 2^alpha assignments were tried, plus the initial read).
-    """
-    alpha, f, mask = sentence_key(x)
-    m = min_n(ModelSet(alpha, mask))
-    return CostedRun(payload=m if mask else None, time_units=f * (m + 1))
-
-
-def sat_scan_time(x) -> int:
-    """The time units of :func:`sat_scan` on x, the cost the bounds read."""
-    return sat_scan(x).time_units
+def sat_scan(key: Key) -> int:
+    """Scan assignments in increasing order until one satisfies the
+    sentence: f time units for each of assignments 0 to min_n; when it
+    is unsatisfiable, all 2^alpha were tried, plus the initial read."""
+    return key[1] * (min_n(key) + 1)
 
 
 def _negation(table: ConnectiveTable) -> tuple[str, int]:
@@ -77,7 +60,7 @@ def _negation(table: ConnectiveTable) -> tuple[str, int]:
 
 
 def negated(x):
-    """Top-level negation of x using the sentence's own table.
+    """Top-level negation of the sentence x using its own table.
 
     Uses a unary NOT when available, otherwise NAND/NOR with the whole
     operand duplicated.  Raises NoNegation when the table has neither.
@@ -89,12 +72,12 @@ def negated(x):
     return Formula(x.codes + x.codes + (-slot - 1,), x.table)
 
 
-def negated_key(key: tuple[int, int, int], table: ConnectiveTable) -> tuple[int, int, int]:
-    """The key of :func:`negated` of every sentence with this key: the
-    same alpha, the complemented class, and a size that depends on f
-    alone (a NOT adds two characters; a duplicated operand doubles them
-    and adds three)."""
-    kind, _ = _negation(table)
-    alpha, f, mask = key
-    return (alpha, f + 16 if kind == "not" else 2 * f + 24,
-            ((1 << (1 << alpha)) - 1) ^ mask)
+def negated_keys(count: dict[Key, int], table: ConnectiveTable) -> dict[Key, int]:
+    """The keys of :func:`negated` of the sentences of each key, with
+    their counts: the same alpha, the complemented class, and a size
+    that depends on f alone (a NOT adds two characters; a duplicated
+    operand doubles them and adds three).  Negation maps keys one to
+    one, so each keeps its count."""
+    dup = _negation(table)[0] == "dup"
+    return {(alpha, 2 * f + 24 if dup else f + 16, ((1 << (1 << alpha)) - 1) ^ mask): c
+            for (alpha, f, mask), c in count.items()}

@@ -10,9 +10,11 @@ the tokens joined by single spaces, and its bit size is 8 bits per
 character of that rendering.  Assignments are integers: variable ``i``
 reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 
-Connective tables, model sets, the errors and :func:`sentence_key` live
-in the key-only core that the commands load, ``avgsat._formula_core``;
-they are re-exported here.
+Connective tables and the errors live in the key-only core that the
+commands load, ``avgsat._formula_core``; they are re-exported here.
+Model sets and sentence objects are this module's own: the commands
+read a sentence only as its key (alpha, f, class mask), which
+:meth:`Formula.key` gives.
 """
 
 from __future__ import annotations
@@ -22,8 +24,40 @@ from typing import Iterable, Iterator
 
 from . import _kernel
 from ._formula_core import (_VAR_TOKEN, Connective, ConnectiveTable, FormulaError,  # noqa: F401
-                            MalformedRpn, ModelSet, UnknownSymbol, VariableOutOfRange,
-                            _Frozen, codes_size, sentence_key)
+                            MalformedRpn, UnknownSymbol, VariableOutOfRange, _Frozen)
+
+
+class ModelSet(_Frozen):
+    """Satisfying assignments of a sentence over n variables, as a bit set.
+
+    Bit ``m`` is set iff assignment ``m`` satisfies the sentence.
+    """
+
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int):
+        if not 0 <= bits < (1 << (1 << n)):
+            raise ValueError("bit set wider than 2^n assignments")
+        super().__init__(n, bits)
+
+    def __contains__(self, m: int) -> bool:
+        return 0 <= m < (1 << self.n) and bool((self.bits >> m) & 1)
+
+    def __len__(self) -> int:
+        return bin(self.bits).count("1")
+
+    def members(self) -> Iterator[int]:
+        for m in range(1 << self.n):
+            if (self.bits >> m) & 1:
+                yield m
+
+    @property
+    def is_empty(self) -> bool:
+        return self.bits == 0
+
+    def complement(self) -> "ModelSet":
+        full = (1 << (1 << self.n)) - 1
+        return ModelSet(self.n, full & ~self.bits)
 
 
 class Formula(_Frozen):
@@ -79,7 +113,10 @@ class Formula(_Frozen):
         return Formula, (self.codes, self.table)
 
     def key(self) -> tuple[int, int, int]:
-        """This sentence's :func:`sentence_key`: (alpha, size f, class mask)."""
+        """This sentence's key (alpha, size f, class mask): its number of
+        distinct variables, its bit size and its model set over its own
+        variables (numbered by first appearance), all that the cost models
+        and the class weightings read."""
         K = compact_model_set(self)
         return K.n, size_f(self), K.bits
 
@@ -121,7 +158,13 @@ def render(x: Formula) -> str:
 
 def size_f(x: Formula) -> int:
     """Bit length of the canonical rendering: 8 bits per character."""
-    return codes_size(x.codes)
+    # each token is followed by a space except the last; a connective
+    # symbol is one character and variable i is "p" plus its digits
+    chars = 2 * len(x.codes) - 1
+    for c in x.codes:
+        if c >= 0:
+            chars += len(str(c))
+    return 8 * chars
 
 
 def var_count_alpha(x: Formula) -> int:

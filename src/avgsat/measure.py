@@ -35,7 +35,7 @@ from itertools import chain, islice, permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._formula_core import ConnectiveTable, _Frozen, sentence_key
+from ._formula_core import ConnectiveTable, _Frozen
 from .errors import AvgsatError
 
 
@@ -129,12 +129,6 @@ class InputSpace:
         self.classes: dict[int, list] = {}
         for x in self.items:
             self.classes.setdefault(self.alpha[x], []).append(x)
-
-    @classmethod
-    def from_formulas(cls, formulas: Iterable, count: CostMap | None = None) -> "InputSpace":
-        """A space whose items are :class:`~avgsat.formula.Formula` objects."""
-        from .formula import size_f, var_count_alpha  # loaded only by its users
-        return cls(formulas, size_f, var_count_alpha, count)
 
     @classmethod
     def from_keys(cls, count: Mapping[tuple, int]) -> "InputSpace":
@@ -580,16 +574,11 @@ def power_law_length(space: InputSpace, p: int) -> Distribution:
     return weights_proportional(space, lambda x: Fraction(1, space.f[x] ** p))
 
 
-def model_class_of(x) -> int:
-    """Class key: the truth-table bits over the sentence's own variables
-    (a key's mask)."""
-    return sentence_key(x)[2]
-
-
 def uniform_over_model_classes(space: InputSpace, n: int | None = None,
                                per_class: bool = False) -> Distribution:
     """Equal mass to each of the 2^(2^n) model classes within each
     alpha-class, spread uniformly over the inputs of the class present.
+    An item's model class is its third field, a key's class mask.
 
     With ``n`` given, only that alpha-class carries mass (totaling 1).
     Otherwise every attained alpha-class carries an equal share, or mass
@@ -603,7 +592,7 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
         items = space.class_items(m)
         groups: dict[int, list] = {}
         for x in items:
-            groups.setdefault(model_class_of(x), []).append(x)
+            groups.setdefault(x[2], []).append(x)
         needed = 1 << (1 << m)
         if len(groups) != needed:
             raise ClassUncovered(

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import settings
 
@@ -29,7 +31,15 @@ def space2(std):
 
 
 @pytest.fixture(scope="session")
-def expanded1(std):
+def sentence_space():
+    """A space of the given sentences, one item each: its key (alpha, f,
+    class mask), which the costs read as ``item[:3]``, then its codes,
+    which tell apart the sentences of one key."""
+    return lambda formulas: measure.InputSpace([(*x.key(), x.codes) for x in formulas],
+                                               itemgetter(1), itemgetter(0))
+
+
+@pytest.fixture(scope="session")
+def expanded1(std, sentence_space):
     """space1 with one item per sentence (covering depth 4)."""
-    return measure.InputSpace.from_formulas(
-        enumerate_formulas(std, 1, max_tokens=4, alpha=1))
+    return sentence_space(enumerate_formulas(std, 1, max_tokens=4, alpha=1))

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from avgsat import analytic, cli, engines, measure
-from avgsat.formula import ConnectiveTable, enumerate_formulas, var_count_alpha
+from avgsat.formula import ConnectiveTable, enumerate_formulas
 
-SAT_TIME = lambda x: engines.sat_scan(x).time_units
+SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
 
 
@@ -47,8 +47,7 @@ def test_criterion_02_sat_linear_membership():
         report = measure.oclass_member(space, SAT_TIME, DOUBLE, mu)
         ok = ok and report.overall
         ok = ok and report.row(n).lhs == (2 - Fraction(1, 2 ** (2 ** n))) / 2
-        co = measure.InputSpace.from_keys({engines.negated_key(k, table): c
-                                           for k, c in space.count.items()})
+        co = measure.InputSpace.from_keys(engines.negated_keys(space.count, table))
         mu_co = measure.uniform_over_model_classes(co, n)
         ok = ok and measure.oclass_member(co, SAT_TIME, DOUBLE, mu_co).overall
     elapsed = time.perf_counter() - start
@@ -137,14 +136,13 @@ def test_criterion_08_markov_tail(space2):
             f"(empirical {res.empirical})")
 
 
-def test_criterion_09_reweighting_properties(std):
-    space = measure.InputSpace.from_formulas(
-        enumerate_formulas(std, 2, max_tokens=8))
+def test_criterion_09_reweighting_properties(std, sentence_space):
+    space = sentence_space(enumerate_formulas(std, 2, max_tokens=8))
     mu = measure.uniform_over_model_classes(space)
     clean = measure.check_property_2_2(space, SAT_TIME, DOUBLE, mu)
     ok = clean.oclass.overall and all(h.ok for h in clean.h_rows)
     ok = ok and clean.biconditional_ok
-    broken_T = lambda x: SAT_TIME(x) * (4 if var_count_alpha(x) == 2 else 1)
+    broken_T = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
     broken = measure.check_property_2_2(space, broken_T, DOUBLE, mu)
     ok = ok and not broken.oclass.row(2).passed
     chi2 = next(h for h in broken.h_rows if h.label == "chi_2")

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from avgsat import analytic, engines, measure
-from avgsat.analytic import (ChainStep, ShannonModel, catalan_binomial,
+from avgsat.analytic import (ChainStep, catalan_binomial,
                              census, expected_min_plus_one,
                              gamma_count, geometric_moment_sum,
                              is_canonical_sentence, moment_oclass_constant,
-                             ratio_partial_sums, sentence_count,
+                             ratio_partial_sums, sentence_count, shannon_lengths,
                              shannon_space, tabulator_class_bound,
                              totals_and_ratio, wilf_comparison)
 from avgsat.formula import (ConnectiveTable, enumerate_formulas, leaf_sequence,
@@ -205,7 +205,7 @@ def test_moment_oclass_on_enumeration(space1, space2):
         mu = measure.uniform_over_model_classes(sp, n)
         for m in (2, 3):
             c = moment_oclass_constant(m)
-            T = lambda x: engines.sat_scan(x).time_units ** m
+            T = lambda x: engines.sat_scan(x) ** m
             report = measure.oclass_member(sp, T, lambda k: c * k ** m, mu)
             assert report.overall
 
@@ -223,15 +223,11 @@ def test_wilf_comparison():
 
 def test_shannon_model_slot_counts():
     for n in range(1, 5):
-        model = ShannonModel(n)
-        assert model.slot_count == 2 ** (2 ** n)
-        assert sum(count for _, count in model.length_counts()) == model.slot_count
-        single = ShannonModel(n, repair=False)
-        assert sum(count for _, count in single.length_counts()) == model.slot_count - 1
+        assert sum(count for _, count in shannon_lengths(n)) == 2 ** (2 ** n)
 
 
 def test_shannon_lengths_are_greedy_shortest():
-    counts = ShannonModel(2).length_counts()
+    counts = shannon_lengths(2)
     assert [length for length, _ in counts] == sorted({length for length, _ in counts})
     assert dict(counts) == {1: 2, 2: 4, 3: 8, 4: 2}
 
@@ -246,7 +242,14 @@ def test_tabulator_bound_exact_values():
     assert tb1.lhs == Fraction(5, 4)
     tb2 = tabulator_class_bound(2)
     assert tb2.lhs == Fraction(289, 288)
-    assert tb2.single_top_lhs < 1  # the unrepaired sum squeaks through
+    assert tb2.single_top_lhs < 1  # one top slot fewer squeaks through
+    # the layer sum with a single top-length slot, over 2^(2^n) slots
+    for n in (1, 2, 3):
+        single = [(length, 1 if length == 2 ** n else count)
+                  for length, count in shannon_lengths(n)]
+        expected = Fraction(2 ** n, 2 ** (2 ** n)) * sum(
+            Fraction(count, length * length) for length, count in single)
+        assert tabulator_class_bound(n).single_top_lhs == expected
 
 
 def test_tabulator_chain_reported():

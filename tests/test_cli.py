@@ -242,15 +242,17 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ["montecarlo", "--n", "12", "--max-tokens", "23", "--samples", "1000"],
     ["montecarlo", "--n", "10", "--max-tokens", "19", "--samples", "1000"],
     ["montecarlo", "--n", "2", "--max-tokens", "201", "--samples", "10"],
+    ["montecarlo", "--n", "30", "--max-tokens", "200", "--samples", "10"],
 ], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
         "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share",
-        "montecarlo-max-tokens-201"])
+        "montecarlo-max-tokens-201", "montecarlo-n30"])
 def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # no sentence within --max-tokens holds --n variable tokens, so no
     # draw could be accepted, or too few sentences do (9.8e-6 and 8.1e-5
     # of them) for the draws to finish; or explore-min's draws would need
     # masks of about 2^26 bits and more; or montecarlo's completion table
-    # would pass its declared 200 tokens
+    # would pass its declared 200 tokens, or its draws' masks of up to
+    # 2^n bits its declared --n of 20 (a draw at --n 30 ran out of memory)
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()
@@ -512,6 +514,14 @@ def test_property_2_2_break_class(tmp_path):
     assert rows[-1]["status"] == "pass"
 
 
+@pytest.mark.parametrize("n_list, break_class", [("1,2", "5"), ("1", "0"), ("1", "2")])
+def test_property_2_2_break_class_outside_the_space_exits_2(tmp_path, capsys, n_list,
+                                                             break_class):
+    assert_exits_2(tmp_path, capsys, ["property-2-2", "--n-list", n_list,
+                                      "--break-class", break_class],
+                   prefix=f"avgsat: --break-class {break_class}: not a class of the space")
+
+
 def test_property_2_3(tmp_path):
     code, rows, _ = run(tmp_path, "property-2-3", "--model", "sat")
     assert code == 0
@@ -652,7 +662,7 @@ def _assert_key_oracle(x, key):
     assert key == x.key()
     alpha, f, mask = key
     first = (mask & -mask).bit_length() - 1 if mask else 1 << alpha
-    assert engines.sat_scan(x).time_units == f * (first + 1)
+    assert engines.sat_scan(key) == f * (first + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -825,6 +835,30 @@ def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
     got = sampling._scan_moments(sampler, n, samples, sampling._draws(rng, sampler.grand_total))
     assert got == expected
     assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n, max_tokens, samples, held_bits", [
+    (2, 6, 3000, 1 << 8),    # rounds of 64 ranks, values kept across rounds
+    (3, 30, 300, 1 << 8),    # rounds of 32 ranks, no repeats
+    (3, 30, 50, 1),          # one rank a round
+])
+def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples, held_bits):
+    # a round walks no more ranks than HELD_BITS over masks of 2^n bits
+    # allow, and its sums and draws are still those of one draw at a time
+    import random
+    from avgsat.formula import ConnectiveTable
+    sampler = sampling.SequenceSampler(ConnectiveTable.standard(), n, max_tokens)
+    expected, draws, _ = _per_draw_moments(sampler, n, samples, random.Random(4))
+    walked = []
+    keys_at = sampler.keys_at
+    monkeypatch.setattr(sampler, "keys_at", lambda ranks: walked.append(len(ranks))
+                        or keys_at(ranks))
+    monkeypatch.setattr(sampling, "HELD_BITS", held_bits)
+    rng = random.Random(4)
+    assert sampling._scan_moments(sampler, n, samples,
+                                  sampling._draws(rng, sampler.grand_total)) == expected
+    cap = max(1, held_bits >> n)
+    assert max(walked) <= cap and len(walked) >= draws / cap
 
 
 @pytest.mark.parametrize("arity, target, samples", [

@@ -9,22 +9,26 @@ f, model set over the space's n variables) that count sentences.
 Every distribution constructor and every check must give on such a
 space exactly the Fractions it gives on the expanded space: one item
 per sentence, enumerated by ``enumerate_formulas`` to the same depth.
+An expanded item is the sentence's key (from ``Formula.key``, which
+evaluates the sentence, not the counting DP), or its block, followed
+by its codes.
 """
 
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 import pytest
 
 from avgsat import analytic, engines, measure
 from avgsat.commands import exact
-from avgsat.formula import (ConnectiveTable, compact_model_set,
-                            enumerate_formulas, model_set, size_f,
-                            stratify_min_layers, var_count_alpha)
+from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
+                            stratify_min_layers)
 from avgsat.measure import Distribution, HMode, InputSpace, Normalization
 
-SAT_TIME = lambda x: engines.sat_scan(x).time_units
-TAB_TIME = lambda x: engines.tabulate(x).time_units
+# the costs read an expanded item's first three fields, its key or block
+SAT_TIME = lambda x: engines.sat_scan(x[:3])
+TAB_TIME = lambda x: engines.tabulate(x[:3])
 DOUBLE = lambda k: 2 * k
 CUBE = lambda k: k ** 3
 HS = [lambda n: 1, lambda n: Fraction(1, n * n), lambda n: 1 if n == 2 else 0]
@@ -36,14 +40,20 @@ TABLES = {
 }
 
 
-def key_of(x):
-    """The key of a sentence: alpha, size, and class over its own variables."""
-    return var_count_alpha(x), size_f(x), compact_model_set(x).bits
+def sentence_item(x):
+    """A sentence as an expanded item: its key (alpha, size, class over
+    its own variables), then its codes."""
+    return (*x.key(), x.codes)
 
 
-def block_of(n):
-    """The block of a sentence over p0..p(n-1): alpha, size, model set."""
-    return lambda x: (n, size_f(x), model_set(x, n).bits)
+def block_item(n):
+    """A sentence over p0..p(n-1) as an expanded item: its block (alpha,
+    size, model set over the n variables), then its codes."""
+    return lambda x: (n, size_f(x), model_set(x, n).bits, x.codes)
+
+
+def items_space(items) -> InputSpace:
+    return InputSpace(items, itemgetter(1), itemgetter(0))
 
 
 def renamings(item):
@@ -51,16 +61,10 @@ def renamings(item):
     return factorial(item[0])
 
 
-def scan_over(n):
-    """sat_scan's time with assignments over p0..p(n-1) as they are,
-    not renumbered: a cost that reads the model set a block holds."""
-    return lambda x: SAT_TIME(x if isinstance(x, tuple) else block_of(n)(x))
-
-
 class Twin:
     """A counted space, its expansion, and the sentences of each item."""
 
-    def __init__(self, counted: InputSpace, expanded: InputSpace, key=key_of,
+    def __init__(self, counted: InputSpace, expanded: InputSpace, key=itemgetter(0, 1, 2),
                  per_count=renamings):
         self.counted, self.expanded, self.per_count = counted, expanded, per_count
         self.groups: dict[tuple, list] = {}
@@ -93,7 +97,8 @@ def nonzero(mu: measure.Distribution) -> dict:
 
 
 def expand(table: ConnectiveTable, n: int, depth: int) -> InputSpace:
-    return InputSpace.from_formulas(enumerate_formulas(table, n, max_tokens=depth, alpha=n))
+    return items_space([sentence_item(x)
+                        for x in enumerate_formulas(table, n, max_tokens=depth, alpha=n)])
 
 
 def assert_keys_and_counts(twin: Twin):
@@ -130,17 +135,19 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
                 assert nonzero(measure.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
 
 
-def stratified(expanded: InputSpace, n: int) -> measure.Distribution:
+def stratified(expanded: InputSpace, n: int, table: ConnectiveTable) -> measure.Distribution:
     """Equal mass per layer of ``stratify_min_layers`` over the sentences,
     spread equally over each layer's members."""
-    layers = stratify_min_layers(expanded.items, n)
-    return measure.Distribution({x: Fraction(1, len(layers) * len(layer))
+    item_of = {x[-1]: x for x in expanded.items}
+    layers = stratify_min_layers([Formula(codes, table) for codes in item_of], n)
+    return measure.Distribution({item_of[x.codes]: Fraction(1, len(layers) * len(layer))
                                  for layer in layers for x in layer})
 
 
-def block_twin(twin: Twin, n: int) -> Twin:
-    return Twin(measure.layer_blocks(twin.counted, n), twin.expanded, key=block_of(n),
-                per_count=lambda block: 1)
+def block_twin(twin: Twin, n: int, table: ConnectiveTable) -> Twin:
+    """The blocks of a twin's counted space, and its sentences as blocks."""
+    blocks = items_space([block_item(n)(Formula(x[-1], table)) for x in twin.expanded.items])
+    return Twin(measure.layer_blocks(twin.counted, n), blocks, per_count=lambda block: 1)
 
 
 @pytest.fixture(scope="module", params=sorted(TABLES))
@@ -214,15 +221,15 @@ def test_spaces_refuse_out_of_reach_sizes():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_counted_layers_match_expansion(twins, n):
-    twin = block_twin(twins[n], n)
+def test_counted_layers_match_expansion(table, twins, n):
+    twin = block_twin(twins[n], n, table)
     assert_keys_and_counts(twin)
     mu = measure.uniform_within_min_layers(twin.counted, n)
-    assert nonzero(mu) == twin.lift(stratified(twin.expanded, n))
+    assert nonzero(mu) == twin.lift(stratified(twin.expanded, n, table))
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_distributions_and_checks_match_expansion(twins, n):
+def test_distributions_and_checks_match_expansion(table, twins, n):
     twin = twins[n]
     c, e = twin.counted, twin.expanded
     some_size = sorted(set(c.f.values()))[len(set(c.f.values())) // 2]
@@ -241,9 +248,10 @@ def test_distributions_and_checks_match_expansion(twins, n):
     # the tab-oclass pairing, over blocks, against the sentences' own
     # layers; a block's sentences share any cost that reads alpha, f and
     # the model set over n variables
-    blocks = block_twin(twin, n)
+    blocks = block_twin(twin, n, table)
     assert_same_checks(blocks, measure.uniform_within_min_layers(blocks.counted, n),
-                       stratified(e, n), [(scan_over(n), DOUBLE), (TAB_TIME, CUBE)])
+                       stratified(blocks.expanded, n, table),
+                       [(SAT_TIME, DOUBLE), (TAB_TIME, CUBE)])
 
 
 def test_min_layer_masses_match_expansion_over_3_variables():
@@ -253,20 +261,20 @@ def test_min_layer_masses_match_expansion_over_3_variables():
     table = TABLES["standard"]
     twin = Twin(measure.formula_space(table, 3, 8), expand(table, 3, 8))
     assert len(twin.expanded) == 14208
-    blocks = block_twin(twin, 3)
+    blocks = block_twin(twin, 3, table)
     assert_keys_and_counts(blocks)
     mu = measure.uniform_within_min_layers(blocks.counted, 3)
-    assert nonzero(mu) == blocks.lift(stratified(twin.expanded, 3))
+    assert nonzero(mu) == blocks.lift(stratified(blocks.expanded, 3, table))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_negated_space_matches_expansion(table, twins, n):
     twin = twins[n]
-    assert all(engines.negated_key(key_of(x), table) == key_of(engines.negated(x))
-               for x in twin.expanded.items)
-    co = Twin(InputSpace.from_keys({engines.negated_key(k, table): c
-                                    for k, c in twin.counted.count.items()}),
-              InputSpace.from_formulas(engines.negated(x) for x in twin.expanded.items))
+    negations = [engines.negated(Formula(x[-1], table)) for x in twin.expanded.items]
+    assert all(engines.negated_keys({x[:3]: 1}, table) == {nx.key(): 1}
+               for x, nx in zip(twin.expanded.items, negations))
+    co = Twin(InputSpace.from_keys(engines.negated_keys(twin.counted.count, table)),
+              items_space([sentence_item(nx) for nx in negations]))
     assert_keys_and_counts(co)
     mu_c = measure.uniform_over_model_classes(co.counted, n)
     mu_e = measure.uniform_over_model_classes(co.expanded, n)
@@ -275,13 +283,11 @@ def test_negated_space_matches_expansion(table, twins, n):
 
 def test_combined_space_properties_match_expansion(table, twins):
     counted = exact._combined_space(table, [1, 2], None)
-    expanded = InputSpace.from_formulas(
-        [x for n in (1, 2) for x in twins[n].expanded.items])
+    expanded = items_space([x for n in (1, 2) for x in twins[n].expanded.items])
     twin = Twin(counted, expanded)
     assert_keys_and_counts(twin)
     extra = [("ones", lambda n: 1), ("linear", lambda n: n)]
-    broken = lambda x: SAT_TIME(x) * (4 if (x[0] if isinstance(x, tuple)
-                                             else var_count_alpha(x)) == 2 else 1)
+    broken = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
     for per_class in (False, True):
         mu_c = measure.uniform_over_model_classes(counted, per_class=per_class)
         mu_e = measure.uniform_over_model_classes(expanded, per_class=per_class)
@@ -302,7 +308,7 @@ def shannon_slots(ns):
     with its cost map and its per-class uniform distribution."""
     f = {}
     for n in ns:
-        lengths = [length for length, count in analytic.ShannonModel(n).length_counts()
+        lengths = [length for length, count in analytic.shannon_lengths(n)
                    for _ in range(count)]
         f.update(((n, idx), length) for idx, length in enumerate(lengths))
     space = InputSpace(f, f, lambda item: item[0])

@@ -1,65 +1,54 @@
 import pytest
 
 from avgsat import engines
-from avgsat.formula import (ConnectiveTable, Formula, ModelSet,
-                            compact_model_set, enumerate_formulas, evaluate,
-                            model_set, parse_rpn, sentence_key, size_f,
-                            var_count_alpha)
+from avgsat.formula import (ConnectiveTable, Formula, compact_model_set,
+                            enumerate_formulas, evaluate, model_set, parse_rpn,
+                            size_f, var_count_alpha)
 
 
 def test_rewrite_examples(std):
-    assert engines.rewrite_cost(parse_rpn("p0", std)).time_units == 16
+    assert engines.rewrite_cost(parse_rpn("p0", std).key()) == 16
     x = parse_rpn("p0 p1 ∨", std)
-    run = engines.rewrite_cost(x)
-    assert run.time_units == size_f(x) == 56
-    assert run.payload == x
+    assert engines.rewrite_cost(x.key()) == size_f(x) == 56
 
 
 def test_rewrite_minimum(std):
     for x in enumerate_formulas(std, 2, max_tokens=4):
-        assert engines.rewrite_cost(x).time_units >= 8
+        assert engines.rewrite_cost(x.key()) >= 8
 
 
 def test_tabulate_examples(std):
-    assert engines.tabulate(parse_rpn("p0", std)).time_units == 2 * 16
-    x = parse_rpn("p0 p1 ∨", std)
-    run = engines.tabulate(x)
-    assert run.time_units == 4 * 56
-    assert set(run.payload.members()) == {1, 2, 3}
+    assert engines.tabulate(parse_rpn("p0", std).key()) == 2 * 16
+    assert engines.tabulate(parse_rpn("p0 p1 ∨", std).key()) == 4 * 56
 
 
 def test_tabulate_is_power_of_two_times_rewrite(std):
     for x in enumerate_formulas(std, 2, max_tokens=6):
-        lhs = engines.tabulate(x).time_units
-        rhs = (1 << var_count_alpha(x)) * engines.rewrite_cost(x).time_units
-        assert lhs == rhs
+        key = x.key()
+        assert engines.tabulate(key) == (1 << var_count_alpha(x)) * engines.rewrite_cost(key)
 
 
 def test_min_n():
-    assert engines.min_n(ModelSet(1, 0b10)) == 1
-    assert engines.min_n(ModelSet(2, 0)) == 4
-    assert engines.min_n(ModelSet(3, 0xFF)) == 0
+    assert engines.min_n((1, 16, 0b10)) == 1
+    assert engines.min_n((2, 16, 0)) == 4
+    assert engines.min_n((3, 16, 0xFF)) == 0
 
 
 def test_sat_scan_examples(std):
-    x = parse_rpn("p0 p1 ∨", std)
-    run = engines.sat_scan(x)
-    assert run.payload == 1
-    assert run.time_units == 56 * 2
+    assert engines.sat_scan(parse_rpn("p0 p1 ∨", std).key()) == 56 * 2
     contra = parse_rpn("p0 p0 ¬ ∧", std)
-    run = engines.sat_scan(contra)
-    assert run.payload is None
-    assert run.time_units == size_f(contra) * 3 == 72 * 3
+    assert engines.sat_scan(contra.key()) == size_f(contra) * 3 == 72 * 3
 
 
 def test_sat_scan_versus_tabulate(std):
     for x in enumerate_formulas(std, 2, max_tokens=6):
-        sat = engines.sat_scan(x)
-        tab = engines.tabulate(x)
-        if sat.payload is None:
-            assert sat.time_units == tab.time_units + size_f(x)
+        key = x.key()
+        sat, tab = engines.sat_scan(key), engines.tabulate(key)
+        if key[2] == 0:
+            # unsatisfiable: every assignment was tried, plus the read
+            assert sat == tab + size_f(x)
         else:
-            assert sat.time_units <= tab.time_units
+            assert sat <= tab
 
 
 def _compacted_clone(x):
@@ -75,15 +64,17 @@ def _compacted_clone(x):
     return Formula(tuple(remapped), x.table), len(mapping)
 
 
+def _first_model(x, value=1):
+    """The first assignment of x over its own variables, numbered by first
+    appearance, at which x takes ``value``, or 2^alpha: one evaluate per
+    assignment."""
+    clone, n = _compacted_clone(x)
+    return next((m for m in range(1 << n) if evaluate(clone, m, n) == value), 1 << n)
+
+
 def test_witness_is_minimal(std):
     for x in enumerate_formulas(std, 3, max_tokens=5):
-        clone, n = _compacted_clone(x)
-        witness = engines.sat_scan(x).payload
-        if witness is None:
-            assert all(evaluate(clone, m, n) == 0 for m in range(1 << n))
-        else:
-            assert evaluate(clone, witness, n) == 1
-            assert all(evaluate(clone, m, n) == 0 for m in range(witness))
+        assert engines.min_n(x.key()) == _first_model(x)
 
 
 def test_negated_standard(std):
@@ -104,8 +95,8 @@ def test_negated_complement_on_enumeration(std):
     for x in enumerate_formulas(std, 2, max_tokens=5, alpha=2):
         nx = engines.negated(x)
         assert compact_model_set(nx) == compact_model_set(x).complement()
-        assert engines.sat_scan(nx).time_units == size_f(nx) * (
-            engines.min_n(compact_model_set(x).complement()) + 1)
+        # the negation's scan stops at the first assignment x rejects
+        assert engines.sat_scan(nx.key()) == size_f(nx) * (_first_model(x, 0) + 1)
 
 
 def test_no_negation():
@@ -117,8 +108,9 @@ def test_no_negation():
 
 def test_costs_are_exact_integers(std):
     for x in enumerate_formulas(std, 2, max_tokens=5):
-        for run in (engines.rewrite_cost(x), engines.tabulate(x), engines.sat_scan(x)):
-            assert isinstance(run.time_units, int)
+        key = x.key()
+        for time in (engines.rewrite_cost(key), engines.tabulate(key), engines.sat_scan(key)):
+            assert isinstance(time, int)
 
 
 def test_witness_is_minimal_four_vars(std):
@@ -126,32 +118,30 @@ def test_witness_is_minimal_four_vars(std):
     # three binary connectives)
     checked = 0
     for x in enumerate_formulas(std, 4, max_tokens=7, alpha=4):
-        clone, n = _compacted_clone(x)
-        assert n == 4
-        witness = engines.sat_scan(x).payload
-        if witness is None:
-            assert all(evaluate(clone, m, n) == 0 for m in range(16))
-        else:
-            assert evaluate(clone, witness, n) == 1
-            assert all(evaluate(clone, m, n) == 0 for m in range(witness))
+        key = x.key()
+        assert key[0] == 4
+        assert engines.min_n(key) == _first_model(x)
         checked += 1
     assert checked == 960
 
 
+CONST_TABLE = ConnectiveTable.from_text("¬ 1 10\nM 3 00010111\n⊤ 0 1\n")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_costs_on_a_key_are_the_costs_on_its_sentences(std, n):
-    # a key (alpha, f, class) carries all that the cost models read; the
-    # scan's time is checked here against evaluate, not against the key
-    for x in enumerate_formulas(std, n, max_tokens=6):
-        clone, alpha = _compacted_clone(x)
-        key = sentence_key(x)
+    # a key (alpha, f, class) carries all that the cost models read; each
+    # cost is checked here against the sentence, its first model against
+    # one evaluate per assignment
+    for x in (*enumerate_formulas(std, n, max_tokens=6),
+              *enumerate_formulas(CONST_TABLE, n, max_tokens=6)):
+        key = x.key()
         assert key == (var_count_alpha(x), size_f(x), compact_model_set(x).bits)
-        first = next((m for m in range(1 << alpha) if evaluate(clone, m, alpha)), 1 << alpha)
-        assert engines.sat_scan(key) == engines.sat_scan(x)
-        assert engines.sat_scan(key).time_units == size_f(x) * (first + 1)
-        assert engines.tabulate(key) == engines.tabulate(x)
-        assert engines.tabulate(key).payload == compact_model_set(x)
-        assert engines.rewrite_cost(key).time_units == size_f(x)
+        first = _first_model(x)
+        assert engines.min_n(key) == first
+        assert engines.sat_scan(key) == size_f(x) * (first + 1)
+        assert engines.tabulate(key) == (1 << var_count_alpha(x)) * size_f(x)
+        assert engines.rewrite_cost(key) == size_f(x)
 
 
 @pytest.mark.parametrize("table", ["standard", "nand", "nor-only"])
@@ -160,7 +150,7 @@ def test_negated_key_is_the_key_of_the_negation(table):
            "nand": ConnectiveTable.from_text("⊼ 2 1110\n"),
            "nor-only": ConnectiveTable.from_text("⊽ 2 1000\n")}[table]
     for x in enumerate_formulas(tab, 3, max_tokens=7):
-        assert engines.negated_key(sentence_key(x), tab) == sentence_key(engines.negated(x))
+        assert engines.negated_keys({x.key(): 5}, tab) == {engines.negated(x).key(): 5}
     monotone = ConnectiveTable.from_text("∧ 2 0001\n∨ 2 0111\n")
     with pytest.raises(engines.NoNegation):
-        engines.negated_key((1, 16, 2), monotone)
+        engines.negated_keys({(1, 16, 2): 1}, monotone)

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import _kernel, analytic, engines, measure
+from avgsat import _kernel, analytic, measure
 from avgsat.formula import (Connective, ConnectiveTable, Formula, MalformedRpn,
                             ModelSet, UnknownSymbol, VariableOutOfRange,
                             compact_model_set, enumerate_formulas, evaluate,
@@ -120,14 +120,12 @@ VALUE_TYPES = [
     (measure.BoundRow, (1, Q(1, 2), Q(1), True, ""), (1, Q(1, 2), Q(1), False, ""), None),
     (measure.HRow, ("chi_1", Q(1), Q(2), True), ("chi_2", Q(1), Q(2), True), None),
     (measure.MarkovTail, (Q(1, 2), Q(1, 4), True), (Q(1, 2), Q(1, 3), True), None),
-    (engines.CostedRun, (None, 16), (None, 32), None),
     (analytic.Census, (1, 2, 3), (1, 2, 4), None),
     (analytic.Totals, (1, 2, Q(1, 3)), (1, 2, Q(2, 3)), None),
     (analytic.MinExpectation, (1, Q(7, 4), None, Q(3, 2)), (1, Q(7, 4), Q(7, 4), Q(3, 2)),
      None),
     (analytic.MomentSum, (2, Q(6), Q(1, 10), 8), (2, Q(6), Q(1, 10), 16), None),
     (analytic.ConstantComparison, (189, 197, Q(8, 197)), (190, 197, Q(7, 197)), None),
-    (analytic.ShannonModel, (2, True), (2, False), None),
     (analytic.ChainStep, ("a", Q(1), Q(2), True), ("b", Q(1), Q(2), True), None),
     (analytic.TabulatorBound, (1, Q(1), Q(1), True, (), Q(1)),
      (2, Q(1), Q(1), True, (), Q(1)), None),

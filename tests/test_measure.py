@@ -9,19 +9,18 @@ from hypothesis import given, strategies as st
 
 from avgsat import analytic, engines, measure
 from avgsat.commands.exact import BOUND_HEADER, bound_rows
-from avgsat.formula import (ConnectiveTable, enumerate_formulas, parse_rpn,
-                            var_count_alpha)
+from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas, parse_rpn
 from avgsat.measure import (ClassUncovered, Distribution, HMode,
                             InputSpace, Normalization, PreconditionFailed,
                             Verdict, ZeroMass, ZeroMassSubset, avg_time,
                             check_property_2_2, check_property_2_3,
-                            markov_tail, model_class_of, nu_from_H,
+                            markov_tail, nu_from_H,
                             oclass_member, power_law_length, relative_avg,
                             tractability, uniform_on,
                             uniform_over_model_classes,
                             uniform_within_min_layers, weights_proportional)
 
-SAT_TIME = lambda x: engines.sat_scan(x).time_units
+SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
 
 
@@ -320,9 +319,8 @@ def test_tractability_memory_does_not_grow_with_the_scan():
 # --- reweighting and the transfer properties ------------------------------
 
 @pytest.fixture(scope="module")
-def combined(std):
-    forms = [x for x in enumerate_formulas(std, 2, max_tokens=8)]
-    return InputSpace.from_formulas(forms)
+def combined(std, sentence_space):
+    return sentence_space(enumerate_formulas(std, 2, max_tokens=8))
 
 
 def test_nu_from_H_characteristic(combined):
@@ -361,7 +359,7 @@ def test_property_2_2_holds(combined):
 def test_property_2_2_broken_class_is_witnessed(combined):
     sp = combined
     mu = uniform_over_model_classes(sp)
-    T = lambda x: SAT_TIME(x) * (4 if var_count_alpha(x) == 2 else 1)
+    T = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
     res = check_property_2_2(sp, T, DOUBLE, mu)
     assert not res.oclass.row(2).passed
     assert res.oclass.row(1).passed
@@ -464,7 +462,7 @@ def test_uniform_over_model_classes_equal_masses(space2):
     mu = uniform_over_model_classes(space2, 2)
     groups = {}
     for x in space2.items:
-        groups.setdefault(model_class_of(x), []).append(x)
+        groups.setdefault(x[2], []).append(x)
     assert len(groups) == 16
     masses = {k: mu.mass(v) for k, v in groups.items()}
     assert set(masses.values()) == {Fraction(1, 16)}
@@ -502,7 +500,7 @@ def test_covering_space_complete_table_still_meets_the_cap():
         measure.covering_space(nand, 3)
 
 
-def test_uniform_within_min_layers(space1, expanded1):
+def test_uniform_within_min_layers(std, space1, expanded1):
     # over blocks (1, f, model set), each the sentences of one size and
     # model set, against the layers of the sentences themselves
     sp = measure.layer_blocks(space1, 1)
@@ -510,7 +508,7 @@ def test_uniform_within_min_layers(space1, expanded1):
     mu.validate(sp)
     from avgsat.formula import model_set, size_f, stratify_min_layers
     block = lambda x: (1, size_f(x), model_set(x, 1).bits)
-    layers = stratify_min_layers(expanded1.items, 1)
+    layers = stratify_min_layers([Formula(x[-1], std) for x in expanded1.items], 1)
     masses = {}
     for layer in layers:
         for x in layer:
