@@ -301,15 +301,15 @@ def shannon_space(ns: list[int]):
     """An input space of shortest-code keys for several layer sizes.
 
     Key (n, length) stands for the layer's slots of that code length; f
-    is the length and alpha is n.  Returns the space, the tabulation
-    cost map 2^n * length, and the per-class uniform distribution (each
-    slot 1/2^(2^n) of its class, mass 1 on each class).
+    is the length and alpha is n, so its tabulation cost is
+    :func:`avgsat.engines.tabulate`, 2^n * length.  Returns the space and
+    the per-class uniform distribution (each slot 1/2^(2^n) of its
+    class, mass 1 on each class).
     """
     from . import measure  # loaded only by the commands that check the model
     count = {(n, length): slots
              for n in ns for length, slots in shannon_lengths(n)}
-    T = {key: (1 << key[0]) * key[1] for key in count}
     mu = measure.Distribution({key: Fraction(slots, 1 << (1 << key[0]))
                                for key, slots in count.items()},
                               measure.Normalization.PER_CLASS)
-    return measure.InputSpace.from_keys(count), T, mu
+    return measure.InputSpace(count), mu

@@ -52,9 +52,9 @@ def cmd_sat_oclass(opts: Options):
     report = measure.oclass_member(space, engines.sat_scan, lambda k: 2 * k, mu)
     rows = [["sat"] + row for row in bound_rows(report)]
     if table.negation_strategy() is None:
-        rows.append(["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", INFO])
+        rows.append(["co-skipped", str(n), *comparison(0, 0), INFO])
     else:
-        co_space = measure.InputSpace.from_keys(engines.negated_keys(space.count, table))
+        co_space = measure.InputSpace(engines.negated_keys(space.count, table))
         mu_co = measure.uniform_over_model_classes(co_space, n)
         co_report = measure.oclass_member(co_space, engines.sat_scan, lambda k: 2 * k, mu_co)
         rows.extend(["co"] + row for row in bound_rows(co_report))
@@ -78,13 +78,12 @@ def cmd_tab_oclass(opts: Options):
     rows = []
     for n in sorted(ns):
         if model == "shannon":
-            space, T, mu = analytic.shannon_space([n])
+            space, mu = analytic.shannon_space([n])
         else:
             space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
-            T = engines.tabulate
             mu = measure.uniform_within_min_layers(space, n)
         known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
-        report = measure.oclass_member(space, T, lambda k: k ** 3, mu)
+        report = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)
         rows.extend(bound_rows(report, lambda r: PASS if r.passed
                                else EXPECTED_FAIL if known else FAIL))
     return BOUND_HEADER, rows
@@ -126,7 +125,7 @@ def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | Non
     count: dict[tuple, int] = {}
     for n in sorted(ns):
         count.update(_space(table, n, max_tokens).count)
-    return measure.InputSpace.from_keys(count)
+    return measure.InputSpace(count)
 
 
 def cmd_property_2_2(opts: Options):
@@ -161,8 +160,7 @@ def cmd_property_2_2(opts: Options):
     if break_class is not None:
         # the demonstration must actually break the targeted class
         bic = bic and not result.oclass.row(break_class).passed
-    rows.append(["biconditional", "", "", "0", "1", "0", "1", "0.0", "0.0",
-                 PASS if bic else FAIL])
+    rows.append(["biconditional", "", "", *comparison(0, 0), PASS if bic else FAIL])
     return header, rows
 
 
@@ -179,7 +177,8 @@ def cmd_property_2_3(opts: Options):
         F = lambda k: 2 * k
     else:
         from .. import analytic  # loaded only by the commands that use it
-        space, T, mu = analytic.shannon_space(ns)
+        space, mu = analytic.shannon_space(ns)
+        T = engines.tabulate
         F = lambda k: k ** 3
     result = measure.check_property_2_3(space, T, F, mu, H)
     header = ["model", "ns", "h_exponent", "expectation_num", "expectation_den",

@@ -38,6 +38,13 @@ MAX_POOL = 33
 # v variables (the pool of explore-min, montecarlo's --n)
 HELD_BITS = 1 << 20
 
+# the most token steps montecarlo's expected draws may take: a draw walks
+# up to --max-tokens tokens, and a step on masks of 2^n bits costs about
+# 1 + 2^n / 2^15 steps on narrow ones (200 tokens: about 0.35 ms a draw
+# at --n 2 and 0.96 ms at --n 16, 2 vCPU, Python 3.11), so this is some
+# 10 to 20 s of drawing
+MAX_DRAW_STEPS = 10 ** 7
+
 
 class SampleError(AvgsatError):
     """A sampling command was asked for samples from a space with no
@@ -240,6 +247,14 @@ def _draws(rng: random.Random, total: int):
     return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
 
 
+def _check_draws(draws: int, samples: int, n: int, max_tokens: int) -> None:
+    """Refuse ``draws`` draws whose token steps pass ``MAX_DRAW_STEPS``."""
+    if draws * max_tokens * (1 + (1 << n >> 15)) > MAX_DRAW_STEPS:
+        raise SampleError(f"{samples} samples over {n} variables within {max_tokens} tokens "
+                          f"would take more than the {MAX_DRAW_STEPS:.0e} token steps "
+                          "montecarlo takes")
+
+
 def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tuple[int, int, int]:
     """(accepted, sum, sum of squares) of the scan times of the first
     ``samples`` of ``draws`` whose sentences have n variables.
@@ -309,6 +324,7 @@ def cmd_montecarlo(opts: Options):
         samples = opts.get("samples")
         if exact_check and samples < 2:
             raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
+        _check_draws(samples, samples, n, max_tokens)  # before any table is built
         leaves = _kernel.max_leaves(table.arities, max_tokens)
         if n > leaves:
             raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} "
@@ -325,10 +341,13 @@ def cmd_montecarlo(opts: Options):
             raise SampleError(f"sentences with {n} distinct variables are {hits / total:.2g} "
                               f"of those within {max_tokens} tokens; below 1/2001 too few "
                               "draws would be accepted")
+        # `samples` acceptances take about samples * total / hits draws
+        _check_draws(samples * total // hits, samples, n, max_tokens)
+        if exact_check:  # first, as it may refuse its own space
+            _, exact = _counted_mean(table, n, max_tokens)
         accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
-            _, exact = _counted_mean(table, n, max_tokens)
             exact_mean = _float(exact)
             gap = mean - float(exact)
             # with no spread among the samples, only an exact hit passes

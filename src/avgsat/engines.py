@@ -34,7 +34,9 @@ def rewrite_cost(key: Key) -> int:
 
 
 def tabulate(key: Key) -> int:
-    """Full truth table over the sentence's own (compacted) variables."""
+    """Full truth table over the sentence's own (compacted) variables.
+    It reads alpha and f alone, so it prices a shortest-code key
+    (n, length) of :func:`avgsat.analytic.shannon_space` too."""
     return (1 << key[0]) * key[1]
 
 

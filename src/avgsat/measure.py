@@ -3,11 +3,12 @@
 Expected running times are taken over an explicit weighted input
 space, not over size classes alone.  The core objects:
 
-* :class:`InputSpace` — a finite list of inputs with a bit-size map f
-  and an orthogonal partition alpha (for sentences: the number of
-  distinct variables).  An item may stand for several inputs that
-  every check reads alike: a sentence space's items are keys
-  (alpha, f, class mask), with counts.
+* :class:`InputSpace` — a finite space of counted keys.  A key stands
+  for ``count[key]`` inputs that every check reads alike: its alpha (an
+  orthogonal partition; for sentences, the number of distinct
+  variables) is ``key[0]`` and its bit size f is ``key[1]``; further
+  fields, such as a sentence's class mask, follow.  Every cost is a
+  function of a key (see :mod:`avgsat.engines`).
 * :class:`Distribution` — exact rational weights, normalized globally
   or per alpha-class.
 * ``oclass_member`` — generalized O(F) membership: in every positive-
@@ -59,16 +60,6 @@ class PreconditionFailed(MeasureError):
     """A check's stated precondition does not hold on this space."""
 
 
-CostMap = Callable[[object], int] | Mapping[object, int]
-
-
-def _fn(m):
-    """Normalize a mapping-or-callable to a callable."""
-    if callable(m):
-        return m
-    return m.__getitem__
-
-
 _ZERO = Fraction(0)
 
 
@@ -102,39 +93,24 @@ def _dot(terms: Iterable[tuple]) -> Fraction:
 
 
 class InputSpace:
-    """A finite input space with a size map f and a partition alpha.
+    """A finite input space of counted keys.
 
-    Item x stands for ``count[x]`` inputs (default 1) with its size, its
-    alpha and whatever else the checks read of it.  Distributions give
-    x the total mass of the inputs it stands for, so every check sums
-    over items exactly as over the inputs themselves.
+    Key x stands for ``count[x]`` inputs with alpha ``x[0]``, size
+    ``x[1]`` and whatever else the checks read of it.  Distributions
+    give x the total mass of the inputs it stands for, so every check
+    sums over keys exactly as over the inputs themselves.
     """
 
-    def __init__(self, items: Iterable, f: CostMap, alpha: CostMap,
-                 count: CostMap | None = None):
-        self.items = list(items)
-        ff, aa = _fn(f), _fn(alpha)
-        self.f = {x: ff(x) for x in self.items}
-        self.alpha = {x: aa(x) for x in self.items}
-        cc = (lambda x: 1) if count is None else _fn(count)
-        self.count = {x: cc(x) for x in self.items}
-        if len(self.f) != len(self.items):
-            raise ValueError("duplicate items in input space")
-        for x, v in self.f.items():
-            if v < 1:
-                raise ValueError(f"size of {x!r} must be >= 1, got {v}")
+    def __init__(self, count: Mapping[tuple, int]):
+        self.count = dict(count)
+        self.items = list(self.count)
+        self.classes: dict[int, list] = {}
         for x, c in self.count.items():
+            if x[1] < 1:
+                raise ValueError(f"size of {x!r} must be >= 1, got {x[1]}")
             if c < 1:
                 raise ValueError(f"count of {x!r} must be >= 1, got {c}")
-        self.classes: dict[int, list] = {}
-        for x in self.items:
-            self.classes.setdefault(self.alpha[x], []).append(x)
-
-    @classmethod
-    def from_keys(cls, count: Mapping[tuple, int]) -> "InputSpace":
-        """A space whose items are keys (alpha, f, mask), each standing
-        for ``count[key]`` inputs."""
-        return cls(count, itemgetter(1), itemgetter(0), count)
+            self.classes.setdefault(x[0], []).append(x)
 
     def total(self, items: Iterable) -> int:
         """Number of inputs the given items stand for."""
@@ -145,9 +121,6 @@ class InputSpace:
 
     def class_items(self, n: int) -> list:
         return self.classes.get(n, [])
-
-    def f_class_items(self, n: int) -> list:
-        return [x for x in self.items if self.f[x] == n]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -226,26 +199,25 @@ class BoundReport:
         raise KeyError(n)
 
 
-def avg_time(T: CostMap, mu: Distribution, Y: Iterable) -> Fraction:
+def avg_time(T: Callable, mu: Distribution, Y: Iterable) -> Fraction:
     """Expected T(x) conditioned on x in Y (exact)."""
-    Tf = _fn(T)
     items = list(Y)
     denom = mu.mass(items)
     if denom == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
     w = mu.weights.get
-    return _dot((Tf(x), w(x, 0)) for x in items) / denom
+    return _dot((T(x), w(x, 0)) for x in items) / denom
 
 
-def relative_avg(space: InputSpace, T: CostMap, mu: Distribution, n: int) -> Fraction:
+def relative_avg(space: InputSpace, T: Callable, mu: Distribution, n: int) -> Fraction:
     """Average T over the size class f = n; defined as 1 on empty mass."""
-    items = space.f_class_items(n)
+    items = [x for x in space.items if x[1] == n]
     if mu.mass(items) == 0:
         return Fraction(1)
     return avg_time(T, mu, items)
 
 
-def oclass_member(space: InputSpace, T: CostMap, F: Callable[[int], object],
+def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
                   mu: Distribution) -> BoundReport:
     """Generalized O(F) membership test.
 
@@ -256,7 +228,6 @@ def oclass_member(space: InputSpace, T: CostMap, F: Callable[[int], object],
     in exact rational arithmetic (the coefficient on F is exactly 1).
     F is evaluated once per distinct size.
     """
-    Tf = _fn(T)
     w = mu.weights.get
     inv_F: dict[int, Fraction] = {}
     report = BoundReport()
@@ -265,13 +236,13 @@ def oclass_member(space: InputSpace, T: CostMap, F: Callable[[int], object],
         rhs = mu.mass(items)
         if rhs == 0:
             continue
-        for k in dict.fromkeys(space.f[x] for x in items):
+        for k in dict.fromkeys(x[1] for x in items):
             if k not in inv_F:
                 Fv = Fraction(F(k))
                 if Fv < 1:
                     raise ValueError(f"F({k}) = {Fv} < 1")
                 inv_F[k] = 1 / Fv
-        lhs = _dot((Tf(x), w(x, 0), inv_F[space.f[x]]) for x in items)
+        lhs = _dot((T(x), w(x, 0), inv_F[x[1]]) for x in items)
         report.rows.append(BoundRow(n, lhs, rhs, lhs <= rhs))
     return report
 
@@ -294,7 +265,7 @@ class TractabilityResult(NamedTuple):
         return next(reversed(self.checkpoints.values()))
 
 
-def tractability(T: CostMap, mu: CostMap, indices: Sequence[int],
+def tractability(T: Callable, mu: Callable, indices: Sequence[int],
                  eps: float = 1e-12, cap: float = 1e6, growth_margin: float = 1.0,
                  exact: bool = False, tail_window: int = 10) -> TractabilityResult:
     """Partial expected running times over growing class prefixes.
@@ -315,7 +286,6 @@ def tractability(T: CostMap, mu: CostMap, indices: Sequence[int],
     count = len(indices)
     if not count:
         raise ZeroMassSubset("no classes supplied")
-    Tf, muf = _fn(T), _fn(mu)
     marks = []
     k = 1
     while k < count:
@@ -339,10 +309,10 @@ def tractability(T: CostMap, mu: CostMap, indices: Sequence[int],
     for stop in chain(sorted(k for k in kept if k < tail), range(tail, count + 1)):
         before = prev
         for x in islice(rest, stop - done):
-            w = muf(x)
+            w = mu(x)
             if not exact:
                 w = float(w)
-            num += Tf(x) * w
+            num += T(x) * w
             den += w
             if den == 0:
                 raise ZeroMassSubset("class prefix has zero mass")
@@ -392,7 +362,7 @@ def nu_from_H(space: InputSpace, H: Callable[[int], object],
     weight: dict[tuple, tuple[int, int]] = {}  # key -> (numerator, denominator)
     key_of = {}   # items of nonzero weight -> their key
     for x in space.items:
-        key = (space.alpha[x], space.f[x], *w(x, 0).as_integer_ratio())
+        key = (x[0], x[1], *w(x, 0).as_integer_ratio())
         q = weight.get(key)
         if q is None:
             a, k, num, den = key
@@ -448,7 +418,7 @@ class Prop22Result(NamedTuple):
             self.oclass.overall == all(r.ok for r in self.h_rows))
 
 
-def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object],
+def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object],
                        mu: Distribution,
                        extra_H: Sequence[tuple[str, Callable]] = ()) -> Prop22Result:
     """Exact verification of the membership/reweighting equivalence.
@@ -459,10 +429,9 @@ def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object]
     expected F(f) under the reweighted distribution exactly when the
     per-class membership rows pass.
     """
-    Tf = _fn(T)
-    times = {x: Tf(x) for x in space.items}
-    oc = oclass_member(space, times, F, mu)
-    F_at = {k: F(k) for k in set(space.f.values())}
+    times = {x: T(x) for x in space.items}
+    oc = oclass_member(space, times.__getitem__, F, mu)
+    F_at = {k: F(k) for k in {x[1] for x in space.items}}
     tested_classes = [r.n for r in oc.rows]
     h_rows = []
     per_class = True
@@ -475,7 +444,7 @@ def check_property_2_2(space: InputSpace, T: CostMap, F: Callable[[int], object]
         except ZeroMass:
             continue
         lhs = _dot((times[x], q) for x, q in nu.weights.items())
-        rhs = _dot((F_at[space.f[x]], q) for x, q in nu.weights.items())
+        rhs = _dot((F_at[x[1]], q) for x, q in nu.weights.items())
         row = HRow(label, lhs, rhs, lhs <= rhs)
         h_rows.append(row)
         if label.startswith("chi_"):
@@ -502,7 +471,7 @@ class Prop23Result(NamedTuple):
     ok: bool
 
 
-def check_property_2_3(space: InputSpace, T: CostMap, F: Callable[[int], object],
+def check_property_2_3(space: InputSpace, T: Callable, F: Callable[[int], object],
                        mu: Distribution, H: Callable[[int], object]) -> Prop23Result:
     """Certify expected T <= sum of H(n) under the dominated reweighting.
 
@@ -511,9 +480,8 @@ def check_property_2_3(space: InputSpace, T: CostMap, F: Callable[[int], object]
     """
     if mu.normalization is not Normalization.PER_CLASS:
         raise PreconditionFailed("mu must be normalized once per class")
-    Tf = _fn(T)
-    times = {x: Tf(x) for x in space.items}
-    oc = oclass_member(space, times, F, mu)
+    times = {x: T(x) for x in space.items}
+    oc = oclass_member(space, times.__getitem__, F, mu)
     if not oc.overall:
         raise PreconditionFailed("O(F) membership fails on this space")
     nu = nu_from_H(space, H, F, mu, HMode.DOMINATED)
@@ -529,19 +497,18 @@ class MarkovTail(NamedTuple):
     ok: bool
 
 
-def markov_tail(T: CostMap, mu: Distribution, Y: Iterable, a) -> MarkovTail:
+def markov_tail(T: Callable, mu: Distribution, Y: Iterable, a) -> MarkovTail:
     """Tail bound P(T >= a | Y) <= avg(T | Y) / a, checked exactly."""
     a = Fraction(a)
     if a <= 0:
         raise ValueError("threshold must be positive")
-    Tf = _fn(T)
     items = list(Y)
     total = mu.mass(items)
     if total == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
     bound = avg_time(T, mu, items) / a
     w = mu.weights.get
-    tail = _dot((w(x, 0),) for x in items if Tf(x) >= a)
+    tail = _dot((w(x, 0),) for x in items if T(x) >= a)
     empirical = tail / total
     return MarkovTail(bound, empirical, empirical <= bound)
 
@@ -571,7 +538,7 @@ def weights_proportional(space: InputSpace, weight: Callable) -> Distribution:
 
 def power_law_length(space: InputSpace, p: int) -> Distribution:
     """Weight proportional to f(x)^(-p)."""
-    return weights_proportional(space, lambda x: Fraction(1, space.f[x] ** p))
+    return weights_proportional(space, lambda x: Fraction(1, x[1] ** p))
 
 
 def uniform_over_model_classes(space: InputSpace, n: int | None = None,
@@ -629,7 +596,7 @@ def layer_blocks(space: InputSpace, n: int) -> InputSpace:
         for key in keys:
             block = (n, key[1], sum(((key[2] >> y) & 1) << x for x, y in enumerate(reads)))
             count[block] = count.get(block, 0) + space.count[key]
-    return InputSpace.from_keys(count)
+    return InputSpace(count)
 
 
 def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
@@ -648,7 +615,7 @@ def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
     """
     free: dict[int, int] = {}   # group -> its next free rank
     spans = {}                  # block -> the ranks [a, b) it fills
-    for x in sorted(space.class_items(n), key=space.f.__getitem__):
+    for x in sorted(space.class_items(n), key=itemgetter(1)):
         a = free.get(x[2], 0)
         b = free[x[2]] = a + space.count[x]
         spans[x] = a, b
@@ -682,6 +649,17 @@ def _check_vars(n: int) -> None:
         raise MeasureError(f"sentence spaces need 1 to 10 variables, got {n}")
 
 
+# The largest token budget of a counted space: its completion table
+# alone holds max_tokens^2 integers.
+MAX_TOKENS = 200
+# The most steps (SentenceCounts.work) a counted space may take.  On 2
+# vCPUs (Python 3.11), 1.4e8 at n = 3 within 40 tokens took 5.2 s, 3.1e8
+# at n = 4 within 12 took 3.2 s and 3.7e8 at n = 3 within 50 took 17 s;
+# 5.2e8 at n = 5 within 11 (6.9 s) and 1.5e9 at n = 4 within 13 are
+# refused.
+MAX_WORK = 4 * 10 ** 8
+
+
 def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace:
     """All alpha = n sentences over exactly n variables up to a token
     budget, as keys (n, f, class mask) counting the canonical sentences
@@ -690,13 +668,22 @@ def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace
     Each canonical sentence stands for its n! renamings, which share its
     key, so weights uniform over classes or over sentences are the same
     on canonical counts; n! times a count is a number of sentences.
-    Raises MeasureError unless 1 <= n <= 10."""
+    Raises MeasureError unless 1 <= n <= 10, and, before counting, when
+    the budget passes ``MAX_TOKENS`` or the count's estimated steps pass
+    ``MAX_WORK``."""
     _check_vars(n)
+    if max_tokens > MAX_TOKENS:
+        raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, "
+                           f"got {max_tokens}")
     from ._counting import SentenceCounts  # loaded only to build a space
     counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
+    if counts.work() > MAX_WORK:
+        raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
+                           f"tokens would take more than the {MAX_WORK:.0e} steps a "
+                           "count may take")
     for _ in range(max_tokens):
         counts.extend()
-    return InputSpace.from_keys(counts.keys())
+    return InputSpace(counts.keys())
 
 
 def _monotone(a: int, f: int) -> bool:
@@ -755,6 +742,6 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
         counts.extend()
         classes.update(mask for _, mask, _ in counts.top(t))
         if len(classes) == needed:
-            return InputSpace.from_keys(counts.keys())
+            return InputSpace(counts.keys())
     raise ClassUncovered(
         f"only {len(classes)} of {needed} model classes within {depth_cap} tokens")

@@ -47,7 +47,7 @@ def test_criterion_02_sat_linear_membership():
         report = measure.oclass_member(space, SAT_TIME, DOUBLE, mu)
         ok = ok and report.overall
         ok = ok and report.row(n).lhs == (2 - Fraction(1, 2 ** (2 ** n))) / 2
-        co = measure.InputSpace.from_keys(engines.negated_keys(space.count, table))
+        co = measure.InputSpace(engines.negated_keys(space.count, table))
         mu_co = measure.uniform_over_model_classes(co, n)
         ok = ok and measure.oclass_member(co, SAT_TIME, DOUBLE, mu_co).overall
     elapsed = time.perf_counter() - start

@@ -267,14 +267,14 @@ def test_tabulator_bound_agrees_with_membership_machinery():
     # dual route: the closed-form layer sum must equal the generic
     # per-class membership sum over the counted keys
     for n in range(1, 11):
-        space, T, mu = shannon_space([n])
-        row = measure.oclass_member(space, T, lambda k: k ** 3, mu).row(n)
+        space, mu = shannon_space([n])
+        row = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu).row(n)
         tb = tabulator_class_bound(n)
         assert (row.lhs, row.rhs, row.passed) == (tb.lhs, tb.rhs, tb.passed)
 
 
 def test_shannon_space_structure():
-    space, T, mu = shannon_space([3, 4])
+    space, mu = shannon_space([3, 4])
     # one key (n, code length) per length: 8 at n = 3 and 16 at n = 4
     assert len(space) == 24
     assert space.attained_classes() == [3, 4]
@@ -284,4 +284,4 @@ def test_shannon_space_structure():
         assert len(items) == 2 ** n
         assert space.total(items) == 2 ** (2 ** n)
         assert mu.mass(items) == 1
-        assert all(T[it] == (1 << n) * space.f[it] for it in items)
+        assert all(engines.tabulate(it) == (1 << n) * it[1] for it in items)

@@ -226,8 +226,19 @@ def test_negative_size_exits_2(tmp_path, capsys, argv):
     ["sat-oclass", "--n", "4"],
     ["markov-tail", "--n", "5"],
     ["tab-oclass", "--model", "enumerated", "--n-list", "11", "--max-tokens", "3"],
-], ids=["sat-oclass-n4", "markov-tail-n5", "tab-oclass-n11"])
+    ["tab-oclass", "--model", "enumerated", "--n-list", "5", "--max-tokens", "11"],
+    ["sat-oclass", "--n", "5", "--max-tokens", "11"],
+    ["montecarlo", "--n", "4", "--max-tokens", "14", "--samples", "10", "--exact-check"],
+    ["montecarlo", "--n", "3", "--max-tokens", "60", "--exhaustive"],
+    ["property-2-2", "--max-tokens", "201"],
+], ids=["sat-oclass-n4", "markov-tail-n5", "tab-oclass-n11", "tab-oclass-n5-work",
+        "sat-oclass-n5-work", "montecarlo-exact-check-work",
+        "montecarlo-exhaustive-work", "property-2-2-tokens"])
 def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
+    # refused before any counting: covering spaces past n = 3, and
+    # sentence spaces past 10 variables, 200 tokens or the counting's
+    # estimated steps (measure.MAX_WORK; sat-oclass --n 5 --max-tokens 11
+    # counted for 4.8 s before finding too few classes)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -243,16 +254,23 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ["montecarlo", "--n", "10", "--max-tokens", "19", "--samples", "1000"],
     ["montecarlo", "--n", "2", "--max-tokens", "201", "--samples", "10"],
     ["montecarlo", "--n", "30", "--max-tokens", "200", "--samples", "10"],
+    ["montecarlo", "--n", "16", "--max-tokens", "200"],
+    ["montecarlo", "--n", "12", "--max-tokens", "40", "--samples", "20000"],
 ], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
         "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share",
-        "montecarlo-max-tokens-201", "montecarlo-n30"])
+        "montecarlo-max-tokens-201", "montecarlo-n30", "montecarlo-draw-steps",
+        "montecarlo-draw-steps-share"])
 def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # no sentence within --max-tokens holds --n variable tokens, so no
     # draw could be accepted, or too few sentences do (9.8e-6 and 8.1e-5
     # of them) for the draws to finish; or explore-min's draws would need
     # masks of about 2^26 bits and more; or montecarlo's completion table
     # would pass its declared 200 tokens, or its draws' masks of up to
-    # 2^n bits its declared --n of 20 (a draw at --n 30 ran out of memory)
+    # 2^n bits its declared --n of 20 (a draw at --n 30 ran out of memory);
+    # or the draws' token steps would pass sampling.MAX_DRAW_STEPS: the
+    # default 100,000 samples at --n 16 within 200 tokens (about 75 s),
+    # or 20,000 at --n 12 within 40 tokens, where 1 in 32 draws is
+    # accepted
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()

@@ -14,6 +14,7 @@ evaluates the sentence, not the counting DP), or its block, followed
 by its codes.
 """
 
+import time
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
@@ -21,6 +22,7 @@ from operator import itemgetter
 import pytest
 
 from avgsat import analytic, engines, measure
+from avgsat._counting import SentenceCounts
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
@@ -53,7 +55,8 @@ def block_item(n):
 
 
 def items_space(items) -> InputSpace:
-    return InputSpace(items, itemgetter(1), itemgetter(0))
+    """One input per item: each item is its own key."""
+    return InputSpace(dict.fromkeys(items, 1))
 
 
 def renamings(item):
@@ -92,6 +95,14 @@ class Twin:
         return [x for k in items for x in self.groups[k]]
 
 
+def sizes(space: InputSpace) -> list[int]:
+    return sorted({x[1] for x in space.items})
+
+
+def of_size(space: InputSpace, k: int) -> list:
+    return [x for x in space.items if x[1] == k]
+
+
 def nonzero(mu: measure.Distribution) -> dict:
     return {x: w for x, w in mu.weights.items() if w}
 
@@ -106,7 +117,6 @@ def assert_keys_and_counts(twin: Twin):
     assert {k: twin.per_count(k) * c.count[k] for k in c.items} == \
         {k: len(xs) for k, xs in twin.groups.items()}
     assert sum(twin.per_count(k) * c.count[k] for k in c.items) == len(twin.expanded)
-    assert all(c.f[k] == k[1] and c.alpha[k] == k[0] for k in c.items)
 
 
 def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
@@ -115,11 +125,11 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
     c, e = twin.counted, twin.expanded
     assert nonzero(mu_c) == twin.lift(mu_e)
     for T, F in costs:
-        T = twin.times(T)
+        T = twin.times(T).__getitem__
         assert measure.oclass_member(c, T, F, mu_c) == measure.oclass_member(e, T, F, mu_e)
         avg = measure.avg_time(T, mu_c, c.items)
         assert avg == measure.avg_time(T, mu_e, e.items)
-        for k in sorted(set(c.f.values()))[:3]:
+        for k in sizes(c)[:3]:
             assert measure.relative_avg(c, T, mu_c, k) == measure.relative_avg(e, T, mu_e, k)
         for a in (avg, 100 * avg):
             assert measure.markov_tail(T, mu_c, c.items, a) == \
@@ -212,12 +222,29 @@ def test_formula_space_counts_its_expansion_over_5_variables():
 
 
 def test_spaces_refuse_out_of_reach_sizes():
+    # at once: covering spaces past n = 3, and sentence spaces past 10
+    # variables, 200 tokens or the counting's estimated steps
+    # (measure.MAX_WORK)
     std = TABLES["standard"]
     for build in (lambda: measure.covering_space(std, 4),
                   lambda: measure.formula_space(std, 11, 3),
-                  lambda: measure.formula_space(std, 0, 3)):
+                  lambda: measure.formula_space(std, 0, 3),
+                  lambda: measure.formula_space(std, 2, 201),
+                  *(lambda n=n, L=L: measure.formula_space(std, n, L)
+                    for n, L in [(4, 13), (5, 11), (3, 60), (1, 150)])):
+        start = time.perf_counter()
         with pytest.raises(measure.MeasureError):
             build()
+        assert time.perf_counter() - start < 1
+
+
+# the natural-weighting trends' budgets: to 60 tokens at n <= 2, 40 at
+# n = 3 and 12 at n = 4; and 10 at n = 5
+@pytest.mark.parametrize("n, max_tokens", [(1, 60), (2, 60), (3, 40), (4, 12), (5, 10)])
+def test_formula_space_work_admits_trend_budgets(n, max_tokens):
+    std = TABLES["standard"]
+    assert SentenceCounts(n, std.arities, std.truth_bits, max_tokens).work() <= \
+        measure.MAX_WORK
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -232,11 +259,11 @@ def test_counted_layers_match_expansion(table, twins, n):
 def test_distributions_and_checks_match_expansion(table, twins, n):
     twin = twins[n]
     c, e = twin.counted, twin.expanded
-    some_size = sorted(set(c.f.values()))[len(set(c.f.values())) // 2]
+    some_size = sizes(c)[len(sizes(c)) // 2]
     pairs = [
         (measure.uniform_on(c), measure.uniform_on(e)),
-        (measure.uniform_on(c, c.f_class_items(some_size)),
-         measure.uniform_on(e, twin.subset(c.f_class_items(some_size)))),
+        (measure.uniform_on(c, of_size(c, some_size)),
+         measure.uniform_on(e, twin.subset(of_size(c, some_size)))),
         (measure.weights_proportional(c, lambda x: SAT_TIME(x) % 5),
          measure.weights_proportional(e, lambda x: SAT_TIME(x) % 5)),
         (measure.power_law_length(c, 2), measure.power_law_length(e, 2)),
@@ -273,7 +300,7 @@ def test_negated_space_matches_expansion(table, twins, n):
     negations = [engines.negated(Formula(x[-1], table)) for x in twin.expanded.items]
     assert all(engines.negated_keys({x[:3]: 1}, table) == {nx.key(): 1}
                for x, nx in zip(twin.expanded.items, negations))
-    co = Twin(InputSpace.from_keys(engines.negated_keys(twin.counted.count, table)),
+    co = Twin(InputSpace(engines.negated_keys(twin.counted.count, table)),
               items_space([sentence_item(nx) for nx in negations]))
     assert_keys_and_counts(co)
     mu_c = measure.uniform_over_model_classes(co.counted, n)
@@ -293,42 +320,43 @@ def test_combined_space_properties_match_expansion(table, twins):
         mu_e = measure.uniform_over_model_classes(expanded, per_class=per_class)
         assert nonzero(mu_c) == twin.lift(mu_e)
         for T in (SAT_TIME, broken):
-            T = twin.times(T)
+            T = twin.times(T).__getitem__
             assert measure.check_property_2_2(counted, T, DOUBLE, mu_c, extra) == \
                 measure.check_property_2_2(expanded, T, DOUBLE, mu_e, extra)
     for H in HS:
-        T = twin.times(SAT_TIME)
+        T = twin.times(SAT_TIME).__getitem__
         assert measure.check_property_2_3(counted, T, DOUBLE, mu_c, H) == \
             measure.check_property_2_3(expanded, T, DOUBLE, mu_e, H)
 
 
 def shannon_slots(ns):
-    """The shortest-code model with one item (n, slot index) per slot,
-    f the slot's code length: the expansion of ``analytic.shannon_space``,
-    with its cost map and its per-class uniform distribution."""
-    f = {}
-    for n in ns:
-        lengths = [length for length, count in analytic.shannon_lengths(n)
-                   for _ in range(count)]
-        f.update(((n, idx), length) for idx, length in enumerate(lengths))
-    space = InputSpace(f, f, lambda item: item[0])
-    T = {item: (1 << item[0]) * length for item, length in f.items()}
-    mu = Distribution({item: Fraction(1, 1 << (1 << item[0])) for item in f},
+    """The shortest-code model with one item (n, code length, slot index)
+    per slot: the expansion of ``analytic.shannon_space``, with its
+    per-class uniform distribution."""
+    lengths = {n: [length for length, count in analytic.shannon_lengths(n)
+                   for _ in range(count)] for n in ns}
+    space = items_space([(n, length, idx) for n in ns
+                         for idx, length in enumerate(lengths[n])])
+    mu = Distribution({item: Fraction(1, 1 << (1 << item[0])) for item in space.items},
                       Normalization.PER_CLASS)
-    return space, T, mu
+    return space, mu
+
+
+# the tabulation cost of a slot, written out: 2^n times its code length
+SLOT_TIME = lambda item: 2 ** item[0] * item[1]
 
 
 @pytest.mark.parametrize("ns", [[3], [4], [3, 4]], ids=["3", "4", "3,4"])
 def test_shannon_keys_match_slot_expansion(ns):
-    counted, T, mu = analytic.shannon_space(ns)
-    expanded, T_e, mu_e = shannon_slots(ns)
-    twin = Twin(counted, expanded, key=lambda item: (item[0], expanded.f[item]),
-                per_count=lambda key: 1)
+    counted, mu = analytic.shannon_space(ns)
+    expanded, mu_e = shannon_slots(ns)
+    twin = Twin(counted, expanded, key=itemgetter(0, 1), per_count=lambda key: 1)
     assert_keys_and_counts(twin)
     assert nonzero(mu) == twin.lift(mu_e)
+    T = engines.tabulate
     assert measure.oclass_member(counted, T, CUBE, mu) == \
-        measure.oclass_member(expanded, T_e, CUBE, mu_e)
+        measure.oclass_member(expanded, SLOT_TIME, CUBE, mu_e)
     for e in range(4):
         H = lambda n: Fraction(1, n ** e)
         assert measure.check_property_2_3(counted, T, CUBE, mu, H) == \
-            measure.check_property_2_3(expanded, T_e, CUBE, mu_e, H)
+            measure.check_property_2_3(expanded, SLOT_TIME, CUBE, mu_e, H)

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +25,22 @@ SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
 
 
+def key_space(*keys):
+    """A space of the given keys (alpha, f, ...), each one input."""
+    return InputSpace(dict.fromkeys(keys, 1))
+
+
 def toy_space(values):
-    """Integer items with f = alpha = identity."""
-    return InputSpace(values, lambda n: n, lambda n: n)
+    """Keys (n, n): alpha = f = n."""
+    return key_space(*((n, n) for n in values))
+
+
+def of_size(space, n):
+    """The keys of size f = n."""
+    return [x for x in space.items if x[1] == n]
+
+
+ALPHA = itemgetter(0)
 
 
 # --- averages -----------------------------------------------------------
@@ -34,47 +48,48 @@ def toy_space(values):
 def test_avg_time_midpoint():
     sp = toy_space([1, 3])
     mu = uniform_on(sp)
-    assert avg_time({1: 1, 3: 3}, mu, sp.items) == 2
+    assert avg_time(ALPHA, mu, sp.items) == 2
 
 
 def test_avg_time_conditioning_on_point():
     sp = toy_space([1, 3])
-    mu = weights_proportional(sp, lambda n: Fraction(n, 7))
-    assert avg_time({1: 17, 3: 5}, mu, [3]) == 5
+    mu = weights_proportional(sp, lambda x: Fraction(x[0], 7))
+    assert avg_time({(1, 1): 17, (3, 3): 5}.__getitem__, mu, [(3, 3)]) == 5
 
 
 def test_avg_time_zero_mass():
     sp = toy_space([1, 2])
-    mu = uniform_on(sp, subset=[1])
+    mu = uniform_on(sp, subset=[(1, 1)])
     with pytest.raises(ZeroMassSubset):
-        avg_time(lambda n: n, mu, [2])
+        avg_time(ALPHA, mu, [(2, 2)])
 
 
 def test_avg_time_geometric_toy_approaches_three_halves():
     # T(n) = 2^n with weights proportional to 2^(-2n): the normalizer
     # tends to 3/4 and the average to twice that
-    sp = InputSpace(range(50), lambda n: n + 1, lambda n: n)
-    mu = weights_proportional(sp, lambda n: Fraction(1, 4 ** n))
-    assert abs(mu.of(0) - Fraction(3, 4)) < Fraction(1, 10 ** 12)
-    avg = avg_time(lambda n: 2 ** n, mu, sp.items)
+    sp = key_space(*((n, n + 1) for n in range(50)))
+    mu = weights_proportional(sp, lambda x: Fraction(1, 4 ** x[0]))
+    assert abs(mu.of((0, 1)) - Fraction(3, 4)) < Fraction(1, 10 ** 12)
+    avg = avg_time(lambda x: 2 ** x[0], mu, sp.items)
     assert abs(avg - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
 
 def test_relative_avg_cases():
-    sp = InputSpace(["a", "b", "c"], {"a": 5, "b": 5, "c": 9}, {"a": 1, "b": 1, "c": 2})
+    a, b, c = (1, 5, "a"), (1, 5, "b"), (2, 9, "c")
+    sp = key_space(a, b, c)
     mu = uniform_on(sp)
-    T = {"a": 2, "b": 4, "c": 10}
+    T = {a: 2, b: 4, c: 10}.__getitem__
     assert relative_avg(sp, T, mu, 7) == 1          # empty size class
     assert relative_avg(sp, T, mu, 9) == 10         # singleton
     assert relative_avg(sp, T, mu, 5) == 3
-    assert relative_avg(sp, T, mu, 5) == avg_time(T, mu, sp.f_class_items(5))
+    assert relative_avg(sp, T, mu, 5) == avg_time(T, mu, of_size(sp, 5))
 
 
 def test_relative_avg_identity_on_sentences(space2):
     mu = uniform_over_model_classes(space2, 2)
-    sizes = sorted(set(space2.f.values()))
+    sizes = sorted({x[1] for x in space2.items})
     for s in sizes:
-        items = space2.f_class_items(s)
+        items = of_size(space2, s)
         if mu.mass(items) == 0:
             continue
         assert relative_avg(space2, SAT_TIME, mu, s) == avg_time(SAT_TIME, mu, items)
@@ -84,7 +99,7 @@ def test_relative_avg_identity_on_sentences(space2):
 
 def test_oclass_trivial_quotient(space1):
     mu = uniform_on(space1)
-    report = oclass_member(space1, lambda x: space1.f[x], lambda k: k, mu)
+    report = oclass_member(space1, itemgetter(1), lambda k: k, mu)
     row = report.rows[0]
     assert row.lhs == mu.mass(space1.class_items(1)) == row.rhs == 1
     assert report.overall
@@ -109,16 +124,15 @@ def test_sat_oclass_passes_exactly(space1, space2):
 def test_classic_case_collapse():
     # alpha = f partition: membership is exactly the per-size-class
     # comparison of the relative average against F(n)
-    sp = InputSpace(["a", "b", "c", "d"],
-                    {"a": 2, "b": 2, "c": 3, "d": 5},
-                    {"a": 2, "b": 2, "c": 3, "d": 5})
+    a, b, c, d = (2, 2, "a"), (2, 2, "b"), (3, 3, "c"), (5, 5, "d")
+    sp = key_space(a, b, c, d)
     mu = uniform_on(sp)
-    T = {"a": 1, "b": 9, "c": 3, "d": 11}
+    T = {a: 1, b: 9, c: 3, d: 11}.__getitem__
     for F in (lambda k: k, lambda k: k * k, lambda k: 5):
         report = oclass_member(sp, T, F, mu)
         classic = all(relative_avg(sp, T, mu, n) <= F(n)
-                      for n in sorted(set(sp.f.values()))
-                      if mu.mass(sp.f_class_items(n)) > 0)
+                      for n in sorted({x[1] for x in sp.items})
+                      if mu.mass(of_size(sp, n)) > 0)
         assert report.overall == classic
 
 
@@ -161,10 +175,10 @@ def test_tractability_constant():
 def test_tractability_final_equals_whole_space_average():
     # on a finite space the last prefix is the whole space
     sp = toy_space(range(1, 40))
-    mu = weights_proportional(sp, lambda n: Fraction(1, 2 ** n))
-    res = tractability(lambda n: n * n, mu.of,
+    mu = weights_proportional(sp, lambda x: Fraction(1, 2 ** x[0]))
+    res = tractability(lambda n: n * n, lambda n: mu.of((n, n)),
                        range(1, 40), exact=True)
-    assert res.final == avg_time(lambda n: n * n, mu, sp.items)
+    assert res.final == avg_time(lambda x: x[0] * x[0], mu, sp.items)
 
 
 def test_tractability_empty_errors():
@@ -369,10 +383,10 @@ def test_property_2_2_broken_class_is_witnessed(combined):
 
 
 def test_property_2_2_equality_case():
-    sp = InputSpace(["a", "b"], {"a": 3, "b": 3}, {"a": 1, "b": 1})
+    sp = key_space((1, 3, "a"), (1, 3, "b"))
     mu = uniform_on(sp)
     F = lambda k: k * k
-    T = {"a": 9, "b": 9}  # exactly F(f) everywhere
+    T = lambda x: 9  # exactly F(f) everywhere
     res = check_property_2_2(sp, T, F, mu)
     assert res.oclass.row(1).lhs == res.oclass.row(1).rhs
     row = next(h for h in res.h_rows if h.label == "chi_1")
@@ -399,8 +413,8 @@ def test_property_2_3_characteristic_reduces_to_membership(combined):
 
 
 def test_property_2_3_shannon_power_weights():
-    space, T, mu = analytic.shannon_space([3, 4])
-    res = check_property_2_3(space, T, lambda k: k ** 3, mu,
+    space, mu = analytic.shannon_space([3, 4])
+    res = check_property_2_3(space, engines.tabulate, lambda k: k ** 3, mu,
                              lambda n: Fraction(1, n * n))
     assert res.ok
     assert res.bound == Fraction(1, 9) + Fraction(1, 16)
@@ -431,7 +445,7 @@ def test_markov_hundredfold(space2):
 def test_markov_threshold_below_minimum():
     sp = toy_space([3, 5])
     mu = uniform_on(sp)
-    res = markov_tail(lambda n: n, mu, sp.items, 2)
+    res = markov_tail(ALPHA, mu, sp.items, 2)
     assert res.empirical == 1
     assert res.bound >= 1
 
@@ -439,7 +453,7 @@ def test_markov_threshold_below_minimum():
 def test_markov_tight_constant():
     sp = toy_space([4, 7])
     mu = uniform_on(sp)
-    res = markov_tail(lambda n: 6, mu, sp.items, 6)
+    res = markov_tail(lambda x: 6, mu, sp.items, 6)
     assert res.empirical == 1 == res.bound
 
 
@@ -448,11 +462,10 @@ def test_markov_tight_constant():
                 min_size=1, max_size=8),
        st.integers(min_value=1, max_value=60))
 def test_markov_always_holds(pairs, a):
-    items = list(range(len(pairs)))
-    sp = InputSpace(items, lambda i: 1, lambda i: 0)
-    mu = weights_proportional(sp, lambda i: Fraction(pairs[i][1]))
-    T = lambda i: pairs[i][0]
-    res = markov_tail(T, mu, items, a)
+    sp = key_space(*((0, 1, i) for i in range(len(pairs))))
+    mu = weights_proportional(sp, lambda x: Fraction(pairs[x[2]][1]))
+    T = lambda x: pairs[x[2]][0]
+    res = markov_tail(T, mu, sp.items, a)
     assert res.empirical <= res.bound
 
 
@@ -520,8 +533,8 @@ def test_power_law_length(expanded1):
     mu = power_law_length(expanded1, 2)
     mu.validate(expanded1)
     a, b = expanded1.items[0], expanded1.items[-1]
-    lhs = mu.of(a) * expanded1.f[a] ** 2
-    rhs = mu.of(b) * expanded1.f[b] ** 2
+    lhs = mu.of(a) * a[1] ** 2
+    rhs = mu.of(b) * b[1] ** 2
     assert lhs == rhs  # proportionality
 
 
@@ -529,18 +542,19 @@ def test_distribution_validation(space1):
     bad = Distribution({space1.items[0]: Fraction(1, 2)}, Normalization.GLOBAL)
     with pytest.raises(ValueError):
         bad.validate(space1)
-    two_classes = InputSpace([1, 2], lambda n: n, lambda n: n)
-    per = Distribution({1: Fraction(1, 2), 2: Fraction(1, 2)},
+    two_classes = toy_space([1, 2])
+    per = Distribution({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)},
                        Normalization.PER_CLASS)
     with pytest.raises(ValueError):
         per.validate(two_classes)
 
 
 def test_input_space_validation():
-    with pytest.raises(ValueError):
-        InputSpace([1, 1], lambda n: n, lambda n: n)
-    with pytest.raises(ValueError):
-        InputSpace([0], lambda n: n, lambda n: n)  # f must be >= 1
+    with pytest.raises(ValueError, match="size of .* must be >= 1, got 0"):
+        InputSpace({(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="count of .* must be >= 1, got 0"):
+        InputSpace({(1, 1, 0): 0})
+    assert InputSpace({(1, 1, 0): 3}).total([(1, 1, 0)]) == 3
 
 
 def test_everything_is_exact(space1):
@@ -573,7 +587,7 @@ def ref_oclass(space, T, F, mu):
         items = space.class_items(n)
         rhs = ref_mass(mu, items)
         if rhs:
-            rows[n] = (sum((Fraction(T(x)) * mu.of(x) / Fraction(F(space.f[x]))
+            rows[n] = (sum((Fraction(T(x)) * mu.of(x) / Fraction(F(x[1]))
                             for x in items), Fraction(0)), rhs)
     return rows
 
@@ -581,7 +595,7 @@ def ref_oclass(space, T, F, mu):
 def ref_nu(space, H, F, mu, mode):
     raw = {}
     for x in space.items:
-        w = Fraction(H(space.alpha[x])) / Fraction(F(space.f[x])) * mu.of(x)
+        w = Fraction(H(x[0])) / Fraction(F(x[1])) * mu.of(x)
         if w:
             raw[x] = w
     if mode is HMode.DOMINATED:
@@ -596,7 +610,6 @@ def ref_expect(space, T, weights):
 
 def assert_sums_match(space, T, F, mu, Hs):
     """Every exact sum of the library equals its naive reference."""
-    T = measure._fn(T)
     items = space.items
     assert mu.mass(items) == ref_mass(mu, items)
     for n in space.attained_classes():
@@ -622,7 +635,7 @@ def assert_sums_match(space, T, F, mu, Hs):
     for row in res22.h_rows:
         nu = ref_nu(space, refs[row.label], F, mu, HMode.EQUALITY)
         assert row.lhs == ref_expect(space, T, nu)
-        assert row.rhs == ref_expect(space, lambda x: F(space.f[x]), nu)
+        assert row.rhs == ref_expect(space, lambda x: F(x[1]), nu)
     per_class = Distribution(mu.weights, Normalization.PER_CLASS)
     for H in Hs:
         if not all(lhs <= rhs for lhs, rhs in expected.values()):
@@ -664,36 +677,40 @@ _weights = st.one_of(st.just(Fraction(0)),
        st.lists(st.fractions(min_value=0, max_value=3, max_denominator=9),
                 min_size=3, max_size=3))
 def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
-    sp = InputSpace(range(len(rows)), lambda i: rows[i][0], lambda i: rows[i][1])
-    times = {i: row[2] for i, row in enumerate(rows)}
+    # key (alpha, f, row index) for each row (f, alpha, time, weight)
+    keys = [(row[1], row[0], i) for i, row in enumerate(rows)]
+    sp = key_space(*keys)
+    times = {x: row[2] for x, row in zip(keys, rows)}
+    T = times.__getitem__
     # index 0 has no entry at all: a missing weight reads as zero
-    mu = Distribution({i: row[3] for i, row in enumerate(rows) if i})
+    mu = Distribution({x: row[3] for x, row in zip(keys, rows) if x[2]})
     c = analytic.moment_oclass_constant(m)
-    assert_sums_match(sp, times, lambda k: c * k ** m, mu,
+    assert_sums_match(sp, T, lambda k: c * k ** m, mu,
                       [lambda n: 1, lambda n: h_values[n]])
     if ref_mass(mu, sp.items):
-        a = ref_avg_time(times.__getitem__, mu, sp.items) or 1
-        tail = ref_mass(mu, [i for i in sp.items if times[i] >= a])
-        assert markov_tail(times, mu, sp.items, a).empirical == \
+        a = ref_avg_time(T, mu, sp.items) or 1
+        tail = ref_mass(mu, [x for x in sp.items if times[x] >= a])
+        assert markov_tail(T, mu, sp.items, a).empirical == \
             tail / ref_mass(mu, sp.items)
-    raw = {i: row[3] for i, row in enumerate(rows)}
+    raw = {x: row[3] for x, row in zip(keys, rows)}
     total = sum(raw.values(), Fraction(0))
     if total:
         assert weights_proportional(sp, raw.__getitem__).weights == \
-            {i: w / total for i, w in raw.items() if w}
+            {x: w / total for x, w in raw.items() if w}
 
 
 def test_bad_F_and_negative_H_still_raise():
-    sp = InputSpace(["a", "b", "c"], {"a": 2, "b": 8, "c": 1}, {"a": 1, "b": 1, "c": 2})
-    mu = Distribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    a, b, c = (1, 2, "a"), (1, 8, "b"), (2, 1, "c")
+    sp = key_space(a, b, c)
+    mu = Distribution({a: Fraction(1, 2), b: Fraction(1, 2)})
     # F(2) < 1 in a class of positive mass; class 2 has no mass and is skipped
     with pytest.raises(ValueError, match=r"F\(2\) = 1/2 < 1"):
-        oclass_member(sp, {"a": 1, "b": 1, "c": 1}, lambda k: Fraction(k, 4), mu)
+        oclass_member(sp, lambda x: 1, lambda k: Fraction(k, 4), mu)
     with pytest.raises(ValueError, match="negative weight"):
         nu_from_H(sp, lambda n: -1, lambda k: k, mu, HMode.DOMINATED)
     # a negative H on massless items only yields zero weights there
     nu = nu_from_H(sp, lambda n: -1 if n == 2 else 1, lambda k: k, mu)
-    assert set(nu.weights) == {"a", "b"}
+    assert set(nu.weights) == {a, b}
 
 
 @pytest.mark.parametrize("F", [DOUBLE, lambda k: Fraction(k ** 3, 3)], ids=["2k", "k^3/3"])
@@ -702,7 +719,7 @@ def test_nu_from_H_matches_plain_fraction_weights_on_combined_keys(std, F):
     # integer numerators per denominator must give every weight exactly
     # as one Fraction per item does
     count = {**measure.covering_space(std, 1).count, **measure.covering_space(std, 2).count}
-    sp = InputSpace.from_keys(count)
+    sp = InputSpace(count)
     mu = uniform_over_model_classes(sp)
     Hs = [lambda n: 1 if n == 1 else 0, lambda n: 1 if n == 2 else 0, lambda n: 1,
           lambda n: n, lambda n: Fraction(1, n * n)]
