@@ -222,12 +222,22 @@ COMMANDS = {
         Option("--tol-exp", int, 12, minimum=0), _TABLE)),
     "counting": Command(_SERIES + "cmd_counting",
                         "sentence shape counts and cost-ratio series", (
-        Option("--n-max", int, 10, minimum=0), Option("--p", int, 2),
+        # the shape counts cost about n_max^3 big-integer steps, and the
+        # partial sums' denominators grow as p * n_max digits: on 2 vCPUs
+        # (Python 3.11) --n-max 100 took 0.15 s, 200 0.66 s, 300 2.0 s and
+        # 500 18.7 s; --p 1000 took 0.07 s, 10^4 0.84 s, 3 * 10^4 7.5 s and
+        # 10^5 over 40 s at --n-max 10.  commands.series.MAX_COUNTING_WORK
+        # bounds them together, so neither declares a maximum of its own:
+        # the longest runs it accepts, such as --n-max 309 (2.8 s) or
+        # --n-max 2 --p 10^5 (0.7 s), take under 3 s.  --p is at least 0:
+        # a negative --p divided by a float power that underflowed to 0
+        Option("--n-max", int, 10, minimum=0),
+        Option("--p", int, 2, minimum=0),
         Option("--enum-limit", int, 3))),
     "tractability": Command(_SERIES + "cmd_tractability", "partial-average trend scans", (
         # the cases of commands.series._CASES, named here so no start loads them
         Option("--case", str, "harmonic", choices=("constant", "geometric", "harmonic")),
-        Option("--budget", int),  # default by --case
+        Option("--budget", int, minimum=1),  # default and limit by --case
         Option("--eps", float, 1e-12), Option("--cap", float, 1e6))),
     "montecarlo": Command(_SAMPLING + "cmd_montecarlo",
                           "seeded sampling estimate of the average time", (
@@ -245,7 +255,8 @@ COMMANDS = {
         # a draw's masks are 2^alpha bits wide, and alpha nears 2/3 of the
         # variable pool: at 65 tokens (pool 33) ten draws took up to 0.5 s
         # and 96 MB over five seeds, and each 2 tokens more about doubled
-        # both; commands.sampling holds the pool to 33 at every arity
+        # both; commands.sampling holds the pool to 33 at every arity, and
+        # --samples to its MAX_DRAW_STEPS
         Option("--target-tokens", int, 9, maximum=65),
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
         Option("--samples", int, 10000, minimum=1))),

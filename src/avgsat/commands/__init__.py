@@ -5,16 +5,17 @@ the one that runs:
 
 * :mod:`.exact` -- the exact verdicts over sentence spaces (measure,
   engines, the counting DP; analytic for the Shannon model and moments);
-* :mod:`.series` -- closed forms and trend scans (analytic or measure);
+* :mod:`.series` -- closed forms and trend scans (analytic or trend);
 * :mod:`.sampling` -- seeded sampling (the kernel and engines; measure
   only for exact means).
 """
 
-from .._formula_core import ConnectiveTable, FormulaError
 
-
-def _load_table(opts) -> ConnectiveTable:
-    """The --table file's connective table, or NOT/AND/OR."""
+def _load_table(opts):
+    """The --table file's connective table (a
+    :class:`~avgsat._formula_core.ConnectiveTable`), or NOT/AND/OR."""
+    # loaded here, so that a command that reads no table loads no core
+    from .._formula_core import ConnectiveTable, FormulaError
     path = opts.get("table")
     if not path:
         return ConnectiveTable.standard()

@@ -38,11 +38,15 @@ MAX_POOL = 33
 # v variables (the pool of explore-min, montecarlo's --n)
 HELD_BITS = 1 << 20
 
-# the most token steps montecarlo's expected draws may take: a draw walks
-# up to --max-tokens tokens, and a step on masks of 2^n bits costs about
-# 1 + 2^n / 2^15 steps on narrow ones (200 tokens: about 0.35 ms a draw
-# at --n 2 and 0.96 ms at --n 16, 2 vCPU, Python 3.11), so this is some
-# 10 to 20 s of drawing
+# the most token steps a sampling run's expected draws may take: a draw
+# walks up to --max-tokens tokens (montecarlo) or exactly --target-tokens
+# (explore-min), and a step on masks of 2^n bits costs about
+# 1 + 2^n / 2^15 steps on narrow ones.  On 2 vCPUs (Python 3.11),
+# montecarlo took about 0.35 ms a draw within 200 tokens at --n 2 and
+# 0.96 ms at --n 16; explore-min, whose masks are 2^alpha bits with alpha
+# near 2/3 of its pool, about 8 us a draw at 9 tokens, 0.33 ms at 49 and
+# 1.5 ms at 57, and 10 ms at 65 (pool 33), so this is some 10 to 20 s
+# of drawing
 MAX_DRAW_STEPS = 10 ** 7
 
 
@@ -247,12 +251,13 @@ def _draws(rng: random.Random, total: int):
     return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
 
 
-def _check_draws(draws: int, samples: int, n: int, max_tokens: int) -> None:
-    """Refuse ``draws`` draws whose token steps pass ``MAX_DRAW_STEPS``."""
-    if draws * max_tokens * (1 + (1 << n >> 15)) > MAX_DRAW_STEPS:
-        raise SampleError(f"{samples} samples over {n} variables within {max_tokens} tokens "
-                          f"would take more than the {MAX_DRAW_STEPS:.0e} token steps "
-                          "montecarlo takes")
+def _check_draws(draws: int, n: int, tokens: int, request: str) -> None:
+    """Refuse ``draws`` draws of up to ``tokens`` tokens on masks of up
+    to 2^n bits whose token steps pass ``MAX_DRAW_STEPS``; ``request``
+    says what was asked."""
+    if draws * tokens * (1 + (1 << n >> 15)) > MAX_DRAW_STEPS:
+        raise SampleError(f"{request} would take more than the {MAX_DRAW_STEPS:.0e} "
+                          "token steps a sampling run takes")
 
 
 def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tuple[int, int, int]:
@@ -324,7 +329,8 @@ def cmd_montecarlo(opts: Options):
         samples = opts.get("samples")
         if exact_check and samples < 2:
             raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
-        _check_draws(samples, samples, n, max_tokens)  # before any table is built
+        request = f"{samples} samples over {n} variables within {max_tokens} tokens"
+        _check_draws(samples, n, max_tokens, request)  # before any table is built
         leaves = _kernel.max_leaves(table.arities, max_tokens)
         if n > leaves:
             raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} "
@@ -342,7 +348,7 @@ def cmd_montecarlo(opts: Options):
                               f"of those within {max_tokens} tokens; below 1/2001 too few "
                               "draws would be accepted")
         # `samples` acceptances take about samples * total / hits draws
-        _check_draws(samples * total // hits, samples, n, max_tokens)
+        _check_draws(samples * total // hits, n, max_tokens, request)
         if exact_check:  # first, as it may refuse its own space
             _, exact = _counted_mean(table, n, max_tokens)
         accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
@@ -373,6 +379,8 @@ def cmd_explore_min(opts: Options):
     if pool > MAX_POOL:
         raise SampleError(f"--target-tokens {target} at arity {arity} needs {pool} "
                           f"variables; at most {MAX_POOL} are sampled")
+    _check_draws(samples, 2 * max(pool, 0) // 3, target,  # below 0 tokens, no pool
+                 f"{samples} samples of {target} tokens at arity {arity}")
     sampler = SequenceSampler(table, pool, target)
     total = sampler.cnt[max(target, 0)][0]  # a negative length has none, like zero
     if total == 0:

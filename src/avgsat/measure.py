@@ -14,50 +14,37 @@ space, not over size classes alone.  The core objects:
 * ``oclass_member`` — generalized O(F) membership: in every positive-
   mass alpha-class, the expected value of T(x)/F(f(x)) is at most 1
   (constant factor exactly 1, no asymptotic cutoff, every class).
-* ``tractability`` — finiteness evidence for the unconditional
-  expected running time, via partial averages over class prefixes,
-  in one streaming pass whose memory does not grow with the prefixes.
 * ``check_property_2_2`` / ``check_property_2_3`` — executable forms
   of the reweighting equivalences that transfer per-class O(F) bounds
   to whole-space expectations.
 
 All masses and averages on finite spaces are exact ``Fraction``
-values; floats only appear in trend scans over very large synthetic
-spaces.
+values.  The trend scan over very large synthetic spaces lives in
+:mod:`avgsat.trend`; its names are also read here.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, islice, permutations
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._formula_core import ConnectiveTable, _Frozen
-from .errors import AvgsatError
+from .errors import (ClassUncovered, MeasureError, PreconditionFailed, ZeroMass,
+                     ZeroMassSubset)
 
 
-class MeasureError(AvgsatError):
-    """A space, distribution or check that cannot be built or run."""
-
-
-class ZeroMassSubset(MeasureError):
-    """Conditioning on a subset of probability zero."""
-
-
-class ZeroMass(MeasureError):
-    """A reweighting produced an everywhere-zero distribution."""
-
-
-class ClassUncovered(MeasureError):
-    """A sentence space is missing some model classes."""
-
-
-class PreconditionFailed(MeasureError):
-    """A check's stated precondition does not hold on this space."""
+def __getattr__(name):
+    """``tractability``, ``Verdict`` and ``TractabilityResult``: they live
+    in :mod:`avgsat.trend`, which loads without this module, and are
+    named here too, where the benchmark's tracer finds the scan."""
+    if name in ("tractability", "Verdict", "TractabilityResult"):
+        from . import trend
+        return getattr(trend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _ZERO = Fraction(0)
@@ -245,97 +232,6 @@ def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
         lhs = _dot((T(x), w(x, 0), inv_F[x[1]]) for x in items)
         report.rows.append(BoundRow(n, lhs, rhs, lhs <= rhs))
     return report
-
-
-class Verdict(enum.Enum):
-    CONVERGENT = "convergent"
-    DIVERGENT_TREND = "divergent-trend"
-    INCONCLUSIVE = "inconclusive"
-
-
-class TractabilityResult(NamedTuple):
-    """Partial averages at prefixes 1, 10, 100, ... below the class
-    count and at the count itself, in that order, and the verdict."""
-
-    checkpoints: dict
-    verdict: Verdict
-
-    @property
-    def final(self):
-        return next(reversed(self.checkpoints.values()))
-
-
-def tractability(T: Callable, mu: Callable, indices: Sequence[int],
-                 eps: float = 1e-12, cap: float = 1e6, growth_margin: float = 1.0,
-                 exact: bool = False, tail_window: int = 10) -> TractabilityResult:
-    """Partial expected running times over growing class prefixes.
-
-    Each index of ``indices``, in order, is its own one-point class;
-    ``mu`` may be unnormalized (averages are invariant under scaling).
-    After each class the running average of T over the classes seen so
-    far is a partial.  One pass keeps only the partials the verdict and
-    the checkpoints read, so memory does not grow with ``len(indices)``.
-
-    The verdict is evidence, not proof: CONVERGENT when the last
-    ``tail_window`` relative increments stay below ``eps`` and the
-    value stays below ``cap``; DIVERGENT_TREND when the sequence is
-    monotone nondecreasing and either exceeds ``cap`` or grows by more
-    than ``growth_margin`` between the 0.1% prefix and the end; else
-    INCONCLUSIVE.  Finite truncation cannot certify an infinite sum.
-    """
-    count = len(indices)
-    if not count:
-        raise ZeroMassSubset("no classes supplied")
-    marks = []
-    k = 1
-    while k < count:
-        marks.append(k)
-        k *= 10
-    marks.append(count)
-    early = max(1, count // 1000)   # the 0.1% prefix
-    kept = dict.fromkeys([*marks, early])
-    window = min(tail_window, count - 1)
-    tail = count - window           # the increments after this prefix must level
-    leveled = window >= 1 or count == 1
-    monotone = True
-    num = den = Fraction(0) if exact else 0.0
-    prev = -math.inf   # the first partial has nothing to fall below
-    # Run in segments that end at each prefix a checkpoint or the tail
-    # window reads, so a step in between only accumulates and tracks
-    # monotonicity.  Past ``tail`` every step ends a segment, and its
-    # leveled test compares the partial with the one before the segment.
-    rest = iter(indices)
-    done = 0
-    for stop in chain(sorted(k for k in kept if k < tail), range(tail, count + 1)):
-        before = prev
-        for x in islice(rest, stop - done):
-            w = mu(x)
-            if not exact:
-                w = float(w)
-            num += T(x) * w
-            den += w
-            if den == 0:
-                raise ZeroMassSubset("class prefix has zero mass")
-            cur = num / den
-            if not cur >= prev:
-                monotone = False
-            prev = cur
-        done = stop
-        if stop > tail and leveled:
-            scale = max(abs(cur), abs(before))
-            if scale != 0 and abs(cur - before) / scale >= eps:
-                leveled = False
-        if stop in kept:
-            kept[stop] = cur
-
-    final = cur
-    if leveled and final <= cap:
-        verdict = Verdict.CONVERGENT
-    elif monotone and (final > cap or final - kept[early] > growth_margin):
-        verdict = Verdict.DIVERGENT_TREND
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return TractabilityResult({k: kept[k] for k in marks}, verdict)
 
 
 class HMode(enum.Enum):

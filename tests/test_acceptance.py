@@ -119,7 +119,7 @@ def test_criterion_07_tractability_examples():
     growth = res.final - res.checkpoints[1000]
     ok = res.verdict is measure.Verdict.DIVERGENT_TREND and growth > 1
     geo = measure.tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n),
-                               range(0, 61), exact=True)
+                               range(0, 61))
     ok = ok and geo.verdict is measure.Verdict.CONVERGENT
     ok = ok and abs(geo.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
     _report(7, "harmonic case grows unboundedly; geometric settles at 3/2", ok,

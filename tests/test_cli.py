@@ -202,6 +202,8 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["explore-min", "--target-tokens", "-1"],
+    ["explore-min", "--target-tokens", "-2"],
+    ["explore-min", "--target-tokens", "-4", "--arity", "3"],
     ["montecarlo", "--n", "2", "--max-tokens", "-1", "--samples", "5"],
     ["sat-oclass", "--n", "-1"],
     ["tab-oclass", "--model", "enumerated", "--n-list", "0"],
@@ -214,7 +216,8 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     ["property-2-3", "--h-exponent", "-1"],
     ["property-2-3", "--model", "shannon", "--n-list", "0,3"],
     ["tab-oclass", "--n", "0"],
-], ids=["explore-min-tokens", "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n",
+], ids=["explore-min-tokens", "explore-min-tokens-2", "explore-min-tokens-arity-3",
+        "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n",
         "expected-min-n", "tab-oclass-shannon-n", "moments-m", "moments-tol",
         "counting-n-max", "markov-tail-multiplier", "property-2-3-exponent",
         "property-2-3-shannon-n", "tab-oclass-default-n"])
@@ -256,10 +259,14 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ["montecarlo", "--n", "30", "--max-tokens", "200", "--samples", "10"],
     ["montecarlo", "--n", "16", "--max-tokens", "200"],
     ["montecarlo", "--n", "12", "--max-tokens", "40", "--samples", "20000"],
+    ["explore-min", "--target-tokens", "65"],
+    ["explore-min", "--arity", "3", "--target-tokens", "49", "--samples", "2000"],
+    ["explore-min", "--arity", "1", "--samples", "2000000"],
 ], ids=["montecarlo-n5", "montecarlo-n40", "montecarlo-unary", "explore-min-81",
         "explore-min-arity-3-pool-35", "montecarlo-n12-share", "montecarlo-n10-share",
         "montecarlo-max-tokens-201", "montecarlo-n30", "montecarlo-draw-steps",
-        "montecarlo-draw-steps-share"])
+        "montecarlo-draw-steps-share", "explore-min-draw-steps",
+        "explore-min-arity-3-draw-steps", "explore-min-arity-1-draw-steps"])
 def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # no sentence within --max-tokens holds --n variable tokens, so no
     # draw could be accepted, or too few sentences do (9.8e-6 and 8.1e-5
@@ -270,12 +277,47 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     # or the draws' token steps would pass sampling.MAX_DRAW_STEPS: the
     # default 100,000 samples at --n 16 within 200 tokens (about 75 s),
     # or 20,000 at --n 12 within 40 tokens, where 1 in 32 draws is
-    # accepted
+    # accepted; or explore-min's: the default 10,000 samples at 65 tokens
+    # (about 95 s), or 2,000,000 at 9
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, [arg.format(unary=unary) for arg in argv])
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tractability", "--case", "geometric", "--budget", "14400"],
+    ["tractability", "--case", "constant", "--budget", "30001"],
+    ["tractability", "--case", "harmonic", "--budget", "10000001"],
+    ["tractability", "--budget", "0"],
+    ["counting", "--n-max", "500"],
+    ["counting", "--p", "100000"],
+    ["counting", "--p", "-1"],
+    ["counting", "--n-max", "100", "--p", "1000"],
+    ["counting", "--n-max", "300", "--p", "100"],
+    ["counting", "--n-max", "300", "--enum-limit", "300"],
+], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-500", "p-1e5",
+        "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-300"])
+def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
+    # exact partials whose digits grow with the scan (geometric at 14,400
+    # took 13.6 s), or a float scan past 10^7 classes; counting past
+    # commands.series.MAX_COUNTING_WORK: its shape counts at --n-max 500
+    # (18.7 s), its partial sums at --p 10^5 (past 40 s), or the two or the
+    # censuses together (8.4 s, 6.2 s and 17 s); and a negative --p crashed,
+    # its float power underflowing to 0 before it was divided by
+    start = time.perf_counter()
+    assert_exits_2(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1
+
+
+def test_tractability_budget_limit_is_per_case(tmp_path, capsys, monkeypatch):
+    from avgsat.commands import series
+    monkeypatch.setitem(series._CASES["geometric"], "limit", 60)
+    code, rows, _ = run(tmp_path, "tractability", "--case", "geometric", name="a.csv")
+    assert code == 0 and rows[-1]["prefix"] == "60"
+    assert_exits_2(tmp_path, capsys, ["tractability", "--case", "geometric", "--budget", "61"],
+                   prefix="avgsat: --budget 61: --case geometric scans at most 60 classes")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1116,8 +1158,9 @@ def test_one_command_parser_holds_one_command():
 
 
 def test_frac_writes_integers_past_the_digit_limit():
-    # exact partials of `tractability --case geometric --budget 14400`
-    # run past the interpreter's 4,300-digit int-to-str limit
+    # exact values, such as the Shannon model's lhs denominators at
+    # n = 12 (4,796 digits), run past the interpreter's 4,300-digit
+    # int-to-str limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     num, den = cli._frac(Fraction(10 ** 4999 + 1, 3))
     assert num == "1" + "0" * 4998 + "1" and den == "3"
@@ -1202,7 +1245,8 @@ SENTENCE_API = {"avgsat.formula"}
         "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
         "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]),
     ("tractability --budget 2000",
-     SENTENCE_API | {"avgsat.engines", "avgsat._counting", "avgsat.analytic"}),
+     SENTENCE_API | {"avgsat.measure", "avgsat._formula_core", "avgsat.engines",
+                     "avgsat._counting", "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
     ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
     ("expected-min --n 2", {"avgsat.measure"}),
@@ -1224,6 +1268,8 @@ def test_tractability_choices_are_its_cases():
     from avgsat.commands import series
     (case,) = [o for o in cli.COMMANDS["tractability"].options if o.name == "case"]
     assert case.choices == tuple(sorted(series._CASES))
+    # every default budget is one the case accepts
+    assert all(1 <= c["budget"] <= c["limit"] for c in series._CASES.values())
 
 
 @pytest.mark.parametrize("values", [

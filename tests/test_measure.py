@@ -156,28 +156,24 @@ def test_tractability_harmonic_divergent_trend():
 
 
 def test_tractability_geometric_convergent():
-    res = tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n),
-                       range(0, 61), exact=True)
+    res = tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n), range(0, 61))
     assert res.verdict is Verdict.CONVERGENT
     assert abs(res.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
 
 def test_tractability_constant():
-    res = tractability(lambda n: 7, lambda n: Fraction(1, n),
-                       range(1, 25), exact=True)
+    res = tractability(lambda n: 7, lambda n: Fraction(1, n), range(1, 25))
     assert res.verdict is Verdict.CONVERGENT
     # every prefix average, each the final partial of its own scan
     for k in range(1, 25):
-        assert tractability(lambda n: 7, lambda n: Fraction(1, n),
-                            range(1, k + 1), exact=True).final == 7
+        assert tractability(lambda n: 7, lambda n: Fraction(1, n), range(1, k + 1)).final == 7
 
 
 def test_tractability_final_equals_whole_space_average():
     # on a finite space the last prefix is the whole space
     sp = toy_space(range(1, 40))
     mu = weights_proportional(sp, lambda x: Fraction(1, 2 ** x[0]))
-    res = tractability(lambda n: n * n, lambda n: mu.of((n, n)),
-                       range(1, 40), exact=True)
+    res = tractability(lambda n: n * n, lambda n: mu.of((n, n)), range(1, 40))
     assert res.final == avg_time(lambda x: x[0] * x[0], mu, sp.items)
 
 
@@ -226,6 +222,8 @@ def list_tractability(T, mu, classes, eps=1e-12, cap=1e6, growth_margin=1.0,
     return partials, Verdict.INCONCLUSIVE
 
 
+# `exact` is the reference's arithmetic; the scan takes its own from the
+# weights, Fraction ones (and the sums of int ones) exact
 HARMONIC = dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n))
 GEOMETRIC = dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n), exact=True)
 NAN_AT_5 = dict(T=lambda n: math.nan if n == 5 else n, mu=lambda n: 1.0)
@@ -244,6 +242,11 @@ STREAM_CASES = {
     "geometric": (GEOMETRIC, range(0, 61)),
     "constant": (dict(T=lambda n: 5, mu=lambda n: Fraction(1, n), exact=True),
                  range(1, 61)),
+    # int weights: exact sums, float partials
+    "int-weights": (dict(T=lambda n: n % 7, mu=lambda n: n % 3 + 1), range(1, 2001)),
+    # Fraction weights that no float holds: harmonic, exactly
+    "fraction-weights": (dict(HARMONIC, mu=lambda n: Fraction(1, n * n), exact=True),
+                         range(1, 301)),
     "not-monotone": (dict(T=lambda n: n % 3, mu=lambda n: 1.0), range(1, 3001)),
     "leveled-above-cap": (dict(GEOMETRIC, cap=1), range(0, 61)),
     "window-beyond-count": (dict(GEOMETRIC, tail_window=100), range(0, 61)),
@@ -274,7 +277,7 @@ def same(a, b):
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_tractability_matches_list_scan(case):
     kw, indices = STREAM_CASES[case]
-    res = tractability(indices=indices, **kw)
+    res = tractability(indices=indices, **{k: v for k, v in kw.items() if k != "exact"})
     partials, verdict = list_tractability(classes=((n, (n,)) for n in indices), **kw)
     assert res.verdict is verdict
     marks = [10 ** j for j in range(7) if 10 ** j < len(indices)] + [len(indices)]
@@ -313,8 +316,36 @@ def test_tractability_zero_mass_prefix_errors():
     mu = lambda n: 0.0 if n == 1 else 1.0
     with pytest.raises(ZeroMassSubset):
         list_tractability(lambda n: n, mu, ((n, (n,)) for n in range(1, 10)))
-    with pytest.raises(ZeroMassSubset):
-        tractability(lambda n: n, mu, range(1, 10))
+    # whatever the type of the zero weight
+    for zero in (0.0, 0, Fraction(0)):
+        with pytest.raises(ZeroMassSubset):
+            tractability(lambda n: n, lambda n: zero if n == 1 else 1 + zero, range(1, 10))
+
+
+def test_tractability_sums_int_weights_exactly():
+    # past a first weight of 2^60, a float sum drops every later weight
+    # of 1; the scan's int sums do not, and each partial is their
+    # correctly rounded quotient
+    kw = dict(T=lambda n: n, mu=lambda n: 2 ** 60 if n == 1 else 1)
+    res = tractability(indices=range(1, 101), **kw)
+    partials, verdict = list_tractability(classes=((n, (n,)) for n in range(1, 101)),
+                                          exact=True, **kw)
+    assert res.verdict is verdict
+    for k, v in res.checkpoints.items():
+        assert type(v) is float and v == float(partials[k - 1])
+    floats, _ = list_tractability(classes=((n, (n,)) for n in range(1, 101)), **kw)
+    assert floats[-1] != res.final
+
+
+def test_measure_still_names_the_trend_scan():
+    from avgsat import errors, trend
+    from avgsat.measure import TractabilityResult, Verdict, ZeroMassSubset, tractability
+    assert (tractability, Verdict, TractabilityResult) == \
+        (trend.tractability, trend.Verdict, trend.TractabilityResult)
+    assert ZeroMassSubset is errors.ZeroMassSubset
+    assert issubclass(ZeroMassSubset, measure.MeasureError)
+    with pytest.raises(AttributeError):
+        measure.no_such_name
 
 
 def test_tractability_memory_does_not_grow_with_the_scan():
