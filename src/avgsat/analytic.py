@@ -20,16 +20,22 @@ from . import _kernel
 from ._formula_core import ConnectiveTable
 
 
+# G(0), G(1), ... as far as gamma_count has been asked
+_GAMMA = [1]
+
+
 def gamma_count(N: int) -> int:
     """Number of shapes of sentences built from N binary connectives.
 
     Defined by the convolution recursion G(0) = 1,
-    G(n+1) = sum of G(i) * G(n-i) over i = 0..n.
+    G(n+1) = sum of G(i) * G(n-i) over i = 0..n.  The counts are kept
+    and extended, so asking for every N up to N_max takes about N_max^2
+    steps in all.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    g = [1]
-    for n in range(N):
+    g = _GAMMA
+    for n in range(len(g) - 1, N):
         g.append(sum(g[i] * g[n - i] for i in range(n + 1)))
     return g[N]
 

@@ -218,19 +218,26 @@ COMMANDS = {
         Option("--model", str, "shannon", choices=("shannon", "enumerated")),
         Option("--max-tokens", int, 7), _TABLE)),
     "moments": Command(_EXACT + "cmd_moments", "higher-moment sums and bounds", (
-        Option("--m-list", _int_list, (2, 3), minimum=1), _N_LIST,
-        Option("--tol-exp", int, 12, minimum=0), _TABLE)),
+        # each m sums i^m / 2^i to a cutoff past 4m whose tail is below
+        # 10^-tol_exp, and the sum costs about the square of its bits.  On
+        # 2 vCPUs (Python 3.11) at --n-list 1, --tol-exp 10^4 took 0.44 s,
+        # 3 * 10^4 2.8 s and 4 * 10^4 5.8 s; --m-list 500 took
+        # 0.25 s, 1000 0.96 s and 1500 2.3 s.  Together they cost more:
+        # --m-list 500 --tol-exp 10^4 took 1.2 s (2.4 s with --n-list 1,2,3)
+        # where --m-list 1000 --tol-exp 20000 took 10 s
+        Option("--m-list", _int_list, (2, 3), minimum=1, maximum=500), _N_LIST,
+        Option("--tol-exp", int, 12, minimum=0, maximum=10 ** 4), _TABLE)),
     "counting": Command(_SERIES + "cmd_counting",
                         "sentence shape counts and cost-ratio series", (
-        # the shape counts cost about n_max^3 big-integer steps, and the
-        # partial sums' denominators grow as p * n_max digits: on 2 vCPUs
-        # (Python 3.11) --n-max 100 took 0.15 s, 200 0.66 s, 300 2.0 s and
-        # 500 18.7 s; --p 1000 took 0.07 s, 10^4 0.84 s, 3 * 10^4 7.5 s and
-        # 10^5 over 40 s at --n-max 10.  commands.series.MAX_COUNTING_WORK
-        # bounds them together, so neither declares a maximum of its own:
-        # the longest runs it accepts, such as --n-max 309 (2.8 s) or
-        # --n-max 2 --p 10^5 (0.7 s), take under 3 s.  --p is at least 0:
-        # a negative --p divided by a float power that underflowed to 0
+        # the partial sums' numerators and denominators grow as
+        # N (N + 9.4 p) / 11 digits at row N, and writing them costs the
+        # square of that: on 2 vCPUs (Python 3.11) --n-max 500 took 2.2 s
+        # and 700 10.5 s; --p 10^4 took 1.0 s and 10^5 87 s at --n-max 10.
+        # commands.series.MAX_COUNTING_WORK bounds them together, so
+        # neither declares a maximum of its own: the longest runs it
+        # accepts, such as --n-max 527 (2.8 s) or --n-max 2 --p 10^5
+        # (0.9 s), take under 3 s.  --p is at least 0: a negative --p
+        # divided by a float power that underflowed to 0
         Option("--n-max", int, 10, minimum=0),
         Option("--p", int, 2, minimum=0),
         Option("--enum-limit", int, 3))),

@@ -330,7 +330,8 @@ def cmd_montecarlo(opts: Options):
         if exact_check and samples < 2:
             raise SampleError(f"--exact-check needs at least 2 samples, got {samples}")
         request = f"{samples} samples over {n} variables within {max_tokens} tokens"
-        _check_draws(samples, n, max_tokens, request)  # before any table is built
+        # before any table is built; below 0 variables there is no mask
+        _check_draws(samples, max(n, 0), max_tokens, request)
         leaves = _kernel.max_leaves(table.arities, max_tokens)
         if n > leaves:
             raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} "

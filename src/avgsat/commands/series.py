@@ -31,13 +31,16 @@ def cmd_expected_min(opts: Options):
     return header, rows
 
 
-# The most steps counting may take, in units of about 8 ns on 2 vCPUs
-# (Python 3.11): each row's shape counts take about 10^4 (n_max + 1)^2
-# of them and its partial sum p^2 (n_max + 1)^2 (its denominator grows as
-# p * n_max digits), so a run takes (n_max + 1)^3 (p^2 + 10^4); the
-# censuses to N = E take 7 * 10^4 (E + 1)^3 more.  --n-max 300 took 2.0 s,
-# --n-max 100 --p 1000 8.4 s, --n-max 300 --p 100 6.2 s and --n-max 300
-# --enum-limit 300 17 s; this is some 2.5 s.
+# The most steps counting may take, in units of about 8.5 ps on 2 vCPUs
+# (Python 3.11).  The shape counts are kept from row to row, so a run
+# takes about n_max^2 convolution steps for them (0.07 s at --n-max 500);
+# the time goes to writing the partial sums.  At row N the sum's
+# numerator and denominator have about N (N + 9.4 p) / 11 digits, and
+# their decimal conversion is quadratic in them, so a run takes about
+# (n_max + 1)^3 (p^2 + p (n_max + 1) / 6 + (n_max + 1)^2 / 150) steps;
+# the censuses to N = E take 7 * 10^4 (E + 1)^3 more.  --n-max 500 took
+# 2.2 s and 700 10.5 s, --n-max 100 --p 1000 9.0 s, --n-max 300 --p 100
+# 3.8 s and --n-max 200 --enum-limit 200 3.0 s; this is some 2.5 s.
 MAX_COUNTING_WORK = 3 * 10 ** 11
 
 
@@ -45,8 +48,10 @@ def cmd_counting(opts: Options):
     n_max = opts.get("n_max")
     p = opts.get("p")
     enum_limit = opts.get("enum_limit")
+    n = n_max + 1  # rows
     censused = max(min(enum_limit, n_max) + 1, 0)
-    if (n_max + 1) ** 3 * (p * p + 10 ** 4) + 7 * 10 ** 4 * censused ** 3 > MAX_COUNTING_WORK:
+    work = n ** 3 * (p * p + p * n // 6 + n * n // 150) + 7 * 10 ** 4 * censused ** 3
+    if work > MAX_COUNTING_WORK:
         raise OptionError(f"--n-max {n_max} --p {p} --enum-limit {enum_limit} would take "
                           f"more than the {MAX_COUNTING_WORK:.0e} steps counting takes")
     from .. import analytic  # loaded only by the commands that use it

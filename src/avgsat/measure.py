@@ -242,50 +242,51 @@ class HMode(enum.Enum):
 def nu_from_H(space: InputSpace, H: Callable[[int], object],
               F: Callable[[int], object], mu: Distribution,
               mode: HMode = HMode.EQUALITY) -> Distribution:
-    """Reweight mu by H(alpha(x)) / F(f(x)).
+    """Reweight mu by H(alpha(x)) / F(f(x)), one item at a time.
 
     EQUALITY scales by the unique constant making the total mass 1;
     DOMINATED returns the raw pointwise product (a sub-distribution
-    used as an upper bound).  Weights are computed, and normalized,
-    once per distinct (alpha, f, mu) key and shared by its items.  A
-    weight is kept as an integer numerator over a positive integer
-    denominator until it is final, and the total sums the numerators
-    per denominator, as :func:`_dot` does.
+    used as an upper bound).  This is the definition the property checks
+    are tested against; no command builds it, since H reads the class
+    alone and both checks take its expectations from per-class sums.
     """
     w = mu.weights.get
-    h_at: dict[int, tuple[int, int]] = {}      # alpha -> H(alpha), as a ratio
-    inv_F: dict[int, tuple[int, int]] = {}     # f -> 1 / F(f), as a ratio
-    weight: dict[tuple, tuple[int, int]] = {}  # key -> (numerator, denominator)
-    key_of = {}   # items of nonzero weight -> their key
+    raw = {}
     for x in space.items:
-        key = (x[0], x[1], *w(x, 0).as_integer_ratio())
-        q = weight.get(key)
-        if q is None:
-            a, k, num, den = key
-            if a not in h_at:
-                h_at[a] = Fraction(H(a)).as_integer_ratio()
-            if k not in inv_F:
-                inv_F[k] = (1 / Fraction(F(k))).as_integer_ratio()
-            (hn, hd), (fn, fd) = h_at[a], inv_F[k]
-            q = weight[key] = hn * fn * num, hd * fd * den
-            if q[0] < 0:
+        m = w(x, 0)
+        if m:
+            q = Fraction(H(x[0])) / Fraction(F(x[1])) * m
+            if q < 0:
                 raise ValueError("H produced a negative weight")
-        if q[0]:
-            key_of[x] = key
+            if q:
+                raw[x] = q
     if mode is HMode.DOMINATED:
-        scaled = {key: Fraction(num, den) for key, (num, den) in weight.items() if num}
-        return Distribution({x: scaled[key] for x, key in key_of.items()},
-                            Normalization.RAW)
-    sums: dict[int, int] = {}
-    for key in key_of.values():
-        num, den = weight[key]
-        sums[den] = sums.get(den, 0) + num
-    total = _sum(Fraction(num, den) for den, num in sums.items())
+        return Distribution(raw, Normalization.RAW)
+    total = _sum(raw.values())
     if total == 0:
         raise ZeroMass("H vanishes on every positive-mass item")
-    scaled = {key: Fraction(num, den) / total for key, (num, den) in weight.items() if num}
-    return Distribution({x: scaled[key] for x, key in key_of.items()},
-                        Normalization.GLOBAL)
+    return Distribution({x: q / total for x, q in raw.items()}, Normalization.GLOBAL)
+
+
+def _over_F(space: InputSpace, F: Callable[[int], object], mu: Distribution) -> list[Fraction]:
+    """The sum of mu/F over each positive-mass class, in the order of
+    :func:`oclass_member`'s rows."""
+    return [r.lhs for r in oclass_member(space, lambda x: 1, F, mu).rows]
+
+
+def _reweighted(H: Callable[[int], object], oc: BoundReport,
+                over_F: list[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
+    """The sums of T(x), F(f(x)) and 1 against H(alpha(x)) / F(f(x)) * mu(x).
+
+    H reads the class alone, so each is a sum over the classes n of
+    ``oc``'s rows of H(n) times a sum over the class against mu: of T/F
+    (the row's lhs), of 1 (its rhs) or of 1/F (``over_F``).
+    """
+    hs = [H(r.n) for r in oc.rows]
+    if any(h < 0 for h in hs):
+        raise ValueError("H produced a negative weight")
+    return (_dot(zip(hs, [r.lhs for r in oc.rows])), _dot(zip(hs, [r.rhs for r in oc.rows])),
+            _dot(zip(hs, over_F)))
 
 
 class HRow(NamedTuple):
@@ -323,30 +324,26 @@ def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object
     alpha-class plus any user-supplied (label, H) pairs.  For each H
     with a normalizable reweighting, expected T must not exceed
     expected F(f) under the reweighted distribution exactly when the
-    per-class membership rows pass.
+    per-class membership rows pass.  Both expectations are read from
+    per-class sums (see :func:`_reweighted`), so no reweighted
+    distribution is built.
     """
-    times = {x: T(x) for x in space.items}
-    oc = oclass_member(space, times.__getitem__, F, mu)
-    F_at = {k: F(k) for k in {x[1] for x in space.items}}
-    tested_classes = [r.n for r in oc.rows]
+    oc = oclass_member(space, T, F, mu)
+    over_F = _over_F(space, F, mu)
+    families = [(f"chi_{r.n}", r.n, (lambda n: lambda k: 1 if k == n else 0)(r.n))
+                for r in oc.rows]
+    families.extend((label, None, H) for label, H in extra_H)
     h_rows = []
     per_class = True
-    families = [(f"chi_{n}", (lambda n: lambda k: 1 if k == n else 0)(n))
-                for n in tested_classes]
-    families.extend(extra_H)
-    for label, H in families:
-        try:
-            nu = nu_from_H(space, H, F, mu, HMode.EQUALITY)
-        except ZeroMass:
+    for label, n, H in families:
+        lhs, rhs, total = _reweighted(H, oc, over_F)
+        if not total:  # H vanishes on every positive-mass class
             continue
-        lhs = _dot((times[x], q) for x, q in nu.weights.items())
-        rhs = _dot((F_at[x[1]], q) for x, q in nu.weights.items())
+        lhs, rhs = lhs / total, rhs / total
         row = HRow(label, lhs, rhs, lhs <= rhs)
         h_rows.append(row)
-        if label.startswith("chi_"):
-            n = int(label[4:])
-            if row.ok != oc.row(n).passed:
-                per_class = False
+        if n is not None and row.ok != oc.row(n).passed:
+            per_class = False
     return Prop22Result(oc, h_rows, per_class)
 
 
@@ -372,17 +369,15 @@ def check_property_2_3(space: InputSpace, T: Callable, F: Callable[[int], object
     """Certify expected T <= sum of H(n) under the dominated reweighting.
 
     Precondition: mu is normalized per class and the O(F) membership
-    rows all pass (raises PreconditionFailed otherwise).
+    rows all pass (raises PreconditionFailed otherwise).  The sums are
+    read per class, as in :func:`check_property_2_2`.
     """
     if mu.normalization is not Normalization.PER_CLASS:
         raise PreconditionFailed("mu must be normalized once per class")
-    times = {x: T(x) for x in space.items}
-    oc = oclass_member(space, times.__getitem__, F, mu)
+    oc = oclass_member(space, T, F, mu)
     if not oc.overall:
         raise PreconditionFailed("O(F) membership fails on this space")
-    nu = nu_from_H(space, H, F, mu, HMode.DOMINATED)
-    expectation = _dot((times[x], q) for x, q in nu.weights.items())
-    mass = nu.mass(space.items)
+    expectation, _, mass = _reweighted(H, oc, _over_F(space, F, mu))
     bound = _dot((H(n),) for n in space.attained_classes())
     return Prop23Result(bound, expectation, mass, expectation <= bound)
 

@@ -205,6 +205,7 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     ["explore-min", "--target-tokens", "-2"],
     ["explore-min", "--target-tokens", "-4", "--arity", "3"],
     ["montecarlo", "--n", "2", "--max-tokens", "-1", "--samples", "5"],
+    ["montecarlo", "--n", "-1"],
     ["sat-oclass", "--n", "-1"],
     ["tab-oclass", "--model", "enumerated", "--n-list", "0"],
     ["expected-min", "--n", "-1"],
@@ -217,7 +218,7 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     ["property-2-3", "--model", "shannon", "--n-list", "0,3"],
     ["tab-oclass", "--n", "0"],
 ], ids=["explore-min-tokens", "explore-min-tokens-2", "explore-min-tokens-arity-3",
-        "montecarlo-tokens", "sat-oclass-n", "tab-oclass-n",
+        "montecarlo-tokens", "montecarlo-n", "sat-oclass-n", "tab-oclass-n",
         "expected-min-n", "tab-oclass-shannon-n", "moments-m", "moments-tol",
         "counting-n-max", "markov-tail-multiplier", "property-2-3-exponent",
         "property-2-3-shannon-n", "tab-oclass-default-n"])
@@ -291,21 +292,27 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     ["tractability", "--case", "constant", "--budget", "30001"],
     ["tractability", "--case", "harmonic", "--budget", "10000001"],
     ["tractability", "--budget", "0"],
-    ["counting", "--n-max", "500"],
+    ["counting", "--n-max", "700"],
     ["counting", "--p", "100000"],
     ["counting", "--p", "-1"],
     ["counting", "--n-max", "100", "--p", "1000"],
     ["counting", "--n-max", "300", "--p", "100"],
     ["counting", "--n-max", "300", "--enum-limit", "300"],
-], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-500", "p-1e5",
-        "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-300"])
+    ["moments", "--tol-exp", "100000"],
+    ["moments", "--m-list", "2,1000"],
+    ["moments", "--m-list", "1000", "--tol-exp", "20000"],
+], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-700", "p-1e5",
+        "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-300",
+        "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000"])
 def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # exact partials whose digits grow with the scan (geometric at 14,400
     # took 13.6 s), or a float scan past 10^7 classes; counting past
-    # commands.series.MAX_COUNTING_WORK: its shape counts at --n-max 500
-    # (18.7 s), its partial sums at --p 10^5 (past 40 s), or the two or the
-    # censuses together (8.4 s, 6.2 s and 17 s); and a negative --p crashed,
-    # its float power underflowing to 0 before it was divided by
+    # commands.series.MAX_COUNTING_WORK: its partial sums at --n-max 700
+    # (10.5 s) or --p 10^5 (past 40 s), the two together (9.0 s and 3.8 s)
+    # or the censuses (17 s); a negative --p crashed, its float power
+    # underflowing to 0 before it was divided by; and moment sums whose
+    # cutoff grows with both --m-list and --tol-exp, and their cost as its
+    # square (--m-list 1000 --tol-exp 20000 took 10 s)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -1061,6 +1068,23 @@ DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
     "counting --n-max 4 --enum-limit 2",
 ])
 def test_csv_bytes_match_recorded_digest(tmp_path, command):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]["sha256"]
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
+
+
+@pytest.mark.parametrize("command", ["property-2-2 --n-list 1,2",
+                                     "property-2-3 --model sat --n-list 1,2"])
+def test_property_checks_build_no_reweighted_distribution(tmp_path, monkeypatch, command):
+    # both checks read their expectations from per-class sums, so the
+    # per-item reweighting is only the tests' definition
+    from avgsat import measure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nu_from_H was called")
+
+    monkeypatch.setattr(measure, "nu_from_H", refuse)
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]["sha256"]
     out = tmp_path / "out.csv"
     assert cli.main([*command.split(), "--out", str(out)]) == 0

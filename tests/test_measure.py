@@ -598,9 +598,9 @@ def test_everything_is_exact(space1):
 
 # --- exact sums against naive per-item references --------------------------
 #
-# The library forms its sums as integers per denominator and builds its
-# weights once per distinct key; these references add one Fraction per
-# item, exactly as the definitions read.
+# The library forms its sums as integers per denominator, and the
+# property checks read theirs per class; these references add one
+# Fraction per item, exactly as the definitions read.
 
 def ref_mass(mu, items):
     return sum((Fraction(mu.weights.get(x, 0)) for x in items), Fraction(0))
@@ -742,13 +742,30 @@ def test_bad_F_and_negative_H_still_raise():
     # a negative H on massless items only yields zero weights there
     nu = nu_from_H(sp, lambda n: -1 if n == 2 else 1, lambda k: k, mu)
     assert set(nu.weights) == {a, b}
+    # the checks sum per class: a negative H on the positive-mass class 1
+    # raises in both, and one on the massless class 2 does not
+    T, F = lambda x: 1, lambda k: k
+    per_class = Distribution(mu.weights, Normalization.PER_CLASS)
+    for H in (lambda n: -1, lambda n: -1 if n == 1 else 1):
+        with pytest.raises(ValueError, match="negative weight"):
+            check_property_2_2(sp, T, F, mu, extra_H=[("negative", H)])
+        with pytest.raises(ValueError, match="negative weight"):
+            check_property_2_3(sp, T, F, per_class, H)
+    H = lambda n: -1 if n == 2 else 1
+    # an H that is zero on every class has no reweighting: its row is dropped
+    res = check_property_2_2(sp, T, F, mu, extra_H=[("massless", H), ("zero", lambda n: 0)])
+    assert [(r.label, r.lhs, r.rhs) for r in res.h_rows] == \
+        [("chi_1", 1, Fraction(16, 5)), ("massless", 1, Fraction(16, 5))]
+    # sum of H/F * mu over class 1: 1/2 * (1/2 + 1/8); the bound is H(1) + H(2)
+    assert check_property_2_3(sp, T, F, per_class, H) == \
+        measure.Prop23Result(0, Fraction(5, 16), Fraction(5, 16), False)
 
 
 @pytest.mark.parametrize("F", [DOUBLE, lambda k: Fraction(k ** 3, 3)], ids=["2k", "k^3/3"])
 def test_nu_from_H_matches_plain_fraction_weights_on_combined_keys(std, F):
-    # the key space property-2-2 reweights, over the classes n = 1, 2:
-    # integer numerators per denominator must give every weight exactly
-    # as one Fraction per item does
+    # the key space property-2-2 checks, over the classes n = 1, 2: the
+    # reweighting the checks are tested against gives every weight as a
+    # Fraction, exactly as the reference does
     count = {**measure.covering_space(std, 1).count, **measure.covering_space(std, 2).count}
     sp = InputSpace(count)
     mu = uniform_over_model_classes(sp)
