@@ -229,7 +229,7 @@ def enumerate_length(n_vars, arities, length, exact_conns=-1, alpha=-1):
     return out
 
 
-def census_length(n_vars, arities, length):
+def census_length(n_vars, arities, length, counts=None):
     """Count the canonical sentences of exactly ``length`` tokens over
     ``n_vars`` variables, in closed form.
 
@@ -242,6 +242,9 @@ def census_length(n_vars, arities, length):
     sentence of ``length`` tokens has ``k = length - (length - 1) / a``
     leaves; other tables raise ``ValueError``.
 
+    The shape count is read from ``counts``, a ``completion_counts(1,
+    arities, L)`` table with ``L >= length`` (built here if None).
+
     Returns (count, sum_pow2_alpha) where the second component is the
     sum of 2^alpha over counted sentences.
     """
@@ -250,7 +253,9 @@ def census_length(n_vars, arities, length):
         raise ValueError("the closed-form census needs every connective "
                          "of one arity a >= 1")
     (a,) = distinct
-    shapes = completion_counts(1, arities, length)[length][0]
+    if counts is None:
+        counts = completion_counts(1, arities, length)
+    shapes = counts[length][0]
     leaves = length - (length - 1) // a
     subsets = [math.comb(n_vars, s) for s in range(1, min(leaves, n_vars) + 1)]
     return (shapes * sum(subsets),

@@ -86,14 +86,15 @@ class Census(NamedTuple):
         return (2 * self.N + 1) * self.pow2_alpha_sum
 
 
-def census(N: int, table: ConnectiveTable | None = None) -> Census:
+def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
     """Count the canonical sentences with exactly N connectives over
     variables p0..pN (see ``is_canonical_sentence``).
 
     The count is the closed form of ``_kernel.census_length``: the
-    connective-labelled shapes, from the stack-depth completion DP,
-    times one labeling per nonempty variable subset.  Every connective
-    of ``table`` (default: the 16 binary ones) must have one arity
+    connective-labelled shapes, from the stack-depth completion DP
+    (``counts``, if given, as ``census_length`` reads it), times one
+    labeling per nonempty variable subset.  Every connective of
+    ``table`` (default: the 16 binary ones) must have one arity
     ``a >= 1``; otherwise ``ValueError``.
     """
     if table is None:
@@ -101,10 +102,24 @@ def census(N: int, table: ConnectiveTable | None = None) -> Census:
     total = 0
     pow2 = 0
     for length in _kernel.length_range(table.arities, None, N):
-        c, s = _kernel.census_length(N + 1, table.arities, length)
+        c, s = _kernel.census_length(N + 1, table.arities, length, counts)
         total += c
         pow2 += s
     return Census(N, total, pow2)
+
+
+def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
+    """``census(N, table)`` for N = 0..N_max, every shape count read
+    from one completion table up to the longest length: its entries are
+    exact for ``r + d <= length + 1``, so its depth-0 column holds the
+    count at every shorter length too."""
+    if N_max < 0:
+        return []
+    if table is None:
+        table = ConnectiveTable.all_binary()
+    longest = _kernel.length_range(table.arities, None, N_max)[-1]
+    counts = _kernel.completion_counts(1, table.arities, longest)
+    return [census(N, table, counts) for N in range(N_max + 1)]
 
 
 class Totals(NamedTuple):

@@ -21,9 +21,9 @@ body lives in :mod:`avgsat.commands` and is imported only when it runs.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import sys
+from types import SimpleNamespace
 
 from .errors import AvgsatError
 
@@ -64,7 +64,9 @@ def _float(v) -> str:
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part != ""]
+    """The comma-separated ints of raw, each once, in the order of their
+    first entry: a repeated entry would repeat its rows and their work."""
+    return list(dict.fromkeys(int(part) for part in raw.split(",") if part != ""))
 
 
 def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
@@ -115,7 +117,7 @@ class Options:
     flag, then its config value parsed with the declared type, then the
     declared default.  A config value is parsed when it is read."""
 
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, tuple[str, str]]):
+    def __init__(self, args, cfg: dict[str, tuple[str, str]]):
         self.args, self.cfg = args, cfg
         self.declared = {o.name: o for o in (*GLOBALS, *COMMANDS[args.command].options)}
 
@@ -291,57 +293,86 @@ GLOBALS = (
 _KEYS = {o.name for o in GLOBALS} | {o.name for c in COMMANDS.values() for o in c.options}
 
 
-class _Defer(Exception):
-    """A one-command parser cannot answer as the full parser would."""
-
-
-class _OneCommand(argparse.ArgumentParser):
-    """The top level of a parser holding one command's subparser: its
-    help and its errors would list that command alone, so both defer to
-    the full parser."""
-
-    def error(self, message):
-        raise _Defer
-
-    def print_help(self, file=None):
-        raise _Defer
-
-
-def _add_option(parser: argparse.ArgumentParser, opt: Option, default) -> None:
+def _add_option(parser, opt: Option, default) -> None:
     kind = (dict(action="store_true") if opt.type is bool
             else dict(type=opt.type, choices=opt.choices))
     parser.add_argument(opt.flag, default=default, help=opt.help, **kind)
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given ``command``, one that holds
-    only its subparser (argparse spends most of its build time on the
-    help strings of subparsers that never run).  Command options default
-    to None, so that an unset flag defers to the config file."""
+def _build_parser():
+    """The argparse parser of every command, which answers help and
+    errors.  Command options default to None, so that an unset flag
+    defers to the config file."""
+    import argparse  # loaded only for help and errors, which _parse defers
     common = argparse.ArgumentParser(add_help=False)
     for opt in GLOBALS:
         _add_option(common, opt, argparse.SUPPRESS)
-    parser = (argparse.ArgumentParser if command is None else _OneCommand)(
+    parser = argparse.ArgumentParser(
         prog="avgsat", parents=[common],
         description="Average running time experiments over propositional sentence spaces")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=cmd.help, parents=[common])
-            for opt in cmd.options:
-                _add_option(p, opt, None)
+        p = sub.add_parser(name, help=cmd.help, parents=[common])
+        for opt in cmd.options:
+            _add_option(p, opt, None)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The full parser's parse of argv, built for one command where it can."""
-    try:
-        # the first command name is the command unless it is an option's
-        # value, in which case the one-command parser fails and defers
-        return _build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
-    except _Defer:
-        return _build_parser().parse_args(argv)
+# the flags read before a command's name, and those read after it
+_GLOBAL_FLAGS = {o.flag: o for o in GLOBALS}
+_FLAGS = {name: {**_GLOBAL_FLAGS, **{o.flag: o for o in cmd.options}}
+          for name, cmd in COMMANDS.items()}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """argv read from the declarations, if it is well formed: the global
+    flags, the command's name, then its own flags and the global ones,
+    each as ``--flag value`` or ``--flag=value`` (a bool flag bare), the
+    last of a repeated flag winning.  None for anything else: help,
+    ``--``, an abbreviated or unknown flag, a separate value that starts
+    with '-', a missing value or command, an extra positional, or a
+    value its type or choices refuse."""
+    args = {}
+    flags = _GLOBAL_FLAGS
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if "command" in args or token not in COMMANDS:
+                return None
+            # a global given before the command keeps its value: no
+            # command declares a global's name
+            args.update(dict.fromkeys(o.name for o in COMMANDS[token].options), command=token)
+            flags = _FLAGS[token]
+            continue
+        flag, eq, value = token.partition("=")
+        opt = flags.get(flag)
+        if opt is None:
+            return None
+        if opt.type is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # a missing value defers, as "-x" does
+                if value[:1] == "-":
+                    return None
+            try:
+                value = opt.type(value)
+            except (TypeError, ValueError):
+                return None
+            if opt.choices is not None and value not in opt.choices:
+                return None
+        args[opt.name] = value
+    return SimpleNamespace(**args) if "command" in args else None
+
+
+def _parse(argv: list[str]):
+    """The full parser's parse of argv, which argparse makes only when
+    ``_read`` cannot: for help and errors it answers with argparse's text
+    and exit code."""
+    args = _read(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

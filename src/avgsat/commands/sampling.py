@@ -236,12 +236,16 @@ def alpha_count(arities, n: int, max_tokens: int) -> int:
 
 def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
     """The counted space of the sentences over exactly n variables within
-    max_tokens, and their exact mean scan time."""
-    from .. import measure  # loaded only for an exact mean
+    max_tokens, and their exact mean scan time: one quotient of integer
+    sums over the keys, each scan time times its count."""
+    from fractions import Fraction  # loaded only for an exact mean
+    from .. import measure
     space = measure.formula_space(table, n, max_tokens)
     if not space.items:
         raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} tokens")
-    return space, measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
+    count = space.count
+    return space, Fraction(sum(c * engines.sat_scan(x) for x, c in count.items()),
+                           sum(count.values()))
 
 
 def _draws(rng: random.Random, total: int):

@@ -37,10 +37,13 @@ def cmd_expected_min(opts: Options):
 # the time goes to writing the partial sums.  At row N the sum's
 # numerator and denominator have about N (N + 9.4 p) / 11 digits, and
 # their decimal conversion is quadratic in them, so a run takes about
-# (n_max + 1)^3 (p^2 + p (n_max + 1) / 6 + (n_max + 1)^2 / 150) steps;
-# the censuses to N = E take 7 * 10^4 (E + 1)^3 more.  --n-max 500 took
-# 2.2 s and 700 10.5 s, --n-max 100 --p 1000 9.0 s, --n-max 300 --p 100
-# 3.8 s and --n-max 200 --enum-limit 200 3.0 s; this is some 2.5 s.
+# (n_max + 1)^3 (p^2 + p (n_max + 1) / 6 + (n_max + 1)^2 / 150) steps.
+# The censuses to N = E read one completion table up to 2E + 1 tokens and
+# take 10^3 (E + 1)^3 more: analytic.censuses took 0.09 s to E = 200,
+# 0.87 s to 500 and 2.8 s to 700, under 8.5 ns per (E + 1)^3.  --n-max 500
+# took 2.2 s and 700 10.5 s, --n-max 100 --p 1000 9.0 s and --n-max 300
+# --p 100 3.8 s; this is some 2.5 s, and --n-max 479 --enum-limit 479,
+# near the most it admits, took 2.5 s.
 MAX_COUNTING_WORK = 3 * 10 ** 11
 
 
@@ -50,7 +53,7 @@ def cmd_counting(opts: Options):
     enum_limit = opts.get("enum_limit")
     n = n_max + 1  # rows
     censused = max(min(enum_limit, n_max) + 1, 0)
-    work = n ** 3 * (p * p + p * n // 6 + n * n // 150) + 7 * 10 ** 4 * censused ** 3
+    work = n ** 3 * (p * p + p * n // 6 + n * n // 150) + 10 ** 3 * censused ** 3
     if work > MAX_COUNTING_WORK:
         raise OptionError(f"--n-max {n_max} --p {p} --enum-limit {enum_limit} would take "
                           f"more than the {MAX_COUNTING_WORK:.0e} steps counting takes")
@@ -60,6 +63,7 @@ def cmd_counting(opts: Options):
               "partial_float", "status"]
     rows = []
     partial = Fraction(0)
+    censuses = analytic.censuses(censused - 1)
     for N in range(n_max + 1):
         g = analytic.gamma_count(N)
         cat = analytic.catalan_binomial(N)
@@ -68,8 +72,8 @@ def cmd_counting(opts: Options):
         partial += t.ratio
         ok = g == cat
         enum_count = ""
-        if N <= enum_limit:
-            census = analytic.census(N)
+        if N < censused:
+            census = censuses[N]
             enum_count = str(census.count)
             ok = ok and census.count == sc and census.tabulate_total == t.tabulate_total
         rows.append([str(N), str(g), str(cat), str(sc), enum_count,
@@ -78,19 +82,38 @@ def cmd_counting(opts: Options):
     return header, rows
 
 
-# each case's default --budget is the length of its trend scan, `limit`
-# the longest scan it runs, and `expect` the value of the trend.Verdict
-# it should reach.  The float scan's time grows as its length, the exact
-# ones' faster, as the digits of their sums do; on 2 vCPUs (Python 3.11)
-# the commands at the limits took 2.2-3.2 s (harmonic), 2.5-2.9 s
-# (geometric; 4,000 took 0.6 s and 14,400 took 13.6 s) and 2.2 s
-# (constant; 20,000 took 1.2 s)
+class _FloatRange:
+    """The ints of range(start, stop) as floats, made as they are read:
+    a sized sequence of indices for trend.tractability."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, start: int, stop: int):
+        self.ints = range(start, stop)
+
+    def __len__(self):
+        return len(self.ints)
+
+    def __iter__(self):
+        return map(float, self.ints)
+
+
+# each case's `indices` builds its class indices from start and stop, its
+# default --budget is the length of its trend scan, `limit` the longest
+# scan it runs, and `expect` the value of the trend.Verdict it should
+# reach.  The float scan's time grows as its length, the exact ones'
+# faster, as the digits of their sums do; on 2 vCPUs (Python 3.11) the
+# commands at the limits took 2.2-3.2 s (harmonic), 2.5-2.9 s (geometric;
+# 4,000 took 0.6 s and 14,400 took 13.6 s) and 2.2 s (constant; 20,000
+# took 1.2 s).  harmonic reads its indices as floats: below 2^26.5 each
+# n * n is exact in a float, so n * n, 1.0 / (n * n) and T(n) * mu(n)
+# round as they did on ints, and the scan runs about a fifth faster
 _CASES = {
-    "harmonic": dict(T=lambda n: n, mu=lambda n: 1.0 / (n * n), budget=10 ** 6,
-                     limit=10 ** 7, start=1, expect="divergent-trend"),
-    "geometric": dict(T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n), budget=60,
-                      limit=8000, start=0, expect="convergent"),
-    "constant": dict(T=lambda n: 5, mu=lambda n: Fraction(1, n), budget=60,
+    "harmonic": dict(indices=_FloatRange, T=float, mu=lambda n: 1.0 / (n * n),
+                     budget=10 ** 6, limit=10 ** 7, start=1, expect="divergent-trend"),
+    "geometric": dict(indices=range, T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n),
+                      budget=60, limit=8000, start=0, expect="convergent"),
+    "constant": dict(indices=range, T=lambda n: 5, mu=lambda n: Fraction(1, n), budget=60,
                      limit=30000, start=1, expect="convergent"),
 }
 
@@ -104,7 +127,8 @@ def cmd_tractability(opts: Options):
         raise OptionError(f"--budget {budget}: --case {case} scans at most "
                           f"{case_def['limit']} classes")
     start = case_def["start"]
-    res = trend.tractability(case_def["T"], case_def["mu"], range(start, start + budget),
+    res = trend.tractability(case_def["T"], case_def["mu"],
+                             case_def["indices"](start, start + budget),
                              eps=opts.get("eps"), cap=opts.get("cap"))
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]

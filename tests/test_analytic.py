@@ -5,7 +5,7 @@ import pytest
 
 from avgsat import analytic, engines, measure
 from avgsat.analytic import (ChainStep, catalan_binomial,
-                             census, expected_min_plus_one,
+                             census, censuses, expected_min_plus_one,
                              gamma_count, geometric_moment_sum,
                              is_canonical_sentence, moment_oclass_constant,
                              ratio_partial_sums, sentence_count, shannon_lengths,
@@ -75,9 +75,20 @@ def test_census_matches_filtered_enumeration():
                 counted.pow2_alpha_sum, (name, N)
 
 
+@pytest.mark.parametrize("name", sorted(CENSUS_TABLES))
+def test_censuses_from_one_table_match_census(name):
+    # one completion table to the longest length serves every row; each
+    # census(N) builds its own to exactly its length
+    table = CENSUS_TABLES[name]
+    assert censuses(12, table) == [census(N, table) for N in range(13)]
+    assert censuses(0, table) == [census(0, table)] and censuses(-1, table) == []
+
+
 def test_census_refuses_mixed_arities():
     with pytest.raises(ValueError):
         census(1, ConnectiveTable.all_up_to(2))
+    with pytest.raises(ValueError):
+        censuses(1, ConnectiveTable.all_up_to(2))
 
 
 def test_census_totals_match_closed_forms():

@@ -297,19 +297,20 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     ["counting", "--p", "-1"],
     ["counting", "--n-max", "100", "--p", "1000"],
     ["counting", "--n-max", "300", "--p", "100"],
-    ["counting", "--n-max", "300", "--enum-limit", "300"],
+    ["counting", "--n-max", "490", "--p", "0", "--enum-limit", "490"],
     ["moments", "--tol-exp", "100000"],
     ["moments", "--m-list", "2,1000"],
     ["moments", "--m-list", "1000", "--tol-exp", "20000"],
 ], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-700", "p-1e5",
-        "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-300",
+        "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-490",
         "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000"])
 def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # exact partials whose digits grow with the scan (geometric at 14,400
     # took 13.6 s), or a float scan past 10^7 classes; counting past
     # commands.series.MAX_COUNTING_WORK: its partial sums at --n-max 700
     # (10.5 s) or --p 10^5 (past 40 s), the two together (9.0 s and 3.8 s)
-    # or the censuses (17 s); a negative --p crashed, its float power
+    # or with the censuses (--n-max 490 --p 0 is admitted alone, and takes
+    # some 3 s with them); a negative --p crashed, its float power
     # underflowing to 0 before it was divided by; and moment sums whose
     # cutoff grows with both --m-list and --tol-exp, and their cost as its
     # square (--m-list 1000 --tol-exp 20000 took 10 s)
@@ -625,6 +626,34 @@ def test_montecarlo_n3_agrees_with_counted_mean(tmp_path):
                         "--samples", "20000", "--exact-check", "--seed", "1")
     assert code == 0
     assert rows[0]["status"] == "pass" and abs(float(rows[0]["z"])) <= 4
+
+
+@pytest.mark.parametrize("argv, once", [
+    (["moments", "--n-list", "1", "--m-list", "500,500"],
+     ["moments", "--n-list", "1", "--m-list", "500"]),
+    (["tab-oclass", "--n-list", "13,13"], ["tab-oclass", "--n-list", "13"]),
+], ids=["moments-m-list", "tab-oclass-n-list"])
+def test_repeated_list_entry_runs_once(tmp_path, argv, once):
+    # each entry's work is done once, and its rows are written once
+    assert run(tmp_path, *argv, name="a.csv")[2] == run(tmp_path, *once, name="b.csv")[2]
+
+
+def test_int_list_keeps_first_of_each_entry():
+    assert cli._int_list("3,1,,3,2,1") == [3, 1, 2]
+    # a config value reads as its flag does
+    by_config = cli.Options(cli._parse(["moments"]), {"m_list": ("4,2,4", "run.cfg:1")})
+    assert by_config.get("m_list") == [4, 2] == cli._parse(["moments", "--m-list", "4,2,4"]).m_list
+
+
+@pytest.mark.parametrize("n, max_tokens", [(1, 6), (2, 8), (2, 12), (3, 10)])
+def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
+    # one integer quotient over the keys, against measure's exact
+    # expectation under the uniform distribution on the counted space
+    from avgsat import engines, measure
+    from avgsat._formula_core import ConnectiveTable
+    space, mean = sampling._counted_mean(ConnectiveTable.standard(), n, max_tokens)
+    assert type(mean) is Fraction
+    assert mean == measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
 
 
 def test_markov_tail(tmp_path):
@@ -1156,29 +1185,46 @@ def _answer(parse, argv, capsys):
     return result, *capsys.readouterr()
 
 
+# command lines that _read answers itself, without argparse
+WELL_FORMED = [
+    ["--out=o.csv", "markov-tail"], ["sat-oclass", "--n", "2", "--out=o.csv"],
+    ["--seed", "1", "montecarlo", "--seed", "2"], ["--seed", "1", "montecarlo", "--n", "1"],
+    ["--audit", "markov-tail", "--multiplier", "10", "--table", "montecarlo"],
+    ["--out", "sat-oclass", "markov-tail"], ["montecarlo", "--exact-check", "--exact-check"],
+    ["moments", "--n-list", "1,,2"], ["sat-oclass", "--table=-x"], ["sat-oclass", "--table="],
+    ["tab-oclass", "--n", "3", "--n-list=3,4", "--model", "enumerated", "--n", "2"],
+    ["tractability", "--eps", "1e-3", "--case=geometric"], ["--out", "", "expected-min"],
+    *([name, *(arg for opt in cmd.options
+               for arg in ([opt.flag] if opt.type is bool else [opt.flag, _accepted(opt)]))]
+      for name, cmd in cli.COMMANDS.items()),
+]
+
+
 @pytest.mark.parametrize("argv", [
+    *WELL_FORMED,
     *([name, "--help"] for name in cli.COMMANDS),
     [], ["--help"], ["-h", "sat-oclass"], ["--he", "markov-tail"], ["nope"],
-    ["--out", "sat-oclass", "markov-tail"], ["--out", "x.csv", "sat-oclass", "--n", "x"],
+    ["--out", "x.csv", "sat-oclass", "--n", "x"],
     ["sat-oclass", "--bogus", "3"], ["tab-oclass", "--model", "nope"],
     ["--seed", "x", "expected-min"], ["expected-min", "--n", "0", "extra"],
     ["--audit", "markov-tail", "--mult", "10", "--table", "montecarlo"],
     ["--conf", "c.cfg", "--out=o.csv", "property-2-2", "--n-list", "1,2"],
-    *([name, *(arg for opt in cmd.options
-               for arg in ([opt.flag] if opt.type is bool else [opt.flag, _accepted(opt)]))]
-      for name, cmd in cli.COMMANDS.items()),
+    ["montecarlo", "--n", "-1"], ["montecarlo", "--exact-check=1"], ["--audit=", "moments"],
+    ["sat-oclass", "--table", "-x"], ["sat-oclass", "--n"], ["sat-oclass", "--n="],
+    ["sat-oclass", "--", "--n", "2"], ["--n", "2", "sat-oclass"], ["sat-oclass", "markov-tail"],
+    ["moments", "--n-list", "1,x"], ["--out", "-", "sat-oclass"], ["sat-oclass", "-n", "2"],
+    ["", "sat-oclass"], ["sat-oclass", "", "--n", "1"],
 ], ids=lambda argv: " ".join(argv) or "none")
 def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
-    # main builds only the named command's subparser; its parse, help,
-    # errors and exit codes must be the full parser's
+    # main parses a well-formed command line without argparse; its parse,
+    # help, errors and exit codes must be the full parser's
     full = _answer(cli._build_parser().parse_args, argv, capsys)
     assert _answer(cli._parse, argv, capsys) == full
 
 
-def test_one_command_parser_holds_one_command():
-    assert "{markov-tail}" in cli._build_parser("markov-tail").format_usage()
-    assert vars(cli._build_parser("markov-tail").parse_args(["markov-tail", "--n", "2"])) == \
-        {"command": "markov-tail", "n": 2, "multiplier": None, "table": None}
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_well_formed_command_line_is_read_without_argparse(argv):
+    assert vars(cli._read(argv)) == vars(cli._build_parser().parse_args(argv))
 
 
 def test_frac_writes_integers_past_the_digit_limit():
@@ -1259,6 +1305,29 @@ def test_import_loads_only_the_core():
     assert _avgsat_modules() == {"avgsat", "avgsat.cli", "avgsat.errors"}
 
 
+def test_benchmark_commands_load_no_argparse(tmp_path, capsys, monkeypatch):
+    # a well-formed command line is read from the declarations; argparse
+    # (and its gettext) loads only to answer help or an error
+    commands = [c.format(seed=1).split() for c in json.loads(DIGESTS.read_text("utf-8"))]
+    out = str(tmp_path / "out.csv")
+    code = ("import sys, avgsat.cli; "
+            "loaded = 'argparse' in sys.modules; "
+            f"codes = [avgsat.cli.main([*argv, '--out', {out!r}]) for argv in {commands!r}]; "
+            "print(loaded, 'argparse' in sys.modules, *codes)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", *["0"] * len(commands)]
+    # help is wrapped to the width COLUMNS gives
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["sat-oclass", "--bogus", "3"]):
+        done = subprocess.run([sys.executable, "-S", "-m", "avgsat", *argv], cwd=src,
+                              timeout=60, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            _answer(cli._build_parser().parse_args, argv, capsys)
+
+
 # the sentence-object API, which the commands read through keys alone
 SENTENCE_API = {"avgsat.formula"}
 
@@ -1294,6 +1363,26 @@ def test_tractability_choices_are_its_cases():
     assert case.choices == tuple(sorted(series._CASES))
     # every default budget is one the case accepts
     assert all(1 <= c["budget"] <= c["limit"] for c in series._CASES.values())
+
+
+def test_harmonic_float_indices_square_exactly():
+    # every index the harmonic case scans has n * n exact in a float
+    from avgsat.commands import series
+    case = series._CASES["harmonic"]
+    assert (case["start"] + case["limit"]) ** 2 <= 2 ** 53
+
+
+def test_harmonic_float_scan_is_the_int_scan():
+    from avgsat import trend
+    from avgsat.commands import series
+    case = series._CASES["harmonic"]
+    start, stop = case["start"], case["start"] + 20000
+    by_float = trend.tractability(case["T"], case["mu"], case["indices"](start, stop))
+    by_int = trend.tractability(lambda n: n, lambda n: 1.0 / (n * n), range(start, stop))
+    assert by_float.verdict == by_int.verdict
+    assert [(k, v.hex()) for k, v in by_float.checkpoints.items()] == \
+        [(k, v.hex()) for k, v in by_int.checkpoints.items()]
+    assert all(type(v) is float for v in by_float.checkpoints.values())
 
 
 @pytest.mark.parametrize("values", [
