@@ -2,7 +2,7 @@
 subtrees instead of enumerated.
 
 Conventions are those of :mod:`avgsat._kernel`.  This module is loaded
-only when a sentence space is built.
+only when a sentence space is built or counted.
 """
 
 import math
@@ -11,6 +11,7 @@ from itertools import product
 from operator import add, mul, sub
 
 from ._kernel import _apply, _minority_rows, completion_counts, var_mask
+from .errors import MeasureError
 
 
 @lru_cache(maxsize=None)
@@ -232,3 +233,43 @@ class SentenceCounts:
                 c = plain * v[m] + negated * v[self.full ^ m]
                 if c:
                     out[m] = out.get(m, 0) + c
+
+
+def _check_vars(n: int) -> None:
+    # sizes are counted as 8 * (2 * tokens - 1 + variable tokens), which
+    # holds while every variable is p0..p9
+    if not 1 <= n <= 10:
+        raise MeasureError(f"sentence spaces need 1 to 10 variables, got {n}")
+
+
+# The largest token budget of a counted space: its completion table
+# alone holds max_tokens^2 integers.
+MAX_TOKENS = 200
+# The most steps (SentenceCounts.work) a counted space may take.  On 2
+# vCPUs (Python 3.11), 1.4e8 at n = 3 within 40 tokens took 5.2 s, 3.1e8
+# at n = 4 within 12 took 3.2 s and 3.7e8 at n = 3 within 50 took 17 s;
+# 5.2e8 at n = 5 within 11 (6.9 s) and 1.5e9 at n = 4 within 13 are
+# refused.
+MAX_WORK = 4 * 10 ** 8
+
+
+def sentence_keys(table, n: int, max_tokens: int) -> dict[tuple, int]:
+    """Key (n, size f, class mask) -> number of the canonical sentences
+    over exactly n variables within ``max_tokens`` tokens of ``table``
+    (a connective table; see :meth:`SentenceCounts.keys`).
+
+    Raises MeasureError unless 1 <= n <= 10, and, before counting, when
+    the budget passes ``MAX_TOKENS`` or the count's estimated steps pass
+    ``MAX_WORK``."""
+    _check_vars(n)
+    if max_tokens > MAX_TOKENS:
+        raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, "
+                           f"got {max_tokens}")
+    counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
+    if counts.work() > MAX_WORK:
+        raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
+                           f"tokens would take more than the {MAX_WORK:.0e} steps a "
+                           "count may take")
+    for _ in range(max_tokens):
+        counts.extend()
+    return counts.keys()

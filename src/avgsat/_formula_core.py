@@ -11,7 +11,7 @@ hold the keys against, build on this module and re-export it.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import AvgsatError
 

@@ -80,14 +80,25 @@ def _slot_ops(arities, tts):
     return tuple((a, *_minority_rows(a, tt)) for a, tt in zip(arities, tts))
 
 
+def _anf(tt):
+    """The algebraic normal form of the binary connective with truth bits
+    ``tt``, where bit ``r`` is the value at ``r = 2x + y`` and ``x`` is the
+    first argument: (c0, cx, cy, cxy), each 0 or -1, such that the
+    connective is ``(full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)``."""
+    b0, b1, b2, b3 = (-(tt >> r & 1) for r in range(4))
+    return b0, b0 ^ b2, b0 ^ b1, b0 ^ b1 ^ b2 ^ b3
+
+
 @lru_cache(maxsize=None)
 def slot_runs(arities, tts):
     """The connective slots of a table as runs of consecutive slots of
-    one arity: (arity, first slot, number of slots, one function per
-    slot of the argument masks and the all-true mask)."""
+    one arity: (arity, first slot, number of slots, one entry per slot).
+    A binary slot's entry is its coefficients ``_anf(tt)``, which a
+    caller applies in place with no call; any other slot's is a function
+    of the argument masks and the all-true mask."""
     runs = []
     for j, (a, rows, flip) in enumerate(_slot_ops(arities, tts)):
-        op = partial(_apply, rows, flip)
+        op = _anf(tts[j]) if a == 2 else partial(_apply, rows, flip)
         if runs and runs[-1][0] == a:
             runs[-1][2].append(op)
         else:

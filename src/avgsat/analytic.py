@@ -216,17 +216,34 @@ def geometric_moment_sum(m: int, tol: Fraction | float = Fraction(1, 10 ** 12)) 
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    cutoff, tail = _tail_cutoff(m, tol)
+    num = sum(i ** m << (cutoff - i) for i in range(1, cutoff + 1))
+    partial = Fraction(num, 1 << cutoff)
+    return MomentSum(m, partial, tail, cutoff)
+
+
+def _tail_cutoff(m: int, tol: Fraction) -> tuple[int, Fraction]:
+    """(cutoff, tail bound) of :func:`geometric_moment_sum`."""
     cutoff = max(4 * m, 8)
     while True:
         ratio = Fraction((cutoff + 1) ** m, cutoff ** m * 2)
         next_term = Fraction((cutoff + 1) ** m, 2 ** (cutoff + 1))
         tail = next_term / (1 - ratio)
         if tail < tol:
-            break
+            return cutoff, tail
         cutoff *= 2
-    num = sum(i ** m << (cutoff - i) for i in range(1, cutoff + 1))
-    partial = Fraction(num, 1 << cutoff)
-    return MomentSum(m, partial, tail, cutoff)
+
+
+def moment_cutoff(m: int, tol_exp: int) -> int:
+    """The cutoff that ``geometric_moment_sum(m, 10^-tol_exp)`` reaches,
+    from float logarithms of its tail bound, for an estimate of its work
+    before any sum: the cutoff doubles from max(4m, 8) while
+    log2(tail) >= -tol_exp * log2(10)."""
+    cutoff = max(4 * m, 8)
+    while (m * math.log2(cutoff + 1) - (cutoff + 1)
+           - math.log2(1 - ((cutoff + 1) / cutoff) ** m / 2) >= -tol_exp * math.log2(10)):
+        cutoff *= 2
+    return cutoff
 
 
 def moment_oclass_constant(m: int) -> Fraction:

@@ -6,8 +6,8 @@ the one that runs:
 * :mod:`.exact` -- the exact verdicts over sentence spaces (measure,
   engines, the counting DP; analytic for the Shannon model and moments);
 * :mod:`.series` -- closed forms and trend scans (analytic or trend);
-* :mod:`.sampling` -- seeded sampling (the kernel and engines; measure
-  only for exact means).
+* :mod:`.sampling` -- seeded sampling (the kernel and engines; the
+  counting DP only for exact means).
 """
 
 

@@ -4,9 +4,13 @@ Draws are uniform ranks of sentences in shortlex order (see
 :class:`SequenceSampler`), tallied per rank and unranked straight to
 their keys (alpha, f, class mask) with no codes and no sentence object,
 sorted ranks of one length in one walk, and scored by the cost models
-of :mod:`avgsat.engines`, which read keys alone; only an exact mean loads
-:mod:`avgsat.measure`.  :mod:`avgsat.cli` names the sampler too,
-and loads it from here.
+of :mod:`avgsat.engines`, which read keys alone.  The walk applies a
+binary connective from its coefficients, with no call.  An exact mean
+(``--exact-check``, ``--exhaustive``) is the quotient of two integer
+sums over the keys that :mod:`avgsat._counting` counts, taken as
+``num / den``, the correctly rounded float, so no run loads
+:mod:`avgsat.measure` or :mod:`fractions`.  :mod:`avgsat.cli` names the
+sampler too, and loads it from here.
 
 A draw below ``G`` is ``getrandbits(G.bit_length())`` repeated until it
 falls below ``G``: the rejection loop that ``Random.randrange(G)`` runs
@@ -68,13 +72,17 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
     that several ranks share is unranked once: where the ranks part, the
     state is saved for the later ones and the walk goes on with the
     first.  ``runs`` are the table's connective slots as
-    ``_kernel.slot_runs`` groups them; the codes of a one-rank walk are
-    appended to ``codes`` if it is given."""
+    ``_kernel.slot_runs`` groups them: a binary slot is evaluated in
+    place from its coefficients, any other through its function.  The
+    walk holds the variable masks of the current alpha and fetches them
+    again only when a new variable appears.  The codes of a one-rank walk
+    are appended to ``codes`` if it is given."""
     keys = []
     # equal keys are one tuple: a walk over many ranks returns far more
     # keys than there are distinct ones, and holds them all until it ends
     interned = {}
     var_mask, var_masks = _kernel.var_mask, _kernel._var_masks
+    vm = ()          # the variable masks over alpha variables, while alpha <= 16
     parted = []      # per parting of the ranks: the later ones and the state they resume from
     stack = []       # the masks of the operands so far; d of them
     d = 0
@@ -118,7 +126,7 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
                 if ranks[j - 1] >= end:
                     e = bisect_left(ranks, end, i + 1, j)
                     parted.append((e, j, lo, r + 1, d, stack[:], slot[:],
-                                   alpha, full, chars))
+                                   alpha, full, vm, chars))
                     j = e
                     many = e - i > 1
                 lo = start
@@ -135,23 +143,33 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
                     for m in range(d):
                         stack[m] |= stack[m] << half
                     full |= full << half
-                # a variable's mask is as wide as the stack's: the kernel's
-                # cached masks serve up to 16 variables (8 KB a mask); a wider
-                # one is built when it is pushed, and none is kept
-                stack.append(var_masks(alpha)[w] if alpha <= 16 else var_mask(w, alpha))
+                    # a variable's mask is as wide as the stack's: the
+                    # kernel's cached masks serve up to 16 variables (8 KB
+                    # a mask); a wider one is built when it is pushed, and
+                    # none is kept
+                    vm = var_masks(alpha) if alpha <= 16 else None
+                stack.append(var_mask(w, alpha) if vm is None else vm[w])
                 chars += 1 if v < 10 else len(str(v))
                 d += 1
             else:
                 if codes is not None:
                     codes.append(-first - q - 1)
-                d -= a
-                stack[d:] = (op(stack[d:], full),)
-                d += 1
+                if a == 2:
+                    # from the connective's coefficients, in place
+                    c0, cx, cy, cxy = op
+                    y = stack.pop()
+                    x = stack[-1]
+                    stack[-1] = (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)
+                    d -= 1
+                else:
+                    d -= a
+                    stack[d:] = (op(stack[d:], full),)
+                    d += 1
         key = (alpha, 8 * chars, stack[0])
         keys.append(interned.setdefault(key, key))
         if not parted:
             return keys
-        i, j, lo, top, d, stack, slot, alpha, full, chars = parted.pop()
+        i, j, lo, top, d, stack, slot, alpha, full, vm, chars = parted.pop()
         many = j - i > 1
         u = ranks[i] - lo
 
@@ -235,17 +253,17 @@ def alpha_count(arities, n: int, max_tokens: int) -> int:
 
 
 def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
-    """The counted space of the sentences over exactly n variables within
-    max_tokens, and their exact mean scan time: one quotient of integer
-    sums over the keys, each scan time times its count."""
-    from fractions import Fraction  # loaded only for an exact mean
-    from .. import measure
-    space = measure.formula_space(table, n, max_tokens)
-    if not space.items:
+    """(count, num, den): the counted keys of the sentences over exactly
+    n variables within max_tokens (:func:`avgsat._counting.sentence_keys`),
+    and their exact mean scan time as the quotient of two integers, the
+    sum of each key's scan time times its count over the sum of the
+    counts."""
+    from .._counting import sentence_keys  # loaded only for an exact mean
+    count = sentence_keys(table, n, max_tokens)
+    if not count:
         raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} tokens")
-    count = space.count
-    return space, Fraction(sum(c * engines.sat_scan(x) for x, c in count.items()),
-                           sum(count.values()))
+    scan = engines.sat_scan
+    return count, sum(c * scan(x) for x, c in count.items()), sum(count.values())
 
 
 def _draws(rng: random.Random, total: int):
@@ -316,19 +334,21 @@ def cmd_montecarlo(opts: Options):
     exact_mean = z = ""
     status = PASS
     if exhaustive:
-        space, exact = _counted_mean(table, n, max_tokens)
+        count, num, den = _counted_mean(table, n, max_tokens)
+        # int true division rounds correctly: the float of Fraction(num, den)
+        exact = num / den
         # one (value, count) pair per key, never one value per sentence;
         # a key counts canonical sentences, each standing for n! sentences
         renamings = math.factorial(n)
         samples = sx = sxx = 0
-        for x in space.items:
-            c, v = renamings * space.count[x], engines.sat_scan(x)
+        for x, c in count.items():
+            c, v = renamings * c, engines.sat_scan(x)
             samples += c
             sx += c * v
             sxx += c * v * v
         mean, se = _mean_stderr(samples, sx, sxx)
         exact_mean = _float(exact)
-        status = PASS if mean == float(exact) else FAIL
+        status = PASS if mean == exact else FAIL
     else:
         samples = opts.get("samples")
         if exact_check and samples < 2:
@@ -355,12 +375,13 @@ def cmd_montecarlo(opts: Options):
         # `samples` acceptances take about samples * total / hits draws
         _check_draws(samples * total // hits, n, max_tokens, request)
         if exact_check:  # first, as it may refuse its own space
-            _, exact = _counted_mean(table, n, max_tokens)
+            _, num, den = _counted_mean(table, n, max_tokens)
+            exact = num / den  # correctly rounded, as with --exhaustive
         accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
             exact_mean = _float(exact)
-            gap = mean - float(exact)
+            gap = mean - exact
             # with no spread among the samples, only an exact hit passes
             zval = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
             z = _float(zval)

@@ -4,12 +4,11 @@ tractability.
 expected-min and counting read the closed forms of
 :mod:`avgsat.analytic`; tractability runs the streaming trend scan of
 :mod:`avgsat.trend`.  None of them loads :mod:`avgsat.measure` or a
-sentence space.
+sentence space, and the harmonic scan, all floats, loads no
+:mod:`fractions`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ..cli import FAIL, PASS, OptionError, Options, _float, _frac
 
@@ -57,6 +56,7 @@ def cmd_counting(opts: Options):
     if work > MAX_COUNTING_WORK:
         raise OptionError(f"--n-max {n_max} --p {p} --enum-limit {enum_limit} would take "
                           f"more than the {MAX_COUNTING_WORK:.0e} steps counting takes")
+    from fractions import Fraction  # not loaded by the float scan
     from .. import analytic  # loaded only by the commands that use it
     header = ["N", "gamma", "catalan", "sentence_count", "enum_count",
               "F_num", "F_den", "F_float", "partial_num", "partial_den",
@@ -98,6 +98,13 @@ class _FloatRange:
         return map(float, self.ints)
 
 
+def _ratio(num: int, den: int):
+    """num / den as a Fraction, for the exact cases: the float one loads
+    no fractions."""
+    from fractions import Fraction
+    return Fraction(num, den)
+
+
 # each case's `indices` builds its class indices from start and stop, its
 # default --budget is the length of its trend scan, `limit` the longest
 # scan it runs, and `expect` the value of the trend.Verdict it should
@@ -111,9 +118,9 @@ class _FloatRange:
 _CASES = {
     "harmonic": dict(indices=_FloatRange, T=float, mu=lambda n: 1.0 / (n * n),
                      budget=10 ** 6, limit=10 ** 7, start=1, expect="divergent-trend"),
-    "geometric": dict(indices=range, T=lambda n: 2 ** n, mu=lambda n: Fraction(1, 4 ** n),
+    "geometric": dict(indices=range, T=lambda n: 2 ** n, mu=lambda n: _ratio(1, 4 ** n),
                       budget=60, limit=8000, start=0, expect="convergent"),
-    "constant": dict(indices=range, T=lambda n: 5, mu=lambda n: Fraction(1, n), budget=60,
+    "constant": dict(indices=range, T=lambda n: 5, mu=lambda n: _ratio(1, n), budget=60,
                      limit=30000, start=1, expect="convergent"),
 }
 
@@ -133,6 +140,6 @@ def cmd_tractability(opts: Options):
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]
     status = PASS if res.verdict.value == case_def["expect"] else FAIL
-    rows = [[case, str(k), *(_frac(v) if isinstance(v, Fraction) else ["", ""]), _float(v),
+    rows = [[case, str(k), *(["", ""] if isinstance(v, float) else _frac(v)), _float(v),
              res.verdict.value, status] for k, v in res.checkpoints.items()]
     return header, rows

@@ -32,6 +32,8 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+# the bounds of a counted space are named here too (measure.MAX_WORK)
+from ._counting import MAX_TOKENS, MAX_WORK, SentenceCounts, _check_vars, sentence_keys
 from ._formula_core import ConnectiveTable, _Frozen
 from .errors import (ClassUncovered, MeasureError, PreconditionFailed, ZeroMass,
                      ZeroMassSubset)
@@ -533,48 +535,17 @@ def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
 # --- counted sentence spaces -----------------------------------------
 
 
-def _check_vars(n: int) -> None:
-    # sizes are counted as 8 * (2 * tokens - 1 + variable tokens), which
-    # holds while every variable is p0..p9
-    if not 1 <= n <= 10:
-        raise MeasureError(f"sentence spaces need 1 to 10 variables, got {n}")
-
-
-# The largest token budget of a counted space: its completion table
-# alone holds max_tokens^2 integers.
-MAX_TOKENS = 200
-# The most steps (SentenceCounts.work) a counted space may take.  On 2
-# vCPUs (Python 3.11), 1.4e8 at n = 3 within 40 tokens took 5.2 s, 3.1e8
-# at n = 4 within 12 took 3.2 s and 3.7e8 at n = 3 within 50 took 17 s;
-# 5.2e8 at n = 5 within 11 (6.9 s) and 1.5e9 at n = 4 within 13 are
-# refused.
-MAX_WORK = 4 * 10 ** 8
-
-
 def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace:
     """All alpha = n sentences over exactly n variables up to a token
     budget, as keys (n, f, class mask) counting the canonical sentences
-    of each (see :class:`~avgsat._counting.SentenceCounts`).
+    of each (see :func:`avgsat._counting.sentence_keys`, which raises
+    MeasureError unless 1 <= n <= 10, and, before counting, past
+    ``MAX_TOKENS`` or ``MAX_WORK``).
 
     Each canonical sentence stands for its n! renamings, which share its
     key, so weights uniform over classes or over sentences are the same
-    on canonical counts; n! times a count is a number of sentences.
-    Raises MeasureError unless 1 <= n <= 10, and, before counting, when
-    the budget passes ``MAX_TOKENS`` or the count's estimated steps pass
-    ``MAX_WORK``."""
-    _check_vars(n)
-    if max_tokens > MAX_TOKENS:
-        raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, "
-                           f"got {max_tokens}")
-    from ._counting import SentenceCounts  # loaded only to build a space
-    counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
-    if counts.work() > MAX_WORK:
-        raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
-                           f"tokens would take more than the {MAX_WORK:.0e} steps a "
-                           "count may take")
-    for _ in range(max_tokens):
-        counts.extend()
-    return InputSpace(counts.keys())
+    on canonical counts; n! times a count is a number of sentences."""
+    return InputSpace(sentence_keys(table, n, max_tokens))
 
 
 def _monotone(a: int, f: int) -> bool:
@@ -626,7 +597,6 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
                 raise ClassUncovered(
                     f"every connective is {name}, so at most {reach} of "
                     f"{needed} model classes are reachable at n = {n}")
-    from ._counting import SentenceCounts  # loaded only to build a space
     counts = SentenceCounts(n, table.arities, table.truth_bits, depth_cap)
     classes: set[int] = set()
     for t in range(1, depth_cap + 1):

@@ -189,6 +189,14 @@ def test_moment_sum_values():
     assert abs(geometric_moment_sum(3, tol).partial - 26) <= tol
 
 
+def test_moment_cutoff_estimate_is_the_exact_cutoff():
+    # the float estimate that bounds moments' work, against the exact loop
+    for t in (0, 1, 5, 12, 100, 1000, 10 ** 4):
+        for m in [*range(1, 41), 50, 99, 100, 143, 200, 333, 499, 500]:
+            exact, _ = analytic._tail_cutoff(m, Fraction(1, 10 ** t))
+            assert analytic.moment_cutoff(m, t) == exact, (m, t)
+
+
 def test_moment_sum_tail_verified_by_doubling():
     for m in (2, 5):
         s = geometric_moment_sum(m)

@@ -301,9 +301,11 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     ["moments", "--tol-exp", "100000"],
     ["moments", "--m-list", "2,1000"],
     ["moments", "--m-list", "1000", "--tol-exp", "20000"],
+    ["moments", "--n-list", "1", "--m-list", ",".join(map(str, range(500, 480, -1)))],
 ], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-700", "p-1e5",
         "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-490",
-        "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000"])
+        "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000",
+        "moments-m-list-500-to-481"])
 def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # exact partials whose digits grow with the scan (geometric at 14,400
     # took 13.6 s), or a float scan past 10^7 classes; counting past
@@ -313,7 +315,9 @@ def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # some 3 s with them); a negative --p crashed, its float power
     # underflowing to 0 before it was divided by; and moment sums whose
     # cutoff grows with both --m-list and --tol-exp, and their cost as its
-    # square (--m-list 1000 --tol-exp 20000 took 10 s)
+    # square (--m-list 1000 --tol-exp 20000 took 10 s), or many entries
+    # each admitted alone (the 20 from 500 down to 481 took 2.4 s, every
+    # m to 500 17 s; commands.exact.MAX_MOMENTS_WORK)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -651,9 +655,14 @@ def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
     # expectation under the uniform distribution on the counted space
     from avgsat import engines, measure
     from avgsat._formula_core import ConnectiveTable
-    space, mean = sampling._counted_mean(ConnectiveTable.standard(), n, max_tokens)
-    assert type(mean) is Fraction
-    assert mean == measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
+    table = ConnectiveTable.standard()
+    count, num, den = sampling._counted_mean(table, n, max_tokens)
+    space = measure.formula_space(table, n, max_tokens)
+    assert count == space.count
+    # the command writes num / den: int true division rounds correctly
+    assert num / den == float(Fraction(num, den))
+    assert Fraction(num, den) == \
+        measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
 
 
 def test_markov_tail(tmp_path):
@@ -1142,6 +1151,22 @@ def test_n3_csv_bytes_match_recorded_digest(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N3_DIGESTS[command]
 
 
+@pytest.mark.parametrize("command", [
+    *(c for c in [*json.loads(DIGESTS.read_text("utf-8")), *N3_DIGESTS]
+      if c.startswith("moments")),
+    "moments --m-list 1,2 --n-list 1", "moments --m-list 143", "moments --n-list 1 --m-list 500",
+    # the costliest single entry the declarations admit
+    "moments --m-list 500 --tol-exp 10000 --n-list 1,2,3",
+])
+def test_moments_total_admits_what_runs(command):
+    # the bound over the entries refuses none of the tests' and the
+    # benchmark's moments runs, nor any single entry
+    from avgsat.commands import exact
+    opts = cli.Options(cli._parse(command.split()), {})
+    assert exact._moments_work(opts.get("m_list"), opts.get("n_list"),
+                               opts.get("tol_exp")) <= exact.MAX_MOMENTS_WORK
+
+
 # The Shannon model's CSVs, pinned to the bytes written while
 # tab-oclass summed its layers in closed form and property-2-3 held one
 # item per slot.  At n = 12 the lhs denominator has 4,796 digits.
@@ -1286,19 +1311,24 @@ def test_analytic_import_loads_no_dataclasses():
     assert _loaded_by_import("avgsat.analytic", ["dataclasses", "inspect"]) == ""
 
 
-def _avgsat_modules(argv=()):
-    """The avgsat modules a fresh interpreter (``-S``, as above) holds
-    after importing avgsat.cli and running the command argv, if any."""
+def _modules(argv=()):
+    """The modules a fresh interpreter (``-S``, as above) holds after
+    importing avgsat.cli and running the command argv, if any."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys, avgsat.cli; "
             f"code = avgsat.cli.main({list(argv)!r}) if {list(argv)!r} else 0; "
-            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'avgsat'))")
+            "print(code, *sorted(sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, timeout=60,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     code, *modules = done.stdout.split()
     assert code == "0", done.stderr
     return set(modules)
+
+
+def _avgsat_modules(argv=()):
+    """The avgsat modules of :func:`_modules`."""
+    return {m for m in _modules(argv) if m.split(".")[0] == "avgsat"}
 
 
 def test_import_loads_only_the_core():
@@ -1350,6 +1380,20 @@ def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     # its own body, and no other command's
     target = cli.COMMANDS[command.split()[0]].target.partition(":")[0]
     assert {m for m in modules if m.startswith("avgsat.commands.")} == {target}
+
+
+@pytest.mark.parametrize("command", [
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check",
+    "montecarlo --n 2 --max-tokens 7 --exhaustive",
+    "explore-min --target-tokens 9 --samples 500",
+    "tractability --case harmonic --budget 2000",
+])
+def test_integer_and_float_runs_load_no_fractions(tmp_path, command):
+    # an exact mean is a quotient of integer sums, and the harmonic scan
+    # is all floats: neither needs measure's Fraction layer, fractions
+    # (which loads decimal) or typing
+    modules = _modules([*command.split(), "--out", str(tmp_path / "out.csv")])
+    assert not modules & {"avgsat.measure", "fractions", "decimal", "typing"}
 
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))

@@ -1,11 +1,14 @@
 """The mask kernel against a per-assignment evaluator, for every truth
-table of arity 0 to 3."""
+table of arity 0 to 3, and the sampling walk's keys against the kernel's
+evaluation."""
 
 from itertools import product
 
 import pytest
 
 from avgsat import _kernel
+from avgsat._formula_core import ConnectiveTable
+from avgsat.commands import sampling
 
 # every truth table of arities 0..3: 2 + 4 + 16 + 256 slots
 ARITIES = tuple(a for a in range(4) for _ in range(1 << (1 << a)))
@@ -103,3 +106,55 @@ def test_max_leaves_matches_enumeration(arities):
                   for length in range(1, max_tokens + 1)
                   for codes, _ in _kernel.enumerate_length(1, arities, length)]
         assert _kernel.max_leaves(arities, max_tokens) == max(leaves, default=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_binary_coefficients_match_brute_force(n):
+    # the walk applies a binary slot as (full & c0) ^ (x & cx) ^ (y & cy)
+    # ^ (x & y & cxy), x the first argument
+    full = (1 << (1 << n)) - 1
+    pool = argument_pool(n)
+    for tt in range(16):
+        c0, cx, cy, cxy = coefficients = _kernel._anf(tt)
+        assert set(coefficients) <= {0, -1}
+        for x, y in product(pool, repeat=2):
+            assert (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy) == \
+                brute_apply(2, tt, (x, y), n), (tt, x, y)
+
+
+def walk_against_eval(table, n_vars, max_tokens):
+    """Every rank of every length up to max_tokens, unranked in one walk
+    per length and one rank at a time, against the enumeration's codes and
+    the kernel's evaluation of them."""
+    arities, tts = table.arities, table.truth_bits
+    runs = _kernel.slot_runs(arities, tts)
+    cnt = _kernel.completion_counts(n_vars, arities, max_tokens)
+    for length in range(1, max_tokens + 1):
+        sequences = [codes for codes, _ in _kernel.enumerate_length(n_vars, arities, length)]
+        assert len(sequences) == cnt[length][0]
+        if not sequences:  # a walk takes at least one rank
+            continue
+        expected = []
+        for codes in sequences:
+            mask, alpha = _kernel.eval_mask_compact(codes, arities, tts)
+            digits = sum(len(str(c)) for c in codes if c >= 0)
+            expected.append((alpha, 8 * (2 * length - 1 + digits), mask))
+        ranks = list(range(len(sequences)))
+        assert sampling._unrank(ranks, length, n_vars, runs, cnt) == expected
+        for u in ranks[::7]:
+            codes = []
+            assert sampling._unrank([u], length, n_vars, runs, cnt, codes) == [expected[u]]
+            assert tuple(codes) == sequences[u]
+
+
+def test_walk_matches_eval_over_every_binary_connective():
+    # XOR, XNOR, the constants and the projections among them
+    walk_against_eval(ConnectiveTable.all_of_arity(2), 3, 5)
+
+
+def test_walk_matches_eval_with_a_ternary_connective():
+    # binary runs split by a ternary slot (if-then-else, which tells its
+    # arguments apart), which keeps the generic path
+    table = ConnectiveTable.from_text("⊕ 2 0110\n? 3 01010011\n→ 2 1101\n¬ 1 10\n")
+    assert [a for a, *_ in _kernel.slot_runs(table.arities, table.truth_bits)] == [2, 3, 2, 1]
+    walk_against_eval(table, 3, 6)
