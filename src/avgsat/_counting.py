@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, mul, sub
 
-from ._kernel import _apply, _minority_rows, completion_counts, var_mask
+from ._kernel import _anf, _apply, completion_counts, var_mask
 from .errors import MeasureError
 
 
@@ -70,7 +70,8 @@ class SentenceCounts:
     product per mask and one Moebius inversion per state.  Other
     connectives, XOR and XNOR among them, and all connectives over more
     masks, loop over the nonzero entries of their children, which takes
-    no more steps than there are sentences.
+    no more steps than there are sentences, and apply their algebraic
+    normal form (``_kernel._apply``) to each choice of masks.
     """
 
     def __init__(self, n, arities, tts, max_tokens):
@@ -81,7 +82,7 @@ class SentenceCounts:
         cnt = completion_counts(n, arities, max(max_tokens, 0))
         self.sequences = [row[0] for row in cnt]  # of each length
         self.width = max(1, max(self.sequences).bit_length())
-        self.rows = [_minority_rows(a, tt) for a, tt in zip(arities, tts)]
+        self.anfs = [_anf(a, tt) for a, tt in zip(arities, tts)]
         # (view a, view b) -> [plain, negated] multiplicities of the
         # connectives combined by superset sums, whose indices are in summed
         self.families, self.summed = {}, set()
@@ -141,10 +142,10 @@ class SentenceCounts:
                 for j, a in enumerate(self.arities):
                     if j in self.summed:
                         continue
-                    rows, flip = self.rows[j]
+                    anf = self.anfs[j]
                     for children in self._splits(a, t - 1, ki, ko):
                         for masks, p in self._entries(children):
-                            m = _apply(rows, flip, masks, self.full)
+                            m = _apply(anf, masks, self.full)
                             out[m] = out.get(m, 0) + p
                 if self.families:
                     self._combine_binary(t, ki, ko, out)

@@ -122,12 +122,6 @@ def _bits_from_string(s: str) -> int:
     return bits
 
 
-def _truth_number(arity: int, bits: int) -> int:
-    """Truth bits read most-significant-first (tuple 0 = top bit)."""
-    width = 1 << arity
-    return int("".join(str((bits >> r) & 1) for r in range(width)), 2)
-
-
 class ConnectiveTable:
     """An ordered collection of connectives with unique ids and symbols."""
 
@@ -175,10 +169,10 @@ class ConnectiveTable:
         a duplicated operand.  Returns (kind, slot) or None.
         """
         for i, c in enumerate(self.connectives):
-            if c.arity == 1 and _truth_number(1, c.bits) == 2:  # "10"
+            if c.arity == 1 and c.bits == 0b01:  # "10"
                 return ("not", i)
         for i, c in enumerate(self.connectives):
-            if c.arity == 2 and _truth_number(2, c.bits) in (14, 8):  # NAND, NOR
+            if c.arity == 2 and c.bits in (0b0111, 0b0001):  # NAND "1110", NOR "1000"
                 return ("dup", i)
         return None
 
@@ -256,12 +250,10 @@ class ConnectiveTable:
             arity = int(arity_s)
             if len(tt) != (1 << arity):
                 raise ValueError(f"line {lineno}: need {1 << arity} truth bits")
-            bits = 0
-            for r, c in enumerate(tt):
-                if c not in "01":
-                    raise ValueError(f"line {lineno}: truth bits must be 0/1")
-                if c == "1":
-                    bits |= 1 << r
+            try:
+                bits = _bits_from_string(tt)
+            except ValueError:
+                raise ValueError(f"line {lineno}: truth bits must be 0/1") from None
             conns.append(Connective(len(conns), arity, bits, symbol))
         return cls(conns)
 

@@ -9,6 +9,9 @@ Conventions:
   ``tts[j]``: bit ``r`` of ``tts[j]`` is the output for the argument
   tuple whose binary reading (most-significant bit = first argument)
   is ``r``.
+* A connective is applied to masks only through its algebraic normal
+  form, ``_anf``: every evaluation here, the counting DP's and the
+  sampling walk's read it.
 * A truth-table mask over ``n`` variables is an integer whose bit ``m``
   is set iff assignment ``m`` satisfies the sentence, where variable
   ``i`` reads bit ``i`` of ``m`` (least-significant bit is variable 0).
@@ -41,64 +44,46 @@ def _var_masks(n):
 
 
 @lru_cache(maxsize=None)
-def _minority_rows(a, tt):
-    """(rows, flip) for a connective of arity ``a`` with truth bits ``tt``.
-
-    ``rows`` lists the argument tuples on which the connective is true,
-    or, when ``flip`` is set, those on which it is false, whichever are
-    fewer.  Each row is (the indices of the arguments that are 1 in it,
-    the indices of those that are 0).
-    """
-    flip = 2 * bin(tt).count("1") > (1 << a)
-    rows = []
-    for r in range(1 << a):
-        if ((tt >> r) & 1) != flip:
-            ones = tuple(k for k in range(a) if (r >> (a - 1 - k)) & 1)
-            rows.append((ones, tuple(k for k in range(a) if k not in ones)))
-    return tuple(rows), flip
+def _anf(a, tt):
+    """The algebraic normal form (Zhegalkin polynomial) of the connective
+    of arity ``a`` with truth bits ``tt``: the sets of argument indices
+    whose ANDs the connective XORs, the empty set being the constant 1.
+    Bit ``s`` of the Moebius transform of the truth bits says whether
+    the set read as ``s`` (most-significant bit = first argument) is a
+    term."""
+    for i in range(a):
+        # each row with bit i set takes the XOR of the row without it
+        tt ^= (tt & ~var_mask(i, a)) << (1 << i)
+    return tuple(tuple(k for k in range(a) if s >> (a - 1 - k) & 1)
+                 for s in range(1 << a) if tt >> s & 1)
 
 
-def _apply(rows, flip, args, full):
-    """Mask of a connective, given as ``_minority_rows`` gives it,
-    applied to argument masks whose all-true mask is ``full``."""
+def _apply(anf, args, full):
+    """Mask of a connective, given as ``_anf`` gives it, applied to
+    argument masks whose all-true mask is ``full``."""
     acc = 0
-    for ones, zeros in rows:
-        # the assignments on which every argument has this row's value;
-        # term stays inside full, so & ~x is & (full ^ x)
-        term = full
-        for k in ones:
-            term &= args[k]
-        for k in zeros:
-            term &= ~args[k]
-        acc |= term
-    return full ^ acc if flip else acc
-
-
-@lru_cache(maxsize=None)
-def _slot_ops(arities, tts):
-    """(arity, rows, flip) for each connective slot of a table."""
-    return tuple((a, *_minority_rows(a, tt)) for a, tt in zip(arities, tts))
-
-
-def _anf(tt):
-    """The algebraic normal form of the binary connective with truth bits
-    ``tt``, where bit ``r`` is the value at ``r = 2x + y`` and ``x`` is the
-    first argument: (c0, cx, cy, cxy), each 0 or -1, such that the
-    connective is ``(full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)``."""
-    b0, b1, b2, b3 = (-(tt >> r & 1) for r in range(4))
-    return b0, b0 ^ b2, b0 ^ b1, b0 ^ b1 ^ b2 ^ b3
+    for term in anf:
+        t = full
+        for k in term:
+            t &= args[k]
+        acc ^= t
+    return acc
 
 
 @lru_cache(maxsize=None)
 def slot_runs(arities, tts):
     """The connective slots of a table as runs of consecutive slots of
-    one arity: (arity, first slot, number of slots, one entry per slot).
-    A binary slot's entry is its coefficients ``_anf(tt)``, which a
-    caller applies in place with no call; any other slot's is a function
-    of the argument masks and the all-true mask."""
+    one arity: (arity, first slot, number of slots, one entry per slot),
+    read from each slot's ``_anf``.  A binary slot's entry is the
+    coefficients (c0, cx, cy, cxy) of its terms, each -1 or 0, such that
+    it is ``(full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)`` with ``x``
+    the first argument, for a caller to apply in place; any other
+    slot's is ``_apply`` bound to its form."""
     runs = []
-    for j, (a, rows, flip) in enumerate(_slot_ops(arities, tts)):
-        op = _anf(tts[j]) if a == 2 else partial(_apply, rows, flip)
+    for j, (a, tt) in enumerate(zip(arities, tts)):
+        anf = _anf(a, tt)
+        op = (tuple(-(term in anf) for term in ((), (0,), (1,), (0, 1))) if a == 2
+              else partial(_apply, anf))
         if runs and runs[-1][0] == a:
             runs[-1][2].append(op)
         else:
@@ -110,16 +95,15 @@ def eval_mask(codes, n, arities, tts):
     """Truth-table mask of an RPN code sequence over n variables."""
     full = (1 << (1 << n)) - 1
     vmasks = _var_masks(n)
-    ops = _slot_ops(arities, tts)
     stack = []
     for c in codes:
         if c >= 0:
             stack.append(vmasks[c])
             continue
-        a, rows, flip = ops[-c - 1]
+        a = arities[-c - 1]
         args = stack[len(stack) - a:]
         del stack[len(stack) - a:]
-        stack.append(_apply(rows, flip, args, full))
+        stack.append(_apply(_anf(a, tts[-c - 1]), args, full))
     return stack[-1]
 
 

@@ -65,8 +65,12 @@ def _float(v) -> str:
 
 def _int_list(raw: str) -> list[int]:
     """The comma-separated ints of raw, each once, in the order of their
-    first entry: a repeated entry would repeat its rows and their work."""
-    return list(dict.fromkeys(int(part) for part in raw.split(",") if part != ""))
+    first entry: a repeated entry would repeat its rows and their work.
+    A list with no entries is refused: it would check nothing and pass."""
+    values = list(dict.fromkeys(int(part) for part in raw.split(",") if part != ""))
+    if not values:
+        raise ValueError("expected at least one integer")
+    return values
 
 
 def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
@@ -143,9 +147,9 @@ class Options:
         if opt.choices is not None and value not in opt.choices:
             raise OptionError(f"{where}: choose from {', '.join(opt.choices)}")
         values = value if isinstance(value, list) else [value]
-        if opt.minimum is not None and min(values, default=opt.minimum) < opt.minimum:
+        if opt.minimum is not None and min(values) < opt.minimum:
             raise OptionError(f"{where}: must be at least {opt.minimum}")
-        if opt.maximum is not None and max(values, default=opt.maximum) > opt.maximum:
+        if opt.maximum is not None and max(values) > opt.maximum:
             raise OptionError(f"{where}: must be at most {opt.maximum}")
         return value
 

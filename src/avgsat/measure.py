@@ -32,9 +32,8 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-# the bounds of a counted space are named here too (measure.MAX_WORK)
-from ._counting import MAX_TOKENS, MAX_WORK, SentenceCounts, _check_vars, sentence_keys
 from ._formula_core import ConnectiveTable, _Frozen
+from ._kernel import _anf
 from .errors import (ClassUncovered, MeasureError, PreconditionFailed, ZeroMass,
                      ZeroMassSubset)
 
@@ -545,19 +544,13 @@ def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace
     Each canonical sentence stands for its n! renamings, which share its
     key, so weights uniform over classes or over sentences are the same
     on canonical counts; n! times a count is a number of sentences."""
+    from ._counting import sentence_keys  # loaded only where a space is counted
     return InputSpace(sentence_keys(table, n, max_tokens))
 
 
 def _monotone(a: int, f: int) -> bool:
     return all(f >> r & 1 <= f >> (r | 1 << i) & 1
                for r in range(1 << a) for i in range(a))
-
-
-def _affine(a: int, f: int) -> bool:
-    c = f & 1
-    linear = sum((f >> (1 << i) & 1 ^ c) << i for i in range(a))
-    return all(f >> r & 1 == c ^ bin(r & linear).count("1") & 1
-               for r in range(1 << a))
 
 
 # Post's five maximal clones, as properties of a truth table (arity a,
@@ -570,7 +563,7 @@ _POST_CLONES = (
     ("monotone", _monotone),
     ("self-dual", lambda a, f: all(f >> r & 1 != f >> (r ^ ((1 << a) - 1)) & 1
                                    for r in range(1 << a))),
-    ("affine", _affine),
+    ("affine", lambda a, f: all(len(term) < 2 for term in _anf(a, f))),
 )
 
 
@@ -585,6 +578,7 @@ def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
     n-ary function; raises MeasureError at once unless 1 <= n <= 3: at
     n = 4 a counting state would hold 65,536 masks.
     """
+    from ._counting import SentenceCounts, _check_vars  # loaded only where a space is counted
     _check_vars(n)
     if n > 3:
         raise MeasureError(f"covering spaces stop at n = 3, got {n}: at n = 4 "

@@ -241,7 +241,7 @@ def test_negative_size_exits_2(tmp_path, capsys, argv):
 def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     # refused before any counting: covering spaces past n = 3, and
     # sentence spaces past 10 variables, 200 tokens or the counting's
-    # estimated steps (measure.MAX_WORK; sat-oclass --n 5 --max-tokens 11
+    # estimated steps (_counting.MAX_WORK; sat-oclass --n 5 --max-tokens 11
     # counted for 4.8 s before finding too few classes)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
@@ -647,6 +647,26 @@ def test_int_list_keeps_first_of_each_entry():
     # a config value reads as its flag does
     by_config = cli.Options(cli._parse(["moments"]), {"m_list": ("4,2,4", "run.cfg:1")})
     assert by_config.get("m_list") == [4, 2] == cli._parse(["moments", "--m-list", "4,2,4"]).m_list
+
+
+LISTS = [(command, opt) for command, opt in DECLARED if opt.type is cli._int_list]
+
+
+@pytest.mark.parametrize("command, opt", LISTS,
+                         ids=[f"{command} {opt.flag}" for command, opt in LISTS])
+def test_empty_list_is_refused_from_flag_and_config(tmp_path, capsys, command, opt):
+    # a list with no entries checked nothing, wrote a header or a pass
+    # row, and exited 0
+    for flag in ([f"{opt.flag}="], [opt.flag, ","]):
+        assert _exit_code([command, *flag, "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"argument {opt.flag}: invalid" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    for raw in ("", ","):
+        path.write_text(f"{opt.name} = {raw}\n", encoding="utf-8")
+        assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                       prefix=f"avgsat: {path}:1: {opt.name} = {raw}: "
+                              "expected at least one integer")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("n, max_tokens", [(1, 6), (2, 8), (2, 12), (3, 10)])
@@ -1373,6 +1393,9 @@ SENTENCE_API = {"avgsat.formula"}
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
     ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
     ("expected-min --n 2", {"avgsat.measure"}),
+    # the Shannon model builds no counted space
+    ("tab-oclass --n-list 3", SENTENCE_API | {"avgsat._counting"}),
+    ("property-2-3 --model shannon", SENTENCE_API | {"avgsat._counting"}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     modules = _avgsat_modules([*command.split(), "--out", str(tmp_path / "out.csv")])

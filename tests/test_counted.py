@@ -22,7 +22,7 @@ from operator import itemgetter
 import pytest
 
 from avgsat import analytic, engines, measure
-from avgsat._counting import SentenceCounts
+from avgsat._counting import MAX_WORK, SentenceCounts
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
@@ -224,7 +224,7 @@ def test_formula_space_counts_its_expansion_over_5_variables():
 def test_spaces_refuse_out_of_reach_sizes():
     # at once: covering spaces past n = 3, and sentence spaces past 10
     # variables, 200 tokens or the counting's estimated steps
-    # (measure.MAX_WORK)
+    # (_counting.MAX_WORK)
     std = TABLES["standard"]
     for build in (lambda: measure.covering_space(std, 4),
                   lambda: measure.formula_space(std, 11, 3),
@@ -243,8 +243,7 @@ def test_spaces_refuse_out_of_reach_sizes():
 @pytest.mark.parametrize("n, max_tokens", [(1, 60), (2, 60), (3, 40), (4, 12), (5, 10)])
 def test_formula_space_work_admits_trend_budgets(n, max_tokens):
     std = TABLES["standard"]
-    assert SentenceCounts(n, std.arities, std.truth_bits, max_tokens).work() <= \
-        measure.MAX_WORK
+    assert SentenceCounts(n, std.arities, std.truth_bits, max_tokens).work() <= MAX_WORK
 
 
 @pytest.mark.parametrize("n", [1, 2])

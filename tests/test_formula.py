@@ -433,6 +433,27 @@ def test_connective_truth():
     assert [land.truth((a, b)) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
 
 
+def test_table_text_refuses_bad_truth_bits_by_line():
+    for text, message in [("¬ 1 10\n∧ 2 0021\n", "line 2: truth bits must be 0/1"),
+                          ("\n¬ 1 1x\n", "line 2: truth bits must be 0/1"),
+                          ("¬ 1 101\n", "line 1: need 2 truth bits")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConnectiveTable.from_text(text)
+
+
+def test_negation_strategy_matches_truth():
+    # a unary NOT first; else a symmetric binary connective that negates
+    # a duplicated operand (NAND or NOR); else none
+    unary, binary = ConnectiveTable.all_of_arity(1), ConnectiveTable.all_of_arity(2)
+    for c in (*unary.connectives, *binary.connectives):
+        negates = all(c.truth((b,) * c.arity) == 1 - b for b in (0, 1))
+        symmetric = c.arity == 1 or c.truth((0, 1)) == c.truth((1, 0))
+        expected = ("not" if c.arity == 1 else "dup", 0) if negates and symmetric else None
+        assert ConnectiveTable([c]).negation_strategy() == expected, c
+    both = ConnectiveTable([binary.connectives[14], unary.connectives[2]])  # NAND, NOT
+    assert both.negation_strategy() == ("not", 1)
+
+
 def test_leaf_sequence(std):
     assert leaf_sequence(parse_rpn("p0 p1 ¬ ∧ p0 ∨", std)) == (0, 1, 0)
 

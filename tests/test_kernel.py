@@ -56,16 +56,17 @@ def argument_pool(n):
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3])
-def test_minority_rows_match_truth_bits(a):
+def test_anf_matches_truth_bits(a):
+    # distinct sets of argument indices, whose ANDs XOR to the truth bit
+    # of every argument tuple
     for tt in range(1 << (1 << a)):
-        rows, flip = _kernel._minority_rows(a, tt)
-        assert 2 * len(rows) <= 1 << a
-        listed = set()
-        for ones, zeros in rows:
-            assert sorted(ones + zeros) == list(range(a))
-            listed.add(sum(1 << (a - 1 - k) for k in ones))
-        assert len(listed) == len(rows)
-        assert listed == {r for r in range(1 << a) if (tt >> r) & 1 != flip}
+        terms = _kernel._anf(a, tt)
+        assert len(set(terms)) == len(terms)
+        assert all(list(term) == sorted(set(term)) and set(term) <= set(range(a))
+                   for term in terms)
+        for bits in product((0, 1), repeat=a):
+            value = sum(all(bits[k] for k in term) for term in terms) & 1
+            assert value == truth(a, tt, bits), (tt, bits)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -76,9 +77,9 @@ def test_apply_matches_brute_force(a, n):
     if a == 3 and n > 1:
         pool = pool[::2]
     for tt in range(1 << (1 << a)):
-        rows, flip = _kernel._minority_rows(a, tt)
+        anf = _kernel._anf(a, tt)
         for args in product(pool, repeat=a):
-            assert _kernel._apply(rows, flip, args, full) == brute_apply(a, tt, args, n)
+            assert _kernel._apply(anf, args, full) == brute_apply(a, tt, args, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -111,11 +112,12 @@ def test_max_leaves_matches_enumeration(arities):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_binary_coefficients_match_brute_force(n):
     # the walk applies a binary slot as (full & c0) ^ (x & cx) ^ (y & cy)
-    # ^ (x & y & cxy), x the first argument
+    # ^ (x & y & cxy), x the first argument, from slot_runs
     full = (1 << (1 << n)) - 1
     pool = argument_pool(n)
-    for tt in range(16):
-        c0, cx, cy, cxy = coefficients = _kernel._anf(tt)
+    [(_, _, _, ops)] = _kernel.slot_runs((2,) * 16, tuple(range(16)))
+    for tt, coefficients in enumerate(ops):
+        c0, cx, cy, cxy = coefficients
         assert set(coefficients) <= {0, -1}
         for x, y in product(pool, repeat=2):
             assert (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy) == \

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -535,6 +536,47 @@ def test_covering_space_refuses_an_affine_table_at_once():
         with pytest.raises(ClassUncovered, match=f"affine, so at most {2 ** (n + 1)} "):
             measure.covering_space(NOT_XOR, n)
         assert time.perf_counter() - start < 1
+
+
+def _value(f, bits):
+    """Truth bits f at argument values ``bits``, the first the most significant."""
+    r = 0
+    for b in bits:
+        r = r << 1 | b
+    return f >> r & 1
+
+
+def _below(x, y):
+    return all(u <= v for u, v in zip(x, y))
+
+
+# each of Post's maximal clones by its definition over argument tuples
+BRUTE_CLONES = {
+    "0-preserving": lambda a, f, rows: _value(f, (0,) * a) == 0,
+    "1-preserving": lambda a, f, rows: _value(f, (1,) * a) == 1,
+    "monotone": lambda a, f, rows: all(_value(f, x) <= _value(f, y)
+                                       for x in rows for y in rows if _below(x, y)),
+    "self-dual": lambda a, f, rows: all(_value(f, tuple(1 - b for b in x)) == 1 - _value(f, x)
+                                        for x in rows),
+    # a constant XOR the arguments that a mask keeps
+    "affine": lambda a, f, rows: any(
+        all(_value(f, x) == (c + sum(b for b, keep in zip(x, mask) if keep)) % 2
+            for x in rows)
+        for c in (0, 1) for mask in product((0, 1), repeat=a)),
+}
+
+
+@pytest.mark.parametrize("name", list(BRUTE_CLONES))
+def test_post_clone_predicates_match_their_definitions(name):
+    # for every truth function of arity 0 to 3
+    has = dict(measure._POST_CLONES)[name]
+    for a in range(4):
+        rows = list(product((0, 1), repeat=a))
+        members = [f for f in range(1 << (1 << a)) if BRUTE_CLONES[name](a, f, rows)]
+        assert [f for f in range(1 << (1 << a)) if has(a, f)] == members
+    # the clone sizes at arity 3; 20 monotone functions is Dedekind's number
+    assert len(members) == {"0-preserving": 128, "1-preserving": 128, "monotone": 20,
+                            "self-dual": 16, "affine": 16}[name]
 
 
 def test_covering_space_complete_table_still_meets_the_cap():
