@@ -247,7 +247,17 @@ class ConnectiveTable:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'symbol arity truth-bits'")
             symbol, arity_s, tt = parts
-            arity = int(arity_s)
+            try:
+                arity = int(arity_s)
+            except ValueError:  # not an integer, or past int's digit limit
+                arity = -1
+            if arity < 0:
+                raise ValueError(f"line {lineno}: arity must be a non-negative integer")
+            # compared with the string's length before any shift, so the
+            # file's arity does not size an integer
+            if arity >= len(tt).bit_length():
+                raise ValueError(f"line {lineno}: arity {arity} needs more than "
+                                 f"{len(tt)} truth bits")
             if len(tt) != (1 << arity):
                 raise ValueError(f"line {lineno}: need {1 << arity} truth bits")
             try:

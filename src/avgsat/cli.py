@@ -106,8 +106,8 @@ class Option:
     __slots__ = ("flag", "type", "default", "choices", "minimum", "maximum", "help", "name")
 
     def __init__(self, flag: str, type, default=None, *,
-                 choices: tuple | None = None, minimum: int | None = None,
-                 maximum: int | None = None, help: str | None = None):
+                 choices: tuple | None = None, minimum: float | None = None,
+                 maximum: float | None = None, help: str | None = None):
         self.flag, self.type, self.default, self.help = flag, type, default, help
         self.choices, self.minimum, self.maximum = choices, minimum, maximum
         self.name = flag[2:].replace("-", "_")
@@ -146,6 +146,8 @@ class Options:
                 raise OptionError(f"{where}: {exc}") from exc
         if opt.choices is not None and value not in opt.choices:
             raise OptionError(f"{where}: choose from {', '.join(opt.choices)}")
+        if value != value:  # NaN, which every comparison of a bound would pass
+            raise OptionError(f"{where}: expected a number")
         values = value if isinstance(value, list) else [value]
         if opt.minimum is not None and min(values) < opt.minimum:
             raise OptionError(f"{where}: must be at least {opt.minimum}")
@@ -251,7 +253,8 @@ COMMANDS = {
         # the cases of commands.series._CASES, named here so no start loads them
         Option("--case", str, "harmonic", choices=("constant", "geometric", "harmonic")),
         Option("--budget", int, minimum=1),  # default and limit by --case
-        Option("--eps", float, 1e-12), Option("--cap", float, 1e6))),
+        # a negative --eps never lets the tail level
+        Option("--eps", float, 1e-12, minimum=0.0), Option("--cap", float, 1e6))),
     "montecarlo": Command(_SAMPLING + "cmd_montecarlo",
                           "seeded sampling estimate of the average time", (
         # the completion table holds about L^2 integers of up to L*log2(n + 3)
@@ -274,7 +277,10 @@ COMMANDS = {
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
         Option("--samples", int, 10000, minimum=1))),
     "property-2-2": Command(_EXACT + "cmd_property_2_2", "bound/reweighting equivalence check", (
-        _N_LIST, _MAX_TOKENS, Option("--break-class", int), Option("--inflate", int, 4),
+        _N_LIST, _MAX_TOKENS, Option("--break-class", int),
+        # the broken class's running times are multiplied by --inflate:
+        # below 1 they are zero or negative
+        Option("--inflate", int, 4, minimum=1),
         _TABLE)),
     "property-2-3": Command(_EXACT + "cmd_property_2_3",
                             "summable-weights tractability transfer", (

@@ -10,6 +10,8 @@ sentence space, and the harmonic scan, all floats, loads no
 
 from __future__ import annotations
 
+from itertools import count, islice
+
 from ..cli import FAIL, PASS, OptionError, Options, _float, _frac
 
 
@@ -84,18 +86,26 @@ def cmd_counting(opts: Options):
 
 class _FloatRange:
     """The ints of range(start, stop) as floats, made as they are read:
-    a sized sequence of indices for trend.tractability."""
+    a sized sequence of indices for trend.tractability.
+
+    Each index is the one before it plus 1.0, one float addition where
+    ``map(float, ...)`` converts an int to a float.  Every int of
+    magnitude at most 2^53 is a float, and so the sum of one of them
+    and 1.0 is exact while it stays within 2^53; a range with an index
+    past that is refused."""
 
     __slots__ = ("ints",)
 
     def __init__(self, start: int, stop: int):
         self.ints = range(start, stop)
+        if self.ints and (start < -2 ** 53 or stop - 1 > 2 ** 53):
+            raise ValueError(f"indices {start} to {stop - 1} are not all exact floats")
 
     def __len__(self):
         return len(self.ints)
 
     def __iter__(self):
-        return map(float, self.ints)
+        return islice(count(float(self.ints.start), 1.0), len(self.ints))
 
 
 def _ratio(num: int, den: int):

@@ -534,7 +534,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, source):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("text", [None, "x 2 01\n"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("text", [
+    None, "x 2 01\n", "x 100000000 0\n", "x -1 1\n", "x 1.5 01\n",
+], ids=["missing", "malformed", "arity-10^8", "arity-negative", "arity-not-an-integer"])
 def test_bad_table_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "table.txt"
     if text is not None:
@@ -543,7 +545,8 @@ def test_bad_table_file_exits_2(tmp_path, capsys, text):
                      "--out", str(tmp_path / "out.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"avgsat: table {path}: ") and err.count("\n") == 1
+    where = "" if text is None else "line 1: "
+    assert err.startswith(f"avgsat: table {path}: {where}") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -667,6 +670,34 @@ def test_empty_list_is_refused_from_flag_and_config(tmp_path, capsys, command, o
                        prefix=f"avgsat: {path}:1: {opt.name} = {raw}: "
                               "expected at least one integer")
     assert not (tmp_path / "out.csv").exists()
+
+
+FLOATS = [(command, opt) for command, opt in DECLARED if opt.type is float]
+
+
+@pytest.mark.parametrize("command, opt", FLOATS,
+                         ids=[f"{command} {opt.flag}" for command, opt in FLOATS])
+def test_nan_is_refused_from_flag_and_config(tmp_path, capsys, command, opt):
+    # every comparison with NaN is false: tractability --eps nan made
+    # every scan convergent and --cap nan none, past any declared bound
+    assert_exits_2(tmp_path, capsys, [command, f"{opt.flag}=nan"],
+                   prefix=f"avgsat: {opt.flag} nan: expected a number\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{opt.name} = nan\n", encoding="utf-8")
+    assert_exits_2(tmp_path, capsys, ["--config", str(path), command],
+                   prefix=f"avgsat: {path}:1: {opt.name} = nan: expected a number\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["property-2-2", "--break-class", "2", "--inflate", "-1"],
+    ["property-2-2", "--break-class", "2", "--inflate", "0"],
+    ["tractability", "--eps", "-1"],
+], ids=["inflate-negative", "inflate-0", "eps-negative"])
+def test_meaningless_scale_exits_2(tmp_path, capsys, argv):
+    # property-2-2 ran the broken class with negative or zero times and
+    # wrote a failing biconditional; a negative --eps never let the tail
+    # level
+    assert_exits_2(tmp_path, capsys, argv, prefix=f"avgsat: {argv[-2]} ")
 
 
 @pytest.mark.parametrize("n, max_tokens", [(1, 6), (2, 8), (2, 12), (3, 10)])
@@ -1450,6 +1481,24 @@ def test_harmonic_float_scan_is_the_int_scan():
     assert [(k, v.hex()) for k, v in by_float.checkpoints.items()] == \
         [(k, v.hex()) for k, v in by_int.checkpoints.items()]
     assert all(type(v) is float for v in by_float.checkpoints.values())
+
+
+def test_harmonic_float_counter_is_exact():
+    # each index is the one before plus 1.0, exact within 2^53
+    import operator
+    from collections import deque
+    from avgsat.commands import series
+    case = series._CASES["harmonic"]
+    start = case["start"]
+    indices = case["indices"](start, start + case["budget"])
+    assert len(indices) == case["budget"] and type(next(iter(indices))) is float
+    assert all(map(operator.eq, indices, map(float, range(start, start + case["budget"]))))
+    (last,) = deque(case["indices"](start, start + case["limit"]), maxlen=1)
+    assert last == float(10 ** 7)
+    assert list(series._FloatRange(2 ** 53 - 1, 2 ** 53 + 1)) == [2.0 ** 53 - 1, 2.0 ** 53]
+    for lo, hi in [(2 ** 53, 2 ** 53 + 2), (-2 ** 53 - 1, 0)]:
+        with pytest.raises(ValueError):
+            series._FloatRange(lo, hi)
 
 
 @pytest.mark.parametrize("values", [

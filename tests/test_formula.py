@@ -434,11 +434,26 @@ def test_connective_truth():
 
 
 def test_table_text_refuses_bad_truth_bits_by_line():
+    # the arity is compared with the bits before it sizes an integer:
+    # 10^8 built a 12.5 MB int, and -1 ended in "negative shift count"
+    import tracemalloc
     for text, message in [("¬ 1 10\n∧ 2 0021\n", "line 2: truth bits must be 0/1"),
                           ("\n¬ 1 1x\n", "line 2: truth bits must be 0/1"),
-                          ("¬ 1 101\n", "line 1: need 2 truth bits")]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ConnectiveTable.from_text(text)
+                          ("¬ 1 101\n", "line 1: need 2 truth bits"),
+                          ("¬ 1 10\nx 100000000 0\n",
+                           "line 2: arity 100000000 needs more than 1 truth bits"),
+                          ("x 2 01\n", "line 1: arity 2 needs more than 2 truth bits"),
+                          ("x -1 1\n", "line 1: arity must be a non-negative integer"),
+                          ("x 1.5 01\n", "line 1: arity must be a non-negative integer"),
+                          (f"x {'9' * 5000} 0\n",  # past int's digit limit
+                           "line 1: arity must be a non-negative integer")]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ConnectiveTable.from_text(text)
+            assert tracemalloc.get_traced_memory()[1] < 10 ** 5
+        finally:
+            tracemalloc.stop()
 
 
 def test_negation_strategy_matches_truth():
