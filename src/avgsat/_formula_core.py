@@ -5,7 +5,10 @@ command reads a sentence only as its key (alpha, f, class mask): its
 number of distinct variables, its bit size and its model set over its
 own variables, numbered by first appearance.  The sentence objects of
 :mod:`avgsat.formula`, the enumeration and evaluation that the tests
-hold the keys against, build on this module and re-export it.
+hold the keys against, build on this module and re-export it.  The
+table text format and the families of every truth function of an
+arity live in :mod:`avgsat.tables`, which loads only where a table file
+is read or a family is built.
 """
 
 from __future__ import annotations
@@ -33,14 +36,6 @@ class VariableOutOfRange(FormulaError):
 
 
 _VAR_TOKEN = re.compile(r"^p(\d+)$")
-
-# Binary connectives indexed by truth-table number 0..15 (the 4 truth
-# bits read most-significant-first over argument tuples 00,01,10,11).
-_BINARY_SYMBOLS = [
-    "⊥", "∧", "↛", "◁", "↚", "▷", "⊕", "∨",
-    "⊽", "↔", "▶", "←", "◀", "→", "⊼", "⊤",
-]
-_UNARY_SYMBOLS = ["Ⓕ", "ι", "¬", "Ⓣ"]
 
 
 def _frozen(self, name, value=None):
@@ -99,28 +94,6 @@ class Connective(_Frozen):
             raise ValueError("connective symbols are single characters")
         super().__init__(cid, arity, bits, symbol)
 
-    def truth(self, args: tuple[int, ...]) -> int:
-        if len(args) != self.arity:
-            raise ValueError("argument count does not match arity")
-        r = 0
-        for b in args:
-            r = (r << 1) | (b & 1)
-        return (self.bits >> r) & 1
-
-    def truth_string(self) -> str:
-        """The 2^arity truth bits as a 0/1 string, tuple 0 first."""
-        return "".join(str((self.bits >> r) & 1) for r in range(1 << self.arity))
-
-
-def _bits_from_string(s: str) -> int:
-    if not s or any(c not in "01" for c in s):
-        raise ValueError(f"bad truth-bit string {s!r}")
-    bits = 0
-    for r, c in enumerate(s):
-        if c == "1":
-            bits |= 1 << r
-    return bits
-
 
 class ConnectiveTable:
     """An ordered collection of connectives with unique ids and symbols."""
@@ -139,7 +112,6 @@ class ConnectiveTable:
             if _VAR_TOKEN.match(c.symbol):
                 raise ValueError("connective symbol shadows a variable token")
         self.connectives = conns
-        self._by_symbol = {c.symbol: i for i, c in enumerate(conns)}
         self.arities = tuple(c.arity for c in conns)
         self.truth_bits = tuple(c.bits for c in conns)
         self._hash = hash(conns)
@@ -156,12 +128,6 @@ class ConnectiveTable:
     def __repr__(self) -> str:
         return f"ConnectiveTable({[c.symbol for c in self.connectives]})"
 
-    def slot_of_symbol(self, symbol: str) -> int:
-        try:
-            return self._by_symbol[symbol]
-        except KeyError:
-            raise UnknownSymbol(f"unknown connective symbol {symbol!r}") from None
-
     def negation_strategy(self) -> tuple[str, int] | None:
         """How sentences from this table can be negated.
 
@@ -176,102 +142,8 @@ class ConnectiveTable:
                 return ("dup", i)
         return None
 
-    # --- presets -----------------------------------------------------
-
     @classmethod
     def standard(cls) -> "ConnectiveTable":
-        """NOT / AND / OR."""
-        return cls([
-            Connective(0, 1, _bits_from_string("10"), "¬"),
-            Connective(1, 2, _bits_from_string("0001"), "∧"),
-            Connective(2, 2, _bits_from_string("0111"), "∨"),
-        ])
-
-    @classmethod
-    def all_binary(cls) -> "ConnectiveTable":
-        """All 16 distinct binary truth functions."""
-        return cls(cls._arity_connectives(2, base_id=0))
-
-    @classmethod
-    def all_of_arity(cls, arity: int) -> "ConnectiveTable":
-        """All 2^(2^arity) distinct truth functions of one arity (arity <= 3)."""
-        return cls(cls._arity_connectives(arity, base_id=0))
-
-    @classmethod
-    def all_up_to(cls, k: int) -> "ConnectiveTable":
-        """Every distinct truth function of each arity 1..k (k <= 3)."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        conns = []
-        for a in range(1, k + 1):
-            conns.extend(cls._arity_connectives(a, base_id=len(conns)))
-        return cls(conns)
-
-    @staticmethod
-    def _arity_connectives(arity: int, base_id: int) -> list[Connective]:
-        if arity == 1:
-            symbols = _UNARY_SYMBOLS
-        elif arity == 2:
-            symbols = _BINARY_SYMBOLS
-        elif arity == 3:
-            symbols = [chr(0x2800 + t) for t in range(256)]
-        else:
-            raise ValueError("single-character symbol pool covers arities 1 to 3 only")
-        out = []
-        width = 1 << arity
-        for t in range(1 << width):
-            # t is the truth-table number; unpack to per-tuple bits
-            bits = 0
-            for r in range(width):
-                if (t >> (width - 1 - r)) & 1:
-                    bits |= 1 << r
-            out.append(Connective(base_id + t, arity, bits, symbols[t]))
-        return out
-
-    # --- plain-text table format ------------------------------------
-
-    @classmethod
-    def from_text(cls, text: str) -> "ConnectiveTable":
-        """Parse ``symbol arity truth-bits`` lines (# comments allowed).
-
-        Truth bits are 2^arity characters of 0/1; character r is the
-        output for the argument tuple read as the binary number r with
-        the first argument as the most significant bit.
-        """
-        conns = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'symbol arity truth-bits'")
-            symbol, arity_s, tt = parts
-            try:
-                arity = int(arity_s)
-            except ValueError:  # not an integer, or past int's digit limit
-                arity = -1
-            if arity < 0:
-                raise ValueError(f"line {lineno}: arity must be a non-negative integer")
-            # compared with the string's length before any shift, so the
-            # file's arity does not size an integer
-            if arity >= len(tt).bit_length():
-                raise ValueError(f"line {lineno}: arity {arity} needs more than "
-                                 f"{len(tt)} truth bits")
-            if len(tt) != (1 << arity):
-                raise ValueError(f"line {lineno}: need {1 << arity} truth bits")
-            try:
-                bits = _bits_from_string(tt)
-            except ValueError:
-                raise ValueError(f"line {lineno}: truth bits must be 0/1") from None
-            conns.append(Connective(len(conns), arity, bits, symbol))
-        return cls(conns)
-
-    @classmethod
-    def from_file(cls, path) -> "ConnectiveTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-    def to_text(self) -> str:
-        lines = [f"{c.symbol} {c.arity} {c.truth_string()}" for c in self.connectives]
-        return "\n".join(lines) + "\n"
+        """NOT / AND / OR (truth bits "10", "0001" and "0111")."""
+        return cls([Connective(0, 1, 0b01, "¬"), Connective(1, 2, 0b1000, "∧"),
+                    Connective(2, 2, 0b1110, "∨")])

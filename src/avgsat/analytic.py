@@ -2,9 +2,10 @@
 
 Catalan-style sentence shape counts, exact censuses of sentences with
 a fixed number of connectives, the expected first-witness identity for
-the satisfiability scanner, geometric moment sums with certified tail
-bounds, and the shortest-code (information-theoretic lower bound)
-model for the tabulation cost analysis.
+the satisfiability scanner, and the shortest-code (information-theoretic
+lower bound) model for the tabulation cost analysis.  The geometric
+moment sums live in :mod:`avgsat.moments`, which only their command
+loads.
 
 Everything returns exact integers or rationals; floats are rendering
 only.
@@ -68,6 +69,40 @@ def is_canonical_sentence(x) -> bool:
     return leaves == [used[0]] * surplus + used[1:]
 
 
+def _census_length(n_vars, arities, length, counts=None):
+    """Count the canonical sentences of exactly ``length`` tokens over
+    ``n_vars`` variables, in closed form.
+
+    A sentence is canonical when its leaves carry the lexicographically
+    smallest labeling that uses its variable set: repeats of the
+    smallest variable, then each remaining one once in increasing
+    order.  Each connective-labelled shape with ``k`` leaves thus has
+    one canonical labeling per nonempty subset of at most ``k`` of the
+    variables.  With every connective of one arity ``a >= 1``, a
+    sentence of ``length`` tokens has ``k = length - (length - 1) / a``
+    leaves; other tables raise ``ValueError``.
+
+    The shape count is read from ``counts``, a
+    ``_kernel.completion_counts(1, arities, L)`` table with
+    ``L >= length`` (built here if None).
+
+    Returns (count, sum_pow2_alpha) where the second component is the
+    sum of 2^alpha over counted sentences.
+    """
+    distinct = set(arities)
+    if len(distinct) != 1 or 0 in distinct:
+        raise ValueError("the closed-form census needs every connective "
+                         "of one arity a >= 1")
+    (a,) = distinct
+    if counts is None:
+        counts = _kernel.completion_counts(1, arities, length)
+    shapes = counts[length][0]
+    leaves = length - (length - 1) // a
+    subsets = [math.comb(n_vars, s) for s in range(1, min(leaves, n_vars) + 1)]
+    return (shapes * sum(subsets),
+            shapes * sum(c << s for s, c in enumerate(subsets, start=1)))
+
+
 class Census(NamedTuple):
     """Counts of the canonical sentences with exactly N connectives."""
 
@@ -90,19 +125,20 @@ def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
     """Count the canonical sentences with exactly N connectives over
     variables p0..pN (see ``is_canonical_sentence``).
 
-    The count is the closed form of ``_kernel.census_length``: the
+    The count is the closed form of ``_census_length``: the
     connective-labelled shapes, from the stack-depth completion DP
-    (``counts``, if given, as ``census_length`` reads it), times one
+    (``counts``, if given, as ``_census_length`` reads it), times one
     labeling per nonempty variable subset.  Every connective of
     ``table`` (default: the 16 binary ones) must have one arity
     ``a >= 1``; otherwise ``ValueError``.
     """
     if table is None:
-        table = ConnectiveTable.all_binary()
+        from .tables import all_binary  # loaded only where the family is built
+        table = all_binary()
     total = 0
     pow2 = 0
     for length in _kernel.length_range(table.arities, None, N):
-        c, s = _kernel.census_length(N + 1, table.arities, length, counts)
+        c, s = _census_length(N + 1, table.arities, length, counts)
         total += c
         pow2 += s
     return Census(N, total, pow2)
@@ -116,7 +152,8 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
     if N_max < 0:
         return []
     if table is None:
-        table = ConnectiveTable.all_binary()
+        from .tables import all_binary  # loaded only where the family is built
+        table = all_binary()
     longest = _kernel.length_range(table.arities, None, N_max)[-1]
     counts = _kernel.completion_counts(1, table.arities, longest)
     return [census(N, table, counts) for N in range(N_max + 1)]
@@ -188,69 +225,6 @@ def expected_min_plus_one(n: int) -> MinExpectation:
             raise AssertionError(
                 f"brute force {brute} disagrees with closed form {closed} at n={n}")
     return MinExpectation(n, closed, brute, nonempty)
-
-
-class MomentSum(NamedTuple):
-    """Certified approximation of sum over i >= 1 of i^m / 2^i."""
-
-    m: int
-    partial: Fraction
-    tail_bound: Fraction
-    cutoff: int
-
-    @property
-    def upper(self) -> Fraction:
-        return self.partial + self.tail_bound
-
-
-def geometric_moment_sum(m: int, tol: Fraction | float = Fraction(1, 10 ** 12)) -> MomentSum:
-    """Partial sum of i^m / 2^i with a proven remainder below tol.
-
-    Beyond i = cutoff >= 4m the term ratio is at most
-    ((c+1)/c)^m / 2 < 0.65, so the tail is bounded by the next term
-    times a geometric factor.  The cutoff doubles until the bound
-    undercuts tol.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cutoff, tail = _tail_cutoff(m, tol)
-    num = sum(i ** m << (cutoff - i) for i in range(1, cutoff + 1))
-    partial = Fraction(num, 1 << cutoff)
-    return MomentSum(m, partial, tail, cutoff)
-
-
-def _tail_cutoff(m: int, tol: Fraction) -> tuple[int, Fraction]:
-    """(cutoff, tail bound) of :func:`geometric_moment_sum`."""
-    cutoff = max(4 * m, 8)
-    while True:
-        ratio = Fraction((cutoff + 1) ** m, cutoff ** m * 2)
-        next_term = Fraction((cutoff + 1) ** m, 2 ** (cutoff + 1))
-        tail = next_term / (1 - ratio)
-        if tail < tol:
-            return cutoff, tail
-        cutoff *= 2
-
-
-def moment_cutoff(m: int, tol_exp: int) -> int:
-    """The cutoff that ``geometric_moment_sum(m, 10^-tol_exp)`` reaches,
-    from float logarithms of its tail bound, for an estimate of its work
-    before any sum: the cutoff doubles from max(4m, 8) while
-    log2(tail) >= -tol_exp * log2(10)."""
-    cutoff = max(4 * m, 8)
-    while (m * math.log2(cutoff + 1) - (cutoff + 1)
-           - math.log2(1 - ((cutoff + 1) / cutoff) ** m / 2) >= -tol_exp * math.log2(10)):
-        cutoff *= 2
-    return cutoff
-
-
-def moment_oclass_constant(m: int) -> Fraction:
-    """The moment-bound constant 2.5 * m^(m+1) (m >= 2)."""
-    if m < 2:
-        raise ValueError("the constant is defined for m >= 2")
-    return Fraction(5, 2) * m ** (m + 1)
 
 
 class ConstantComparison(NamedTuple):

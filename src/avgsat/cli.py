@@ -286,7 +286,12 @@ COMMANDS = {
                             "summable-weights tractability transfer", (
         Option("--model", str, "sat", choices=("sat", "shannon")),
         _SHANNON_N_LIST,  # default by --model
-        _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0), _TABLE)),
+        # H(n) = n^-e has e * log2(n) bits, and the exact sums over the
+        # classes cost about the square of their bits.  On 2 vCPUs (Python
+        # 3.11) the Shannon model at --n-list 3,...,13 took 1.4 s at e = 2
+        # (the n = 13 sum), 1.6 s at 5,000, 2.4 s at 10^4, 4.2 s at
+        # 2 * 10^4 and 69 s at 10^5; --n-list 1,2 took 8.6 s at 10^6
+        _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0, maximum=10 ** 4), _TABLE)),
     "markov-tail": Command(_EXACT + "cmd_markov_tail", "tail frequency against the mean", (
         Option("--n", int, 2), Option("--multiplier", int, 100, minimum=1), _TABLE)),
 }

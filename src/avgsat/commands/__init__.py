@@ -4,7 +4,8 @@
 the one that runs:
 
 * :mod:`.exact` -- the exact verdicts over sentence spaces (measure,
-  engines, the counting DP; analytic for the Shannon model and moments);
+  engines, the counting DP; analytic for the Shannon model, and the
+  moment sums of :mod:`avgsat.moments` for moments);
 * :mod:`.series` -- closed forms and trend scans (analytic or trend);
 * :mod:`.sampling` -- seeded sampling (the kernel and engines; the
   counting DP only for exact means).
@@ -19,8 +20,9 @@ def _load_table(opts):
     path = opts.get("table")
     if not path:
         return ConnectiveTable.standard()
+    from ..tables import from_file  # the text format, only for a table file
     try:
-        return ConnectiveTable.from_file(path)
+        return from_file(path)
     except OSError as exc:
         raise FormulaError(f"table {path}: {exc.strerror}") from exc
     except ValueError as exc:

@@ -91,7 +91,7 @@ def cmd_tab_oclass(opts: Options):
 
 # The most work moments may take over its distinct --m-list entries, in
 # steps of about 55 ps on 2 vCPUs (Python 3.11).  An entry m sums
-# i^m / 2^i to a cutoff C (analytic.moment_cutoff), which took about
+# i^m / 2^i to a cutoff C (moments.moment_cutoff), which took about
 # C (C + 26 m^1.5) steps: 0.12 s at m = 500 (C = 8,000) and 1.6 s with
 # --tol-exp 10^4 (C = 64,000).  Its oclass rows at n = 3, over the 7,566
 # keys of the covering space, took 0.05 s + 2.4e-6 m^2 s more, 0.65 s at
@@ -105,7 +105,7 @@ MAX_MOMENTS_WORK = 3.5 * 10 ** 10
 
 def _moments_work(m_list, n_list, tol_exp: int) -> float:
     """The estimated steps of the moments of ``m_list`` (distinct)."""
-    from ..analytic import moment_cutoff
+    from ..moments import moment_cutoff
     work = 0.0
     for m in m_list:
         cutoff = moment_cutoff(m, tol_exp)
@@ -116,7 +116,7 @@ def _moments_work(m_list, n_list, tol_exp: int) -> float:
 
 
 def cmd_moments(opts: Options):
-    from .. import analytic  # loaded only by the commands that use it
+    from .. import moments  # loaded only by this command
     m_list = opts.get("m_list")
     n_list = opts.get("n_list")
     tol_exp = opts.get("tol_exp")
@@ -135,16 +135,16 @@ def cmd_moments(opts: Options):
         spaces[n] = space, measure.uniform_over_model_classes(space, n)
     rows = []
     for m in sorted(m_list):
-        s = analytic.geometric_moment_sum(m, tol)
+        s = moments.geometric_moment_sum(m, tol)
         if m == 1:
             bound = Fraction(2)
             ok = abs(bound - s.partial) <= tol
         else:
-            bound = analytic.moment_oclass_constant(m)
+            bound = moments.moment_oclass_constant(m)
             ok = s.upper <= bound
         rows.append(["sum", str(m), "", *comparison(s.partial, bound), PASS if ok else FAIL])
     for m in sorted(m for m in m_list if m >= 2):
-        c = analytic.moment_oclass_constant(m)
+        c = moments.moment_oclass_constant(m)
         for n, (space, mu) in spaces.items():
             T = lambda x: engines.sat_scan(x) ** m
             report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)

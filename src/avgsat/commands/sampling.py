@@ -24,6 +24,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache, partial
 from itertools import islice, repeat
 
 from .. import _kernel, engines
@@ -60,6 +61,51 @@ class SampleError(AvgsatError):
     than it draws over, or for too few samples to check."""
 
 
+@lru_cache(maxsize=None)
+def _var_masks(n):
+    """The masks of variables 0..n-1 over 2^n assignments."""
+    return tuple(_kernel.var_mask(i, n) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def slot_runs(arities, tts):
+    """The connective slots of a table as runs of consecutive slots of
+    one arity: (arity, first slot, number of slots, one entry per slot),
+    read from each slot's ``_kernel._anf``.  A binary slot's entry is the
+    coefficients (c0, cx, cy, cxy) of its terms, each -1 or 0, such that
+    it is ``(full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)`` with ``x``
+    the first argument, for a caller to apply in place; any other
+    slot's is ``_kernel._apply`` bound to its form."""
+    runs = []
+    for j, (a, tt) in enumerate(zip(arities, tts)):
+        anf = _kernel._anf(a, tt)
+        op = (tuple(-(term in anf) for term in ((), (0,), (1,), (0, 1))) if a == 2
+              else partial(_kernel._apply, anf))
+        if runs and runs[-1][0] == a:
+            runs[-1][2].append(op)
+        else:
+            runs.append((a, j, [op]))
+    return tuple((a, first, len(ops), tuple(ops)) for a, first, ops in runs)
+
+
+def max_leaves(arities, max_tokens):
+    """The most variable tokens in a valid sequence of at most
+    ``max_tokens`` tokens, or 0 when there is none.
+
+    A sequence with ``c_a`` connectives of each arity ``a`` has
+    ``1 + sum(c_a * a)`` tokens and ``1 + sum(c_a * (a - 1))`` variable
+    tokens, in any valid order, so this is an unbounded knapsack of
+    capacity ``max_tokens - 1`` over the arities of at least 2.
+    """
+    if max_tokens < 1:
+        return 0
+    wide = {a for a in arities if a >= 2}
+    best = [0] * max_tokens   # best[w]: most leaves past the first, at weight <= w
+    for w in range(1, max_tokens):
+        best[w] = max([best[w - 1]] + [best[w - a] + a - 1 for a in wide if a <= w])
+    return 1 + best[-1]
+
+
 def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
             base: int = 0) -> list[tuple[int, int, int]]:
     """The keys (alpha, size f, class mask), in one walk, of the valid
@@ -72,7 +118,7 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
     that several ranks share is unranked once: where the ranks part, the
     state is saved for the later ones and the walk goes on with the
     first.  ``runs`` are the table's connective slots as
-    ``_kernel.slot_runs`` groups them: a binary slot is evaluated in
+    ``slot_runs`` groups them: a binary slot is evaluated in
     place from its coefficients, any other through its function.  The
     walk holds the variable masks of the current alpha and fetches them
     again only when a new variable appears.  The codes of a one-rank walk
@@ -81,7 +127,7 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
     # equal keys are one tuple: a walk over many ranks returns far more
     # keys than there are distinct ones, and holds them all until it ends
     interned = {}
-    var_mask, var_masks = _kernel.var_mask, _kernel._var_masks
+    var_mask, var_masks = _kernel.var_mask, _var_masks
     vm = ()          # the variable masks over alpha variables, while alpha <= 16
     parted = []      # per parting of the ranks: the later ones and the state they resume from
     stack = []       # the masks of the operands so far; d of them
@@ -184,7 +230,7 @@ class SequenceSampler:
         self.n_vars = max(n_vars, 0)  # negative sizes have no sequences
         # one table serves every length up to max_tokens
         self.cnt = _kernel.completion_counts(self.n_vars, table.arities, max(max_tokens, 0))
-        self.runs = _kernel.slot_runs(table.arities, table.truth_bits)
+        self.runs = slot_runs(table.arities, table.truth_bits)
         self.totals = [(L, c) for L in range(1, max_tokens + 1) if (c := self.cnt[L][0])]
         self.grand_total = sum(c for _, c in self.totals)
 
@@ -356,7 +402,7 @@ def cmd_montecarlo(opts: Options):
         request = f"{samples} samples over {n} variables within {max_tokens} tokens"
         # before any table is built; below 0 variables there is no mask
         _check_draws(samples, max(n, 0), max_tokens, request)
-        leaves = _kernel.max_leaves(table.arities, max_tokens)
+        leaves = max_leaves(table.arities, max_tokens)
         if n > leaves:
             raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} "
                               f"tokens (they hold at most {leaves} variable tokens)")
@@ -398,7 +444,8 @@ def cmd_explore_min(opts: Options):
     target = opts.get("target_tokens")
     arity = opts.get("arity")
     samples = opts.get("samples")
-    table = ConnectiveTable.all_of_arity(arity)
+    from ..tables import all_of_arity  # loaded only where a family is built
+    table = all_of_arity(arity)
     # a sentence of L tokens over arity-a connectives has at most
     # 1 + (L-1)*(a-1)/a leaves; use that many variables
     pool = 1 + (target - 1) * (arity - 1) // arity

@@ -12,9 +12,11 @@ reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 
 Connective tables and the errors live in the key-only core that the
 commands load, ``avgsat._formula_core``; they are re-exported here.
-Model sets and sentence objects are this module's own: the commands
-read a sentence only as its key (alpha, f, class mask), which
-:meth:`Formula.key` gives.
+Model sets and sentence objects are this module's own, and so are the
+enumeration and evaluation of code sequences (with the conventions of
+:mod:`avgsat._kernel`): the commands read a sentence only as its key
+(alpha, f, class mask), which :meth:`Formula.key` gives, and the tests
+hold the keys that the commands count against these.
 """
 
 from __future__ import annotations
@@ -22,9 +24,111 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from . import _kernel
 from ._formula_core import (_VAR_TOKEN, Connective, ConnectiveTable, FormulaError,  # noqa: F401
                             MalformedRpn, UnknownSymbol, VariableOutOfRange, _Frozen)
+from ._kernel import _anf, _apply, completion_counts, length_range, var_mask
+
+
+def truth(conn: Connective, args: tuple[int, ...]) -> int:
+    """The value of the connective at the argument bits ``args``."""
+    if len(args) != conn.arity:
+        raise ValueError("argument count does not match arity")
+    r = 0
+    for b in args:
+        r = (r << 1) | (b & 1)
+    return (conn.bits >> r) & 1
+
+
+def slot_of_symbol(table: ConnectiveTable, symbol: str) -> int:
+    """The slot of the table's connective written ``symbol``."""
+    for j, c in enumerate(table.connectives):
+        if c.symbol == symbol:
+            return j
+    raise UnknownSymbol(f"unknown connective symbol {symbol!r}")
+
+
+# --- code sequences ---------------------------------------------------
+
+
+def eval_mask(codes, n, arities, tts):
+    """Truth-table mask of an RPN code sequence over n variables."""
+    full = (1 << (1 << n)) - 1
+    vmasks = [var_mask(i, n) for i in range(n)]
+    stack = []
+    for c in codes:
+        if c >= 0:
+            stack.append(vmasks[c])
+            continue
+        a = arities[-c - 1]
+        args = stack[len(stack) - a:]
+        del stack[len(stack) - a:]
+        stack.append(_apply(_anf(a, tts[-c - 1]), args, full))
+    return stack[-1]
+
+
+def compact_codes(codes):
+    """(codes, alpha): the codes with their variables renumbered 0, 1, ...
+    in order of first appearance, and the number of distinct variables."""
+    slot = {}
+    return [slot.setdefault(c, len(slot)) if c >= 0 else c for c in codes], len(slot)
+
+
+def eval_mask_compact(codes, arities, tts):
+    """Mask over the sentence's own variables, compacted by first appearance.
+
+    Returns (mask, alpha) where alpha is the number of distinct variables.
+    """
+    remapped, alpha = compact_codes(codes)
+    return eval_mask(remapped, alpha, arities, tts), alpha
+
+
+def enumerate_length(n_vars, arities, length, exact_conns=-1, alpha=-1):
+    """All valid RPN code sequences of exactly ``length`` tokens, in
+    lexicographic order: variables (by index) before connectives (by
+    slot).
+
+    ``exact_conns`` (if >= 0) keeps only sentences with that many
+    connective tokens; ``alpha`` (if >= 0) keeps only sentences with
+    that many distinct variables.  Returns a list of (codes, alpha)
+    pairs.
+    """
+    cnt = completion_counts(n_vars, arities, length)
+    n_conns = len(arities)
+    out = []
+    codes = []
+
+    def rec(depth, used, conns_used):
+        pos = len(codes)
+        if pos == length:
+            a_x = bin(used).count("1")
+            if alpha >= 0 and a_x != alpha:
+                return
+            if exact_conns >= 0 and conns_used != exact_conns:
+                return
+            out.append((tuple(codes), a_x))
+            return
+        rem = length - pos - 1
+        if exact_conns >= 0 and conns_used + rem + 1 < exact_conns:
+            return
+        if cnt[rem][depth + 1]:
+            for v in range(n_vars):
+                codes.append(v)
+                rec(depth + 1, used | (1 << v), conns_used)
+                codes.pop()
+        if exact_conns >= 0 and conns_used >= exact_conns:
+            return
+        for j in range(n_conns):
+            a = arities[j]
+            if depth >= a and cnt[rem][depth - a + 1]:
+                codes.append(-j - 1)
+                rec(depth - a + 1, used, conns_used + 1)
+                codes.pop()
+
+    rec(0, 0, 0)
+    return out
+
+
+# --- sentence objects -------------------------------------------------
 
 
 class ModelSet(_Frozen):
@@ -134,7 +238,7 @@ def parse_rpn(text: str, table: ConnectiveTable) -> Formula:
             codes.append(int(m.group(1)))
             depth += 1
             continue
-        j = table.slot_of_symbol(tok)
+        j = slot_of_symbol(table, tok)
         a = table.arities[j]
         if depth < a:
             raise MalformedRpn(f"operator {tok!r} applied to {depth} operands, needs {a}")
@@ -192,7 +296,7 @@ def evaluate(x: Formula, m: int, n: int) -> int:
             a = conn.arity
             args = tuple(stack[len(stack) - a:])
             del stack[len(stack) - a:]
-            stack.append(conn.truth(args))
+            stack.append(truth(conn, args))
     return stack[-1]
 
 
@@ -201,7 +305,7 @@ def model_set(x: Formula, n: int) -> ModelSet:
     for c in x.codes:
         if c >= n:
             raise VariableOutOfRange(f"p{c} needs at least {c + 1} variables, got {n}")
-    bits = _kernel.eval_mask(x.codes, n, x.table.arities, x.table.truth_bits)
+    bits = eval_mask(x.codes, n, x.table.arities, x.table.truth_bits)
     return ModelSet(n, bits)
 
 
@@ -213,7 +317,7 @@ def compact_model_set(x: Formula) -> ModelSet:
     Distinct variable indices are compacted to 0..alpha-1 in order of
     first appearance, so the result has exactly alpha(x) variables.
     """
-    bits, alpha = _kernel.eval_mask_compact(x.codes, x.table.arities, x.table.truth_bits)
+    bits, alpha = eval_mask_compact(x.codes, x.table.arities, x.table.truth_bits)
     return ModelSet(alpha, bits)
 
 
@@ -233,8 +337,8 @@ def enumerate_formulas(table: ConnectiveTable, n_vars: int, max_tokens: int | No
         raise ValueError("need at least one variable")
     ec = -1 if exact_connectives is None else exact_connectives
     af = -1 if alpha is None else alpha
-    for length in _kernel.length_range(table.arities, max_tokens, exact_connectives):
-        for codes, a_x in _kernel.enumerate_length(
+    for length in length_range(table.arities, max_tokens, exact_connectives):
+        for codes, a_x in enumerate_length(
                 n_vars, table.arities, length, exact_conns=ec, alpha=af):
             if a_x == 0:
                 continue

@@ -20,7 +20,9 @@ space, not over size classes alone.  The core objects:
 
 All masses and averages on finite spaces are exact ``Fraction``
 values.  The trend scan over very large synthetic spaces lives in
-:mod:`avgsat.trend`; its names are also read here.
+:mod:`avgsat.trend`, and the weightings and averages that no command
+builds (``uniform_on``, ``nu_from_H`` and the rest) in
+:mod:`avgsat.weighting`; their traced names are also read here.
 """
 
 from __future__ import annotations
@@ -34,17 +36,23 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._formula_core import ConnectiveTable, _Frozen
 from ._kernel import _anf
-from .errors import (ClassUncovered, MeasureError, PreconditionFailed, ZeroMass,
-                     ZeroMassSubset)
+from .errors import ClassUncovered, MeasureError, PreconditionFailed, ZeroMassSubset
 
 
 def __getattr__(name):
-    """``tractability``, ``Verdict`` and ``TractabilityResult``: they live
-    in :mod:`avgsat.trend`, which loads without this module, and are
-    named here too, where the benchmark's tracer finds the scan."""
+    """Names the benchmark's tracer reads here, from the modules they live
+    in: ``tractability``, ``Verdict`` and ``TractabilityResult`` from
+    :mod:`avgsat.trend`, which loads without this module, and
+    ``uniform_on``, ``weights_proportional``, ``power_law_length``,
+    ``relative_avg`` and ``nu_from_H`` from :mod:`avgsat.weighting`,
+    which no command loads."""
     if name in ("tractability", "Verdict", "TractabilityResult"):
         from . import trend
         return getattr(trend, name)
+    if name in ("uniform_on", "weights_proportional", "power_law_length", "relative_avg",
+                "nu_from_H"):
+        from . import weighting
+        return getattr(weighting, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -139,18 +147,6 @@ class Distribution(_Frozen):
         w = self.weights.get
         return _dot((w(x, 0),) for x in items)
 
-    def validate(self, space: InputSpace) -> None:
-        for x, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight on {x!r}")
-        if self.normalization is Normalization.GLOBAL:
-            if self.mass(space.items) != 1:
-                raise ValueError("global weights must sum to exactly 1")
-        elif self.normalization is Normalization.PER_CLASS:
-            for n in space.attained_classes():
-                if self.mass(space.class_items(n)) != 1:
-                    raise ValueError(f"class {n} weights must sum to exactly 1")
-
 
 class BoundRow(NamedTuple):
     n: int
@@ -197,14 +193,6 @@ def avg_time(T: Callable, mu: Distribution, Y: Iterable) -> Fraction:
     return _dot((T(x), w(x, 0)) for x in items) / denom
 
 
-def relative_avg(space: InputSpace, T: Callable, mu: Distribution, n: int) -> Fraction:
-    """Average T over the size class f = n; defined as 1 on empty mass."""
-    items = [x for x in space.items if x[1] == n]
-    if mu.mass(items) == 0:
-        return Fraction(1)
-    return avg_time(T, mu, items)
-
-
 def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
                   mu: Distribution) -> BoundReport:
     """Generalized O(F) membership test.
@@ -233,40 +221,6 @@ def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
         lhs = _dot((T(x), w(x, 0), inv_F[x[1]]) for x in items)
         report.rows.append(BoundRow(n, lhs, rhs, lhs <= rhs))
     return report
-
-
-class HMode(enum.Enum):
-    EQUALITY = "equality"
-    DOMINATED = "dominated"
-
-
-def nu_from_H(space: InputSpace, H: Callable[[int], object],
-              F: Callable[[int], object], mu: Distribution,
-              mode: HMode = HMode.EQUALITY) -> Distribution:
-    """Reweight mu by H(alpha(x)) / F(f(x)), one item at a time.
-
-    EQUALITY scales by the unique constant making the total mass 1;
-    DOMINATED returns the raw pointwise product (a sub-distribution
-    used as an upper bound).  This is the definition the property checks
-    are tested against; no command builds it, since H reads the class
-    alone and both checks take its expectations from per-class sums.
-    """
-    w = mu.weights.get
-    raw = {}
-    for x in space.items:
-        m = w(x, 0)
-        if m:
-            q = Fraction(H(x[0])) / Fraction(F(x[1])) * m
-            if q < 0:
-                raise ValueError("H produced a negative weight")
-            if q:
-                raw[x] = q
-    if mode is HMode.DOMINATED:
-        return Distribution(raw, Normalization.RAW)
-    total = _sum(raw.values())
-    if total == 0:
-        raise ZeroMass("H vanishes on every positive-mass item")
-    return Distribution({x: q / total for x, q in raw.items()}, Normalization.GLOBAL)
 
 
 def _over_F(space: InputSpace, F: Callable[[int], object], mu: Distribution) -> list[Fraction]:
@@ -406,31 +360,6 @@ def markov_tail(T: Callable, mu: Distribution, Y: Iterable, a) -> MarkovTail:
 
 
 # --- distribution constructors ---------------------------------------
-
-
-def uniform_on(space: InputSpace, subset: Iterable | None = None) -> Distribution:
-    """Equal weight on each input of the subset (default: the whole space)."""
-    items = list(subset) if subset is not None else space.items
-    if not items:
-        raise ZeroMassSubset("cannot spread mass over an empty subset")
-    total = space.total(items)
-    return Distribution({x: Fraction(space.count[x], total) for x in items},
-                        Normalization.GLOBAL)
-
-
-def weights_proportional(space: InputSpace, weight: Callable) -> Distribution:
-    """Normalize per-input weights to total mass 1 (exact)."""
-    raw = {x: weight(x) * space.count[x] for x in space.items}
-    total = _dot((w,) for w in raw.values())
-    if total == 0:
-        raise ZeroMass("all weights vanish")
-    return Distribution({x: Fraction(w) / total for x, w in raw.items() if w},
-                        Normalization.GLOBAL)
-
-
-def power_law_length(space: InputSpace, p: int) -> Distribution:
-    """Weight proportional to f(x)^(-p)."""
-    return weights_proportional(space, lambda x: Fraction(1, x[1] ** p))
 
 
 def uniform_over_model_classes(space: InputSpace, n: int | None = None,

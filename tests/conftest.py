@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from avgsat import measure
+from avgsat import measure, tables
 from avgsat.formula import ConnectiveTable, enumerate_formulas
 
 settings.register_profile("suite", deadline=None)
@@ -15,7 +15,7 @@ def std():
 
 @pytest.fixture(scope="session")
 def all_binary():
-    return ConnectiveTable.all_binary()
+    return tables.all_binary()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from avgsat import analytic, cli, engines, measure
+from avgsat import analytic, cli, engines, measure, moments
 from avgsat.formula import ConnectiveTable, enumerate_formulas
 
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
@@ -59,18 +59,18 @@ def test_criterion_02_sat_linear_membership():
 def test_criterion_03_moment_bounds(space1, space2):
     tol = Fraction(1, 10 ** 12)
     ok = True
-    s1 = analytic.geometric_moment_sum(1, tol)
+    s1 = moments.geometric_moment_sum(1, tol)
     ok = ok and abs(s1.partial - 2) <= tol
-    s2 = analytic.geometric_moment_sum(2, tol)
+    s2 = moments.geometric_moment_sum(2, tol)
     ok = ok and abs(s2.partial - 6) <= Fraction(1, 10 ** 9)
     for m in range(2, 9):
-        s = analytic.geometric_moment_sum(m, tol)
+        s = moments.geometric_moment_sum(m, tol)
         ok = ok and s.tail_bound < tol
-        ok = ok and s.upper <= analytic.moment_oclass_constant(m)
+        ok = ok and s.upper <= moments.moment_oclass_constant(m)
     for n, sp in ((1, space1), (2, space2)):
         mu = measure.uniform_over_model_classes(sp, n)
         for m in (2, 3):
-            c = analytic.moment_oclass_constant(m)
+            c = moments.moment_oclass_constant(m)
             T = lambda x: SAT_TIME(x) ** m
             ok = ok and measure.oclass_member(sp, T, lambda k: c * k ** m, mu).overall
     _report(3, "moment sums within 2.5*m^(m+1), m-th power membership", ok)

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from avgsat import analytic, engines, measure
+from avgsat import engines, measure, moments, tables
 from avgsat.analytic import (ChainStep, catalan_binomial,
                              census, censuses, expected_min_plus_one,
-                             gamma_count, geometric_moment_sum,
-                             is_canonical_sentence, moment_oclass_constant,
+                             gamma_count, is_canonical_sentence,
                              ratio_partial_sums, sentence_count, shannon_lengths,
                              shannon_space, tabulator_class_bound,
                              totals_and_ratio, wilf_comparison)
-from avgsat.formula import (ConnectiveTable, enumerate_formulas, leaf_sequence,
-                            var_count_alpha)
+from avgsat.formula import enumerate_formulas, leaf_sequence, var_count_alpha
+from avgsat.moments import geometric_moment_sum, moment_oclass_constant
+from avgsat.weighting import validate
 
 
 # --- shape counts -----------------------------------------------------
@@ -35,7 +35,7 @@ def test_gamma_recursion_identity():
 def test_gamma_counts_tree_shapes():
     # over a single variable and a single binary connective, the number
     # of sentences with exactly N connectives is the number of shapes
-    single = ConnectiveTable.from_text("∧ 2 0001\n")
+    single = tables.from_text("∧ 2 0001\n")
     for N in range(9):
         got = sum(1 for _ in enumerate_formulas(single, 1, exact_connectives=N))
         assert got == gamma_count(N)
@@ -53,10 +53,10 @@ def test_census_matches_closed_form():
 
 
 CENSUS_TABLES = {
-    "all-binary": ConnectiveTable.all_binary(),
-    "all-unary": ConnectiveTable.all_of_arity(1),
-    "nand-only": ConnectiveTable.from_text("⊼ 2 1110\n"),
-    "majority-only": ConnectiveTable.from_text("M 3 00010111\n"),
+    "all-binary": tables.all_binary(),
+    "all-unary": tables.all_of_arity(1),
+    "nand-only": tables.from_text("⊼ 2 1110\n"),
+    "majority-only": tables.from_text("M 3 00010111\n"),
 }
 
 
@@ -86,9 +86,9 @@ def test_censuses_from_one_table_match_census(name):
 
 def test_census_refuses_mixed_arities():
     with pytest.raises(ValueError):
-        census(1, ConnectiveTable.all_up_to(2))
+        census(1, tables.all_up_to(2))
     with pytest.raises(ValueError):
-        censuses(1, ConnectiveTable.all_up_to(2))
+        censuses(1, tables.all_up_to(2))
 
 
 def test_census_totals_match_closed_forms():
@@ -193,8 +193,8 @@ def test_moment_cutoff_estimate_is_the_exact_cutoff():
     # the float estimate that bounds moments' work, against the exact loop
     for t in (0, 1, 5, 12, 100, 1000, 10 ** 4):
         for m in [*range(1, 41), 50, 99, 100, 143, 200, 333, 499, 500]:
-            exact, _ = analytic._tail_cutoff(m, Fraction(1, 10 ** t))
-            assert analytic.moment_cutoff(m, t) == exact, (m, t)
+            exact, _ = moments._tail_cutoff(m, Fraction(1, 10 ** t))
+            assert moments.moment_cutoff(m, t) == exact, (m, t)
 
 
 def test_moment_sum_tail_verified_by_doubling():
@@ -297,7 +297,7 @@ def test_shannon_space_structure():
     # one key (n, code length) per length: 8 at n = 3 and 16 at n = 4
     assert len(space) == 24
     assert space.attained_classes() == [3, 4]
-    mu.validate(space)
+    validate(mu, space)
     for n in (3, 4):
         items = space.class_items(n)
         assert len(items) == 2 ** n

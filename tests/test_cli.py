@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from avgsat import analytic, cli
+from avgsat import analytic, cli, moments
 from avgsat.commands import sampling
 
 
@@ -302,10 +302,13 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     ["moments", "--m-list", "2,1000"],
     ["moments", "--m-list", "1000", "--tol-exp", "20000"],
     ["moments", "--n-list", "1", "--m-list", ",".join(map(str, range(500, 480, -1)))],
+    ["property-2-3", "--n-list", "1,2", "--h-exponent", "1000000"],
+    ["property-2-3", "--model", "shannon", "--n-list", ",".join(map(str, range(3, 14))),
+     "--h-exponent", "100000"],
 ], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-700", "p-1e5",
         "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-490",
         "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000",
-        "moments-m-list-500-to-481"])
+        "moments-m-list-500-to-481", "h-exponent-1e6", "shannon-h-exponent-1e5"])
 def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # exact partials whose digits grow with the scan (geometric at 14,400
     # took 13.6 s), or a float scan past 10^7 classes; counting past
@@ -317,7 +320,9 @@ def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # cutoff grows with both --m-list and --tol-exp, and their cost as its
     # square (--m-list 1000 --tol-exp 20000 took 10 s), or many entries
     # each admitted alone (the 20 from 500 down to 481 took 2.4 s, every
-    # m to 500 17 s; commands.exact.MAX_MOMENTS_WORK)
+    # m to 500 17 s; commands.exact.MAX_MOMENTS_WORK); and property-2-3's
+    # --h-exponent, whose weights n^-e grow by e bits per doubling of n
+    # (the Shannon model at --n-list 3,...,13 and e = 10^5 took 69 s)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -706,6 +711,7 @@ def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
     # expectation under the uniform distribution on the counted space
     from avgsat import engines, measure
     from avgsat._formula_core import ConnectiveTable
+    from avgsat.weighting import uniform_on
     table = ConnectiveTable.standard()
     count, num, den = sampling._counted_mean(table, n, max_tokens)
     space = measure.formula_space(table, n, max_tokens)
@@ -713,7 +719,7 @@ def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
     # the command writes num / den: int true division rounds correctly
     assert num / den == float(Fraction(num, den))
     assert Fraction(num, den) == \
-        measure.avg_time(engines.sat_scan, measure.uniform_on(space), space.items)
+        measure.avg_time(engines.sat_scan, uniform_on(space), space.items)
 
 
 def test_markov_tail(tmp_path):
@@ -734,9 +740,10 @@ def test_config_file_and_override(tmp_path):
 
 
 def test_custom_table_file(tmp_path):
+    from avgsat import tables
     from avgsat.formula import ConnectiveTable
     path = tmp_path / "table.txt"
-    path.write_text(ConnectiveTable.standard().to_text(), encoding="utf-8")
+    path.write_text(tables.to_text(ConnectiveTable.standard()), encoding="utf-8")
     code, rows, _ = run(tmp_path, "sat-oclass", "--n", "1", "--table", str(path))
     assert code == 0
 
@@ -760,9 +767,9 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
     # lexicographic enumeration exactly, so sampling random indices is
     # exactly uniform over valid sequences
     from avgsat import _kernel
-    from avgsat.formula import ConnectiveTable
+    from avgsat.formula import ConnectiveTable, enumerate_length
     std = ConnectiveTable.standard()
-    runs = _kernel.slot_runs(std.arities, std.truth_bits)
+    runs = sampling.slot_runs(std.arities, std.truth_bits)
     for length in range(1, 7):
         cnt = _kernel.completion_counts(2, std.arities, length)
         unranked = []
@@ -770,8 +777,7 @@ def test_unrank_is_a_bijection_onto_the_enumeration():
             codes = []
             sampling._unrank([u], length, 2, runs, cnt, codes)
             unranked.append(tuple(codes))
-        enumerated = [codes for codes, _ in _kernel.enumerate_length(
-            2, std.arities, length)]
+        enumerated = [codes for codes, _ in enumerate_length(2, std.arities, length)]
         assert unranked == enumerated
 
 
@@ -793,9 +799,10 @@ def test_sampler_rank_is_shortlex_position(table):
     # rank u names the u-th sentence of the shortlex enumeration over
     # every length up to max_tokens, so a value memoized per rank is a
     # value memoized per sentence
+    from avgsat import tables
     from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas
     tab = (ConnectiveTable.standard() if table == "standard"
-           else ConnectiveTable.from_text("⊼ 2 1110\n"))
+           else tables.from_text("⊼ 2 1110\n"))
     sampler = sampling.SequenceSampler(tab, 2, 6)
     enumerated = list(enumerate_formulas(tab, 2, max_tokens=6))
     assert [Formula(_codes_at(sampler, u)[0], tab)
@@ -825,8 +832,9 @@ def _assert_key_oracle(x, key):
 @pytest.mark.parametrize("table", sorted(SCORER_TABLES))
 def test_scan_units_match_sat_scan_on_every_rank(table, n):
     # every rank up to 6 tokens unranks to the key of its sentence
-    from avgsat.formula import ConnectiveTable, Formula
-    tab = ConnectiveTable.from_text(SCORER_TABLES[table])
+    from avgsat import tables
+    from avgsat.formula import Formula
+    tab = tables.from_text(SCORER_TABLES[table])
     sampler = sampling.SequenceSampler(tab, n, 6)
     alphas = set()
     for u in range(sampler.grand_total):
@@ -855,8 +863,9 @@ def test_two_digit_variables_unrank_to_their_keys():
 def test_explore_min_ranks_unrank_to_their_keys(arity, targets):
     # explore-min unranks its draws among the sentences of exactly
     # target tokens, the last ranks of its sampler
-    from avgsat.formula import ConnectiveTable, Formula
-    tab = ConnectiveTable.all_of_arity(arity)
+    from avgsat import tables
+    from avgsat.formula import Formula
+    tab = tables.all_of_arity(arity)
     for target in targets:
         pool = 1 + (target - 1) * (arity - 1) // arity
         sampler = sampling.SequenceSampler(tab, pool, target)
@@ -876,8 +885,9 @@ WALK_TABLES = {"standard": (None, 2, 7), "all-binary": (2, 2, 6), "arity-3": (3,
 
 
 def _walk_table(arity):
+    from avgsat import tables
     from avgsat.formula import ConnectiveTable
-    return ConnectiveTable.standard() if arity is None else ConnectiveTable.all_of_arity(arity)
+    return ConnectiveTable.standard() if arity is None else tables.all_of_arity(arity)
 
 
 @pytest.mark.parametrize("table", sorted(WALK_TABLES))
@@ -924,12 +934,11 @@ def test_walk_does_not_recurse_past_the_recursion_limit():
     # L - 1 connectives, one bit each (NOT first): the walk goes L tokens
     # deep without using the Python stack
     import random
-    from avgsat import _kernel
-    from avgsat.formula import ConnectiveTable
-    tab = ConnectiveTable.from_text("¬ 1 10\nI 1 01\n")
+    from avgsat import _kernel, tables
+    tab = tables.from_text("¬ 1 10\nI 1 01\n")
     length = sys.getrecursionlimit() + 1
     cnt = _kernel.completion_counts(2, tab.arities, length)
-    runs = _kernel.slot_runs(tab.arities, tab.truth_bits)
+    runs = sampling.slot_runs(tab.arities, tab.truth_bits)
     half = 1 << (length - 1)
     rng = random.Random(0)
     ranks = {rng.randrange(2 * half) for _ in range(20)} | {half - 2, half - 1, half, half + 1}
@@ -1026,9 +1035,9 @@ def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples
 def test_explore_min_chunks_match_per_draw_walks(tmp_path, arity, target, samples):
     # explore-min's chunked walks give the row of one walk per draw
     import random
-    from avgsat.formula import ConnectiveTable
+    from avgsat import tables
     pool = 1 + (target - 1) * (arity - 1) // arity
-    sampler = sampling.SequenceSampler(ConnectiveTable.all_of_arity(arity), pool, target)
+    sampler = sampling.SequenceSampler(tables.all_of_arity(arity), pool, target)
     total, rng = sampler.cnt[target][0], random.Random(5)
     sx = sxx = 0
     for _ in range(samples):
@@ -1084,8 +1093,8 @@ def test_sampler_covers_small_space():
 
 @pytest.mark.parametrize("n, max_tokens", [(2, 6), (3, 7), (1, 5), (0, 4)])
 def test_alpha_count_counts_every_rank(n, max_tokens):
-    from avgsat.formula import ConnectiveTable
-    table = ConnectiveTable.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n")
+    from avgsat import tables
+    table = tables.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n")
     sampler = sampling.SequenceSampler(table, n, max_tokens)
     hits = sum(sampler.key_at(u)[0] == n for u in range(sampler.grand_total))
     assert sampling.alpha_count(table.arities, n, max_tokens) == hits > 0
@@ -1168,12 +1177,12 @@ def test_csv_bytes_match_recorded_digest(tmp_path, command):
 def test_property_checks_build_no_reweighted_distribution(tmp_path, monkeypatch, command):
     # both checks read their expectations from per-class sums, so the
     # per-item reweighting is only the tests' definition
-    from avgsat import measure
+    from avgsat import weighting
 
     def refuse(*args, **kwargs):
         raise AssertionError("nu_from_H was called")
 
-    monkeypatch.setattr(measure, "nu_from_H", refuse)
+    monkeypatch.setattr(weighting, "nu_from_H", refuse)
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]["sha256"]
     out = tmp_path / "out.csv"
     assert cli.main([*command.split(), "--out", str(out)]) == 0
@@ -1328,7 +1337,7 @@ def test_float_columns_past_the_float_range_read_inf(tmp_path):
     (total,) = [r for r in rows if r["kind"] == "sum"]
     assert total["rhs_float"] == "inf" and total["status"] == "pass"
     assert Fraction(int(total["rhs_num"]), int(total["rhs_den"])) == \
-        analytic.moment_oclass_constant(143)
+        moments.moment_oclass_constant(143)
     code, rows, _ = run(tmp_path, "property-2-2", "--n-list", "1", "--break-class", "1",
                         "--inflate", str(10 ** 400))
     assert code == 0
@@ -1382,6 +1391,18 @@ def _avgsat_modules(argv=()):
     return {m for m in _modules(argv) if m.split(".")[0] == "avgsat"}
 
 
+def _loaded_lines(argv=()):
+    """The source lines of the avgsat modules of :func:`_modules`: what a
+    start with no bytecode cache compiles."""
+    src = Path(cli.__file__).resolve().parent.parent
+    total = 0
+    for module in _avgsat_modules(argv):
+        path = src.joinpath(*module.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        total += len(path.read_text(encoding="utf-8").splitlines())
+    return total
+
+
 def test_import_loads_only_the_core():
     assert _avgsat_modules() == {"avgsat", "avgsat.cli", "avgsat.errors"}
 
@@ -1411,29 +1432,66 @@ def test_benchmark_commands_load_no_argparse(tmp_path, capsys, monkeypatch):
 
 # the sentence-object API, which the commands read through keys alone
 SENTENCE_API = {"avgsat.formula"}
+# what no exact command runs: the sentence objects with the enumeration
+# and evaluation of code sequences, the weightings that no command
+# builds, and the table text format and families (no --table file here)
+NOT_EXACT = SENTENCE_API | {"avgsat.weighting", "avgsat.tables"}
+# the moment sums, which only moments runs
+MOMENT_SUMS = {"avgsat.moments"}
+
+EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-list 1",
+                  "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
+                  "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]
+
+# the avgsat source lines each exact command compiles (``python -S``):
+# the count once the code it does not run left its modules, plus a
+# margin of about 2%.  Before, the counted-space commands compiled 2,210
+# lines (moments 2,563) and the Shannon-model ones 2,287
+LINE_BUDGETS = {
+    **dict.fromkeys(EXACT_COMMANDS, 1920),
+    "moments --n-list 1": 1995,
+    "tab-oclass --n-list 3": 1970,
+    "property-2-3 --model shannon": 1970,
+}
 
 
 @pytest.mark.parametrize("command, unwanted", [
-    *((command, SENTENCE_API) for command in [
-        "sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-list 1",
-        "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
-        "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]),
+    *((command, NOT_EXACT | (set() if command.startswith("moments") else MOMENT_SUMS))
+      for command in EXACT_COMMANDS),
     ("tractability --budget 2000",
-     SENTENCE_API | {"avgsat.measure", "avgsat._formula_core", "avgsat.engines",
-                     "avgsat._counting", "avgsat.analytic"}),
+     NOT_EXACT | MOMENT_SUMS | {"avgsat.measure", "avgsat._formula_core", "avgsat.engines",
+                                "avgsat._counting", "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
     ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
     ("expected-min --n 2", {"avgsat.measure"}),
     # the Shannon model builds no counted space
-    ("tab-oclass --n-list 3", SENTENCE_API | {"avgsat._counting"}),
-    ("property-2-3 --model shannon", SENTENCE_API | {"avgsat._counting"}),
+    ("tab-oclass --n-list 3", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
+    ("property-2-3 --model shannon", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
-    modules = _avgsat_modules([*command.split(), "--out", str(tmp_path / "out.csv")])
+    argv = [*command.split(), "--out", str(tmp_path / "out.csv")]
+    modules = _avgsat_modules(argv)
     assert not modules & unwanted
     # its own body, and no other command's
     target = cli.COMMANDS[command.split()[0]].target.partition(":")[0]
     assert {m for m in modules if m.startswith("avgsat.commands.")} == {target}
+    if command.startswith("moments"):
+        assert MOMENT_SUMS <= modules
+    if command in LINE_BUDGETS:
+        assert _loaded_lines(argv) <= LINE_BUDGETS[command]
+
+
+def test_kernel_defines_only_the_shared_primitives(tmp_path):
+    # what the counting DP, the sampling walk and the census share; each
+    # definition that one module alone calls lives in that module, and
+    # running a command adds none here
+    from avgsat import _kernel
+    for command in EXACT_COMMANDS:
+        cli.main([*command.split(), "--out", str(tmp_path / "out.csv")])
+    defined = {name for name, value in vars(_kernel).items()
+               if getattr(value, "__module__", None) == _kernel.__name__}
+    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "length_range",
+                       "__getattr__"}
 
 
 @pytest.mark.parametrize("command", [

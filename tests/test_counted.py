@@ -21,12 +21,14 @@ from operator import itemgetter
 
 import pytest
 
-from avgsat import analytic, engines, measure
+from avgsat import analytic, engines, measure, tables, weighting
 from avgsat._counting import MAX_WORK, SentenceCounts
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
-from avgsat.measure import Distribution, HMode, InputSpace, Normalization
+from avgsat.errors import ZeroMass
+from avgsat.measure import Distribution, InputSpace, Normalization
+from avgsat.weighting import HMode
 
 # the costs read an expanded item's first three fields, its key or block
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
@@ -38,7 +40,7 @@ HS = [lambda n: 1, lambda n: Fraction(1, n * n), lambda n: 1 if n == 2 else 0]
 TABLES = {
     "standard": ConnectiveTable.standard(),
     # no unary NOT: negation duplicates the operand under NAND
-    "nand": ConnectiveTable.from_text("⊼ 2 1110\n"),
+    "nand": tables.from_text("⊼ 2 1110\n"),
 }
 
 
@@ -130,19 +132,19 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
         avg = measure.avg_time(T, mu_c, c.items)
         assert avg == measure.avg_time(T, mu_e, e.items)
         for k in sizes(c)[:3]:
-            assert measure.relative_avg(c, T, mu_c, k) == measure.relative_avg(e, T, mu_e, k)
+            assert weighting.relative_avg(c, T, mu_c, k) == weighting.relative_avg(e, T, mu_e, k)
         for a in (avg, 100 * avg):
             assert measure.markov_tail(T, mu_c, c.items, a) == \
                 measure.markov_tail(T, mu_e, e.items, a)
         for H in HS:
             for mode in HMode:
                 try:
-                    nu_e = measure.nu_from_H(e, H, F, mu_e, mode)
-                except measure.ZeroMass:
-                    with pytest.raises(measure.ZeroMass):
-                        measure.nu_from_H(c, H, F, mu_c, mode)
+                    nu_e = weighting.nu_from_H(e, H, F, mu_e, mode)
+                except ZeroMass:
+                    with pytest.raises(ZeroMass):
+                        weighting.nu_from_H(c, H, F, mu_c, mode)
                     continue
-                assert nonzero(measure.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
+                assert nonzero(weighting.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
 
 
 def stratified(expanded: InputSpace, n: int, table: ConnectiveTable) -> measure.Distribution:
@@ -188,9 +190,9 @@ def test_covering_space_counts_its_expansion(twins, n):
 # XNOR; the others add a constant leaf and a ternary connective
 ORACLE_TABLES = {
     **TABLES,
-    "all_binary": ConnectiveTable.all_binary(),
-    "constant": ConnectiveTable.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n"),
-    "majority": ConnectiveTable.from_text("¬ 1 10\nM 3 00010111\n"),
+    "all_binary": tables.all_binary(),
+    "constant": tables.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n"),
+    "majority": tables.from_text("¬ 1 10\nM 3 00010111\n"),
 }
 # all_binary has no sentence of 6 tokens, and 1.6e6 of 7 at n = 3
 ORACLE_DEPTH = {"all_binary": 5}
@@ -260,12 +262,12 @@ def test_distributions_and_checks_match_expansion(table, twins, n):
     c, e = twin.counted, twin.expanded
     some_size = sizes(c)[len(sizes(c)) // 2]
     pairs = [
-        (measure.uniform_on(c), measure.uniform_on(e)),
-        (measure.uniform_on(c, of_size(c, some_size)),
-         measure.uniform_on(e, twin.subset(of_size(c, some_size)))),
-        (measure.weights_proportional(c, lambda x: SAT_TIME(x) % 5),
-         measure.weights_proportional(e, lambda x: SAT_TIME(x) % 5)),
-        (measure.power_law_length(c, 2), measure.power_law_length(e, 2)),
+        (weighting.uniform_on(c), weighting.uniform_on(e)),
+        (weighting.uniform_on(c, of_size(c, some_size)),
+         weighting.uniform_on(e, twin.subset(of_size(c, some_size)))),
+        (weighting.weights_proportional(c, lambda x: SAT_TIME(x) % 5),
+         weighting.weights_proportional(e, lambda x: SAT_TIME(x) % 5)),
+        (weighting.power_law_length(c, 2), weighting.power_law_length(e, 2)),
         (measure.uniform_over_model_classes(c, n),
          measure.uniform_over_model_classes(e, n)),
     ]

@@ -1,6 +1,6 @@
 import pytest
 
-from avgsat import engines
+from avgsat import engines, tables
 from avgsat.formula import (ConnectiveTable, Formula, compact_model_set,
                             enumerate_formulas, evaluate, model_set, parse_rpn,
                             size_f, var_count_alpha)
@@ -100,7 +100,7 @@ def test_negated_complement_on_enumeration(std):
 
 
 def test_no_negation():
-    monotone = ConnectiveTable.from_text("∧ 2 0001\n∨ 2 0111\n")
+    monotone = tables.from_text("∧ 2 0001\n∨ 2 0111\n")
     x = parse_rpn("p0 p1 ∧", monotone)
     with pytest.raises(engines.NoNegation):
         engines.negated(x)
@@ -125,7 +125,7 @@ def test_witness_is_minimal_four_vars(std):
     assert checked == 960
 
 
-CONST_TABLE = ConnectiveTable.from_text("¬ 1 10\nM 3 00010111\n⊤ 0 1\n")
+CONST_TABLE = tables.from_text("¬ 1 10\nM 3 00010111\n⊤ 0 1\n")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -147,10 +147,10 @@ def test_costs_on_a_key_are_the_costs_on_its_sentences(std, n):
 @pytest.mark.parametrize("table", ["standard", "nand", "nor-only"])
 def test_negated_key_is_the_key_of_the_negation(table):
     tab = {"standard": ConnectiveTable.standard(),
-           "nand": ConnectiveTable.from_text("⊼ 2 1110\n"),
-           "nor-only": ConnectiveTable.from_text("⊽ 2 1000\n")}[table]
+           "nand": tables.from_text("⊼ 2 1110\n"),
+           "nor-only": tables.from_text("⊽ 2 1000\n")}[table]
     for x in enumerate_formulas(tab, 3, max_tokens=7):
         assert engines.negated_keys({x.key(): 5}, tab) == {engines.negated(x).key(): 5}
-    monotone = ConnectiveTable.from_text("∧ 2 0001\n∨ 2 0111\n")
+    monotone = tables.from_text("∧ 2 0001\n∨ 2 0111\n")
     with pytest.raises(engines.NoNegation):
         engines.negated_keys({(1, 16, 2): 1}, monotone)

@@ -1,13 +1,12 @@
 """The mask kernel against a per-assignment evaluator, for every truth
-table of arity 0 to 3, and the sampling walk's keys against the kernel's
-evaluation."""
+table of arity 0 to 3, and the sampling walk's keys against the
+evaluation of :mod:`avgsat.formula`."""
 
 from itertools import product
 
 import pytest
 
-from avgsat import _kernel
-from avgsat._formula_core import ConnectiveTable
+from avgsat import _kernel, formula, tables
 from avgsat.commands import sampling
 
 # every truth table of arities 0..3: 2 + 4 + 16 + 256 slots
@@ -95,7 +94,7 @@ def test_eval_mask_matches_brute_force(n):
             if b:
                 sentences.append(inner + tuple(i % n for i in range(1, b)) + (-nxt - 1,))
             for codes in sentences:
-                assert _kernel.eval_mask(codes, n, ARITIES, TTS) == \
+                assert formula.eval_mask(codes, n, ARITIES, TTS) == \
                     brute_eval(codes, n, ARITIES, TTS), codes
 
 
@@ -105,8 +104,8 @@ def test_max_leaves_matches_enumeration(arities):
     for max_tokens in range(0, 9):
         leaves = [sum(c >= 0 for c in codes)
                   for length in range(1, max_tokens + 1)
-                  for codes, _ in _kernel.enumerate_length(1, arities, length)]
-        assert _kernel.max_leaves(arities, max_tokens) == max(leaves, default=0)
+                  for codes, _ in formula.enumerate_length(1, arities, length)]
+        assert sampling.max_leaves(arities, max_tokens) == max(leaves, default=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -115,7 +114,7 @@ def test_binary_coefficients_match_brute_force(n):
     # ^ (x & y & cxy), x the first argument, from slot_runs
     full = (1 << (1 << n)) - 1
     pool = argument_pool(n)
-    [(_, _, _, ops)] = _kernel.slot_runs((2,) * 16, tuple(range(16)))
+    [(_, _, _, ops)] = sampling.slot_runs((2,) * 16, tuple(range(16)))
     for tt, coefficients in enumerate(ops):
         c0, cx, cy, cxy = coefficients
         assert set(coefficients) <= {0, -1}
@@ -127,18 +126,18 @@ def test_binary_coefficients_match_brute_force(n):
 def walk_against_eval(table, n_vars, max_tokens):
     """Every rank of every length up to max_tokens, unranked in one walk
     per length and one rank at a time, against the enumeration's codes and
-    the kernel's evaluation of them."""
+    the evaluation of them."""
     arities, tts = table.arities, table.truth_bits
-    runs = _kernel.slot_runs(arities, tts)
+    runs = sampling.slot_runs(arities, tts)
     cnt = _kernel.completion_counts(n_vars, arities, max_tokens)
     for length in range(1, max_tokens + 1):
-        sequences = [codes for codes, _ in _kernel.enumerate_length(n_vars, arities, length)]
+        sequences = [codes for codes, _ in formula.enumerate_length(n_vars, arities, length)]
         assert len(sequences) == cnt[length][0]
         if not sequences:  # a walk takes at least one rank
             continue
         expected = []
         for codes in sequences:
-            mask, alpha = _kernel.eval_mask_compact(codes, arities, tts)
+            mask, alpha = formula.eval_mask_compact(codes, arities, tts)
             digits = sum(len(str(c)) for c in codes if c >= 0)
             expected.append((alpha, 8 * (2 * length - 1 + digits), mask))
         ranks = list(range(len(sequences)))
@@ -151,12 +150,12 @@ def walk_against_eval(table, n_vars, max_tokens):
 
 def test_walk_matches_eval_over_every_binary_connective():
     # XOR, XNOR, the constants and the projections among them
-    walk_against_eval(ConnectiveTable.all_of_arity(2), 3, 5)
+    walk_against_eval(tables.all_of_arity(2), 3, 5)
 
 
 def test_walk_matches_eval_with_a_ternary_connective():
     # binary runs split by a ternary slot (if-then-else, which tells its
     # arguments apart), which keeps the generic path
-    table = ConnectiveTable.from_text("⊕ 2 0110\n? 3 01010011\n→ 2 1101\n¬ 1 10\n")
-    assert [a for a, *_ in _kernel.slot_runs(table.arities, table.truth_bits)] == [2, 3, 2, 1]
+    table = tables.from_text("⊕ 2 0110\n? 3 01010011\n→ 2 1101\n¬ 1 10\n")
+    assert [a for a, *_ in sampling.slot_runs(table.arities, table.truth_bits)] == [2, 3, 2, 1]
     walk_against_eval(table, 3, 6)

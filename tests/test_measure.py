@@ -9,18 +9,18 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import analytic, engines, measure
+from avgsat import analytic, engines, measure, moments, tables
 from avgsat.commands.exact import BOUND_HEADER, bound_rows
-from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas, parse_rpn
-from avgsat.measure import (ClassUncovered, Distribution, HMode,
+from avgsat.formula import Formula, enumerate_formulas, parse_rpn
+from avgsat.errors import ZeroMass
+from avgsat.measure import (ClassUncovered, Distribution,
                             InputSpace, Normalization, PreconditionFailed,
-                            Verdict, ZeroMass, ZeroMassSubset, avg_time,
+                            Verdict, ZeroMassSubset, avg_time,
                             check_property_2_2, check_property_2_3,
-                            markov_tail, nu_from_H,
-                            oclass_member, power_law_length, relative_avg,
-                            tractability, uniform_on,
-                            uniform_over_model_classes,
-                            uniform_within_min_layers, weights_proportional)
+                            markov_tail, oclass_member, tractability,
+                            uniform_over_model_classes, uniform_within_min_layers)
+from avgsat.weighting import (HMode, nu_from_H, power_law_length, relative_avg, uniform_on,
+                              validate, weights_proportional)
 
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
@@ -511,7 +511,7 @@ def test_uniform_over_model_classes_equal_masses(space2):
     assert len(groups) == 16
     masses = {k: mu.mass(v) for k, v in groups.items()}
     assert set(masses.values()) == {Fraction(1, 16)}
-    mu.validate(space2)
+    validate(mu, space2)
 
 
 def test_uniform_over_model_classes_uncovered(std):
@@ -525,7 +525,7 @@ def test_covering_space_depth_cap(std):
         measure.covering_space(std, 2, depth_cap=5)
 
 
-NOT_XOR = ConnectiveTable.from_text("¬ 1 10\n⊕ 2 0110\n")
+NOT_XOR = tables.from_text("¬ 1 10\n⊕ 2 0110\n")
 
 
 def test_covering_space_refuses_an_affine_table_at_once():
@@ -581,7 +581,7 @@ def test_post_clone_predicates_match_their_definitions(name):
 
 def test_covering_space_complete_table_still_meets_the_cap():
     # NAND is complete, so no clone refuses it; 24 tokens miss 6 classes
-    nand = ConnectiveTable.from_text("⊼ 2 1110\n")
+    nand = tables.from_text("⊼ 2 1110\n")
     with pytest.raises(ClassUncovered, match="only 250 of 256 model classes within 24"):
         measure.covering_space(nand, 3)
 
@@ -591,7 +591,7 @@ def test_uniform_within_min_layers(std, space1, expanded1):
     # model set, against the layers of the sentences themselves
     sp = measure.layer_blocks(space1, 1)
     mu = uniform_within_min_layers(sp, 1)
-    mu.validate(sp)
+    validate(mu, sp)
     from avgsat.formula import model_set, size_f, stratify_min_layers
     block = lambda x: (1, size_f(x), model_set(x, 1).bits)
     layers = stratify_min_layers([Formula(x[-1], std) for x in expanded1.items], 1)
@@ -604,7 +604,7 @@ def test_uniform_within_min_layers(std, space1, expanded1):
 
 def test_power_law_length(expanded1):
     mu = power_law_length(expanded1, 2)
-    mu.validate(expanded1)
+    validate(mu, expanded1)
     a, b = expanded1.items[0], expanded1.items[-1]
     lhs = mu.of(a) * a[1] ** 2
     rhs = mu.of(b) * b[1] ** 2
@@ -614,12 +614,12 @@ def test_power_law_length(expanded1):
 def test_distribution_validation(space1):
     bad = Distribution({space1.items[0]: Fraction(1, 2)}, Normalization.GLOBAL)
     with pytest.raises(ValueError):
-        bad.validate(space1)
+        validate(bad, space1)
     two_classes = toy_space([1, 2])
     per = Distribution({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)},
                        Normalization.PER_CLASS)
     with pytest.raises(ValueError):
-        per.validate(two_classes)
+        validate(per, two_classes)
 
 
 def test_input_space_validation():
@@ -728,7 +728,7 @@ def test_exact_sums_match_references_on_sentences(space1, space2):
     for n, sp in ((1, space1), (2, space2)):
         mu = uniform_over_model_classes(sp, n)
         assert_sums_match(sp, SAT_TIME, DOUBLE, mu, Hs)
-        c = analytic.moment_oclass_constant(3)
+        c = moments.moment_oclass_constant(3)
         assert_sums_match(sp, lambda x: SAT_TIME(x) ** 3, lambda k: c * k ** 3, mu, Hs)
         a = 100 * avg_time(SAT_TIME, mu, sp.items)
         tail = ref_mass(mu, [x for x in sp.items if SAT_TIME(x) >= a])
@@ -757,7 +757,7 @@ def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
     T = times.__getitem__
     # index 0 has no entry at all: a missing weight reads as zero
     mu = Distribution({x: row[3] for x, row in zip(keys, rows) if x[2]})
-    c = analytic.moment_oclass_constant(m)
+    c = moments.moment_oclass_constant(m)
     assert_sums_match(sp, T, lambda k: c * k ** m, mu,
                       [lambda n: 1, lambda n: h_values[n]])
     if ref_mass(mu, sp.items):

@@ -2,6 +2,7 @@
 ``src/``; a name it cannot resolve is silently reported as absent and
 its layer reads 0.  These checks keep every name it traces in place."""
 
+import importlib
 import types
 from pathlib import Path
 
@@ -38,3 +39,34 @@ def test_every_traced_name_resolves(tracer):
     # the model cache is read through the lru_cache's statistics
     _, _, cache = tracer._resolve(tracer.MODEL_CACHE)
     assert cache.cache_info().maxsize
+
+
+# the traced names that a module only forwards, through its module
+# ``__getattr__``, to the module and name of the function its callers
+# call: wrapping what a name resolves to must wrap that function
+FORWARDED = {
+    "avgsat._kernel:census_length": ("avgsat.analytic", "_census_length"),
+    "avgsat._kernel:enumerate_length": ("avgsat.formula", "enumerate_length"),
+    "avgsat._kernel:eval_mask": ("avgsat.formula", "eval_mask"),
+    "avgsat._kernel:eval_mask_compact": ("avgsat.formula", "eval_mask_compact"),
+    **{f"avgsat.measure:{name}": ("avgsat.weighting", name)
+       for name in ("uniform_on", "weights_proportional", "power_law_length", "nu_from_H",
+                    "relative_avg")},
+    "avgsat.measure:tractability": ("avgsat.trend", "tractability"),
+    "avgsat.cli:_unrank": ("avgsat.commands.sampling", "_unrank"),
+}
+
+
+def test_forwarded_names_resolve_to_the_functions_called(tracer):
+    traced = {target for _, target in _targets(tracer)}
+    for target, (home, name) in FORWARDED.items():
+        assert target in traced
+        module, _, attr = target.partition(":")
+        # a forward, not a second binding that a patch could miss
+        assert attr not in vars(importlib.import_module(module))
+        assert tracer._resolve(target)[2] is getattr(importlib.import_module(home), name)
+    # every other plain traced name is bound in its own module
+    for target in traced - FORWARDED.keys():
+        module, _, path = target.partition(":")
+        if "." not in path and not path.endswith("*"):
+            assert path in vars(importlib.import_module(module)), target
