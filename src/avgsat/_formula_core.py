@@ -13,7 +13,6 @@ is read or a family is built.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 
 from .errors import AvgsatError
@@ -33,9 +32,6 @@ class UnknownSymbol(FormulaError):
 
 class VariableOutOfRange(FormulaError):
     """A variable index is not covered by the assignment width."""
-
-
-_VAR_TOKEN = re.compile(r"^p(\d+)$")
 
 
 def _frozen(self, name, value=None):
@@ -108,9 +104,6 @@ class ConnectiveTable:
             raise ValueError("duplicate connective ids")
         if len(set(symbols)) != len(symbols):
             raise ValueError("duplicate connective symbols")
-        for c in conns:
-            if _VAR_TOKEN.match(c.symbol):
-                raise ValueError("connective symbol shadows a variable token")
         self.connectives = conns
         self.arities = tuple(c.arity for c in conns)
         self.truth_bits = tuple(c.bits for c in conns)

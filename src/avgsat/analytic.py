@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import _kernel
-from ._formula_core import ConnectiveTable
+if TYPE_CHECKING:  # annotations only: the closed forms build no table
+    from ._formula_core import ConnectiveTable
 
 
 # G(0), G(1), ... as far as gamma_count has been asked
@@ -95,6 +95,7 @@ def _census_length(n_vars, arities, length, counts=None):
                          "of one arity a >= 1")
     (a,) = distinct
     if counts is None:
+        from . import _kernel
         counts = _kernel.completion_counts(1, arities, length)
     shapes = counts[length][0]
     leaves = length - (length - 1) // a
@@ -132,6 +133,7 @@ def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
     ``table`` (default: the 16 binary ones) must have one arity
     ``a >= 1``; otherwise ``ValueError``.
     """
+    from . import _kernel  # loaded only by the census
     if table is None:
         from .tables import all_binary  # loaded only where the family is built
         table = all_binary()
@@ -151,6 +153,7 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
     count at every shorter length too."""
     if N_max < 0:
         return []
+    from . import _kernel
     if table is None:
         from .tables import all_binary  # loaded only where the family is built
         table = all_binary()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import count, islice
 
 from ..cli import FAIL, PASS, OptionError, Options, _float, _frac
+from ..errors import ZeroMassSubset
 
 
 def cmd_expected_min(opts: Options):
@@ -108,6 +109,24 @@ class _FloatRange:
         return islice(count(float(self.ints.start), 1.0), len(self.ints))
 
 
+def _harmonic(xs, num, den, prev, monotone):
+    """The trend.tractability step of T(n) = n under mu(n) = 1 / n^2,
+    written out: the operations of trend.terms(float, lambda n: 1.0 /
+    (n * n)) on float indices, in the same order, with no call per
+    class."""
+    for x in xs:
+        w = 1.0 / (x * x)
+        num += x * w
+        den += w
+        if not den:
+            raise ZeroMassSubset("class prefix has zero mass")
+        cur = num / den
+        if not cur >= prev:
+            monotone = False
+        prev = cur
+    return num, den, prev, monotone
+
+
 def _ratio(num: int, den: int):
     """num / den as a Fraction, for the exact cases: the float one loads
     no fractions."""
@@ -116,18 +135,19 @@ def _ratio(num: int, den: int):
 
 
 # each case's `indices` builds its class indices from start and stop, its
-# default --budget is the length of its trend scan, `limit` the longest
-# scan it runs, and `expect` the value of the trend.Verdict it should
-# reach.  The float scan's time grows as its length, the exact ones'
-# faster, as the digits of their sums do; on 2 vCPUs (Python 3.11) the
-# commands at the limits took 2.2-3.2 s (harmonic), 2.5-2.9 s (geometric;
-# 4,000 took 0.6 s and 14,400 took 13.6 s) and 2.2 s (constant; 20,000
-# took 1.2 s).  harmonic reads its indices as floats: below 2^26.5 each
-# n * n is exact in a float, so n * n, 1.0 / (n * n) and T(n) * mu(n)
-# round as they did on ints, and the scan runs about a fifth faster
+# `step` is the trend.tractability step of its scan (built by trend.terms
+# from `T` and `mu` where it has none), its default --budget is the length
+# of its scan, `limit` the longest scan it runs, and `expect` the value of
+# the trend.Verdict it should reach.  The float scan's time grows as its
+# length, the exact ones' faster, as the digits of their sums do; on 2
+# vCPUs (Python 3.11) the commands at the limits took 1.3-1.4 s (harmonic;
+# 1.7 s with the generic step), 2.5-2.9 s (geometric; 4,000 took 0.6 s
+# and 14,400 took 13.6 s) and 2.2-2.6 s (constant; 20,000 took 1.2 s).
+# harmonic reads its indices as floats: below 2^26.5 each n * n is exact
+# in a float, so n * n, 1.0 / (n * n) and n * w round as they do on ints
 _CASES = {
-    "harmonic": dict(indices=_FloatRange, T=float, mu=lambda n: 1.0 / (n * n),
-                     budget=10 ** 6, limit=10 ** 7, start=1, expect="divergent-trend"),
+    "harmonic": dict(indices=_FloatRange, step=_harmonic, budget=10 ** 6, limit=10 ** 7,
+                     start=1, expect="divergent-trend"),
     "geometric": dict(indices=range, T=lambda n: 2 ** n, mu=lambda n: _ratio(1, 4 ** n),
                       budget=60, limit=8000, start=0, expect="convergent"),
     "constant": dict(indices=range, T=lambda n: 5, mu=lambda n: _ratio(1, n), budget=60,
@@ -144,8 +164,8 @@ def cmd_tractability(opts: Options):
         raise OptionError(f"--budget {budget}: --case {case} scans at most "
                           f"{case_def['limit']} classes")
     start = case_def["start"]
-    res = trend.tractability(case_def["T"], case_def["mu"],
-                             case_def["indices"](start, start + budget),
+    step = case_def.get("step") or trend.terms(case_def["T"], case_def["mu"])
+    res = trend.tractability(step, case_def["indices"](start, start + budget),
                              eps=opts.get("eps"), cap=opts.get("cap"))
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]

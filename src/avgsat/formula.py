@@ -21,12 +21,15 @@ hold the keys that the commands count against these.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from ._formula_core import (_VAR_TOKEN, Connective, ConnectiveTable, FormulaError,  # noqa: F401
+from ._formula_core import (Connective, ConnectiveTable, FormulaError,  # noqa: F401
                             MalformedRpn, UnknownSymbol, VariableOutOfRange, _Frozen)
 from ._kernel import _anf, _apply, completion_counts, length_range, var_mask
+
+_VAR_TOKEN = re.compile(r"^p(\d+)$")
 
 
 def truth(conn: Connective, args: tuple[int, ...]) -> int:

@@ -3,8 +3,10 @@ expected running time.
 
 ``tractability`` averages T over growing prefixes of one-point classes,
 in one streaming pass whose memory does not grow with the prefixes.
-Its sums take the type of the weights: floats stay floats, and ints or
-Fractions stay exact.  It loads nothing of :mod:`avgsat.measure`.
+A step does the arithmetic of each segment of the pass, and ``terms``
+builds it from a running time and weights, whose type the sums take:
+floats stay floats, and ints or Fractions stay exact.  The module loads
+nothing of :mod:`avgsat.measure`.
 """
 
 from __future__ import annotations
@@ -35,20 +37,49 @@ class TractabilityResult(namedtuple("TractabilityResult", "checkpoints verdict")
         return next(reversed(self.checkpoints.values()))
 
 
-def tractability(T: Callable, mu: Callable, indices: Sequence[int],
-                 eps: float = 1e-12, cap: float = 1e6, growth_margin: float = 1.0,
-                 tail_window: int = 10) -> TractabilityResult:
+def terms(T: Callable, mu: Callable) -> Callable:
+    """The step of :func:`tractability` for a running time ``T`` and
+    weights ``mu``, each called once per class.
+
+    The sums start as the driver passes them (the int 0) and add
+    ``T(x) * mu(x)`` and ``mu(x)`` as they are, so float weights give
+    float partials and Fraction weights exact ones (int weights give
+    exact sums and their float quotients)."""
+    def step(xs, num, den, prev, monotone):
+        for x in xs:
+            w = mu(x)
+            num += T(x) * w
+            den += w
+            if not den:
+                raise ZeroMassSubset("class prefix has zero mass")
+            cur = num / den
+            if not cur >= prev:
+                monotone = False
+            prev = cur
+        return num, den, prev, monotone
+    return step
+
+
+def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: float = 1e6,
+                 growth_margin: float = 1.0, tail_window: int = 10) -> TractabilityResult:
     """Partial expected running times over growing class prefixes.
 
-    Each index of ``indices``, in order, is its own one-point class;
-    ``mu`` may be unnormalized (averages are invariant under scaling).
-    After each class the running average of T over the classes seen so
-    far is a partial.  One pass keeps only the partials the verdict and
-    the checkpoints read, so memory does not grow with ``len(indices)``.
-    The sums start at the int 0 and add ``T(x) * mu(x)`` and ``mu(x)``
-    as they are, so float weights give float partials and Fraction
-    weights exact ones (int weights give exact sums and their float
-    quotients).
+    Each index of ``indices`` (ints, or floats where a step reads them
+    so), in order, is its own one-point class.  After each class the
+    running average of T over the classes seen so far is a partial.
+    One pass keeps only the partials the verdict and the checkpoints
+    read, so memory does not grow with ``len(indices)``.
+
+    The pass runs in segments that end at each prefix a checkpoint or
+    the tail window reads.  ``step(xs, num, den, prev, monotone)`` runs
+    one segment: for each index of the iterator ``xs`` it adds T times
+    the class's weight to ``num`` and the weight to ``den`` (the weight
+    may be unnormalized: averages are invariant under scaling), raises
+    ZeroMassSubset on a zero mass, takes the partial ``num / den`` and
+    clears ``monotone`` if it falls below ``prev``, the partial before
+    it; it returns the four values as they end.  :func:`terms` builds
+    the step of a T and a weight function; a case may write its own,
+    with the same operations in the same order.
 
     The verdict is evidence, not proof: CONVERGENT when the last
     ``tail_window`` relative increments stay below ``eps`` and the
@@ -73,25 +104,14 @@ def tractability(T: Callable, mu: Callable, indices: Sequence[int],
     leveled = window >= 1 or count == 1
     monotone = True
     num = den = 0
-    prev = -math.inf   # the first partial has nothing to fall below
-    # Run in segments that end at each prefix a checkpoint or the tail
-    # window reads, so a step in between only accumulates and tracks
-    # monotonicity.  Past ``tail`` every step ends a segment, and its
-    # leveled test compares the partial with the one before the segment.
+    cur = -math.inf   # the first partial has nothing to fall below
+    # Past ``tail`` every segment is one class, and its leveled test
+    # compares the partial with the one before the segment.
     rest = iter(indices)
     done = 0
     for stop in chain(sorted(k for k in kept if k < tail), range(tail, count + 1)):
-        before = prev
-        for x in islice(rest, stop - done):
-            w = mu(x)
-            num += T(x) * w
-            den += w
-            if not den:
-                raise ZeroMassSubset("class prefix has zero mass")
-            cur = num / den
-            if not cur >= prev:
-                monotone = False
-            prev = cur
+        before = cur
+        num, den, cur, monotone = step(islice(rest, stop - done), num, den, cur, monotone)
         done = stop
         if stop > tail and leveled:
             scale = max(abs(cur), abs(before))

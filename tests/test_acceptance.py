@@ -13,6 +13,7 @@ import pytest
 
 from avgsat import analytic, cli, engines, measure, moments
 from avgsat.formula import ConnectiveTable, enumerate_formulas
+from avgsat.trend import terms
 
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
@@ -114,11 +115,11 @@ def test_criterion_06_counting_example():
 
 
 def test_criterion_07_tractability_examples():
-    res = measure.tractability(lambda n: n, lambda n: 1.0 / (n * n),
+    res = measure.tractability(terms(lambda n: n, lambda n: 1.0 / (n * n)),
                                range(1, 10 ** 6 + 1))
     growth = res.final - res.checkpoints[1000]
     ok = res.verdict is measure.Verdict.DIVERGENT_TREND and growth > 1
-    geo = measure.tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n),
+    geo = measure.tractability(terms(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n)),
                                range(0, 61))
     ok = ok and geo.verdict is measure.Verdict.CONVERGENT
     ok = ok and abs(geo.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)

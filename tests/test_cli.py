@@ -1463,7 +1463,7 @@ LINE_BUDGETS = {
                                 "avgsat._counting", "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
     ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
-    ("expected-min --n 2", {"avgsat.measure"}),
+    ("expected-min --n 2", {"avgsat.measure", "avgsat._formula_core", "avgsat._kernel"}),
     # the Shannon model builds no counted space
     ("tab-oclass --n-list 3", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
     ("property-2-3 --model shannon", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
@@ -1528,17 +1528,28 @@ def test_harmonic_float_indices_square_exactly():
     assert (case["start"] + case["limit"]) ** 2 <= 2 ** 53
 
 
-def test_harmonic_float_scan_is_the_int_scan():
+# budgets at the edges of the 0.1% prefix and of the 10-step tail window
+@pytest.mark.parametrize("budget, opts", [
+    *(pytest.param(b, {}, id=str(b))
+      for b in (1, 2, 10, 11, 12, 999, 1000, 1001, 1999, 2000, 20000)),
+    pytest.param(5000, dict(eps=1e-3), id="5000-eps-1e-3"),
+    pytest.param(1000, dict(tail_window=0), id="1000-window-0"),
+])
+def test_harmonic_float_scan_is_the_int_scan(budget, opts):
+    # the written-out step does the generic step's operations on float
+    # indices, and those round as they do on ints
     from avgsat import trend
     from avgsat.commands import series
     case = series._CASES["harmonic"]
-    start, stop = case["start"], case["start"] + 20000
-    by_float = trend.tractability(case["T"], case["mu"], case["indices"](start, stop))
-    by_int = trend.tractability(lambda n: n, lambda n: 1.0 / (n * n), range(start, stop))
-    assert by_float.verdict == by_int.verdict
-    assert [(k, v.hex()) for k, v in by_float.checkpoints.items()] == \
-        [(k, v.hex()) for k, v in by_int.checkpoints.items()]
-    assert all(type(v) is float for v in by_float.checkpoints.values())
+    start, stop = case["start"], case["start"] + budget
+    mu = lambda n: 1.0 / (n * n)
+    scans = [trend.tractability(case["step"], case["indices"](start, stop), **opts),
+             trend.tractability(trend.terms(float, mu), case["indices"](start, stop), **opts),
+             trend.tractability(trend.terms(lambda n: n, mu), range(start, stop), **opts)]
+    assert len({res.verdict for res in scans}) == 1
+    bits = [[(k, v.hex()) for k, v in res.checkpoints.items()] for res in scans]
+    assert bits[0] == bits[1] == bits[2]
+    assert all(type(v) is float for v in scans[0].checkpoints.values())
 
 
 def test_harmonic_float_counter_is_exact():

@@ -424,7 +424,7 @@ def test_table_validation():
         ConnectiveTable([nn, Connective(0, 2, 1, "∧")])  # dup id
     with pytest.raises(ValueError):
         ConnectiveTable([nn, Connective(1, 1, 2, "¬")])  # dup symbol
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single characters"):
         ConnectiveTable([Connective(0, 1, 1, "p1")])  # shadows a variable
 
 

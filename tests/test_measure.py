@@ -19,6 +19,7 @@ from avgsat.measure import (ClassUncovered, Distribution,
                             check_property_2_2, check_property_2_3,
                             markov_tail, oclass_member, tractability,
                             uniform_over_model_classes, uniform_within_min_layers)
+from avgsat.trend import terms
 from avgsat.weighting import (HMode, nu_from_H, power_law_length, relative_avg, uniform_on,
                               validate, weights_proportional)
 
@@ -150,37 +151,44 @@ def test_bound_report_csv_schema(space1):
 # --- tractability ---------------------------------------------------------
 
 def test_tractability_harmonic_divergent_trend():
-    res = tractability(lambda n: n, lambda n: 1.0 / (n * n),
+    res = tractability(terms(lambda n: n, lambda n: 1.0 / (n * n)),
                        range(1, 10 ** 4 + 1))
     assert res.verdict is Verdict.DIVERGENT_TREND
     assert res.checkpoints[10] < res.final
 
 
 def test_tractability_geometric_convergent():
-    res = tractability(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n), range(0, 61))
+    res = tractability(terms(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n)), range(0, 61))
     assert res.verdict is Verdict.CONVERGENT
     assert abs(res.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
 
 def test_tractability_constant():
-    res = tractability(lambda n: 7, lambda n: Fraction(1, n), range(1, 25))
+    step = terms(lambda n: 7, lambda n: Fraction(1, n))
+    res = tractability(step, range(1, 25))
     assert res.verdict is Verdict.CONVERGENT
     # every prefix average, each the final partial of its own scan
     for k in range(1, 25):
-        assert tractability(lambda n: 7, lambda n: Fraction(1, n), range(1, k + 1)).final == 7
+        assert tractability(step, range(1, k + 1)).final == 7
 
 
 def test_tractability_final_equals_whole_space_average():
     # on a finite space the last prefix is the whole space
     sp = toy_space(range(1, 40))
     mu = weights_proportional(sp, lambda x: Fraction(1, 2 ** x[0]))
-    res = tractability(lambda n: n * n, lambda n: mu.of((n, n)), range(1, 40))
+    res = tractability(terms(lambda n: n * n, lambda n: mu.of((n, n))), range(1, 40))
     assert res.final == avg_time(lambda x: x[0] * x[0], mu, sp.items)
 
 
 def test_tractability_empty_errors():
     with pytest.raises(ZeroMassSubset):
-        tractability(lambda n: n, lambda n: 1, [])
+        tractability(terms(lambda n: n, lambda n: 1), [])
+
+
+def scan(indices, T, mu, exact=None, **opts):
+    """:func:`tractability` of the generic step of T and mu; ``exact``
+    is an option of the reference alone."""
+    return tractability(terms(T, mu), indices, **opts)
 
 
 def list_tractability(T, mu, classes, eps=1e-12, cap=1e6, growth_margin=1.0,
@@ -278,7 +286,7 @@ def same(a, b):
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_tractability_matches_list_scan(case):
     kw, indices = STREAM_CASES[case]
-    res = tractability(indices=indices, **{k: v for k, v in kw.items() if k != "exact"})
+    res = scan(indices, **kw)
     partials, verdict = list_tractability(classes=((n, (n,)) for n in indices), **kw)
     assert res.verdict is verdict
     marks = [10 ** j for j in range(7) if 10 ** j < len(indices)] + [len(indices)]
@@ -308,9 +316,9 @@ class OnePass(Sequence):
 
 def test_tractability_iterates_its_input_once():
     indices = OnePass(range(1, 2001))
-    res = tractability(**HARMONIC, indices=indices)
+    res = scan(indices, **HARMONIC)
     assert indices.passes == 1
-    assert res == tractability(**HARMONIC, indices=range(1, 2001))
+    assert res == scan(range(1, 2001), **HARMONIC)
 
 
 def test_tractability_zero_mass_prefix_errors():
@@ -320,7 +328,7 @@ def test_tractability_zero_mass_prefix_errors():
     # whatever the type of the zero weight
     for zero in (0.0, 0, Fraction(0)):
         with pytest.raises(ZeroMassSubset):
-            tractability(lambda n: n, lambda n: zero if n == 1 else 1 + zero, range(1, 10))
+            scan(range(1, 10), lambda n: n, lambda n: zero if n == 1 else 1 + zero)
 
 
 def test_tractability_sums_int_weights_exactly():
@@ -328,7 +336,7 @@ def test_tractability_sums_int_weights_exactly():
     # of 1; the scan's int sums do not, and each partial is their
     # correctly rounded quotient
     kw = dict(T=lambda n: n, mu=lambda n: 2 ** 60 if n == 1 else 1)
-    res = tractability(indices=range(1, 101), **kw)
+    res = scan(range(1, 101), **kw)
     partials, verdict = list_tractability(classes=((n, (n,)) for n in range(1, 101)),
                                           exact=True, **kw)
     assert res.verdict is verdict
@@ -351,10 +359,10 @@ def test_measure_still_names_the_trend_scan():
 
 def test_tractability_memory_does_not_grow_with_the_scan():
     # the list of 200,000 partials and their floats peaked at about 8 MB
-    tractability(**HARMONIC, indices=range(1, 11))   # warm up lazy state
+    scan(range(1, 11), **HARMONIC)   # warm up lazy state
     tracemalloc.start()
     try:
-        res = tractability(**HARMONIC, indices=range(1, 200_001))
+        res = scan(range(1, 200_001), **HARMONIC)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
