@@ -135,8 +135,8 @@ def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
     """
     from . import _kernel  # loaded only by the census
     if table is None:
-        from .tables import all_binary  # loaded only where the family is built
-        table = all_binary()
+        from .tables import all_of_arity  # loaded only where the family is built
+        table = all_of_arity(2)
     total = 0
     pow2 = 0
     for length in _kernel.length_range(table.arities, None, N):
@@ -155,8 +155,8 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
         return []
     from . import _kernel
     if table is None:
-        from .tables import all_binary  # loaded only where the family is built
-        table = all_binary()
+        from .tables import all_of_arity  # loaded only where the family is built
+        table = all_of_arity(2)
     longest = _kernel.length_range(table.arities, None, N_max)[-1]
     counts = _kernel.completion_counts(1, table.arities, longest)
     return [census(N, table, counts) for N in range(N_max + 1)]
@@ -318,13 +318,11 @@ def shannon_space(ns: list[int]):
     Key (n, length) stands for the layer's slots of that code length; f
     is the length and alpha is n, so its tabulation cost is
     :func:`avgsat.engines.tabulate`, 2^n * length.  Returns the space and
-    the per-class uniform distribution (each slot 1/2^(2^n) of its
-    class, mass 1 on each class).
+    its per-class uniform weights (each slot 1/2^(2^n) of its class,
+    mass 1 on each class).
     """
     from . import measure  # loaded only by the commands that check the model
     count = {(n, length): slots
              for n in ns for length, slots in shannon_lengths(n)}
-    mu = measure.Distribution({key: Fraction(slots, 1 << (1 << key[0]))
-                               for key, slots in count.items()},
-                              measure.Normalization.PER_CLASS)
+    mu = {key: Fraction(slots, 1 << (1 << key[0])) for key, slots in count.items()}
     return measure.InputSpace(count), mu

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .. import engines, measure
 from .._formula_core import ConnectiveTable
 from ..cli import EXPECTED_FAIL, FAIL, INFO, PASS, OptionError, Options, _float, _frac
+from ..errors import ClassUncovered
 from . import _load_table
 
 # (command, model, n) triples whose bound is known not to hold; --audit
@@ -29,17 +30,23 @@ def comparison(lhs, rhs) -> list[str]:
     return [*_frac(lhs), *_frac(rhs), _float(lhs), _float(rhs)]
 
 
-def bound_rows(report: measure.BoundReport, status=lambda r: PASS if r.passed else FAIL):
-    """A bound report's rows: the class, the comparison of lhs with rhs,
-    and ``status`` of the row."""
-    return [[str(r.n), *comparison(r.lhs, r.rhs), status(r)] for r in report.rows]
+def bound_rows(report: dict[int, measure.BoundRow],
+               status=lambda r: PASS if r.passed else FAIL):
+    """The rows of :func:`~avgsat.measure.oclass_member`'s report: the
+    class, the comparison of lhs with rhs, and ``status`` of the row."""
+    return [[str(r.n), *comparison(r.lhs, r.rhs), status(r)] for r in report.values()]
 
 
 def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
-    """The covering space of n variables, or its sentences within max_tokens."""
+    """The covering space of n variables, or its sentences within
+    max_tokens, of which there must be some: a class left empty would
+    have no row."""
     if max_tokens is None:
         return measure.covering_space(table, n)
-    return measure.formula_space(table, n, max_tokens)
+    space = measure.formula_space(table, n, max_tokens)
+    if not space.items:
+        raise ClassUncovered(f"alpha-class {n} has no sentence within {max_tokens} tokens")
+    return space
 
 
 def cmd_sat_oclass(opts: Options):
@@ -48,14 +55,14 @@ def cmd_sat_oclass(opts: Options):
     table = _load_table(opts)
     header = ["check"] + BOUND_HEADER
     space = _space(table, n, max_tokens)
-    mu = measure.uniform_over_model_classes(space, n)
+    mu = measure.uniform_over_model_classes(space)
     report = measure.oclass_member(space, engines.sat_scan, lambda k: 2 * k, mu)
     rows = [["sat"] + row for row in bound_rows(report)]
     if table.negation_strategy() is None:
         rows.append(["co-skipped", str(n), *comparison(0, 0), INFO])
     else:
         co_space = measure.InputSpace(engines.negated_keys(space.count, table))
-        mu_co = measure.uniform_over_model_classes(co_space, n)
+        mu_co = measure.uniform_over_model_classes(co_space)
         co_report = measure.oclass_member(co_space, engines.sat_scan, lambda k: 2 * k, mu_co)
         rows.extend(["co"] + row for row in bound_rows(co_report))
     # measured share of the checker's time spent reading the input
@@ -80,7 +87,7 @@ def cmd_tab_oclass(opts: Options):
         if model == "shannon":
             space, mu = analytic.shannon_space([n])
         else:
-            space = measure.layer_blocks(measure.formula_space(table, n, max_tokens), n)
+            space = measure.layer_blocks(_space(table, n, max_tokens), n)
             mu = measure.uniform_within_min_layers(space, n)
         known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
         report = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)
@@ -132,7 +139,7 @@ def cmd_moments(opts: Options):
     spaces = {}
     for n in sorted(n_list):
         space = measure.covering_space(table, n)
-        spaces[n] = space, measure.uniform_over_model_classes(space, n)
+        spaces[n] = space, measure.uniform_over_model_classes(space)
     rows = []
     for m in sorted(m_list):
         s = moments.geometric_moment_sum(m, tol)
@@ -180,7 +187,7 @@ def cmd_property_2_2(opts: Options):
     rows = []
     # with --break-class, the broken class fails as expected, and so do its
     # chi row and the rows of weightings over every class
-    for r in sorted(result.oclass.rows, key=lambda r: r.n):
+    for r in result.oclass.values():
         status = PASS if r.passed else EXPECTED_FAIL if break_class == r.n else FAIL
         rows.append(["oclass", "", str(r.n), *comparison(r.lhs, r.rhs), status])
     for h in result.h_rows:
@@ -191,7 +198,7 @@ def cmd_property_2_2(opts: Options):
     bic = result.biconditional_ok
     if break_class is not None:
         # the demonstration must actually break the targeted class
-        bic = bic and not result.oclass.row(break_class).passed
+        bic = bic and not result.oclass[break_class].passed
     rows.append(["biconditional", "", "", *comparison(0, 0), PASS if bic else FAIL])
     return header, rows
 
@@ -228,7 +235,7 @@ def cmd_markov_tail(opts: Options):
     multiplier = opts.get("multiplier")
     table = _load_table(opts)
     space = measure.covering_space(table, n)
-    mu = measure.uniform_over_model_classes(space, n)
+    mu = measure.uniform_over_model_classes(space)
     avg = measure.avg_time(engines.sat_scan, mu, space.items)
     result = measure.markov_tail(engines.sat_scan, mu, space.items, multiplier * avg)
     ok = result.ok and result.empirical <= Fraction(1, multiplier)

@@ -9,11 +9,12 @@ space, not over size classes alone.  The core objects:
   variables) is ``key[0]`` and its bit size f is ``key[1]``; further
   fields, such as a sentence's class mask, follow.  Every cost is a
   function of a key (see :mod:`avgsat.engines`).
-* :class:`Distribution` — exact rational weights, normalized globally
-  or per alpha-class.
+* weights — a plain ``dict`` from key to the exact ``Fraction`` mass of
+  the inputs the key stands for; a key it lacks has mass 0.
 * ``oclass_member`` — generalized O(F) membership: in every positive-
   mass alpha-class, the expected value of T(x)/F(f(x)) is at most 1
-  (constant factor exactly 1, no asymptotic cutoff, every class).
+  (constant factor exactly 1, no asymptotic cutoff, every class); one
+  :class:`BoundRow` per such class.
 * ``check_property_2_2`` / ``check_property_2_3`` — executable forms
   of the reweighting equivalences that transfer per-class O(F) bounds
   to whole-space expectations.
@@ -27,14 +28,13 @@ builds (``uniform_on``, ``nu_from_H`` and the rest) in
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._formula_core import ConnectiveTable, _Frozen
+from ._formula_core import ConnectiveTable
 from ._kernel import _anf
 from .errors import ClassUncovered, MeasureError, PreconditionFailed, ZeroMassSubset
 
@@ -92,9 +92,9 @@ class InputSpace:
     """A finite input space of counted keys.
 
     Key x stands for ``count[x]`` inputs with alpha ``x[0]``, size
-    ``x[1]`` and whatever else the checks read of it.  Distributions
-    give x the total mass of the inputs it stands for, so every check
-    sums over keys exactly as over the inputs themselves.
+    ``x[1]`` and whatever else the checks read of it.  Weights give x
+    the total mass of the inputs it stands for, so every check sums over
+    keys exactly as over the inputs themselves.
     """
 
     def __init__(self, count: Mapping[tuple, int]):
@@ -122,30 +122,9 @@ class InputSpace:
         return len(self.items)
 
 
-class Normalization(enum.Enum):
-    GLOBAL = "global"     # total mass 1
-    PER_CLASS = "per-class"  # each alpha-class has mass 1
-    RAW = "raw"           # unnormalized (dominating sub-distribution)
-
-
-class Distribution(_Frozen):
-    """Exact non-negative rational weights over a space's items.
-
-    Items absent from ``weights`` have weight 0.
-    """
-
-    __slots__ = ("weights", "normalization")
-
-    def __init__(self, weights: Mapping,
-                 normalization: Normalization = Normalization.GLOBAL):
-        super().__init__(weights, normalization)
-
-    def of(self, x) -> Fraction:
-        return self.weights.get(x, _ZERO)
-
-    def mass(self, items: Iterable) -> Fraction:
-        w = self.weights.get
-        return _dot((w(x, 0),) for x in items)
+def _mass(mu: Mapping, items: Iterable) -> Fraction:
+    """The total weight of the items (exact)."""
+    return _dot((mu.get(x, 0),) for x in items)
 
 
 class BoundRow(NamedTuple):
@@ -156,60 +135,34 @@ class BoundRow(NamedTuple):
     note: str = ""
 
 
-class BoundReport:
-    """Per-class verdicts for a bound check, in exact rationals."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[BoundRow] | None = None):
-        self.rows = [] if rows is None else rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"BoundReport(rows={self.rows!r})"
-
-    @property
-    def overall(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def row(self, n: int) -> BoundRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise KeyError(n)
-
-
-def avg_time(T: Callable, mu: Distribution, Y: Iterable) -> Fraction:
+def avg_time(T: Callable, mu: Mapping, Y: Iterable) -> Fraction:
     """Expected T(x) conditioned on x in Y (exact)."""
     items = list(Y)
-    denom = mu.mass(items)
+    denom = _mass(mu, items)
     if denom == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
-    w = mu.weights.get
+    w = mu.get
     return _dot((T(x), w(x, 0)) for x in items) / denom
 
 
 def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
-                  mu: Distribution) -> BoundReport:
+                  mu: Mapping) -> dict[int, BoundRow]:
     """Generalized O(F) membership test.
 
     For each alpha-class of positive mass, checks
 
         sum over the class of  T(x) / F(f(x)) * mu(x)  <=  mu(class)
 
-    in exact rational arithmetic (the coefficient on F is exactly 1).
-    F is evaluated once per distinct size.
+    in exact rational arithmetic (the coefficient on F is exactly 1),
+    and returns the rows by class, in class order.  F is evaluated once
+    per distinct size.
     """
-    w = mu.weights.get
+    w = mu.get
     inv_F: dict[int, Fraction] = {}
-    report = BoundReport()
+    rows: dict[int, BoundRow] = {}
     for n in space.attained_classes():
         items = space.class_items(n)
-        rhs = mu.mass(items)
+        rhs = _mass(mu, items)
         if rhs == 0:
             continue
         for k in dict.fromkeys(x[1] for x in items):
@@ -219,17 +172,17 @@ def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
                     raise ValueError(f"F({k}) = {Fv} < 1")
                 inv_F[k] = 1 / Fv
         lhs = _dot((T(x), w(x, 0), inv_F[x[1]]) for x in items)
-        report.rows.append(BoundRow(n, lhs, rhs, lhs <= rhs))
-    return report
+        rows[n] = BoundRow(n, lhs, rhs, lhs <= rhs)
+    return rows
 
 
-def _over_F(space: InputSpace, F: Callable[[int], object], mu: Distribution) -> list[Fraction]:
+def _over_F(space: InputSpace, F: Callable[[int], object], mu: Mapping) -> list[Fraction]:
     """The sum of mu/F over each positive-mass class, in the order of
     :func:`oclass_member`'s rows."""
-    return [r.lhs for r in oclass_member(space, lambda x: 1, F, mu).rows]
+    return [r.lhs for r in oclass_member(space, lambda x: 1, F, mu).values()]
 
 
-def _reweighted(H: Callable[[int], object], oc: BoundReport,
+def _reweighted(H: Callable[[int], object], oc: dict[int, BoundRow],
                 over_F: list[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
     """The sums of T(x), F(f(x)) and 1 against H(alpha(x)) / F(f(x)) * mu(x).
 
@@ -237,10 +190,11 @@ def _reweighted(H: Callable[[int], object], oc: BoundReport,
     ``oc``'s rows of H(n) times a sum over the class against mu: of T/F
     (the row's lhs), of 1 (its rhs) or of 1/F (``over_F``).
     """
-    hs = [H(r.n) for r in oc.rows]
+    hs = [H(n) for n in oc]
     if any(h < 0 for h in hs):
         raise ValueError("H produced a negative weight")
-    return (_dot(zip(hs, [r.lhs for r in oc.rows])), _dot(zip(hs, [r.rhs for r in oc.rows])),
+    rows = oc.values()
+    return (_dot(zip(hs, [r.lhs for r in rows])), _dot(zip(hs, [r.rhs for r in rows])),
             _dot(zip(hs, over_F)))
 
 
@@ -260,18 +214,18 @@ class Prop22Result(NamedTuple):
     characteristic-function rows must agree verdict by verdict.
     """
 
-    oclass: BoundReport
+    oclass: dict[int, BoundRow]
     h_rows: list[HRow]
     per_class_agreement: bool
 
     @property
     def biconditional_ok(self) -> bool:
         return self.per_class_agreement and (
-            self.oclass.overall == all(r.ok for r in self.h_rows))
+            all(r.passed for r in self.oclass.values()) == all(r.ok for r in self.h_rows))
 
 
 def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object],
-                       mu: Distribution,
+                       mu: Mapping,
                        extra_H: Sequence[tuple[str, Callable]] = ()) -> Prop22Result:
     """Exact verification of the membership/reweighting equivalence.
 
@@ -285,8 +239,7 @@ def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object
     """
     oc = oclass_member(space, T, F, mu)
     over_F = _over_F(space, F, mu)
-    families = [(f"chi_{r.n}", r.n, (lambda n: lambda k: 1 if k == n else 0)(r.n))
-                for r in oc.rows]
+    families = [(f"chi_{n}", n, (lambda n: lambda k: 1 if k == n else 0)(n)) for n in oc]
     families.extend((label, None, H) for label, H in extra_H)
     h_rows = []
     per_class = True
@@ -297,7 +250,7 @@ def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object
         lhs, rhs = lhs / total, rhs / total
         row = HRow(label, lhs, rhs, lhs <= rhs)
         h_rows.append(row)
-        if n is not None and row.ok != oc.row(n).passed:
+        if n is not None and row.ok != oc[n].passed:
             per_class = False
     return Prop22Result(oc, h_rows, per_class)
 
@@ -320,17 +273,19 @@ class Prop23Result(NamedTuple):
 
 
 def check_property_2_3(space: InputSpace, T: Callable, F: Callable[[int], object],
-                       mu: Distribution, H: Callable[[int], object]) -> Prop23Result:
+                       mu: Mapping, H: Callable[[int], object]) -> Prop23Result:
     """Certify expected T <= sum of H(n) under the dominated reweighting.
 
-    Precondition: mu is normalized per class and the O(F) membership
-    rows all pass (raises PreconditionFailed otherwise).  The sums are
-    read per class, as in :func:`check_property_2_2`.
+    Precondition: mu is normalized per class, that is, every class of
+    positive mass has mass exactly 1 (each membership row's rhs), and
+    the O(F) membership rows all pass; raises PreconditionFailed
+    otherwise.  The sums are read per class, as in
+    :func:`check_property_2_2`.
     """
-    if mu.normalization is not Normalization.PER_CLASS:
-        raise PreconditionFailed("mu must be normalized once per class")
     oc = oclass_member(space, T, F, mu)
-    if not oc.overall:
+    if any(r.rhs != 1 for r in oc.values()):
+        raise PreconditionFailed("mu must be normalized once per class")
+    if not all(r.passed for r in oc.values()):
         raise PreconditionFailed("O(F) membership fails on this space")
     expectation, _, mass = _reweighted(H, oc, _over_F(space, F, mu))
     bound = _dot((H(n),) for n in space.attained_classes())
@@ -343,43 +298,41 @@ class MarkovTail(NamedTuple):
     ok: bool
 
 
-def markov_tail(T: Callable, mu: Distribution, Y: Iterable, a) -> MarkovTail:
+def markov_tail(T: Callable, mu: Mapping, Y: Iterable, a) -> MarkovTail:
     """Tail bound P(T >= a | Y) <= avg(T | Y) / a, checked exactly."""
     a = Fraction(a)
     if a <= 0:
         raise ValueError("threshold must be positive")
     items = list(Y)
-    total = mu.mass(items)
+    total = _mass(mu, items)
     if total == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
     bound = avg_time(T, mu, items) / a
-    w = mu.weights.get
-    tail = _dot((w(x, 0),) for x in items if T(x) >= a)
-    empirical = tail / total
+    empirical = _mass(mu, (x for x in items if T(x) >= a)) / total
     return MarkovTail(bound, empirical, empirical <= bound)
 
 
 # --- distribution constructors ---------------------------------------
 
 
-def uniform_over_model_classes(space: InputSpace, n: int | None = None,
-                               per_class: bool = False) -> Distribution:
+def uniform_over_model_classes(space: InputSpace, per_class: bool = False) -> dict:
     """Equal mass to each of the 2^(2^n) model classes within each
-    alpha-class, spread uniformly over the inputs of the class present.
+    alpha-class n, spread uniformly over the inputs of the class present.
     An item's model class is its third field, a key's class mask.
 
-    With ``n`` given, only that alpha-class carries mass (totaling 1).
-    Otherwise every attained alpha-class carries an equal share, or mass
-    1 each when ``per_class``.  Raises ClassUncovered when a targeted
+    Every attained alpha-class carries an equal share of mass 1, or
+    mass 1 each when ``per_class``: the same weights on a space of one
+    class.  Raises ClassUncovered when the space is empty or an
     alpha-class does not inhabit all of its model classes.
     """
-    targets = [n] if n is not None else space.attained_classes()
-    shares = 1 if per_class or n is not None else len(targets)
+    targets = space.attained_classes()
+    if not targets:
+        raise ClassUncovered("an empty space inhabits no model class")
+    shares = 1 if per_class else len(targets)
     weights: dict = {}
     for m in targets:
-        items = space.class_items(m)
         groups: dict[int, list] = {}
-        for x in items:
+        for x in space.class_items(m):
             groups.setdefault(x[2], []).append(x)
         needed = 1 << (1 << m)
         if len(groups) != needed:
@@ -390,10 +343,7 @@ def uniform_over_model_classes(space: InputSpace, n: int | None = None,
             w = share / space.total(members)
             for x in members:
                 weights[x] = w * space.count[x]
-    norm = Normalization.PER_CLASS if per_class else Normalization.GLOBAL
-    if n is not None:
-        norm = Normalization.GLOBAL
-    return Distribution(weights, norm)
+    return weights
 
 
 def layer_blocks(space: InputSpace, n: int) -> InputSpace:
@@ -420,7 +370,7 @@ def layer_blocks(space: InputSpace, n: int) -> InputSpace:
     return InputSpace(count)
 
 
-def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
+def uniform_within_min_layers(space: InputSpace, n: int) -> dict:
     """Equal weight to all sentences of each minimal-length layer, and
     equal mass to each layer.
 
@@ -456,8 +406,7 @@ def uniform_within_min_layers(space: InputSpace, n: int) -> Distribution:
         return prefix[j] if t == cuts[j] else prefix[j] + Fraction(t - cuts[j], g[j])
 
     layers = cuts[-1]
-    return Distribution({x: (upto(b) - upto(a)) / layers for x, (a, b) in spans.items()},
-                        Normalization.GLOBAL)
+    return {x: (upto(b) - upto(a)) / layers for x, (a, b) in spans.items()}
 
 
 # --- counted sentence spaces -----------------------------------------

@@ -23,11 +23,6 @@ _UNARY_SYMBOLS = ["Ⓕ", "ι", "¬", "Ⓣ"]
 # --- families ---------------------------------------------------------
 
 
-def all_binary() -> ConnectiveTable:
-    """All 16 distinct binary truth functions."""
-    return ConnectiveTable(_arity_connectives(2, base_id=0))
-
-
 def all_of_arity(arity: int) -> ConnectiveTable:
     """All 2^(2^arity) distinct truth functions of one arity (arity <= 3)."""
     return ConnectiveTable(_arity_connectives(arity, base_id=0))

@@ -15,7 +15,7 @@ def std():
 
 @pytest.fixture(scope="session")
 def all_binary():
-    return tables.all_binary()
+    return tables.all_of_arity(2)
 
 
 @pytest.fixture(scope="session")

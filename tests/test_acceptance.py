@@ -44,13 +44,13 @@ def test_criterion_02_sat_linear_membership():
     ok = True
     for n in (1, 2):
         space = measure.covering_space(table, n)
-        mu = measure.uniform_over_model_classes(space, n)
+        mu = measure.uniform_over_model_classes(space)
         report = measure.oclass_member(space, SAT_TIME, DOUBLE, mu)
-        ok = ok and report.overall
-        ok = ok and report.row(n).lhs == (2 - Fraction(1, 2 ** (2 ** n))) / 2
+        ok = ok and report[n].passed
+        ok = ok and report[n].lhs == (2 - Fraction(1, 2 ** (2 ** n))) / 2
         co = measure.InputSpace(engines.negated_keys(space.count, table))
-        mu_co = measure.uniform_over_model_classes(co, n)
-        ok = ok and measure.oclass_member(co, SAT_TIME, DOUBLE, mu_co).overall
+        mu_co = measure.uniform_over_model_classes(co)
+        ok = ok and measure.oclass_member(co, SAT_TIME, DOUBLE, mu_co)[n].passed
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     _report(2, "scanner in O(2*size), classes covered, with co-problem", ok,
@@ -69,11 +69,11 @@ def test_criterion_03_moment_bounds(space1, space2):
         ok = ok and s.tail_bound < tol
         ok = ok and s.upper <= moments.moment_oclass_constant(m)
     for n, sp in ((1, space1), (2, space2)):
-        mu = measure.uniform_over_model_classes(sp, n)
+        mu = measure.uniform_over_model_classes(sp)
         for m in (2, 3):
             c = moments.moment_oclass_constant(m)
             T = lambda x: SAT_TIME(x) ** m
-            ok = ok and measure.oclass_member(sp, T, lambda k: c * k ** m, mu).overall
+            ok = ok and measure.oclass_member(sp, T, lambda k: c * k ** m, mu)[n].passed
     _report(3, "moment sums within 2.5*m^(m+1), m-th power membership", ok)
 
 
@@ -128,7 +128,7 @@ def test_criterion_07_tractability_examples():
 
 
 def test_criterion_08_markov_tail(space2):
-    mu = measure.uniform_over_model_classes(space2, 2)
+    mu = measure.uniform_over_model_classes(space2)
     avg = measure.avg_time(SAT_TIME, mu, space2.items)
     res = measure.markov_tail(SAT_TIME, mu, space2.items, 100 * avg)
     ok = res.ok and res.bound == Fraction(1, 100)
@@ -141,11 +141,11 @@ def test_criterion_09_reweighting_properties(std, sentence_space):
     space = sentence_space(enumerate_formulas(std, 2, max_tokens=8))
     mu = measure.uniform_over_model_classes(space)
     clean = measure.check_property_2_2(space, SAT_TIME, DOUBLE, mu)
-    ok = clean.oclass.overall and all(h.ok for h in clean.h_rows)
+    ok = all(r.passed for r in clean.oclass.values()) and all(h.ok for h in clean.h_rows)
     ok = ok and clean.biconditional_ok
     broken_T = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
     broken = measure.check_property_2_2(space, broken_T, DOUBLE, mu)
-    ok = ok and not broken.oclass.row(2).passed
+    ok = ok and not broken.oclass[2].passed
     chi2 = next(h for h in broken.h_rows if h.label == "chi_2")
     ok = ok and not chi2.ok and broken.biconditional_ok
     mu_pc = measure.uniform_over_model_classes(space, per_class=True)

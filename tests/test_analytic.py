@@ -12,7 +12,6 @@ from avgsat.analytic import (ChainStep, catalan_binomial,
                              totals_and_ratio, wilf_comparison)
 from avgsat.formula import enumerate_formulas, leaf_sequence, var_count_alpha
 from avgsat.moments import geometric_moment_sum, moment_oclass_constant
-from avgsat.weighting import validate
 
 
 # --- shape counts -----------------------------------------------------
@@ -53,7 +52,7 @@ def test_census_matches_closed_form():
 
 
 CENSUS_TABLES = {
-    "all-binary": tables.all_binary(),
+    "all-binary": tables.all_of_arity(2),
     "all-unary": tables.all_of_arity(1),
     "nand-only": tables.from_text("⊼ 2 1110\n"),
     "majority-only": tables.from_text("M 3 00010111\n"),
@@ -221,12 +220,12 @@ def test_moment_constants():
 
 def test_moment_oclass_on_enumeration(space1, space2):
     for n, sp in ((1, space1), (2, space2)):
-        mu = measure.uniform_over_model_classes(sp, n)
+        mu = measure.uniform_over_model_classes(sp)
         for m in (2, 3):
             c = moment_oclass_constant(m)
             T = lambda x: engines.sat_scan(x) ** m
             report = measure.oclass_member(sp, T, lambda k: c * k ** m, mu)
-            assert report.overall
+            assert list(report) == [n] and report[n].passed
 
 
 # --- constant comparison ----------------------------------------------------
@@ -287,7 +286,7 @@ def test_tabulator_bound_agrees_with_membership_machinery():
     # per-class membership sum over the counted keys
     for n in range(1, 11):
         space, mu = shannon_space([n])
-        row = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu).row(n)
+        row = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)[n]
         tb = tabulator_class_bound(n)
         assert (row.lhs, row.rhs, row.passed) == (tb.lhs, tb.rhs, tb.passed)
 
@@ -297,10 +296,11 @@ def test_shannon_space_structure():
     # one key (n, code length) per length: 8 at n = 3 and 16 at n = 4
     assert len(space) == 24
     assert space.attained_classes() == [3, 4]
-    validate(mu, space)
+    assert set(mu) == set(space.items)
     for n in (3, 4):
         items = space.class_items(n)
         assert len(items) == 2 ** n
         assert space.total(items) == 2 ** (2 ** n)
-        assert mu.mass(items) == 1
+        # normalized per class: mass exactly 1 on each
+        assert sum(mu[x] for x in items) == 1
         assert all(engines.tabulate(it) == (1 << n) * it[1] for it in items)

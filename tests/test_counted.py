@@ -14,6 +14,7 @@ evaluates the sentence, not the counting DP), or its block, followed
 by its codes.
 """
 
+import csv
 import time
 from fractions import Fraction
 from math import factorial
@@ -21,13 +22,13 @@ from operator import itemgetter
 
 import pytest
 
-from avgsat import analytic, engines, measure, tables, weighting
+from avgsat import analytic, cli, engines, measure, tables, weighting
 from avgsat._counting import MAX_WORK, SentenceCounts
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
 from avgsat.errors import ZeroMass
-from avgsat.measure import Distribution, InputSpace, Normalization
+from avgsat.measure import InputSpace
 from avgsat.weighting import HMode
 
 # the costs read an expanded item's first three fields, its key or block
@@ -77,9 +78,9 @@ class Twin:
             self.groups.setdefault(key(x), []).append(x)
         self._times: dict = {}
 
-    def lift(self, mu: measure.Distribution) -> dict:
+    def lift(self, mu: dict) -> dict:
         """The expanded weights summed per item."""
-        lifted = {k: measure._dot((mu.of(x),) for x in xs) for k, xs in self.groups.items()}
+        lifted = {k: measure._mass(mu, xs) for k, xs in self.groups.items()}
         return {k: w for k, w in lifted.items() if w}
 
     def times(self, T) -> dict:
@@ -105,8 +106,8 @@ def of_size(space: InputSpace, k: int) -> list:
     return [x for x in space.items if x[1] == k]
 
 
-def nonzero(mu: measure.Distribution) -> dict:
-    return {x: w for x, w in mu.weights.items() if w}
+def nonzero(mu: dict) -> dict:
+    return {x: w for x, w in mu.items() if w}
 
 
 def expand(table: ConnectiveTable, n: int, depth: int) -> InputSpace:
@@ -147,13 +148,13 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
                 assert nonzero(weighting.nu_from_H(c, H, F, mu_c, mode)) == twin.lift(nu_e)
 
 
-def stratified(expanded: InputSpace, n: int, table: ConnectiveTable) -> measure.Distribution:
+def stratified(expanded: InputSpace, n: int, table: ConnectiveTable) -> dict:
     """Equal mass per layer of ``stratify_min_layers`` over the sentences,
     spread equally over each layer's members."""
     item_of = {x[-1]: x for x in expanded.items}
     layers = stratify_min_layers([Formula(codes, table) for codes in item_of], n)
-    return measure.Distribution({item_of[x.codes]: Fraction(1, len(layers) * len(layer))
-                                 for layer in layers for x in layer})
+    return {item_of[x.codes]: Fraction(1, len(layers) * len(layer))
+            for layer in layers for x in layer}
 
 
 def block_twin(twin: Twin, n: int, table: ConnectiveTable) -> Twin:
@@ -185,12 +186,13 @@ def test_covering_space_counts_its_expansion(twins, n):
     assert_keys_and_counts(twins[n])
 
 
-# tables for the counting oracle: all_binary sums over supersets for
-# constants and projections too, and loops over mask pairs for XOR and
-# XNOR; the others add a constant leaf and a ternary connective
+# tables for the counting oracle: the 16 binary connectives sum over
+# supersets for constants and projections too, and loop over mask pairs
+# for XOR and XNOR; the others add a constant leaf and a ternary
+# connective
 ORACLE_TABLES = {
     **TABLES,
-    "all_binary": tables.all_binary(),
+    "all_binary": tables.all_of_arity(2),
     "constant": tables.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n"),
     "majority": tables.from_text("¬ 1 10\nM 3 00010111\n"),
 }
@@ -268,8 +270,7 @@ def test_distributions_and_checks_match_expansion(table, twins, n):
         (weighting.weights_proportional(c, lambda x: SAT_TIME(x) % 5),
          weighting.weights_proportional(e, lambda x: SAT_TIME(x) % 5)),
         (weighting.power_law_length(c, 2), weighting.power_law_length(e, 2)),
-        (measure.uniform_over_model_classes(c, n),
-         measure.uniform_over_model_classes(e, n)),
+        (measure.uniform_over_model_classes(c), measure.uniform_over_model_classes(e)),
     ]
     for mu_c, mu_e in pairs:
         assert_same_checks(twin, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
@@ -304,9 +305,36 @@ def test_negated_space_matches_expansion(table, twins, n):
     co = Twin(InputSpace(engines.negated_keys(twin.counted.count, table)),
               items_space([sentence_item(nx) for nx in negations]))
     assert_keys_and_counts(co)
-    mu_c = measure.uniform_over_model_classes(co.counted, n)
-    mu_e = measure.uniform_over_model_classes(co.expanded, n)
+    mu_c = measure.uniform_over_model_classes(co.counted)
+    mu_e = measure.uniform_over_model_classes(co.expanded)
     assert_same_checks(co, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
+
+
+# the covering tables of the counting oracle; each can negate, with a
+# NOT or by a NAND or NOR of a duplicated operand
+COVERING_TABLES = ["all_binary", "constant", "nand", "standard"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", COVERING_TABLES)
+def test_sat_oclass_rows_are_the_closed_form(tmp_path, name, n):
+    # sat_scan / (2f) is (min + 1) / 2 on every key of a class, so on any
+    # covering space the sat row's lhs is half the expected first witness;
+    # complementing permutes the classes, so the co row is the same row
+    table = ORACLE_TABLES[name]
+    assert table.negation_strategy() is not None
+    path = tmp_path / "table.txt"
+    path.write_text(tables.to_text(table), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert cli.main(["sat-oclass", "--table", str(path), "--n", str(n), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    sat = rows["sat"]
+    assert sat["n"] == str(n) and sat["pass"] == "pass"
+    assert Fraction(int(sat["lhs_num"]), int(sat["lhs_den"])) == \
+        analytic.expected_min_plus_one(n).closed / 2
+    assert (sat["rhs_num"], sat["rhs_den"]) == ("1", "1")
+    assert {**rows["co"], "check": "sat"} == sat
 
 
 def test_combined_space_properties_match_expansion(table, twins):
@@ -338,9 +366,7 @@ def shannon_slots(ns):
                    for _ in range(count)] for n in ns}
     space = items_space([(n, length, idx) for n in ns
                          for idx, length in enumerate(lengths[n])])
-    mu = Distribution({item: Fraction(1, 1 << (1 << item[0])) for item in space.items},
-                      Normalization.PER_CLASS)
-    return space, mu
+    return space, {item: Fraction(1, 1 << (1 << item[0])) for item in space.items}
 
 
 # the tabulation cost of a slot, written out: 2^n times its code length

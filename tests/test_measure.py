@@ -13,8 +13,7 @@ from avgsat import analytic, engines, measure, moments, tables
 from avgsat.commands.exact import BOUND_HEADER, bound_rows
 from avgsat.formula import Formula, enumerate_formulas, parse_rpn
 from avgsat.errors import ZeroMass
-from avgsat.measure import (ClassUncovered, Distribution,
-                            InputSpace, Normalization, PreconditionFailed,
+from avgsat.measure import (ClassUncovered, InputSpace, PreconditionFailed,
                             Verdict, ZeroMassSubset, avg_time,
                             check_property_2_2, check_property_2_3,
                             markov_tail, oclass_member, tractability,
@@ -71,7 +70,7 @@ def test_avg_time_geometric_toy_approaches_three_halves():
     # tends to 3/4 and the average to twice that
     sp = key_space(*((n, n + 1) for n in range(50)))
     mu = weights_proportional(sp, lambda x: Fraction(1, 4 ** x[0]))
-    assert abs(mu.of((0, 1)) - Fraction(3, 4)) < Fraction(1, 10 ** 12)
+    assert abs(mu[(0, 1)] - Fraction(3, 4)) < Fraction(1, 10 ** 12)
     avg = avg_time(lambda x: 2 ** x[0], mu, sp.items)
     assert abs(avg - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
@@ -88,11 +87,11 @@ def test_relative_avg_cases():
 
 
 def test_relative_avg_identity_on_sentences(space2):
-    mu = uniform_over_model_classes(space2, 2)
+    mu = uniform_over_model_classes(space2)
     sizes = sorted({x[1] for x in space2.items})
     for s in sizes:
         items = of_size(space2, s)
-        if mu.mass(items) == 0:
+        if ref_mass(mu, items) == 0:
             continue
         assert relative_avg(space2, SAT_TIME, mu, s) == avg_time(SAT_TIME, mu, items)
 
@@ -102,9 +101,10 @@ def test_relative_avg_identity_on_sentences(space2):
 def test_oclass_trivial_quotient(space1):
     mu = uniform_on(space1)
     report = oclass_member(space1, itemgetter(1), lambda k: k, mu)
-    row = report.rows[0]
-    assert row.lhs == mu.mass(space1.class_items(1)) == row.rhs == 1
-    assert report.overall
+    assert list(report) == [1]
+    row = report[1]
+    assert row.lhs == ref_mass(mu, space1.class_items(1)) == row.rhs == 1
+    assert row.passed
 
 
 def test_oclass_requires_F_at_least_one(space1):
@@ -115,12 +115,12 @@ def test_oclass_requires_F_at_least_one(space1):
 
 def test_sat_oclass_passes_exactly(space1, space2):
     for n, sp in ((1, space1), (2, space2)):
-        mu = uniform_over_model_classes(sp, n)
+        mu = uniform_over_model_classes(sp)
         report = oclass_member(sp, SAT_TIME, DOUBLE, mu)
-        assert report.overall
+        assert list(report) == [n] and report[n].passed
         expected = analytic.expected_min_plus_one(n).closed / 2
-        assert report.row(n).lhs == expected
-        assert report.row(n).rhs == 1
+        assert report[n].lhs == expected
+        assert report[n].rhs == 1
 
 
 def test_classic_case_collapse():
@@ -134,18 +134,18 @@ def test_classic_case_collapse():
         report = oclass_member(sp, T, F, mu)
         classic = all(relative_avg(sp, T, mu, n) <= F(n)
                       for n in sorted({x[1] for x in sp.items})
-                      if mu.mass(of_size(sp, n)) > 0)
-        assert report.overall == classic
+                      if ref_mass(mu, of_size(sp, n)) > 0)
+        assert all(r.passed for r in report.values()) == classic
 
 
 def test_bound_report_csv_schema(space1):
-    mu = uniform_over_model_classes(space1, 1)
+    mu = uniform_over_model_classes(space1)
     report = oclass_member(space1, SAT_TIME, DOUBLE, mu)
     rows = bound_rows(report)
     assert BOUND_HEADER[0] == "n" and BOUND_HEADER[-1] == "pass"
     assert len(rows[0]) == len(BOUND_HEADER)
     assert rows[0][0] == "1" and rows[0][-1] == "pass"
-    assert Fraction(int(rows[0][1]), int(rows[0][2])) == report.row(1).lhs
+    assert Fraction(int(rows[0][1]), int(rows[0][2])) == report[1].lhs
 
 
 # --- tractability ---------------------------------------------------------
@@ -176,7 +176,7 @@ def test_tractability_final_equals_whole_space_average():
     # on a finite space the last prefix is the whole space
     sp = toy_space(range(1, 40))
     mu = weights_proportional(sp, lambda x: Fraction(1, 2 ** x[0]))
-    res = tractability(terms(lambda n: n * n, lambda n: mu.of((n, n))), range(1, 40))
+    res = tractability(terms(lambda n: n * n, lambda n: mu[(n, n)]), range(1, 40))
     assert res.final == avg_time(lambda x: x[0] * x[0], mu, sp.items)
 
 
@@ -381,16 +381,16 @@ def test_nu_from_H_characteristic(combined):
     sp = combined
     mu = uniform_over_model_classes(sp)
     nu = nu_from_H(sp, lambda n: 1 if n == 2 else 0, DOUBLE, mu)
-    support = {x for x, w in nu.weights.items() if w}
+    support = {x for x, w in nu.items() if w}
     assert support <= set(sp.class_items(2))
-    assert nu.mass(sp.items) == 1
+    assert ref_mass(nu, sp.items) == 1
 
 
 def test_nu_from_H_identity(combined):
     sp = combined
     mu = uniform_over_model_classes(sp)
     nu = nu_from_H(sp, lambda n: 1, lambda k: 1, mu)
-    assert all(nu.of(x) == mu.of(x) for x in sp.items)
+    assert all(nu.get(x, 0) == mu.get(x, 0) for x in sp.items)
 
 
 def test_nu_from_H_zero_mass(combined):
@@ -405,7 +405,7 @@ def test_property_2_2_holds(combined):
     mu = uniform_over_model_classes(sp)
     res = check_property_2_2(sp, SAT_TIME, DOUBLE, mu,
                              extra_H=[("ones", lambda n: 1)])
-    assert res.oclass.overall
+    assert all(r.passed for r in res.oclass.values())
     assert all(h.ok for h in res.h_rows)
     assert res.biconditional_ok
 
@@ -415,8 +415,8 @@ def test_property_2_2_broken_class_is_witnessed(combined):
     mu = uniform_over_model_classes(sp)
     T = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
     res = check_property_2_2(sp, T, DOUBLE, mu)
-    assert not res.oclass.row(2).passed
-    assert res.oclass.row(1).passed
+    assert not res.oclass[2].passed
+    assert res.oclass[1].passed
     chi2 = next(h for h in res.h_rows if h.label == "chi_2")
     assert not chi2.ok
     assert res.biconditional_ok
@@ -428,7 +428,7 @@ def test_property_2_2_equality_case():
     F = lambda k: k * k
     T = lambda x: 9  # exactly F(f) everywhere
     res = check_property_2_2(sp, T, F, mu)
-    assert res.oclass.row(1).lhs == res.oclass.row(1).rhs
+    assert res.oclass[1].lhs == res.oclass[1].rhs
     row = next(h for h in res.h_rows if h.label == "chi_1")
     assert row.lhs == row.rhs
     assert res.biconditional_ok
@@ -448,7 +448,7 @@ def test_property_2_3_characteristic_reduces_to_membership(combined):
     mu = uniform_over_model_classes(sp, per_class=True)
     res = check_property_2_3(sp, SAT_TIME, DOUBLE, mu, lambda n: 1 if n == 1 else 0)
     assert res.bound == 1
-    member = oclass_member(sp, SAT_TIME, DOUBLE, mu).row(1)
+    member = oclass_member(sp, SAT_TIME, DOUBLE, mu)[1]
     assert res.expectation == member.lhs <= 1
 
 
@@ -462,19 +462,25 @@ def test_property_2_3_shannon_power_weights():
 
 def test_property_2_3_preconditions(combined):
     sp = combined
+    # global weights give each of the two classes mass 1/2
     mu_global = uniform_over_model_classes(sp)
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="normalized once per class"):
         check_property_2_3(sp, SAT_TIME, DOUBLE, mu_global, lambda n: 1)
     mu = uniform_over_model_classes(sp, per_class=True)
+    # twice the per-class weights: every membership row still passes
+    doubled = {x: 2 * w for x, w in mu.items()}
+    assert all(r.passed for r in oclass_member(sp, SAT_TIME, DOUBLE, doubled).values())
+    with pytest.raises(PreconditionFailed, match="normalized once per class"):
+        check_property_2_3(sp, SAT_TIME, DOUBLE, doubled, lambda n: 1)
     broken = lambda x: SAT_TIME(x) * 100
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="membership fails"):
         check_property_2_3(sp, broken, DOUBLE, mu, lambda n: 1)
 
 
 # --- Markov tail -----------------------------------------------------------
 
 def test_markov_hundredfold(space2):
-    mu = uniform_over_model_classes(space2, 2)
+    mu = uniform_over_model_classes(space2)
     avg = avg_time(SAT_TIME, mu, space2.items)
     res = markov_tail(SAT_TIME, mu, space2.items, 100 * avg)
     assert res.bound == Fraction(1, 100)
@@ -512,12 +518,12 @@ def test_markov_always_holds(pairs, a):
 # --- distribution constructors ---------------------------------------------
 
 def test_uniform_over_model_classes_equal_masses(space2):
-    mu = uniform_over_model_classes(space2, 2)
+    mu = uniform_over_model_classes(space2)
     groups = {}
     for x in space2.items:
         groups.setdefault(x[2], []).append(x)
     assert len(groups) == 16
-    masses = {k: mu.mass(v) for k, v in groups.items()}
+    masses = {k: ref_mass(mu, v) for k, v in groups.items()}
     assert set(masses.values()) == {Fraction(1, 16)}
     validate(mu, space2)
 
@@ -525,7 +531,11 @@ def test_uniform_over_model_classes_equal_masses(space2):
 def test_uniform_over_model_classes_uncovered(std):
     shallow = measure.formula_space(std, 2, 5)
     with pytest.raises(ClassUncovered):
-        uniform_over_model_classes(shallow, 2)
+        uniform_over_model_classes(shallow)
+    # an empty space is refused, not weighed as a space of no classes
+    for per_class in (False, True):
+        with pytest.raises(ClassUncovered, match="empty space"):
+            uniform_over_model_classes(InputSpace({}), per_class)
 
 
 def test_covering_space_depth_cap(std):
@@ -607,27 +617,28 @@ def test_uniform_within_min_layers(std, space1, expanded1):
     for layer in layers:
         for x in layer:
             masses[block(x)] = masses.get(block(x), 0) + Fraction(1, len(layers) * len(layer))
-    assert mu.weights == masses
+    assert mu == masses
 
 
 def test_power_law_length(expanded1):
     mu = power_law_length(expanded1, 2)
     validate(mu, expanded1)
     a, b = expanded1.items[0], expanded1.items[-1]
-    lhs = mu.of(a) * a[1] ** 2
-    rhs = mu.of(b) * b[1] ** 2
+    lhs = mu[a] * a[1] ** 2
+    rhs = mu[b] * b[1] ** 2
     assert lhs == rhs  # proportionality
 
 
 def test_distribution_validation(space1):
-    bad = Distribution({space1.items[0]: Fraction(1, 2)}, Normalization.GLOBAL)
-    with pytest.raises(ValueError):
-        validate(bad, space1)
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        validate({space1.items[0]: Fraction(1, 2)}, space1)
     two_classes = toy_space([1, 2])
-    per = Distribution({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)},
-                       Normalization.PER_CLASS)
-    with pytest.raises(ValueError):
-        validate(per, two_classes)
+    validate({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)}, two_classes)
+    # mass 1 on each class is mass 2 in all
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        validate({(1, 1): Fraction(1), (2, 2): Fraction(1)}, two_classes)
+    with pytest.raises(ValueError, match="negative weight"):
+        validate({(1, 1): Fraction(2), (2, 2): Fraction(-1)}, two_classes)
 
 
 def test_input_space_validation():
@@ -639,11 +650,11 @@ def test_input_space_validation():
 
 
 def test_everything_is_exact(space1):
-    mu = uniform_over_model_classes(space1, 1)
+    mu = uniform_over_model_classes(space1)
     report = oclass_member(space1, SAT_TIME, DOUBLE, mu)
-    assert isinstance(report.row(1).lhs, Fraction)
+    assert isinstance(report[1].lhs, Fraction)
     assert isinstance(avg_time(SAT_TIME, mu, space1.items), Fraction)
-    assert isinstance(mu.of(space1.items[0]), Fraction)
+    assert all(type(w) is Fraction for w in mu.values())
 
 
 # --- exact sums against naive per-item references --------------------------
@@ -653,12 +664,12 @@ def test_everything_is_exact(space1):
 # Fraction per item, exactly as the definitions read.
 
 def ref_mass(mu, items):
-    return sum((Fraction(mu.weights.get(x, 0)) for x in items), Fraction(0))
+    return sum((Fraction(mu.get(x, 0)) for x in items), Fraction(0))
 
 
 def ref_avg_time(T, mu, items):
     items = list(items)
-    num = sum((Fraction(T(x)) * mu.of(x) for x in items), Fraction(0))
+    num = sum((Fraction(T(x)) * mu.get(x, 0) for x in items), Fraction(0))
     return num / ref_mass(mu, items)
 
 
@@ -668,7 +679,7 @@ def ref_oclass(space, T, F, mu):
         items = space.class_items(n)
         rhs = ref_mass(mu, items)
         if rhs:
-            rows[n] = (sum((Fraction(T(x)) * mu.of(x) / Fraction(F(x[1]))
+            rows[n] = (sum((Fraction(T(x)) * mu.get(x, 0) / Fraction(F(x[1]))
                             for x in items), Fraction(0)), rhs)
     return rows
 
@@ -676,7 +687,7 @@ def ref_oclass(space, T, F, mu):
 def ref_nu(space, H, F, mu, mode):
     raw = {}
     for x in space.items:
-        w = Fraction(H(x[0])) / Fraction(F(x[1])) * mu.of(x)
+        w = Fraction(H(x[0])) / Fraction(F(x[1])) * mu.get(x, 0)
         if w:
             raw[x] = w
     if mode is HMode.DOMINATED:
@@ -689,25 +700,32 @@ def ref_expect(space, T, weights):
     return sum((Fraction(T(x)) * weights.get(x, 0) for x in space.items), Fraction(0))
 
 
+def ref_per_class(space, mu):
+    """mu scaled to mass 1 on each class of positive mass."""
+    masses = {n: ref_mass(mu, space.class_items(n)) for n in space.attained_classes()}
+    return {x: w / masses[x[0]] for x, w in mu.items() if w}
+
+
 def assert_sums_match(space, T, F, mu, Hs):
     """Every exact sum of the library equals its naive reference."""
     items = space.items
-    assert mu.mass(items) == ref_mass(mu, items)
+    assert measure._mass(mu, items) == ref_mass(mu, items)
     for n in space.attained_classes():
-        assert mu.mass(space.class_items(n)) == ref_mass(mu, space.class_items(n))
+        assert measure._mass(mu, space.class_items(n)) == ref_mass(mu, space.class_items(n))
     if ref_mass(mu, items):
         assert avg_time(T, mu, items) == ref_avg_time(T, mu, items)
     expected = ref_oclass(space, T, F, mu)
     report = oclass_member(space, T, F, mu)
-    assert {r.n: (r.lhs, r.rhs) for r in report.rows} == expected
+    assert list(report) == sorted(report)
+    assert {n: (r.lhs, r.rhs) for n, r in report.items()} == expected
     for H in Hs:
-        assert nu_from_H(space, H, F, mu, HMode.DOMINATED).weights == \
+        assert nu_from_H(space, H, F, mu, HMode.DOMINATED) == \
             ref_nu(space, H, F, mu, HMode.DOMINATED)
         if sum(ref_nu(space, H, F, mu, HMode.DOMINATED).values()) == 0:
             with pytest.raises(ZeroMass):
                 nu_from_H(space, H, F, mu, HMode.EQUALITY)
         else:
-            assert nu_from_H(space, H, F, mu, HMode.EQUALITY).weights == \
+            assert nu_from_H(space, H, F, mu, HMode.EQUALITY) == \
                 ref_nu(space, H, F, mu, HMode.EQUALITY)
     labelled = [(f"H{i}", H) for i, H in enumerate(Hs)]
     res22 = check_property_2_2(space, T, F, mu, extra_H=labelled)
@@ -717,14 +735,21 @@ def assert_sums_match(space, T, F, mu, Hs):
         nu = ref_nu(space, refs[row.label], F, mu, HMode.EQUALITY)
         assert row.lhs == ref_expect(space, T, nu)
         assert row.rhs == ref_expect(space, lambda x: F(x[1]), nu)
-    per_class = Distribution(mu.weights, Normalization.PER_CLASS)
-    for H in Hs:
-        if not all(lhs <= rhs for lhs, rhs in expected.values()):
+    # property 2.3 reads weights normalized per class, and refuses
+    # others even where every membership row passes
+    per_class = ref_per_class(space, mu)
+    doubled = {x: 2 * w for x, w in per_class.items()}
+    if not all(lhs <= rhs for lhs, rhs in ref_oclass(space, T, F, per_class).values()):
+        for H in Hs:
             with pytest.raises(PreconditionFailed):
                 check_property_2_3(space, T, F, per_class, H)
-            continue
+        return
+    if doubled:
+        with pytest.raises(PreconditionFailed, match="normalized once per class"):
+            check_property_2_3(space, T, F, doubled, Hs[0])
+    for H in Hs:
         res23 = check_property_2_3(space, T, F, per_class, H)
-        nu = ref_nu(space, H, F, mu, HMode.DOMINATED)
+        nu = ref_nu(space, H, F, per_class, HMode.DOMINATED)
         assert res23.expectation == ref_expect(space, T, nu)
         assert res23.dominated_mass == sum(nu.values(), Fraction(0))
         assert res23.bound == sum((Fraction(H(n)) for n in space.attained_classes()),
@@ -734,7 +759,7 @@ def assert_sums_match(space, T, F, mu, Hs):
 def test_exact_sums_match_references_on_sentences(space1, space2):
     Hs = [lambda n: 1, lambda n: Fraction(1, n * n), lambda n: 0]
     for n, sp in ((1, space1), (2, space2)):
-        mu = uniform_over_model_classes(sp, n)
+        mu = uniform_over_model_classes(sp)
         assert_sums_match(sp, SAT_TIME, DOUBLE, mu, Hs)
         c = moments.moment_oclass_constant(3)
         assert_sums_match(sp, lambda x: SAT_TIME(x) ** 3, lambda k: c * k ** 3, mu, Hs)
@@ -764,7 +789,7 @@ def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
     times = {x: row[2] for x, row in zip(keys, rows)}
     T = times.__getitem__
     # index 0 has no entry at all: a missing weight reads as zero
-    mu = Distribution({x: row[3] for x, row in zip(keys, rows) if x[2]})
+    mu = {x: row[3] for x, row in zip(keys, rows) if x[2]}
     c = moments.moment_oclass_constant(m)
     assert_sums_match(sp, T, lambda k: c * k ** m, mu,
                       [lambda n: 1, lambda n: h_values[n]])
@@ -776,14 +801,15 @@ def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
     raw = {x: row[3] for x, row in zip(keys, rows)}
     total = sum(raw.values(), Fraction(0))
     if total:
-        assert weights_proportional(sp, raw.__getitem__).weights == \
+        assert weights_proportional(sp, raw.__getitem__) == \
             {x: w / total for x, w in raw.items() if w}
 
 
 def test_bad_F_and_negative_H_still_raise():
     a, b, c = (1, 2, "a"), (1, 8, "b"), (2, 1, "c")
     sp = key_space(a, b, c)
-    mu = Distribution({a: Fraction(1, 2), b: Fraction(1, 2)})
+    # mass 1 on class 1, and none on class 2
+    mu = {a: Fraction(1, 2), b: Fraction(1, 2)}
     # F(2) < 1 in a class of positive mass; class 2 has no mass and is skipped
     with pytest.raises(ValueError, match=r"F\(2\) = 1/2 < 1"):
         oclass_member(sp, lambda x: 1, lambda k: Fraction(k, 4), mu)
@@ -791,23 +817,25 @@ def test_bad_F_and_negative_H_still_raise():
         nu_from_H(sp, lambda n: -1, lambda k: k, mu, HMode.DOMINATED)
     # a negative H on massless items only yields zero weights there
     nu = nu_from_H(sp, lambda n: -1 if n == 2 else 1, lambda k: k, mu)
-    assert set(nu.weights) == {a, b}
+    assert set(nu) == {a, b}
     # the checks sum per class: a negative H on the positive-mass class 1
     # raises in both, and one on the massless class 2 does not
     T, F = lambda x: 1, lambda k: k
-    per_class = Distribution(mu.weights, Normalization.PER_CLASS)
     for H in (lambda n: -1, lambda n: -1 if n == 1 else 1):
         with pytest.raises(ValueError, match="negative weight"):
             check_property_2_2(sp, T, F, mu, extra_H=[("negative", H)])
         with pytest.raises(ValueError, match="negative weight"):
-            check_property_2_3(sp, T, F, per_class, H)
+            check_property_2_3(sp, T, F, mu, H)
+    # twice the weights pass membership (lhs 5/8, rhs 2) but have mass 2
+    with pytest.raises(PreconditionFailed, match="normalized once per class"):
+        check_property_2_3(sp, T, F, {a: Fraction(1), b: Fraction(1)}, lambda n: 1)
     H = lambda n: -1 if n == 2 else 1
     # an H that is zero on every class has no reweighting: its row is dropped
     res = check_property_2_2(sp, T, F, mu, extra_H=[("massless", H), ("zero", lambda n: 0)])
     assert [(r.label, r.lhs, r.rhs) for r in res.h_rows] == \
         [("chi_1", 1, Fraction(16, 5)), ("massless", 1, Fraction(16, 5))]
     # sum of H/F * mu over class 1: 1/2 * (1/2 + 1/8); the bound is H(1) + H(2)
-    assert check_property_2_3(sp, T, F, per_class, H) == \
+    assert check_property_2_3(sp, T, F, mu, H) == \
         measure.Prop23Result(0, Fraction(5, 16), Fraction(5, 16), False)
 
 
@@ -824,5 +852,5 @@ def test_nu_from_H_matches_plain_fraction_weights_on_combined_keys(std, F):
     for H in Hs:
         for mode in HMode:
             got = nu_from_H(sp, H, F, mu, mode)
-            assert got.weights == ref_nu(sp, H, F, mu, mode)
-            assert all(type(w) is Fraction for w in got.weights.values())
+            assert got == ref_nu(sp, H, F, mu, mode)
+            assert all(type(w) is Fraction for w in got.values())
