@@ -32,7 +32,7 @@ def comparison(lhs, rhs) -> list[str]:
 
 def bound_rows(report: dict[int, measure.BoundRow],
                status=lambda r: PASS if r.passed else FAIL):
-    """The rows of :func:`~avgsat.measure.oclass_member`'s report: the
+    """The rows of a report of :func:`~avgsat.measure.member_rows`: the
     class, the comparison of lhs with rhs, and ``status`` of the row."""
     return [[str(r.n), *comparison(r.lhs, r.rhs), status(r)] for r in report.values()]
 
@@ -56,19 +56,24 @@ def cmd_sat_oclass(opts: Options):
     header = ["check"] + BOUND_HEADER
     space = _space(table, n, max_tokens)
     mu = measure.uniform_over_model_classes(space)
-    report = measure.oclass_member(space, engines.sat_scan, lambda k: 2 * k, mu)
-    rows = [["sat"] + row for row in bound_rows(report)]
-    if table.negation_strategy() is None:
-        rows.append(["co-skipped", str(n), *comparison(0, 0), INFO])
+    F = lambda k: 2 * k
+    # one pass: negation maps keys one to one, keeping alpha, count and
+    # weight, and complements the class mask; sat_scan / (2f) is
+    # (min_n + 1) / 2 whatever size the negation has
+    co = lambda x: engines.sat_scan((x[0], x[1], ((1 << (1 << x[0])) - 1) ^ x[2]))
+    terms = [measure.over_F(engines.sat_scan, F), lambda x: (engines.rewrite_cost(x),),
+             lambda x: (engines.sat_scan(x),), measure.over_F(co, F)]
+    negates = table.negation_strategy() is not None
+    # each class's sums: mass, sat / 2f, read, scan, co / 2f
+    totals = measure.class_sums(space, mu, terms if negates else terms[:3])
+    rows = [["sat"] + row for row in bound_rows(measure.member_rows(totals))]
+    if negates:
+        rows.extend(["co"] + row for row in bound_rows(measure.member_rows(totals, 4)))
     else:
-        co_space = measure.InputSpace(engines.negated_keys(space.count, table))
-        mu_co = measure.uniform_over_model_classes(co_space)
-        co_report = measure.oclass_member(co_space, engines.sat_scan, lambda k: 2 * k, mu_co)
-        rows.extend(["co"] + row for row in bound_rows(co_report))
+        rows.append(["co-skipped", str(n), *comparison(0, 0), INFO])
     # measured share of the checker's time spent reading the input
     # (the linear bound alone would put it at 1/2); informational only
-    read = measure.avg_time(engines.rewrite_cost, mu, space.items)
-    share = read / measure.avg_time(engines.sat_scan, mu, space.items)
+    share = sum(s[2] for s in totals.values()) / sum(s[3] for s in totals.values())
     rows.append(["read-share", str(n), *comparison(share, Fraction(3, 10)), INFO])
     return header, rows
 
@@ -136,10 +141,7 @@ def cmd_moments(opts: Options):
     header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
               "lhs_float", "rhs_float", "status"]
     # the spaces first: one past n = 3 is refused before any sum
-    spaces = {}
-    for n in sorted(n_list):
-        space = measure.covering_space(table, n)
-        spaces[n] = space, measure.uniform_over_model_classes(space)
+    spaces = [measure.covering_space(table, n) for n in sorted(n_list)]
     rows = []
     for m in sorted(m_list):
         s = moments.geometric_moment_sum(m, tol)
@@ -150,12 +152,16 @@ def cmd_moments(opts: Options):
             bound = moments.moment_oclass_constant(m)
             ok = s.upper <= bound
         rows.append(["sum", str(m), "", *comparison(s.partial, bound), PASS if ok else FAIL])
-    for m in sorted(m for m in m_list if m >= 2):
-        c = moments.moment_oclass_constant(m)
-        for n, (space, mu) in spaces.items():
-            T = lambda x: engines.sat_scan(x) ** m
-            report = measure.oclass_member(space, T, lambda k: c * k ** m, mu)
-            rows.extend(["oclass", str(m)] + row for row in bound_rows(report))
+    # the oclass rows of every m >= 2 from one pass over each space
+    ms = sorted(m for m in m_list if m >= 2)
+    terms = [measure.over_F(lambda x, m=m: engines.sat_scan(x) ** m,
+                            lambda k, m=m, c=moments.moment_oclass_constant(m): c * k ** m)
+             for m in ms]
+    totals = [measure.class_sums(space, measure.uniform_over_model_classes(space), terms)
+              for space in spaces] if ms else []
+    for i, m in enumerate(ms, 1):
+        for t in totals:
+            rows.extend(["oclass", str(m)] + row for row in bound_rows(measure.member_rows(t, i)))
     return header, rows
 
 
@@ -236,11 +242,9 @@ def cmd_markov_tail(opts: Options):
     table = _load_table(opts)
     space = measure.covering_space(table, n)
     mu = measure.uniform_over_model_classes(space)
-    avg = measure.avg_time(engines.sat_scan, mu, space.items)
-    result = measure.markov_tail(engines.sat_scan, mu, space.items, multiplier * avg)
-    ok = result.ok and result.empirical <= Fraction(1, multiplier)
+    result = measure.markov_tail(engines.sat_scan, mu, space.items, multiplier)
     header = ["n", "multiplier", "avg_num", "avg_den", "bound_num", "bound_den",
               "empirical_num", "empirical_den", "status"]
-    rows = [[str(n), str(multiplier), *_frac(avg), *_frac(result.bound),
-             *_frac(result.empirical), PASS if ok else FAIL]]
+    rows = [[str(n), str(multiplier), *_frac(result.mean), *_frac(result.bound),
+             *_frac(result.empirical), PASS if result.ok else FAIL]]
     return header, rows

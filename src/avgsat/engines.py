@@ -19,8 +19,6 @@ appearance.  Each takes that key and returns the time.
 
 from __future__ import annotations
 
-from ._formula_core import ConnectiveTable
-
 Key = tuple[int, int, int]
 
 
@@ -54,13 +52,6 @@ def sat_scan(key: Key) -> int:
     return key[1] * (min_n(key) + 1)
 
 
-def _negation(table: ConnectiveTable) -> tuple[str, int]:
-    strategy = table.negation_strategy()
-    if strategy is None:
-        raise NoNegation(f"{table!r} has no negation")
-    return strategy
-
-
 def negated(x):
     """Top-level negation of the sentence x using its own table.
 
@@ -68,18 +59,10 @@ def negated(x):
     operand duplicated.  Raises NoNegation when the table has neither.
     """
     from .formula import Formula  # sentence objects: loaded only by their users
-    kind, slot = _negation(x.table)
+    strategy = x.table.negation_strategy()
+    if strategy is None:
+        raise NoNegation(f"{x.table!r} has no negation")
+    kind, slot = strategy
     if kind == "not":
         return Formula(x.codes + (-slot - 1,), x.table)
     return Formula(x.codes + x.codes + (-slot - 1,), x.table)
-
-
-def negated_keys(count: dict[Key, int], table: ConnectiveTable) -> dict[Key, int]:
-    """The keys of :func:`negated` of the sentences of each key, with
-    their counts: the same alpha, the complemented class, and a size
-    that depends on f alone (a NOT adds two characters; a duplicated
-    operand doubles them and adds three).  Negation maps keys one to
-    one, so each keeps its count."""
-    dup = _negation(table)[0] == "dup"
-    return {(alpha, 2 * f + 24 if dup else f + 16, ((1 << (1 << alpha)) - 1) ^ mask): c
-            for (alpha, f, mask), c in count.items()}

@@ -11,6 +11,9 @@ space, not over size classes alone.  The core objects:
   function of a key (see :mod:`avgsat.engines`).
 * weights — a plain ``dict`` from key to the exact ``Fraction`` mass of
   the inputs the key stands for; a key it lacks has mass 0.
+* ``sums`` / ``class_sums`` — the one summing pass, over some keys or
+  over each alpha-class's: each weight read once, the total weight and
+  the sum of each term against the weights.  Every check builds on it.
 * ``oclass_member`` — generalized O(F) membership: in every positive-
   mass alpha-class, the expected value of T(x)/F(f(x)) is at most 1
   (constant factor exactly 1, no asymptotic cutoff, every class); one
@@ -69,25 +72,6 @@ def _sum(parts: Iterable[Fraction]) -> Fraction:
     return parts[0] if parts else _ZERO
 
 
-def _dot(terms: Iterable[tuple]) -> Fraction:
-    """Exact sum over ``terms`` of the product of each tuple's factors.
-
-    Factors are ints, Fractions or floats (floats convert exactly).
-    Numerator products are added as integers, keyed by their common
-    denominator, and one Fraction is built per distinct denominator, so
-    a term costs integer work only.
-    """
-    sums: dict[int, int] = {}
-    for factors in terms:
-        num = den = 1
-        for q in factors:
-            n, d = q.as_integer_ratio()
-            num *= n
-            den *= d
-        sums[den] = sums.get(den, 0) + num
-    return _sum(Fraction(n, d) for d, n in sums.items())
-
-
 class InputSpace:
     """A finite input space of counted keys.
 
@@ -122,9 +106,53 @@ class InputSpace:
         return len(self.items)
 
 
-def _mass(mu: Mapping, items: Iterable) -> Fraction:
-    """The total weight of the items (exact)."""
-    return _dot((mu.get(x, 0),) for x in items)
+def sums(mu: Mapping, items: Iterable, terms: Sequence[Callable] = ()) -> list[Fraction]:
+    """The total weight of the items, then the sum of each term against
+    the weights, exact, from one walk that reads each weight once.
+
+    A term maps an item to a tuple of factors (ints, Fractions or floats,
+    which convert exactly).  Numerator products are added as integers,
+    keyed by their common denominator, and one Fraction is built per
+    distinct denominator.  No term reads an item of weight 0."""
+    get = mu.get
+    mass, *accs = totals = [{} for _ in range(len(terms) + 1)]
+    pairs = list(zip(terms, accs))
+    for x in items:
+        wn, wd = get(x, 0).as_integer_ratio()
+        if not wn:
+            continue
+        mass[wd] = mass.get(wd, 0) + wn
+        for term, acc in pairs:
+            num, den = wn, wd
+            for q in term(x):
+                n, d = q.as_integer_ratio()
+                num *= n
+                den *= d
+            acc[den] = acc.get(den, 0) + num
+    return [_sum(Fraction(n, d) for d, n in acc.items()) for acc in totals]
+
+
+def class_sums(space: InputSpace, mu: Mapping,
+               terms: Sequence[Callable] = ()) -> dict[int, list[Fraction]]:
+    """:func:`sums` over each alpha-class of positive mass, by class in
+    class order: one walk over the class's keys."""
+    out = {n: sums(mu, space.class_items(n), terms) for n in space.attained_classes()}
+    return {n: s for n, s in out.items() if s[0] != 0}
+
+
+def over_F(T: Callable, F: Callable[[int], object]) -> Callable:
+    """The term T(x) / F(f(x)) of :func:`sums`, F evaluated once per
+    distinct size; raises ValueError where F is below 1."""
+    inv_F: dict[int, Fraction] = {}
+
+    def term(x):
+        if x[1] not in inv_F:
+            Fv = Fraction(F(x[1]))
+            if Fv < 1:
+                raise ValueError(f"F({x[1]}) = {Fv} < 1")
+            inv_F[x[1]] = 1 / Fv
+        return T(x), inv_F[x[1]]
+    return term
 
 
 class BoundRow(NamedTuple):
@@ -132,17 +160,20 @@ class BoundRow(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     passed: bool
-    note: str = ""
+
+
+def member_rows(totals: dict[int, list[Fraction]], i: int = 1) -> dict[int, BoundRow]:
+    """The membership rows of the i-th sum of :func:`class_sums`: that sum
+    (lhs) against the class's mass (rhs), by class."""
+    return {n: BoundRow(n, s[i], s[0], s[i] <= s[0]) for n, s in totals.items()}
 
 
 def avg_time(T: Callable, mu: Mapping, Y: Iterable) -> Fraction:
     """Expected T(x) conditioned on x in Y (exact)."""
-    items = list(Y)
-    denom = _mass(mu, items)
-    if denom == 0:
+    total, t = sums(mu, Y, [lambda x: (T(x),)])
+    if total == 0:
         raise ZeroMassSubset("conditioning subset has probability zero")
-    w = mu.get
-    return _dot((T(x), w(x, 0)) for x in items) / denom
+    return t / total
 
 
 def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
@@ -154,48 +185,22 @@ def oclass_member(space: InputSpace, T: Callable, F: Callable[[int], object],
         sum over the class of  T(x) / F(f(x)) * mu(x)  <=  mu(class)
 
     in exact rational arithmetic (the coefficient on F is exactly 1),
-    and returns the rows by class, in class order.  F is evaluated once
-    per distinct size.
+    and returns the rows by class, in class order.
     """
-    w = mu.get
-    inv_F: dict[int, Fraction] = {}
-    rows: dict[int, BoundRow] = {}
-    for n in space.attained_classes():
-        items = space.class_items(n)
-        rhs = _mass(mu, items)
-        if rhs == 0:
-            continue
-        for k in dict.fromkeys(x[1] for x in items):
-            if k not in inv_F:
-                Fv = Fraction(F(k))
-                if Fv < 1:
-                    raise ValueError(f"F({k}) = {Fv} < 1")
-                inv_F[k] = 1 / Fv
-        lhs = _dot((T(x), w(x, 0), inv_F[x[1]]) for x in items)
-        rows[n] = BoundRow(n, lhs, rhs, lhs <= rhs)
-    return rows
+    return member_rows(class_sums(space, mu, [over_F(T, F)]))
 
 
-def _over_F(space: InputSpace, F: Callable[[int], object], mu: Mapping) -> list[Fraction]:
-    """The sum of mu/F over each positive-mass class, in the order of
-    :func:`oclass_member`'s rows."""
-    return [r.lhs for r in oclass_member(space, lambda x: 1, F, mu).values()]
+def _reweighted(H: Callable[[int], object],
+                totals: dict[int, list[Fraction]]) -> list[Fraction]:
+    """The sums of F(f(x)), T(x) and 1 against H(alpha(x)) / F(f(x)) * mu(x).
 
-
-def _reweighted(H: Callable[[int], object], oc: dict[int, BoundRow],
-                over_F: list[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    """The sums of T(x), F(f(x)) and 1 against H(alpha(x)) / F(f(x)) * mu(x).
-
-    H reads the class alone, so each is a sum over the classes n of
-    ``oc``'s rows of H(n) times a sum over the class against mu: of T/F
-    (the row's lhs), of 1 (its rhs) or of 1/F (``over_F``).
+    H reads the class alone, so each is a sum over the classes n of H(n)
+    times a sum of ``totals[n]``, the class's sums of 1, T/F and 1/F.
     """
-    hs = [H(n) for n in oc]
-    if any(h < 0 for h in hs):
+    hs = {n: H(n) for n in totals}
+    if any(h < 0 for h in hs.values()):
         raise ValueError("H produced a negative weight")
-    rows = oc.values()
-    return (_dot(zip(hs, [r.lhs for r in rows])), _dot(zip(hs, [r.rhs for r in rows])),
-            _dot(zip(hs, over_F)))
+    return sums(hs, totals, [lambda n, i=i: (totals[n][i],) for i in range(3)])[1:]
 
 
 class HRow(NamedTuple):
@@ -237,21 +242,17 @@ def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object
     per-class sums (see :func:`_reweighted`), so no reweighted
     distribution is built.
     """
-    oc = oclass_member(space, T, F, mu)
-    over_F = _over_F(space, F, mu)
+    totals = class_sums(space, mu, [over_F(T, F), over_F(lambda x: 1, F)])
+    oc = member_rows(totals)
     families = [(f"chi_{n}", n, (lambda n: lambda k: 1 if k == n else 0)(n)) for n in oc]
     families.extend((label, None, H) for label, H in extra_H)
-    h_rows = []
-    per_class = True
+    h_rows, per_class = [], True
     for label, n, H in families:
-        lhs, rhs, total = _reweighted(H, oc, over_F)
-        if not total:  # H vanishes on every positive-mass class
-            continue
-        lhs, rhs = lhs / total, rhs / total
-        row = HRow(label, lhs, rhs, lhs <= rhs)
-        h_rows.append(row)
-        if n is not None and row.ok != oc[n].passed:
-            per_class = False
+        rhs, lhs, total = _reweighted(H, totals)
+        if total:  # zero when H vanishes on every positive-mass class
+            lhs, rhs = lhs / total, rhs / total
+            h_rows.append(HRow(label, lhs, rhs, lhs <= rhs))
+            per_class = per_class and (n is None or (lhs <= rhs) == oc[n].passed)
     return Prop22Result(oc, h_rows, per_class)
 
 
@@ -282,34 +283,36 @@ def check_property_2_3(space: InputSpace, T: Callable, F: Callable[[int], object
     otherwise.  The sums are read per class, as in
     :func:`check_property_2_2`.
     """
-    oc = oclass_member(space, T, F, mu)
+    totals = class_sums(space, mu, [over_F(T, F), over_F(lambda x: 1, F)])
+    oc = member_rows(totals)
     if any(r.rhs != 1 for r in oc.values()):
         raise PreconditionFailed("mu must be normalized once per class")
     if not all(r.passed for r in oc.values()):
         raise PreconditionFailed("O(F) membership fails on this space")
-    expectation, _, mass = _reweighted(H, oc, _over_F(space, F, mu))
-    bound = _dot((H(n),) for n in space.attained_classes())
+    _, expectation, mass = _reweighted(H, totals)
+    bound = _sum(Fraction(H(n)) for n in space.attained_classes())
     return Prop23Result(bound, expectation, mass, expectation <= bound)
 
 
 class MarkovTail(NamedTuple):
+    mean: Fraction
     bound: Fraction
     empirical: Fraction
     ok: bool
 
 
-def markov_tail(T: Callable, mu: Mapping, Y: Iterable, a) -> MarkovTail:
-    """Tail bound P(T >= a | Y) <= avg(T | Y) / a, checked exactly."""
-    a = Fraction(a)
+def markov_tail(T: Callable, mu: Mapping, Y: Iterable, multiplier) -> MarkovTail:
+    """Markov's tail bound at a multiple of the mean, checked exactly:
+    P(T >= a | Y) <= avg(T | Y) / a = 1 / multiplier at
+    a = multiplier * avg(T | Y).  The threshold needs the mean, so the
+    tail is read in a second walk."""
+    items = list(Y)
+    mean = avg_time(T, mu, items)
+    a = Fraction(multiplier) * mean
     if a <= 0:
         raise ValueError("threshold must be positive")
-    items = list(Y)
-    total = _mass(mu, items)
-    if total == 0:
-        raise ZeroMassSubset("conditioning subset has probability zero")
-    bound = avg_time(T, mu, items) / a
-    empirical = _mass(mu, (x for x in items if T(x) >= a)) / total
-    return MarkovTail(bound, empirical, empirical <= bound)
+    empirical = avg_time(lambda x: T(x) >= a, mu, items)
+    return MarkovTail(mean, mean / a, empirical, empirical <= mean / a)
 
 
 # --- distribution constructors ---------------------------------------

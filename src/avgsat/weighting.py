@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ZeroMass, ZeroMassSubset
-from .measure import InputSpace, _dot, _mass, _sum, avg_time
+from .measure import InputSpace, sums
 
 
 def validate(mu: Mapping, space: InputSpace) -> None:
@@ -28,7 +28,7 @@ def validate(mu: Mapping, space: InputSpace) -> None:
     for x, w in mu.items():
         if w < 0:
             raise ValueError(f"negative weight on {x!r}")
-    if _mass(mu, space.items) != 1:
+    if sums(mu, space.items)[0] != 1:
         raise ValueError("weights must sum to exactly 1")
 
 
@@ -44,7 +44,7 @@ def uniform_on(space: InputSpace, subset: Iterable | None = None) -> dict:
 def weights_proportional(space: InputSpace, weight: Callable) -> dict:
     """Normalize per-input weights to total mass 1 (exact)."""
     raw = {x: weight(x) * space.count[x] for x in space.items}
-    total = _dot((w,) for w in raw.values())
+    total = sums(raw, raw)[0]
     if total == 0:
         raise ZeroMass("all weights vanish")
     return {x: Fraction(w) / total for x, w in raw.items() if w}
@@ -57,10 +57,8 @@ def power_law_length(space: InputSpace, p: int) -> dict:
 
 def relative_avg(space: InputSpace, T: Callable, mu: Mapping, n: int) -> Fraction:
     """Average T over the size class f = n; defined as 1 on empty mass."""
-    items = [x for x in space.items if x[1] == n]
-    if _mass(mu, items) == 0:
-        return Fraction(1)
-    return avg_time(T, mu, items)
+    total, t = sums(mu, (x for x in space.items if x[1] == n), [lambda x: (T(x),)])
+    return t / total if total else Fraction(1)
 
 
 class HMode(enum.Enum):
@@ -91,7 +89,7 @@ def nu_from_H(space: InputSpace, H: Callable[[int], object],
                 raw[x] = q
     if mode is HMode.DOMINATED:
         return raw
-    total = _sum(raw.values())
+    total = sums(raw, raw)[0]
     if total == 0:
         raise ZeroMass("H vanishes on every positive-mass item")
     return {x: q / total for x, q in raw.items()}

@@ -10,7 +10,7 @@ from avgsat.analytic import (ChainStep, catalan_binomial,
                              ratio_partial_sums, sentence_count, shannon_lengths,
                              shannon_space, tabulator_class_bound,
                              totals_and_ratio, wilf_comparison)
-from avgsat.formula import enumerate_formulas, leaf_sequence, var_count_alpha
+from avgsat.formula import enumerate_formulas, var_count_alpha
 from avgsat.moments import geometric_moment_sum, moment_oclass_constant
 
 

@@ -1208,6 +1208,52 @@ def test_property_checks_build_no_reweighted_distribution(tmp_path, monkeypatch,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
 
 
+class _CountingWeights(dict):
+    """A weight map that counts the reads of each key through ``get``."""
+
+    def get(self, key, default=None):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command,most", [
+    ("sat-oclass --n 1", 1), ("sat-oclass --n 2", 1), ("sat-oclass --n 3", 1),
+    ("moments --n-list 1,2", 1), ("property-2-2 --n-list 1,2", 1),
+    ("property-2-3 --model sat --n-list 1,2", 1),
+    ("tab-oclass --model enumerated --n-list 1,2 --max-tokens 6", 1),
+    # the tail's threshold is a multiple of the mean, which is summed first
+    ("markov-tail --n 2", 2),
+])
+def test_exact_commands_read_each_weight_once(tmp_path, monkeypatch, command, most):
+    # every row of a command comes from one summing pass over each space
+    from avgsat import measure
+    maps, spaces = [], []
+    for name in ("uniform_over_model_classes", "uniform_within_min_layers"):
+        def counting(*args, build=getattr(measure, name), **kwargs):
+            mu = _CountingWeights(build(*args, **kwargs))
+            mu.reads = {}
+            maps.append(mu)
+            return mu
+        monkeypatch.setattr(measure, name, counting)
+
+    class CountedSpace(measure.InputSpace):
+        def __init__(self, count):
+            super().__init__(count)
+            spaces.append(self)
+
+    monkeypatch.setattr(measure, "InputSpace", CountedSpace)
+    assert cli.main([*command.split(), "--out", str(tmp_path / "out.csv")]) == 0
+    assert maps
+    for mu in maps:
+        assert mu.reads.keys() == mu.keys()
+        assert max(mu.reads.values()) <= most
+    if command.startswith("sat-oclass"):
+        # the co row reads the sentences' own space and weights
+        assert len(spaces) == len(maps) == 1
+        assert sum(maps[0].reads.values()) == len(spaces[0]) == \
+            {"1": 8, "2": 104, "3": 7566}[command[-1]]
+
+
 # The n = 3 CSVs, pinned to the bytes written while every space still
 # held one witness sentence per renamed key: a key stands for 3! = 6
 # sentences there, so a wrong renaming factor would show.

@@ -30,6 +30,7 @@ from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_
 from avgsat.errors import ZeroMass
 from avgsat.measure import InputSpace
 from avgsat.weighting import HMode
+from negation import negated_keys
 
 # the costs read an expanded item's first three fields, its key or block
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
@@ -80,7 +81,7 @@ class Twin:
 
     def lift(self, mu: dict) -> dict:
         """The expanded weights summed per item."""
-        lifted = {k: measure._mass(mu, xs) for k, xs in self.groups.items()}
+        lifted = {k: measure.sums(mu, xs)[0] for k, xs in self.groups.items()}
         return {k: w for k, w in lifted.items() if w}
 
     def times(self, T) -> dict:
@@ -134,9 +135,9 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
         assert avg == measure.avg_time(T, mu_e, e.items)
         for k in sizes(c)[:3]:
             assert weighting.relative_avg(c, T, mu_c, k) == weighting.relative_avg(e, T, mu_e, k)
-        for a in (avg, 100 * avg):
-            assert measure.markov_tail(T, mu_c, c.items, a) == \
-                measure.markov_tail(T, mu_e, e.items, a)
+        for multiplier in (1, 100):
+            assert measure.markov_tail(T, mu_c, c.items, multiplier) == \
+                measure.markov_tail(T, mu_e, e.items, multiplier)
         for H in HS:
             for mode in HMode:
                 try:
@@ -300,9 +301,9 @@ def test_min_layer_masses_match_expansion_over_3_variables():
 def test_negated_space_matches_expansion(table, twins, n):
     twin = twins[n]
     negations = [engines.negated(Formula(x[-1], table)) for x in twin.expanded.items]
-    assert all(engines.negated_keys({x[:3]: 1}, table) == {nx.key(): 1}
+    assert all(negated_keys({x[:3]: 1}, table) == {nx.key(): 1}
                for x, nx in zip(twin.expanded.items, negations))
-    co = Twin(InputSpace(engines.negated_keys(twin.counted.count, table)),
+    co = Twin(InputSpace(negated_keys(twin.counted.count, table)),
               items_space([sentence_item(nx) for nx in negations]))
     assert_keys_and_counts(co)
     mu_c = measure.uniform_over_model_classes(co.counted)
@@ -335,6 +336,27 @@ def test_sat_oclass_rows_are_the_closed_form(tmp_path, name, n):
         analytic.expected_min_plus_one(n).closed / 2
     assert (sat["rhs_num"], sat["rhs_den"]) == ("1", "1")
     assert {**rows["co"], "check": "sat"} == sat
+
+
+@pytest.mark.parametrize("name,n", [*((name, n) for name in COVERING_TABLES for n in (1, 2)),
+                                    ("standard", 3)])
+def test_co_row_is_the_negated_space_row(tmp_path, name, n):
+    # the command sums over the sentences' keys with complemented masks;
+    # the negated sentences' own key space, with its own weights, must
+    # give exactly the same row
+    table = ORACLE_TABLES[name]
+    path = tmp_path / "table.txt"
+    path.write_text(tables.to_text(table), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert cli.main(["sat-oclass", "--table", str(path), "--n", str(n), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        co = next(row for row in csv.DictReader(fh) if row["check"] == "co")
+    space = InputSpace(negated_keys(measure.covering_space(table, n).count, table))
+    row = measure.oclass_member(space, engines.sat_scan, DOUBLE,
+                                measure.uniform_over_model_classes(space))[n]
+    assert [co[k] for k in ("n", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "pass")] == \
+        [str(n), *map(str, row.lhs.as_integer_ratio()), *map(str, row.rhs.as_integer_ratio()),
+         "pass" if row.passed else "fail"]
 
 
 def test_combined_space_properties_match_expansion(table, twins):

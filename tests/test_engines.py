@@ -4,6 +4,7 @@ from avgsat import engines, tables
 from avgsat.formula import (ConnectiveTable, Formula, compact_model_set,
                             enumerate_formulas, evaluate, model_set, parse_rpn,
                             size_f, var_count_alpha)
+from negation import negated_keys
 
 
 def test_rewrite_examples(std):
@@ -150,7 +151,7 @@ def test_negated_key_is_the_key_of_the_negation(table):
            "nand": tables.from_text("⊼ 2 1110\n"),
            "nor-only": tables.from_text("⊽ 2 1000\n")}[table]
     for x in enumerate_formulas(tab, 3, max_tokens=7):
-        assert engines.negated_keys({x.key(): 5}, tab) == {engines.negated(x).key(): 5}
+        assert negated_keys({x.key(): 5}, tab) == {engines.negated(x).key(): 5}
     monotone = tables.from_text("∧ 2 0001\n∨ 2 0111\n")
     with pytest.raises(engines.NoNegation):
-        engines.negated_keys({(1, 16, 2): 1}, monotone)
+        negated_keys({(1, 16, 2): 1}, monotone)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from avgsat import analytic, engines, measure, moments, tables
 from avgsat.commands.exact import BOUND_HEADER, bound_rows
-from avgsat.formula import Formula, enumerate_formulas, parse_rpn
+from avgsat.formula import Formula, enumerate_formulas
 from avgsat.errors import ZeroMass
 from avgsat.measure import (ClassUncovered, InputSpace, PreconditionFailed,
                             Verdict, ZeroMassSubset, avg_time,
@@ -481,8 +481,8 @@ def test_property_2_3_preconditions(combined):
 
 def test_markov_hundredfold(space2):
     mu = uniform_over_model_classes(space2)
-    avg = avg_time(SAT_TIME, mu, space2.items)
-    res = markov_tail(SAT_TIME, mu, space2.items, 100 * avg)
+    res = markov_tail(SAT_TIME, mu, space2.items, 100)
+    assert res.mean == avg_time(SAT_TIME, mu, space2.items)
     assert res.bound == Fraction(1, 100)
     assert res.empirical <= Fraction(1, 100)
     assert res.ok
@@ -491,27 +491,38 @@ def test_markov_hundredfold(space2):
 def test_markov_threshold_below_minimum():
     sp = toy_space([3, 5])
     mu = uniform_on(sp)
-    res = markov_tail(ALPHA, mu, sp.items, 2)
+    # mean 4, threshold 2
+    res = markov_tail(ALPHA, mu, sp.items, Fraction(1, 2))
     assert res.empirical == 1
-    assert res.bound >= 1
+    assert res.bound == 2
 
 
 def test_markov_tight_constant():
     sp = toy_space([4, 7])
     mu = uniform_on(sp)
-    res = markov_tail(lambda x: 6, mu, sp.items, 6)
+    res = markov_tail(lambda x: 6, mu, sp.items, 1)
     assert res.empirical == 1 == res.bound
+    # a multiplier or a mean of 0 puts the threshold at 0
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        markov_tail(lambda x: 6, mu, sp.items, 0)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        markov_tail(lambda x: 0, mu, sp.items, 1)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=50),
                           st.integers(min_value=1, max_value=9)),
                 min_size=1, max_size=8),
-       st.integers(min_value=1, max_value=60))
-def test_markov_always_holds(pairs, a):
+       st.fractions(min_value=Fraction(1, 4), max_value=60, max_denominator=12))
+def test_markov_always_holds(pairs, multiplier):
     sp = key_space(*((0, 1, i) for i in range(len(pairs))))
     mu = weights_proportional(sp, lambda x: Fraction(pairs[x[2]][1]))
     T = lambda x: pairs[x[2]][0]
-    res = markov_tail(T, mu, sp.items, a)
+    if not any(time for time, _ in pairs):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            markov_tail(T, mu, sp.items, multiplier)
+        return
+    res = markov_tail(T, mu, sp.items, multiplier)
+    assert res.bound == 1 / multiplier
     assert res.empirical <= res.bound
 
 
@@ -709,9 +720,9 @@ def ref_per_class(space, mu):
 def assert_sums_match(space, T, F, mu, Hs):
     """Every exact sum of the library equals its naive reference."""
     items = space.items
-    assert measure._mass(mu, items) == ref_mass(mu, items)
+    assert measure.sums(mu, items)[0] == ref_mass(mu, items)
     for n in space.attained_classes():
-        assert measure._mass(mu, space.class_items(n)) == ref_mass(mu, space.class_items(n))
+        assert measure.sums(mu, space.class_items(n))[0] == ref_mass(mu, space.class_items(n))
     if ref_mass(mu, items):
         assert avg_time(T, mu, items) == ref_avg_time(T, mu, items)
     expected = ref_oclass(space, T, F, mu)
@@ -765,7 +776,7 @@ def test_exact_sums_match_references_on_sentences(space1, space2):
         assert_sums_match(sp, lambda x: SAT_TIME(x) ** 3, lambda k: c * k ** 3, mu, Hs)
         a = 100 * avg_time(SAT_TIME, mu, sp.items)
         tail = ref_mass(mu, [x for x in sp.items if SAT_TIME(x) >= a])
-        assert markov_tail(SAT_TIME, mu, sp.items, a).empirical == tail
+        assert markov_tail(SAT_TIME, mu, sp.items, 100).empirical == tail
 
 
 _times = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
@@ -794,10 +805,16 @@ def test_exact_sums_match_references_on_toy_spaces(rows, m, h_values):
     assert_sums_match(sp, T, lambda k: c * k ** m, mu,
                       [lambda n: 1, lambda n: h_values[n]])
     if ref_mass(mu, sp.items):
-        a = ref_avg_time(T, mu, sp.items) or 1
-        tail = ref_mass(mu, [x for x in sp.items if times[x] >= a])
-        assert markov_tail(T, mu, sp.items, a).empirical == \
-            tail / ref_mass(mu, sp.items)
+        mean = ref_avg_time(T, mu, sp.items)
+        for multiplier in (Fraction(1, 2), 1, 3):
+            if not mean:
+                with pytest.raises(ValueError, match="threshold must be positive"):
+                    markov_tail(T, mu, sp.items, multiplier)
+                continue
+            tail = ref_mass(mu, [x for x in sp.items if times[x] >= multiplier * mean])
+            res = markov_tail(T, mu, sp.items, multiplier)
+            assert res.mean == mean
+            assert res.empirical == tail / ref_mass(mu, sp.items)
     raw = {x: row[3] for x, row in zip(keys, rows)}
     total = sum(raw.values(), Fraction(0))
     if total:
