@@ -104,21 +104,3 @@ def completion_counts(n_vars, arities, length):
                     total += mult * prev[d - a + 1]
             row[d] = total
     return cnt
-
-
-def length_range(arities, max_tokens, exact_connectives):
-    """The token counts of the sentences with at most ``max_tokens``
-    tokens and/or exactly ``exact_connectives`` connective tokens."""
-    if max_tokens is None and exact_connectives is None:
-        raise ValueError("need a max token count or an exact connective count")
-    if exact_connectives is not None:
-        if exact_connectives < 0:
-            raise ValueError("connective count must be non-negative")
-        lo = exact_connectives + 1 + exact_connectives * (min(arities) - 1)
-        hi = exact_connectives + 1 + exact_connectives * (max(arities) - 1)
-        if max_tokens is not None:
-            hi = min(hi, max_tokens)
-        return range(max(lo, 1), hi + 1)
-    return range(1, max_tokens + 1)
-
-

@@ -131,19 +131,15 @@ def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
     (``counts``, if given, as ``_census_length`` reads it), times one
     labeling per nonempty variable subset.  Every connective of
     ``table`` (default: the 16 binary ones) must have one arity
-    ``a >= 1``; otherwise ``ValueError``.
+    ``a >= 1``, so that every such sentence has ``N * a + 1`` tokens;
+    otherwise ``ValueError``.
     """
-    from . import _kernel  # loaded only by the census
+    if N < 0:
+        raise ValueError("connective count must be non-negative")
     if table is None:
         from .tables import all_of_arity  # loaded only where the family is built
         table = all_of_arity(2)
-    total = 0
-    pow2 = 0
-    for length in _kernel.length_range(table.arities, None, N):
-        c, s = _census_length(N + 1, table.arities, length, counts)
-        total += c
-        pow2 += s
-    return Census(N, total, pow2)
+    return Census(N, *_census_length(N + 1, table.arities, N * max(table.arities) + 1, counts))
 
 
 def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
@@ -157,8 +153,7 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
     if table is None:
         from .tables import all_of_arity  # loaded only where the family is built
         table = all_of_arity(2)
-    longest = _kernel.length_range(table.arities, None, N_max)[-1]
-    counts = _kernel.completion_counts(1, table.arities, longest)
+    counts = _kernel.completion_counts(1, table.arities, N_max * max(table.arities) + 1)
     return [census(N, table, counts) for N in range(N_max + 1)]
 
 

@@ -37,16 +37,24 @@ def bound_rows(report: dict[int, measure.BoundRow],
     return [[str(r.n), *comparison(r.lhs, r.rhs), status(r)] for r in report.values()]
 
 
-def _space(table: ConnectiveTable, n: int, max_tokens: int | None):
-    """The covering space of n variables, or its sentences within
+def _space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
+    """The covering space of each class of ns, or its sentences within
     max_tokens, of which there must be some: a class left empty would
-    have no row."""
-    if max_tokens is None:
-        return measure.covering_space(table, n)
-    space = measure.formula_space(table, n, max_tokens)
-    if not space.items:
-        raise ClassUncovered(f"alpha-class {n} has no sentence within {max_tokens} tokens")
-    return space
+    have no row.  One class gets its own space, several one space of all
+    their keys."""
+    spaces = []
+    for n in sorted(ns):
+        space = (measure.covering_space(table, n) if max_tokens is None
+                 else measure.formula_space(table, n, max_tokens))
+        if not space.items:
+            raise ClassUncovered(f"alpha-class {n} has no sentence within {max_tokens} tokens")
+        spaces.append(space)
+    if len(spaces) == 1:
+        return spaces[0]
+    count: dict[tuple, int] = {}
+    for space in spaces:
+        count.update(space.count)
+    return measure.InputSpace(count)
 
 
 def cmd_sat_oclass(opts: Options):
@@ -54,21 +62,19 @@ def cmd_sat_oclass(opts: Options):
     max_tokens = opts.get("max_tokens")
     table = _load_table(opts)
     header = ["check"] + BOUND_HEADER
-    space = _space(table, n, max_tokens)
+    space = _space(table, [n], max_tokens)
     mu = measure.uniform_over_model_classes(space)
-    F = lambda k: 2 * k
-    # one pass: negation maps keys one to one, keeping alpha, count and
-    # weight, and complements the class mask; sat_scan / (2f) is
-    # (min_n + 1) / 2 whatever size the negation has
-    co = lambda x: engines.sat_scan((x[0], x[1], ((1 << (1 << x[0])) - 1) ^ x[2]))
-    terms = [measure.over_F(engines.sat_scan, F), lambda x: (engines.rewrite_cost(x),),
-             lambda x: (engines.sat_scan(x),), measure.over_F(co, F)]
-    negates = table.negation_strategy() is not None
-    # each class's sums: mass, sat / 2f, read, scan, co / 2f
-    totals = measure.class_sums(space, mu, terms if negates else terms[:3])
-    rows = [["sat"] + row for row in bound_rows(measure.member_rows(totals))]
-    if negates:
-        rows.extend(["co"] + row for row in bound_rows(measure.member_rows(totals, 4)))
+    terms = [measure.over_F(engines.sat_scan, lambda k: 2 * k),
+             lambda x: (engines.rewrite_cost(x),), lambda x: (engines.sat_scan(x),)]
+    # each class's sums: mass, sat / 2f, read, scan
+    totals = measure.class_sums(space, mu, terms)
+    sat = bound_rows(measure.member_rows(totals))
+    rows = [["sat"] + row for row in sat]
+    if table.negation_strategy() is not None:
+        # the co row is the sat row: negation keeps each key's alpha,
+        # count and weight, and permutes the classes, of equal mass here;
+        # sat_scan / (2f) is (min_n + 1) / 2, which reads the mask alone
+        rows.extend(["co"] + row for row in sat)
     else:
         rows.append(["co-skipped", str(n), *comparison(0, 0), INFO])
     # measured share of the checker's time spent reading the input
@@ -92,7 +98,7 @@ def cmd_tab_oclass(opts: Options):
         if model == "shannon":
             space, mu = analytic.shannon_space([n])
         else:
-            space = measure.layer_blocks(_space(table, n, max_tokens), n)
+            space = measure.layer_blocks(_space(table, [n], max_tokens), n)
             mu = measure.uniform_within_min_layers(space, n)
         known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
         report = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)
@@ -140,8 +146,8 @@ def cmd_moments(opts: Options):
     table = _load_table(opts)
     header = ["kind", "m", "n", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
               "lhs_float", "rhs_float", "status"]
-    # the spaces first: one past n = 3 is refused before any sum
-    spaces = [measure.covering_space(table, n) for n in sorted(n_list)]
+    # the space first: one past n = 3 is refused before any sum
+    space = _space(table, n_list, None)
     rows = []
     for m in sorted(m_list):
         s = moments.geometric_moment_sum(m, tol)
@@ -152,25 +158,18 @@ def cmd_moments(opts: Options):
             bound = moments.moment_oclass_constant(m)
             ok = s.upper <= bound
         rows.append(["sum", str(m), "", *comparison(s.partial, bound), PASS if ok else FAIL])
-    # the oclass rows of every m >= 2 from one pass over each space
+    # the oclass rows of every m >= 2 from one pass, each class of mass 1
     ms = sorted(m for m in m_list if m >= 2)
     terms = [measure.over_F(lambda x, m=m: engines.sat_scan(x) ** m,
                             lambda k, m=m, c=moments.moment_oclass_constant(m): c * k ** m)
              for m in ms]
-    totals = [measure.class_sums(space, measure.uniform_over_model_classes(space), terms)
-              for space in spaces] if ms else []
-    for i, m in enumerate(ms, 1):
-        for t in totals:
-            rows.extend(["oclass", str(m)] + row for row in bound_rows(measure.member_rows(t, i)))
+    if ms:
+        mu = measure.uniform_over_model_classes(space, per_class=True)
+        totals = measure.class_sums(space, mu, terms)
+        for i, m in enumerate(ms, 1):
+            rows.extend(["oclass", str(m)] + row
+                        for row in bound_rows(measure.member_rows(totals, i)))
     return header, rows
-
-
-def _combined_space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
-    """One space holding the covering space for every class in ns."""
-    count: dict[tuple, int] = {}
-    for n in sorted(ns):
-        count.update(_space(table, n, max_tokens).count)
-    return measure.InputSpace(count)
 
 
 def cmd_property_2_2(opts: Options):
@@ -179,7 +178,7 @@ def cmd_property_2_2(opts: Options):
     break_class = opts.get("break_class")
     inflate = opts.get("inflate")
     table = _load_table(opts)
-    space = _combined_space(table, ns, max_tokens)
+    space = _space(table, ns, max_tokens)
     if break_class is not None and break_class not in space.classes:
         raise OptionError(f"--break-class {break_class}: not a class of the space "
                           f"({','.join(map(str, space.attained_classes()))})")
@@ -216,7 +215,7 @@ def cmd_property_2_3(opts: Options):
     ns = opts.get("n_list", [1, 2] if model == "sat" else [3, 4])
     if model == "sat":
         table = _load_table(opts)
-        space = _combined_space(table, ns, opts.get("max_tokens"))
+        space = _space(table, ns, opts.get("max_tokens"))
         mu = measure.uniform_over_model_classes(space, per_class=True)
         T = engines.sat_scan
         F = lambda k: 2 * k
@@ -240,7 +239,7 @@ def cmd_markov_tail(opts: Options):
     n = opts.get("n")
     multiplier = opts.get("multiplier")
     table = _load_table(opts)
-    space = measure.covering_space(table, n)
+    space = _space(table, [n], None)
     mu = measure.uniform_over_model_classes(space)
     result = measure.markov_tail(engines.sat_scan, mu, space.items, multiplier)
     header = ["n", "multiplier", "avg_num", "avg_den", "bound_num", "bound_den",

@@ -7,8 +7,8 @@ sorted ranks of one length in one walk, and scored by the cost models
 of :mod:`avgsat.engines`, which read keys alone.  The walk applies a
 binary connective from its coefficients, with no call.  An exact mean
 (``--exact-check``, ``--exhaustive``) is the quotient of two integer
-sums over the keys that :mod:`avgsat._counting` counts, taken as
-``num / den``, the correctly rounded float, so no run loads
+sums over the keys that :mod:`avgsat._counting` counts, taken by int
+true division, the correctly rounded float, so no run loads
 :mod:`avgsat.measure` or :mod:`fractions`.  :mod:`avgsat.cli` names the
 sampler too, and loads it from here.
 
@@ -298,18 +298,22 @@ def alpha_count(arities, n: int, max_tokens: int) -> int:
                for k in range(n + 1))
 
 
-def _counted_mean(table: ConnectiveTable, n: int, max_tokens: int):
-    """(count, num, den): the counted keys of the sentences over exactly
-    n variables within max_tokens (:func:`avgsat._counting.sentence_keys`),
-    and their exact mean scan time as the quotient of two integers, the
-    sum of each key's scan time times its count over the sum of the
-    counts."""
+def _counted_moments(table: ConnectiveTable, n: int, max_tokens: int) -> tuple[int, int, int]:
+    """(count, sum, sum of squares) of the scan times of the counted keys
+    of the sentences over exactly n variables within max_tokens
+    (:func:`avgsat._counting.sentence_keys`), each key's value times its
+    count; their exact mean is the quotient of the first two."""
     from .._counting import sentence_keys  # loaded only for an exact mean
-    count = sentence_keys(table, n, max_tokens)
-    if not count:
+    keys = sentence_keys(table, n, max_tokens)
+    if not keys:
         raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} tokens")
-    scan = engines.sat_scan
-    return count, sum(c * scan(x) for x, c in count.items()), sum(count.values())
+    count = sx = sxx = 0
+    for x, c in keys.items():
+        v = engines.sat_scan(x)
+        count += c
+        sx += c * v
+        sxx += c * v * v
+    return count, sx, sxx
 
 
 def _draws(rng: random.Random, total: int):
@@ -380,18 +384,12 @@ def cmd_montecarlo(opts: Options):
     exact_mean = z = ""
     status = PASS
     if exhaustive:
-        count, num, den = _counted_mean(table, n, max_tokens)
-        # int true division rounds correctly: the float of Fraction(num, den)
-        exact = num / den
-        # one (value, count) pair per key, never one value per sentence;
+        count, sx, sxx = _counted_moments(table, n, max_tokens)
+        # int true division rounds correctly: the float of Fraction(sx, count)
+        exact = sx / count
         # a key counts canonical sentences, each standing for n! sentences
         renamings = math.factorial(n)
-        samples = sx = sxx = 0
-        for x, c in count.items():
-            c, v = renamings * c, engines.sat_scan(x)
-            samples += c
-            sx += c * v
-            sxx += c * v * v
+        samples, sx, sxx = renamings * count, renamings * sx, renamings * sxx
         mean, se = _mean_stderr(samples, sx, sxx)
         exact_mean = _float(exact)
         status = PASS if mean == exact else FAIL
@@ -421,8 +419,8 @@ def cmd_montecarlo(opts: Options):
         # `samples` acceptances take about samples * total / hits draws
         _check_draws(samples * total // hits, n, max_tokens, request)
         if exact_check:  # first, as it may refuse its own space
-            _, num, den = _counted_mean(table, n, max_tokens)
-            exact = num / den  # correctly rounded, as with --exhaustive
+            count, sx, _ = _counted_moments(table, n, max_tokens)
+            exact = sx / count  # correctly rounded, as with --exhaustive
         accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:

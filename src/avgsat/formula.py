@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from ._formula_core import (Connective, ConnectiveTable, FormulaError,  # noqa: F401
                             MalformedRpn, UnknownSymbol, VariableOutOfRange, _Frozen)
-from ._kernel import _anf, _apply, completion_counts, length_range, var_mask
+from ._kernel import _anf, _apply, completion_counts, var_mask
 
 _VAR_TOKEN = re.compile(r"^p(\d+)$")
 
@@ -312,7 +312,8 @@ def model_set(x: Formula, n: int) -> ModelSet:
     return ModelSet(n, bits)
 
 
-# bounded above the 38,152 entries of `sat-oclass --n 3`, the most any command adds
+# no command keys sentences; the bound keeps the memory of keying a whole
+# enumeration, as the tests' sentence-by-sentence oracles do, within 2^16 entries
 @lru_cache(maxsize=2 ** 16)
 def compact_model_set(x: Formula) -> ModelSet:
     """Model set over the sentence's own variables.
@@ -322,6 +323,22 @@ def compact_model_set(x: Formula) -> ModelSet:
     """
     bits, alpha = eval_mask_compact(x.codes, x.table.arities, x.table.truth_bits)
     return ModelSet(alpha, bits)
+
+
+def length_range(arities, max_tokens, exact_connectives):
+    """The token counts of the sentences with at most ``max_tokens``
+    tokens and/or exactly ``exact_connectives`` connective tokens."""
+    if max_tokens is None and exact_connectives is None:
+        raise ValueError("need a max token count or an exact connective count")
+    if exact_connectives is not None:
+        if exact_connectives < 0:
+            raise ValueError("connective count must be non-negative")
+        lo = exact_connectives + 1 + exact_connectives * (min(arities) - 1)
+        hi = exact_connectives + 1 + exact_connectives * (max(arities) - 1)
+        if max_tokens is not None:
+            hi = min(hi, max_tokens)
+        return range(max(lo, 1), hi + 1)
+    return range(1, max_tokens + 1)
 
 
 def enumerate_formulas(table: ConnectiveTable, n_vars: int, max_tokens: int | None = None,

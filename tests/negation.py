@@ -1,5 +1,5 @@
 """The negated key space: the reference that the ``co`` row of
-``sat-oclass``, a sum over complemented class masks, is checked against."""
+``sat-oclass``, its ``sat`` row written again, is checked against."""
 
 from avgsat import engines
 

@@ -726,19 +726,22 @@ def test_meaningless_scale_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("n, max_tokens", [(1, 6), (2, 8), (2, 12), (3, 10)])
 def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
-    # one integer quotient over the keys, against measure's exact
-    # expectation under the uniform distribution on the counted space
+    # integer sums over the keys, each quotient by the count against
+    # measure's exact expectation under the uniform distribution on the
+    # counted space
     from avgsat import engines, measure
     from avgsat._formula_core import ConnectiveTable
     from avgsat.weighting import uniform_on
     table = ConnectiveTable.standard()
-    count, num, den = sampling._counted_mean(table, n, max_tokens)
+    count, sx, sxx = sampling._counted_moments(table, n, max_tokens)
     space = measure.formula_space(table, n, max_tokens)
-    assert count == space.count
-    # the command writes num / den: int true division rounds correctly
-    assert num / den == float(Fraction(num, den))
-    assert Fraction(num, den) == \
-        measure.avg_time(engines.sat_scan, uniform_on(space), space.items)
+    assert count == space.total(space.items)
+    # the command writes sx / count: int true division rounds correctly
+    assert sx / count == float(Fraction(sx, count))
+    mu = uniform_on(space)
+    assert Fraction(sx, count) == measure.avg_time(engines.sat_scan, mu, space.items)
+    assert Fraction(sxx, count) == \
+        measure.avg_time(lambda x: engines.sat_scan(x) ** 2, mu, space.items)
 
 
 def test_markov_tail(tmp_path):
@@ -1247,8 +1250,11 @@ def test_exact_commands_read_each_weight_once(tmp_path, monkeypatch, command, mo
     for mu in maps:
         assert mu.reads.keys() == mu.keys()
         assert max(mu.reads.values()) <= most
+    if command.startswith("moments"):
+        # one weight map over one space of every class
+        assert len(maps) == 1 and maps[0].reads.keys() == spaces[-1].count.keys()
     if command.startswith("sat-oclass"):
-        # the co row reads the sentences' own space and weights
+        # the co row is the sat row: no second space or weights
         assert len(spaces) == len(maps) == 1
         assert sum(maps[0].reads.values()) == len(spaces[0]) == \
             {"1": 8, "2": 104, "3": 7566}[command[-1]]
@@ -1513,10 +1519,10 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # margin of about 2%.  Before, the counted-space commands compiled 2,210
 # lines (moments 2,563) and the Shannon-model ones 2,287
 LINE_BUDGETS = {
-    **dict.fromkeys(EXACT_COMMANDS, 1870),
-    "moments --n-list 1": 1945,
-    "tab-oclass --n-list 3": 1925,
-    "property-2-3 --model shannon": 1925,
+    **dict.fromkeys(EXACT_COMMANDS, 1850),
+    "moments --n-list 1": 1925,
+    "tab-oclass --n-list 3": 1900,
+    "property-2-3 --model shannon": 1900,
 }
 
 
@@ -1555,8 +1561,7 @@ def test_kernel_defines_only_the_shared_primitives(tmp_path):
         cli.main([*command.split(), "--out", str(tmp_path / "out.csv")])
     defined = {name for name, value in vars(_kernel).items()
                if getattr(value, "__module__", None) == _kernel.__name__}
-    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "length_range",
-                       "__getattr__"}
+    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "__getattr__"}
 
 
 @pytest.mark.parametrize("command", [

@@ -316,41 +316,56 @@ def test_negated_space_matches_expansion(table, twins, n):
 COVERING_TABLES = ["all_binary", "constant", "nand", "standard"]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("name", COVERING_TABLES)
-def test_sat_oclass_rows_are_the_closed_form(tmp_path, name, n):
-    # sat_scan / (2f) is (min + 1) / 2 on every key of a class, so on any
-    # covering space the sat row's lhs is half the expected first witness;
-    # complementing permutes the classes, so the co row is the same row
-    table = ORACLE_TABLES[name]
-    assert table.negation_strategy() is not None
+def _sat_oclass_rows(tmp_path, table, n):
+    """The rows of ``sat-oclass`` over ``table`` at n, by check."""
     path = tmp_path / "table.txt"
     path.write_text(tables.to_text(table), encoding="utf-8")
     out = tmp_path / "out.csv"
     assert cli.main(["sat-oclass", "--table", str(path), "--n", str(n), "--out", str(out)]) == 0
     with open(out, encoding="utf-8") as fh:
-        rows = {row["check"]: row for row in csv.DictReader(fh)}
-    sat = rows["sat"]
+        return {row["check"]: row for row in csv.DictReader(fh)}
+
+
+def assert_sat_row_is_the_closed_form(sat, n):
+    # sat_scan / (2f) is (min + 1) / 2 on every key of a class, so on any
+    # covering space the sat row's lhs is half the expected first witness
     assert sat["n"] == str(n) and sat["pass"] == "pass"
     assert Fraction(int(sat["lhs_num"]), int(sat["lhs_den"])) == \
         analytic.expected_min_plus_one(n).closed / 2
     assert (sat["rhs_num"], sat["rhs_den"]) == ("1", "1")
-    assert {**rows["co"], "check": "sat"} == sat
+
+
+@pytest.mark.parametrize("name,n", [*((name, n) for name in COVERING_TABLES for n in (1, 2)),
+                                    ("standard", 3)])
+def test_sat_oclass_rows_are_the_closed_form(tmp_path, name, n):
+    # complementing permutes the classes, so the co row is the same row
+    table = ORACLE_TABLES[name]
+    assert table.negation_strategy() is not None
+    rows = _sat_oclass_rows(tmp_path, table, n)
+    assert_sat_row_is_the_closed_form(rows["sat"], n)
+    assert {**rows["co"], "check": "sat"} == rows["sat"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_that_cannot_negate_skips_the_co_row(tmp_path, n):
+    # implication and falsum cover every class, yet no NOT, NAND or NOR
+    # negates a sentence, so the co row is skipped and marked info
+    table = tables.from_text("→ 2 1101\n⊥ 0 0\n")
+    assert table.negation_strategy() is None
+    rows = _sat_oclass_rows(tmp_path, table, n)
+    assert list(rows) == ["sat", "co-skipped", "read-share"]
+    assert_sat_row_is_the_closed_form(rows["sat"], n)
+    assert list(rows["co-skipped"].values()) == \
+        ["co-skipped", str(n), "0", "1", "0", "1", "0.0", "0.0", "info"]
 
 
 @pytest.mark.parametrize("name,n", [*((name, n) for name in COVERING_TABLES for n in (1, 2)),
                                     ("standard", 3)])
 def test_co_row_is_the_negated_space_row(tmp_path, name, n):
-    # the command sums over the sentences' keys with complemented masks;
-    # the negated sentences' own key space, with its own weights, must
-    # give exactly the same row
+    # the command repeats the sat row; the negated sentences' own key
+    # space, with its own weights, must give exactly the same row
     table = ORACLE_TABLES[name]
-    path = tmp_path / "table.txt"
-    path.write_text(tables.to_text(table), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    assert cli.main(["sat-oclass", "--table", str(path), "--n", str(n), "--out", str(out)]) == 0
-    with open(out, encoding="utf-8") as fh:
-        co = next(row for row in csv.DictReader(fh) if row["check"] == "co")
+    co = _sat_oclass_rows(tmp_path, table, n)["co"]
     space = InputSpace(negated_keys(measure.covering_space(table, n).count, table))
     row = measure.oclass_member(space, engines.sat_scan, DOUBLE,
                                 measure.uniform_over_model_classes(space))[n]
@@ -360,7 +375,7 @@ def test_co_row_is_the_negated_space_row(tmp_path, name, n):
 
 
 def test_combined_space_properties_match_expansion(table, twins):
-    counted = exact._combined_space(table, [1, 2], None)
+    counted = exact._space(table, [1, 2], None)
     expanded = items_space([x for n in (1, 2) for x in twins[n].expanded.items])
     twin = Twin(counted, expanded)
     assert_keys_and_counts(twin)

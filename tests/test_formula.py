@@ -232,9 +232,9 @@ def test_model_set_exhaustive_agreement(std, all_binary):
 
 
 def test_compact_model_set_cache_is_bounded():
-    # montecarlo adds one entry per distinct accepted sentence; the bound
-    # stays above the 38,152 entries of `sat-oclass --n 3`, the most any
-    # command adds (its n = 3 sentences and their negations)
+    # keying every sentence of an enumeration adds one entry each; the
+    # bound stays above the 38,152 entries of the n = 3 covering sentences
+    # of the standard table and their negations
     maxsize = compact_model_set.cache_info().maxsize
     assert maxsize is not None and maxsize >= 38_152
 
