@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, mul, sub
 
-from ._kernel import _anf, _apply, completion_counts, var_mask
+from ._kernel import _anf, _apply, alpha_count, completion_counts, var_mask
 from .errors import MeasureError
 
 
@@ -261,7 +261,8 @@ def sentence_keys(table, n: int, max_tokens: int) -> dict[tuple, int]:
 
     Raises MeasureError unless 1 <= n <= 10, and, before counting, when
     the budget passes ``MAX_TOKENS`` or the count's estimated steps pass
-    ``MAX_WORK``."""
+    ``MAX_WORK``.  A space with no sentence over n variables
+    (``_kernel.alpha_count``) is empty, and is not counted."""
     _check_vars(n)
     if max_tokens > MAX_TOKENS:
         raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, "
@@ -271,6 +272,8 @@ def sentence_keys(table, n: int, max_tokens: int) -> dict[tuple, int]:
         raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
                            f"tokens would take more than the {MAX_WORK:.0e} steps a "
                            "count may take")
+    if not alpha_count(table.arities, n, max_tokens):
+        return {}
     for _ in range(max_tokens):
         counts.extend()
     return counts.keys()

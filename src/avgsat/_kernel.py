@@ -1,6 +1,7 @@
 """The primitives that the counting DP, the sampling walk and the
 census share: variable masks, a connective's algebraic normal form and
-its application to masks, and the completion-count table.
+its application to masks, the completion-count table, and the count,
+read from that table, of the sequences that use every variable.
 
 Conventions:
 
@@ -27,6 +28,7 @@ in :mod:`avgsat.commands.sampling`, so that a command compiles only the
 code it runs.
 """
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -104,3 +106,14 @@ def completion_counts(n_vars, arities, length):
                     total += mult * prev[d - a + 1]
             row[d] = total
     return cnt
+
+
+def alpha_count(arities, n: int, max_tokens: int) -> int:
+    """The sequences of at most ``max_tokens`` tokens over p0..p(n-1)
+    that use all n variables: by inclusion-exclusion over the variables
+    left out, from the sequences over each k of them.  It is 0 exactly
+    when no sentence within ``max_tokens`` tokens has n variables, a
+    negative budget holding none."""
+    return sum((-1) ** (n - k) * math.comb(n, k)
+               * sum(row[0] for row in completion_counts(k, arities, max(max_tokens, 0)))
+               for k in range(n + 1))

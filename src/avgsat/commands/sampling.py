@@ -88,24 +88,6 @@ def slot_runs(arities, tts):
     return tuple((a, first, len(ops), tuple(ops)) for a, first, ops in runs)
 
 
-def max_leaves(arities, max_tokens):
-    """The most variable tokens in a valid sequence of at most
-    ``max_tokens`` tokens, or 0 when there is none.
-
-    A sequence with ``c_a`` connectives of each arity ``a`` has
-    ``1 + sum(c_a * a)`` tokens and ``1 + sum(c_a * (a - 1))`` variable
-    tokens, in any valid order, so this is an unbounded knapsack of
-    capacity ``max_tokens - 1`` over the arities of at least 2.
-    """
-    if max_tokens < 1:
-        return 0
-    wide = {a for a in arities if a >= 2}
-    best = [0] * max_tokens   # best[w]: most leaves past the first, at weight <= w
-    for w in range(1, max_tokens):
-        best[w] = max([best[w - 1]] + [best[w - a] + a - 1 for a in wide if a <= w])
-    return 1 + best[-1]
-
-
 def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
             base: int = 0) -> list[tuple[int, int, int]]:
     """The keys (alpha, size f, class mask), in one walk, of the valid
@@ -249,17 +231,11 @@ class SequenceSampler:
                 i = e
         return keys
 
-    def key_at(self, u: int, codes=None) -> tuple[int, int, int]:
-        """The key of the sentence of rank ``u``, for ``0 <= u <
-        grand_total``, its codes appended to ``codes`` if it is given."""
-        (key,) = self.keys_at([u], codes)
-        return key
-
     def sample(self, rng):
         """A uniform sentence, as an :class:`avgsat.formula.Formula`."""
         from ..formula import Formula  # sentence objects: loaded only by their users
         codes = []
-        self.key_at(rng.randrange(self.grand_total), codes)
+        self.keys_at([rng.randrange(self.grand_total)], codes)
         return Formula(tuple(codes), self.table)
 
 
@@ -287,15 +263,6 @@ def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
     root |= root * root * den != num
     stdev = float(root << q) if q >= 0 else root / (1 << -q)
     return mean, stdev / count ** 0.5
-
-
-def alpha_count(arities, n: int, max_tokens: int) -> int:
-    """The sequences of at most ``max_tokens`` tokens over p0..p(n-1)
-    that use all n variables: by inclusion-exclusion over the variables
-    left out, from the sequences over each k of them."""
-    return sum((-1) ** (n - k) * math.comb(n, k)
-               * sum(row[0] for row in _kernel.completion_counts(k, arities, max_tokens))
-               for k in range(n + 1))
 
 
 def _counted_moments(table: ConnectiveTable, n: int, max_tokens: int) -> tuple[int, int, int]:
@@ -332,29 +299,29 @@ def _check_draws(draws: int, n: int, tokens: int, request: str) -> None:
                           "token steps a sampling run takes")
 
 
-def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tuple[int, int, int]:
-    """(accepted, sum, sum of squares) of the scan times of the first
-    ``samples`` of ``draws`` whose sentences have n variables.
+def _scan_moments(sampler: SequenceSampler, samples: int, draws, score,
+                  cap: int) -> tuple[int, int, int]:
+    """(accepted, sum, sum of squares) of the values of the first
+    ``samples`` of ``draws``, ranks of ``sampler``, that ``score``
+    accepts: it maps a list of keys to their values, None for a rejected
+    key.
 
     The draws come in rounds.  A round takes as many ranks as
     acceptances are still missing, so it makes no draw past the last
-    acceptance, but no more than the walk's keys may hold (``HELD_BITS``
-    over masks of 2^n bits); it tallies them per rank, unranks its new
-    distinct ranks in one walk per length, and scores each with
-    :func:`avgsat.engines.sat_scan`, adding count * value.  Values are
+    acceptance, but no more than ``cap``, the ranks whose keys a walk may
+    hold; it tallies them per rank, unranks its new distinct ranks in one
+    walk per length, scores them, and adds count * value.  Values are
     kept across rounds only when the space holds no more ranks than
     ``samples``: then ranks repeat, and no more ranks are held than
     there are samples.  A run that rejects more than
     ``1000 * (accepted + samples)`` draws ends in a :class:`SampleError`.
     """
     memo = {} if sampler.grand_total <= samples else None
-    cap = max(1, HELD_BITS >> n)
-    scan = engines.sat_scan
     accepted = rejected = sx = sxx = 0
     while accepted < samples:
         tally = Counter(islice(draws, min(samples - accepted, cap)))
         fresh = sorted(tally if memo is None else tally.keys() - memo.keys())
-        values = [scan(key) if key[0] == n else None for key in sampler.keys_at(fresh)]
+        values = score(sampler.keys_at(fresh))
         if memo is None:
             pairs = zip(map(tally.__getitem__, fresh), values)
         else:
@@ -369,7 +336,7 @@ def _scan_moments(sampler: SequenceSampler, n: int, samples: int, draws) -> tupl
                 sxx += c * value * value
         if rejected > 1000 * (accepted + samples):
             # the completion table has one row per length up to max_tokens
-            raise SampleError(f"no sentences with {n} distinct variables within "
+            raise SampleError(f"no sentences with {sampler.n_vars} distinct variables within "
                               f"{len(sampler.cnt) - 1} tokens (rejected {rejected} samples)")
     return accepted, sx, sxx
 
@@ -400,18 +367,17 @@ def cmd_montecarlo(opts: Options):
         request = f"{samples} samples over {n} variables within {max_tokens} tokens"
         # before any table is built; below 0 variables there is no mask
         _check_draws(samples, max(n, 0), max_tokens, request)
-        leaves = max_leaves(table.arities, max_tokens)
-        if n > leaves:
-            raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} "
-                              f"tokens (they hold at most {leaves} variable tokens)")
         sampler = SequenceSampler(table, n, max_tokens)
         total = sampler.grand_total
-        if total == 0:
-            raise SampleError(f"no sentences over {n} variables within {max_tokens} tokens")
+        # 0 when no sentence within max_tokens holds n variable tokens,
+        # and when there is no sentence at all
+        hits = _kernel.alpha_count(table.arities, n, max_tokens)
+        if not hits:
+            raise SampleError(f"no sentences with {n} distinct variables within "
+                              f"{max_tokens} tokens")
         # with an accepted share p, `samples` acceptances take about
         # samples * (1 - p) / p rejections; below p = 1/2001 that passes
         # the rounds' budget of 1000 * (accepted + samples) before the last
-        hits = alpha_count(table.arities, n, max_tokens)
         if hits * 2001 < total:
             raise SampleError(f"sentences with {n} distinct variables are {hits / total:.2g} "
                               f"of those within {max_tokens} tokens; below 1/2001 too few "
@@ -421,7 +387,11 @@ def cmd_montecarlo(opts: Options):
         if exact_check:  # first, as it may refuse its own space
             count, sx, _ = _counted_moments(table, n, max_tokens)
             exact = sx / count  # correctly rounded, as with --exhaustive
-        accepted, sx, sxx = _scan_moments(sampler, n, samples, _draws(random.Random(seed), total))
+        scan = engines.sat_scan
+        accepted, sx, sxx = _scan_moments(
+            sampler, samples, _draws(random.Random(seed), total),
+            lambda keys: [scan(k) if k[0] == n else None for k in keys],
+            max(1, HELD_BITS >> n))  # keys of masks of 2^n bits
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
             exact_mean = _float(exact)
@@ -456,20 +426,15 @@ def cmd_explore_min(opts: Options):
     total = sampler.cnt[max(target, 0)][0]  # a negative length has none, like zero
     if total == 0:
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
-    # the ranks of exactly `target` tokens are the sampler's last `total`.
-    # Sorted draws share their first tokens, so each walk takes a chunk of
-    # them: 4096, or fewer when their masks (at most 2^pool bits each)
-    # would pass HELD_BITS in all, down to one at a pool of 20
-    chunk = max(1, HELD_BITS >> max(pool, 8))
-    draws = _draws(random.Random(seed), total)
-    sx = sxx = 0
-    for left in range(samples, 0, -chunk):
-        tally = Counter(islice(draws, min(chunk, left)))
-        ranks = sorted(tally)
-        keys = _unrank(ranks, target, pool, sampler.runs, sampler.cnt)
-        for c, m in zip(map(tally.__getitem__, ranks), map(engines.min_n, keys)):
-            sx += c * m
-            sxx += c * m * m
+    # the ranks of exactly `target` tokens are the sampler's last `total`,
+    # and every draw is accepted.  Sorted draws share their first tokens,
+    # so each walk takes a round of them: 4096, or fewer when their masks
+    # (at most 2^pool bits each) would pass HELD_BITS in all, down to one
+    # at a pool of 20
+    draws = map((sampler.grand_total - total).__add__, _draws(random.Random(seed), total))
+    _, sx, sxx = _scan_moments(sampler, samples, draws,
+                               lambda keys: list(map(engines.min_n, keys)),
+                               max(1, HELD_BITS >> max(pool, 8)))
     mean, se = _mean_stderr(samples, sx, sxx)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]

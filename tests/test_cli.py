@@ -217,11 +217,14 @@ def test_unsampleable_request_exits_2(tmp_path, capsys, argv):
     ["property-2-3", "--h-exponent", "-1"],
     ["property-2-3", "--model", "shannon", "--n-list", "0,3"],
     ["tab-oclass", "--n", "0"],
+    ["sat-oclass", "--n", "1", "--max-tokens", "-1"],
+    ["montecarlo", "--n", "1", "--max-tokens", "-1", "--exhaustive"],
 ], ids=["explore-min-tokens", "explore-min-tokens-2", "explore-min-tokens-arity-3",
         "montecarlo-tokens", "montecarlo-n", "sat-oclass-n", "tab-oclass-n",
         "expected-min-n", "tab-oclass-shannon-n", "moments-m", "moments-tol",
         "counting-n-max", "markov-tail-multiplier", "property-2-3-exponent",
-        "property-2-3-shannon-n", "tab-oclass-default-n"])
+        "property-2-3-shannon-n", "tab-oclass-default-n", "sat-oclass-tokens",
+        "montecarlo-exhaustive-tokens"])
 def test_negative_size_exits_2(tmp_path, capsys, argv):
     assert_exits_2(tmp_path, capsys, argv)
 
@@ -235,14 +238,17 @@ def test_negative_size_exits_2(tmp_path, capsys, argv):
     ["montecarlo", "--n", "4", "--max-tokens", "14", "--samples", "10", "--exact-check"],
     ["montecarlo", "--n", "3", "--max-tokens", "60", "--exhaustive"],
     ["property-2-2", "--max-tokens", "201"],
+    ["tab-oclass", "--model", "enumerated", "--n-list", "6", "--max-tokens", "10"],
 ], ids=["sat-oclass-n4", "markov-tail-n5", "tab-oclass-n11", "tab-oclass-n5-work",
         "sat-oclass-n5-work", "montecarlo-exact-check-work",
-        "montecarlo-exhaustive-work", "property-2-2-tokens"])
+        "montecarlo-exhaustive-work", "property-2-2-tokens", "tab-oclass-n6-empty"])
 def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     # refused before any counting: covering spaces past n = 3, and
     # sentence spaces past 10 variables, 200 tokens or the counting's
     # estimated steps (_counting.MAX_WORK; sat-oclass --n 5 --max-tokens 11
-    # counted for 4.8 s before finding too few classes)
+    # counted for 4.8 s before finding too few classes), or with no
+    # sentence over n variables (_kernel.alpha_count; class 6 within 10
+    # tokens was counted for 4.4 s before it was found empty)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1
@@ -265,6 +271,15 @@ def test_space_missing_a_class_exits_2(tmp_path, capsys, argv, message):
     # a budget that leaves a class empty or short of model classes is
     # refused; an empty class is not read as a class of no rows
     assert_exits_2(tmp_path, capsys, argv.split(), prefix=f"avgsat: {message}\n")
+
+
+# the refusal of an --n that no sentence within --max-tokens holds
+UNREACHABLE_N = {
+    "montecarlo --n 5 --max-tokens 3 --samples 100000":
+        "avgsat: no sentences with 5 distinct variables within 3 tokens\n",
+    "montecarlo --table {unary} --n 2 --max-tokens 9":
+        "avgsat: no sentences with 2 distinct variables within 9 tokens\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,7 +317,8 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     unary = tmp_path / "unary.txt"
     unary.write_text("¬ 1 10\n", encoding="utf-8")
     start = time.perf_counter()
-    assert_exits_2(tmp_path, capsys, [arg.format(unary=unary) for arg in argv])
+    assert_exits_2(tmp_path, capsys, [arg.format(unary=unary) for arg in argv],
+                   prefix=UNREACHABLE_N.get(" ".join(argv), "avgsat: "))
     assert time.perf_counter() - start < 1
 
 
@@ -812,7 +828,7 @@ def test_cli_names_the_sampler_of_the_sampling_commands():
 
 def _codes_at(sampler, u):
     codes = []
-    key = sampler.key_at(u, codes)
+    key, = sampler.keys_at([u], codes)
     return tuple(codes), key
 
 
@@ -947,7 +963,7 @@ def test_walk_over_sorted_rank_sets_matches_one_rank_walks(table, n, max_tokens)
             ranks |= {rng.randrange(a, b) for a, b in zip([0] + ends, ends)}
             ranks |= {min(u + k, total - 1) for u in list(ranks)[:3] for k in range(4)}
         ranks = sorted(ranks)
-        assert sampler.keys_at(ranks) == [sampler.key_at(u) for u in ranks]
+        assert sampler.keys_at(ranks) == [key for u in ranks for key in sampler.keys_at([u])]
     assert len({bisect_right(ends, u) for u in ranks}) == len(ends) > 2
 
 
@@ -984,7 +1000,7 @@ def _per_draw_moments(sampler, n, samples, rng):
         if u in value_of:
             value = value_of[u]
         else:
-            alpha, f, mask = sampler.key_at(u)
+            (alpha, f, mask), = sampler.keys_at([u])
             value = (f * ((mask & -mask).bit_length() if mask else (1 << alpha) + 1)
                      if alpha == n else None)
             if len(value_of) < samples:
@@ -997,6 +1013,15 @@ def _per_draw_moments(sampler, n, samples, rng):
             rejected += 1
             assert rejected <= 1000 * (accepted + samples)
     return (accepted, sx, sxx), len(drawn), len(set(drawn))
+
+
+def _montecarlo_moments(sampler, n, samples, rng, cap):
+    """The draw loop with montecarlo's score: sat_scan of the keys over
+    n variables, the others rejected."""
+    from avgsat import engines
+    return sampling._scan_moments(
+        sampler, samples, sampling._draws(rng, sampler.grand_total),
+        lambda keys: [engines.sat_scan(k) if k[0] == n else None for k in keys], cap)
 
 
 @pytest.mark.parametrize("n, max_tokens, samples, case", [
@@ -1019,7 +1044,7 @@ def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
             "space of samples": sampler.grand_total == samples,
             "memo limit reached": sampler.grand_total > samples and distinct > samples,
             "no repeats": distinct == draws}[case]
-    got = sampling._scan_moments(sampler, n, samples, sampling._draws(rng, sampler.grand_total))
+    got = _montecarlo_moments(sampler, n, samples, rng, max(1, sampling.HELD_BITS >> n))
     assert got == expected
     assert rng.getstate() == ref_rng.getstate()
 
@@ -1030,8 +1055,9 @@ def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
     (3, 30, 50, 1),          # one rank a round
 ])
 def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples, held_bits):
-    # a round walks no more ranks than HELD_BITS over masks of 2^n bits
-    # allow, and its sums and draws are still those of one draw at a time
+    # a round walks no more ranks than montecarlo's cap, held_bits over
+    # masks of 2^n bits, and its sums and draws are still those of one
+    # draw at a time
     import random
     from avgsat.formula import ConnectiveTable
     sampler = sampling.SequenceSampler(ConnectiveTable.standard(), n, max_tokens)
@@ -1040,11 +1066,8 @@ def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples
     keys_at = sampler.keys_at
     monkeypatch.setattr(sampler, "keys_at", lambda ranks: walked.append(len(ranks))
                         or keys_at(ranks))
-    monkeypatch.setattr(sampling, "HELD_BITS", held_bits)
-    rng = random.Random(4)
-    assert sampling._scan_moments(sampler, n, samples,
-                                  sampling._draws(rng, sampler.grand_total)) == expected
     cap = max(1, held_bits >> n)
+    assert _montecarlo_moments(sampler, n, samples, random.Random(4), cap) == expected
     assert max(walked) <= cap and len(walked) >= draws / cap
 
 
@@ -1053,9 +1076,10 @@ def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples
     (1, 9, 3000),   # draws that repeat
     (2, 23, 600),   # a pool of 12: chunks of 256
     (2, 41, 5),     # a pool of 21: each draw walked alone
+    (1, 5, 3000),   # a sampler of 341 ranks: values kept across rounds
 ])
 def test_explore_min_chunks_match_per_draw_walks(tmp_path, arity, target, samples):
-    # explore-min's chunked walks give the row of one walk per draw
+    # explore-min's rounds of walks give the row of one walk per draw
     import random
     from avgsat import tables
     pool = 1 + (target - 1) * (arity - 1) // arity
@@ -1079,7 +1103,8 @@ def test_rejection_budget_still_ends_the_run(tmp_path, capsys, monkeypatch):
     # past the up-front share refusal, a run that almost never accepts
     # (9.8e-6 of the sentences) still ends once it has rejected more than
     # 1000 * (accepted + samples) draws, checked after each round
-    monkeypatch.setattr(sampling, "alpha_count", lambda arities, n, max_tokens: 1 << 100)
+    from avgsat import _kernel
+    monkeypatch.setattr(_kernel, "alpha_count", lambda arities, n, max_tokens: 1 << 100)
     start = time.perf_counter()
     assert_exits_2(tmp_path, capsys, ["montecarlo", "--n", "12", "--max-tokens", "23",
                                       "--samples", "10"],
@@ -1113,22 +1138,28 @@ def test_sampler_covers_small_space():
     assert seen == {"p0", "p0 ¬", "p0 ¬ ¬", "p0 p0 ∧", "p0 p0 ∨"}
 
 
-@pytest.mark.parametrize("n, max_tokens", [(2, 6), (3, 7), (1, 5), (0, 4)])
+# the last four hold no sentence over n variables: within L tokens, at
+# most (L + 1) // 2 are variable tokens
+@pytest.mark.parametrize("n, max_tokens", [(2, 6), (3, 7), (1, 5), (0, 4),
+                                           (5, 3), (4, 6), (1, 0), (1, -1)])
 def test_alpha_count_counts_every_rank(n, max_tokens):
-    from avgsat import tables
+    from avgsat import _kernel, tables
     table = tables.from_text("¬ 1 10\n∧ 2 0001\n⊤ 0 1\n")
     sampler = sampling.SequenceSampler(table, n, max_tokens)
-    hits = sum(sampler.key_at(u)[0] == n for u in range(sampler.grand_total))
-    assert sampling.alpha_count(table.arities, n, max_tokens) == hits > 0
+    keys = sampler.keys_at(list(range(sampler.grand_total)))
+    hits = sum(alpha == n for alpha, _, _ in keys)
+    assert _kernel.alpha_count(table.arities, n, max_tokens) == hits
+    assert (hits > 0) == (n <= (max_tokens + 1) // 2)
 
 
 def test_montecarlo_samples_a_share_above_its_floor():
     # 6.7e-4 of the sentences within 15 tokens have 8 variables: above
     # 1/2001, so montecarlo draws them
+    from avgsat import _kernel
     from avgsat.formula import ConnectiveTable
     std = ConnectiveTable.standard()
     total = sampling.SequenceSampler(std, 8, 15).grand_total
-    hits = sampling.alpha_count(std.arities, 8, 15)
+    hits = _kernel.alpha_count(std.arities, 8, 15)
     assert 1 / 2001 < hits / total < 1e-3
 
 
@@ -1514,15 +1545,19 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
                   "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
                   "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]
 
-# the avgsat source lines each exact command compiles (``python -S``):
-# the count once the code it does not run left its modules, plus a
-# margin of about 2%.  Before, the counted-space commands compiled 2,210
-# lines (moments 2,563) and the Shannon-model ones 2,287
+# the avgsat source lines each exact or sampling command compiles
+# (``python -S``): the count once the code it does not run left its
+# modules, plus a margin of about 2%.  Before, the counted-space commands
+# compiled 2,210 lines (moments 2,563) and the Shannon-model ones 2,287;
+# the sampling ones 1,551 (montecarlo --exact-check) and 1,399
+# (explore-min)
 LINE_BUDGETS = {
     **dict.fromkeys(EXACT_COMMANDS, 1850),
     "moments --n-list 1": 1925,
     "tab-oclass --n-list 3": 1900,
     "property-2-3 --model shannon": 1900,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1570,
+    "explore-min --target-tokens 7 --samples 50": 1410,
 }
 
 
@@ -1538,6 +1573,7 @@ LINE_BUDGETS = {
     # the Shannon model builds no counted space
     ("tab-oclass --n-list 3", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
     ("property-2-3 --model shannon", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
+    ("montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check", {"avgsat.measure"}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     argv = [*command.split(), "--out", str(tmp_path / "out.csv")]
@@ -1561,7 +1597,8 @@ def test_kernel_defines_only_the_shared_primitives(tmp_path):
         cli.main([*command.split(), "--out", str(tmp_path / "out.csv")])
     defined = {name for name, value in vars(_kernel).items()
                if getattr(value, "__module__", None) == _kernel.__name__}
-    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "__getattr__"}
+    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "alpha_count",
+                       "__getattr__"}
 
 
 @pytest.mark.parametrize("command", [
