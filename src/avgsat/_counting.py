@@ -1,6 +1,7 @@
 """Counting kernel: sentence spaces counted by a dynamic program over
 subtrees instead of enumerated.
 
+A request over several classes counts once (:func:`sentence_keys`).
 Conventions are those of :mod:`avgsat._kernel`.  This module is loaded
 only when a sentence space is built or counted.
 """
@@ -11,7 +12,7 @@ from itertools import product
 from operator import add, mul, sub
 
 from ._kernel import _anf, _apply, alpha_count, completion_counts, var_mask
-from .errors import MeasureError
+from .errors import ClassUncovered, MeasureError
 
 
 @lru_cache(maxsize=None)
@@ -153,26 +154,29 @@ class SentenceCounts:
                     states[ki, ko] = out
         self.tab.append(states)
 
-    def top(self, t):
-        """(variable tokens, mask, count) of the whole sentences of t tokens."""
+    def top(self, t, k):
+        """(variable tokens, mask, count) of the whole sentences of t
+        tokens over p0..p(k-1), k <= n: state (0, k), whose masks over n
+        variables hold the class over k in their first 2^k bits."""
         low = (1 << self.width) - 1
-        for m, p in self.tab[t].get((0, self.n), {}).items():
+        own = (1 << (1 << k)) - 1
+        for m, p in self.tab[t].get((0, k), {}).items():
             l = 0
             while p:
                 if p & low:
-                    yield l, m, p & low
+                    yield l, m & own, p & low
                 p >>= self.width
                 l += 1
 
-    def keys(self):
-        """Key (n, size f, mask) -> number of the canonical sentences
-        counted so far.  A canonical sentence's mask is its class, and
-        f = 8 * (2 * tokens - 1 + variable tokens) while every variable
-        is p0..p9."""
+    def keys(self, k, depth):
+        """Key (k, size f, mask) -> number of the canonical sentences
+        over k <= n variables within ``depth`` tokens.  A canonical
+        sentence's mask is its class, and f = 8 * (2 * tokens - 1 +
+        variable tokens) while every variable is p0..p9."""
         count = {}
-        for t in range(1, len(self.tab)):
-            for l, m, c in self.top(t):
-                key = (self.n, 8 * (2 * t - 1 + l), m)
+        for t in range(1, depth + 1):
+            for l, m, c in self.top(t, k):
+                key = (k, 8 * (2 * t - 1 + l), m)
                 count[key] = count.get(key, 0) + c
         return count
 
@@ -254,26 +258,48 @@ MAX_TOKENS = 200
 MAX_WORK = 4 * 10 ** 8
 
 
-def sentence_keys(table, n: int, max_tokens: int) -> dict[tuple, int]:
-    """Key (n, size f, class mask) -> number of the canonical sentences
-    over exactly n variables within ``max_tokens`` tokens of ``table``
-    (a connective table; see :meth:`SentenceCounts.keys`).
+def sentence_keys(table, ns, max_tokens: int, cover: bool = False) -> dict[tuple, int]:
+    """Key (k, size f, class mask) -> number of the canonical sentences
+    over exactly k variables of ``table`` (a connective table; see
+    :meth:`SentenceCounts.keys`) within ``max_tokens`` tokens, for each
+    class k of ``ns``, all read off one count of the largest.  With
+    ``cover``, each class stops at the smallest depth at which it
+    inhabits all 2^(2^k) model classes, and the count when all do; a
+    class short at ``max_tokens`` raises ClassUncovered.
 
-    Raises MeasureError unless 1 <= n <= 10, and, before counting, when
-    the budget passes ``MAX_TOKENS`` or the count's estimated steps pass
-    ``MAX_WORK``.  A space with no sentence over n variables
-    (``_kernel.alpha_count``) is empty, and is not counted."""
-    _check_vars(n)
+    Before counting it refuses, in this order, a class outside 1 to 10
+    variables, a budget past ``MAX_TOKENS`` and, without ``cover``, a
+    class with no sentence within it (``_kernel.alpha_count``;
+    ClassUncovered) and a count whose estimated steps pass ``MAX_WORK``."""
+    ns = sorted(set(ns))
+    for n in ns:
+        _check_vars(n)
     if max_tokens > MAX_TOKENS:
-        raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, "
-                           f"got {max_tokens}")
+        raise MeasureError(f"sentence spaces hold at most {MAX_TOKENS} tokens, got {max_tokens}")
+    n = ns[-1]  # the class counted
     counts = SentenceCounts(n, table.arities, table.truth_bits, max_tokens)
-    if counts.work() > MAX_WORK:
-        raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
-                           f"tokens would take more than the {MAX_WORK:.0e} steps a "
-                           "count may take")
-    if not alpha_count(table.arities, n, max_tokens):
-        return {}
-    for _ in range(max_tokens):
+    if not cover:  # a covering count stops at its own depth, mostly far short of the cap
+        for k in ns:
+            if not alpha_count(table.arities, k, max_tokens):
+                raise ClassUncovered(f"alpha-class {k} has no sentence within "
+                                     f"{max_tokens} tokens")
+        if counts.work() > MAX_WORK:
+            raise MeasureError(f"counting the sentences over {n} variables within {max_tokens} "
+                               f"tokens would take more than the {MAX_WORK:.0e} steps a "
+                               "count may take")
+    depth = dict.fromkeys(ns, max_tokens)
+    short = {k: set() for k in ns} if cover else {}  # class -> its masks so far
+    for t in range(1, max_tokens + 1):
         counts.extend()
-    return counts.keys()
+        for k, seen in list(short.items()):
+            seen.update(m for _, m, _ in counts.top(t, k))
+            if len(seen) == 1 << (1 << k):
+                depth[k] = t
+                del short[k]
+        if cover and not short:
+            break
+    if short:
+        k = min(short)
+        raise ClassUncovered(f"only {len(short[k])} of {1 << (1 << k)} model classes "
+                             f"within {max_tokens} tokens")
+    return {key: c for k in ns for key, c in counts.keys(k, depth[k]).items()}

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .. import engines, measure
 from .._formula_core import ConnectiveTable
 from ..cli import EXPECTED_FAIL, FAIL, INFO, PASS, OptionError, Options, _float, _frac
-from ..errors import ClassUncovered
 from . import _load_table
 
 # (command, model, n) triples whose bound is known not to hold; --audit
@@ -38,23 +37,10 @@ def bound_rows(report: dict[int, measure.BoundRow],
 
 
 def _space(table: ConnectiveTable, ns: list[int], max_tokens: int | None):
-    """The covering space of each class of ns, or its sentences within
-    max_tokens, of which there must be some: a class left empty would
-    have no row.  One class gets its own space, several one space of all
-    their keys."""
-    spaces = []
-    for n in sorted(ns):
-        space = (measure.covering_space(table, n) if max_tokens is None
-                 else measure.formula_space(table, n, max_tokens))
-        if not space.items:
-            raise ClassUncovered(f"alpha-class {n} has no sentence within {max_tokens} tokens")
-        spaces.append(space)
-    if len(spaces) == 1:
-        return spaces[0]
-    count: dict[tuple, int] = {}
-    for space in spaces:
-        count.update(space.count)
-    return measure.InputSpace(count)
+    """One space of every class of ns from one count: their covering
+    spaces, or their sentences within max_tokens, none of them empty."""
+    return (measure.covering_space(table, ns) if max_tokens is None
+            else measure.formula_space(table, ns, max_tokens))
 
 
 def cmd_sat_oclass(opts: Options):
@@ -91,14 +77,13 @@ def cmd_tab_oclass(opts: Options):
     if model == "shannon":
         from .. import analytic  # loaded only by the commands that use it
     else:
-        table = _load_table(opts)
-        max_tokens = opts.get("max_tokens")
+        counted = _space(_load_table(opts), ns, opts.get("max_tokens"))
     rows = []
     for n in sorted(ns):
         if model == "shannon":
             space, mu = analytic.shannon_space([n])
         else:
-            space = measure.layer_blocks(_space(table, [n], max_tokens), n)
+            space = measure.layer_blocks(counted, n)
             mu = measure.uniform_within_min_layers(space, n)
         known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
         report = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)

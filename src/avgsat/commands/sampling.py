@@ -271,9 +271,7 @@ def _counted_moments(table: ConnectiveTable, n: int, max_tokens: int) -> tuple[i
     (:func:`avgsat._counting.sentence_keys`), each key's value times its
     count; their exact mean is the quotient of the first two."""
     from .._counting import sentence_keys  # loaded only for an exact mean
-    keys = sentence_keys(table, n, max_tokens)
-    if not keys:
-        raise SampleError(f"no sentences with {n} distinct variables within {max_tokens} tokens")
+    keys = sentence_keys(table, [n], max_tokens)
     count = sx = sxx = 0
     for x, c in keys.items():
         v = engines.sat_scan(x)

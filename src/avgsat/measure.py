@@ -350,8 +350,8 @@ def uniform_over_model_classes(space: InputSpace, per_class: bool = False) -> di
 
 
 def layer_blocks(space: InputSpace, n: int) -> InputSpace:
-    """The alpha = n sentences of a key space (from :func:`formula_space`)
-    as blocks (n, f, model set over p0..p(n-1)), each counting every
+    """The alpha = n sentences of a key space of one or more classes as
+    blocks (n, f, model set over p0..p(n-1)), each counting every
     sentence of that size and model set.
 
     A canonical key's sentences are its canonical sentences with their
@@ -415,18 +415,17 @@ def uniform_within_min_layers(space: InputSpace, n: int) -> dict:
 # --- counted sentence spaces -----------------------------------------
 
 
-def formula_space(table: ConnectiveTable, n: int, max_tokens: int) -> InputSpace:
-    """All alpha = n sentences over exactly n variables up to a token
-    budget, as keys (n, f, class mask) counting the canonical sentences
-    of each (see :func:`avgsat._counting.sentence_keys`, which raises
-    MeasureError unless 1 <= n <= 10, and, before counting, past
-    ``MAX_TOKENS`` or ``MAX_WORK``).
+def formula_space(table: ConnectiveTable, ns: Sequence[int], max_tokens: int) -> InputSpace:
+    """The sentences over exactly n variables up to a token budget, for
+    each class n of ``ns``, as keys (n, f, class mask) counting the
+    canonical sentences of each, from one count (see
+    :func:`avgsat._counting.sentence_keys` and its refusals).
 
     Each canonical sentence stands for its n! renamings, which share its
     key, so weights uniform over classes or over sentences are the same
     on canonical counts; n! times a count is a number of sentences."""
     from ._counting import sentence_keys  # loaded only where a space is counted
-    return InputSpace(sentence_keys(table, n, max_tokens))
+    return InputSpace(sentence_keys(table, ns, max_tokens))
 
 
 def _monotone(a: int, f: int) -> bool:
@@ -448,36 +447,28 @@ _POST_CLONES = (
 )
 
 
-def covering_space(table: ConnectiveTable, n: int, depth_cap: int = 24,
-                   ) -> InputSpace:
-    """All alpha = n sentences over exactly n variables up to the
-    smallest token depth at which they inhabit all 2^(2^n) model
-    classes, as keys like :func:`formula_space`.
+def covering_space(table: ConnectiveTable, ns: Sequence[int], depth_cap: int = 24) -> InputSpace:
+    """The sentences over exactly n variables up to the smallest token
+    depth at which they inhabit all 2^(2^n) model classes, for each
+    class n of ``ns``, as keys like :func:`formula_space`, from one count.
 
     Raises ClassUncovered at the cap, and at once when every connective
     lies in one of Post's maximal clones and that clone misses some
     n-ary function; raises MeasureError at once unless 1 <= n <= 3: at
     n = 4 a counting state would hold 65,536 masks.
     """
-    from ._counting import SentenceCounts, _check_vars  # loaded only where a space is counted
-    _check_vars(n)
-    if n > 3:
-        raise MeasureError(f"covering spaces stop at n = 3, got {n}: at n = 4 "
-                           "a counting state would hold 65,536 masks")
-    needed = 1 << (1 << n)
-    for name, has in _POST_CLONES:
-        if all(has(a, f) for a, f in zip(table.arities, table.truth_bits)):
-            reach = sum(1 for f in range(needed) if has(n, f))
-            if reach < needed:
-                raise ClassUncovered(
-                    f"every connective is {name}, so at most {reach} of "
-                    f"{needed} model classes are reachable at n = {n}")
-    counts = SentenceCounts(n, table.arities, table.truth_bits, depth_cap)
-    classes: set[int] = set()
-    for t in range(1, depth_cap + 1):
-        counts.extend()
-        classes.update(mask for _, mask, _ in counts.top(t))
-        if len(classes) == needed:
-            return InputSpace(counts.keys())
-    raise ClassUncovered(
-        f"only {len(classes)} of {needed} model classes within {depth_cap} tokens")
+    from ._counting import _check_vars, sentence_keys  # loaded only where a space is counted
+    for n in sorted(ns):
+        _check_vars(n)
+        if n > 3:
+            raise MeasureError(f"covering spaces stop at n = 3, got {n}: at n = 4 "
+                               "a counting state would hold 65,536 masks")
+        needed = 1 << (1 << n)
+        for name, has in _POST_CLONES:
+            if all(has(a, f) for a, f in zip(table.arities, table.truth_bits)):
+                reach = sum(1 for f in range(needed) if has(n, f))
+                if reach < needed:
+                    raise ClassUncovered(
+                        f"every connective is {name}, so at most {reach} of "
+                        f"{needed} model classes are reachable at n = {n}")
+    return InputSpace(sentence_keys(table, ns, depth_cap, cover=True))

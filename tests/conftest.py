@@ -20,12 +20,12 @@ def all_binary():
 
 @pytest.fixture(scope="session")
 def space1(std):
-    return measure.covering_space(std, 1)
+    return measure.covering_space(std, [1])
 
 
 @pytest.fixture(scope="session")
 def space2(std):
-    return measure.covering_space(std, 2)
+    return measure.covering_space(std, [2])
 
 
 @pytest.fixture(scope="session")

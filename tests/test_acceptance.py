@@ -42,7 +42,7 @@ def test_criterion_02_sat_linear_membership():
     table = ConnectiveTable.standard()
     ok = True
     for n in (1, 2):
-        space = measure.covering_space(table, n)
+        space = measure.covering_space(table, [n])
         mu = measure.uniform_over_model_classes(space)
         report = measure.oclass_member(space, SAT_TIME, DOUBLE, mu)
         ok = ok and report[n].passed

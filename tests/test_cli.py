@@ -265,8 +265,14 @@ def test_out_of_reach_space_exits_2_at_once(tmp_path, capsys, argv):
     ("property-2-2 --n-list 1,3 --max-tokens 4", "alpha-class 3 has no sentence within 4 tokens"),
     ("property-2-3 --model sat --n-list 1,3 --max-tokens 4",
      "alpha-class 3 has no sentence within 4 tokens"),
+    # an empty class is found before the count's steps are estimated:
+    # class 7 needs 13 tokens, class 10 needs 19
+    ("sat-oclass --n 7 --max-tokens 12", "alpha-class 7 has no sentence within 12 tokens"),
+    ("property-2-2 --n-list 1,10 --max-tokens 12",
+     "alpha-class 10 has no sentence within 12 tokens"),
 ], ids=["sat-oclass-empty", "property-2-2-empty", "property-2-3-uncovered",
-        "tab-oclass-empty", "property-2-2-covered-and-empty", "property-2-3-covered-and-empty"])
+        "tab-oclass-empty", "property-2-2-covered-and-empty", "property-2-3-covered-and-empty",
+        "sat-oclass-empty-not-costly", "property-2-2-empty-not-costly"])
 def test_space_missing_a_class_exits_2(tmp_path, capsys, argv, message):
     # a budget that leaves a class empty or short of model classes is
     # refused; an empty class is not read as a class of no rows
@@ -750,7 +756,7 @@ def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
     from avgsat.weighting import uniform_on
     table = ConnectiveTable.standard()
     count, sx, sxx = sampling._counted_moments(table, n, max_tokens)
-    space = measure.formula_space(table, n, max_tokens)
+    space = measure.formula_space(table, [n], max_tokens)
     assert count == space.total(space.items)
     # the command writes sx / count: int true division rounds correctly
     assert sx / count == float(Fraction(sx, count))

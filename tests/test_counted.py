@@ -16,6 +16,7 @@ by its codes.
 
 import csv
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
@@ -24,6 +25,7 @@ import pytest
 
 from avgsat import analytic, cli, engines, measure, tables, weighting
 from avgsat._counting import MAX_WORK, SentenceCounts
+from avgsat._kernel import alpha_count
 from avgsat.commands import exact
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
@@ -174,10 +176,10 @@ def twins(table):
     """The covering twin for n = 1 and n = 2."""
     out = {}
     for n in (1, 2):
-        counted = measure.covering_space(table, n)
-        # the covering depth: below it a space has fewer sentences
-        depth = next(d for d in range(1, 25)
-                     if measure.formula_space(table, n, d).count == counted.count)
+        counted = measure.covering_space(table, [n])
+        # the covering depth: below it a space has fewer sentences, or none
+        depth = next(d for d in range(1, 25) if alpha_count(table.arities, n, d)
+                     and measure.formula_space(table, [n], d).count == counted.count)
         out[n] = Twin(counted, expand(table, n, depth))
     return out
 
@@ -199,13 +201,16 @@ ORACLE_TABLES = {
 }
 # all_binary has no sentence of 6 tokens, and 1.6e6 of 7 at n = 3
 ORACLE_DEPTH = {"all_binary": 5}
+# the covering tables of the counting oracle; each can negate, with a
+# NOT or by a NAND or NOR of a duplicated operand
+COVERING_TABLES = ["all_binary", "constant", "nand", "standard"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
 def test_formula_space_counts_its_expansion(name, n):
     table, depth = ORACLE_TABLES[name], ORACLE_DEPTH.get(name, 7)
-    counted = measure.formula_space(table, n, depth)
+    counted = measure.formula_space(table, [n], depth)
     assert_keys_and_counts(Twin(counted, expand(table, n, depth)))
 
 
@@ -213,7 +218,7 @@ def test_formula_space_counts_its_expansion(name, n):
 def test_formula_space_counts_its_expansion_over_4_variables(name):
     # 65,536 masks: every connective loops over nonzero entries
     table = TABLES[name]
-    assert_keys_and_counts(Twin(measure.formula_space(table, 4, 7),
+    assert_keys_and_counts(Twin(measure.formula_space(table, [4], 7),
                                 expand(table, 4, 7)))
 
 
@@ -221,9 +226,62 @@ def test_formula_space_counts_its_expansion_over_5_variables():
     # 2^32 masks; the 360 sentences M(M(a, b, c), d, e) and the like are
     # the only ones with 5 variables in 7 tokens
     table = ORACLE_TABLES["majority"]
-    twin = Twin(measure.formula_space(table, 5, 7), expand(table, 5, 7))
+    twin = Twin(measure.formula_space(table, [5], 7), expand(table, 5, 7))
     assert len(twin.expanded.items) == 360
     assert_keys_and_counts(twin)
+
+
+def classes_id(value):
+    """A test id part: a table's name, or classes as ``1,2,3``."""
+    return value if isinstance(value, str) else ",".join(map(str, value))
+
+
+def assert_one_count_per_class(joint: InputSpace, ns, apart):
+    """A space of the classes ns, read off one count, holds class by
+    class the keys and counts of each class counted apart."""
+    assert joint.attained_classes() == ns
+    for n in ns:
+        assert {x: joint.count[x] for x in joint.class_items(n)} == apart(n).count
+
+
+@pytest.mark.parametrize("name,ns", [*((name, [1, 2, 3]) for name in sorted(ORACLE_TABLES)),
+                                     ("standard", [1, 2, 3, 4])], ids=classes_id)
+def test_one_count_holds_every_smaller_class(name, ns):
+    table, depth = ORACLE_TABLES[name], ORACLE_DEPTH.get(name, 7)
+    assert_one_count_per_class(measure.formula_space(table, ns, depth), ns,
+                               lambda n: measure.formula_space(table, [n], depth))
+
+
+@pytest.mark.parametrize("name,ns", [*((name, [1, 2]) for name in COVERING_TABLES),
+                                     ("standard", [1, 2, 3])], ids=classes_id)
+def test_one_covering_count_stops_each_class_at_its_own_depth(name, ns):
+    # standard covers class 1 at 4 tokens, 2 at 8 and 3 at 22: the
+    # smaller classes are read to their own depths, not the count's
+    table = ORACLE_TABLES[name]
+    assert_one_count_per_class(measure.covering_space(table, ns), ns,
+                               lambda n: measure.covering_space(table, [n]))
+
+
+def test_one_covering_count_refuses_a_class_short_at_the_cap():
+    with pytest.raises(measure.ClassUncovered, match="only 250 of 256 model classes within 24"):
+        measure.covering_space(TABLES["nand"], [1, 2, 3])
+
+
+@pytest.mark.parametrize("argv, spaces", [
+    ("moments --n-list 1,2,3", 1),
+    ("property-2-2 --n-list 1,2", 1),
+    # and one space of blocks per class
+    ("tab-oclass --model enumerated --n-list 1,2 --max-tokens 9", 3),
+], ids=["moments", "property-2-2", "tab-oclass"])
+def test_a_request_over_several_classes_counts_once(tmp_path, monkeypatch, argv, spaces):
+    built = Counter()
+    for cls in (SentenceCounts, InputSpace):
+        def init(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    assert cli.main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0
+    assert built == {"SentenceCounts": 1, "InputSpace": spaces}
 
 
 def test_spaces_refuse_out_of_reach_sizes():
@@ -231,11 +289,11 @@ def test_spaces_refuse_out_of_reach_sizes():
     # variables, 200 tokens or the counting's estimated steps
     # (_counting.MAX_WORK)
     std = TABLES["standard"]
-    for build in (lambda: measure.covering_space(std, 4),
-                  lambda: measure.formula_space(std, 11, 3),
-                  lambda: measure.formula_space(std, 0, 3),
-                  lambda: measure.formula_space(std, 2, 201),
-                  *(lambda n=n, L=L: measure.formula_space(std, n, L)
+    for build in (lambda: measure.covering_space(std, [4]),
+                  lambda: measure.formula_space(std, [11], 3),
+                  lambda: measure.formula_space(std, [0], 3),
+                  lambda: measure.formula_space(std, [2], 201),
+                  *(lambda n=n, L=L: measure.formula_space(std, [n], L)
                     for n, L in [(4, 13), (5, 11), (3, 60), (1, 150)])):
         start = time.perf_counter()
         with pytest.raises(measure.MeasureError):
@@ -289,7 +347,7 @@ def test_min_layer_masses_match_expansion_over_3_variables():
     # sentences are not consecutive in their group's (size, rendering)
     # order here, so only whole blocks get exact layer masses
     table = TABLES["standard"]
-    twin = Twin(measure.formula_space(table, 3, 8), expand(table, 3, 8))
+    twin = Twin(measure.formula_space(table, [3], 8), expand(table, 3, 8))
     assert len(twin.expanded) == 14208
     blocks = block_twin(twin, 3, table)
     assert_keys_and_counts(blocks)
@@ -309,11 +367,6 @@ def test_negated_space_matches_expansion(table, twins, n):
     mu_c = measure.uniform_over_model_classes(co.counted)
     mu_e = measure.uniform_over_model_classes(co.expanded)
     assert_same_checks(co, mu_c, mu_e, [(SAT_TIME, DOUBLE)])
-
-
-# the covering tables of the counting oracle; each can negate, with a
-# NOT or by a NAND or NOR of a duplicated operand
-COVERING_TABLES = ["all_binary", "constant", "nand", "standard"]
 
 
 def _sat_oclass_rows(tmp_path, table, n):
@@ -366,7 +419,7 @@ def test_co_row_is_the_negated_space_row(tmp_path, name, n):
     # space, with its own weights, must give exactly the same row
     table = ORACLE_TABLES[name]
     co = _sat_oclass_rows(tmp_path, table, n)["co"]
-    space = InputSpace(negated_keys(measure.covering_space(table, n).count, table))
+    space = InputSpace(negated_keys(measure.covering_space(table, [n]).count, table))
     row = measure.oclass_member(space, engines.sat_scan, DOUBLE,
                                 measure.uniform_over_model_classes(space))[n]
     assert [co[k] for k in ("n", "lhs_num", "lhs_den", "rhs_num", "rhs_den", "pass")] == \

@@ -1,9 +1,9 @@
 """Every module-level import is read by its module.
 
 No linter ships with the project, so this parses each module of
-``src/avgsat`` and ``tests`` with ``ast``: a name bound by an import at
-module level (in a top-level ``if`` or ``try`` too) must be read
-somewhere in the module, or be listed in its ``__all__``.  A line
+``src/avgsat``, ``tests`` and ``bench`` with ``ast``: a name bound by an
+import at module level (in a top-level ``if`` or ``try`` too) must be
+read somewhere in the module, or be listed in its ``__all__``.  A line
 marked ``# noqa: F401`` is a deliberate re-export and is skipped.
 """
 
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "avgsat").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "avgsat").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "bench").glob("*.py")])
 
 
 def _imports(body):

@@ -113,6 +113,18 @@ def test_oclass_requires_F_at_least_one(space1):
         oclass_member(space1, SAT_TIME, lambda k: Fraction(1, k), mu)
 
 
+def test_oclass_reads_no_key_of_weight_0():
+    # F is 1/2 at the size of the key of weight 0, which no term reads;
+    # given a positive weight, the same key is refused
+    sp = InputSpace({(1, 1, 0): 1, (1, 2, 1): 1})
+    F = lambda k: Fraction(k, 2)
+    mu = {(1, 1, 0): Fraction(0), (1, 2, 1): Fraction(1)}
+    assert oclass_member(sp, lambda x: 1, F, mu) == {1: measure.BoundRow(1, 1, 1, True)}
+    mu = {(1, 1, 0): Fraction(1, 2), (1, 2, 1): Fraction(1, 2)}
+    with pytest.raises(ValueError, match=r"F\(1\) = 1/2 < 1"):
+        oclass_member(sp, lambda x: 1, F, mu)
+
+
 def test_sat_oclass_passes_exactly(space1, space2):
     for n, sp in ((1, space1), (2, space2)):
         mu = uniform_over_model_classes(sp)
@@ -540,7 +552,7 @@ def test_uniform_over_model_classes_equal_masses(space2):
 
 
 def test_uniform_over_model_classes_uncovered(std):
-    shallow = measure.formula_space(std, 2, 5)
+    shallow = measure.formula_space(std, [2], 5)
     with pytest.raises(ClassUncovered):
         uniform_over_model_classes(shallow)
     # an empty space is refused, not weighed as a space of no classes
@@ -551,7 +563,7 @@ def test_uniform_over_model_classes_uncovered(std):
 
 def test_covering_space_depth_cap(std):
     with pytest.raises(ClassUncovered):
-        measure.covering_space(std, 2, depth_cap=5)
+        measure.covering_space(std, [2], depth_cap=5)
 
 
 NOT_XOR = tables.from_text("¬ 1 10\n⊕ 2 0110\n")
@@ -559,11 +571,11 @@ NOT_XOR = tables.from_text("¬ 1 10\n⊕ 2 0110\n")
 
 def test_covering_space_refuses_an_affine_table_at_once():
     # every unary function is affine: NOT and XOR cover all four at n = 1
-    assert len(measure.covering_space(NOT_XOR, 1).classes[1]) == 6
+    assert len(measure.covering_space(NOT_XOR, [1]).classes[1]) == 6
     for n in (2, 3):
         start = time.perf_counter()
         with pytest.raises(ClassUncovered, match=f"affine, so at most {2 ** (n + 1)} "):
-            measure.covering_space(NOT_XOR, n)
+            measure.covering_space(NOT_XOR, [n])
         assert time.perf_counter() - start < 1
 
 
@@ -612,7 +624,7 @@ def test_covering_space_complete_table_still_meets_the_cap():
     # NAND is complete, so no clone refuses it; 24 tokens miss 6 classes
     nand = tables.from_text("⊼ 2 1110\n")
     with pytest.raises(ClassUncovered, match="only 250 of 256 model classes within 24"):
-        measure.covering_space(nand, 3)
+        measure.covering_space(nand, [3])
 
 
 def test_uniform_within_min_layers(std, space1, expanded1):
@@ -861,8 +873,7 @@ def test_nu_from_H_matches_plain_fraction_weights_on_combined_keys(std, F):
     # the key space property-2-2 checks, over the classes n = 1, 2: the
     # reweighting the checks are tested against gives every weight as a
     # Fraction, exactly as the reference does
-    count = {**measure.covering_space(std, 1).count, **measure.covering_space(std, 2).count}
-    sp = InputSpace(count)
+    sp = measure.covering_space(std, [1, 2])
     mu = uniform_over_model_classes(sp)
     Hs = [lambda n: 1 if n == 1 else 0, lambda n: 1 if n == 2 else 0, lambda n: 1,
           lambda n: n, lambda n: Fraction(1, n * n)]
