@@ -73,30 +73,6 @@ def _int_list(raw: str) -> list[int]:
     return values
 
 
-def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
-    """key -> (value, "PATH:LINE" where it was set), for keys that some
-    command declares."""
-    if not path:
-        return {}
-    cfg = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise OptionError(f"{path}: {exc.strerror}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise OptionError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
-            raise OptionError(f"{path}:{lineno}: {key} = {value}: no command takes it")
-        cfg[key] = value, f"{path}:{lineno}"
-    return cfg
-
-
 class Option:
     """A command's option: its flag, type (int, float, str, _int_list or
     bool) and default; if set, the choices it must be one of, the least
@@ -206,8 +182,9 @@ _N_LIST = Option("--n-list", _int_list, (1, 2))
 # n = 14 about 4.6 s (2 vCPU, Python 3.11)
 _SHANNON_N_LIST = Option("--n-list", _int_list, minimum=1, maximum=13)
 
-# the modules of the command bodies, by what they load
-_EXACT = "avgsat.commands.exact:"
+# the modules of the command bodies: each exact verdict its own, and the
+# others by what they load
+_COMMANDS = "avgsat.commands."
 _SERIES = "avgsat.commands.series:"
 _SAMPLING = "avgsat.commands.sampling:"
 
@@ -217,15 +194,16 @@ COMMANDS = {
         # the exact sums have denominators of 2^n bits: 65,536 at n = 16
         Option("--n", int, 1, minimum=0, maximum=16),
         Option("--upto", bool, False, help="emit every n from 0 to --n"))),
-    "sat-oclass": Command(_EXACT + "cmd_sat_oclass",
+    "sat-oclass": Command(_COMMANDS + "sat_oclass:cmd_sat_oclass",
                           "linear bound for the satisfiability scanner", (
         Option("--n", int, 1), _MAX_TOKENS, _TABLE)),
-    "tab-oclass": Command(_EXACT + "cmd_tab_oclass", "cubic bound for the tabulator", (
+    "tab-oclass": Command(_COMMANDS + "tab_oclass:cmd_tab_oclass",
+                          "cubic bound for the tabulator", (
         Option("--n", int, 3, minimum=1, maximum=13),  # as _SHANNON_N_LIST
         _SHANNON_N_LIST,  # default [--n]
         Option("--model", str, "shannon", choices=("shannon", "enumerated")),
         Option("--max-tokens", int, 7), _TABLE)),
-    "moments": Command(_EXACT + "cmd_moments", "higher-moment sums and bounds", (
+    "moments": Command(_COMMANDS + "moments:cmd_moments", "higher-moment sums and bounds", (
         # each m sums i^m / 2^i to a cutoff past 4m whose tail is below
         # 10^-tol_exp, and the sum costs about the square of its bits.  On
         # 2 vCPUs (Python 3.11) at --n-list 1, --tol-exp 10^4 took 0.44 s,
@@ -276,13 +254,14 @@ COMMANDS = {
         Option("--target-tokens", int, 9, maximum=65),
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
         Option("--samples", int, 10000, minimum=1))),
-    "property-2-2": Command(_EXACT + "cmd_property_2_2", "bound/reweighting equivalence check", (
+    "property-2-2": Command(_COMMANDS + "property_2_2:cmd_property_2_2",
+                            "bound/reweighting equivalence check", (
         _N_LIST, _MAX_TOKENS, Option("--break-class", int),
         # the broken class's running times are multiplied by --inflate:
         # below 1 they are zero or negative
         Option("--inflate", int, 4, minimum=1),
         _TABLE)),
-    "property-2-3": Command(_EXACT + "cmd_property_2_3",
+    "property-2-3": Command(_COMMANDS + "property_2_3:cmd_property_2_3",
                             "summable-weights tractability transfer", (
         Option("--model", str, "sat", choices=("sat", "shannon")),
         _SHANNON_N_LIST,  # default by --model
@@ -292,7 +271,8 @@ COMMANDS = {
         # (the n = 13 sum), 1.6 s at 5,000, 2.4 s at 10^4, 4.2 s at
         # 2 * 10^4 and 69 s at 10^5; --n-list 1,2 took 8.6 s at 10^6
         _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0, maximum=10 ** 4), _TABLE)),
-    "markov-tail": Command(_EXACT + "cmd_markov_tail", "tail frequency against the mean", (
+    "markov-tail": Command(_COMMANDS + "markov_tail:cmd_markov_tail",
+                           "tail frequency against the mean", (
         Option("--n", int, 2), Option("--multiplier", int, 100, minimum=1), _TABLE)),
 }
 
@@ -303,35 +283,6 @@ GLOBALS = (
     Option("--seed", int, 0, help="Monte Carlo seed (default 0)"),
     Option("--audit", bool, False, help="report known deviations as expected_fail"),
 )
-
-# the config keys some command takes; any other key is an error
-_KEYS = {o.name for o in GLOBALS} | {o.name for c in COMMANDS.values() for o in c.options}
-
-
-def _add_option(parser, opt: Option, default) -> None:
-    kind = (dict(action="store_true") if opt.type is bool
-            else dict(type=opt.type, choices=opt.choices))
-    parser.add_argument(opt.flag, default=default, help=opt.help, **kind)
-
-
-def _build_parser():
-    """The argparse parser of every command, which answers help and
-    errors.  Command options default to None, so that an unset flag
-    defers to the config file."""
-    import argparse  # loaded only for help and errors, which _parse defers
-    common = argparse.ArgumentParser(add_help=False)
-    for opt in GLOBALS:
-        _add_option(common, opt, argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
-        prog="avgsat", parents=[common],
-        description="Average running time experiments over propositional sentence spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help, parents=[common])
-        for opt in cmd.options:
-            _add_option(p, opt, None)
-    return parser
-
 
 # the flags read before a command's name, and those read after it
 _GLOBAL_FLAGS = {o.flag: o for o in GLOBALS}
@@ -387,13 +338,20 @@ def _parse(argv: list[str]):
     ``_read`` cannot: for help and errors it answers with argparse's text
     and exit code."""
     args = _read(argv)
-    return _build_parser().parse_args(argv) if args is None else args
+    if args is None:
+        from ._cli_rare import _build_parser  # loaded only for help and errors
+        args = _build_parser().parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        opts = Options(args, _read_config(getattr(args, "config", None)))
+        config, cfg = getattr(args, "config", None), {}
+        if config:
+            from ._cli_rare import _read_config  # loaded only for a --config file
+            cfg = _read_config(config)
+        opts = Options(args, cfg)
         header, rows = COMMANDS[args.command].load()(opts)
         _emit(opts.get("out"), header, rows)
     except AvgsatError as exc:

@@ -18,44 +18,49 @@ space, not over size classes alone.  The core objects:
   mass alpha-class, the expected value of T(x)/F(f(x)) is at most 1
   (constant factor exactly 1, no asymptotic cutoff, every class); one
   :class:`BoundRow` per such class.
-* ``check_property_2_2`` / ``check_property_2_3`` — executable forms
-  of the reweighting equivalences that transfer per-class O(F) bounds
-  to whole-space expectations.
+* ``space`` — the counted sentence space of an exact command.
 
-All masses and averages on finite spaces are exact ``Fraction``
-values.  The trend scan over very large synthetic spaces lives in
-:mod:`avgsat.trend`, and the weightings and averages that no command
-builds (``uniform_on``, ``nu_from_H`` and the rest) in
-:mod:`avgsat.weighting`; their traced names are also read here.
+This module holds what two or more commands run.  A check that one
+command alone runs lives with that command in :mod:`avgsat.commands`:
+the property checks, the Markov tail and the layer weights.  All masses
+and averages on finite spaces are exact ``Fraction`` values.  The trend
+scan over very large synthetic spaces lives in :mod:`avgsat.trend`, and
+the weightings and averages that no command builds (``uniform_on``,
+``nu_from_H`` and the rest) in :mod:`avgsat.weighting`; the names of
+these that the benchmark's tracer reads are also read here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import permutations
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._formula_core import ConnectiveTable
 from ._kernel import _anf
-from .errors import ClassUncovered, MeasureError, PreconditionFailed, ZeroMassSubset
+from .errors import ClassUncovered, MeasureError, ZeroMassSubset
+
+# the names the benchmark's tracer reads here, by the module they live in
+_FORWARDS = {
+    "avgsat.trend": ("tractability", "Verdict", "TractabilityResult"),
+    "avgsat.weighting": ("uniform_on", "weights_proportional", "power_law_length",
+                         "relative_avg", "nu_from_H"),
+    "avgsat.commands.property_2_2": ("check_property_2_2",),
+    "avgsat.commands.property_2_3": ("check_property_2_3",),
+    "avgsat.commands.markov_tail": ("markov_tail",),
+    "avgsat.commands.tab_oclass": ("uniform_within_min_layers",),
+}
 
 
 def __getattr__(name):
-    """Names the benchmark's tracer reads here, from the modules they live
-    in: ``tractability``, ``Verdict`` and ``TractabilityResult`` from
-    :mod:`avgsat.trend`, which loads without this module, and
-    ``uniform_on``, ``weights_proportional``, ``power_law_length``,
-    ``relative_avg`` and ``nu_from_H`` from :mod:`avgsat.weighting`,
-    which no command loads."""
-    if name in ("tractability", "Verdict", "TractabilityResult"):
-        from . import trend
-        return getattr(trend, name)
-    if name in ("uniform_on", "weights_proportional", "power_law_length", "relative_avg",
-                "nu_from_H"):
-        from . import weighting
-        return getattr(weighting, name)
+    """The names of ``_FORWARDS``, from the modules they live in, each
+    loaded only on that lookup: :mod:`avgsat.trend` loads without this
+    module, no command loads :mod:`avgsat.weighting`, and a command
+    module's checks serve that command alone."""
+    for module, names in _FORWARDS.items():
+        if name in names:
+            from importlib import import_module
+            return getattr(import_module(module), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -155,11 +160,10 @@ def over_F(T: Callable, F: Callable[[int], object]) -> Callable:
     return term
 
 
-class BoundRow(NamedTuple):
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    passed: bool
+class BoundRow(namedtuple("BoundRow", "n lhs rhs passed")):
+    """Class n's membership row: lhs against rhs, passed if lhs <= rhs."""
+
+    __slots__ = ()
 
 
 def member_rows(totals: dict[int, list[Fraction]], i: int = 1) -> dict[int, BoundRow]:
@@ -203,118 +207,6 @@ def _reweighted(H: Callable[[int], object],
     return sums(hs, totals, [lambda n, i=i: (totals[n][i],) for i in range(3)])[1:]
 
 
-class HRow(NamedTuple):
-    label: str
-    lhs: Fraction   # expected T under nu
-    rhs: Fraction   # expected F(f) under nu
-    ok: bool
-
-
-class Prop22Result(NamedTuple):
-    """Both directions of the bound/reweighting equivalence.
-
-    ``oclass`` holds the per-class membership rows; ``h_rows`` holds,
-    for each tested H, the comparison of expected T against expected
-    F(f) under the H-reweighted distribution.  The class rows and the
-    characteristic-function rows must agree verdict by verdict.
-    """
-
-    oclass: dict[int, BoundRow]
-    h_rows: list[HRow]
-    per_class_agreement: bool
-
-    @property
-    def biconditional_ok(self) -> bool:
-        return self.per_class_agreement and (
-            all(r.passed for r in self.oclass.values()) == all(r.ok for r in self.h_rows))
-
-
-def check_property_2_2(space: InputSpace, T: Callable, F: Callable[[int], object],
-                       mu: Mapping,
-                       extra_H: Sequence[tuple[str, Callable]] = ()) -> Prop22Result:
-    """Exact verification of the membership/reweighting equivalence.
-
-    The H family is every characteristic function of an attained
-    alpha-class plus any user-supplied (label, H) pairs.  For each H
-    with a normalizable reweighting, expected T must not exceed
-    expected F(f) under the reweighted distribution exactly when the
-    per-class membership rows pass.  Both expectations are read from
-    per-class sums (see :func:`_reweighted`), so no reweighted
-    distribution is built.
-    """
-    totals = class_sums(space, mu, [over_F(T, F), over_F(lambda x: 1, F)])
-    oc = member_rows(totals)
-    families = [(f"chi_{n}", n, (lambda n: lambda k: 1 if k == n else 0)(n)) for n in oc]
-    families.extend((label, None, H) for label, H in extra_H)
-    h_rows, per_class = [], True
-    for label, n, H in families:
-        rhs, lhs, total = _reweighted(H, totals)
-        if total:  # zero when H vanishes on every positive-mass class
-            lhs, rhs = lhs / total, rhs / total
-            h_rows.append(HRow(label, lhs, rhs, lhs <= rhs))
-            per_class = per_class and (n is None or (lhs <= rhs) == oc[n].passed)
-    return Prop22Result(oc, h_rows, per_class)
-
-
-class Prop23Result(NamedTuple):
-    """Transfer of a per-class O(F) bound to a whole-space expectation.
-
-    ``expectation`` is the exact sum of T against the dominating
-    sub-distribution H(alpha)/F(f) * mu (mu normalized per class); the
-    certified bound is the sum of H over attained classes.  The
-    sub-distribution's total mass is reported alongside; dividing the
-    expectation by it gives the conditional average, which the bound
-    does not cover when the mass is below 1.
-    """
-
-    bound: Fraction
-    expectation: Fraction
-    dominated_mass: Fraction
-    ok: bool
-
-
-def check_property_2_3(space: InputSpace, T: Callable, F: Callable[[int], object],
-                       mu: Mapping, H: Callable[[int], object]) -> Prop23Result:
-    """Certify expected T <= sum of H(n) under the dominated reweighting.
-
-    Precondition: mu is normalized per class, that is, every class of
-    positive mass has mass exactly 1 (each membership row's rhs), and
-    the O(F) membership rows all pass; raises PreconditionFailed
-    otherwise.  The sums are read per class, as in
-    :func:`check_property_2_2`.
-    """
-    totals = class_sums(space, mu, [over_F(T, F), over_F(lambda x: 1, F)])
-    oc = member_rows(totals)
-    if any(r.rhs != 1 for r in oc.values()):
-        raise PreconditionFailed("mu must be normalized once per class")
-    if not all(r.passed for r in oc.values()):
-        raise PreconditionFailed("O(F) membership fails on this space")
-    _, expectation, mass = _reweighted(H, totals)
-    bound = _sum(Fraction(H(n)) for n in space.attained_classes())
-    return Prop23Result(bound, expectation, mass, expectation <= bound)
-
-
-class MarkovTail(NamedTuple):
-    mean: Fraction
-    bound: Fraction
-    empirical: Fraction
-    ok: bool
-
-
-def markov_tail(T: Callable, mu: Mapping, Y: Iterable, multiplier) -> MarkovTail:
-    """Markov's tail bound at a multiple of the mean, checked exactly:
-    P(T >= a | Y) <= avg(T | Y) / a = 1 / multiplier at
-    a = multiplier * avg(T | Y).  The threshold needs the mean, so the
-    tail is read in a second walk."""
-    items = list(Y)
-    mean = avg_time(T, mu, items)
-    a = Fraction(multiplier) * mean
-    if a <= 0:
-        raise ValueError("threshold must be positive")
-    empirical = avg_time(lambda x: T(x) >= a, mu, items)
-    return MarkovTail(mean, mean / a, empirical, empirical <= mean / a)
-
-
 # --- distribution constructors ---------------------------------------
 
 
@@ -347,69 +239,6 @@ def uniform_over_model_classes(space: InputSpace, per_class: bool = False) -> di
             for x in members:
                 weights[x] = w * space.count[x]
     return weights
-
-
-def layer_blocks(space: InputSpace, n: int) -> InputSpace:
-    """The alpha = n sentences of a key space of one or more classes as
-    blocks (n, f, model set over p0..p(n-1)), each counting every
-    sentence of that size and model set.
-
-    A canonical key's sentences are its canonical sentences with their
-    variables renamed, once per permutation sigma of the n variables;
-    renaming keeps f and moves the mask, so only masks are renamed.
-    Only the costs that read alpha and f alone (``tabulate`` and
-    ``rewrite_cost``) read a block as they read its sentences.
-    """
-    keys = space.class_items(n)
-    count: dict[tuple, int] = {}
-    # with no key, skip the renamings (10! of them at n = 10)
-    for sigma in permutations(range(n)) if keys else ():
-        # assignment x of the renamed variables, read by the canonical ones
-        reads = [sum(((x >> v) & 1) << i for i, v in enumerate(sigma))
-                 for x in range(1 << n)]
-        for key in keys:
-            block = (n, key[1], sum(((key[2] >> y) & 1) << x for x, y in enumerate(reads)))
-            count[block] = count.get(block, 0) + space.count[key]
-    return InputSpace(count)
-
-
-def uniform_within_min_layers(space: InputSpace, n: int) -> dict:
-    """Equal weight to all sentences of each minimal-length layer, and
-    equal mass to each layer.
-
-    The space holds blocks (see :func:`layer_blocks`).  Within a model
-    set's group, sentences are ranked by size (ties by rendering, as
-    :func:`~avgsat.formula.stratify_min_layers` breaks them), and layer
-    i holds the sentences of rank i: one from each of the g(i) groups
-    with more than i sentences, of L layers in all, L the largest group.
-    A block holds all of its group's sentences of its size, so it fills
-    consecutive ranks [a, b) whatever the order among them, and gets the
-    sum of 1/(L * g(i)) over them.  g is constant between consecutive
-    group sizes, so the sums are prefix sums taken at those sizes.
-    """
-    free: dict[int, int] = {}   # group -> its next free rank
-    spans = {}                  # block -> the ranks [a, b) it fills
-    for x in sorted(space.class_items(n), key=itemgetter(1)):
-        a = free.get(x[2], 0)
-        b = free[x[2]] = a + space.count[x]
-        spans[x] = a, b
-    if not spans:
-        raise ZeroMassSubset(f"alpha-class {n} is empty")
-    sizes = sorted(free.values())
-    cuts = [0, *sorted(set(sizes))]
-    # below cuts[j], sum of 1/g(i) is prefix[j]; from there to cuts[j+1],
-    # g is the number of groups of cuts[j+1] sentences or more
-    g = [len(sizes) - bisect_left(sizes, c) for c in cuts[1:]]
-    prefix = [_ZERO]
-    for j, groups in enumerate(g):
-        prefix.append(prefix[j] + Fraction(cuts[j + 1] - cuts[j], groups))
-
-    def upto(t: int) -> Fraction:
-        j = bisect_right(cuts, t) - 1
-        return prefix[j] if t == cuts[j] else prefix[j] + Fraction(t - cuts[j], g[j])
-
-    layers = cuts[-1]
-    return {x: (upto(b) - upto(a)) / layers for x, (a, b) in spans.items()}
 
 
 # --- counted sentence spaces -----------------------------------------
@@ -472,3 +301,10 @@ def covering_space(table: ConnectiveTable, ns: Sequence[int], depth_cap: int = 2
                         f"every connective is {name}, so at most {reach} of "
                         f"{needed} model classes are reachable at n = {n}")
     return InputSpace(sentence_keys(table, ns, depth_cap, cover=True))
+
+
+def space(table: ConnectiveTable, ns: Sequence[int], max_tokens: int | None) -> InputSpace:
+    """One space of every class of ns from one count: their covering
+    spaces, or their sentences within max_tokens, none of them empty."""
+    return (covering_space(table, ns) if max_tokens is None
+            else formula_space(table, ns, max_tokens))

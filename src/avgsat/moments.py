@@ -8,17 +8,15 @@ Everything returns exact integers or rationals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
-class MomentSum(NamedTuple):
-    """Certified approximation of sum over i >= 1 of i^m / 2^i."""
+class MomentSum(namedtuple("MomentSum", "m partial tail_bound cutoff")):
+    """Certified approximation of sum over i >= 1 of i^m / 2^i: the
+    partial sum to the cutoff and a bound on the tail past it."""
 
-    m: int
-    partial: Fraction
-    tail_bound: Fraction
-    cutoff: int
+    __slots__ = ()
 
     @property
     def upper(self) -> Fraction:

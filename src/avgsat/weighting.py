@@ -6,8 +6,8 @@ definitions beside :mod:`avgsat.measure`.
 * ``validate`` -- the check that weights are a distribution;
 * ``relative_avg`` -- the average over one size class;
 * ``nu_from_H`` -- the per-item reweighting by H(alpha) / F(f), which
-  :func:`~avgsat.measure.check_property_2_2` and
-  :func:`~avgsat.measure.check_property_2_3` read as per-class sums.
+  ``check_property_2_2`` and ``check_property_2_3`` (each in its
+  command's module of :mod:`avgsat.commands`) read as per-class sums.
 
 No command loads this module, so no start compiles it.
 """

@@ -10,6 +10,9 @@ import time
 from fractions import Fraction
 
 from avgsat import analytic, cli, engines, measure, moments
+from avgsat.commands.markov_tail import markov_tail
+from avgsat.commands.property_2_2 import check_property_2_2
+from avgsat.commands.property_2_3 import check_property_2_3
 from avgsat.formula import ConnectiveTable, enumerate_formulas
 from avgsat.trend import terms
 from negation import negated_keys
@@ -128,7 +131,7 @@ def test_criterion_07_tractability_examples():
 
 def test_criterion_08_markov_tail(space2):
     mu = measure.uniform_over_model_classes(space2)
-    res = measure.markov_tail(SAT_TIME, mu, space2.items, 100)
+    res = markov_tail(SAT_TIME, mu, space2.items, 100)
     ok = res.ok and res.bound == Fraction(1, 100)
     ok = ok and res.empirical <= Fraction(1, 100)
     _report(8, "hundredfold-average runs occur with frequency <= 1%", ok,
@@ -138,17 +141,16 @@ def test_criterion_08_markov_tail(space2):
 def test_criterion_09_reweighting_properties(std, sentence_space):
     space = sentence_space(enumerate_formulas(std, 2, max_tokens=8))
     mu = measure.uniform_over_model_classes(space)
-    clean = measure.check_property_2_2(space, SAT_TIME, DOUBLE, mu)
+    clean = check_property_2_2(space, SAT_TIME, DOUBLE, mu)
     ok = all(r.passed for r in clean.oclass.values()) and all(h.ok for h in clean.h_rows)
     ok = ok and clean.biconditional_ok
     broken_T = lambda x: SAT_TIME(x) * (4 if x[0] == 2 else 1)
-    broken = measure.check_property_2_2(space, broken_T, DOUBLE, mu)
+    broken = check_property_2_2(space, broken_T, DOUBLE, mu)
     ok = ok and not broken.oclass[2].passed
     chi2 = next(h for h in broken.h_rows if h.label == "chi_2")
     ok = ok and not chi2.ok and broken.biconditional_ok
     mu_pc = measure.uniform_over_model_classes(space, per_class=True)
-    p23 = measure.check_property_2_3(space, SAT_TIME, DOUBLE, mu_pc,
-                                     lambda n: Fraction(1, n * n))
+    p23 = check_property_2_3(space, SAT_TIME, DOUBLE, mu_pc, lambda n: Fraction(1, n * n))
     ok = ok and p23.ok and p23.bound == Fraction(5, 4)
     _report(9, "reweighting equivalence, witnessed failure, summable transfer", ok)
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from avgsat import analytic, cli, moments
+from avgsat._cli_rare import _build_parser
 from avgsat.commands import sampling
 
 
@@ -361,7 +363,7 @@ def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # cutoff grows with both --m-list and --tol-exp, and their cost as its
     # square (--m-list 1000 --tol-exp 20000 took 10 s), or many entries
     # each admitted alone (the 20 from 500 down to 481 took 2.4 s, every
-    # m to 500 17 s; commands.exact.MAX_MOMENTS_WORK); and property-2-3's
+    # m to 500 17 s; commands.moments.MAX_MOMENTS_WORK); and property-2-3's
     # --h-exponent, whose weights n^-e grow by e bits per doubling of n
     # (the Shannon model at --n-list 3,...,13 and e = 10^5 took 69 s)
     start = time.perf_counter()
@@ -1267,14 +1269,17 @@ class _CountingWeights(dict):
 def test_exact_commands_read_each_weight_once(tmp_path, monkeypatch, command, most):
     # every row of a command comes from one summing pass over each space
     from avgsat import measure
+    from avgsat.commands import tab_oclass
     maps, spaces = [], []
-    for name in ("uniform_over_model_classes", "uniform_within_min_layers"):
-        def counting(*args, build=getattr(measure, name), **kwargs):
+    # each weighting where its commands call it
+    for module, name in [(measure, "uniform_over_model_classes"),
+                         (tab_oclass, "uniform_within_min_layers")]:
+        def counting(*args, build=getattr(module, name), **kwargs):
             mu = _CountingWeights(build(*args, **kwargs))
             mu.reads = {}
             maps.append(mu)
             return mu
-        monkeypatch.setattr(measure, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
     class CountedSpace(measure.InputSpace):
         def __init__(self, count):
@@ -1329,10 +1334,10 @@ def test_n3_csv_bytes_match_recorded_digest(tmp_path, command):
 def test_moments_total_admits_what_runs(command):
     # the bound over the entries refuses none of the tests' and the
     # benchmark's moments runs, nor any single entry
-    from avgsat.commands import exact
+    from avgsat.commands.moments import MAX_MOMENTS_WORK, _moments_work
     opts = cli.Options(cli._parse(command.split()), {})
-    assert exact._moments_work(opts.get("m_list"), opts.get("n_list"),
-                               opts.get("tol_exp")) <= exact.MAX_MOMENTS_WORK
+    assert _moments_work(opts.get("m_list"), opts.get("n_list"),
+                         opts.get("tol_exp")) <= MAX_MOMENTS_WORK
 
 
 # The Shannon model's CSVs, pinned to the bytes written while
@@ -1411,13 +1416,13 @@ WELL_FORMED = [
 def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
     # main parses a well-formed command line without argparse; its parse,
     # help, errors and exit codes must be the full parser's
-    full = _answer(cli._build_parser().parse_args, argv, capsys)
+    full = _answer(_build_parser().parse_args, argv, capsys)
     assert _answer(cli._parse, argv, capsys) == full
 
 
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
 def test_well_formed_command_line_is_read_without_argparse(argv):
-    assert vars(cli._read(argv)) == vars(cli._build_parser().parse_args(argv))
+    assert vars(cli._read(argv)) == vars(_build_parser().parse_args(argv))
 
 
 def test_frac_writes_integers_past_the_digit_limit():
@@ -1499,16 +1504,26 @@ def _avgsat_modules(argv=()):
     return {m for m in _modules(argv) if m.split(".")[0] == "avgsat"}
 
 
-def _loaded_lines(argv=()):
-    """The source lines of the avgsat modules of :func:`_modules`: what a
-    start with no bytecode cache compiles."""
+def _loaded_sources(argv=()):
+    """The sources of the avgsat modules of :func:`_modules`: what a start
+    with no bytecode cache compiles."""
     src = Path(cli.__file__).resolve().parent.parent
-    total = 0
     for module in _avgsat_modules(argv):
         path = src.joinpath(*module.split("."))
         path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
-        total += len(path.read_text(encoding="utf-8").splitlines())
-    return total
+        yield path.read_text(encoding="utf-8")
+
+
+def _loaded_lines(argv=()):
+    """The source lines of :func:`_loaded_sources`."""
+    return sum(len(source.splitlines()) for source in _loaded_sources(argv))
+
+
+def _loaded_statements(argv=()):
+    """The statements of :func:`_loaded_sources`, which compile time
+    follows more closely than lines: docstrings and comments cost little."""
+    return sum(isinstance(node, ast.stmt) for source in _loaded_sources(argv)
+               for node in ast.walk(ast.parse(source)))
 
 
 def test_import_loads_only_the_core():
@@ -1535,7 +1550,7 @@ def test_benchmark_commands_load_no_argparse(tmp_path, capsys, monkeypatch):
         done = subprocess.run([sys.executable, "-S", "-m", "avgsat", *argv], cwd=src,
                               timeout=60, capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == \
-            _answer(cli._build_parser().parse_args, argv, capsys)
+            _answer(_build_parser().parse_args, argv, capsys)
 
 
 # the sentence-object API, which the commands read through keys alone
@@ -1552,18 +1567,38 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
                   "tab-oclass --model enumerated --n-list 1 --max-tokens 5"]
 
 # the avgsat source lines each exact or sampling command compiles
-# (``python -S``): the count once the code it does not run left its
-# modules, plus a margin of about 2%.  Before, the counted-space commands
-# compiled 2,210 lines (moments 2,563) and the Shannon-model ones 2,287;
-# the sampling ones 1,551 (montecarlo --exact-check) and 1,399
-# (explore-min)
+# (``python -S``): the count once each exact command had a module of its
+# own, with the checks it alone runs, plus a margin of about 2%.  With
+# one module for all six, the counted-space commands compiled 1,823 lines
+# (moments 1,898) and the Shannon-model ones 1,841; before that, 2,210
+# (moments 2,563) and 2,287.  The sampling ones compiled 1,556
+# (montecarlo --exact-check) and 1,375 (explore-min)
 LINE_BUDGETS = {
-    **dict.fromkeys(EXACT_COMMANDS, 1850),
-    "moments --n-list 1": 1925,
-    "tab-oclass --n-list 3": 1900,
-    "property-2-3 --model shannon": 1900,
+    "sat-oclass --n 1": 1475,
+    "property-2-2 --n-list 1": 1540,
+    "moments --n-list 1": 1590,
+    "markov-tail --n 1": 1485,
+    "property-2-3 --model sat --n-list 1": 1515,
+    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 1545,
+    "tab-oclass --n-list 3": 1560,
+    "property-2-3 --model shannon": 1535,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1570,
-    "explore-min --target-tokens 7 --samples 50": 1410,
+    "explore-min --target-tokens 7 --samples 50": 1385,
+}
+# the statements of the same sources, plus about 2%; with one module for
+# all six exact commands, each compiled 946 (moments 991), and the
+# sampling ones 824 and 717
+STATEMENT_BUDGETS = {
+    "sat-oclass --n 1": 725,
+    "property-2-2 --n-list 1": 760,
+    "moments --n-list 1": 790,
+    "markov-tail --n 1": 735,
+    "property-2-3 --model sat --n-list 1": 745,
+    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 760,
+    "tab-oclass --n-list 3": 740,
+    "property-2-3 --model shannon": 725,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 820,
+    "explore-min --target-tokens 7 --samples 50": 710,
 }
 
 
@@ -1594,6 +1629,18 @@ def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
         assert _loaded_lines(argv) <= LINE_BUDGETS[command]
 
 
+@pytest.mark.parametrize("command", sorted(STATEMENT_BUDGETS))
+def test_command_compiles_within_its_statement_budget(tmp_path, command):
+    argv = [*command.split(), "--out", str(tmp_path / "out.csv")]
+    assert _loaded_statements(argv) <= STATEMENT_BUDGETS[command]
+
+
+def test_import_compiles_only_the_declarations():
+    # cli and errors; the --config reader and the full parser load only
+    # when they run (452 lines and 208 statements while they did not)
+    assert _loaded_lines() <= 420 and _loaded_statements() <= 185
+
+
 def test_kernel_defines_only_the_shared_primitives(tmp_path):
     # what the counting DP, the sampling walk and the census share; each
     # definition that one module alone calls lives in that module, and
@@ -1619,6 +1666,13 @@ def test_integer_and_float_runs_load_no_fractions(tmp_path, command):
     # (which loads decimal) or typing
     modules = _modules([*command.split(), "--out", str(tmp_path / "out.csv")])
     assert not modules & {"avgsat.measure", "fractions", "decimal", "typing"}
+
+
+@pytest.mark.parametrize("command", EXACT_COMMANDS)
+def test_counted_space_exact_commands_load_no_typing(tmp_path, command):
+    # their records are collections.namedtuple subclasses, and their
+    # annotations name collections.abc
+    assert "typing" not in _modules([*command.split(), "--out", str(tmp_path / "out.csv")])
 
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))

@@ -26,7 +26,10 @@ import pytest
 from avgsat import analytic, cli, engines, measure, tables, weighting
 from avgsat._counting import MAX_WORK, SentenceCounts
 from avgsat._kernel import alpha_count
-from avgsat.commands import exact
+from avgsat.commands.markov_tail import markov_tail
+from avgsat.commands.property_2_2 import check_property_2_2
+from avgsat.commands.property_2_3 import check_property_2_3
+from avgsat.commands.tab_oclass import layer_blocks, uniform_within_min_layers
 from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_set, size_f,
                             stratify_min_layers)
 from avgsat.errors import ZeroMass
@@ -138,8 +141,8 @@ def assert_same_checks(twin: Twin, mu_c, mu_e, costs):
         for k in sizes(c)[:3]:
             assert weighting.relative_avg(c, T, mu_c, k) == weighting.relative_avg(e, T, mu_e, k)
         for multiplier in (1, 100):
-            assert measure.markov_tail(T, mu_c, c.items, multiplier) == \
-                measure.markov_tail(T, mu_e, e.items, multiplier)
+            assert markov_tail(T, mu_c, c.items, multiplier) == \
+                markov_tail(T, mu_e, e.items, multiplier)
         for H in HS:
             for mode in HMode:
                 try:
@@ -163,7 +166,7 @@ def stratified(expanded: InputSpace, n: int, table: ConnectiveTable) -> dict:
 def block_twin(twin: Twin, n: int, table: ConnectiveTable) -> Twin:
     """The blocks of a twin's counted space, and its sentences as blocks."""
     blocks = items_space([block_item(n)(Formula(x[-1], table)) for x in twin.expanded.items])
-    return Twin(measure.layer_blocks(twin.counted, n), blocks, per_count=lambda block: 1)
+    return Twin(layer_blocks(twin.counted, n), blocks, per_count=lambda block: 1)
 
 
 @pytest.fixture(scope="module", params=sorted(TABLES))
@@ -313,7 +316,7 @@ def test_formula_space_work_admits_trend_budgets(n, max_tokens):
 def test_counted_layers_match_expansion(table, twins, n):
     twin = block_twin(twins[n], n, table)
     assert_keys_and_counts(twin)
-    mu = measure.uniform_within_min_layers(twin.counted, n)
+    mu = uniform_within_min_layers(twin.counted, n)
     assert nonzero(mu) == twin.lift(stratified(twin.expanded, n, table))
 
 
@@ -337,7 +340,7 @@ def test_distributions_and_checks_match_expansion(table, twins, n):
     # layers; a block's sentences share any cost that reads alpha, f and
     # the model set over n variables
     blocks = block_twin(twin, n, table)
-    assert_same_checks(blocks, measure.uniform_within_min_layers(blocks.counted, n),
+    assert_same_checks(blocks, uniform_within_min_layers(blocks.counted, n),
                        stratified(blocks.expanded, n, table),
                        [(SAT_TIME, DOUBLE), (TAB_TIME, CUBE)])
 
@@ -351,7 +354,7 @@ def test_min_layer_masses_match_expansion_over_3_variables():
     assert len(twin.expanded) == 14208
     blocks = block_twin(twin, 3, table)
     assert_keys_and_counts(blocks)
-    mu = measure.uniform_within_min_layers(blocks.counted, 3)
+    mu = uniform_within_min_layers(blocks.counted, 3)
     assert nonzero(mu) == blocks.lift(stratified(blocks.expanded, 3, table))
 
 
@@ -428,7 +431,7 @@ def test_co_row_is_the_negated_space_row(tmp_path, name, n):
 
 
 def test_combined_space_properties_match_expansion(table, twins):
-    counted = exact._space(table, [1, 2], None)
+    counted = measure.space(table, [1, 2], None)
     expanded = items_space([x for n in (1, 2) for x in twins[n].expanded.items])
     twin = Twin(counted, expanded)
     assert_keys_and_counts(twin)
@@ -440,12 +443,12 @@ def test_combined_space_properties_match_expansion(table, twins):
         assert nonzero(mu_c) == twin.lift(mu_e)
         for T in (SAT_TIME, broken):
             T = twin.times(T).__getitem__
-            assert measure.check_property_2_2(counted, T, DOUBLE, mu_c, extra) == \
-                measure.check_property_2_2(expanded, T, DOUBLE, mu_e, extra)
+            assert check_property_2_2(counted, T, DOUBLE, mu_c, extra) == \
+                check_property_2_2(expanded, T, DOUBLE, mu_e, extra)
     for H in HS:
         T = twin.times(SAT_TIME).__getitem__
-        assert measure.check_property_2_3(counted, T, DOUBLE, mu_c, H) == \
-            measure.check_property_2_3(expanded, T, DOUBLE, mu_e, H)
+        assert check_property_2_3(counted, T, DOUBLE, mu_c, H) == \
+            check_property_2_3(expanded, T, DOUBLE, mu_e, H)
 
 
 def shannon_slots(ns):
@@ -475,5 +478,5 @@ def test_shannon_keys_match_slot_expansion(ns):
         measure.oclass_member(expanded, SLOT_TIME, CUBE, mu_e)
     for e in range(4):
         H = lambda n: Fraction(1, n ** e)
-        assert measure.check_property_2_3(counted, T, CUBE, mu, H) == \
-            measure.check_property_2_3(expanded, SLOT_TIME, CUBE, mu_e, H)
+        assert check_property_2_3(counted, T, CUBE, mu, H) == \
+            check_property_2_3(expanded, SLOT_TIME, CUBE, mu_e, H)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avgsat import _kernel, analytic, measure, moments, tables
+from avgsat.commands.markov_tail import MarkovTail
+from avgsat.commands.property_2_2 import HRow
 from avgsat.formula import (Connective, ConnectiveTable, Formula, MalformedRpn,
                             ModelSet, UnknownSymbol, VariableOutOfRange,
                             compact_model_set, enumerate_formulas, evaluate,
@@ -116,8 +118,8 @@ VALUE_TYPES = [
     (Formula, ((0,), _STD), ((0, 0, -2), _STD), None),
     (ModelSet, (1, 2), (1, 3), (1, 16)),
     (measure.BoundRow, (1, Q(1, 2), Q(1), True), (1, Q(1, 2), Q(1), False), None),
-    (measure.HRow, ("chi_1", Q(1), Q(2), True), ("chi_2", Q(1), Q(2), True), None),
-    (measure.MarkovTail, (Q(3), Q(1, 2), Q(1, 4), True), (Q(3), Q(1, 2), Q(1, 3), True), None),
+    (HRow, ("chi_1", Q(1), Q(2), True), ("chi_2", Q(1), Q(2), True), None),
+    (MarkovTail, (Q(3), Q(1, 2), Q(1, 4), True), (Q(3), Q(1, 2), Q(1, 3), True), None),
     (analytic.Census, (1, 2, 3), (1, 2, 4), None),
     (analytic.Totals, (1, 2, Q(1, 3)), (1, 2, Q(2, 3)), None),
     (analytic.MinExpectation, (1, Q(7, 4), None, Q(3, 2)), (1, Q(7, 4), Q(7, 4), Q(3, 2)),

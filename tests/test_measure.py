@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avgsat import analytic, engines, measure, moments, tables
-from avgsat.commands.exact import BOUND_HEADER, bound_rows
+from avgsat.commands import BOUND_HEADER, bound_rows
+from avgsat.commands.markov_tail import markov_tail
+from avgsat.commands.property_2_2 import check_property_2_2
+from avgsat.commands.property_2_3 import Prop23Result, check_property_2_3
+from avgsat.commands.tab_oclass import layer_blocks, uniform_within_min_layers
 from avgsat.formula import Formula, enumerate_formulas
-from avgsat.errors import ZeroMass
-from avgsat.measure import (ClassUncovered, InputSpace, PreconditionFailed,
-                            Verdict, ZeroMassSubset, avg_time,
-                            check_property_2_2, check_property_2_3,
-                            markov_tail, oclass_member, tractability,
-                            uniform_over_model_classes, uniform_within_min_layers)
+from avgsat.errors import PreconditionFailed, ZeroMass
+from avgsat.measure import (ClassUncovered, InputSpace, Verdict, ZeroMassSubset, avg_time,
+                            oclass_member, tractability, uniform_over_model_classes)
 from avgsat.trend import terms
 from avgsat.weighting import (HMode, nu_from_H, power_law_length, relative_avg, uniform_on,
                               validate, weights_proportional)
@@ -630,7 +631,7 @@ def test_covering_space_complete_table_still_meets_the_cap():
 def test_uniform_within_min_layers(std, space1, expanded1):
     # over blocks (1, f, model set), each the sentences of one size and
     # model set, against the layers of the sentences themselves
-    sp = measure.layer_blocks(space1, 1)
+    sp = layer_blocks(space1, 1)
     mu = uniform_within_min_layers(sp, 1)
     validate(mu, sp)
     from avgsat.formula import model_set, size_f, stratify_min_layers
@@ -865,7 +866,7 @@ def test_bad_F_and_negative_H_still_raise():
         [("chi_1", 1, Fraction(16, 5)), ("massless", 1, Fraction(16, 5))]
     # sum of H/F * mu over class 1: 1/2 * (1/2 + 1/8); the bound is H(1) + H(2)
     assert check_property_2_3(sp, T, F, mu, H) == \
-        measure.Prop23Result(0, Fraction(5, 16), Fraction(5, 16), False)
+        Prop23Result(0, Fraction(5, 16), Fraction(5, 16), False)
 
 
 @pytest.mark.parametrize("F", [DOUBLE, lambda k: Fraction(k ** 3, 3)], ids=["2k", "k^3/3"])

@@ -53,6 +53,11 @@ FORWARDED = {
        for name in ("uniform_on", "weights_proportional", "power_law_length", "nu_from_H",
                     "relative_avg")},
     "avgsat.measure:tractability": ("avgsat.trend", "tractability"),
+    "avgsat.measure:check_property_2_2": ("avgsat.commands.property_2_2", "check_property_2_2"),
+    "avgsat.measure:check_property_2_3": ("avgsat.commands.property_2_3", "check_property_2_3"),
+    "avgsat.measure:markov_tail": ("avgsat.commands.markov_tail", "markov_tail"),
+    "avgsat.measure:uniform_within_min_layers": ("avgsat.commands.tab_oclass",
+                                                 "uniform_within_min_layers"),
     "avgsat.cli:_unrank": ("avgsat.commands.sampling", "_unrank"),
 }
 
