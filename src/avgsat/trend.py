@@ -79,7 +79,10 @@ def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: flo
     clears ``monotone`` if it falls below ``prev``, the partial before
     it; it returns the four values as they end.  :func:`terms` builds
     the step of a T and a weight function; a case may write its own,
-    with the same operations in the same order.
+    with the same operations in the same order.  Such a step may instead
+    show that no partial of its segment falls below the one before it
+    and that the mass stays positive, and then take only the last
+    partial: the flag and the sums end as they would.
 
     The verdict is evidence, not proof: CONVERGENT when the last
     ``tail_window`` relative increments stay below ``eps`` and the

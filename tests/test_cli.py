@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import json
+import operator
 import subprocess
 import sys
 import time
@@ -1572,7 +1573,9 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # one module for all six, the counted-space commands compiled 1,823 lines
 # (moments 1,898) and the Shannon-model ones 1,841; before that, 2,210
 # (moments 2,563) and 2,287.  The sampling ones compiled 1,556
-# (montecarlo --exact-check) and 1,375 (explore-min)
+# (montecarlo --exact-check) and 1,375 (explore-min).  The series
+# commands the benchmark runs compile 828 (tractability) and 1,403
+# (counting)
 LINE_BUDGETS = {
     "sat-oclass --n 1": 1475,
     "property-2-2 --n-list 1": 1540,
@@ -1584,10 +1587,12 @@ LINE_BUDGETS = {
     "property-2-3 --model shannon": 1535,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1570,
     "explore-min --target-tokens 7 --samples 50": 1385,
+    "tractability --case harmonic --budget 2000": 845,
+    "counting --n-max 4 --enum-limit 2": 1430,
 }
 # the statements of the same sources, plus about 2%; with one module for
 # all six exact commands, each compiled 946 (moments 991), and the
-# sampling ones 824 and 717
+# sampling ones 824 and 717; tractability and counting compile 380 and 684
 STATEMENT_BUDGETS = {
     "sat-oclass --n 1": 725,
     "property-2-2 --n-list 1": 760,
@@ -1599,6 +1604,8 @@ STATEMENT_BUDGETS = {
     "property-2-3 --model shannon": 725,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 820,
     "explore-min --target-tokens 7 --samples 50": 710,
+    "tractability --case harmonic --budget 2000": 390,
+    "counting --n-max 4 --enum-limit 2": 700,
 }
 
 
@@ -1625,8 +1632,12 @@ def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     assert {m for m in modules if m.startswith("avgsat.commands.")} == {target}
     if command.startswith("moments"):
         assert MOMENT_SUMS <= modules
-    if command in LINE_BUDGETS:
-        assert _loaded_lines(argv) <= LINE_BUDGETS[command]
+
+
+@pytest.mark.parametrize("command", sorted(LINE_BUDGETS))
+def test_command_compiles_within_its_line_budget(tmp_path, command):
+    argv = [*command.split(), "--out", str(tmp_path / "out.csv")]
+    assert _loaded_lines(argv) <= LINE_BUDGETS[command]
 
 
 @pytest.mark.parametrize("command", sorted(STATEMENT_BUDGETS))
@@ -1698,13 +1709,16 @@ def test_harmonic_float_indices_square_exactly():
 # budgets at the edges of the 0.1% prefix and of the 10-step tail window
 @pytest.mark.parametrize("budget, opts", [
     *(pytest.param(b, {}, id=str(b))
-      for b in (1, 2, 10, 11, 12, 999, 1000, 1001, 1999, 2000, 20000)),
+      for b in (1, 2, 10, 11, 12, 50, 999, 1000, 1001, 1999, 2000, 20000, 100_007,
+                10 ** 6)),
     pytest.param(5000, dict(eps=1e-3), id="5000-eps-1e-3"),
     pytest.param(1000, dict(tail_window=0), id="1000-window-0"),
 ])
 def test_harmonic_float_scan_is_the_int_scan(budget, opts):
     # the written-out step does the generic step's operations on float
-    # indices, and those round as they do on ints
+    # indices, and those round as they do on ints; at 50 the segment
+    # (10, 40] falls back to the class-by-class partials, and 10^6 is
+    # the scan the benchmark runs
     from avgsat import trend
     from avgsat.commands import series
     case = series._CASES["harmonic"]
@@ -1719,9 +1733,66 @@ def test_harmonic_float_scan_is_the_int_scan(budget, opts):
     assert all(type(v) is float for v in scans[0].checkpoints.values())
 
 
+def _harmonic_segment(num, den, first, last):
+    """The sums after classes first to last, as the harmonic step adds
+    them, and the exact quotient after each class."""
+    partials = []
+    for x in map(float, range(first, last + 1)):
+        w = 1.0 / (x * x)
+        num += x * w
+        den += w
+        partials.append(Fraction(num) / Fraction(den))
+    return num, den, partials
+
+
+# the bound proves a rise while, roughly, num / den0 <= first^2 / (2 last)
+@pytest.mark.parametrize("num0, den0, first, last, rises, proved", [
+    # the quotient starts above the indices: every class pulls it down
+    (100.0, 1.0, 2, 10, False, False),
+    (5000.0, 1.64, 1001, 1010, False, False),
+    # it rises, but by less than the bound's margin
+    (6.0, 1.0, 10, 10, True, False),
+    (800.0, 1.6, 1001, 1100, True, False),
+    (736.0, 1.6, 1001, 1100, True, False),
+    # far enough below the indices, the bound proves the rise
+    (2.0, 1.0, 10, 10, True, True),
+    (7.0, 1.6, 1001, 1100, True, True),
+    (720.0, 1.6, 1001, 1100, True, True),
+])
+def test_harmonic_bound_refuses_what_it_cannot_prove(num0, den0, first, last, rises, proved):
+    from avgsat.commands import series
+    num, den, partials = _harmonic_segment(num0, den0, first, last)
+    quotients = [Fraction(num0) / Fraction(den0), *partials]
+    assert all(map(operator.le, quotients, quotients[1:])) == rises
+    assert series._rises(num0, den0, num, den, float(first), float(last)) == proved
+
+
+def test_harmonic_scan_proves_every_segment_past_100(monkeypatch):
+    # at the default budget only (1, 10] and (10, 100] fall back, and the
+    # first class, whose sums start at 0, asks nothing
+    from avgsat import trend
+    from avgsat.commands import series
+    asked = []
+    rises = series._rises
+
+    def spy(*args):
+        proved = rises(*args)
+        asked.append((int(args[4]), int(args[5]), proved))
+        return proved
+    monkeypatch.setattr(series, "_rises", spy)
+    case = series._CASES["harmonic"]
+    start = case["start"]
+    res = trend.tractability(case["step"], case["indices"](start, start + case["budget"]))
+    assert res.verdict.value == case["expect"]
+    tail = case["budget"] - 9
+    assert asked == [(2, 10, False), (11, 100, False), (101, 1000, True),
+                     (1001, 10 ** 4, True), (10 ** 4 + 1, 10 ** 5, True),
+                     (10 ** 5 + 1, tail - 1, True),
+                     *((k, k, True) for k in range(tail, case["budget"] + 1))]
+
+
 def test_harmonic_float_counter_is_exact():
     # each index is the one before plus 1.0, exact within 2^53
-    import operator
     from collections import deque
     from avgsat.commands import series
     case = series._CASES["harmonic"]
