@@ -154,30 +154,24 @@ class SentenceCounts:
                     states[ki, ko] = out
         self.tab.append(states)
 
-    def top(self, t, k):
-        """(variable tokens, mask, count) of the whole sentences of t
-        tokens over p0..p(k-1), k <= n: state (0, k), whose masks over n
-        variables hold the class over k in their first 2^k bits."""
-        low = (1 << self.width) - 1
-        own = (1 << (1 << k)) - 1
-        for m, p in self.tab[t].get((0, k), {}).items():
-            l = 0
-            while p:
-                if p & low:
-                    yield l, m & own, p & low
-                p >>= self.width
-                l += 1
-
     def keys(self, k, depth):
         """Key (k, size f, mask) -> number of the canonical sentences
-        over k <= n variables within ``depth`` tokens.  A canonical
-        sentence's mask is its class, and f = 8 * (2 * tokens - 1 +
-        variable tokens) while every variable is p0..p9."""
+        over k <= n variables within ``depth`` tokens: state (0, k), whose
+        masks over n variables hold the class over k in their first 2^k
+        bits.  A canonical sentence's mask is its class, and f = 8 * (2 *
+        tokens - 1 + variable tokens) while every variable is p0..p9."""
+        low = (1 << self.width) - 1
+        own = (1 << (1 << k)) - 1
         count = {}
         for t in range(1, depth + 1):
-            for l, m, c in self.top(t, k):
-                key = (k, 8 * (2 * t - 1 + l), m)
-                count[key] = count.get(key, 0) + c
+            for m, p in self.tab[t].get((0, k), {}).items():
+                f = 8 * (2 * t - 1)  # digit l: the sentences of l variable tokens, f + 8 * l
+                while p:
+                    if p & low:
+                        key = (k, f, m & own)
+                        count[key] = count.get(key, 0) + (p & low)
+                    p >>= self.width
+                    f += 8
         return count
 
     def _splits(self, a, t, ki, ko):
@@ -292,7 +286,9 @@ def sentence_keys(table, ns, max_tokens: int, cover: bool = False) -> dict[tuple
     for t in range(1, max_tokens + 1):
         counts.extend()
         for k, seen in list(short.items()):
-            seen.update(m for _, m, _ in counts.top(t, k))
+            # every stored entry counts at least one sentence, and a mask
+            # over n variables repeats its class over k: as many masks as classes
+            seen.update(counts.tab[t].get((0, k), ()))
             if len(seen) == 1 << (1 << k):
                 depth[k] = t
                 del short[k]

@@ -14,9 +14,10 @@ only.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
+TYPE_CHECKING = False  # without loading typing
 if TYPE_CHECKING:  # annotations only: the closed forms build no table
     from ._formula_core import ConnectiveTable
 
@@ -104,12 +105,11 @@ def _census_length(n_vars, arities, length, counts=None):
             shapes * sum(c << s for s, c in enumerate(subsets, start=1)))
 
 
-class Census(NamedTuple):
-    """Counts of the canonical sentences with exactly N connectives."""
+class Census(namedtuple("Census", "N count pow2_alpha_sum")):
+    """Counts of the canonical sentences with exactly N connectives: how
+    many, and the sum of 2^alpha over them."""
 
-    N: int
-    count: int
-    pow2_alpha_sum: int
+    __slots__ = ()
 
     @property
     def read_total(self) -> int:
@@ -157,10 +157,11 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
     return [census(N, table, counts) for N in range(N_max + 1)]
 
 
-class Totals(NamedTuple):
-    read_total: int
-    tabulate_total: int
-    ratio: Fraction  # tabulate/read scaled by (2N+1)^(-p)
+class Totals(namedtuple("Totals", "read_total tabulate_total ratio")):
+    """The census's read and tabulation totals, and their ratio
+    tabulate/read scaled by (2N+1)^(-p)."""
+
+    __slots__ = ()
 
 
 def totals_and_ratio(N: int, p: int) -> Totals:
@@ -185,7 +186,7 @@ def ratio_partial_sums(N_max: int, p: int) -> list[Fraction]:
     return out
 
 
-class MinExpectation(NamedTuple):
+class MinExpectation(namedtuple("MinExpectation", "n closed brute nonempty_sum")):
     """Expected (first witness + 1) for the satisfiability scanner over
     all subsets of {0..2^n-1} with equal probability.
 
@@ -194,10 +195,7 @@ class MinExpectation(NamedTuple):
     (the series as usually displayed).  All are below 2.
     """
 
-    n: int
-    closed: Fraction
-    brute: Fraction | None
-    nonempty_sum: Fraction
+    __slots__ = ()
 
 
 def expected_min_plus_one(n: int) -> MinExpectation:
@@ -225,10 +223,11 @@ def expected_min_plus_one(n: int) -> MinExpectation:
     return MinExpectation(n, closed, brute, nonempty)
 
 
-class ConstantComparison(NamedTuple):
-    computed: int       # m^m + 2*m^(m+1) at m = 3
-    reference: int      # backtrack-coloring constant for 3 colors
-    rel_gap: Fraction
+class ConstantComparison(namedtuple("ConstantComparison", "computed reference rel_gap")):
+    """m^m + 2*m^(m+1) at m = 3 (computed) against the backtrack-coloring
+    constant for 3 colors (reference), and their relative gap."""
+
+    __slots__ = ()
 
 
 def wilf_comparison() -> ConstantComparison:
@@ -256,14 +255,14 @@ def shannon_lengths(n: int) -> list[tuple[int, int]]:
     return [(i, 1 << i) for i in range(1, top)] + [(top, 2)]
 
 
-class ChainStep(NamedTuple):
-    label: str
-    lhs: Fraction
-    rhs: Fraction
-    ok: bool
+class ChainStep(namedtuple("ChainStep", "label lhs rhs ok")):
+    """One labelled inequality lhs <= rhs of a chain, ok if it holds."""
+
+    __slots__ = ()
 
 
-class TabulatorBound(NamedTuple):
+class TabulatorBound(namedtuple("TabulatorBound",
+                                 "n lhs rhs passed chain single_top_lhs")):
     """Exact evaluation of the cubic bound on the shortest-code model.
 
     ``lhs`` is the expected T(x)/f(x)^3 over one uniformly weighted
@@ -273,12 +272,7 @@ class TabulatorBound(NamedTuple):
     top-length slot, one short of 2^(2^n).
     """
 
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    passed: bool
-    chain: tuple[ChainStep, ...]
-    single_top_lhs: Fraction
+    __slots__ = ()
 
 
 def tabulator_class_bound(n: int) -> TabulatorBound:

@@ -38,10 +38,13 @@ from . import _load_table
 # declared maximum of --target-tokens) and 49 at arity 3
 MAX_POOL = 33
 
-# the most mask bits the keys of one walk may hold: a walk holds every
-# key it returns until it ends, and a key's mask has up to 2^v bits over
-# v variables (the pool of explore-min, montecarlo's --n)
+# a round of draws holds each of its distinct ranks and their keys until
+# it is scored: at most HELD_BITS mask bits, a key's mask having up to
+# 2^v bits over the sampler's v variables, and at most HELD_RANKS ranks,
+# each costing over 100 bytes beside its mask (a tally entry, an int, a
+# list slot and a key reference)
 HELD_BITS = 1 << 20
+HELD_RANKS = 1 << 17
 
 # the most token steps a sampling run's expected draws may take: a draw
 # walks up to --max-tokens tokens (montecarlo) or exactly --target-tokens
@@ -203,17 +206,18 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
 
 
 class SequenceSampler:
-    """Uniform sampling over all valid RPN sequences of bounded length:
-    a sample is a uniform rank ``u``, and rank ``u`` names the ``u``-th
-    sequence in shortlex order."""
+    """Uniform sampling over all valid RPN sequences of ``shortest`` to
+    ``max_tokens`` tokens: a sample is a uniform rank ``u``, and rank
+    ``u`` names the ``u``-th such sequence in shortlex order."""
 
-    def __init__(self, table, n_vars: int, max_tokens: int):
+    def __init__(self, table, n_vars: int, max_tokens: int, shortest: int = 1):
         self.table = table
         self.n_vars = max(n_vars, 0)  # negative sizes have no sequences
         # one table serves every length up to max_tokens
         self.cnt = _kernel.completion_counts(self.n_vars, table.arities, max(max_tokens, 0))
         self.runs = slot_runs(table.arities, table.truth_bits)
-        self.totals = [(L, c) for L in range(1, max_tokens + 1) if (c := self.cnt[L][0])]
+        self.totals = [(L, c) for L in range(max(shortest, 1), max_tokens + 1)
+                       if (c := self.cnt[L][0])]
         self.grand_total = sum(c for _, c in self.totals)
 
     def keys_at(self, ranks, codes=None) -> list[tuple[int, int, int]]:
@@ -297,27 +301,31 @@ def _check_draws(draws: int, n: int, tokens: int, request: str) -> None:
                           "token steps a sampling run takes")
 
 
-def _scan_moments(sampler: SequenceSampler, samples: int, draws, score,
-                  cap: int) -> tuple[int, int, int]:
+def _scan_moments(sampler: SequenceSampler, samples: int, rng: random.Random,
+                  score) -> tuple[int, int, int]:
     """(accepted, sum, sum of squares) of the values of the first
-    ``samples`` of ``draws``, ranks of ``sampler``, that ``score``
-    accepts: it maps a list of keys to their values, None for a rejected
-    key.
+    ``samples`` uniform ranks of ``sampler`` drawn from ``rng``
+    (:func:`_draws`) that ``score`` accepts: it maps a list of keys to
+    their values, None for a rejected key.
 
     The draws come in rounds.  A round takes as many ranks as
     acceptances are still missing, so it makes no draw past the last
-    acceptance, but no more than ``cap``, the ranks whose keys a walk may
-    hold; it tallies them per rank, unranks its new distinct ranks in one
-    walk per length, scores them, and adds count * value.  Values are
-    kept across rounds only when the space holds no more ranks than
+    acceptance, but no more than it may hold: ``HELD_RANKS``, and
+    ``HELD_BITS`` over masks of 2^v bits for the sampler's v variables.
+    It tallies them per rank, unranks its new distinct ranks in one walk
+    per length, scores them, and adds count * value.  The sums are exact
+    integers, so the rounds' sizes change no result.  Values are kept
+    across rounds only when the space holds no more ranks than
     ``samples``: then ranks repeat, and no more ranks are held than
     there are samples.  A run that rejects more than
     ``1000 * (accepted + samples)`` draws ends in a :class:`SampleError`.
     """
+    draws = _draws(rng, sampler.grand_total)
+    held = max(1, min(HELD_RANKS, HELD_BITS >> sampler.n_vars))
     memo = {} if sampler.grand_total <= samples else None
     accepted = rejected = sx = sxx = 0
     while accepted < samples:
-        tally = Counter(islice(draws, min(samples - accepted, cap)))
+        tally = Counter(islice(draws, min(samples - accepted, held)))
         fresh = sorted(tally if memo is None else tally.keys() - memo.keys())
         values = score(sampler.keys_at(fresh))
         if memo is None:
@@ -387,9 +395,8 @@ def cmd_montecarlo(opts: Options):
             exact = sx / count  # correctly rounded, as with --exhaustive
         scan = engines.sat_scan
         accepted, sx, sxx = _scan_moments(
-            sampler, samples, _draws(random.Random(seed), total),
-            lambda keys: [scan(k) if k[0] == n else None for k in keys],
-            max(1, HELD_BITS >> n))  # keys of masks of 2^n bits
+            sampler, samples, random.Random(seed),
+            lambda keys: [scan(k) if k[0] == n else None for k in keys])
         mean, se = _mean_stderr(accepted, sx, sxx)
         if exact_check:
             exact_mean = _float(exact)
@@ -420,19 +427,12 @@ def cmd_explore_min(opts: Options):
                           f"variables; at most {MAX_POOL} are sampled")
     _check_draws(samples, 2 * max(pool, 0) // 3, target,  # below 0 tokens, no pool
                  f"{samples} samples of {target} tokens at arity {arity}")
-    sampler = SequenceSampler(table, pool, target)
-    total = sampler.cnt[max(target, 0)][0]  # a negative length has none, like zero
-    if total == 0:
+    sampler = SequenceSampler(table, pool, target, shortest=target)
+    if not sampler.grand_total:
         raise SampleError(f"no sentences with exactly {target} tokens at arity {arity}")
-    # the ranks of exactly `target` tokens are the sampler's last `total`,
-    # and every draw is accepted.  Sorted draws share their first tokens,
-    # so each walk takes a round of them: 4096, or fewer when their masks
-    # (at most 2^pool bits each) would pass HELD_BITS in all, down to one
-    # at a pool of 20
-    draws = map((sampler.grand_total - total).__add__, _draws(random.Random(seed), total))
-    _, sx, sxx = _scan_moments(sampler, samples, draws,
-                               lambda keys: list(map(engines.min_n, keys)),
-                               max(1, HELD_BITS >> max(pool, 8)))
+    # every draw is accepted
+    _, sx, sxx = _scan_moments(sampler, samples, random.Random(seed),
+                               lambda keys: list(map(engines.min_n, keys)))
     mean, se = _mean_stderr(samples, sx, sxx)
     header = ["target_tokens", "arity", "pool", "samples", "seed", "mean",
               "stderr", "status"]

@@ -908,22 +908,21 @@ def test_two_digit_variables_unrank_to_their_keys():
 
 @pytest.mark.parametrize("arity, targets", [(1, range(1, 8)), (2, (1, 3, 5)), (3, (1, 4))])
 def test_explore_min_ranks_unrank_to_their_keys(arity, targets):
-    # explore-min unranks its draws among the sentences of exactly
-    # target tokens, the last ranks of its sampler
+    # explore-min draws from a sampler of exactly target tokens: its
+    # ranks are those of the sentences of that length alone
     from avgsat import tables
     from avgsat.formula import Formula
     tab = tables.all_of_arity(arity)
     for target in targets:
         pool = 1 + (target - 1) * (arity - 1) // arity
-        sampler = sampling.SequenceSampler(tab, pool, target)
+        sampler = sampling.SequenceSampler(tab, pool, target, shortest=target)
         total = sampler.cnt[target][0]
-        offset = sampler.grand_total - total
-        assert total
+        assert total and sampler.totals == [(target, total)]
         for u in range(total):
             codes = []
             key, = sampling._unrank([u], target, pool, sampler.runs, sampler.cnt, codes)
             assert len(codes) == target
-            assert _codes_at(sampler, offset + u) == (tuple(codes), key)
+            assert _codes_at(sampler, u) == (tuple(codes), key)
             _assert_key_oracle(Formula(tuple(codes), tab), key)
 
 
@@ -1024,13 +1023,13 @@ def _per_draw_moments(sampler, n, samples, rng):
     return (accepted, sx, sxx), len(drawn), len(set(drawn))
 
 
-def _montecarlo_moments(sampler, n, samples, rng, cap):
+def _montecarlo_moments(sampler, n, samples, rng):
     """The draw loop with montecarlo's score: sat_scan of the keys over
     n variables, the others rejected."""
     from avgsat import engines
     return sampling._scan_moments(
-        sampler, samples, sampling._draws(rng, sampler.grand_total),
-        lambda keys: [engines.sat_scan(k) if k[0] == n else None for k in keys], cap)
+        sampler, samples, rng,
+        lambda keys: [engines.sat_scan(k) if k[0] == n else None for k in keys])
 
 
 @pytest.mark.parametrize("n, max_tokens, samples, case", [
@@ -1053,9 +1052,25 @@ def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
             "space of samples": sampler.grand_total == samples,
             "memo limit reached": sampler.grand_total > samples and distinct > samples,
             "no repeats": distinct == draws}[case]
-    got = _montecarlo_moments(sampler, n, samples, rng, max(1, sampling.HELD_BITS >> n))
-    assert got == expected
+    assert _montecarlo_moments(sampler, n, samples, rng) == expected
     assert rng.getstate() == ref_rng.getstate()
+
+
+def _assert_rounds_hold(monkeypatch, n, max_tokens, samples, held):
+    """A round walks no more than ``held`` ranks, and the rounds' sums
+    and draws are still those of one draw at a time."""
+    import random
+    from avgsat.formula import ConnectiveTable
+    sampler = sampling.SequenceSampler(ConnectiveTable.standard(), n, max_tokens)
+    ref_rng, rng = random.Random(4), random.Random(4)
+    expected, draws, _ = _per_draw_moments(sampler, n, samples, ref_rng)
+    walked = []
+    keys_at = sampler.keys_at
+    monkeypatch.setattr(sampler, "keys_at", lambda ranks: walked.append(len(ranks))
+                        or keys_at(ranks))
+    assert _montecarlo_moments(sampler, n, samples, rng) == expected
+    assert rng.getstate() == ref_rng.getstate()
+    assert max(walked) <= held and len(walked) >= draws / held
 
 
 @pytest.mark.parametrize("n, max_tokens, samples, held_bits", [
@@ -1064,31 +1079,32 @@ def test_round_tally_matches_per_draw_loop(n, max_tokens, samples, case, seed):
     (3, 30, 50, 1),          # one rank a round
 ])
 def test_rounds_hold_at_most_their_mask_bits(monkeypatch, n, max_tokens, samples, held_bits):
-    # a round walks no more ranks than montecarlo's cap, held_bits over
-    # masks of 2^n bits, and its sums and draws are still those of one
-    # draw at a time
-    import random
-    from avgsat.formula import ConnectiveTable
-    sampler = sampling.SequenceSampler(ConnectiveTable.standard(), n, max_tokens)
-    expected, draws, _ = _per_draw_moments(sampler, n, samples, random.Random(4))
-    walked = []
-    keys_at = sampler.keys_at
-    monkeypatch.setattr(sampler, "keys_at", lambda ranks: walked.append(len(ranks))
-                        or keys_at(ranks))
-    cap = max(1, held_bits >> n)
-    assert _montecarlo_moments(sampler, n, samples, random.Random(4), cap) == expected
-    assert max(walked) <= cap and len(walked) >= draws / cap
+    # rounds of at most HELD_BITS over masks of 2^n bits
+    monkeypatch.setattr(sampling, "HELD_BITS", held_bits)
+    _assert_rounds_hold(monkeypatch, n, max_tokens, samples, max(1, held_bits >> n))
+
+
+@pytest.mark.parametrize("n, max_tokens, samples, held_ranks", [
+    (2, 6, 3000, 100),   # values kept across rounds
+    (3, 30, 300, 7),     # no repeats
+])
+def test_rounds_hold_at_most_held_ranks(monkeypatch, n, max_tokens, samples, held_ranks):
+    # HELD_BITS allows 2^18 and 2^17 ranks here: the rank bound binds
+    monkeypatch.setattr(sampling, "HELD_RANKS", held_ranks)
+    assert sampling.HELD_BITS >> n > held_ranks
+    _assert_rounds_hold(monkeypatch, n, max_tokens, samples, held_ranks)
 
 
 @pytest.mark.parametrize("arity, target, samples", [
-    (2, 9, 5000),   # chunks of 4096 draws
+    (2, 9, 5000),   # a pool of 5: one round
     (1, 9, 3000),   # draws that repeat
-    (2, 23, 600),   # a pool of 12: chunks of 256
+    (2, 23, 600),   # a pool of 12: rounds of 256 ranks
     (2, 41, 5),     # a pool of 21: each draw walked alone
-    (1, 5, 3000),   # a sampler of 341 ranks: values kept across rounds
+    (1, 5, 3000),   # a sampler of 256 ranks: values kept
 ])
 def test_explore_min_chunks_match_per_draw_walks(tmp_path, arity, target, samples):
-    # explore-min's rounds of walks give the row of one walk per draw
+    # explore-min's rounds of walks over its one length give the row of
+    # one walk per draw, each drawn below the count of that length
     import random
     from avgsat import tables
     pool = 1 + (target - 1) * (arity - 1) // arity
@@ -1573,9 +1589,9 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # one module for all six, the counted-space commands compiled 1,823 lines
 # (moments 1,898) and the Shannon-model ones 1,841; before that, 2,210
 # (moments 2,563) and 2,287.  The sampling ones compiled 1,556
-# (montecarlo --exact-check) and 1,375 (explore-min).  The series
-# commands the benchmark runs compile 828 (tractability) and 1,403
-# (counting)
+# (montecarlo --exact-check) and 1,375 (explore-min); with one draw
+# loop that sizes its own rounds, 1,534 and 1,357.  The series commands
+# the benchmark runs compile 828 (tractability) and 1,397 (counting)
 LINE_BUDGETS = {
     "sat-oclass --n 1": 1475,
     "property-2-2 --n-list 1": 1540,
@@ -1585,14 +1601,15 @@ LINE_BUDGETS = {
     "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 1545,
     "tab-oclass --n-list 3": 1560,
     "property-2-3 --model shannon": 1535,
-    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1570,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1565,
     "explore-min --target-tokens 7 --samples 50": 1385,
     "tractability --case harmonic --budget 2000": 845,
-    "counting --n-max 4 --enum-limit 2": 1430,
+    "counting --n-max 4 --enum-limit 2": 1425,
 }
 # the statements of the same sources, plus about 2%; with one module for
 # all six exact commands, each compiled 946 (moments 991), and the
-# sampling ones 824 and 717; tractability and counting compile 380 and 684
+# sampling ones 824 and 717, now 800 and 697; tractability and counting
+# compile 380 and 671
 STATEMENT_BUDGETS = {
     "sat-oclass --n 1": 725,
     "property-2-2 --n-list 1": 760,
@@ -1602,10 +1619,10 @@ STATEMENT_BUDGETS = {
     "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 760,
     "tab-oclass --n-list 3": 740,
     "property-2-3 --model shannon": 725,
-    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 820,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 816,
     "explore-min --target-tokens 7 --samples 50": 710,
     "tractability --case harmonic --budget 2000": 390,
-    "counting --n-max 4 --enum-limit 2": 700,
+    "counting --n-max 4 --enum-limit 2": 685,
 }
 
 
@@ -1679,10 +1696,11 @@ def test_integer_and_float_runs_load_no_fractions(tmp_path, command):
     assert not modules & {"avgsat.measure", "fractions", "decimal", "typing"}
 
 
-@pytest.mark.parametrize("command", EXACT_COMMANDS)
+@pytest.mark.parametrize("command", [*EXACT_COMMANDS, "counting --n-max 4 --enum-limit 2",
+                                     "tab-oclass --model shannon --n-list 3"])
 def test_counted_space_exact_commands_load_no_typing(tmp_path, command):
-    # their records are collections.namedtuple subclasses, and their
-    # annotations name collections.abc
+    # their records, analytic's too, are collections.namedtuple
+    # subclasses, and their annotations name collections.abc
     assert "typing" not in _modules([*command.split(), "--out", str(tmp_path / "out.csv")])
 
 

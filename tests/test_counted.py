@@ -23,8 +23,8 @@ from operator import itemgetter
 
 import pytest
 
-from avgsat import analytic, cli, engines, measure, tables, weighting
-from avgsat._counting import MAX_WORK, SentenceCounts
+from avgsat import _counting, analytic, cli, engines, measure, tables, weighting
+from avgsat._counting import MAX_WORK, SentenceCounts, sentence_keys
 from avgsat._kernel import alpha_count
 from avgsat.commands.markov_tail import markov_tail
 from avgsat.commands.property_2_2 import check_property_2_2
@@ -232,6 +232,26 @@ def test_formula_space_counts_its_expansion_over_5_variables():
     twin = Twin(measure.formula_space(table, [5], 7), expand(table, 5, 7))
     assert len(twin.expanded.items) == 360
     assert_keys_and_counts(twin)
+
+
+class LoopingCounts(SentenceCounts):
+    """The count with no superset sums: every connective loops over the
+    entries of its children."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.families, self.summed = {}, set()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", COVERING_TABLES)
+def test_superset_sums_count_what_entry_loops_count(monkeypatch, name, n):
+    # a second oracle for the DP, past the depths an expansion reaches
+    table = ORACLE_TABLES[name]
+    assert SentenceCounts(n, table.arities, table.truth_bits, 7).families
+    summed = sentence_keys(table, [n], 7)
+    monkeypatch.setattr(_counting, "SentenceCounts", LoopingCounts)
+    assert sentence_keys(table, [n], 7) == summed
 
 
 def classes_id(value):
