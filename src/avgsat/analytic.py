@@ -70,7 +70,7 @@ def is_canonical_sentence(x) -> bool:
     return leaves == [used[0]] * surplus + used[1:]
 
 
-def _census_length(n_vars, arities, length, counts=None):
+def _census_length(n_vars, arities, length, counts):
     """Count the canonical sentences of exactly ``length`` tokens over
     ``n_vars`` variables, in closed form.
 
@@ -85,7 +85,7 @@ def _census_length(n_vars, arities, length, counts=None):
 
     The shape count is read from ``counts``, a
     ``_kernel.completion_counts(1, arities, L)`` table with
-    ``L >= length`` (built here if None).
+    ``L >= length``.
 
     Returns (count, sum_pow2_alpha) where the second component is the
     sum of 2^alpha over counted sentences.
@@ -95,9 +95,6 @@ def _census_length(n_vars, arities, length, counts=None):
         raise ValueError("the closed-form census needs every connective "
                          "of one arity a >= 1")
     (a,) = distinct
-    if counts is None:
-        from . import _kernel
-        counts = _kernel.completion_counts(1, arities, length)
     shapes = counts[length][0]
     leaves = length - (length - 1) // a
     subsets = [math.comb(n_vars, s) for s in range(1, min(leaves, n_vars) + 1)]
@@ -122,28 +119,15 @@ class Census(namedtuple("Census", "N count pow2_alpha_sum")):
         return (2 * self.N + 1) * self.pow2_alpha_sum
 
 
-def census(N: int, table: ConnectiveTable | None = None, counts=None) -> Census:
-    """Count the canonical sentences with exactly N connectives over
-    variables p0..pN (see ``is_canonical_sentence``).
-
-    The count is the closed form of ``_census_length``: the
-    connective-labelled shapes, from the stack-depth completion DP
-    (``counts``, if given, as ``_census_length`` reads it), times one
-    labeling per nonempty variable subset.  Every connective of
-    ``table`` (default: the 16 binary ones) must have one arity
-    ``a >= 1``, so that every such sentence has ``N * a + 1`` tokens;
-    otherwise ``ValueError``.
-    """
-    if N < 0:
-        raise ValueError("connective count must be non-negative")
-    if table is None:
-        from .tables import all_of_arity  # loaded only where the family is built
-        table = all_of_arity(2)
-    return Census(N, *_census_length(N + 1, table.arities, N * max(table.arities) + 1, counts))
-
-
 def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
-    """``census(N, table)`` for N = 0..N_max, every shape count read
+    """The censuses of N = 0..N_max connectives: the canonical sentences
+    with exactly N connectives over variables p0..pN (see
+    ``is_canonical_sentence``), counted by the closed form of
+    ``_census_length``.
+
+    Every connective of ``table`` (default: the 16 binary ones) must
+    have one arity ``a >= 1``, so that every such sentence has ``N * a +
+    1`` tokens; otherwise ``ValueError``.  Every shape count is read
     from one completion table up to the longest length: its entries are
     exact for ``r + d <= length + 1``, so its depth-0 column holds the
     count at every shorter length too."""
@@ -153,8 +137,10 @@ def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
     if table is None:
         from .tables import all_of_arity  # loaded only where the family is built
         table = all_of_arity(2)
-    counts = _kernel.completion_counts(1, table.arities, N_max * max(table.arities) + 1)
-    return [census(N, table, counts) for N in range(N_max + 1)]
+    a = max(table.arities)
+    counts = _kernel.completion_counts(1, table.arities, N_max * a + 1)
+    return [Census(N, *_census_length(N + 1, table.arities, N * a + 1, counts))
+            for N in range(N_max + 1)]
 
 
 class Totals(namedtuple("Totals", "read_total tabulate_total ratio")):
@@ -174,16 +160,6 @@ def totals_and_ratio(N: int, p: int) -> Totals:
     tab = base * (3 ** (N + 1) - 1)
     ratio = Fraction(3 ** (N + 1) - 1, 2 ** (N + 1) - 1) / (2 * N + 1) ** p
     return Totals(read, tab, ratio)
-
-
-def ratio_partial_sums(N_max: int, p: int) -> list[Fraction]:
-    """Exact partial sums of the per-N cost ratio series."""
-    out = []
-    acc = Fraction(0)
-    for N in range(N_max + 1):
-        acc += totals_and_ratio(N, p).ratio
-        out.append(acc)
-    return out
 
 
 class MinExpectation(namedtuple("MinExpectation", "n closed brute nonempty_sum")):

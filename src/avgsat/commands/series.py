@@ -14,7 +14,6 @@ import math
 from itertools import count, islice
 
 from ..cli import FAIL, PASS, OptionError, Options, _float, _frac
-from ..errors import ZeroMassSubset
 
 
 def cmd_expected_min(opts: Options):
@@ -86,30 +85,6 @@ def cmd_counting(opts: Options):
     return header, rows
 
 
-class _FloatRange:
-    """The ints of range(start, stop) as floats, made as they are read:
-    a sized sequence of indices for trend.tractability.
-
-    Each index is the one before it plus 1.0, one float addition where
-    ``map(float, ...)`` converts an int to a float.  Every int of
-    magnitude at most 2^53 is a float, and so the sum of one of them
-    and 1.0 is exact while it stays within 2^53; a range with an index
-    past that is refused."""
-
-    __slots__ = ("ints",)
-
-    def __init__(self, start: int, stop: int):
-        self.ints = range(start, stop)
-        if self.ints and (start < -2 ** 53 or stop - 1 > 2 ** 53):
-            raise ValueError(f"indices {start} to {stop - 1} are not all exact floats")
-
-    def __len__(self):
-        return len(self.ints)
-
-    def __iter__(self):
-        return islice(count(float(self.ints.start), 1.0), len(self.ints))
-
-
 def _rises(num0, den0, num, den, first, last) -> bool:
     """Whether every partial of a harmonic segment is at least the one
     before it: the segment adds the classes ``first`` to ``last`` (float
@@ -137,24 +112,23 @@ def _rises(num0, den0, num, den, first, last) -> bool:
 
 
 def _harmonic(xs, num, den, prev, monotone):
-    """The trend.tractability step of T(n) = n under mu(n) = 1 / n^2,
-    written out: the operations of trend.terms(float, lambda n: 1.0 /
-    (n * n)) on float indices, in the same order, with no call per
-    class.
+    """The trend.tractability step of T(n) = n under mu(n) = 1 / n^2 on
+    float classes: the step of trend.terms(float, lambda n: 1.0 / (n *
+    n)), with no call per class in the segments it proves.
 
-    It reads consecutive indices, as _FloatRange makes them, in the
-    nonempty segments trend.tractability passes, each after the partial
-    of the sums it starts with.  A segment that starts with positive
-    mass ``den0`` runs the sums alone and asks :func:`_rises` whether
-    the exact quotients of its sums rose.  If they did, a correctly
-    rounded division keeps their order, so no partial fell below the
-    one before it, and the mass, at least ``den0``, never was 0: the
-    step takes only the last partial.  The segment of the first class,
-    whose sums start at 0, and a segment the bound does not prove run
-    class by class, with the mass test and each partial, the latter
-    again from the sums it started with.  Of the scan of 10^6 classes,
-    (1, 10] and (10, 100] run class by class, and every later segment
-    is proved.
+    It reads the consecutive classes of the nonempty segments
+    trend.tractability passes, each after the partial of the sums it
+    starts with.  A segment that starts with positive mass ``den0`` runs
+    the sums alone, with that step's operations in the same order, and
+    asks :func:`_rises` whether the exact quotients of its sums rose.
+    If they did, a correctly rounded division keeps their order, so no
+    partial fell below the one before it, and the mass, at least
+    ``den0``, never was 0: the step takes only the last partial.  The
+    segment of the first class, whose sums start at 0, and a segment the
+    bound does not prove run through that step itself, with the mass
+    test and each partial, the latter again from the sums it started
+    with.  Of the scan of 10^6 classes, (1, 10] and (10, 100] run class
+    by class, and every later segment is proved.
     """
     if den > 0:
         num0, den0 = num, den
@@ -171,17 +145,8 @@ def _harmonic(xs, num, den, prev, monotone):
             return num, den, num / den, monotone
         num, den = num0, den0
         xs = islice(count(first, 1.0), int(last - first) + 1)
-    for x in xs:
-        w = 1.0 / (x * x)
-        num += x * w
-        den += w
-        if not den:
-            raise ZeroMassSubset("class prefix has zero mass")
-        cur = num / den
-        if not cur >= prev:
-            monotone = False
-        prev = cur
-    return num, den, prev, monotone
+    from .. import trend  # not compiled by expected-min and counting
+    return trend.terms(float, lambda x: 1.0 / (x * x))(xs, num, den, prev, monotone)
 
 
 def _ratio(num: int, den: int):
@@ -191,24 +156,24 @@ def _ratio(num: int, den: int):
     return Fraction(num, den)
 
 
-# each case's `indices` builds its class indices from start and stop, its
-# `step` is the trend.tractability step of its scan (built by trend.terms
-# from `T` and `mu` where it has none), its default --budget is the length
+# each case's `step` is the trend.tractability step of its scan (built by
+# trend.terms from `T` and `mu` where it has none), `start` its first
+# class, whose type the classes take, its default --budget is the length
 # of its scan, `limit` the longest scan it runs, and `expect` the value of
 # the trend.Verdict it should reach.  The float scan's time grows as its
 # length, the exact ones' faster, as the digits of their sums do; on 2
 # vCPUs (Python 3.11) the commands at the limits took 0.84-0.87 s (harmonic;
 # 1.2-1.5 s taking every partial), 2.5-2.9 s (geometric; 4,000 took 0.6 s
 # and 14,400 took 13.6 s) and 2.2-2.6 s (constant; 20,000 took 1.2 s).
-# harmonic reads its indices as floats: below 2^26.5 each n * n is exact
-# in a float, so n * n, 1.0 / (n * n) and n * w round as they do on ints
+# harmonic starts at 1.0 and so scans floats: below 2^26.5 each n * n is
+# exact in a float, so n * n, 1.0 / (n * n) and n * w round as they do on ints
 _CASES = {
-    "harmonic": dict(indices=_FloatRange, step=_harmonic, budget=10 ** 6, limit=10 ** 7,
-                     start=1, expect="divergent-trend"),
-    "geometric": dict(indices=range, T=lambda n: 2 ** n, mu=lambda n: _ratio(1, 4 ** n),
-                      budget=60, limit=8000, start=0, expect="convergent"),
-    "constant": dict(indices=range, T=lambda n: 5, mu=lambda n: _ratio(1, n), budget=60,
-                     limit=30000, start=1, expect="convergent"),
+    "harmonic": dict(step=_harmonic, budget=10 ** 6, limit=10 ** 7, start=1.0,
+                     expect="divergent-trend"),
+    "geometric": dict(T=lambda n: 2 ** n, mu=lambda n: _ratio(1, 4 ** n), budget=60,
+                      limit=8000, start=0, expect="convergent"),
+    "constant": dict(T=lambda n: 5, mu=lambda n: _ratio(1, n), budget=60, limit=30000,
+                     start=1, expect="convergent"),
 }
 
 
@@ -220,10 +185,9 @@ def cmd_tractability(opts: Options):
     if budget > case_def["limit"]:
         raise OptionError(f"--budget {budget}: --case {case} scans at most "
                           f"{case_def['limit']} classes")
-    start = case_def["start"]
     step = case_def.get("step") or trend.terms(case_def["T"], case_def["mu"])
-    res = trend.tractability(step, case_def["indices"](start, start + budget),
-                             eps=opts.get("eps"), cap=opts.get("cap"))
+    res = trend.tractability(step, case_def["start"], budget, eps=opts.get("eps"),
+                             cap=opts.get("cap"))
     header = ["case", "prefix", "value_num", "value_den", "value_float",
               "verdict", "status"]
     status = PASS if res.verdict.value == case_def["expect"] else FAIL

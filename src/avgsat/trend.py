@@ -12,12 +12,18 @@ nothing of :mod:`avgsat.measure`.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from itertools import chain, islice
 
 from .errors import ZeroMassSubset
+
+# DIVERGENT_TREND needs a rise of more than GROWTH_MARGIN from the 0.1%
+# prefix to the end, and CONVERGENT the last TAIL_WINDOW increments level
+GROWTH_MARGIN = 1.0
+TAIL_WINDOW = 10
 
 
 class Verdict(enum.Enum):
@@ -60,15 +66,18 @@ def terms(T: Callable, mu: Callable) -> Callable:
     return step
 
 
-def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: float = 1e6,
-                 growth_margin: float = 1.0, tail_window: int = 10) -> TractabilityResult:
+def tractability(step: Callable, start, count: int, eps: float = 1e-12,
+                 cap: float = 1e6) -> TractabilityResult:
     """Partial expected running times over growing class prefixes.
 
-    Each index of ``indices`` (ints, or floats where a step reads them
-    so), in order, is its own one-point class.  After each class the
-    running average of T over the classes seen so far is a partial.
-    One pass keeps only the partials the verdict and the checkpoints
-    read, so memory does not grow with ``len(indices)``.
+    The ``count`` indices ``start, start + 1, ...``, in order, are each
+    their own one-point class.  One counter steps by 1 of the type of
+    ``start``: an int start gives ints, and a float start floats, each
+    the one before plus 1.0 (exact within 2^53), where a step of the int
+    1 would convert it on every class.  After each class the running
+    average of T over the classes seen so far is a partial.  One pass
+    keeps only the partials the verdict and the checkpoints read, so
+    memory does not grow with ``count``.
 
     The pass runs in segments that end at each prefix a checkpoint or
     the tail window reads.  ``step(xs, num, den, prev, monotone)`` runs
@@ -85,14 +94,13 @@ def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: flo
     partial: the flag and the sums end as they would.
 
     The verdict is evidence, not proof: CONVERGENT when the last
-    ``tail_window`` relative increments stay below ``eps`` and the
+    ``TAIL_WINDOW`` relative increments stay below ``eps`` and the
     value stays below ``cap``; DIVERGENT_TREND when the sequence is
     monotone nondecreasing and either exceeds ``cap`` or grows by more
-    than ``growth_margin`` between the 0.1% prefix and the end; else
+    than ``GROWTH_MARGIN`` between the 0.1% prefix and the end; else
     INCONCLUSIVE.  Finite truncation cannot certify an infinite sum.
     """
-    count = len(indices)
-    if not count:
+    if count < 1:
         raise ZeroMassSubset("no classes supplied")
     marks = []
     k = 1
@@ -102,7 +110,7 @@ def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: flo
     marks.append(count)
     early = max(1, count // 1000)   # the 0.1% prefix
     kept = dict.fromkeys([*marks, early])
-    window = min(tail_window, count - 1)
+    window = min(TAIL_WINDOW, count - 1)
     tail = count - window           # the increments after this prefix must level
     leveled = window >= 1 or count == 1
     monotone = True
@@ -110,7 +118,7 @@ def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: flo
     cur = -math.inf   # the first partial has nothing to fall below
     # Past ``tail`` every segment is one class, and its leveled test
     # compares the partial with the one before the segment.
-    rest = iter(indices)
+    rest = itertools.count(start, type(start)(1))
     done = 0
     for stop in chain(sorted(k for k in kept if k < tail), range(tail, count + 1)):
         before = cur
@@ -126,7 +134,7 @@ def tractability(step: Callable, indices: Sequence, eps: float = 1e-12, cap: flo
     final = cur
     if leveled and final <= cap:
         verdict = Verdict.CONVERGENT
-    elif monotone and (final > cap or final - kept[early] > growth_margin):
+    elif monotone and (final > cap or final - kept[early] > GROWTH_MARGIN):
         verdict = Verdict.DIVERGENT_TREND
     else:
         verdict = Verdict.INCONCLUSIVE

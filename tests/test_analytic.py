@@ -1,13 +1,14 @@
+import csv
 import math
 from fractions import Fraction
 
 import pytest
 
-from avgsat import engines, measure, moments, tables
+from avgsat import cli, engines, measure, moments, tables
 from avgsat.analytic import (ChainStep, catalan_binomial,
-                             census, censuses, expected_min_plus_one,
+                             censuses, expected_min_plus_one,
                              gamma_count, is_canonical_sentence,
-                             ratio_partial_sums, sentence_count, shannon_lengths,
+                             sentence_count, shannon_lengths,
                              shannon_space, tabulator_class_bound,
                              totals_and_ratio, wilf_comparison)
 from avgsat.formula import enumerate_formulas, var_count_alpha
@@ -47,8 +48,7 @@ def test_sentence_count_values():
 
 
 def test_census_matches_closed_form():
-    for N in range(4):
-        assert census(N).count == sentence_count(N)
+    assert [c.count for c in censuses(3)] == [sentence_count(N) for N in range(4)]
 
 
 CENSUS_TABLES = {
@@ -62,13 +62,13 @@ CENSUS_TABLES = {
 def test_census_matches_filtered_enumeration():
     # dual route: filter the raw enumeration by the canonical-labeling
     # predicate and compare counts and tabulation totals with the
-    # closed form, for every table in CENSUS_TABLES
+    # closed form, for every table in CENSUS_TABLES and every N of one
+    # completion table
     for name, table in CENSUS_TABLES.items():
-        for N in range(3):
+        for N, counted in enumerate(censuses(2, table)):
             canonical = [x for x in enumerate_formulas(table, N + 1,
                                                        exact_connectives=N)
                          if is_canonical_sentence(x)]
-            counted = census(N, table)
             assert len(canonical) == counted.count, (name, N)
             assert sum(1 << var_count_alpha(x) for x in canonical) == \
                 counted.pow2_alpha_sum, (name, N)
@@ -76,23 +76,20 @@ def test_census_matches_filtered_enumeration():
 
 @pytest.mark.parametrize("name", sorted(CENSUS_TABLES))
 def test_censuses_from_one_table_match_census(name):
-    # one completion table to the longest length serves every row; each
-    # census(N) builds its own to exactly its length
+    # one completion table to the longest length serves every row: the
+    # census of each N is the last of a run whose table ends at its length
     table = CENSUS_TABLES[name]
-    assert censuses(12, table) == [census(N, table) for N in range(13)]
-    assert censuses(0, table) == [census(0, table)] and censuses(-1, table) == []
+    assert censuses(12, table) == [censuses(N, table)[-1] for N in range(13)]
+    assert censuses(-1, table) == []
 
 
 def test_census_refuses_mixed_arities():
-    with pytest.raises(ValueError):
-        census(1, tables.all_up_to(2))
     with pytest.raises(ValueError):
         censuses(1, tables.all_up_to(2))
 
 
 def test_census_totals_match_closed_forms():
-    for N in range(4):
-        counted = census(N)
+    for N, counted in enumerate(censuses(3)):
         closed = totals_and_ratio(N, 0)
         assert counted.read_total == closed.read_total
         assert counted.tabulate_total == closed.tabulate_total
@@ -130,8 +127,14 @@ def test_ratio_geometric_approximation():
             assert abs(exact / approx - 1) < Fraction(1, 10)
 
 
-def test_ratio_partial_sums_diverge():
-    sums = ratio_partial_sums(40, 2)
+def test_ratio_partial_sums_diverge(tmp_path):
+    # the partial sums counting writes, at its default p = 2
+    out = tmp_path / "counting.csv"
+    assert cli.main(["counting", "--n-max", "40", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        sums = [Fraction(int(r["partial_num"]), int(r["partial_den"]))
+                for r in csv.DictReader(fh)]
+    assert len(sums) == 41
     assert all(b > a for a, b in zip(sums, sums[1:]))
     assert any(s > 1000 for s in sums)
 

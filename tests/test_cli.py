@@ -1591,7 +1591,9 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # (moments 2,563) and 2,287.  The sampling ones compiled 1,556
 # (montecarlo --exact-check) and 1,375 (explore-min); with one draw
 # loop that sizes its own rounds, 1,534 and 1,357.  The series commands
-# the benchmark runs compile 828 (tractability) and 1,397 (counting)
+# the benchmark runs compiled 828 (tractability) and 1,397 (counting);
+# with the trend scan over a start and a count, and one census builder,
+# 800 and 1,337
 LINE_BUDGETS = {
     "sat-oclass --n 1": 1475,
     "property-2-2 --n-list 1": 1540,
@@ -1603,13 +1605,13 @@ LINE_BUDGETS = {
     "property-2-3 --model shannon": 1535,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1565,
     "explore-min --target-tokens 7 --samples 50": 1385,
-    "tractability --case harmonic --budget 2000": 845,
-    "counting --n-max 4 --enum-limit 2": 1425,
+    "tractability --case harmonic --budget 2000": 815,
+    "counting --n-max 4 --enum-limit 2": 1365,
 }
 # the statements of the same sources, plus about 2%; with one module for
 # all six exact commands, each compiled 946 (moments 991), and the
 # sampling ones 824 and 717, now 800 and 697; tractability and counting
-# compile 380 and 671
+# compiled 380 and 671, now 360 and 631
 STATEMENT_BUDGETS = {
     "sat-oclass --n 1": 725,
     "property-2-2 --n-list 1": 760,
@@ -1621,8 +1623,8 @@ STATEMENT_BUDGETS = {
     "property-2-3 --model shannon": 725,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 816,
     "explore-min --target-tokens 7 --samples 50": 710,
-    "tractability --case harmonic --budget 2000": 390,
-    "counting --n-max 4 --enum-limit 2": 685,
+    "tractability --case harmonic --budget 2000": 367,
+    "counting --n-max 4 --enum-limit 2": 644,
 }
 
 
@@ -1725,26 +1727,27 @@ def test_harmonic_float_indices_square_exactly():
 
 
 # budgets at the edges of the 0.1% prefix and of the 10-step tail window
-@pytest.mark.parametrize("budget, opts", [
-    *(pytest.param(b, {}, id=str(b))
+@pytest.mark.parametrize("budget, eps, window", [
+    *(pytest.param(b, 1e-12, 10, id=str(b))
       for b in (1, 2, 10, 11, 12, 50, 999, 1000, 1001, 1999, 2000, 20000, 100_007,
                 10 ** 6)),
-    pytest.param(5000, dict(eps=1e-3), id="5000-eps-1e-3"),
-    pytest.param(1000, dict(tail_window=0), id="1000-window-0"),
+    pytest.param(5000, 1e-3, 10, id="5000-eps-1e-3"),
+    pytest.param(1000, 1e-12, 0, id="1000-window-0"),
 ])
-def test_harmonic_float_scan_is_the_int_scan(budget, opts):
+def test_harmonic_float_scan_is_the_int_scan(budget, eps, window, monkeypatch):
     # the written-out step does the generic step's operations on float
-    # indices, and those round as they do on ints; at 50 the segment
+    # classes, and those round as they do on ints; at 50 the segment
     # (10, 40] falls back to the class-by-class partials, and 10^6 is
     # the scan the benchmark runs
     from avgsat import trend
     from avgsat.commands import series
+    monkeypatch.setattr(trend, "TAIL_WINDOW", window)
     case = series._CASES["harmonic"]
-    start, stop = case["start"], case["start"] + budget
+    start = case["start"]
     mu = lambda n: 1.0 / (n * n)
-    scans = [trend.tractability(case["step"], case["indices"](start, stop), **opts),
-             trend.tractability(trend.terms(float, mu), case["indices"](start, stop), **opts),
-             trend.tractability(trend.terms(lambda n: n, mu), range(start, stop), **opts)]
+    scans = [trend.tractability(case["step"], start, budget, eps),
+             trend.tractability(trend.terms(float, mu), start, budget, eps),
+             trend.tractability(trend.terms(lambda n: n, mu), int(start), budget, eps)]
     assert len({res.verdict for res in scans}) == 1
     bits = [[(k, v.hex()) for k, v in res.checkpoints.items()] for res in scans]
     assert bits[0] == bits[1] == bits[2]
@@ -1799,8 +1802,7 @@ def test_harmonic_scan_proves_every_segment_past_100(monkeypatch):
         return proved
     monkeypatch.setattr(series, "_rises", spy)
     case = series._CASES["harmonic"]
-    start = case["start"]
-    res = trend.tractability(case["step"], case["indices"](start, start + case["budget"]))
+    res = trend.tractability(case["step"], case["start"], case["budget"])
     assert res.verdict.value == case["expect"]
     tail = case["budget"] - 9
     assert asked == [(2, 10, False), (11, 100, False), (101, 1000, True),
@@ -1810,20 +1812,20 @@ def test_harmonic_scan_proves_every_segment_past_100(monkeypatch):
 
 
 def test_harmonic_float_counter_is_exact():
-    # each index is the one before plus 1.0, exact within 2^53
+    # the harmonic case starts at a float, so the scan counts in floats,
+    # each the one before plus 1.0, exact within 2^53: the last class of
+    # its longest scan is 10^7
     from collections import deque
+    from avgsat import trend
     from avgsat.commands import series
     case = series._CASES["harmonic"]
-    start = case["start"]
-    indices = case["indices"](start, start + case["budget"])
-    assert len(indices) == case["budget"] and type(next(iter(indices))) is float
-    assert all(map(operator.eq, indices, map(float, range(start, start + case["budget"]))))
-    (last,) = deque(case["indices"](start, start + case["limit"]), maxlen=1)
-    assert last == float(10 ** 7)
-    assert list(series._FloatRange(2 ** 53 - 1, 2 ** 53 + 1)) == [2.0 ** 53 - 1, 2.0 ** 53]
-    for lo, hi in [(2 ** 53, 2 ** 53 + 2), (-2 ** 53 - 1, 0)]:
-        with pytest.raises(ValueError):
-            series._FloatRange(lo, hi)
+    last = deque(maxlen=1)
+
+    def step(xs, num, den, prev, monotone):
+        last.extend(xs)
+        return num, den, 1.0, monotone
+    trend.tractability(step, case["start"], case["limit"])
+    assert type(last[0]) is float and last[0] == 10 ** 7
 
 
 @pytest.mark.parametrize("values", [

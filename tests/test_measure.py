@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -9,7 +8,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import analytic, engines, measure, moments, tables
+from avgsat import analytic, engines, measure, moments, tables, trend
 from avgsat.commands import BOUND_HEADER, bound_rows
 from avgsat.commands.markov_tail import markov_tail
 from avgsat.commands.property_2_2 import check_property_2_2
@@ -164,44 +163,46 @@ def test_bound_report_csv_schema(space1):
 # --- tractability ---------------------------------------------------------
 
 def test_tractability_harmonic_divergent_trend():
-    res = tractability(terms(lambda n: n, lambda n: 1.0 / (n * n)),
-                       range(1, 10 ** 4 + 1))
+    res = tractability(terms(lambda n: n, lambda n: 1.0 / (n * n)), 1, 10 ** 4)
     assert res.verdict is Verdict.DIVERGENT_TREND
     assert res.checkpoints[10] < res.final
 
 
 def test_tractability_geometric_convergent():
-    res = tractability(terms(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n)), range(0, 61))
+    res = tractability(terms(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n)), 0, 61)
     assert res.verdict is Verdict.CONVERGENT
     assert abs(res.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
 
 
 def test_tractability_constant():
     step = terms(lambda n: 7, lambda n: Fraction(1, n))
-    res = tractability(step, range(1, 25))
+    res = tractability(step, 1, 24)
     assert res.verdict is Verdict.CONVERGENT
     # every prefix average, each the final partial of its own scan
     for k in range(1, 25):
-        assert tractability(step, range(1, k + 1)).final == 7
+        assert tractability(step, 1, k).final == 7
 
 
 def test_tractability_final_equals_whole_space_average():
     # on a finite space the last prefix is the whole space
     sp = toy_space(range(1, 40))
     mu = weights_proportional(sp, lambda x: Fraction(1, 2 ** x[0]))
-    res = tractability(terms(lambda n: n * n, lambda n: mu[(n, n)]), range(1, 40))
+    res = tractability(terms(lambda n: n * n, lambda n: mu[(n, n)]), 1, 39)
     assert res.final == avg_time(lambda x: x[0] * x[0], mu, sp.items)
 
 
 def test_tractability_empty_errors():
-    with pytest.raises(ZeroMassSubset):
-        tractability(terms(lambda n: n, lambda n: 1), [])
+    for count in (0, -1):
+        with pytest.raises(ZeroMassSubset):
+            tractability(terms(lambda n: n, lambda n: 1), 1, count)
 
 
-def scan(indices, T, mu, exact=None, **opts):
-    """:func:`tractability` of the generic step of T and mu; ``exact``
-    is an option of the reference alone."""
-    return tractability(terms(T, mu), indices, **opts)
+def scan(indices, T, mu, exact=None, tail_window=None, growth_margin=None, **opts):
+    """:func:`tractability` of the generic step of T and mu over the
+    classes of the range ``indices``; ``exact``, ``tail_window`` and
+    ``growth_margin`` are options of the reference alone (the scan's
+    window and margin are constants of :mod:`avgsat.trend`)."""
+    return tractability(terms(T, mu), indices.start, len(indices), **opts)
 
 
 def list_tractability(T, mu, classes, eps=1e-12, cap=1e6, growth_margin=1.0,
@@ -287,8 +288,6 @@ STREAM_CASES = {
     "mark-in-tail": (HARMONIC, range(1, 1006)),
     # tail = 1: every step ends a segment
     "window-is-count": (dict(HARMONIC, tail_window=2000), range(1, 2001)),
-    "list-input": (HARMONIC, list(range(1, 1006))),
-    "tuple-input": (GEOMETRIC, tuple(range(0, 61))),
 }
 
 
@@ -297,8 +296,11 @@ def same(a, b):
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_tractability_matches_list_scan(case):
+def test_tractability_matches_list_scan(case, monkeypatch):
     kw, indices = STREAM_CASES[case]
+    for name in ("tail_window", "growth_margin"):
+        if name in kw:
+            monkeypatch.setattr(trend, name.upper(), kw[name])
     res = scan(indices, **kw)
     partials, verdict = list_tractability(classes=((n, (n,)) for n in indices), **kw)
     assert res.verdict is verdict
@@ -309,29 +311,28 @@ def test_tractability_matches_list_scan(case):
     assert same(res.final, partials[-1])
 
 
-class OnePass(Sequence):
-    """A sequence that may be iterated but not indexed."""
-
-    def __init__(self, items):
-        self.items = items
-        self.passes = 0
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        raise AssertionError("the scan indexed its input")
-
-    def __iter__(self):
-        self.passes += 1
-        return iter(self.items)
+def spy_step(seen):
+    """A step that puts each class the scan passes it into ``seen`` (by
+    ``seen.extend``) and reads every partial as 1.0."""
+    def step(xs, num, den, prev, monotone):
+        seen.extend(xs)
+        return num, den, 1.0, monotone
+    return step
 
 
 def test_tractability_iterates_its_input_once():
-    indices = OnePass(range(1, 2001))
-    res = scan(indices, **HARMONIC)
-    assert indices.passes == 1
-    assert res == scan(range(1, 2001), **HARMONIC)
+    # the scan passes its step the classes start + i, each once and in
+    # order, of the type of start: a float start counts in floats
+    for start in (1.0, 0.5, -3.0, 1, 0, -3):
+        seen = []
+        res = tractability(spy_step(seen), start, 2000)
+        assert seen == [start + i for i in range(2000)]
+        assert {type(x) for x in seen} == {type(start)}
+        assert res.verdict is Verdict.CONVERGENT
+    # each float is the one before plus 1.0, exact up to 2^53
+    seen = []
+    tractability(spy_step(seen), 2.0 ** 53 - 2, 3)
+    assert seen == [2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53]
 
 
 def test_tractability_zero_mass_prefix_errors():
