@@ -10,26 +10,40 @@ the tokens joined by single spaces, and its bit size is 8 bits per
 character of that rendering.  Assignments are integers: variable ``i``
 reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 
-Connective tables and the errors live in the key-only core that the
-commands load, ``avgsat._formula_core``; they are re-exported here.
-Model sets and sentence objects are this module's own, and so are the
-enumeration and evaluation of code sequences (with the conventions of
-:mod:`avgsat._kernel`): the commands read a sentence only as its key
-(alpha, f, class mask), which :meth:`Formula.key` gives, and the tests
-hold the keys that the commands count against these.
+Connective tables and the base error, :class:`FormulaError`, live in
+the key-only core that the commands load, ``avgsat._formula_core``,
+and are re-exported here; no command loads this module.  Its own are
+the errors that only it raises, the model sets and sentence objects
+(frozen dataclasses), and the enumeration and evaluation of code
+sequences (with the conventions of :mod:`avgsat._kernel`): the commands
+read a sentence only as its key (alpha, f, class mask), which
+:meth:`Formula.key` gives, and the tests hold the keys that the
+commands count against these.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from ._formula_core import (Connective, ConnectiveTable, FormulaError,  # noqa: F401
-                            MalformedRpn, UnknownSymbol, VariableOutOfRange, _Frozen)
+from ._formula_core import Connective, ConnectiveTable, FormulaError
 from ._kernel import _anf, _apply, completion_counts, var_mask
 
 _VAR_TOKEN = re.compile(r"^p(\d+)$")
+
+
+class MalformedRpn(FormulaError):
+    """Token sequence violates reverse-Polish stack discipline."""
+
+
+class UnknownSymbol(FormulaError):
+    """Token is neither ``p<decimal>`` nor a known connective symbol."""
+
+
+class VariableOutOfRange(FormulaError):
+    """A variable index is not covered by the assignment width."""
 
 
 def truth(conn: Connective, args: tuple[int, ...]) -> int:
@@ -134,18 +148,19 @@ def enumerate_length(n_vars, arities, length, exact_conns=-1, alpha=-1):
 # --- sentence objects -------------------------------------------------
 
 
-class ModelSet(_Frozen):
+@dataclass(frozen=True, slots=True)
+class ModelSet:
     """Satisfying assignments of a sentence over n variables, as a bit set.
 
     Bit ``m`` is set iff assignment ``m`` satisfies the sentence.
     """
 
-    __slots__ = ("n", "bits")
+    n: int
+    bits: int
 
-    def __init__(self, n: int, bits: int):
-        if not 0 <= bits < (1 << (1 << n)):
+    def __post_init__(self):
+        if not 0 <= self.bits < (1 << (1 << self.n)):
             raise ValueError("bit set wider than 2^n assignments")
-        super().__init__(n, bits)
 
     def __contains__(self, m: int) -> bool:
         return 0 <= m < (1 << self.n) and bool((self.bits >> m) & 1)
@@ -167,7 +182,8 @@ class ModelSet(_Frozen):
         return ModelSet(self.n, full & ~self.bits)
 
 
-class Formula(_Frozen):
+@dataclass(frozen=True, slots=True)
+class Formula:
     """A sentence as a tuple of token codes over a connective table.
 
     Codes >= 0 are variable indices; code ``-j-1`` is connective slot
@@ -178,9 +194,12 @@ class Formula(_Frozen):
     computed once, at construction.
     """
 
-    __slots__ = ("codes", "table", "_hash")
+    codes: tuple[int, ...]
+    table: ConnectiveTable
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, codes: tuple[int, ...], table: ConnectiveTable):
+    def __post_init__(self):
+        codes, table = self.codes, self.table
         depth = 0
         for c in codes:
             if c >= 0:
@@ -195,17 +214,10 @@ class Formula(_Frozen):
                 depth -= a - 1
         if depth != 1:
             raise MalformedRpn(f"sequence leaves {depth} values on the stack")
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "table", table)
         # CPython hashes -1 like -2, so hash(codes) would not tell NOT
         # (code -1) from AND (code -2); shifted connective codes skip -1
         object.__setattr__(self, "_hash", hash(tuple(
             [c - 1 if c < 0 else c for c in codes])))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.codes == other.codes and self.table == other.table
 
     def __hash__(self) -> int:
         return self._hash

@@ -276,15 +276,20 @@ _POST_CLONES = (
 )
 
 
-def covering_space(table: ConnectiveTable, ns: Sequence[int], depth_cap: int = 24) -> InputSpace:
+# The token depth at which a covering space that still misses a model
+# class is refused
+COVER_DEPTH_CAP = 24
+
+
+def covering_space(table: ConnectiveTable, ns: Sequence[int]) -> InputSpace:
     """The sentences over exactly n variables up to the smallest token
     depth at which they inhabit all 2^(2^n) model classes, for each
     class n of ``ns``, as keys like :func:`formula_space`, from one count.
 
-    Raises ClassUncovered at the cap, and at once when every connective
-    lies in one of Post's maximal clones and that clone misses some
-    n-ary function; raises MeasureError at once unless 1 <= n <= 3: at
-    n = 4 a counting state would hold 65,536 masks.
+    Raises ClassUncovered at ``COVER_DEPTH_CAP`` tokens, and at once
+    when every connective lies in one of Post's maximal clones and that
+    clone misses some n-ary function; raises MeasureError at once unless
+    1 <= n <= 3: at n = 4 a counting state would hold 65,536 masks.
     """
     from ._counting import _check_vars, sentence_keys  # loaded only where a space is counted
     for n in sorted(ns):
@@ -300,7 +305,7 @@ def covering_space(table: ConnectiveTable, ns: Sequence[int], depth_cap: int = 2
                     raise ClassUncovered(
                         f"every connective is {name}, so at most {reach} of "
                         f"{needed} model classes are reachable at n = {n}")
-    return InputSpace(sentence_keys(table, ns, depth_cap, cover=True))
+    return InputSpace(sentence_keys(table, ns, COVER_DEPTH_CAP, cover=True))
 
 
 def space(table: ConnectiveTable, ns: Sequence[int], max_tokens: int | None) -> InputSpace:

@@ -25,20 +25,17 @@ _UNARY_SYMBOLS = ["Ⓕ", "ι", "¬", "Ⓣ"]
 
 def all_of_arity(arity: int) -> ConnectiveTable:
     """All 2^(2^arity) distinct truth functions of one arity (arity <= 3)."""
-    return ConnectiveTable(_arity_connectives(arity, base_id=0))
+    return ConnectiveTable(_arity_connectives(arity))
 
 
 def all_up_to(k: int) -> ConnectiveTable:
     """Every distinct truth function of each arity 1..k (k <= 3)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    conns = []
-    for a in range(1, k + 1):
-        conns.extend(_arity_connectives(a, base_id=len(conns)))
-    return ConnectiveTable(conns)
+    return ConnectiveTable(c for a in range(1, k + 1) for c in _arity_connectives(a))
 
 
-def _arity_connectives(arity: int, base_id: int) -> list[Connective]:
+def _arity_connectives(arity: int) -> list[Connective]:
     if arity == 1:
         symbols = _UNARY_SYMBOLS
     elif arity == 2:
@@ -55,7 +52,7 @@ def _arity_connectives(arity: int, base_id: int) -> list[Connective]:
         for r in range(width):
             if (t >> (width - 1 - r)) & 1:
                 bits |= 1 << r
-        out.append(Connective(base_id + t, arity, bits, symbols[t]))
+        out.append(Connective(arity, bits, symbols[t]))
     return out
 
 
@@ -110,7 +107,7 @@ def from_text(text: str) -> ConnectiveTable:
             bits = _bits_from_string(tt)
         except ValueError:
             raise ValueError(f"line {lineno}: truth bits must be 0/1") from None
-        conns.append(Connective(len(conns), arity, bits, symbol))
+        conns.append(Connective(arity, bits, symbol))
     return ConnectiveTable(conns)
 
 

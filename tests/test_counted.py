@@ -15,6 +15,7 @@ by its codes.
 """
 
 import csv
+import functools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -252,6 +253,80 @@ def test_superset_sums_count_what_entry_loops_count(monkeypatch, name, n):
     summed = sentence_keys(table, [n], 7)
     monkeypatch.setattr(_counting, "SentenceCounts", LoopingCounts)
     assert sentence_keys(table, [n], 7) == summed
+
+
+# Two oracles at the depth the verdicts read: the n = 3 commands read
+# the standard count to 22 tokens, where no expansion reaches.  Neither
+# reads the superset sums or the normal-form loop; each holds the DP's
+# table ``tab`` itself against a property its sentences must have.
+DEEP_DEPTH = {"standard": 22, "all_binary": 9, "constant": 14, "majority": 12}
+
+
+@functools.cache
+def deep_count(name, n=3):
+    """The count of table ``name`` over n variables to its deep depth."""
+    table, depth = ORACLE_TABLES[name], DEEP_DEPTH[name]
+    counts = SentenceCounts(n, table.arities, table.truth_bits, depth)
+    for _ in range(depth):
+        counts.extend()
+    return counts
+
+
+def shapes(arities, depth):
+    """shapes[t][l]: the valid RPN sequences of t tokens with l variable
+    tokens, each variable token one unlabelled leaf, by stack depth."""
+    states = {(0, 0): 1}  # (stack depth, variable tokens) -> sequences
+    out = [{}]
+    for _ in range(depth):
+        step = Counter()
+        for (d, l), c in states.items():
+            step[d + 1, l + 1] += c
+            for a in arities:
+                if d >= a:
+                    step[d - a + 1, l] += c
+        states = step
+        out.append({l: c for (d, l), c in states.items() if d == 1})
+    return out
+
+
+def stirling2(l, n):
+    """The ways to split l labelled leaves into n nonempty blocks."""
+    row = [1] + [0] * n  # S(0, k)
+    for _ in range(l):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+    return row[n]
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DEPTH))
+def test_labelling_totals_are_shapes_times_stirling(name):
+    # a canonical sentence over exactly n variables is a shape with its
+    # l leaves labelled by a restricted growth string of n blocks, of
+    # which there are S(l, n) (Stanley, EC1 1.9): at state (0, n) the
+    # digit-l counts at t tokens, over all masks, are shapes * S(l, n)
+    counts = deep_count(name)
+    n, low = counts.n, (1 << counts.width) - 1
+    for t, by_leaves in enumerate(shapes(counts.arities, DEEP_DEPTH[name])):
+        totals = Counter()
+        for p in counts.tab[t].get((0, n), {}).values():
+            l = 0
+            while p:
+                totals[l] += p & low
+                p, l = p >> counts.width, l + 1
+        assert totals == Counter({l: c * stirling2(l, n) for l, c in by_leaves.items()}), t
+
+
+@pytest.mark.parametrize("name", ["all_binary", "standard"])
+def test_counts_are_invariant_under_duality(name):
+    # both tables hold the dual of each connective, so swapping each
+    # connective for its dual maps the sentences of a state onto
+    # themselves; the dual of mask m is full ^ m', m' reversing the 2^n
+    # bits of m (assignment a becomes its complement)
+    counts = deep_count(name)
+    bits = 1 << counts.n
+    flip = [counts.full ^ int(f"{m:0{bits}b}"[::-1], 2) for m in range(counts.size)]
+    for t, states in enumerate(counts.tab):
+        for state, by_mask in states.items():
+            assert all(by_mask.get(flip[m]) == p for m, p in by_mask.items()), (t, state)
 
 
 def classes_id(value):

@@ -563,9 +563,10 @@ def test_uniform_over_model_classes_uncovered(std):
             uniform_over_model_classes(InputSpace({}), per_class)
 
 
-def test_covering_space_depth_cap(std):
-    with pytest.raises(ClassUncovered):
-        measure.covering_space(std, [2], depth_cap=5)
+def test_covering_space_depth_cap(std, monkeypatch):
+    monkeypatch.setattr(measure, "COVER_DEPTH_CAP", 5)
+    with pytest.raises(ClassUncovered, match="within 5 tokens"):
+        measure.covering_space(std, [2])
 
 
 NOT_XOR = tables.from_text("¬ 1 10\n⊕ 2 0110\n")
