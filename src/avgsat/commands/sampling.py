@@ -61,7 +61,8 @@ MAX_DRAW_STEPS = 10 ** 7
 class SampleError(AvgsatError):
     """A sampling command was asked for samples from a space with no
     sentences in it, or none it could accept, or with more variables
-    than it draws over, or for too few samples to check."""
+    than it draws over, or for too few samples to check or too many to
+    draw."""
 
 
 @lru_cache(maxsize=None)
@@ -317,13 +318,13 @@ def _scan_moments(sampler: SequenceSampler, samples: int, rng: random.Random,
     integers, so the rounds' sizes change no result.  Values are kept
     across rounds only when the space holds no more ranks than
     ``samples``: then ranks repeat, and no more ranks are held than
-    there are samples.  A run that rejects more than
-    ``1000 * (accepted + samples)`` draws ends in a :class:`SampleError`.
+    there are samples.  The draws end only with the last acceptance, so
+    ``score`` must accept some rank.
     """
     draws = _draws(rng, sampler.grand_total)
     held = max(1, min(HELD_RANKS, HELD_BITS >> sampler.n_vars))
     memo = {} if sampler.grand_total <= samples else None
-    accepted = rejected = sx = sxx = 0
+    accepted = sx = sxx = 0
     while accepted < samples:
         tally = Counter(islice(draws, min(samples - accepted, held)))
         fresh = sorted(tally if memo is None else tally.keys() - memo.keys())
@@ -334,16 +335,10 @@ def _scan_moments(sampler: SequenceSampler, samples: int, rng: random.Random,
             memo.update(zip(fresh, values))
             pairs = zip(tally.values(), map(memo.__getitem__, tally))
         for c, value in pairs:
-            if value is None:
-                rejected += c
-            else:
+            if value is not None:
                 accepted += c
                 sx += c * value
                 sxx += c * value * value
-        if rejected > 1000 * (accepted + samples):
-            # the completion table has one row per length up to max_tokens
-            raise SampleError(f"no sentences with {sampler.n_vars} distinct variables within "
-                              f"{len(sampler.cnt) - 1} tokens (rejected {rejected} samples)")
     return accepted, sx, sxx
 
 
@@ -381,15 +376,10 @@ def cmd_montecarlo(opts: Options):
         if not hits:
             raise SampleError(f"no sentences with {n} distinct variables within "
                               f"{max_tokens} tokens")
-        # with an accepted share p, `samples` acceptances take about
-        # samples * (1 - p) / p rejections; below p = 1/2001 that passes
-        # the rounds' budget of 1000 * (accepted + samples) before the last
-        if hits * 2001 < total:
-            raise SampleError(f"sentences with {n} distinct variables are {hits / total:.2g} "
-                              f"of those within {max_tokens} tokens; below 1/2001 too few "
-                              "draws would be accepted")
         # `samples` acceptances take about samples * total / hits draws
-        _check_draws(samples * total // hits, n, max_tokens, request)
+        _check_draws(samples * total // hits, n, max_tokens,
+                     f"{request}, where {hits / total:.2g} of the sentences have {n} "
+                     "distinct variables,")
         if exact_check:  # first, as it may refuse its own space
             count, sx, _ = _counted_moments(table, n, max_tokens)
             exact = sx / count  # correctly rounded, as with --exhaustive

@@ -14,9 +14,9 @@ from ..cli import EXPECTED_FAIL, FAIL, PASS, Options
 from ..errors import ZeroMassSubset
 from . import BOUND_HEADER, _load_table, bound_rows
 
-# (command, model, n) triples whose bound is known not to hold; --audit
-# reports them as expected_fail instead of fail.
-KNOWN_DEVIATIONS = {("tab-oclass", "shannon", 1), ("tab-oclass", "shannon", 2)}
+# (model, n) pairs whose bound is known not to hold; --audit reports
+# them as expected_fail instead of fail.
+KNOWN_DEVIATIONS = {("shannon", 1), ("shannon", 2)}
 
 
 def layer_blocks(space: measure.InputSpace, n: int) -> measure.InputSpace:
@@ -97,7 +97,7 @@ def cmd_tab_oclass(opts: Options):
         else:
             space = layer_blocks(counted, n)
             mu = uniform_within_min_layers(space, n)
-        known = audit and ("tab-oclass", model, n) in KNOWN_DEVIATIONS
+        known = audit and (model, n) in KNOWN_DEVIATIONS
         report = measure.oclass_member(space, engines.tabulate, lambda k: k ** 3, mu)
         rows.extend(bound_rows(report, lambda r: PASS if r.passed
                                else EXPECTED_FAIL if known else FAIL))

@@ -42,7 +42,7 @@ from .errors import ClassUncovered, MeasureError, ZeroMassSubset
 
 # the names the benchmark's tracer reads here, by the module they live in
 _FORWARDS = {
-    "avgsat.trend": ("tractability", "Verdict", "TractabilityResult"),
+    "avgsat.trend": ("tractability",),
     "avgsat.weighting": ("uniform_on", "weights_proportional", "power_law_length",
                          "relative_avg", "nu_from_H"),
     "avgsat.commands.property_2_2": ("check_property_2_2",),

@@ -14,7 +14,7 @@ from avgsat.commands.markov_tail import markov_tail
 from avgsat.commands.property_2_2 import check_property_2_2
 from avgsat.commands.property_2_3 import check_property_2_3
 from avgsat.formula import ConnectiveTable, enumerate_formulas
-from avgsat.trend import terms
+from avgsat.trend import Verdict, terms
 from negation import negated_keys
 
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
@@ -124,9 +124,9 @@ def test_criterion_06_counting_example(tmp_path):
 def test_criterion_07_tractability_examples():
     res = measure.tractability(terms(lambda n: n, lambda n: 1.0 / (n * n)), 1, 10 ** 6)
     growth = res.final - res.checkpoints[1000]
-    ok = res.verdict is measure.Verdict.DIVERGENT_TREND and growth > 1
+    ok = res.verdict is Verdict.DIVERGENT_TREND and growth > 1
     geo = measure.tractability(terms(lambda n: 2 ** n, lambda n: Fraction(1, 4 ** n)), 0, 61)
-    ok = ok and geo.verdict is measure.Verdict.CONVERGENT
+    ok = ok and geo.verdict is Verdict.CONVERGENT
     ok = ok and abs(geo.final - Fraction(3, 2)) < Fraction(1, 10 ** 12)
     _report(7, "harmonic case grows unboundedly; geometric settles at 3/2", ok,
             f"(growth {growth:.2f})")

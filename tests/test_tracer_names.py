@@ -75,3 +75,12 @@ def test_forwarded_names_resolve_to_the_functions_called(tracer):
         module, _, path = target.partition(":")
         if "." not in path and not path.endswith("*"):
             assert path in vars(importlib.import_module(module)), target
+
+
+def test_measure_forwards_only_traced_names(tracer):
+    # measure forwards names only so that the tracer can patch them there
+    from avgsat import measure
+    traced = {target for _, target in _targets(tracer)}
+    forwarded = {f"avgsat.measure:{name}" for names in measure._FORWARDS.values()
+                 for name in names}
+    assert forwarded - traced == set()
