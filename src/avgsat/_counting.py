@@ -110,9 +110,10 @@ class SentenceCounts:
         each split one product of mask-long vectors, taken as 4 steps per
         mask.  Every step handles packed counts of up to t digits of
         ``width`` bits, d 64-bit words, and costs d^1.2 (rounded up): long
-        products grow faster than their length.  Fitted to counts that
-        took 0.5 to 17 s, the estimate stayed within a factor of 4 of
-        their time.
+        products grow faster than their length.  Fitted to NOT/AND/OR,
+        whose steps took 47 to 70 ns at n = 3; a step of the 16 binary
+        connectives took up to 230 ns and of one ternary connective
+        under 4 ns, a spread of 50 or more between tables.
         """
         S = self.sequences
         entries = [min(self.size, s) for s in S]
@@ -245,10 +246,12 @@ def _check_vars(n: int) -> None:
 # alone holds max_tokens^2 integers.
 MAX_TOKENS = 200
 # The most steps (SentenceCounts.work) a counted space may take.  On 2
-# vCPUs (Python 3.11), 1.4e8 at n = 3 within 40 tokens took 5.2 s, 3.1e8
-# at n = 4 within 12 took 3.2 s and 3.7e8 at n = 3 within 50 took 17 s;
-# 5.2e8 at n = 5 within 11 (6.9 s) and 1.5e9 at n = 4 within 13 are
-# refused.
+# vCPUs (Python 3.11), with NOT/AND/OR, 1.4e8 at n = 3 within 40 tokens
+# took 5.2 s, 3.1e8 at n = 4 within 12 took 3.2 s and 3.7e8 at n = 3
+# within 50 took 17 s; 5.2e8 at n = 5 within 11 (6.9 s) and 1.5e9 at
+# n = 4 within 13 are refused.  Steps are not time across tables: the 16
+# binary connectives at n = 3 within 24 tokens (3.0e8) are admitted and
+# took 27 to 41 s.
 MAX_WORK = 4 * 10 ** 8
 
 

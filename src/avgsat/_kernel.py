@@ -1,17 +1,18 @@
-"""The primitives that the counting DP, the sampling walk and the
-census share: variable masks, a connective's algebraic normal form and
-its application to masks, the completion-count table, and the count,
-read from that table, of the sequences that use every variable.
+"""Connective tables and the primitives that the counting DP, the
+sampling walk and the census share: variable masks, a connective's
+algebraic normal form and its application to masks, the
+completion-count table, and the count, read from that table, of the
+sequences that use every variable.
 
 Conventions:
 
 * A sentence is a sequence of integer token codes: ``code >= 0`` is the
   propositional variable with that index; ``code < 0`` is the connective
   in table slot ``-code - 1``.
-* Connective slot ``j`` has arity ``arities[j]`` and packed truth bits
-  ``tts[j]``: bit ``r`` of ``tts[j]`` is the output for the argument
-  tuple whose binary reading (most-significant bit = first argument)
-  is ``r``.
+* A connective packs its truth table in ``bits``: bit ``r`` is the
+  output for the argument tuple whose binary reading (most-significant
+  bit = first argument) is ``r``.  Table slot ``j`` has arity
+  ``arities[j]`` and truth bits ``tts[j]`` (a table's ``truth_bits``).
 * A connective is applied to masks only through its algebraic normal
   form, ``_anf``: the counting DP, the sampling walk and the test-side
   evaluator of :mod:`avgsat.formula` all read it.
@@ -23,13 +24,17 @@ Conventions:
 
 Each definition that only one module calls lives there: the enumeration
 and evaluation of code sequences in :mod:`avgsat.formula`, the
-closed-form census in :mod:`avgsat.analytic` and the sampler's slot runs
-in :mod:`avgsat.commands.sampling`, so that a command compiles only the
+closed-form census in :mod:`avgsat.analytic`, the sampler's slot runs
+in :mod:`avgsat.commands.sampling` and the table text format and
+families in :mod:`avgsat.tables`, so that a command compiles only the
 code it runs.
 """
 
+from __future__ import annotations
+
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 
 
@@ -45,6 +50,69 @@ def __getattr__(name):
         from . import formula
         return getattr(formula, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class Connective(namedtuple("Connective", "arity bits symbol")):
+    """A named truth function, its truth table packed in ``bits``."""
+
+    __slots__ = ()
+
+    def __new__(cls, arity: int, bits: int, symbol: str):
+        if arity < 0:
+            raise ValueError("arity must be non-negative")
+        if not 0 <= bits < (1 << (1 << arity)):
+            raise ValueError("truth bits out of range for arity")
+        if len(symbol) != 1:
+            raise ValueError("connective symbols are single characters")
+        return super().__new__(cls, arity, bits, symbol)
+
+
+class ConnectiveTable:
+    """An ordered collection of connectives with unique symbols."""
+
+    def __init__(self, connectives: Iterable[Connective]):
+        conns = tuple(connectives)
+        if not conns:
+            raise ValueError("a connective table cannot be empty")
+        symbols = [c.symbol for c in conns]
+        if len(set(symbols)) != len(symbols):
+            raise ValueError("duplicate connective symbols")
+        self.connectives = conns
+        self.arities = tuple(c.arity for c in conns)
+        self.truth_bits = tuple(c.bits for c in conns)
+        self._hash = hash(conns)
+
+    def __len__(self) -> int:
+        return len(self.connectives)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConnectiveTable) and self.connectives == other.connectives
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ConnectiveTable({[c.symbol for c in self.connectives]})"
+
+    def negation_strategy(self) -> tuple[str, int] | None:
+        """How sentences from this table can be negated.
+
+        Prefers a unary NOT; otherwise a binary NAND or NOR applied to
+        a duplicated operand.  Returns (kind, slot) or None.
+        """
+        for i, c in enumerate(self.connectives):
+            if c.arity == 1 and c.bits == 0b01:  # "10"
+                return ("not", i)
+        for i, c in enumerate(self.connectives):
+            if c.arity == 2 and c.bits in (0b0111, 0b0001):  # NAND "1110", NOR "1000"
+                return ("dup", i)
+        return None
+
+    @classmethod
+    def standard(cls) -> "ConnectiveTable":
+        """NOT / AND / OR (truth bits "10", "0001" and "0111")."""
+        return cls([Connective(1, 0b01, "¬"), Connective(2, 0b1000, "∧"),
+                    Connective(2, 0b1110, "∨")])
 
 
 def var_mask(i, n):

@@ -4,8 +4,7 @@ Catalan-style sentence shape counts, exact censuses of sentences with
 a fixed number of connectives, the expected first-witness identity for
 the satisfiability scanner, and the shortest-code (information-theoretic
 lower bound) model for the tabulation cost analysis.  The geometric
-moment sums live in :mod:`avgsat.moments`, which only their command
-loads.
+moment sums live with their command, :mod:`avgsat.commands.moments`.
 
 Everything returns exact integers or rationals; floats are rendering
 only.
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 TYPE_CHECKING = False  # without loading typing
 if TYPE_CHECKING:  # annotations only: the closed forms build no table
-    from ._formula_core import ConnectiveTable
+    from ._kernel import ConnectiveTable
 
 
 # G(0), G(1), ... as far as gamma_count has been asked

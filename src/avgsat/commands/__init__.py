@@ -5,8 +5,7 @@ the one that runs:
 
 * one module per exact verdict, named as its command, with the checks
   that it alone runs (measure, engines, the counting DP; analytic for
-  the Shannon model, and the moment sums of :mod:`avgsat.moments` for
-  moments);
+  the Shannon model; :mod:`.moments` holds the moment sums);
 * :mod:`.series` -- closed forms and trend scans (analytic or trend);
 * :mod:`.sampling` -- seeded sampling (the kernel and engines; the
   counting DP only for exact means).
@@ -38,9 +37,10 @@ def bound_rows(report: dict, status=lambda r: PASS if r.passed else FAIL):
 
 def _load_table(opts):
     """The --table file's connective table (a
-    :class:`~avgsat._formula_core.ConnectiveTable`), or NOT/AND/OR."""
-    # loaded here, so that a command that reads no table loads no core
-    from .._formula_core import ConnectiveTable, FormulaError
+    :class:`~avgsat._kernel.ConnectiveTable`), or NOT/AND/OR."""
+    # loaded here, so that a command that reads no table loads no kernel
+    from .._kernel import ConnectiveTable
+    from ..errors import FormulaError
     path = opts.get("table")
     if not path:
         return ConnectiveTable.standard()

@@ -28,7 +28,6 @@ from functools import lru_cache, partial
 from itertools import islice, repeat
 
 from .. import _kernel, engines
-from .._formula_core import ConnectiveTable
 from ..cli import FAIL, INFO, PASS, Options, _float
 from ..errors import AvgsatError
 from . import _load_table
@@ -270,7 +269,8 @@ def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:
     return mean, stdev / count ** 0.5
 
 
-def _counted_moments(table: ConnectiveTable, n: int, max_tokens: int) -> tuple[int, int, int]:
+def _counted_moments(table: _kernel.ConnectiveTable, n: int,
+                     max_tokens: int) -> tuple[int, int, int]:
     """(count, sum, sum of squares) of the scan times of the counted keys
     of the sentences over exactly n variables within max_tokens
     (:func:`avgsat._counting.sentence_keys`), each key's value times its

@@ -1,5 +1,6 @@
 """The base of every error the command line reports on one line, and the
-errors of spaces, distributions, checks and trend scans.
+errors of tables, sentences, spaces, distributions, checks and trend
+scans.
 
 They live apart from the modules that raise them, so that ``avgsat.cli``
 can catch all of them without loading those modules, and a trend scan
@@ -11,6 +12,10 @@ class AvgsatError(Exception):
     """An input avgsat refuses: a bad option, config file, table file
     or output path, a space it cannot build, or a request it cannot
     sample.  The command line prints it and exits with status 2."""
+
+
+class FormulaError(AvgsatError):
+    """A connective table or sentence that cannot be read or built."""
 
 
 class MeasureError(AvgsatError):

@@ -10,9 +10,9 @@ the tokens joined by single spaces, and its bit size is 8 bits per
 character of that rendering.  Assignments are integers: variable ``i``
 reads bit ``i`` of the assignment (least-significant bit is ``p0``).
 
-Connective tables and the base error, :class:`FormulaError`, live in
-the key-only core that the commands load, ``avgsat._formula_core``,
-and are re-exported here; no command loads this module.  Its own are
+Connective tables, which the commands load with :mod:`avgsat._kernel`,
+and the base error, :class:`~avgsat.errors.FormulaError`, are
+re-exported here; no command loads this module.  Its own are
 the errors that only it raises, the model sets and sentence objects
 (frozen dataclasses), and the enumeration and evaluation of code
 sequences (with the conventions of :mod:`avgsat._kernel`): the commands
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from ._formula_core import Connective, ConnectiveTable, FormulaError
-from ._kernel import _anf, _apply, completion_counts, var_mask
+from ._kernel import Connective, ConnectiveTable, _anf, _apply, completion_counts, var_mask
+from .errors import FormulaError
 
 _VAR_TOKEN = re.compile(r"^p(\d+)$")
 

@@ -36,8 +36,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from ._formula_core import ConnectiveTable
-from ._kernel import _anf
+from ._kernel import ConnectiveTable, _anf
 from .errors import ClassUncovered, MeasureError, ZeroMassSubset
 
 # the names the benchmark's tracer reads here, by the module they live in

@@ -4,12 +4,12 @@ function of an arity.
 A table file holds ``symbol arity truth-bits`` lines; see
 :func:`from_text`.  This module loads only where a table file is read
 or a family is built: the default table,
-:meth:`~avgsat._formula_core.ConnectiveTable.standard`, needs neither.
+:meth:`~avgsat._kernel.ConnectiveTable.standard`, needs neither.
 """
 
 from __future__ import annotations
 
-from ._formula_core import Connective, ConnectiveTable
+from ._kernel import Connective, ConnectiveTable
 
 # Binary connectives indexed by truth-table number 0..15 (the 4 truth
 # bits read most-significant-first over argument tuples 00,01,10,11).

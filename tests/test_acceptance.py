@@ -9,7 +9,8 @@ import csv
 import time
 from fractions import Fraction
 
-from avgsat import analytic, cli, engines, measure, moments
+from avgsat import analytic, cli, engines, measure
+from avgsat.commands import moments
 from avgsat.commands.markov_tail import markov_tail
 from avgsat.commands.property_2_2 import check_property_2_2
 from avgsat.commands.property_2_3 import check_property_2_3

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from avgsat import cli, engines, measure, moments, tables
+from avgsat import cli, engines, measure, tables
 from avgsat.analytic import (ChainStep, catalan_binomial,
                              censuses, expected_min_plus_one,
                              gamma_count, is_canonical_sentence,
@@ -12,7 +12,7 @@ from avgsat.analytic import (ChainStep, catalan_binomial,
                              shannon_space, tabulator_class_bound,
                              totals_and_ratio, wilf_comparison)
 from avgsat.formula import enumerate_formulas, var_count_alpha
-from avgsat.moments import geometric_moment_sum, moment_oclass_constant
+from avgsat.commands.moments import geometric_moment_sum, moment_oclass_constant
 
 
 # --- shape counts -----------------------------------------------------
@@ -189,14 +189,6 @@ def test_moment_sum_values():
     assert abs(geometric_moment_sum(1, tol).partial - 2) <= tol
     assert abs(geometric_moment_sum(2, tol).partial - 6) <= Fraction(1, 10 ** 9)
     assert abs(geometric_moment_sum(3, tol).partial - 26) <= tol
-
-
-def test_moment_cutoff_estimate_is_the_exact_cutoff():
-    # the float estimate that bounds moments' work, against the exact loop
-    for t in (0, 1, 5, 12, 100, 1000, 10 ** 4):
-        for m in [*range(1, 41), 50, 99, 100, 143, 200, 333, 499, 500]:
-            exact, _ = moments._tail_cutoff(m, Fraction(1, 10 ** t))
-            assert moments.moment_cutoff(m, t) == exact, (m, t)
 
 
 def test_moment_sum_tail_verified_by_doubling():

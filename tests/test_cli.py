@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from avgsat import analytic, cli, moments
+from avgsat import analytic, cli
 from avgsat._cli_rare import _build_parser
-from avgsat.commands import sampling
+from avgsat.commands import moments, sampling
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -353,13 +353,15 @@ def test_hopeless_sampling_exits_2_at_once(tmp_path, capsys, argv):
     ["moments", "--m-list", "2,1000"],
     ["moments", "--m-list", "1000", "--tol-exp", "20000"],
     ["moments", "--n-list", "1", "--m-list", ",".join(map(str, range(500, 480, -1)))],
+    ["moments", "--m-list", ",".join(map(str, range(1, 501))), "--tol-exp", "10000"],
     ["property-2-3", "--n-list", "1,2", "--h-exponent", "1000000"],
     ["property-2-3", "--model", "shannon", "--n-list", ",".join(map(str, range(3, 14))),
      "--h-exponent", "100000"],
 ], ids=["geometric-14400", "constant", "harmonic", "budget-0", "n-max-700", "p-1e5",
         "p-negative", "n-max-100-p-1000", "n-max-300-p-100", "enum-limit-490",
         "moments-tol-exp-1e5", "moments-m-1000", "moments-m-1000-tol-exp-20000",
-        "moments-m-list-500-to-481", "h-exponent-1e6", "shannon-h-exponent-1e5"])
+        "moments-m-list-500-to-481", "moments-m-list-1-to-500-tol-exp-1e4", "h-exponent-1e6",
+        "shannon-h-exponent-1e5"])
 def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # exact partials whose digits grow with the scan (geometric at 14,400
     # took 13.6 s), or a float scan past 10^7 classes; counting past
@@ -371,7 +373,8 @@ def test_unbounded_series_exits_2_at_once(tmp_path, capsys, argv):
     # cutoff grows with both --m-list and --tol-exp, and their cost as its
     # square (--m-list 1000 --tol-exp 20000 took 10 s), or many entries
     # each admitted alone (the 20 from 500 down to 481 took 2.4 s, every
-    # m to 500 17 s; commands.moments.MAX_MOMENTS_WORK); and property-2-3's
+    # m to 500 17 s; commands.moments.MAX_MOMENTS_WORK), which their exact
+    # cutoffs, largest first, refuse after the first few; and property-2-3's
     # --h-exponent, whose weights n^-e grow by e bits per doubling of n
     # (the Shannon model at --n-list 3,...,13 and e = 10^5 took 69 s)
     start = time.perf_counter()
@@ -762,7 +765,7 @@ def test_counted_mean_is_the_uniform_avg_time(n, max_tokens):
     # measure's exact expectation under the uniform distribution on the
     # counted space
     from avgsat import engines, measure
-    from avgsat._formula_core import ConnectiveTable
+    from avgsat._kernel import ConnectiveTable
     from avgsat.weighting import uniform_on
     table = ConnectiveTable.standard()
     count, sx, sxx = sampling._counted_moments(table, n, max_tokens)
@@ -1346,7 +1349,7 @@ def test_moments_total_admits_what_runs(command):
     from avgsat.commands.moments import MAX_MOMENTS_WORK, _moments_work
     opts = cli.Options(cli._parse(command.split()), {})
     assert _moments_work(opts.get("m_list"), opts.get("n_list"),
-                         opts.get("tol_exp")) <= MAX_MOMENTS_WORK
+                         Fraction(1, 10 ** opts.get("tol_exp"))) <= MAX_MOMENTS_WORK
 
 
 # The Shannon model's CSVs, pinned to the bytes written while
@@ -1584,8 +1587,6 @@ SENTENCE_API = {"avgsat.formula"}
 # and evaluation of code sequences, the weightings that no command
 # builds, and the table text format and families (no --table file here)
 NOT_EXACT = SENTENCE_API | {"avgsat.weighting", "avgsat.tables"}
-# the moment sums, which only moments runs
-MOMENT_SUMS = {"avgsat.moments"}
 
 EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-list 1",
                   "markov-tail --n 1", "property-2-3 --model sat --n-list 1",
@@ -1604,20 +1605,24 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # 800 and 1,337.  With the connective a named tuple and the sentence
 # objects' frozen base gone, every command that reads a table compiled
 # 46 to 54 lines fewer (sat-oclass 1,440, now 1,394); with no rejection
-# budget, the sampling ones 1,472 and 1,292 (1,483 and 1,303 before)
+# budget, the sampling ones 1,472 and 1,292 (1,483 and 1,303 before).
+# With the connective tables in _kernel and the moment sums in their
+# command, every command that reads a table compiled 15 to 20 lines fewer
+# (sat-oclass 1,378) and moments 33 fewer (1,471); tractability, which
+# loads errors and no table, 5 more (805)
 LINE_BUDGETS = {
-    "sat-oclass --n 1": 1425,
-    "property-2-2 --n-list 1": 1490,
-    "moments --n-list 1": 1535,
-    "markov-tail --n 1": 1430,
-    "property-2-3 --model sat --n-list 1": 1465,
-    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 1495,
-    "tab-oclass --n-list 3": 1485,
-    "property-2-3 --model shannon": 1455,
-    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1500,
-    "explore-min --target-tokens 7 --samples 50": 1315,
+    "sat-oclass --n 1": 1410,
+    "property-2-2 --n-list 1": 1470,
+    "moments --n-list 1": 1505,
+    "markov-tail --n 1": 1415,
+    "property-2-3 --model sat --n-list 1": 1450,
+    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 1475,
+    "tab-oclass --n-list 3": 1465,
+    "property-2-3 --model shannon": 1435,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1490,
+    "explore-min --target-tokens 7 --samples 50": 1305,
     "tractability --case harmonic --budget 2000": 815,
-    "counting --n-max 4 --enum-limit 2": 1310,
+    "counting --n-max 4 --enum-limit 2": 1290,
 }
 # the statements of the same sources, plus about 2%; with one module for
 # all six exact commands, each compiled 946 (moments 991), and the
@@ -1625,16 +1630,18 @@ LINE_BUDGETS = {
 # compiled 380 and 671, now 360 and 631; with the connective a named
 # tuple, every command that reads a table compiled 31 to 35 fewer
 # (sat-oclass 708, now 677); with no rejection budget, the sampling ones
-# 763 and 657 (768 and 662 before)
+# 763 and 657 (768 and 662 before); with the tables in _kernel and the
+# moment sums in their command, 2 or 3 fewer (sat-oclass 674) and
+# moments 11 fewer (728), tractability 3 more (363)
 STATEMENT_BUDGETS = {
-    "sat-oclass --n 1": 695,
+    "sat-oclass --n 1": 690,
     "property-2-2 --n-list 1": 725,
-    "moments --n-list 1": 755,
-    "markov-tail --n 1": 700,
+    "moments --n-list 1": 745,
+    "markov-tail --n 1": 695,
     "property-2-3 --model sat --n-list 1": 710,
-    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 730,
+    "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 725,
     "tab-oclass --n-list 3": 680,
-    "property-2-3 --model shannon": 665,
+    "property-2-3 --model shannon": 660,
     "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 780,
     "explore-min --target-tokens 7 --samples 50": 670,
     "tractability --case harmonic --budget 2000": 367,
@@ -1643,17 +1650,16 @@ STATEMENT_BUDGETS = {
 
 
 @pytest.mark.parametrize("command, unwanted", [
-    *((command, NOT_EXACT | (set() if command.startswith("moments") else MOMENT_SUMS))
-      for command in EXACT_COMMANDS),
+    *((command, NOT_EXACT) for command in EXACT_COMMANDS),
     ("tractability --budget 2000",
-     NOT_EXACT | MOMENT_SUMS | {"avgsat.measure", "avgsat._formula_core", "avgsat.engines",
-                                "avgsat._counting", "avgsat.analytic"}),
+     NOT_EXACT | {"avgsat.measure", "avgsat._kernel", "avgsat.engines", "avgsat._counting",
+                  "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
     ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
-    ("expected-min --n 2", {"avgsat.measure", "avgsat._formula_core", "avgsat._kernel"}),
+    ("expected-min --n 2", {"avgsat.measure", "avgsat._kernel"}),
     # the Shannon model builds no counted space
-    ("tab-oclass --n-list 3", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
-    ("property-2-3 --model shannon", NOT_EXACT | MOMENT_SUMS | {"avgsat._counting"}),
+    ("tab-oclass --n-list 3", NOT_EXACT | {"avgsat._counting"}),
+    ("property-2-3 --model shannon", NOT_EXACT | {"avgsat._counting"}),
     ("montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check", {"avgsat.measure"}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
@@ -1663,8 +1669,6 @@ def test_command_loads_only_what_it_runs(tmp_path, command, unwanted):
     # its own body, and no other command's
     target = cli.COMMANDS[command.split()[0]].target.partition(":")[0]
     assert {m for m in modules if m.startswith("avgsat.commands.")} == {target}
-    if command.startswith("moments"):
-        assert MOMENT_SUMS <= modules
 
 
 @pytest.mark.parametrize("command", sorted(LINE_BUDGETS))
@@ -1686,16 +1690,16 @@ def test_import_compiles_only_the_declarations():
 
 
 def test_kernel_defines_only_the_shared_primitives(tmp_path):
-    # what the counting DP, the sampling walk and the census share; each
-    # definition that one module alone calls lives in that module, and
-    # running a command adds none here
+    # the connective tables and what the counting DP, the sampling walk
+    # and the census share; each definition that one module alone calls
+    # lives in that module, and running a command adds none here
     from avgsat import _kernel
     for command in EXACT_COMMANDS:
         cli.main([*command.split(), "--out", str(tmp_path / "out.csv")])
     defined = {name for name, value in vars(_kernel).items()
                if getattr(value, "__module__", None) == _kernel.__name__}
-    assert defined == {"var_mask", "_anf", "_apply", "completion_counts", "alpha_count",
-                       "__getattr__"}
+    assert defined == {"Connective", "ConnectiveTable", "var_mask", "_anf", "_apply",
+                       "completion_counts", "alpha_count", "__getattr__"}
 
 
 @pytest.mark.parametrize("command", [

@@ -329,6 +329,81 @@ def test_counts_are_invariant_under_duality(name):
             assert all(by_mask.get(flip[m]) == p for m, p in by_mask.items()), (t, state)
 
 
+def point_counts(table, n, point, depth):
+    """counts[t][ki, ko]: [false, true], the subtrees of state (t, ki, ko)
+    (see SentenceCounts) by their truth value at the assignment
+    ``point``, from a DP that applies each connective's truth bits to
+    argument values: no masks, superset sums, normal form or packed
+    digits."""
+    counts = [{}]  # no subtree has 0 tokens
+    memo = {}
+
+    def args(a, t, ki, ko):
+        """Argument values -> the ways a subtrees, in order, of t tokens
+        in all introduce ki..ko-1 and take those values."""
+        key = (a, t, ki, ko)
+        if key not in memo:
+            out = Counter()
+            if a == 0:
+                out[()] = int((t, ki) == (0, ko))
+            else:
+                for t1 in range(1, t + 1):
+                    for k1 in range(ki, ko + 1):
+                        rest = args(a - 1, t - t1, k1, ko)
+                        for v, c in enumerate(counts[t1].get((ki, k1), ())):
+                            for vs, r in rest.items():
+                                out[v, *vs] += c * r
+            memo[key] = out
+        return memo[key]
+
+    for t in range(1, depth + 1):
+        states = {}
+        for ki in range(n + 1):
+            for ko in range(ki, n + 1):
+                c = [0, 0]
+                if t == 1:  # p(ki) introduces a variable; p0..p(ki-1) reuse one
+                    for v in [ki] if ko == ki + 1 else range(ki) if ko == ki else ():
+                        c[point >> v & 1] += 1
+                for conn in table.connectives:
+                    for vs, k in args(conn.arity, t - 1, ki, ko).items():
+                        # row r of the truth bits: the first argument is its top bit
+                        r = functools.reduce(lambda r, v: r << 1 | v, vs, 0)
+                        c[conn.bits >> r & 1] += k
+                if any(c):
+                    states[ki, ko] = c
+        counts.append(states)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DEPTH))
+def test_point_marginals_are_the_masks_at_each_point(name):
+    # the sentences of each state true and false at one assignment, the
+    # And/Or-tree literature's quantity (Lefmann and Savicky 1997), are
+    # the count's masks restricted to that assignment's bit
+    counts = deep_count(name)
+    n, low = counts.n, (1 << counts.width) - 1
+    totals = []  # per level: state -> [(mask, sentences over all digits)]
+    for states in counts.tab:
+        level = {}
+        for state, by_mask in states.items():
+            level[state] = []
+            for m, p in by_mask.items():
+                total = 0
+                while p:
+                    total, p = total + (p & low), p >> counts.width
+                level[state].append((m, total))
+        totals.append(level)
+    for point in range(1 << n):
+        expected = point_counts(ORACLE_TABLES[name], n, point, DEEP_DEPTH[name])
+        for t, level in enumerate(totals):
+            restricted = {}
+            for state, entries in level.items():
+                c = restricted[state] = [0, 0]
+                for m, total in entries:
+                    c[m >> point & 1] += total
+            assert restricted == expected[t], (point, t)
+
+
 def classes_id(value):
     """A test id part: a table's name, or classes as ``1,2,3``."""
     return value if isinstance(value, str) else ",".join(map(str, value))

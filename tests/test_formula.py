@@ -8,7 +8,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import _kernel, analytic, measure, moments, tables
+from avgsat import _kernel, analytic, measure, tables
+from avgsat.commands import moments
 from avgsat.commands.markov_tail import MarkovTail
 from avgsat.commands.property_2_2 import HRow
 from avgsat.formula import (Connective, ConnectiveTable, Formula, MalformedRpn,

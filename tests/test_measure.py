@@ -8,8 +8,8 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from avgsat import analytic, engines, measure, moments, tables, trend
-from avgsat.commands import BOUND_HEADER, bound_rows
+from avgsat import analytic, engines, measure, tables, trend
+from avgsat.commands import BOUND_HEADER, bound_rows, moments
 from avgsat.commands.markov_tail import markov_tail
 from avgsat.commands.property_2_2 import check_property_2_2
 from avgsat.commands.property_2_3 import Prop23Result, check_property_2_3
