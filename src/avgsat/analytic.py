@@ -1,10 +1,12 @@
-"""Closed forms and bound verifiers.
+"""Closed forms.
 
 Catalan-style sentence shape counts, exact censuses of sentences with
 a fixed number of connectives, the expected first-witness identity for
-the satisfiability scanner, and the shortest-code (information-theoretic
-lower bound) model for the tabulation cost analysis.  The geometric
-moment sums live with their command, :mod:`avgsat.commands.moments`.
+the satisfiability scanner, and the key space of the shortest-code
+(information-theoretic lower bound) model for the tabulation cost
+analysis.  The geometric moment sums live with their command,
+:mod:`avgsat.commands.moments`; the closed form of the cubic bound on
+the shortest-code model, which no command runs, is the tests' oracle.
 
 Everything returns exact integers or rationals; floats are rendering
 only.
@@ -15,10 +17,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-
-TYPE_CHECKING = False  # without loading typing
-if TYPE_CHECKING:  # annotations only: the closed forms build no table
-    from ._kernel import ConnectiveTable
 
 
 # G(0), G(1), ... as far as gamma_count has been asked
@@ -52,21 +50,6 @@ def sentence_count(N: int) -> int:
     shapes * 16^N connective choices * (2^(N+1) - 1) subsets.
     """
     return gamma_count(N) * 16 ** N * (2 ** (N + 1) - 1)
-
-
-def is_canonical_sentence(x) -> bool:
-    """Whether the sentence x (a :class:`~avgsat.formula.Formula`)
-    carries the canonical leaf labeling for its variable set.
-
-    The canonical labeling is the lexicographically smallest one using
-    exactly that set: the smallest variable fills the surplus leading
-    leaves, then each remaining variable appears once in increasing
-    order.
-    """
-    leaves = [c for c in x.codes if c >= 0]
-    used = sorted(set(leaves))
-    surplus = len(leaves) - len(used) + 1
-    return leaves == [used[0]] * surplus + used[1:]
 
 
 def _census_length(n_vars, arities, length, counts):
@@ -118,27 +101,24 @@ class Census(namedtuple("Census", "N count pow2_alpha_sum")):
         return (2 * self.N + 1) * self.pow2_alpha_sum
 
 
-def censuses(N_max: int, table: ConnectiveTable | None = None) -> list[Census]:
+def censuses(N_max: int, arities: tuple[int, ...] = (2,) * 16) -> list[Census]:
     """The censuses of N = 0..N_max connectives: the canonical sentences
-    with exactly N connectives over variables p0..pN (see
-    ``is_canonical_sentence``), counted by the closed form of
-    ``_census_length``.
+    with exactly N connectives over variables p0..pN, counted by the
+    closed form of ``_census_length``.
 
-    Every connective of ``table`` (default: the 16 binary ones) must
-    have one arity ``a >= 1``, so that every such sentence has ``N * a +
-    1`` tokens; otherwise ``ValueError``.  Every shape count is read
-    from one completion table up to the longest length: its entries are
-    exact for ``r + d <= length + 1``, so its depth-0 column holds the
-    count at every shorter length too."""
+    ``arities`` are those of the table's connectives (default: the 16
+    binary ones).  They must all be one arity ``a >= 1``, so that every
+    such sentence has ``N * a + 1`` tokens; otherwise ``ValueError``.
+    Only the arities are read, so no table is built.  Every shape count
+    is read from one completion table up to the longest length: its
+    entries are exact for ``r + d <= length + 1``, so its depth-0 column
+    holds the count at every shorter length too."""
     if N_max < 0:
         return []
     from . import _kernel
-    if table is None:
-        from .tables import all_of_arity  # loaded only where the family is built
-        table = all_of_arity(2)
-    a = max(table.arities)
-    counts = _kernel.completion_counts(1, table.arities, N_max * a + 1)
-    return [Census(N, *_census_length(N + 1, table.arities, N * a + 1, counts))
+    a = max(arities)
+    counts = _kernel.completion_counts(1, arities, N_max * a + 1)
+    return [Census(N, *_census_length(N + 1, arities, N * a + 1, counts))
             for N in range(N_max + 1)]
 
 
@@ -198,22 +178,6 @@ def expected_min_plus_one(n: int) -> MinExpectation:
     return MinExpectation(n, closed, brute, nonempty)
 
 
-class ConstantComparison(namedtuple("ConstantComparison", "computed reference rel_gap")):
-    """m^m + 2*m^(m+1) at m = 3 (computed) against the backtrack-coloring
-    constant for 3 colors (reference), and their relative gap."""
-
-    __slots__ = ()
-
-
-def wilf_comparison() -> ConstantComparison:
-    """Evaluate m^m + 2*m^(m+1) at m=3 against the reference 197."""
-    m = 3
-    computed = m ** m + 2 * m ** (m + 1)
-    reference = 197
-    return ConstantComparison(computed, reference,
-                              Fraction(abs(computed - reference), reference))
-
-
 # --- shortest-code model ----------------------------------------------
 
 
@@ -228,52 +192,6 @@ def shannon_lengths(n: int) -> list[tuple[int, int]]:
     """
     top = 1 << n
     return [(i, 1 << i) for i in range(1, top)] + [(top, 2)]
-
-
-class ChainStep(namedtuple("ChainStep", "label lhs rhs ok")):
-    """One labelled inequality lhs <= rhs of a chain, ok if it holds."""
-
-    __slots__ = ()
-
-
-class TabulatorBound(namedtuple("TabulatorBound",
-                                 "n lhs rhs passed chain single_top_lhs")):
-    """Exact evaluation of the cubic bound on the shortest-code model.
-
-    ``lhs`` is the expected T(x)/f(x)^3 over one uniformly weighted
-    layer with tabulation cost T = 2^n * f; ``rhs`` is the layer mass
-    1.  ``chain`` reports each intermediate inequality of the coarse
-    estimate separately, and ``single_top_lhs`` is the sum with a single
-    top-length slot, one short of 2^(2^n).
-    """
-
-    __slots__ = ()
-
-
-def tabulator_class_bound(n: int) -> TabulatorBound:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    S = 1 << (1 << n)
-    pow2n = 1 << n
-    inv_sq = sum((Fraction(count, length * length)
-                  for length, count in shannon_lengths(n)), Fraction(0))
-    lhs = Fraction(pow2n, S) * inv_sq
-    rhs = Fraction(1)
-
-    # coarse chain: fold the top slots into a full 2^n term, then bound
-    # every term of the sum by the largest one
-    folded = Fraction(pow2n, S) * sum(
-        (Fraction(1 << i, i * i) for i in range(1, pow2n + 1)), Fraction(0))
-    coarse = Fraction(pow2n, S) * pow2n * Fraction(1 << pow2n, pow2n * pow2n)
-    chain = (
-        ChainStep("exact layer sum vs folded-top sum", lhs, folded, lhs <= folded),
-        ChainStep("folded-top sum vs largest-term bound", folded, coarse,
-                  folded <= coarse),
-        ChainStep("largest-term bound vs layer mass", coarse, rhs, coarse <= rhs),
-    )
-
-    # one top slot fewer drops one term 1/(2^n)^2 of the sum
-    return TabulatorBound(n, lhs, rhs, lhs <= rhs, chain, lhs - Fraction(1, S * pow2n))
 
 
 def shannon_space(ns: list[int]):

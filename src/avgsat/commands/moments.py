@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .. import engines, measure
 from ..cli import FAIL, PASS, OptionError, Options
@@ -43,8 +44,11 @@ def geometric_moment_sum(m: int, tol: Fraction | float = Fraction(1, 10 ** 12)) 
     return MomentSum(m, partial, tail, cutoff)
 
 
+@lru_cache(maxsize=None)
 def _tail_cutoff(m: int, tol: Fraction) -> tuple[int, Fraction]:
-    """(cutoff, tail bound) of :func:`geometric_moment_sum`."""
+    """(cutoff, tail bound) of :func:`geometric_moment_sum`, kept per
+    (m, tol): a ``moments`` run asks for each of its entries twice, once
+    to admit the run (:func:`_moments_work`) and once to sum it."""
     cutoff = max(4 * m, 8)
     while True:
         ratio = Fraction((cutoff + 1) ** m, cutoff ** m * 2)

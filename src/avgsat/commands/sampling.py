@@ -73,25 +73,25 @@ def _var_masks(n):
 @lru_cache(maxsize=None)
 def slot_runs(arities, tts):
     """The connective slots of a table as runs of consecutive slots of
-    one arity: (arity, first slot, number of slots, one entry per slot),
+    one arity: (arity, number of slots, one entry per slot),
     read from each slot's ``_kernel._anf``.  A binary slot's entry is the
     coefficients (c0, cx, cy, cxy) of its terms, each -1 or 0, such that
     it is ``(full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)`` with ``x``
     the first argument, for a caller to apply in place; any other
     slot's is ``_kernel._apply`` bound to its form."""
     runs = []
-    for j, (a, tt) in enumerate(zip(arities, tts)):
+    for a, tt in zip(arities, tts):
         anf = _kernel._anf(a, tt)
         op = (tuple(-(term in anf) for term in ((), (0,), (1,), (0, 1))) if a == 2
               else partial(_kernel._apply, anf))
         if runs and runs[-1][0] == a:
-            runs[-1][2].append(op)
+            runs[-1][1].append(op)
         else:
-            runs.append((a, j, [op]))
-    return tuple((a, first, len(ops), tuple(ops)) for a, first, ops in runs)
+            runs.append((a, [op]))
+    return tuple((a, len(ops), tuple(ops)) for a, ops in runs)
 
 
-def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
+def _unrank(ranks, length: int, n_vars: int, runs, cnt,
             base: int = 0) -> list[tuple[int, int, int]]:
     """The keys (alpha, size f, class mask), in one walk, of the valid
     sequences of ``length`` tokens at ``ranks``: sorted, distinct, and
@@ -106,8 +106,7 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
     ``slot_runs`` groups them: a binary slot is evaluated in
     place from its coefficients, any other through its function.  The
     walk holds the variable masks of the current alpha and fetches them
-    again only when a new variable appears.  The codes of a one-rank walk
-    are appended to ``codes`` if it is given."""
+    again only when a new variable appears."""
     keys = []
     # equal keys are one tuple: a walk over many ranks returns far more
     # keys than there are distinct ones, and holds them all until it ends
@@ -138,7 +137,7 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
             else:
                 u -= vb
                 # each slot of a run of one arity spans the same block of ranks
-                for a, first, k, ops in runs:
+                for a, k, ops in runs:
                     if d < a:
                         continue
                     span = row[d - a + 1]
@@ -162,8 +161,6 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
                     many = e - i > 1
                 lo = start
             if op is None:
-                if codes is not None:
-                    codes.append(v)
                 w = slot[v]
                 if w < 0:
                     # a new variable doubles the width: each mask so far is
@@ -182,20 +179,17 @@ def _unrank(ranks, length: int, n_vars: int, runs, cnt, codes=None,
                 stack.append(var_mask(w, alpha) if vm is None else vm[w])
                 chars += 1 if v < 10 else len(str(v))
                 d += 1
+            elif a == 2:
+                # from the connective's coefficients, in place
+                c0, cx, cy, cxy = op
+                y = stack.pop()
+                x = stack[-1]
+                stack[-1] = (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)
+                d -= 1
             else:
-                if codes is not None:
-                    codes.append(-first - q - 1)
-                if a == 2:
-                    # from the connective's coefficients, in place
-                    c0, cx, cy, cxy = op
-                    y = stack.pop()
-                    x = stack[-1]
-                    stack[-1] = (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy)
-                    d -= 1
-                else:
-                    d -= a
-                    stack[d:] = (op(stack[d:], full),)
-                    d += 1
+                d -= a
+                stack[d:] = (op(stack[d:], full),)
+                d += 1
         key = (alpha, 8 * chars, stack[0])
         keys.append(interned.setdefault(key, key))
         if not parted:
@@ -220,27 +214,32 @@ class SequenceSampler:
                        if (c := self.cnt[L][0])]
         self.grand_total = sum(c for _, c in self.totals)
 
-    def keys_at(self, ranks, codes=None) -> list[tuple[int, int, int]]:
+    def keys_at(self, ranks) -> list[tuple[int, int, int]]:
         """The keys of the sentences at ``ranks``, sorted and distinct in
         ``[0, grand_total)``, in their order: one walk for the ranks of
-        each length.  The codes of one rank are appended to ``codes`` if
-        it is given."""
+        each length."""
         keys = []
         i = end = 0
         for L, c in self.totals:
             start, end = end, end + c
             e = bisect_left(ranks, end, i)
             if e > i:
-                keys += _unrank(ranks[i:e], L, self.n_vars, self.runs, self.cnt, codes, start)
+                keys += _unrank(ranks[i:e], L, self.n_vars, self.runs, self.cnt, start)
                 i = e
         return keys
 
     def sample(self, rng):
-        """A uniform sentence, as an :class:`avgsat.formula.Formula`."""
-        from ..formula import Formula  # sentence objects: loaded only by their users
-        codes = []
-        self.keys_at([rng.randrange(self.grand_total)], codes)
-        return Formula(tuple(codes), self.table)
+        """A uniform sentence, as an :class:`avgsat.formula.Formula`: the
+        one at a uniform rank in :func:`avgsat.formula.enumerate_length`,
+        whose order the ranks follow.  No command calls it: only the
+        tests and ``bench/tracer.py`` do."""
+        from ..formula import Formula, enumerate_length  # loaded only by their users
+        u = rng.randrange(self.grand_total)
+        for L, c in self.totals:
+            if u < c:
+                codes, _ = enumerate_length(self.n_vars, self.table.arities, L)[u]
+                return Formula(codes, self.table)
+            u -= c
 
 
 def _mean_stderr(count: int, sx: int, sxx: int) -> tuple[float, float]:

@@ -25,17 +25,6 @@ _UNARY_SYMBOLS = ["Ⓕ", "ι", "¬", "Ⓣ"]
 
 def all_of_arity(arity: int) -> ConnectiveTable:
     """All 2^(2^arity) distinct truth functions of one arity (arity <= 3)."""
-    return ConnectiveTable(_arity_connectives(arity))
-
-
-def all_up_to(k: int) -> ConnectiveTable:
-    """Every distinct truth function of each arity 1..k (k <= 3)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return ConnectiveTable(c for a in range(1, k + 1) for c in _arity_connectives(a))
-
-
-def _arity_connectives(arity: int) -> list[Connective]:
     if arity == 1:
         symbols = _UNARY_SYMBOLS
     elif arity == 2:
@@ -53,7 +42,7 @@ def _arity_connectives(arity: int) -> list[Connective]:
             if (t >> (width - 1 - r)) & 1:
                 bits |= 1 << r
         out.append(Connective(arity, bits, symbols[t]))
-    return out
+    return ConnectiveTable(out)
 
 
 # --- plain-text table format ------------------------------------------

@@ -16,7 +16,7 @@ from avgsat.commands.property_2_2 import check_property_2_2
 from avgsat.commands.property_2_3 import check_property_2_3
 from avgsat.formula import ConnectiveTable, enumerate_formulas
 from avgsat.trend import Verdict, terms
-from negation import negated_keys
+from oracle import negated_keys, tabulator_class_bound, wilf_comparison
 
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
 DOUBLE = lambda k: 2 * k
@@ -81,7 +81,7 @@ def test_criterion_03_moment_bounds(space1, space2):
 
 
 def test_criterion_04_constant_comparison():
-    cc = analytic.wilf_comparison()
+    cc = wilf_comparison()
     ok = cc.computed == 189 and cc.reference == 197
     ok = ok and cc.rel_gap < Fraction(5, 100)
     _report(4, "189 from the moment estimate vs reference 197 (<5%)", ok,
@@ -100,7 +100,7 @@ def test_criterion_05_tabulator_chain_audit(tmp_path):
     ok = ok and rows["3"]["pass"] == "pass" and rows["4"]["pass"] == "pass"
     for n in "1234":
         got = Fraction(int(rows[n]["lhs_num"]), int(rows[n]["lhs_den"]))
-        ok = ok and got == analytic.tabulator_class_bound(int(n)).lhs
+        ok = ok and got == tabulator_class_bound(int(n)).lhs
     ok = ok and Fraction(int(rows["1"]["lhs_num"]), int(rows["1"]["lhs_den"])) == Fraction(5, 4)
     ok = ok and Fraction(int(rows["2"]["lhs_num"]), int(rows["2"]["lhs_den"])) == Fraction(289, 288)
     _report(5, "cubic tabulator bound: pass at n=3,4; audited fail at n=1,2", ok)

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from avgsat import cli, engines, measure, tables
-from avgsat.analytic import (ChainStep, catalan_binomial,
-                             censuses, expected_min_plus_one,
-                             gamma_count, is_canonical_sentence,
-                             sentence_count, shannon_lengths,
-                             shannon_space, tabulator_class_bound,
-                             totals_and_ratio, wilf_comparison)
+from avgsat.analytic import (catalan_binomial, censuses, expected_min_plus_one,
+                             gamma_count, sentence_count, shannon_lengths,
+                             shannon_space, totals_and_ratio)
 from avgsat.formula import enumerate_formulas, var_count_alpha
 from avgsat.commands.moments import geometric_moment_sum, moment_oclass_constant
+from oracle import (ChainStep, all_up_to, is_canonical_sentence, tabulator_class_bound,
+                    wilf_comparison)
 
 
 # --- shape counts -----------------------------------------------------
@@ -49,6 +48,8 @@ def test_sentence_count_values():
 
 def test_census_matches_closed_form():
     assert [c.count for c in censuses(3)] == [sentence_count(N) for N in range(4)]
+    # the default arities are those of the 16 binary connectives
+    assert censuses(3) == censuses(3, tables.all_of_arity(2).arities)
 
 
 CENSUS_TABLES = {
@@ -65,7 +66,7 @@ def test_census_matches_filtered_enumeration():
     # closed form, for every table in CENSUS_TABLES and every N of one
     # completion table
     for name, table in CENSUS_TABLES.items():
-        for N, counted in enumerate(censuses(2, table)):
+        for N, counted in enumerate(censuses(2, table.arities)):
             canonical = [x for x in enumerate_formulas(table, N + 1,
                                                        exact_connectives=N)
                          if is_canonical_sentence(x)]
@@ -78,14 +79,14 @@ def test_census_matches_filtered_enumeration():
 def test_censuses_from_one_table_match_census(name):
     # one completion table to the longest length serves every row: the
     # census of each N is the last of a run whose table ends at its length
-    table = CENSUS_TABLES[name]
-    assert censuses(12, table) == [censuses(N, table)[-1] for N in range(13)]
-    assert censuses(-1, table) == []
+    arities = CENSUS_TABLES[name].arities
+    assert censuses(12, arities) == [censuses(N, arities)[-1] for N in range(13)]
+    assert censuses(-1, arities) == []
 
 
 def test_census_refuses_mixed_arities():
     with pytest.raises(ValueError):
-        censuses(1, tables.all_up_to(2))
+        censuses(1, all_up_to(2).arities)
 
 
 def test_census_totals_match_closed_forms():

@@ -14,6 +14,7 @@ import pytest
 from avgsat import analytic, cli
 from avgsat._cli_rare import _build_parser
 from avgsat.commands import moments, sampling
+from oracle import sentence_at, walk_against_eval
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -820,22 +821,12 @@ def test_unknown_case_errors(tmp_path):
 # --- sampler internals ----------------------------------------------------
 
 def test_unrank_is_a_bijection_onto_the_enumeration():
-    # indexing every sequence of a fixed length reproduces the
-    # lexicographic enumeration exactly, so sampling random indices is
-    # exactly uniform over valid sequences
-    from avgsat import _kernel
-    from avgsat.formula import ConnectiveTable, enumerate_length
-    std = ConnectiveTable.standard()
-    runs = sampling.slot_runs(std.arities, std.truth_bits)
-    for length in range(1, 7):
-        cnt = _kernel.completion_counts(2, std.arities, length)
-        unranked = []
-        for u in range(cnt[length][0]):
-            codes = []
-            sampling._unrank([u], length, 2, runs, cnt, codes)
-            unranked.append(tuple(codes))
-        enumerated = [codes for codes, _ in enumerate_length(2, std.arities, length)]
-        assert unranked == enumerated
+    # the ranks of a fixed length number its sequences, and each unranks
+    # to the key of the sequence at its place in the lexicographic
+    # enumeration, so sampling random indices is uniform over valid
+    # sequences
+    from avgsat.formula import ConnectiveTable
+    walk_against_eval(ConnectiveTable.standard(), 2, 6)
 
 
 def test_cli_names_the_sampler_of_the_sampling_commands():
@@ -845,25 +836,39 @@ def test_cli_names_the_sampler_of_the_sampling_commands():
     assert not hasattr(cli, "_sampler")
 
 
-def _codes_at(sampler, u):
-    codes = []
-    key, = sampler.keys_at([u], codes)
-    return tuple(codes), key
+def _sentence_at(sampler, u):
+    """The sentence of rank ``u`` in the enumeration of the sampler's
+    lengths, shortest first."""
+    from avgsat.formula import Formula
+    for length, count in sampler.totals:
+        if u < count:
+            codes = sentence_at(sampler.n_vars, sampler.table.arities, length, u)
+            return Formula(codes, sampler.table)
+        u -= count
+    raise IndexError(u)
+
+
+def _key_at(sampler, u):
+    """The key of the walk over rank ``u`` alone."""
+    key, = sampler.keys_at([u])
+    return key
 
 
 @pytest.mark.parametrize("table", ["standard", "nand"])
 def test_sampler_rank_is_shortlex_position(table):
     # rank u names the u-th sentence of the shortlex enumeration over
     # every length up to max_tokens, so a value memoized per rank is a
-    # value memoized per sentence
+    # value memoized per sentence; the reference unranking names the
+    # same sentences
     from avgsat import tables
-    from avgsat.formula import ConnectiveTable, Formula, enumerate_formulas
+    from avgsat.formula import ConnectiveTable, enumerate_formulas
     tab = (ConnectiveTable.standard() if table == "standard"
            else tables.from_text("⊼ 2 1110\n"))
     sampler = sampling.SequenceSampler(tab, 2, 6)
     enumerated = list(enumerate_formulas(tab, 2, max_tokens=6))
-    assert [Formula(_codes_at(sampler, u)[0], tab)
-            for u in range(sampler.grand_total)] == enumerated
+    ranks = range(sampler.grand_total)
+    assert [_sentence_at(sampler, u) for u in ranks] == enumerated
+    assert [_key_at(sampler, u) for u in ranks] == [x.key() for x in enumerated]
 
 
 SCORER_TABLES = {
@@ -890,13 +895,12 @@ def _assert_key_oracle(x, key):
 def test_scan_units_match_sat_scan_on_every_rank(table, n):
     # every rank up to 6 tokens unranks to the key of its sentence
     from avgsat import tables
-    from avgsat.formula import Formula
     tab = tables.from_text(SCORER_TABLES[table])
     sampler = sampling.SequenceSampler(tab, n, 6)
     alphas = set()
     for u in range(sampler.grand_total):
-        codes, key = _codes_at(sampler, u)
-        _assert_key_oracle(Formula(codes, tab), key)
+        key = _key_at(sampler, u)
+        _assert_key_oracle(_sentence_at(sampler, u), key)
         alphas.add(key[0])
     assert n in alphas
 
@@ -904,14 +908,13 @@ def test_scan_units_match_sat_scan_on_every_rank(table, n):
 def test_two_digit_variables_unrank_to_their_keys():
     # variables from p10 on add a second digit to the size
     import random
-    from avgsat.formula import ConnectiveTable, Formula
-    tab = ConnectiveTable.standard()
-    sampler = sampling.SequenceSampler(tab, 12, 7)
+    from avgsat.formula import ConnectiveTable
+    sampler = sampling.SequenceSampler(ConnectiveTable.standard(), 12, 7)
     rng = random.Random(0)
     sizes = set()
     for u in [rng.randrange(sampler.grand_total) for _ in range(3000)]:
-        codes, key = _codes_at(sampler, u)
-        _assert_key_oracle(Formula(codes, tab), key)
+        key = _key_at(sampler, u)
+        _assert_key_oracle(_sentence_at(sampler, u), key)
         sizes.add(key[1])
     assert len(sizes) > 7
 
@@ -919,21 +922,22 @@ def test_two_digit_variables_unrank_to_their_keys():
 @pytest.mark.parametrize("arity, targets", [(1, range(1, 8)), (2, (1, 3, 5)), (3, (1, 4))])
 def test_explore_min_ranks_unrank_to_their_keys(arity, targets):
     # explore-min draws from a sampler of exactly target tokens: its
-    # ranks are those of the sentences of that length alone
+    # ranks are those of the sentences of that length alone, in the
+    # order of their enumeration
     from avgsat import tables
-    from avgsat.formula import Formula
+    from avgsat.formula import Formula, enumerate_length
     tab = tables.all_of_arity(arity)
     for target in targets:
         pool = 1 + (target - 1) * (arity - 1) // arity
         sampler = sampling.SequenceSampler(tab, pool, target, shortest=target)
         total = sampler.cnt[target][0]
         assert total and sampler.totals == [(target, total)]
-        for u in range(total):
-            codes = []
-            key, = sampling._unrank([u], target, pool, sampler.runs, sampler.cnt, codes)
-            assert len(codes) == target
-            assert _codes_at(sampler, u) == (tuple(codes), key)
-            _assert_key_oracle(Formula(tuple(codes), tab), key)
+        sequences = enumerate_length(pool, tab.arities, target)
+        assert len(sequences) == total
+        for u, (codes, _) in enumerate(sequences):
+            key, = sampling._unrank([u], target, pool, sampler.runs, sampler.cnt)
+            assert _key_at(sampler, u) == key
+            _assert_key_oracle(Formula(codes, tab), key)
 
 
 # name: (the arity of every connective, or None for NOT/AND/OR, n, max_tokens)
@@ -950,16 +954,16 @@ def _walk_table(arity):
 def test_walk_over_every_rank_matches_one_rank_walks(table):
     # one walk per length over every rank gives each rank the key of
     # its own sentence, as the walk over that rank alone does
-    from avgsat.formula import Formula
+    from avgsat.formula import enumerate_formulas
     arity, n, max_tokens = WALK_TABLES[table]
     tab = _walk_table(arity)
     sampler = sampling.SequenceSampler(tab, n, max_tokens)
     keys = sampler.keys_at(list(range(sampler.grand_total)))
-    assert len(keys) == sampler.grand_total
-    for u, key in enumerate(keys):
-        codes, one = _codes_at(sampler, u)
-        assert key == one
-        _assert_key_oracle(Formula(codes, tab), key)
+    sentences = list(enumerate_formulas(tab, n, max_tokens=max_tokens))
+    assert len(keys) == len(sentences) == sampler.grand_total
+    for u, (key, x) in enumerate(zip(keys, sentences)):
+        assert key == _key_at(sampler, u)
+        _assert_key_oracle(x, key)
 
 
 @pytest.mark.parametrize("table, n, max_tokens", [
@@ -1352,6 +1356,15 @@ def test_moments_total_admits_what_runs(command):
                          Fraction(1, 10 ** opts.get("tol_exp"))) <= MAX_MOMENTS_WORK
 
 
+def test_moments_takes_each_cutoff_once(tmp_path):
+    # admitting the run and summing each entry share the entry's cutoff
+    moments._tail_cutoff.cache_clear()
+    code, rows, _ = run(tmp_path, "moments", "--m-list", "2,3,500")
+    assert code == 0 and [r["m"] for r in rows if r["kind"] == "sum"] == ["2", "3", "500"]
+    info = moments._tail_cutoff.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
 # The Shannon model's CSVs, pinned to the bytes written while
 # tab-oclass summed its layers in closed form and property-2-3 held one
 # item per slot.  At n = 12 the lhs denominator has 4,796 digits.
@@ -1609,20 +1622,24 @@ EXACT_COMMANDS = ["sat-oclass --n 1", "property-2-2 --n-list 1", "moments --n-li
 # With the connective tables in _kernel and the moment sums in their
 # command, every command that reads a table compiled 15 to 20 lines fewer
 # (sat-oclass 1,378) and moments 33 fewer (1,471); tractability, which
-# loads errors and no table, 5 more (805)
+# loads errors and no table, 5 more (805).  With the oracles that no
+# command runs moved to the tests and the census reading arities, not a
+# table, the Shannon-model commands compiled 82 fewer (1,351 and 1,323),
+# counting 203 fewer (1,061), explore-min 12 and montecarlo 1 fewer (the
+# walk's codes gone), and moments 4 more (its cutoff memoised)
 LINE_BUDGETS = {
-    "sat-oclass --n 1": 1410,
+    "sat-oclass --n 1": 1405,
     "property-2-2 --n-list 1": 1470,
     "moments --n-list 1": 1505,
     "markov-tail --n 1": 1415,
-    "property-2-3 --model sat --n-list 1": 1450,
+    "property-2-3 --model sat --n-list 1": 1445,
     "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 1475,
-    "tab-oclass --n-list 3": 1465,
-    "property-2-3 --model shannon": 1435,
-    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1490,
-    "explore-min --target-tokens 7 --samples 50": 1305,
+    "tab-oclass --n-list 3": 1380,
+    "property-2-3 --model shannon": 1350,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 1485,
+    "explore-min --target-tokens 7 --samples 50": 1290,
     "tractability --case harmonic --budget 2000": 815,
-    "counting --n-max 4 --enum-limit 2": 1290,
+    "counting --n-max 4 --enum-limit 2": 1085,
 }
 # the statements of the same sources, plus about 2%; with one module for
 # all six exact commands, each compiled 946 (moments 991), and the
@@ -1632,20 +1649,22 @@ LINE_BUDGETS = {
 # (sat-oclass 708, now 677); with no rejection budget, the sampling ones
 # 763 and 657 (768 and 662 before); with the tables in _kernel and the
 # moment sums in their command, 2 or 3 fewer (sat-oclass 674) and
-# moments 11 fewer (728), tractability 3 more (363)
+# moments 11 fewer (728), tractability 3 more (363); with the oracles in
+# the tests, the Shannon-model commands 39 fewer (623 and 606), counting
+# 111 fewer (483), explore-min 8 and montecarlo 1 fewer, moments 1 more
 STATEMENT_BUDGETS = {
     "sat-oclass --n 1": 690,
-    "property-2-2 --n-list 1": 725,
+    "property-2-2 --n-list 1": 720,
     "moments --n-list 1": 745,
     "markov-tail --n 1": 695,
-    "property-2-3 --model sat --n-list 1": 710,
+    "property-2-3 --model sat --n-list 1": 705,
     "tab-oclass --model enumerated --n-list 1 --max-tokens 5": 725,
-    "tab-oclass --n-list 3": 680,
-    "property-2-3 --model shannon": 660,
-    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 780,
-    "explore-min --target-tokens 7 --samples 50": 670,
+    "tab-oclass --n-list 3": 635,
+    "property-2-3 --model shannon": 620,
+    "montecarlo --n 2 --max-tokens 8 --samples 2000 --exact-check": 775,
+    "explore-min --target-tokens 7 --samples 50": 660,
     "tractability --case harmonic --budget 2000": 367,
-    "counting --n-max 4 --enum-limit 2": 610,
+    "counting --n-max 4 --enum-limit 2": 495,
 }
 
 
@@ -1655,7 +1674,7 @@ STATEMENT_BUDGETS = {
      NOT_EXACT | {"avgsat.measure", "avgsat._kernel", "avgsat.engines", "avgsat._counting",
                   "avgsat.analytic"}),
     ("explore-min --target-tokens 7 --samples 50", {"avgsat.measure"}),
-    ("counting --n-max 4 --enum-limit 2", {"avgsat.measure"}),
+    ("counting --n-max 4 --enum-limit 2", {"avgsat.measure", "avgsat.tables"}),
     ("expected-min --n 2", {"avgsat.measure", "avgsat._kernel"}),
     # the Shannon model builds no counted space
     ("tab-oclass --n-list 3", NOT_EXACT | {"avgsat._counting"}),

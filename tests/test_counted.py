@@ -36,7 +36,7 @@ from avgsat.formula import (ConnectiveTable, Formula, enumerate_formulas, model_
 from avgsat.errors import ZeroMass
 from avgsat.measure import InputSpace
 from avgsat.weighting import HMode
-from negation import negated_keys
+from oracle import negated_keys, point_counts, shapes, stirling2
 
 # the costs read an expanded item's first three fields, its key or block
 SAT_TIME = lambda x: engines.sat_scan(x[:3])
@@ -272,31 +272,6 @@ def deep_count(name, n=3):
     return counts
 
 
-def shapes(arities, depth):
-    """shapes[t][l]: the valid RPN sequences of t tokens with l variable
-    tokens, each variable token one unlabelled leaf, by stack depth."""
-    states = {(0, 0): 1}  # (stack depth, variable tokens) -> sequences
-    out = [{}]
-    for _ in range(depth):
-        step = Counter()
-        for (d, l), c in states.items():
-            step[d + 1, l + 1] += c
-            for a in arities:
-                if d >= a:
-                    step[d - a + 1, l] += c
-        states = step
-        out.append({l: c for (d, l), c in states.items() if d == 1})
-    return out
-
-
-def stirling2(l, n):
-    """The ways to split l labelled leaves into n nonempty blocks."""
-    row = [1] + [0] * n  # S(0, k)
-    for _ in range(l):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
-    return row[n]
-
-
 @pytest.mark.parametrize("name", sorted(DEEP_DEPTH))
 def test_labelling_totals_are_shapes_times_stirling(name):
     # a canonical sentence over exactly n variables is a shape with its
@@ -329,60 +304,10 @@ def test_counts_are_invariant_under_duality(name):
             assert all(by_mask.get(flip[m]) == p for m, p in by_mask.items()), (t, state)
 
 
-def point_counts(table, n, point, depth):
-    """counts[t][ki, ko]: [false, true], the subtrees of state (t, ki, ko)
-    (see SentenceCounts) by their truth value at the assignment
-    ``point``, from a DP that applies each connective's truth bits to
-    argument values: no masks, superset sums, normal form or packed
-    digits."""
-    counts = [{}]  # no subtree has 0 tokens
-    memo = {}
-
-    def args(a, t, ki, ko):
-        """Argument values -> the ways a subtrees, in order, of t tokens
-        in all introduce ki..ko-1 and take those values."""
-        key = (a, t, ki, ko)
-        if key not in memo:
-            out = Counter()
-            if a == 0:
-                out[()] = int((t, ki) == (0, ko))
-            else:
-                for t1 in range(1, t + 1):
-                    for k1 in range(ki, ko + 1):
-                        rest = args(a - 1, t - t1, k1, ko)
-                        for v, c in enumerate(counts[t1].get((ki, k1), ())):
-                            for vs, r in rest.items():
-                                out[v, *vs] += c * r
-            memo[key] = out
-        return memo[key]
-
-    for t in range(1, depth + 1):
-        states = {}
-        for ki in range(n + 1):
-            for ko in range(ki, n + 1):
-                c = [0, 0]
-                if t == 1:  # p(ki) introduces a variable; p0..p(ki-1) reuse one
-                    for v in [ki] if ko == ki + 1 else range(ki) if ko == ki else ():
-                        c[point >> v & 1] += 1
-                for conn in table.connectives:
-                    for vs, k in args(conn.arity, t - 1, ki, ko).items():
-                        # row r of the truth bits: the first argument is its top bit
-                        r = functools.reduce(lambda r, v: r << 1 | v, vs, 0)
-                        c[conn.bits >> r & 1] += k
-                if any(c):
-                    states[ki, ko] = c
-        counts.append(states)
-    return counts
-
-
-@pytest.mark.parametrize("name", sorted(DEEP_DEPTH))
-def test_point_marginals_are_the_masks_at_each_point(name):
-    # the sentences of each state true and false at one assignment, the
-    # And/Or-tree literature's quantity (Lefmann and Savicky 1997), are
-    # the count's masks restricted to that assignment's bit
-    counts = deep_count(name)
-    n, low = counts.n, (1 << counts.width) - 1
-    totals = []  # per level: state -> [(mask, sentences over all digits)]
+def mask_totals(counts):
+    """Per level of the count: state -> [(mask, sentences over all digits)]."""
+    low = (1 << counts.width) - 1
+    totals = []
     for states in counts.tab:
         level = {}
         for state, by_mask in states.items():
@@ -393,15 +318,39 @@ def test_point_marginals_are_the_masks_at_each_point(name):
                     total, p = total + (p & low), p >> counts.width
                 level[state].append((m, total))
         totals.append(level)
-    for point in range(1 << n):
-        expected = point_counts(ORACLE_TABLES[name], n, point, DEEP_DEPTH[name])
-        for t, level in enumerate(totals):
-            restricted = {}
-            for state, entries in level.items():
-                c = restricted[state] = [0, 0]
-                for m, total in entries:
-                    c[m >> point & 1] += total
-            assert restricted == expected[t], (point, t)
+    return totals
+
+
+def assert_marginals(name, points):
+    """The count's masks restricted to ``points`` are the marginals of
+    ``point_counts`` there, at every state of every level."""
+    counts = deep_count(name)
+    expected = point_counts(ORACLE_TABLES[name], counts.n, points, DEEP_DEPTH[name])
+    for t, level in enumerate(mask_totals(counts)):
+        restricted = {}
+        for state, entries in level.items():
+            c = restricted[state] = [0] * (1 << len(points))
+            for m, total in entries:
+                c[sum((m >> p & 1) << i for i, p in enumerate(points))] += total
+        assert restricted == expected[t], (points, t)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DEPTH))
+def test_point_marginals_are_the_masks_at_each_point(name):
+    # the sentences of each state true and false at one assignment, the
+    # And/Or-tree literature's quantity (Lefmann and Savicky 1997), are
+    # the count's masks restricted to that assignment's bit
+    for point in range(1 << deep_count(name).n):
+        assert_marginals(name, (point,))
+
+
+@pytest.mark.parametrize("points", [(0, 7), (1, 2), (3, 5)],
+                         ids=lambda points: ",".join(map(str, points)))
+def test_two_point_marginals_are_the_masks_at_each_pair(points):
+    # the sentences of each state by their truth values at two
+    # assignments, which differ in every variable (0, 7) or in two (1, 2
+    # and 3, 5): the count's masks restricted to those two bits
+    assert_marginals("standard", points)
 
 
 def classes_id(value):

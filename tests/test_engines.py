@@ -4,7 +4,7 @@ from avgsat import engines, tables
 from avgsat.formula import (ConnectiveTable, Formula, compact_model_set,
                             enumerate_formulas, evaluate, model_set, parse_rpn,
                             size_f, var_count_alpha)
-from negation import negated_keys
+from oracle import negated_keys
 
 
 def test_rewrite_examples(std):

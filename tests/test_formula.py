@@ -17,6 +17,7 @@ from avgsat.formula import (Connective, ConnectiveTable, Formula, MalformedRpn,
                             compact_model_set, enumerate_formulas, evaluate,
                             leaf_sequence, model_set, parse_rpn, render,
                             size_f, stratify_min_layers, truth, var_count_alpha)
+from oracle import all_up_to
 
 
 # --- random-formula strategy ------------------------------------------
@@ -127,10 +128,6 @@ VALUE_TYPES = [
     (analytic.MinExpectation, (1, Q(7, 4), None, Q(3, 2)), (1, Q(7, 4), Q(7, 4), Q(3, 2)),
      None),
     (moments.MomentSum, (2, Q(6), Q(1, 10), 8), (2, Q(6), Q(1, 10), 16), None),
-    (analytic.ConstantComparison, (189, 197, Q(8, 197)), (190, 197, Q(7, 197)), None),
-    (analytic.ChainStep, ("a", Q(1), Q(2), True), ("b", Q(1), Q(2), True), None),
-    (analytic.TabulatorBound, (1, Q(1), Q(1), True, (), Q(1)),
-     (2, Q(1), Q(1), True, (), Q(1)), None),
 ]
 
 
@@ -397,10 +394,10 @@ def test_all_binary_is_complete_and_distinct(all_binary):
 
 
 def test_all_up_to_two():
-    t = tables.all_up_to(2)
+    t = all_up_to(2)
     assert len(t) == 4 + 16
     with pytest.raises(ValueError):
-        tables.all_up_to(4)
+        all_up_to(4)
 
 
 def test_table_text_round_trip(std, all_binary):

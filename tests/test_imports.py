@@ -66,3 +66,12 @@ def test_the_scan_finds_an_unused_import():
     source = ("import os\nimport sys as system\nfrom a import (b,\n    c)  # noqa: F401\n"
               "from d import e, f\nif True:\n    import g\nprint(e)\n")
     assert unused_imports(source) == [(1, "os"), (2, "system"), (5, "f"), (7, "g")]
+
+
+def test_tests_hold_one_oracle_module():
+    # the tests' slow references live in one module beside the tests,
+    # so that no second helper module grows beside it
+    names = {path.name for path in (ROOT / "tests").glob("*.py")}
+    assert {name for name in names if not name.startswith("test_")} <= \
+        {"conftest.py", "oracle.py"}
+    assert "oracle.py" in names

@@ -8,6 +8,7 @@ import pytest
 
 from avgsat import _kernel, formula, tables
 from avgsat.commands import sampling
+from oracle import walk_against_eval
 
 # every truth table of arities 0..3: 2 + 4 + 16 + 256 slots
 ARITIES = tuple(a for a in range(4) for _ in range(1 << (1 << a)))
@@ -104,38 +105,13 @@ def test_binary_coefficients_match_brute_force(n):
     # ^ (x & y & cxy), x the first argument, from slot_runs
     full = (1 << (1 << n)) - 1
     pool = argument_pool(n)
-    [(_, _, _, ops)] = sampling.slot_runs((2,) * 16, tuple(range(16)))
+    [(_, _, ops)] = sampling.slot_runs((2,) * 16, tuple(range(16)))
     for tt, coefficients in enumerate(ops):
         c0, cx, cy, cxy = coefficients
         assert set(coefficients) <= {0, -1}
         for x, y in product(pool, repeat=2):
             assert (full & c0) ^ (x & cx) ^ (y & cy) ^ (x & y & cxy) == \
                 brute_apply(2, tt, (x, y), n), (tt, x, y)
-
-
-def walk_against_eval(table, n_vars, max_tokens):
-    """Every rank of every length up to max_tokens, unranked in one walk
-    per length and one rank at a time, against the enumeration's codes and
-    the evaluation of them."""
-    arities, tts = table.arities, table.truth_bits
-    runs = sampling.slot_runs(arities, tts)
-    cnt = _kernel.completion_counts(n_vars, arities, max_tokens)
-    for length in range(1, max_tokens + 1):
-        sequences = [codes for codes, _ in formula.enumerate_length(n_vars, arities, length)]
-        assert len(sequences) == cnt[length][0]
-        if not sequences:  # a walk takes at least one rank
-            continue
-        expected = []
-        for codes in sequences:
-            mask, alpha = formula.eval_mask_compact(codes, arities, tts)
-            digits = sum(len(str(c)) for c in codes if c >= 0)
-            expected.append((alpha, 8 * (2 * length - 1 + digits), mask))
-        ranks = list(range(len(sequences)))
-        assert sampling._unrank(ranks, length, n_vars, runs, cnt) == expected
-        for u in ranks[::7]:
-            codes = []
-            assert sampling._unrank([u], length, n_vars, runs, cnt, codes) == [expected[u]]
-            assert tuple(codes) == sequences[u]
 
 
 def test_walk_matches_eval_over_every_binary_connective():
