@@ -1,14 +1,18 @@
-"""What the command line needs only on some starts: the reader of a
---config file, and the full argparse parser, which answers help and
-errors.  :mod:`avgsat.cli` imports this module only for those, so that
-no other start compiles it."""
+"""What the command line needs only on some starts, so that no other
+start compiles it: the --config reader, the help text, and what
+:func:`avgsat.cli._read` asks of a token that names no flag in full."""
 
 from __future__ import annotations
 
-from .cli import COMMANDS, GLOBALS, Option, OptionError
+import re
 
-# the config keys some command takes; any other key is an error
-_KEYS = {o.name for o in GLOBALS} | {o.name for c in COMMANDS.values() for o in c.options}
+from .cli import COMMANDS, GLOBALS, Option, OptionError, _int_list
+
+# the config keys some command takes (a config file cannot name another)
+_KEYS = {o.name for c in COMMANDS.values() for o in (*GLOBALS, *c.options)} - {"config"}
+
+# a negative number, which a separate value may be
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _read_config(path: str) -> dict[str, tuple[str, str]]:
@@ -33,26 +37,52 @@ def _read_config(path: str) -> dict[str, tuple[str, str]]:
     return cfg
 
 
-def _add_option(parser, opt: Option, default) -> None:
-    kind = (dict(action="store_true") if opt.type is bool
-            else dict(type=opt.type, choices=opt.choices))
-    parser.add_argument(opt.flag, default=default, help=opt.help, **kind)
+def _named(token: str, flags: dict[str, Option]) -> list[str]:
+    """The flags of ``flags``, -h and --help that a token may name: the
+    one its part before '=' names, else each long flag that part of a
+    ``--`` token begins, else -h for a token starting with it."""
+    name, scope = token.partition("=")[0], [*flags, "-h", "--help"]
+    if name in scope:
+        return [name]
+    if token[:2] == "--":
+        return [flag for flag in scope if flag.startswith(name)]
+    return ["-h"] if token[:2] == "-h" else []
 
 
-def _build_parser():
-    """The argparse parser of every command, which answers help and
-    errors.  Command options default to None, so that an unset flag
-    defers to the config file."""
-    import argparse  # loaded only for help and errors, not for a config file
-    common = argparse.ArgumentParser(add_help=False)
-    for opt in GLOBALS:
-        _add_option(common, opt, argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
-        prog="avgsat", parents=[common],
-        description="Average running time experiments over propositional sentence spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help, parents=[common])
-        for opt in cmd.options:
-            _add_option(p, opt, None)
-    return parser
+def _flag(token: str, flags: dict[str, Option]) -> Option | None:
+    """The option a token names, or None for help: -h, or --help or a
+    prefix of it, with no value.  A bool flag takes no value either."""
+    named = _named(token, flags)
+    if len(named) != 1:
+        raise OptionError(f"{token}: could be {', '.join(named)}" if named
+                          else f"{token}: no such option")
+    opt = flags.get(named[0])
+    if "=" in token and (opt is None or opt.type is bool) or named[0] == "-h" and token != "-h":
+        raise OptionError(f"{token}: {named[0]} takes no value")
+    return opt
+
+
+def _separate(opt: Option, value: str | None, flags: dict[str, Option]) -> None:
+    """Refuse the token after opt's flag unless it is a value (see _read)."""
+    if value is None or value != "-" and not _NEGATIVE.match(value) and (
+            " " not in value or _named(value, flags)):
+        raise OptionError(f"{opt.flag}: expected a value")
+
+
+_METAVARS = {int: "INT", float: "FLOAT", str: "PATH", _int_list: "INT,..."}
+
+
+def _help(command: str | None) -> int:
+    """Print avgsat's help (None) or a command's: its flags, each with its
+    value (its choices, if it has them), help and default; 0."""
+    lines = [f"usage: avgsat [global options] {command or '<command>'} [options]", "",
+             COMMANDS[command].help if command else "commands:",
+             *(f"  {name:<21} {cmd.help}" for name, cmd in COMMANDS.items() if not command),
+             "", "options:", f"  {'-h, --help':<21} show this help and exit"]
+    for opt in (*COMMANDS[command].options, *GLOBALS) if command else GLOBALS:
+        shown = "{" + ",".join(opt.choices) + "}" if opt.choices else _METAVARS.get(opt.type, "")
+        default = ",".join(map(str, opt.default)) if isinstance(opt.default, tuple) else opt.default
+        notes = [opt.help, default is not None and opt.type is not bool and f"default {default}"]
+        lines.append(f"  {opt.flag + ' ' + shown:<21} {'; '.join(filter(None, notes))}".rstrip())
+    print("\n".join(lines))
+    return 0

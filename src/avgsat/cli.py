@@ -15,8 +15,9 @@ code model at n = 1, 2) are downgraded to "expected_fail" under
 audited and found not to hold".  A refused input (see
 :class:`~avgsat.errors.AvgsatError`) prints one line and exits 2.
 
-This module declares every command and parses its options; a command's
-body lives in :mod:`avgsat.commands` and is imported only when it runs.
+This module declares every command and is the one reader of the
+command line; a command's body lives in :mod:`avgsat.commands` and is
+imported only when it runs.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ INFO = "info"
 
 
 class OptionError(AvgsatError):
-    """A --config file cannot be read or holds a bad line, key or value,
-    an option's value is not one its command accepts, or --out cannot
-    be written."""
+    """A command line or --config file that cannot be read (a bad flag,
+    line, key or value), or an --out that cannot be written."""
 
 
 def _frac(q) -> list[str]:
@@ -92,10 +92,31 @@ class Option:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _value(opt: Option, raw: str, where: str):
+    """raw converted by opt's type (a bool by _BOOLEANS) and checked
+    against its choices and bounds; a refusal names ``where``."""
+    try:
+        value = _BOOLEANS[raw.lower()] if opt.type is bool else opt.type(raw)
+    except KeyError:
+        raise OptionError(f"{where}: expected {', '.join(_BOOLEANS)}") from None
+    except ValueError as exc:
+        raise OptionError(f"{where}: {exc}") from exc
+    if opt.choices is not None and value not in opt.choices:
+        raise OptionError(f"{where}: choose from {', '.join(opt.choices)}")
+    if value != value:  # NaN, which every comparison of a bound would pass
+        raise OptionError(f"{where}: expected a number")
+    values = value if isinstance(value, list) else [value]
+    if opt.minimum is not None and min(values) < opt.minimum:
+        raise OptionError(f"{where}: must be at least {opt.minimum}")
+    if opt.maximum is not None and max(values) > opt.maximum:
+        raise OptionError(f"{where}: must be at most {opt.maximum}")
+    return value
+
+
 class Options:
     """Option resolution against the running command's declaration: its
-    flag, then its config value parsed with the declared type, then the
-    declared default.  A config value is parsed when it is read."""
+    flag (read and checked by :func:`_read`), then its config value,
+    checked when it is read, then the declared default."""
 
     def __init__(self, args, cfg: dict[str, tuple[str, str]]):
         self.args, self.cfg = args, cfg
@@ -107,29 +128,11 @@ class Options:
         opt = self.declared[name]
         value = getattr(self.args, name, None)
         if value is not None:
-            shown = ",".join(map(str, value)) if isinstance(value, list) else value
-            where = f"{opt.flag} {shown}"
-        elif name not in self.cfg:
+            return value
+        if name not in self.cfg:
             return default if opt.default is None else opt.default
-        else:
-            raw, line = self.cfg[name]
-            where = f"{line}: {name} = {raw}"
-            try:
-                value = _BOOLEANS[raw.lower()] if opt.type is bool else opt.type(raw)
-            except KeyError:
-                raise OptionError(f"{where}: expected {', '.join(_BOOLEANS)}") from None
-            except ValueError as exc:
-                raise OptionError(f"{where}: {exc}") from exc
-        if opt.choices is not None and value not in opt.choices:
-            raise OptionError(f"{where}: choose from {', '.join(opt.choices)}")
-        if value != value:  # NaN, which every comparison of a bound would pass
-            raise OptionError(f"{where}: expected a number")
-        values = value if isinstance(value, list) else [value]
-        if opt.minimum is not None and min(values) < opt.minimum:
-            raise OptionError(f"{where}: must be at least {opt.minimum}")
-        if opt.maximum is not None and max(values) > opt.maximum:
-            raise OptionError(f"{where}: must be at most {opt.maximum}")
-        return value
+        raw, line = self.cfg[name]
+        return _value(opt, raw, f"{line}: {name} = {raw}")
 
 
 def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -154,9 +157,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# --- entry point ------------------------------------------------------
-
-
 class Command:
     """A command: where its function is, as "module:function", its help
     line and its options."""
@@ -177,9 +177,7 @@ class Command:
 _TABLE = Option("--table", str)
 _MAX_TOKENS = Option("--max-tokens", int)
 _N_LIST = Option("--n-list", _int_list, (1, 2))
-# the Shannon model's exact sums run over 2^n code lengths per class:
-# at n = 13 tab-oclass takes about 1 s and property-2-3 about 1.3 s, and
-# n = 14 about 4.6 s (2 vCPU, Python 3.11)
+# the Shannon model's exact sums run over 2^n code lengths per class
 _SHANNON_N_LIST = Option("--n-list", _int_list, minimum=1, maximum=13)
 
 # the modules of the command bodies: each exact verdict its own, and the
@@ -188,7 +186,8 @@ _COMMANDS = "avgsat.commands."
 _SERIES = "avgsat.commands.series:"
 _SAMPLING = "avgsat.commands.sampling:"
 
-# every command: its function, its help line and its own options
+# every command: its function, its help line and its own options.  What
+# each limit keeps a run to, with its timings, is in the README (CLI).
 COMMANDS = {
     "expected-min": Command(_SERIES + "cmd_expected_min", "expected first-witness bound", (
         # the exact sums have denominators of 2^n bits: 65,536 at n = 16
@@ -204,26 +203,15 @@ COMMANDS = {
         Option("--model", str, "shannon", choices=("shannon", "enumerated")),
         Option("--max-tokens", int, 7), _TABLE)),
     "moments": Command(_COMMANDS + "moments:cmd_moments", "higher-moment sums and bounds", (
-        # each m sums i^m / 2^i to a cutoff past 4m whose tail is below
-        # 10^-tol_exp, and the sum costs about the square of its bits.  On
-        # 2 vCPUs (Python 3.11) at --n-list 1, --tol-exp 10^4 took 0.44 s,
-        # 3 * 10^4 2.8 s and 4 * 10^4 5.8 s; --m-list 500 took
-        # 0.25 s, 1000 0.96 s and 1500 2.3 s.  Together they cost more:
-        # --m-list 500 --tol-exp 10^4 took 1.2 s (2.4 s with --n-list 1,2,3)
-        # where --m-list 1000 --tol-exp 20000 took 10 s
+        # each m sums i^m / 2^i to a cutoff whose tail is below
+        # 10^-tol_exp, at about the square of its bits
         Option("--m-list", _int_list, (2, 3), minimum=1, maximum=500), _N_LIST,
         Option("--tol-exp", int, 12, minimum=0, maximum=10 ** 4), _TABLE)),
     "counting": Command(_SERIES + "cmd_counting",
                         "sentence shape counts and cost-ratio series", (
-        # the partial sums' numerators and denominators grow as
-        # N (N + 9.4 p) / 11 digits at row N, and writing them costs the
-        # square of that: on 2 vCPUs (Python 3.11) --n-max 500 took 2.2 s
-        # and 700 10.5 s; --p 10^4 took 1.0 s and 10^5 87 s at --n-max 10.
-        # commands.series.MAX_COUNTING_WORK bounds them together, so
-        # neither declares a maximum of its own: the longest runs it
-        # accepts, such as --n-max 527 (2.8 s) or --n-max 2 --p 10^5
-        # (0.9 s), take under 3 s.  --p is at least 0: a negative --p
-        # divided by a float power that underflowed to 0
+        # commands.series.MAX_COUNTING_WORK bounds --n-max and --p
+        # together; a negative --p divided by a float power that
+        # underflowed to 0
         Option("--n-max", int, 10, minimum=0),
         Option("--p", int, 2, minimum=0),
         Option("--enum-limit", int, 3))),
@@ -235,22 +223,16 @@ COMMANDS = {
         Option("--eps", float, 1e-12, minimum=0.0), Option("--cap", float, 1e6))),
     "montecarlo": Command(_SAMPLING + "cmd_montecarlo",
                           "seeded sampling estimate of the average time", (
-        # the completion table holds about L^2 integers of up to L*log2(n + 3)
-        # bits; at --n 2 --samples 10 it took 0.09 s/18 MB at 100 tokens,
-        # 0.13 s/18 MB at 200, 0.31 s/23 MB at 300 and 0.52 s/33 MB at 400.
-        # A draw's masks are up to 2^n bits wide: at 200 tokens ten draws
-        # took 0.49 s/18 MB at --n 16, 0.80 s/21 MB at 20, 1.23 s/34 MB at
-        # 22 and 3.3 s/67 MB at 24
+        # the completion table holds about L^2 integers of up to
+        # L*log2(n + 3) bits, and a draw's masks are up to 2^n bits wide
         Option("--n", int, 2, maximum=20), Option("--max-tokens", int, 8, maximum=200),
         Option("--samples", int, 100000, minimum=1), Option("--exhaustive", bool, False),
         Option("--exact-check", bool, False), _TABLE)),
     "explore-min": Command(_SAMPLING + "cmd_explore_min",
                            "sampled expected first witness at fixed length", (
         # a draw's masks are 2^alpha bits wide, and alpha nears 2/3 of the
-        # variable pool: at 65 tokens (pool 33) ten draws took up to 0.5 s
-        # and 96 MB over five seeds, and each 2 tokens more about doubled
-        # both; commands.sampling holds the pool to 33 at every arity, and
-        # --samples to its MAX_DRAW_STEPS
+        # variable pool; commands.sampling holds the pool to 33 at every
+        # arity, and --samples to its MAX_DRAW_STEPS
         Option("--target-tokens", int, 9, maximum=65),
         Option("--arity", int, 2, minimum=1, maximum=3),  # the tables all_of_arity builds
         Option("--samples", int, 10000, minimum=1))),
@@ -266,10 +248,7 @@ COMMANDS = {
         Option("--model", str, "sat", choices=("sat", "shannon")),
         _SHANNON_N_LIST,  # default by --model
         # H(n) = n^-e has e * log2(n) bits, and the exact sums over the
-        # classes cost about the square of their bits.  On 2 vCPUs (Python
-        # 3.11) the Shannon model at --n-list 3,...,13 took 1.4 s at e = 2
-        # (the n = 13 sum), 1.6 s at 5,000, 2.4 s at 10^4, 4.2 s at
-        # 2 * 10^4 and 69 s at 10^5; --n-list 1,2 took 8.6 s at 10^6
+        # classes cost about the square of their bits
         _MAX_TOKENS, Option("--h-exponent", int, 2, minimum=0, maximum=10 ** 4), _TABLE)),
     "markov-tail": Command(_COMMANDS + "markov_tail:cmd_markov_tail",
                            "tail frequency against the mean", (
@@ -280,7 +259,7 @@ COMMANDS = {
 GLOBALS = (
     Option("--config", str, help="flat key = value option file"),
     Option("--out", str, help="CSV output path (default stdout)"),
-    Option("--seed", int, 0, help="Monte Carlo seed (default 0)"),
+    Option("--seed", int, 0, help="Monte Carlo seed"),
     Option("--audit", bool, False, help="report known deviations as expected_fail"),
 )
 
@@ -290,21 +269,24 @@ _FLAGS = {name: {**_GLOBAL_FLAGS, **{o.flag: o for o in cmd.options}}
           for name, cmd in COMMANDS.items()}
 
 
-def _read(argv: list[str]) -> SimpleNamespace | None:
-    """argv read from the declarations, if it is well formed: the global
-    flags, the command's name, then its own flags and the global ones,
-    each as ``--flag value`` or ``--flag=value`` (a bool flag bare), the
-    last of a repeated flag winning.  None for anything else: help,
-    ``--``, an abbreviated or unknown flag, a separate value that starts
-    with '-', a missing value or command, an extra positional, or a
-    value its type or choices refuse."""
+def _read(argv: list[str]) -> SimpleNamespace:
+    """argv read from the declarations: the global flags, the command's
+    name, then its own flags and the global ones, each named in full or
+    by a unique prefix, as ``--flag value`` or ``--flag=value`` (a bool
+    flag bare); the last of a repeated flag wins.  A separate value
+    starting with '-' must be '-', a negative number or hold a space;
+    ``--flag=--`` is the value ``--``.  :func:`_value` checks each value.
+    The first help token (``-h``, or ``--help`` or a prefix of it) or
+    refused token, in order, decides: help answers with ``help=True``
+    and the command (None before it), and a refusal raises OptionError."""
     args = {}
     flags = _GLOBAL_FLAGS
     tokens = iter(argv)
     for token in tokens:
         if token[:1] != "-":
             if "command" in args or token not in COMMANDS:
-                return None
+                raise OptionError(f"{token!r}: not " + ("an option" if "command" in args
+                                                        else "a command"))
             # a global given before the command keeps its value: no
             # command declares a global's name
             args.update(dict.fromkeys(o.name for o in COMMANDS[token].options), command=token)
@@ -312,41 +294,28 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
             continue
         flag, eq, value = token.partition("=")
         opt = flags.get(flag)
-        if opt is None:
-            return None
-        if opt.type is bool:
-            if eq:
-                return None
-            value = True
-        else:
-            if not eq:
-                value = next(tokens, "-")  # a missing value defers, as "-x" does
-                if value[:1] == "-":
-                    return None
-            try:
-                value = opt.type(value)
-            except (TypeError, ValueError):
-                return None
-            if opt.choices is not None and value not in opt.choices:
-                return None
-        args[opt.name] = value
-    return SimpleNamespace(**args) if "command" in args else None
-
-
-def _parse(argv: list[str]):
-    """The full parser's parse of argv, which argparse makes only when
-    ``_read`` cannot: for help and errors it answers with argparse's text
-    and exit code."""
-    args = _read(argv)
-    if args is None:
-        from ._cli_rare import _build_parser  # loaded only for help and errors
-        args = _build_parser().parse_args(argv)
-    return args
+        if opt is None or eq and opt.type is bool:
+            from ._cli_rare import _flag  # loaded only for a prefix, help or a refusal
+            opt = _flag(token, flags)
+            if opt is None:
+                return SimpleNamespace(help=True, command=args.get("command"))
+        if opt.type is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-":
+                from ._cli_rare import _separate  # loaded only for such a value
+                _separate(opt, value, flags)
+        args[opt.name] = True if opt.type is bool else _value(opt, value, f"{opt.flag} {value}")
+    if "command" not in args:
+        raise OptionError(f"expected a command: {', '.join(COMMANDS)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        args = _read(sys.argv[1:] if argv is None else argv)
+        if getattr(args, "help", False):
+            from ._cli_rare import _help  # loaded only for help
+            return _help(args.command)
         config, cfg = getattr(args, "config", None), {}
         if config:
             from ._cli_rare import _read_config  # loaded only for a --config file
@@ -355,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         header, rows = COMMANDS[args.command].load()(opts)
         _emit(opts.get("out"), header, rows)
     except AvgsatError as exc:
-        print(f"avgsat: {exc}", file=sys.stderr)
+        print(f"avgsat: {exc}".replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2
     failed = [(i, row) for i, row in enumerate(rows, start=1) if row and row[-1] == FAIL]
     for i, row in failed:

@@ -12,14 +12,17 @@
   :mod:`avgsat.formula`;
 - for the counting DP at the depth the commands read: the shapes of
   sentences by tokens and leaves, Stirling numbers of the second kind,
-  and the subtrees of each state by their truth values at a few points.
+  and the subtrees of each state by their truth values at a few points;
+- a reference command-line parser, argparse built from the declarations
+  of :mod:`avgsat.cli`, against which ``cli._read`` is checked.
 """
 
+import argparse
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
-from avgsat import _kernel, engines, formula, tables
+from avgsat import _kernel, cli, engines, formula, tables
 from avgsat.analytic import shannon_lengths
 from avgsat.commands import sampling
 
@@ -260,3 +263,67 @@ def point_counts(table, n, points, depth):
                     states[ki, ko] = c
         counts.append(states)
     return counts
+
+
+# --- the command line ---------------------------------------------------
+
+
+class _Answer(Exception):
+    """How the reference parser ended a line: ("help", the command or
+    None) or ("refused", its message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, answering help and refusals by raising, not exiting."""
+
+    def error(self, message):
+        raise _Answer("refused", message)
+
+    def print_help(self, file=None):
+        # the prog of a command's parser is "avgsat <command>"
+        raise _Answer("help", self.prog.partition(" ")[2] or None)
+
+
+def _checked(opt):
+    """opt's type, refusing a value that breaks its declaration: NaN, or
+    (in each entry of a list) past its least or greatest value."""
+    def convert(raw):
+        value = opt.type(raw)
+        for v in value if isinstance(value, list) else [value]:
+            if v != v or (opt.minimum is not None and v < opt.minimum
+                          or opt.maximum is not None and v > opt.maximum):
+                raise ValueError(f"{v} breaks the declaration")
+        return value
+    return convert
+
+
+def _add_option(parser, opt, default) -> None:
+    kind = (dict(action="store_true") if opt.type is bool
+            else dict(type=_checked(opt), choices=opt.choices))
+    parser.add_argument(opt.flag, default=default, help=opt.help, **kind)
+
+
+@cache
+def reference_parser():
+    """The argparse parser of every command, from the declarations of
+    :mod:`avgsat.cli`.  Command options default to None, so that an unset
+    flag defers to the config file; globals are set only where given."""
+    common = _Parser(add_help=False)
+    for opt in cli.GLOBALS:
+        _add_option(common, opt, argparse.SUPPRESS)
+    parser = _Parser(prog="avgsat", parents=[common])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, parents=[common])
+        for opt in cmd.options:
+            _add_option(p, opt, None)
+    return parser
+
+
+def reference_answer(argv):
+    """The reference parser's answer to argv: ("help", the command or
+    None), ("refused", its message) or ("values", the parsed options)."""
+    try:
+        return "values", vars(reference_parser().parse_args(argv))
+    except _Answer as answer:
+        return answer.args
